@@ -6,7 +6,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: build test check vet race fuzz-smoke campaign chaos staticcheck \
 	staticcheck-install analyzers lint analyze serve-smoke crash cluster-chaos \
-	bench-smoke overload-chaos
+	bench-smoke bench-check overload-chaos
 
 build:
 	$(GO) build ./...
@@ -107,18 +107,25 @@ overload-chaos:
 		-run 'TestOverloadChaos|TestSustainedOverloadNoLeaks|TestBrownoutServesStale' \
 		./internal/server
 
-# bench-smoke runs the 90/10 write-mix benchmark at a short benchtime and
-# gates the cached-read p50 ratio of per-predicate vs global invalidation
-# through benchreport. The smoke bar (>=2x) is looser than the committed
-# BENCH_incremental.json (>=5x) to absorb short-run noise; it exists to
-# catch the incremental invalidation path silently degrading to global.
+# bench-smoke runs the compiled-engine and overload benchmarks at a short
+# benchtime and gates their ratios (compiled model build vs interpreter,
+# goodput with admission on vs off) through benchreport. The smoke bars
+# are looser than the committed BENCH_*.json to absorb short-run noise.
 bench-smoke:
 	sh scripts/bench_smoke.sh
+
+# bench-check vets and short-tests bench/, the frozen benchmark module
+# (`replace repro => ../`; `go build ./...` does not descend into it), so
+# a refactor that breaks the API it mirrors fails here rather than in the
+# benchmark pipeline.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # check is the CI tier: vet, the custom analyzers, staticcheck, build, the
 # program linter, the SARIF analysis artifact, the race-enabled suite, the chaos tier, the crash-recovery
 # matrix, the replication cluster-chaos matrix, the overload-protection
-# harness, the daemon smoke, the bench smokes (write-mix, compiled,
-# overload goodput), and a bounded differential fuzz smoke.
-check: vet analyzers staticcheck build lint analyze race chaos crash cluster-chaos overload-chaos serve-smoke bench-smoke fuzz-smoke
+# harness, the daemon smoke, the frozen-benchmark compile guard, the bench
+# smokes (compiled, overload goodput), and a bounded differential fuzz smoke.
+check: vet analyzers staticcheck build bench-check lint analyze race chaos crash cluster-chaos overload-chaos serve-smoke bench-smoke fuzz-smoke
 	@echo "check: all gates passed"

@@ -7,9 +7,9 @@
 //	go test -bench=. -benchmem . | tee bench_output.txt
 //	benchreport -in bench_output.txt
 //	benchreport -in bench_output.txt -ratio NaiveVsSemiNaive/eval/seminaive
-//	benchreport -in bench_output.txt -json BENCH_incremental.json
+//	benchreport -in bench_output.txt -json BENCH_overload.json
 //	benchreport -in bench_output.txt \
-//	    -gate 'WriteMixStorm/invalidation/incremental:p50-read-ns>=5'
+//	    -gate 'OverloadStorm/admission/off:goodput>=1.5'
 //
 // A -gate spec group/dim/base:metric>=min asserts that, within the group,
 // every dim variant's metric is at least min times the dim=base arm's —

@@ -42,6 +42,10 @@ type Evaluator struct {
 	Stats  Stats
 
 	gov *resource.Governor
+	// stages, when set (EvalTrace), records for every new fact the T_P round
+	// that produced it; stage is the current round, counted across strata.
+	stages map[string]int
+	stage  int
 }
 
 // approxAtomBytes estimates the bytes retained by one stored fact — the
@@ -61,6 +65,9 @@ func (e *Evaluator) insert(dst *Store, a Atom) (bool, error) {
 		return false, err
 	}
 	if added {
+		if e.stages != nil {
+			e.stages[a.Key()] = e.stage
+		}
 		if err := e.gov.Insert(approxAtomBytes(a)); err != nil {
 			return true, err
 		}
@@ -106,13 +113,7 @@ func (e *Evaluator) EvalContext(ctx context.Context, p *Program, edb *Store) (*S
 		}
 	}
 	for _, clauses := range strata {
-		var err error
-		if e.Parallel && !e.Naive {
-			err = e.evalStratumParallel(clauses, full)
-		} else {
-			err = e.evalStratum(clauses, full)
-		}
-		if err != nil {
+		if err := e.evalStratum(clauses, full); err != nil {
 			return e.finish(full, err)
 		}
 		e.Stats.StrataCompleted++
@@ -153,8 +154,18 @@ func EvalLimited(ctx context.Context, p *Program, edb *Store, limits resource.Li
 	return model, e.Stats, err
 }
 
+// job is one rule firing of a fixpoint round: the whole body against the
+// model, or (deltaLit ≥ 0) with that literal restricted to the facts the
+// previous round added.
+type job struct {
+	clause   Clause
+	deltaLit int
+}
+
 // evalStratum iterates the clauses of one stratum to fixpoint against full,
-// which already contains all lower strata.
+// which already contains all lower strata. It is the one stratum loop: the
+// sequential, parallel and staged (EvalTrace) evaluations differ only in
+// runRound.
 func (e *Evaluator) evalStratum(clauses []Clause, full *Store) error {
 	// Facts fire once.
 	var rules []Clause
@@ -171,6 +182,7 @@ func (e *Evaluator) evalStratum(clauses []Clause, full *Store) error {
 		}
 	}
 	if len(rules) == 0 {
+		e.stage++ // T_P takes one (empty) round to find the stratum closed
 		return nil
 	}
 	// Which predicates are defined by rules in this stratum? Those are the
@@ -180,64 +192,22 @@ func (e *Evaluator) evalStratum(clauses []Clause, full *Store) error {
 		idb[c.Head.Pred] = true
 	}
 
-	if e.Naive {
-		for {
-			e.Stats.Iterations++
-			if err := e.gov.Check(); err != nil {
-				return err
-			}
-			changed := false
-			for _, c := range rules {
-				e.Stats.RuleFirings++
-				err := e.solveBody(c, full, nil, -1, func(head Atom) error {
-					e.Stats.Derivations++
-					added, err := e.insert(full, head)
-					if err != nil {
-						return err
-					}
-					if added {
-						changed = true
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-			}
-			if !changed {
-				return nil
-			}
-		}
-	}
-
-	// Semi-naive: first round evaluates every rule fully; subsequent rounds
-	// require one body literal to match the previous round's delta.
-	delta := NewStore()
-	e.Stats.Iterations++
-	for _, c := range rules {
-		e.Stats.RuleFirings++
-		err := e.solveBody(c, full, nil, -1, func(head Atom) error {
-			e.Stats.Derivations++
-			added, err := e.insert(full, head)
-			if err != nil {
-				return err
-			}
-			if added {
-				delta.Insert(head) //nolint:errcheck // ground: just inserted into full
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for delta.Len() > 0 {
+	// The first round evaluates every rule fully, and so does every naive
+	// round; a later semi-naive round requires one body literal to match the
+	// previous round's delta.
+	var delta *Store
+	for {
 		e.Stats.Iterations++
+		e.stage++
 		if err := e.gov.Check(); err != nil {
 			return err
 		}
-		next := NewStore()
+		var jobs []job
 		for _, c := range rules {
+			if delta == nil {
+				jobs = append(jobs, job{c, -1})
+				continue
+			}
 			for i, l := range c.Body {
 				if l.Negated || l.Atom.IsBuiltin() || !idb[l.Atom.Pred] {
 					continue
@@ -245,49 +215,146 @@ func (e *Evaluator) evalStratum(clauses []Clause, full *Store) error {
 				if len(delta.Facts(l.Atom.Pred)) == 0 {
 					continue
 				}
-				e.Stats.RuleFirings++
-				err := e.solveBody(c, full, delta, i, func(head Atom) error {
-					e.Stats.Derivations++
-					added, err := e.insert(full, head)
-					if err != nil {
-						return err
-					}
-					if added {
-						next.Insert(head) //nolint:errcheck // ground: just inserted into full
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
+				jobs = append(jobs, job{c, i})
 			}
 		}
-		delta = next
+		next := NewStore()
+		err := e.runRound(jobs, full, delta, func(head Atom) error {
+			e.Stats.Derivations++
+			added, err := e.insert(full, head)
+			if err != nil {
+				return err
+			}
+			if added {
+				next.Insert(head) //nolint:errcheck // ground: just inserted into full
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if next.Len() == 0 {
+			return nil
+		}
+		if !e.Naive {
+			delta = next
+		}
+	}
+}
+
+// runRound fires one round's jobs and hands every derived head to sink, which
+// makes it visible in full. Sequentially a head is sunk the moment it is
+// derived, so later jobs of the same round already see it. The parallel and
+// staged variants buffer each job's heads and sink them in job order after
+// the last job, so heads become visible at the round boundary: the same
+// minimal model, possibly in a different number of rounds — and, because
+// sinking stays sequential, with deterministic insert accounting.
+func (e *Evaluator) runRound(jobs []job, full, delta *Store, sink func(Atom) error) error {
+	fire := func(j job, emit func(Atom) error) error {
+		v := storeView{live: full, delta: delta, deltaLit: j.deltaLit}
+		return solveBody(e.gov, j.clause, -1, term.Subst{}, v, func(s term.Subst) error {
+			head, err := headOf(j.clause, s)
+			if err != nil {
+				return err
+			}
+			return emit(head)
+		})
+	}
+	parallel := e.Parallel && !e.Naive
+	if !parallel && e.stages == nil {
+		for _, j := range jobs {
+			e.Stats.RuleFirings++
+			if err := fire(j, sink); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	e.Stats.RuleFirings += len(jobs)
+	workers := 1
+	if parallel {
+		workers = e.Workers
+	}
+	results, err := fireBuffered(jobs, workers, fire)
+	if err != nil {
+		return err
+	}
+	for _, heads := range results {
+		for _, head := range heads {
+			if err := sink(head); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// solveBody enumerates all substitutions satisfying c's body against full
-// (literal deltaIdx, if ≥ 0, matched against delta instead) and calls emit
-// with each resulting ground head. Literals are consumed in a "first ready"
-// order: built-in '!=' and negated literals wait until ground, which safety
-// guarantees will happen.
-func (e *Evaluator) solveBody(c Clause, full, delta *Store, deltaIdx int, emit func(Atom) error) error {
-	remaining := make([]int, len(c.Body))
-	for i := range remaining {
-		remaining[i] = i
+// headOf instantiates c's head under a solution of its body.
+func headOf(c Clause, s term.Subst) (Atom, error) {
+	head := c.Head.Apply(s)
+	if !head.IsGround() {
+		return Atom{}, fmt.Errorf("datalog: derived non-ground head %s from %s", head, c)
+	}
+	return head, nil
+}
+
+// storeView is what a body enumeration matches against. The evaluator's view
+// is the model with, in a semi-naive round, body literal deltaLit redirected
+// to delta. The incremental engine widens positive matches with grave, the
+// tuples removed earlier in the same delta (an over-approximation of the
+// pre-delta model), and lists in negSkip the atom keys added by this delta,
+// which negation checks must treat as absent when the enumeration asks
+// about the pre-delta state.
+type storeView struct {
+	live     *Store
+	delta    *Store // nil: no literal is redirected
+	deltaLit int
+	grave    *Store
+	negSkip  map[string]bool
+}
+
+func (v storeView) contains(g Atom) bool {
+	if v.negSkip != nil && v.negSkip[g.Key()] {
+		return false
+	}
+	return v.live.Contains(g)
+}
+
+func (v storeView) match(a Atom, s term.Subst, fn func(term.Subst) bool) {
+	if v.grave == nil {
+		v.live.Match(a, s, fn)
+		return
+	}
+	stopped := false
+	v.live.Match(a, s, func(s2 term.Subst) bool {
+		stopped = !fn(s2)
+		return !stopped
+	})
+	if !stopped {
+		v.grave.Match(a, s, fn)
+	}
+}
+
+// solveBody is the one body solver: it enumerates every substitution
+// extending s0 that satisfies c's body against v and calls emit with each.
+// Literal skip, if ≥ 0, is taken as already consumed by the caller (who bound
+// it in s0). Literals are consumed in a "first ready" order: built-in '!='
+// and negated literals wait until ground, which safety guarantees will
+// happen. Every node of the enumeration is one governor step.
+func solveBody(gov *resource.Governor, c Clause, skip int, s0 term.Subst, v storeView, emit func(term.Subst) error) error {
+	remaining := make([]int, 0, len(c.Body))
+	for i := range c.Body {
+		if i != skip {
+			remaining = append(remaining, i)
+		}
 	}
 	var rec func(rem []int, s term.Subst) error
 	rec = func(rem []int, s term.Subst) error {
-		if err := e.gov.Step(); err != nil {
+		if err := gov.Step(); err != nil {
 			return err
 		}
 		if len(rem) == 0 {
-			head := c.Head.Apply(s)
-			if !head.IsGround() {
-				return fmt.Errorf("datalog: derived non-ground head %s from %s", head, c)
-			}
-			return emit(head)
+			return emit(s)
 		}
 		// Pick the first ready literal.
 		pick := -1
@@ -329,28 +396,25 @@ func (e *Evaluator) solveBody(c Clause, full, delta *Store, deltaIdx int, emit f
 			}
 			return nil
 		case l.Negated:
-			g := l.Atom.Apply(s)
-			if !full.Contains(g) {
+			if !v.contains(l.Atom.Apply(s)) {
 				return rec(rest, s)
 			}
 			return nil
 		default:
-			src := full
-			if bi == deltaIdx {
-				src = delta
-			}
 			var innerErr error
-			src.Match(l.Atom, s, func(s2 term.Subst) bool {
-				if err := rec(rest, s2); err != nil {
-					innerErr = err
-					return false
-				}
-				return true
-			})
+			each := func(s2 term.Subst) bool {
+				innerErr = rec(rest, s2)
+				return innerErr == nil
+			}
+			if v.delta != nil && bi == v.deltaLit {
+				v.delta.Match(l.Atom, s, each)
+			} else {
+				v.match(l.Atom, s, each)
+			}
 			return innerErr
 		}
 	}
-	return rec(remaining, term.Subst{})
+	return rec(remaining, s0)
 }
 
 // Query evaluates the program and returns every substitution (restricted to

@@ -198,13 +198,12 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 	for ri := range inc.rules {
 		c := inc.rules[ri]
 		inc.Stats.Firings++
-		err := inc.solveFrom(c, -1, term.Subst{}, live, func(sub term.Subst) error {
-			head := c.Head.Apply(sub)
-			if !head.IsGround() {
-				return fmt.Errorf("datalog: derived non-ground head %s from %s", head, c)
+		err := solveBody(inc.gov, c, -1, term.Subst{}, live, func(sub term.Subst) error {
+			head, err := headOf(c, sub)
+			if err != nil {
+				return err
 			}
-			ti := inc.ensure(head)
-			ti.derived++
+			inc.ensure(head).derived++
 			return nil
 		})
 		if err != nil {
@@ -347,115 +346,6 @@ func (inc *Incremental) Clone() *Incremental {
 	return &c
 }
 
-// storeView is what a body enumeration matches against. grave widens
-// positive matches to tuples removed earlier in the same delta (an
-// over-approximation of the pre-delta model); negSkip lists atom keys added
-// by this delta, which negation checks must treat as absent when the
-// enumeration asks about the pre-delta state.
-type storeView struct {
-	live    *Store
-	grave   *Store
-	negSkip map[string]bool
-}
-
-func (v storeView) contains(g Atom) bool {
-	if v.negSkip != nil && v.negSkip[g.Key()] {
-		return false
-	}
-	return v.live.Contains(g)
-}
-
-func (v storeView) match(a Atom, s term.Subst, fn func(term.Subst) bool) {
-	stopped := false
-	v.live.Match(a, s, func(s2 term.Subst) bool {
-		if !fn(s2) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped || v.grave == nil {
-		return
-	}
-	v.grave.Match(a, s, fn)
-}
-
-// solveFrom enumerates all substitutions satisfying c's body against v,
-// starting from s0 and skipping literal skip (already consumed by the
-// caller). Literals are picked in the evaluator's "first ready" order.
-func (inc *Incremental) solveFrom(c Clause, skip int, s0 term.Subst, v storeView, emit func(term.Subst) error) error {
-	remaining := make([]int, 0, len(c.Body))
-	for i := range c.Body {
-		if i != skip {
-			remaining = append(remaining, i)
-		}
-	}
-	var rec func(rem []int, s term.Subst) error
-	rec = func(rem []int, s term.Subst) error {
-		if err := inc.gov.Step(); err != nil {
-			return err
-		}
-		if len(rem) == 0 {
-			return emit(s)
-		}
-		pick := -1
-		for pi, bi := range rem {
-			l := c.Body[bi]
-			switch {
-			case !l.Negated && !l.Atom.IsBuiltin():
-				pick = pi
-			case l.Atom.Pred == BuiltinEq && !l.Negated:
-				pick = pi
-			default: // '!=' or negation: ready only when ground
-				if l.Apply(s).Atom.IsGround() {
-					pick = pi
-				}
-			}
-			if pick >= 0 {
-				break
-			}
-		}
-		if pick < 0 {
-			return fmt.Errorf("datalog: floundering clause %s (validate should have caught this)", c)
-		}
-		bi := rem[pick]
-		rest := make([]int, 0, len(rem)-1)
-		rest = append(rest, rem[:pick]...)
-		rest = append(rest, rem[pick+1:]...)
-		l := c.Body[bi]
-		switch {
-		case l.Atom.Pred == BuiltinEq:
-			s2 := s.Clone()
-			if term.Unify(l.Atom.Args[0], l.Atom.Args[1], s2) {
-				return rec(rest, s2)
-			}
-			return nil
-		case l.Atom.Pred == BuiltinNeq:
-			g := l.Atom.Apply(s)
-			if !g.Args[0].Equal(g.Args[1]) {
-				return rec(rest, s)
-			}
-			return nil
-		case l.Negated:
-			if !v.contains(l.Atom.Apply(s)) {
-				return rec(rest, s)
-			}
-			return nil
-		default:
-			var innerErr error
-			v.match(l.Atom, s, func(s2 term.Subst) bool {
-				if err := rec(rest, s2); err != nil {
-					innerErr = err
-					return false
-				}
-				return true
-			})
-			return innerErr
-		}
-	}
-	return rec(remaining, s0)
-}
-
 // bindTo unifies pattern against a ground atom, returning the binding.
 func bindTo(pattern, ground Atom) (term.Subst, bool) {
 	if pattern.Pred != ground.Pred || len(pattern.Args) != len(ground.Args) {
@@ -480,7 +370,7 @@ func (inc *Incremental) countFirings(t Atom, earlyStop bool) (int, error) {
 			continue
 		}
 		inc.Stats.Firings++
-		err := inc.solveFrom(c, -1, s0, live, func(term.Subst) error {
+		err := solveBody(inc.gov, c, -1, s0, live, func(term.Subst) error {
 			n++
 			if earlyStop {
 				return errStopEnum
@@ -516,7 +406,7 @@ func (inc *Incremental) lostHeads(s int, d Atom, neg bool, v storeView, yield fu
 			continue
 		}
 		inc.Stats.Firings++
-		err := inc.solveFrom(c, rf.lit, s0, v, func(sub term.Subst) error {
+		err := solveBody(inc.gov, c, rf.lit, s0, v, func(sub term.Subst) error {
 			return yield(c.Head.Apply(sub))
 		})
 		if err != nil {
@@ -898,9 +788,9 @@ func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]A
 	}
 	emit := func(c Clause) func(term.Subst) error {
 		return func(sub term.Subst) error {
-			head := c.Head.Apply(sub)
-			if !head.IsGround() {
-				return fmt.Errorf("datalog: derived non-ground head %s from %s", head, c)
+			head, err := headOf(c, sub)
+			if err != nil {
+				return err
 			}
 			k := head.Key()
 			affected[k] = head
@@ -930,7 +820,7 @@ func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]A
 				continue
 			}
 			inc.Stats.Firings++
-			if err := inc.solveFrom(c, rf.lit, s0, live, emit(c)); err != nil {
+			if err := solveBody(inc.gov, c, rf.lit, s0, live, emit(c)); err != nil {
 				return err
 			}
 		}

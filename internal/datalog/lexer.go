@@ -5,92 +5,64 @@ import (
 	"unicode"
 )
 
-// tokenKind classifies lexer tokens.
-type tokenKind int
+// TokenKind classifies lexer tokens. A kind is the text syntax errors print
+// for it; a punctuation or keyword kind is its source text in single quotes,
+// which is also how the lexer finds it, so a front-end declares an extra
+// token by declaring its kind.
+type TokenKind string
 
 const (
-	tokEOF       tokenKind = iota
-	tokIdent               // lower-case identifier or quoted atom: parent, 'two words'
-	tokVar                 // upper-case or _-prefixed identifier: X, _G1
-	tokNumber              // digit run, kept as an opaque constant: 42
-	tokLParen              // (
-	tokRParen              // )
-	tokComma               // ,
-	tokDot                 // .
-	tokColonDash           // :-
-	tokQueryDash           // ?-
-	tokNot                 // the keyword "not" (recognised from tokIdent)
-	tokEq                  // =
-	tokNeq                 // !=
+	TokEOF       TokenKind = "end of input"
+	TokIdent     TokenKind = "identifier" // lower-case identifier or quoted atom: parent, 'two words'
+	TokVar       TokenKind = "variable"   // upper-case or _-prefixed identifier: X, _G1
+	TokNumber    TokenKind = "number"     // digit run, kept as an opaque constant: 42
+	TokLParen    TokenKind = "'('"
+	TokRParen    TokenKind = "')'"
+	TokComma     TokenKind = "','"
+	TokDot       TokenKind = "'.'"
+	TokColonDash TokenKind = "':-'"
+	TokQueryDash TokenKind = "'?-'"
+	TokEq        TokenKind = "'='"
+	TokNeq       TokenKind = "'!='"
+	// TokNot is Datalog's one keyword. It is not a core token: Π is
+	// positive, so in MultiLog "not" stays an ordinary identifier.
+	TokNot TokenKind = "'not'"
 )
 
-func (k tokenKind) String() string {
-	switch k {
-	case tokEOF:
-		return "end of input"
-	case tokIdent:
-		return "identifier"
-	case tokVar:
-		return "variable"
-	case tokNumber:
-		return "number"
-	case tokLParen:
-		return "'('"
-	case tokRParen:
-		return "')'"
-	case tokComma:
-		return "','"
-	case tokDot:
-		return "'.'"
-	case tokColonDash:
-		return "':-'"
-	case tokQueryDash:
-		return "'?-'"
-	case tokNot:
-		return "'not'"
-	case tokEq:
-		return "'='"
-	case tokNeq:
-		return "'!='"
-	}
-	return "?"
+// corePunct is the punctuation every front-end shares.
+var corePunct = []TokenKind{TokLParen, TokRParen, TokComma, TokDot, TokColonDash, TokQueryDash, TokEq, TokNeq}
+
+// text is the source text of a punctuation or keyword kind.
+func (k TokenKind) text() string { return string(k[1 : len(k)-1]) }
+
+// Token is one lexed token with the position of its first character.
+type Token struct {
+	Kind TokenKind
+	Text string
+	Pos  Position
 }
 
-type token struct {
-	kind tokenKind
-	text string
-	line int
-	col  int
-}
-
-// lexer tokenizes Datalog source. Comments run from '%' or "//" to newline.
+// lexer tokenizes Datalog-family source: identifiers, variables, numbers,
+// quoted atoms, the core punctuation, and whatever extra tokens the
+// front-end names (Parser.Init). Comments run from '%' or "//" to newline.
 type lexer struct {
-	src  []rune
-	pos  int
-	line int
-	col  int
+	lang  string
+	src   []rune
+	pos   int
+	line  int
+	col   int
+	extra []TokenKind
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+func (lx *lexer) errorf(pos Position, format string, args ...any) error {
+	return &SyntaxError{Lang: lx.lang, Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (lx *lexer) errorf(line, col int, format string, args ...any) error {
-	return &SyntaxError{Lang: "datalog", Pos: Position{Line: line, Col: col}, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (lx *lexer) peek() rune {
-	if lx.pos >= len(lx.src) {
+func (lx *lexer) peekAt(n int) rune {
+	if lx.pos+n >= len(lx.src) {
 		return 0
 	}
-	return lx.src[lx.pos]
-}
-
-func (lx *lexer) peek2() rune {
-	if lx.pos+1 >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos+1]
+	return lx.src[lx.pos+n]
 }
 
 func (lx *lexer) advance() rune {
@@ -107,16 +79,12 @@ func (lx *lexer) advance() rune {
 
 func (lx *lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
-		r := lx.peek()
+		r := lx.peekAt(0)
 		switch {
 		case unicode.IsSpace(r):
 			lx.advance()
-		case r == '%':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
-			}
-		case r == '/' && lx.peek2() == '/':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
+		case r == '%' || r == '/' && lx.peekAt(1) == '/':
+			for lx.pos < len(lx.src) && lx.peekAt(0) != '\n' {
 				lx.advance()
 			}
 		default:
@@ -125,93 +93,90 @@ func (lx *lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentStart(r rune) bool { return unicode.IsLower(r) }
-func isVarStart(r rune) bool   { return unicode.IsUpper(r) || r == '_' }
 func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 }
 
-// next returns the next token.
-func (lx *lexer) next() (token, error) {
-	lx.skipSpaceAndComments()
-	line, col := lx.line, lx.col
-	if lx.pos >= len(lx.src) {
-		return token{kind: tokEOF, line: line, col: col}, nil
+// word consumes a run of identifier characters.
+func (lx *lexer) word() string {
+	start := lx.pos
+	for lx.pos < len(lx.src) && isIdentPart(lx.src[lx.pos]) {
+		lx.advance()
 	}
-	r := lx.peek()
+	return string(lx.src[start:lx.pos])
+}
+
+// hasPrefix reports whether the unread input starts with the ASCII string s.
+func (lx *lexer) hasPrefix(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if lx.peekAt(i) != rune(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// next returns the next token.
+func (lx *lexer) next() (Token, error) {
+	lx.skipSpaceAndComments()
+	pos := Position{Line: lx.line, Col: lx.col}
+	if lx.pos >= len(lx.src) {
+		return Token{Kind: TokEOF, Pos: pos}, nil
+	}
+	r := lx.src[lx.pos]
 	switch {
-	case r == '(':
-		lx.advance()
-		return token{tokLParen, "(", line, col}, nil
-	case r == ')':
-		lx.advance()
-		return token{tokRParen, ")", line, col}, nil
-	case r == ',':
-		lx.advance()
-		return token{tokComma, ",", line, col}, nil
-	case r == '.':
-		lx.advance()
-		return token{tokDot, ".", line, col}, nil
-	case r == '=':
-		lx.advance()
-		return token{tokEq, "=", line, col}, nil
-	case r == '!':
-		lx.advance()
-		if lx.peek() != '=' {
-			return token{}, lx.errorf(line, col, "unexpected '!'; did you mean '!='?")
-		}
-		lx.advance()
-		return token{tokNeq, "!=", line, col}, nil
-	case r == ':':
-		lx.advance()
-		if lx.peek() != '-' {
-			return token{}, lx.errorf(line, col, "unexpected ':'; did you mean ':-'?")
-		}
-		lx.advance()
-		return token{tokColonDash, ":-", line, col}, nil
-	case r == '?':
-		lx.advance()
-		if lx.peek() != '-' {
-			return token{}, lx.errorf(line, col, "unexpected '?'; did you mean '?-'?")
-		}
-		lx.advance()
-		return token{tokQueryDash, "?-", line, col}, nil
 	case r == '\'':
 		lx.advance()
-		var text []rune
+		start := lx.pos
 		for {
 			if lx.pos >= len(lx.src) {
-				return token{}, lx.errorf(line, col, "unterminated quoted atom")
+				return Token{}, lx.errorf(pos, "unterminated quoted atom")
 			}
-			c := lx.advance()
-			if c == '\'' {
+			if lx.advance() == '\'' {
 				break
 			}
-			text = append(text, c)
 		}
-		return token{tokIdent, string(text), line, col}, nil
+		return Token{TokIdent, string(lx.src[start : lx.pos-1]), pos}, nil
 	case unicode.IsDigit(r):
-		var text []rune
-		for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
-			text = append(text, lx.advance())
+		start := lx.pos
+		for lx.pos < len(lx.src) && unicode.IsDigit(lx.src[lx.pos]) {
+			lx.advance()
 		}
-		return token{tokNumber, string(text), line, col}, nil
-	case isIdentStart(r):
-		var text []rune
-		for lx.pos < len(lx.src) && isIdentPart(lx.peek()) {
-			text = append(text, lx.advance())
+		return Token{TokNumber, string(lx.src[start:lx.pos]), pos}, nil
+	case unicode.IsLower(r):
+		s := lx.word()
+		for _, k := range lx.extra {
+			if k[1] == s[0] && k.text() == s {
+				return Token{k, s, pos}, nil
+			}
 		}
-		s := string(text)
-		if s == "not" {
-			return token{tokNot, s, line, col}, nil
-		}
-		return token{tokIdent, s, line, col}, nil
-	case isVarStart(r):
-		var text []rune
-		for lx.pos < len(lx.src) && isIdentPart(lx.peek()) {
-			text = append(text, lx.advance())
-		}
-		return token{tokVar, string(text), line, col}, nil
+		return Token{TokIdent, s, pos}, nil
+	case unicode.IsUpper(r) || r == '_':
+		return Token{TokVar, lx.word(), pos}, nil
 	}
-	return token{}, lx.errorf(line, col, "unexpected character %q", r)
+	// Punctuation: the longest kind the input starts with. A character that
+	// only begins a longer token (':' in Datalog, '<' in MultiLog) gets a
+	// hint naming it.
+	var best, hint TokenKind
+	for _, kinds := range [...][]TokenKind{corePunct, lx.extra} {
+		for _, k := range kinds {
+			switch {
+			case rune(k[1]) != r: // k is 'text': k[1] is its first character
+			case len(k) > 3 && !lx.hasPrefix(k.text()):
+				hint = k
+			case len(k) > len(best):
+				best = k
+			}
+		}
+	}
+	if best != "" {
+		t := best.text()
+		lx.pos += len(t) // punctuation is ASCII and never a newline
+		lx.col += len(t)
+		return Token{best, t, pos}, nil
+	}
+	if hint != "" {
+		return Token{}, lx.errorf(pos, "unexpected %q; did you mean %s?", r, hint)
+	}
+	return Token{}, lx.errorf(pos, "unexpected character %q", r)
 }

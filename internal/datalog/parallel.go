@@ -1,137 +1,50 @@
 package datalog
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
 
-// evalStratumParallel is the parallel variant of the semi-naive stratum
-// loop: within each round, the (rule × delta-position) jobs fire
-// concurrently against a read-only view of the store, each collecting its
-// derivations locally; the derivations merge sequentially between rounds.
-// Facts derived in a round become visible in the next round, so the result
-// is the same minimal model (the fixpoint is reached, possibly in a
-// different number of rounds).
-func (e *Evaluator) evalStratumParallel(clauses []Clause, full *Store) error {
-	var rules []Clause
-	for _, c := range clauses {
-		if c.IsFact() {
-			if !c.Head.IsGround() {
-				return fmt.Errorf("datalog: non-ground fact %s", c.Head)
-			}
-			if _, err := e.insert(full, c.Head); err != nil {
-				return err
-			}
-		} else {
-			rules = append(rules, c)
-		}
+// fireBuffered fires every job against a read-only view of the store, at
+// most workers at a time (0 = NumCPU), each collecting its heads locally;
+// results[i] holds job i's heads in derivation order, so the caller's merge
+// is deterministic however the jobs were scheduled.
+func fireBuffered(jobs []job, workers int, fire func(job, func(Atom) error) error) ([][]Atom, error) {
+	results := make([][]Atom, len(jobs))
+	collect := func(i int) error {
+		return fire(jobs[i], func(head Atom) error {
+			results[i] = append(results[i], head)
+			return nil
+		})
 	}
-	if len(rules) == 0 {
-		return nil
-	}
-	idb := map[string]bool{}
-	for _, c := range rules {
-		idb[c.Head.Pred] = true
-	}
-
-	type job struct {
-		clause   Clause
-		deltaIdx int
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	runJobs := func(jobs []job, delta *Store) ([][]Atom, error) {
-		results := make([][]Atom, len(jobs))
-		errs := make([]error, len(jobs))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, j := range jobs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, j job) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				var local []Atom
-				errs[i] = e.solveBody(j.clause, full, delta, j.deltaIdx, func(head Atom) error {
-					local = append(local, head)
-					return nil
-				})
-				results[i] = local
-			}(i, j)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
+	if workers == 1 {
+		for i := range jobs {
+			if err := collect(i); err != nil {
 				return nil, err
 			}
 		}
 		return results, nil
 	}
-
-	// merge runs sequentially between rounds, so budget/probe accounting of
-	// inserts is deterministic even though the jobs above run concurrently.
-	merge := func(results [][]Atom, next *Store) error {
-		for _, local := range results {
-			for _, head := range local {
-				e.Stats.Derivations++
-				added, err := e.insert(full, head)
-				if err != nil {
-					return err
-				}
-				if added && next != nil {
-					next.Insert(head) //nolint:errcheck // ground: just inserted into full
-				}
-			}
-		}
-		return nil
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
-
-	// First round: every rule in full.
-	var firstJobs []job
-	for _, c := range rules {
-		firstJobs = append(firstJobs, job{c, -1})
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i := range jobs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			errs[i] = collect(i)
+		}(i)
 	}
-	e.Stats.Iterations++
-	e.Stats.RuleFirings += len(firstJobs)
-	delta := NewStore()
-	results, err := runJobs(firstJobs, nil)
-	if err != nil {
-		return err
-	}
-	if err := merge(results, delta); err != nil {
-		return err
-	}
-
-	for delta.Len() > 0 {
-		e.Stats.Iterations++
-		if err := e.gov.Check(); err != nil {
-			return err
-		}
-		var jobs []job
-		for _, c := range rules {
-			for i, l := range c.Body {
-				if l.Negated || l.Atom.IsBuiltin() || !idb[l.Atom.Pred] {
-					continue
-				}
-				if len(delta.Facts(l.Atom.Pred)) == 0 {
-					continue
-				}
-				jobs = append(jobs, job{c, i})
-			}
-		}
-		e.Stats.RuleFirings += len(jobs)
-		next := NewStore()
-		results, err := runJobs(jobs, delta)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := merge(results, next); err != nil {
-			return err
-		}
-		delta = next
 	}
-	return nil
+	return results, nil
 }

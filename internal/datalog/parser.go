@@ -1,10 +1,6 @@
 package datalog
 
-import (
-	"fmt"
-
-	"repro/internal/term"
-)
+import "repro/internal/term"
 
 // Parse parses Datalog source into a Program. Syntax:
 //
@@ -19,21 +15,21 @@ import (
 // are constants; upper-case or '_' start variables; "null" is the
 // distinguished ⊥. Comments run from '%' or '//' to end of line.
 func Parse(src string) (*Program, error) {
-	p := &parser{lx: newLexer(src)}
-	if err := p.bump(); err != nil {
+	var p Parser
+	if err := p.Init("datalog", src, TokNot); err != nil {
 		return nil, err
 	}
 	prog := &Program{}
-	for p.tok.kind != tokEOF {
-		if p.tok.kind == tokQueryDash {
-			if err := p.bump(); err != nil {
+	for p.Tok.Kind != TokEOF {
+		if p.Tok.Kind == TokQueryDash {
+			if err := p.Bump(); err != nil {
 				return nil, err
 			}
-			goal, err := p.atom()
+			goal, err := p.Atom()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokDot); err != nil {
+			if err := p.Expect(TokDot); err != nil {
 				return nil, err
 			}
 			prog.AddQuery(goal)
@@ -50,72 +46,87 @@ func Parse(src string) (*Program, error) {
 
 // ParseClause parses a single clause (fact or rule) terminated by '.'.
 func ParseClause(src string) (Clause, error) {
-	p := &parser{lx: newLexer(src)}
-	if err := p.bump(); err != nil {
+	var p Parser
+	if err := p.Init("datalog", src, TokNot); err != nil {
 		return Clause{}, err
 	}
 	c, err := p.clause()
 	if err != nil {
 		return Clause{}, err
 	}
-	if p.tok.kind != tokEOF {
-		return Clause{}, p.errf("trailing input after clause")
+	if p.Tok.Kind != TokEOF {
+		return Clause{}, p.Errf("trailing input after clause")
 	}
 	return c, nil
 }
 
 // ParseAtom parses a single atom with no trailing '.'.
 func ParseAtom(src string) (Atom, error) {
-	p := &parser{lx: newLexer(src)}
-	if err := p.bump(); err != nil {
+	var p Parser
+	if err := p.Init("datalog", src, TokNot); err != nil {
 		return Atom{}, err
 	}
-	a, err := p.atom()
+	a, err := p.Atom()
 	if err != nil {
 		return Atom{}, err
 	}
-	if p.tok.kind != tokEOF {
-		return Atom{}, p.errf("trailing input after atom")
+	if p.Tok.Kind != TokEOF {
+		return Atom{}, p.Errf("trailing input after atom")
 	}
 	return a, nil
 }
 
-type parser struct {
-	lx  *lexer
-	tok token
+// Parser is the recursive-descent core the Datalog-family front-ends share:
+// the lexer, one token of lookahead, and the term, infix built-in and p-atom
+// grammar. The Datalog parser adds clauses and negation on top; the MultiLog
+// parser embeds it and adds m-atoms, molecules and belief modes.
+type Parser struct {
+	lx  lexer
+	Tok Token // the current token
 }
 
-func (p *parser) bump() error {
+// Init positions p on the first token of src; syntax errors carry lang.
+// Each extra kind extends the core tokens: a kind whose text is a word is a
+// keyword, recognised from an unquoted identifier; any other is punctuation.
+func (p *Parser) Init(lang, src string, extra ...TokenKind) error {
+	p.lx = lexer{lang: lang, src: []rune(src), line: 1, col: 1, extra: extra}
+	return p.Bump()
+}
+
+// Bump advances to the next token.
+func (p *Parser) Bump() error {
 	t, err := p.lx.next()
 	if err != nil {
 		return err
 	}
-	p.tok = t
+	p.Tok = t
 	return nil
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Lang: "datalog", Pos: Position{Line: p.tok.line, Col: p.tok.col}, Msg: fmt.Sprintf(format, args...)}
+// Errf returns a syntax error at the current token.
+func (p *Parser) Errf(format string, args ...any) error {
+	return p.lx.errorf(p.Tok.Pos, format, args...)
 }
 
-func (p *parser) expect(k tokenKind) error {
-	if p.tok.kind != k {
-		return p.errf("expected %s, found %s %q", k, p.tok.kind, p.tok.text)
+// Expect consumes a token of kind k or fails.
+func (p *Parser) Expect(k TokenKind) error {
+	if p.Tok.Kind != k {
+		return p.Errf("expected %s, found %s %q", k, p.Tok.Kind, p.Tok.Text)
 	}
-	return p.bump()
+	return p.Bump()
 }
 
-func (p *parser) clause() (Clause, error) {
-	head, err := p.atom()
+func (p *Parser) clause() (Clause, error) {
+	head, err := p.Atom()
 	if err != nil {
 		return Clause{}, err
 	}
 	if head.IsBuiltin() {
-		return Clause{}, p.errf("a built-in cannot be a clause head")
+		return Clause{}, p.Errf("a built-in cannot be a clause head")
 	}
 	c := Clause{Head: head}
-	if p.tok.kind == tokColonDash {
-		if err := p.bump(); err != nil {
+	if p.Tok.Kind == TokColonDash {
+		if err := p.Bump(); err != nil {
 			return Clause{}, err
 		}
 		for {
@@ -124,177 +135,167 @@ func (p *parser) clause() (Clause, error) {
 				return Clause{}, err
 			}
 			c.Body = append(c.Body, lit)
-			if p.tok.kind != tokComma {
+			if p.Tok.Kind != TokComma {
 				break
 			}
-			if err := p.bump(); err != nil {
+			if err := p.Bump(); err != nil {
 				return Clause{}, err
 			}
 		}
 	}
-	if err := p.expect(tokDot); err != nil {
+	if err := p.Expect(TokDot); err != nil {
 		return Clause{}, err
 	}
 	return c, nil
 }
 
-func (p *parser) literal() (Literal, error) {
+func (p *Parser) literal() (Literal, error) {
 	negated := false
-	if p.tok.kind == tokNot {
+	if p.Tok.Kind == TokNot {
 		negated = true
-		if err := p.bump(); err != nil {
+		if err := p.Bump(); err != nil {
 			return Literal{}, err
 		}
 	}
-	a, err := p.atom()
+	a, err := p.Atom()
 	if err != nil {
 		return Literal{}, err
 	}
 	if negated && a.IsBuiltin() {
-		return Literal{}, p.errf("negating a built-in is not supported; use the dual operator")
+		return Literal{}, p.Errf("negating a built-in is not supported; use the dual operator")
 	}
 	return Literal{Atom: a, Negated: negated}, nil
 }
 
-// atom parses p(t1,...,tn), a propositional atom p, or the infix built-ins
-// t1 = t2 and t1 != t2, recording the source position of the first token.
-func (p *parser) atom() (Atom, error) {
-	pos := Position{Line: p.tok.line, Col: p.tok.col}
-	a, err := p.atomInner()
+// Atom parses a p-atom — p(t1,...,tn), a propositional atom p, or the infix
+// built-ins t1 = t2 and t1 != t2 — recording the source position of its
+// first token.
+func (p *Parser) Atom() (Atom, error) {
+	pos := p.Tok.Pos
+	var a Atom
+	var err error
+	switch p.Tok.Kind {
+	case TokVar, TokNumber:
+		// Only an infix built-in starts with a variable or a number.
+		var left term.Term
+		if left, err = p.Term(); err == nil {
+			a, err = p.InfixRest(left)
+		}
+	case TokIdent:
+		name := p.Tok.Text
+		if err = p.Bump(); err == nil {
+			a, err = p.AtomRest(name)
+		}
+	default:
+		err = p.Errf("expected atom, found %s %q", p.Tok.Kind, p.Tok.Text)
+	}
 	if err != nil {
-		return a, err
+		return Atom{}, err
 	}
 	a.Pos = pos
 	return a, nil
 }
 
-func (p *parser) atomInner() (Atom, error) {
-	// An atom can start with a term when it is an infix built-in (X != Y),
-	// so parse a term first and decide.
-	if p.tok.kind == tokVar || p.tok.kind == tokNumber {
-		left, err := p.term()
-		if err != nil {
-			return Atom{}, err
-		}
-		return p.infixRest(left)
-	}
-	if p.tok.kind != tokIdent {
-		return Atom{}, p.errf("expected atom, found %s %q", p.tok.kind, p.tok.text)
-	}
-	name := p.tok.text
-	if err := p.bump(); err != nil {
-		return Atom{}, err
-	}
-	if p.tok.kind != tokLParen {
+// AtomRest parses the remainder of a p-atom whose leading identifier name
+// has been consumed. The caller records the position.
+func (p *Parser) AtomRest(name string) (Atom, error) {
+	if p.Tok.Kind != TokLParen {
 		// Either a propositional atom or the left side of an infix built-in.
-		if p.tok.kind == tokEq || p.tok.kind == tokNeq {
-			return p.infixRest(constOrNull(name))
+		if p.Tok.Kind == TokEq || p.Tok.Kind == TokNeq {
+			return p.InfixRest(constOrNull(name))
 		}
 		return Atom{Pred: name}, nil
 	}
-	if err := p.bump(); err != nil { // consume '('
+	if err := p.Bump(); err != nil { // consume '('
 		return Atom{}, err
 	}
-	var args []term.Term
-	if p.tok.kind == tokRParen {
+	if p.Tok.Kind == TokRParen {
 		// p() — explicit empty argument list, as Program.String prints
 		// propositional atoms derived from 0-ary heads.
-		if err := p.bump(); err != nil {
-			return Atom{}, err
-		}
-		return Atom{Pred: name}, nil
+		return Atom{Pred: name}, p.Bump()
 	}
-	for {
-		t, err := p.term()
-		if err != nil {
-			return Atom{}, err
-		}
-		args = append(args, t)
-		if p.tok.kind == tokComma {
-			if err := p.bump(); err != nil {
-				return Atom{}, err
-			}
-			continue
-		}
-		break
-	}
-	if err := p.expect(tokRParen); err != nil {
+	args, err := p.args()
+	if err != nil {
 		return Atom{}, err
 	}
-	a := Atom{Pred: name, Args: args}
 	// f(x) = Y is also legal: compound on the left of infix.
-	if p.tok.kind == tokEq || p.tok.kind == tokNeq {
-		return p.infixRest(term.Comp(name, args...))
+	if p.Tok.Kind == TokEq || p.Tok.Kind == TokNeq {
+		return p.InfixRest(term.Comp(name, args...))
 	}
-	return a, nil
+	return Atom{Pred: name, Args: args}, nil
 }
 
-func (p *parser) infixRest(left term.Term) (Atom, error) {
+// InfixRest parses "= t" or "!= t" after the left operand of a built-in.
+func (p *Parser) InfixRest(left term.Term) (Atom, error) {
 	var pred string
-	switch p.tok.kind {
-	case tokEq:
+	switch p.Tok.Kind {
+	case TokEq:
 		pred = BuiltinEq
-	case tokNeq:
+	case TokNeq:
 		pred = BuiltinNeq
 	default:
-		return Atom{}, p.errf("expected '=' or '!=' after term, found %s", p.tok.kind)
+		return Atom{}, p.Errf("expected '=' or '!=' after term, found %s", p.Tok.Kind)
 	}
-	if err := p.bump(); err != nil {
+	if err := p.Bump(); err != nil {
 		return Atom{}, err
 	}
-	right, err := p.term()
+	right, err := p.Term()
 	if err != nil {
 		return Atom{}, err
 	}
 	return Atom{Pred: pred, Args: []term.Term{left, right}}, nil
 }
 
-func (p *parser) term() (term.Term, error) {
-	switch p.tok.kind {
-	case tokVar:
-		name := p.tok.text
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
+// args parses "t1, ..., tn )" after an opening parenthesis.
+func (p *Parser) args() ([]term.Term, error) {
+	var args []term.Term
+	for {
+		t, err := p.Term()
+		if err != nil {
+			return nil, err
 		}
-		return term.Var(name), nil
-	case tokNumber:
-		text := p.tok.text
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
+		args = append(args, t)
+		if p.Tok.Kind != TokComma {
+			return args, p.Expect(TokRParen)
 		}
-		return term.Const(text), nil
-	case tokIdent:
-		name := p.tok.text
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
+		if err := p.Bump(); err != nil {
+			return nil, err
 		}
-		if p.tok.kind != tokLParen {
-			return constOrNull(name), nil
-		}
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
-		}
-		var args []term.Term
-		for {
-			t, err := p.term()
-			if err != nil {
-				return term.Term{}, err
-			}
-			args = append(args, t)
-			if p.tok.kind == tokComma {
-				if err := p.bump(); err != nil {
-					return term.Term{}, err
-				}
-				continue
-			}
-			break
-		}
-		if err := p.expect(tokRParen); err != nil {
-			return term.Term{}, err
-		}
-		return term.Comp(name, args...), nil
 	}
-	return term.Term{}, p.errf("expected term, found %s %q", p.tok.kind, p.tok.text)
+}
+
+// SimpleTerm parses a term with no arguments: a variable, a number or a
+// bare constant ("null" is the distinguished ⊥).
+func (p *Parser) SimpleTerm() (term.Term, error) {
+	var t term.Term
+	switch p.Tok.Kind {
+	case TokVar:
+		t = term.Var(p.Tok.Text)
+	case TokNumber:
+		t = term.Const(p.Tok.Text)
+	case TokIdent:
+		t = constOrNull(p.Tok.Text)
+	default:
+		return term.Term{}, p.Errf("expected term, found %s %q", p.Tok.Kind, p.Tok.Text)
+	}
+	return t, p.Bump()
+}
+
+// Term parses a full term, including compounds f(t1, ..., tn).
+func (p *Parser) Term() (term.Term, error) {
+	functor, name := p.Tok.Kind == TokIdent, p.Tok.Text
+	t, err := p.SimpleTerm()
+	if err != nil || !functor || p.Tok.Kind != TokLParen {
+		return t, err
+	}
+	if err := p.Bump(); err != nil {
+		return term.Term{}, err
+	}
+	args, err := p.args()
+	if err != nil {
+		return term.Term{}, err
+	}
+	return term.Comp(name, args...), nil
 }
 
 func constOrNull(name string) term.Term {

@@ -2,118 +2,32 @@ package datalog
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/resource"
 )
 
 // EvalTrace computes the minimal model like Eval, additionally recording
 // for every fact the fixpoint stage at which it first appeared: stage 0
-// holds the EDB and stratum facts, and each naive round increments the
-// stage. The trace realizes the T_P operator's stage structure that the
-// paper's Theorem 6.1 proof sketch appeals to ("the goal τ(G)[θ] is
-// computed at step k by the fix-point operator T_Δr").
+// holds the EDB, a stratum's facts take the last stage of the stratum
+// below, and each naive round increments the stage. The trace realizes the
+// T_P operator's stage structure that the paper's Theorem 6.1 proof sketch
+// appeals to ("the goal τ(G)[θ] is computed at step k by the fix-point
+// operator T_Δr").
 //
-// The evaluation is naive (full rounds), because stage numbers are defined
-// by T_P iterations, not by semi-naive delta bookkeeping.
+// The evaluation is naive (full rounds) and staged (a round's heads become
+// visible when the round ends), because stage numbers are defined by T_P
+// iterations, not by semi-naive delta bookkeeping.
 func EvalTrace(p *Program, edb *Store) (*Store, map[string]int, error) {
 	return EvalTraceLimited(context.Background(), p, edb, resource.Limits{})
 }
 
-// EvalTraceLimited is EvalTrace bounded by ctx and limits: every derived
-// fact is charged against the fact and memory budgets, and cancellation is
-// polled at round boundaries, so a runaway trace stops with the resource
-// error instead of spinning.
+// EvalTraceLimited is EvalTrace bounded by ctx and limits, like EvalContext;
+// a stopped trace returns no partial model.
 func EvalTraceLimited(ctx context.Context, p *Program, edb *Store, limits resource.Limits) (*Store, map[string]int, error) {
-	return evalTrace(p, edb, resource.New(ctx, limits))
-}
-
-// evalTrace runs the naive staged fixpoint under gov (whose methods are
-// nil-safe, so an unbounded run costs only atomic counters).
-func evalTrace(p *Program, edb *Store, gov *resource.Governor) (*Store, map[string]int, error) {
-	if err := Validate(p); err != nil {
-		return nil, nil, err
-	}
-	strata, err := Strata(p)
+	e := Evaluator{Naive: true, Limits: limits, stages: map[string]int{}}
+	model, err := e.EvalContext(ctx, p, edb)
 	if err != nil {
 		return nil, nil, err
 	}
-	full := NewStore()
-	stages := map[string]int{}
-	if edb != nil {
-		for _, pred := range edb.Preds() {
-			for _, f := range edb.Facts(pred) {
-				added, err := full.Insert(f)
-				if err != nil {
-					return nil, nil, err
-				}
-				if added {
-					if err := gov.Insert(approxAtomBytes(f)); err != nil {
-						return nil, nil, err
-					}
-					stages[f.Key()] = 0
-				}
-			}
-		}
-	}
-	var e Evaluator
-	// Offset so stages keep increasing across strata: a stratum's first
-	// round continues from the last stage of the previous stratum.
-	base := 0
-	for _, clauses := range strata {
-		var rules []Clause
-		for _, c := range clauses {
-			if c.IsFact() {
-				if !c.Head.IsGround() {
-					return nil, nil, fmt.Errorf("datalog: non-ground fact %s", c.Head)
-				}
-				added, err := full.Insert(c.Head)
-				if err != nil {
-					return nil, nil, err
-				}
-				if added {
-					if err := gov.Insert(approxAtomBytes(c.Head)); err != nil {
-						return nil, nil, err
-					}
-					stages[c.Head.Key()] = base
-				}
-			} else {
-				rules = append(rules, c)
-			}
-		}
-		for round := 1; ; round++ {
-			changed := false
-			var derived []Atom
-			for _, c := range rules {
-				err := e.solveBody(c, full, nil, -1, func(head Atom) error {
-					derived = append(derived, head)
-					return nil
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			for _, head := range derived {
-				added, err := full.Insert(head)
-				if err != nil {
-					return nil, nil, err
-				}
-				if added {
-					if err := gov.Insert(approxAtomBytes(head)); err != nil {
-						return nil, nil, err
-					}
-					stages[head.Key()] = base + round
-					changed = true
-				}
-			}
-			if err := gov.Check(); err != nil {
-				return nil, nil, err
-			}
-			if !changed {
-				base += round
-				break
-			}
-		}
-	}
-	return full, stages, nil
+	return model, e.stages, nil
 }

@@ -1,10 +1,14 @@
 package differential
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/lattice"
 	"repro/internal/multilog"
 	"repro/internal/term"
 )
@@ -33,7 +37,144 @@ func FuzzParseDatalog(f *testing.F) {
 		if got := p2.String(); got != printed {
 			t.Fatalf("print/parse/print not a fixpoint:\nfirst:\n%s\nsecond:\n%s", printed, got)
 		}
+		if err := frontEndsAgree(src, p); err != nil {
+			t.Fatalf("%v\nsource: %q", err, src)
+		}
 	})
+}
+
+// frontEndsAgree is Proposition 6.1 at the syntax level: a negation-free
+// Datalog program, already parsed from src into p, is a MultiLog database
+// with empty security components, so multilog.Parse must accept src and
+// yield the same atoms — equal rendering, equal positions — clause for
+// clause and goal for goal. (MultiLog routes level/order heads to Λ and the
+// rest to Π, keeping source order within each.) Programs with negation are
+// outside the proposition: Π is positive.
+func frontEndsAgree(src string, p *datalog.Program) error {
+	for _, c := range p.Clauses {
+		for _, l := range c.Body {
+			if l.Negated {
+				return nil
+			}
+		}
+	}
+	db, err := multilog.Parse(src)
+	if err != nil {
+		return fmt.Errorf("Datalog accepts what MultiLog rejects: %w", err)
+	}
+	if len(db.Sigma) > 0 {
+		return fmt.Errorf("Datalog source parsed to m-clauses:\n%s", db)
+	}
+	same := func(what string, g multilog.Goal, a datalog.Atom) error {
+		if g.Kind == multilog.GoalM || g.Kind == multilog.GoalB {
+			return fmt.Errorf("%s: p-atom %s parsed as %s", what, a, g)
+		}
+		if g.P.String() != a.String() || g.P.Pos != a.Pos || g.Pos != a.Pos {
+			return fmt.Errorf("%s: datalog %s at %s, multilog %s at %s/%s", what, a, a.Pos, g.P, g.P.Pos, g.Pos)
+		}
+		return nil
+	}
+	lambda, pi := db.Lambda, db.Pi
+	for i, c := range p.Clauses {
+		from := &pi
+		if c.Head.Pred == "level" || c.Head.Pred == "order" {
+			from = &lambda
+		}
+		if len(*from) == 0 {
+			return fmt.Errorf("clause %d (%s) has no MultiLog counterpart in\n%s", i, c, db)
+		}
+		mc := (*from)[0]
+		*from = (*from)[1:]
+		if err := same(fmt.Sprintf("clause %d head", i), mc.Head, c.Head); err != nil {
+			return err
+		}
+		if len(mc.Body) != len(c.Body) {
+			return fmt.Errorf("clause %d: %d body goals, want %d", i, len(mc.Body), len(c.Body))
+		}
+		for j, l := range c.Body {
+			if err := same(fmt.Sprintf("clause %d body %d", i, j), mc.Body[j], l.Atom); err != nil {
+				return err
+			}
+		}
+	}
+	if len(lambda)+len(pi) > 0 || len(db.Queries) != len(p.Queries) {
+		return fmt.Errorf("MultiLog parsed extra clauses or queries:\n%s", db)
+	}
+	for i, q := range p.Queries {
+		if len(db.Queries[i]) != 1 {
+			return fmt.Errorf("query %d: %d goals, want 1", i, len(db.Queries[i]))
+		}
+		if err := same(fmt.Sprintf("query %d", i), db.Queries[i][0], q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestFrontEndAgreement runs frontEndsAgree over every Datalog program of
+// the shipped corpora: examples/programs, the lint golden corpus, and the
+// figure corpus (D1 reduced at every level, with and without the Figure 13
+// filter). A program with negation contributes its negation-free clauses,
+// re-rendered, so every corpus program exercises the shared grammar.
+func TestFrontEndAgreement(t *testing.T) {
+	sources := map[string]string{
+		"compound-left infix": "p(Y) :- q(X), f(X) = Y.\nr(X) :- q(X), g(X, a) != X.",
+		"quoted and null":     "p('two words', null, 42).\n'Q'(X) :- p(X, _Y, _), X != 'not'.\n?- p(A, null, B).",
+		"propositional":       "p.\nq() :- p, r().\n?- q.",
+		"lambda heads":        "level(u). p(a). order(u, c) :- level(u), p(X). level(c).",
+	}
+	for _, glob := range []string{"../../examples/programs/*.dl", "../lint/testdata/*.dl"} {
+		files, err := filepath.Glob(glob)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("corpus %s: %d files, err %v", glob, len(files), err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources[f] = string(b)
+		}
+	}
+	for _, u := range []lattice.Label{lattice.Unclassified, lattice.Classified, lattice.Secret} {
+		for _, filter := range []bool{false, true} {
+			red, err := multilog.ReduceOpts(multilog.D1(), u, multilog.Options{Filter: filter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources[fmt.Sprintf("D1 reduced at %s, filter=%v", u, filter)] = red.Program.String()
+		}
+	}
+	checked := 0
+	for name, src := range sources {
+		p, err := datalog.Parse(src)
+		if err != nil {
+			continue // the lint corpus keeps a deliberately malformed file
+		}
+		positive := &datalog.Program{Queries: p.Queries}
+		for _, c := range p.Clauses {
+			negated := false
+			for _, l := range c.Body {
+				negated = negated || l.Negated
+			}
+			if !negated {
+				positive.Add(c)
+			}
+		}
+		if len(positive.Clauses) != len(p.Clauses) {
+			src = positive.String()
+			if p, err = datalog.Parse(src); err != nil {
+				t.Fatalf("%s: negation-free part does not reparse: %v", name, err)
+			}
+		}
+		if err := frontEndsAgree(src, p); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		checked += len(p.Clauses)
+	}
+	if checked < 100 {
+		t.Fatalf("front-end agreement covered only %d clauses", checked)
+	}
 }
 
 // FuzzParseMultiLog checks the MultiLog parser never panics and that

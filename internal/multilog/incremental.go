@@ -5,7 +5,7 @@ package multilog
 // program; when the underlying database changes by facts only, a freshly
 // translated reduction can be advanced from the old one by cloning that
 // engine and applying the fact delta (AdvanceFrom) instead of re-deriving
-// the fixpoint from scratch. QueryDeps and WriteImpact expose the translated
+// the fixpoint from scratch. QueryDeps and ImpactGraph expose the translated
 // dependency structure so callers (the server's result cache) can invalidate
 // only what a write could actually reach.
 
@@ -318,13 +318,4 @@ func (g *ImpactGraph) Impact(delta []Clause) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// WriteImpact is the one-shot form of NewImpactGraph + Impact.
-func WriteImpact(db *Database, delta []Clause) ([]string, error) {
-	g, err := NewImpactGraph(db)
-	if err != nil {
-		return nil, err
-	}
-	return g.Impact(delta)
 }

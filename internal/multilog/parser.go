@@ -24,21 +24,21 @@ import (
 // conjunctions (§5.3's preprocessor). Clauses are routed to Λ, Σ or Π by
 // their head kind.
 func Parse(src string) (*Database, error) {
-	p := &mlParser{lx: newMLLexer(src)}
-	if err := p.bump(); err != nil {
+	p, err := newParser(src)
+	if err != nil {
 		return nil, err
 	}
 	db := NewDatabase()
-	for p.tok.kind != tEOF {
-		if p.tok.kind == tQueryDash {
-			if err := p.bump(); err != nil {
+	for p.Tok.Kind != datalog.TokEOF {
+		if p.Tok.Kind == datalog.TokQueryDash {
+			if err := p.Bump(); err != nil {
 				return nil, err
 			}
 			goals, err := p.body()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tDot); err != nil {
+			if err := p.Expect(datalog.TokDot); err != nil {
 				return nil, err
 			}
 			db.Queries = append(db.Queries, goals)
@@ -54,44 +54,43 @@ func Parse(src string) (*Database, error) {
 // ParseGoals parses a comma-separated conjunction of goals (a query body
 // without the "?-" prefix or trailing dot).
 func ParseGoals(src string) ([]Goal, error) {
-	p := &mlParser{lx: newMLLexer(src)}
-	if err := p.bump(); err != nil {
+	p, err := newParser(src)
+	if err != nil {
 		return nil, err
 	}
 	goals, err := p.body()
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind != tEOF {
-		return nil, p.errf("trailing input after goals")
+	if p.Tok.Kind != datalog.TokEOF {
+		return nil, p.Errf("trailing input after goals")
 	}
 	return goals, nil
 }
 
+// MultiLog's punctuation beyond the shared core (datalog.Parser.Init).
+const (
+	tLBracket  datalog.TokenKind = "'['"
+	tRBracket  datalog.TokenKind = "']'"
+	tColon     datalog.TokenKind = "':'"
+	tSemi      datalog.TokenKind = "';'"
+	tBelief    datalog.TokenKind = "'<<'"
+	tDash      datalog.TokenKind = "'-'"
+	tArrowHead datalog.TokenKind = "'->'"
+)
+
+// mlParser adds m-atoms, molecules and belief modes to the shared term and
+// p-atom grammar of datalog.Parser.
 type mlParser struct {
-	lx    *mlLexer
-	tok   tok
+	datalog.Parser
 	fresh int
 }
 
-func (p *mlParser) bump() error {
-	t, err := p.lx.next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
-}
+var mlTokens = []datalog.TokenKind{tLBracket, tRBracket, tColon, tSemi, tBelief, tDash, tArrowHead}
 
-func (p *mlParser) errf(format string, args ...any) error {
-	return &datalog.SyntaxError{Lang: "multilog", Pos: datalog.Position{Line: p.tok.line, Col: p.tok.col}, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *mlParser) expect(k tokKind) error {
-	if p.tok.kind != k {
-		return p.errf("expected %s, found %s %q", k, p.tok.kind, p.tok.text)
-	}
-	return p.bump()
+func newParser(src string) (*mlParser, error) {
+	p := &mlParser{}
+	return p, p.Init("multilog", src, mlTokens...)
 }
 
 // clause parses one clause and routes it into the database.
@@ -101,8 +100,8 @@ func (p *mlParser) clause(db *Database) error {
 		return err
 	}
 	var body []Goal
-	if p.tok.kind == tColonDash {
-		if err := p.bump(); err != nil {
+	if p.Tok.Kind == datalog.TokColonDash {
+		if err := p.Bump(); err != nil {
 			return err
 		}
 		body, err = p.body()
@@ -110,7 +109,7 @@ func (p *mlParser) clause(db *Database) error {
 			return err
 		}
 	}
-	if err := p.expect(tDot); err != nil {
+	if err := p.Expect(datalog.TokDot); err != nil {
 		return err
 	}
 	// Molecule heads split into one clause per field (§5.3).
@@ -135,10 +134,10 @@ func (p *mlParser) headAtom() (Goal, *Molecule, error) {
 		return Goal{}, nil, err
 	}
 	if g.Kind == GoalB {
-		return Goal{}, nil, p.errf("b-atoms may not appear in clause heads")
+		return Goal{}, nil, p.Errf("b-atoms may not appear in clause heads")
 	}
 	if g.Kind == GoalP && g.P.IsBuiltin() {
-		return Goal{}, nil, p.errf("a built-in cannot be a clause head")
+		return Goal{}, nil, p.Errf("a built-in cannot be a clause head")
 	}
 	return g, mol, nil
 }
@@ -164,10 +163,10 @@ func (p *mlParser) body() ([]Goal, error) {
 		} else {
 			out = append(out, g)
 		}
-		if p.tok.kind != tComma {
+		if p.Tok.Kind != datalog.TokComma {
 			return out, nil
 		}
-		if err := p.bump(); err != nil {
+		if err := p.Bump(); err != nil {
 			return nil, err
 		}
 	}
@@ -177,7 +176,7 @@ func (p *mlParser) body() ([]Goal, error) {
 // token. When the goal was written as a molecule the returned *Molecule is
 // non-nil and the Goal carries only Kind/Mode (plus the position).
 func (p *mlParser) goalAtom() (Goal, *Molecule, error) {
-	pos := datalog.Position{Line: p.tok.line, Col: p.tok.col}
+	pos := p.Tok.Pos
 	g, mol, err := p.goalAtomInner()
 	if err != nil {
 		return g, mol, err
@@ -193,97 +192,60 @@ func (p *mlParser) goalAtom() (Goal, *Molecule, error) {
 }
 
 func (p *mlParser) goalAtomInner() (Goal, *Molecule, error) {
-	// A goal starting with var or "ident[" is an m-atom (level prefix);
-	// otherwise a classical atom or infix built-in.
-	if p.tok.kind == tVar || p.tok.kind == tNumber {
-		// Could be an m-atom with variable level (V[...]) or an infix
-		// built-in (X != Y).
-		t, err := p.simpleTerm()
+	// A level term followed by '[' starts an m-atom; anything else is a
+	// classical atom or infix built-in of the shared grammar.
+	var a datalog.Atom
+	switch p.Tok.Kind {
+	case datalog.TokVar, datalog.TokNumber:
+		t, err := p.SimpleTerm()
 		if err != nil {
 			return Goal{}, nil, err
 		}
-		if p.tok.kind == tLBracket {
+		if p.Tok.Kind == tLBracket {
 			return p.mRest(t)
 		}
-		a, err := p.infixRest(t)
+		if a, err = p.InfixRest(t); err != nil {
+			return Goal{}, nil, err
+		}
+	case datalog.TokIdent:
+		name := p.Tok.Text
+		err := p.Bump()
 		if err != nil {
 			return Goal{}, nil, err
 		}
-		return PGoal(a), nil, nil
-	}
-	if p.tok.kind != tIdent {
-		return Goal{}, nil, p.errf("expected goal, found %s %q", p.tok.kind, p.tok.text)
-	}
-	name := p.tok.text
-	if err := p.bump(); err != nil {
-		return Goal{}, nil, err
-	}
-	switch p.tok.kind {
-	case tLBracket:
-		return p.mRest(term.Const(name))
-	case tLParen:
-		if err := p.bump(); err != nil {
+		if p.Tok.Kind == tLBracket {
+			return p.mRest(term.Const(name))
+		}
+		if a, err = p.AtomRest(name); err != nil {
 			return Goal{}, nil, err
 		}
-		var args []term.Term
-		if p.tok.kind == tRParen {
-			// p() — explicit empty argument list, as the printer renders
-			// propositional atoms.
-			if err := p.bump(); err != nil {
-				return Goal{}, nil, err
-			}
-			return PGoal(datalog.Atom{Pred: name}), nil, nil
-		}
-		for {
-			t, err := p.term()
-			if err != nil {
-				return Goal{}, nil, err
-			}
-			args = append(args, t)
-			if p.tok.kind == tComma {
-				if err := p.bump(); err != nil {
-					return Goal{}, nil, err
-				}
-				continue
-			}
-			break
-		}
-		if err := p.expect(tRParen); err != nil {
-			return Goal{}, nil, err
-		}
-		return PGoal(datalog.Atom{Pred: name, Args: args}), nil, nil
-	case tEq, tNeq:
-		a, err := p.infixRest(constOrNull(name))
-		if err != nil {
-			return Goal{}, nil, err
-		}
-		return PGoal(a), nil, nil
 	default:
-		return PGoal(datalog.Atom{Pred: name}), nil, nil
+		return Goal{}, nil, p.Errf("expected goal, found %s %q", p.Tok.Kind, p.Tok.Text)
 	}
+	return PGoal(a), nil, nil
 }
 
 // mRest parses the remainder of an m-atom or molecule after its level term:
 // "[" pred "(" key ":" fields ")" "]" ("<<" mode)?
 func (p *mlParser) mRest(level term.Term) (Goal, *Molecule, error) {
-	if err := p.expect(tLBracket); err != nil {
+	if err := p.Expect(tLBracket); err != nil {
 		return Goal{}, nil, err
 	}
-	if p.tok.kind != tIdent {
-		return Goal{}, nil, p.errf("expected predicate name, found %s %q", p.tok.kind, p.tok.text)
+	if p.Tok.Kind != datalog.TokIdent {
+		return Goal{}, nil, p.Errf("expected predicate name, found %s %q", p.Tok.Kind, p.Tok.Text)
 	}
-	pred := p.tok.text
-	if err := p.bump(); err != nil {
+	pred := p.Tok.Text
+	if err := p.Bump(); err != nil {
 		return Goal{}, nil, err
 	}
-	if err := p.expect(tLParen); err != nil {
+	if err := p.Expect(datalog.TokLParen); err != nil {
 		return Goal{}, nil, err
 	}
-	key, err := p.term()
+	key, err := p.Term()
 	if err != nil {
 		return Goal{}, nil, err
 	}
-	if err := p.expect(tColon); err != nil {
+	if err := p.Expect(tColon); err != nil {
 		return Goal{}, nil, err
 	}
 	mol := &Molecule{Level: level, Pred: pred, Key: key}
@@ -293,32 +255,32 @@ func (p *mlParser) mRest(level term.Term) (Goal, *Molecule, error) {
 			return Goal{}, nil, err
 		}
 		mol.Fields = append(mol.Fields, f)
-		if p.tok.kind == tSemi {
-			if err := p.bump(); err != nil {
+		if p.Tok.Kind == tSemi {
+			if err := p.Bump(); err != nil {
 				return Goal{}, nil, err
 			}
 			continue
 		}
 		break
 	}
-	if err := p.expect(tRParen); err != nil {
+	if err := p.Expect(datalog.TokRParen); err != nil {
 		return Goal{}, nil, err
 	}
-	if err := p.expect(tRBracket); err != nil {
+	if err := p.Expect(tRBracket); err != nil {
 		return Goal{}, nil, err
 	}
 	mode := Mode("")
 	isB := false
-	if p.tok.kind == tBelief {
-		if err := p.bump(); err != nil {
+	if p.Tok.Kind == tBelief {
+		if err := p.Bump(); err != nil {
 			return Goal{}, nil, err
 		}
-		if p.tok.kind != tIdent {
-			return Goal{}, nil, p.errf("expected belief mode after '<<', found %s %q", p.tok.kind, p.tok.text)
+		if p.Tok.Kind != datalog.TokIdent {
+			return Goal{}, nil, p.Errf("expected belief mode after '<<', found %s %q", p.Tok.Kind, p.Tok.Text)
 		}
-		mode = Mode(p.tok.text)
+		mode = Mode(p.Tok.Text)
 		isB = true
-		if err := p.bump(); err != nil {
+		if err := p.Bump(); err != nil {
 			return Goal{}, nil, err
 		}
 	}
@@ -342,128 +304,39 @@ func (p *mlParser) mRest(level term.Term) (Goal, *Molecule, error) {
 // (§7: "inserting don't care variables in place of missing level
 // information").
 func (p *mlParser) field() (Field, error) {
-	if p.tok.kind != tIdent {
-		return Field{}, p.errf("expected attribute name, found %s %q", p.tok.kind, p.tok.text)
+	if p.Tok.Kind != datalog.TokIdent {
+		return Field{}, p.Errf("expected attribute name, found %s %q", p.Tok.Kind, p.Tok.Text)
 	}
-	attr := p.tok.text
-	if err := p.bump(); err != nil {
+	attr := p.Tok.Text
+	if err := p.Bump(); err != nil {
 		return Field{}, err
 	}
 	var class term.Term
-	switch p.tok.kind {
+	switch p.Tok.Kind {
 	case tDash:
-		if err := p.bump(); err != nil {
+		if err := p.Bump(); err != nil {
 			return Field{}, err
 		}
-		t, err := p.simpleTerm()
+		t, err := p.SimpleTerm()
 		if err != nil {
 			return Field{}, err
 		}
 		class = t
-		if err := p.expect(tArrowHead); err != nil {
+		if err := p.Expect(tArrowHead); err != nil {
 			return Field{}, err
 		}
 	case tArrowHead: // "->" with no class: don't-care variable
-		if err := p.bump(); err != nil {
+		if err := p.Bump(); err != nil {
 			return Field{}, err
 		}
 		p.fresh++
 		class = term.Var(fmt.Sprintf("_C%d", p.fresh))
 	default:
-		return Field{}, p.errf("expected '-class->' or '->' after attribute %s", attr)
+		return Field{}, p.Errf("expected '-class->' or '->' after attribute %s", attr)
 	}
-	value, err := p.term()
+	value, err := p.Term()
 	if err != nil {
 		return Field{}, err
 	}
 	return Field{Attr: attr, Class: class, Value: value}, nil
-}
-
-func (p *mlParser) infixRest(left term.Term) (datalog.Atom, error) {
-	var pred string
-	switch p.tok.kind {
-	case tEq:
-		pred = datalog.BuiltinEq
-	case tNeq:
-		pred = datalog.BuiltinNeq
-	default:
-		return datalog.Atom{}, p.errf("expected '=' or '!=' after term, found %s", p.tok.kind)
-	}
-	if err := p.bump(); err != nil {
-		return datalog.Atom{}, err
-	}
-	right, err := p.term()
-	if err != nil {
-		return datalog.Atom{}, err
-	}
-	return datalog.Atom{Pred: pred, Args: []term.Term{left, right}}, nil
-}
-
-// simpleTerm parses a variable, number or bare identifier (no compounds) —
-// used where an arrow class or level is expected.
-func (p *mlParser) simpleTerm() (term.Term, error) {
-	switch p.tok.kind {
-	case tVar:
-		name := p.tok.text
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
-		}
-		return term.Var(name), nil
-	case tNumber:
-		text := p.tok.text
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
-		}
-		return term.Const(text), nil
-	case tIdent:
-		name := p.tok.text
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
-		}
-		return constOrNull(name), nil
-	}
-	return term.Term{}, p.errf("expected term, found %s %q", p.tok.kind, p.tok.text)
-}
-
-// term parses a full term, including compounds f(t1, ..., tn).
-func (p *mlParser) term() (term.Term, error) {
-	if p.tok.kind == tIdent {
-		name := p.tok.text
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
-		}
-		if p.tok.kind != tLParen {
-			return constOrNull(name), nil
-		}
-		if err := p.bump(); err != nil {
-			return term.Term{}, err
-		}
-		var args []term.Term
-		for {
-			t, err := p.term()
-			if err != nil {
-				return term.Term{}, err
-			}
-			args = append(args, t)
-			if p.tok.kind == tComma {
-				if err := p.bump(); err != nil {
-					return term.Term{}, err
-				}
-				continue
-			}
-			break
-		}
-		if err := p.expect(tRParen); err != nil {
-			return term.Term{}, err
-		}
-		return term.Comp(name, args...), nil
-	}
-	return p.simpleTerm()
-}
-
-func constOrNull(name string) term.Term {
-	if name == "null" {
-		return term.Null()
-	}
-	return term.Const(name)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datalog"
 	"repro/internal/term"
 )
 
@@ -190,5 +191,63 @@ func TestASTHelpers(t *testing.T) {
 	q := Query{MGoal(m)}
 	if !strings.HasPrefix(q.String(), "?- ") || !strings.HasSuffix(q.String(), ".") {
 		t.Errorf("Query.String = %q", q.String())
+	}
+}
+
+// TestSyntaxErrorGoldens pins message, line and column of syntax errors
+// across the two front-ends of the shared lexer and term grammar: each
+// MultiLog-only token is still an error in Datalog source, "not" is an
+// ordinary identifier in MultiLog (Π is positive), and the shared grammar
+// reports the same text under either language tag.
+func TestSyntaxErrorGoldens(t *testing.T) {
+	for _, tc := range []struct{ lang, src, want string }{
+		{"datalog", "p(a) :- q[b].", `datalog: 1:10: unexpected character '['`},
+		{"datalog", "p(a) :- q]b.", `datalog: 1:10: unexpected character ']'`},
+		{"datalog", "p(a) :-\n q(b); r(c).", `datalog: 2:6: unexpected character ';'`},
+		{"datalog", "p(k: a).", `datalog: 1:4: unexpected ':'; did you mean ':-'?`},
+		{"datalog", "p(a) << opt.", `datalog: 1:6: unexpected character '<'`},
+		{"datalog", "p(a -u-> v).", `datalog: 1:5: unexpected character '-'`},
+		{"datalog", "p(a -> v).", `datalog: 1:5: unexpected character '-'`},
+		{"datalog", "p(a) :- not X != Y.", `datalog: 1:19: negating a built-in is not supported; use the dual operator`},
+		{"multilog", "q :- not p.", `multilog: 1:10: expected '.', found identifier "p"`},
+		{"multilog", "u[p(k: a <- v)].", `multilog: 1:10: unexpected '<'; did you mean '<<'?`},
+		{"multilog", "u[p(k a -u-> v)].", `multilog: 1:7: expected ':', found identifier "a"`},
+		{"multilog", "u[p(k: a -u-> v)", `multilog: 1:17: expected ']', found end of input ""`},
+		{"multilog", "?- u[p(k: a -u-> v)] << .", `multilog: 1:25: expected belief mode after '<<', found '.' "."`},
+		{"multilog", "p(a) ? q(b).", `multilog: 1:6: unexpected '?'; did you mean '?-'?`},
+	} {
+		var err error
+		if tc.lang == "datalog" {
+			_, err = datalog.Parse(tc.src)
+		} else {
+			_, err = Parse(tc.src)
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s Parse(%q) = %v, want %s", tc.lang, tc.src, err, tc.want)
+		}
+	}
+	// The shared grammar fails identically, language tag aside.
+	for _, src := range []string{"p(a", "p(a) :- q(b)", "p(a). q(", ":- p(a).", "X = Y.", "p('unterminated.", "p(a)!", "p(f(X) = ).", "p(a) :- X."} {
+		_, derr := datalog.Parse(src)
+		_, merr := Parse(src)
+		if derr == nil || merr == nil {
+			t.Errorf("Parse(%q) must fail in both languages: datalog %v, multilog %v", src, derr, merr)
+			continue
+		}
+		d := strings.TrimPrefix(derr.Error(), "datalog: ")
+		m := strings.TrimPrefix(merr.Error(), "multilog: ")
+		// The two top-level grammars name what they expected differently.
+		m = strings.Replace(m, "expected goal", "expected atom", 1)
+		if d != m {
+			t.Errorf("Parse(%q): datalog says %q, multilog says %q", src, d, m)
+		}
+	}
+	// "not" is Datalog's keyword only.
+	db, err := Parse("not(a). q(X) :- not(X), 'not'(X).")
+	if err != nil {
+		t.Fatalf("not as a MultiLog identifier: %v", err)
+	}
+	if len(db.Pi) != 2 || db.Pi[0].Head.P.Pred != "not" || db.Pi[1].Body[0].P.Pred != "not" {
+		t.Errorf("not(a) must be an ordinary p-atom, got %s", db)
 	}
 }

@@ -131,10 +131,6 @@ func (r *Reduction) InstallPrepared(model *datalog.Store) {
 	}
 }
 
-// Prepared reports whether the reduction can serve QueryPrepared, whether
-// via Prepare or InstallPrepared.
-func (r *Reduction) Prepared() bool { return r.model != nil && (r.inc != nil || r.compiled) }
-
 // QueryPrepared answers q against the prepared model without mutating the
 // reduction, so it is safe for concurrent use by any number of goroutines
 // once Prepare has succeeded. The matching phase is governed by ctx and

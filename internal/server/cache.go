@@ -67,7 +67,7 @@ type cacheEntry struct {
 
 // cacheKey builds the composite key. The components are length-prefixed so
 // no crafted query string can collide across fields. gen is the database's
-// load generation (or, under Config.GlobalInvalidation, the program epoch).
+// load generation.
 func cacheKey(db string, gen uint64, clearance, mode, query string) string {
 	var b strings.Builder
 	for _, part := range []string{db, strconv.FormatUint(gen, 10), clearance, mode, query} {
@@ -236,7 +236,7 @@ func dependsOn(deps []string, touched map[string]bool) bool {
 // InvalidateAll drops every entry of db older than epoch and raises the
 // whole-database epoch floor, returning how many entries were dropped. The
 // update path uses it when a write's impact cannot be bounded (rule
-// changes) and under Config.GlobalInvalidation.
+// changes).
 func (c *resultCache) InvalidateAll(db string, epoch uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -246,25 +246,6 @@ func TestUpdateAdvancesPreparedReductions(t *testing.T) {
 	}
 }
 
-// TestGlobalInvalidationFallback exercises the baseline arm used by the
-// write-mix benchmark: with the knob on, every write evicts everything.
-func TestGlobalInvalidationFallback(t *testing.T) {
-	s := newIncServer(t, Config{GlobalInvalidation: true})
-	sess := openSess(t, s, "l1", "")
-	qDept := "l0[dept(K: head -C-> V)]"
-	runQuery(t, s, sess, qDept)
-	if got := runQuery(t, s, sess, qDept); !got.Cached {
-		t.Fatal("prime query missed")
-	}
-	up := runUpdate(t, s, sess, "l0[emp(frank: salary -l0-> low)].", false)
-	if up.Incremental {
-		t.Error("GlobalInvalidation must not report incremental invalidation")
-	}
-	if got := runQuery(t, s, sess, qDept); got.Cached {
-		t.Error("independent entry survived under GlobalInvalidation")
-	}
-}
-
 // TestCachePrecisionAcrossClearances guards the conservative side: the
 // invalidation set is clearance-independent, so a write by one session
 // evicts dependent entries cached for other clearances too.

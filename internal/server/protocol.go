@@ -169,7 +169,7 @@ type StatsResponse struct {
 	// follower and the router all report their replication view here.
 	Replication *ReplicationStats `json:"replication,omitempty"`
 	// Admission is nil when the admission controller is disabled
-	// (-admission=off / Config.MaxInflight == 0).
+	// (-max-inflight 0 / Config.MaxInflight == 0).
 	Admission *AdmissionStats `json:"admission,omitempty"`
 }
 

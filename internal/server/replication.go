@@ -293,7 +293,7 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 			return s.divergedErr(fmt.Errorf("server: replicated update %d was a no-op here: follower state diverged", rec.Seq))
 		}
 		if changed > 0 {
-			if s.cfg.GlobalInvalidation || inv.all {
+			if inv.all {
 				s.cache.InvalidateAll(ur.DB, epoch)
 			} else {
 				s.cache.InvalidatePreds(ur.DB, epoch, inv.preds)

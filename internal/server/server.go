@@ -59,9 +59,6 @@ type Config struct {
 	// QueryTimeout is the per-request wall-clock ceiling. Requests may ask
 	// for less, never more. Default 10s; negative means no deadline.
 	QueryTimeout time.Duration
-	// PrepareTimeout bounds compiling a reduction (model materialization)
-	// for a clearance's first query. Default 30s.
-	PrepareTimeout time.Duration
 	// Limits is the per-request resource budget ceiling (facts/steps/
 	// memory); requests may tighten it. Zero fields are unlimited.
 	Limits resource.Limits
@@ -81,13 +78,6 @@ type Config struct {
 	// CheckpointEvery also triggers a checkpoint after that many records
 	// accumulate past the last one. Default 1024; negative disables.
 	CheckpointEvery int64
-	// GlobalInvalidation restores the pre-incremental cache behavior:
-	// result keys include the program epoch (so every update makes all
-	// prior entries unreachable) and every effective write invalidates the
-	// whole database's cache. It exists as the baseline arm of the write-mix
-	// benchmark and as an emergency fallback; leave it false to invalidate
-	// per predicate.
-	GlobalInvalidation bool
 	// Role selects primary (default: accepts writes) or follower (read
 	// replica: writes fail with *NotPrimaryError until Promote). A follower
 	// requires WAL — its mirrored log is its durability and its claim to
@@ -136,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryTimeout < 0 {
 		c.QueryTimeout = 0 // no deadline
-	}
-	if c.PrepareTimeout == 0 {
-		c.PrepareTimeout = 30 * time.Second
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 30 * time.Second
@@ -371,14 +358,9 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	}
 	canonical := multilog.Query(goals).String()
 
-	// Per-predicate invalidation keys entries by load generation, so they
-	// survive epochs their deps are untouched by; the global-invalidation
-	// fallback keys by epoch, so every update orphans all prior entries.
-	keyGen := gen
-	if s.cfg.GlobalInvalidation {
-		keyGen = snap.epoch
-	}
-	key := cacheKey(sess.DB, keyGen, string(sess.Clearance), modeKey, canonical)
+	// Entries are keyed by load generation, not epoch, so they survive the
+	// epochs their deps are untouched by.
+	key := cacheKey(sess.DB, gen, string(sess.Clearance), modeKey, canonical)
 	if answers, ok := s.cache.Get(key); ok {
 		s.queries.Add(1)
 		return &QueryResponse{Answers: answers, Query: canonical, Cached: true, Epoch: snap.epoch}, nil
@@ -438,11 +420,7 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 		return nil, err
 	}
 	rendered := renderAnswers(answers)
-	var deps []string
-	if !s.cfg.GlobalInvalidation {
-		deps = red.QueryDeps(goals)
-	}
-	s.cache.Put(key, sess.DB, snap.epoch, deps, rendered)
+	s.cache.Put(key, sess.DB, snap.epoch, red.QueryDeps(goals), rendered)
 	s.queries.Add(1)
 	return &QueryResponse{Answers: rendered, Query: canonical, Epoch: snap.epoch, Stats: stats}, nil
 }
@@ -497,7 +475,7 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 	invalidated := 0
 	resp := &UpdateResponse{Epoch: epoch, Changed: changed, Seq: seq}
 	if changed > 0 {
-		if s.cfg.GlobalInvalidation || inv.all {
+		if inv.all {
 			invalidated = s.cache.InvalidateAll(sess.DB, epoch)
 		} else {
 			invalidated = s.cache.InvalidatePreds(sess.DB, epoch, inv.preds)
