@@ -143,14 +143,20 @@ func Render(results []Result) string {
 }
 
 // MetricRatios computes, within one group and for one metric (a custom
-// ReportMetric unit, or "ns/op"), the ratio variant/baseline per case
-// prefix: how many times larger the metric is for each dim value than for
-// dim=base. Returned keys are "prefix|dim=val" ("dim=val" when the prefix
-// is empty).
+// ReportMetric unit, or the standard "ns/op", "B/op" and "allocs/op" — the
+// last two only on rows whose benchmark reports allocations), the ratio
+// variant/baseline per case prefix: how many times larger the metric is for
+// each dim value than for dim=base. Returned keys are "prefix|dim=val"
+// ("dim=val" when the prefix is empty).
 func MetricRatios(results []Result, group, dim, base, metric string) map[string]float64 {
 	value := func(r Result) (float64, bool) {
-		if metric == "ns/op" {
+		switch metric {
+		case "ns/op":
 			return r.NsPerOp, true
+		case "B/op":
+			return float64(r.BytesPerOp), r.BytesPerOp >= 0
+		case "allocs/op":
+			return float64(r.AllocsPerOp), r.AllocsPerOp >= 0
 		}
 		v, ok := r.Metrics[metric]
 		return v, ok

@@ -116,3 +116,24 @@ func TestFilterCase(t *testing.T) {
 		t.Fatal("partial component must not match")
 	}
 }
+
+// TestMetricRatiosOnAllocations: the standard allocation columns gate like
+// any custom metric, and a row without them (no b.ReportAllocs) is skipped
+// rather than read as -1.
+func TestMetricRatiosOnAllocations(t *testing.T) {
+	rs, err := Parse(strings.NewReader(`
+BenchmarkAdvanceFactWrite/advance=delta-2   100   7700000 ns/op   8500000 B/op   9700 allocs/op
+BenchmarkAdvanceFactWrite/advance=full-2      1 1800000000 ns/op 1200000000 B/op 9700000 allocs/op
+BenchmarkAdvanceFactWrite/advance=bare-2      1 1800000000 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := MetricRatios(rs, "AdvanceFactWrite", "advance", "delta", "allocs/op")
+	if len(got) != 1 || got["advance=full"] != 1000 {
+		t.Fatalf("allocs/op ratios = %v, want advance=full: 1000", got)
+	}
+	if got := MetricRatios(rs, "AdvanceFactWrite", "advance", "delta", "B/op"); len(got) != 1 || got["advance=full"] < 141 || got["advance=full"] > 142 {
+		t.Fatalf("B/op ratios = %v", got)
+	}
+}

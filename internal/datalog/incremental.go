@@ -60,16 +60,13 @@ func (a IncStats) sub(b IncStats) IncStats {
 	}
 }
 
-// TupleCount is the support bookkeeping for one materialized tuple.
+// TupleCount is the support bookkeeping for one materialized tuple. The
+// counts are bag multiplicities over the set-semantics model (Bertossi &
+// Gottlob, "Datalog: Bag Semantics via Set Semantics"): a tuple is in the
+// model iff Base+Derived > 0.
 type TupleCount struct {
 	Base    int // base assertions (fact clauses / EDB inserts), a multiset count
 	Derived int // rule firings currently deriving the tuple
-}
-
-type tupleInfo struct {
-	atom    Atom
-	base    int
-	derived int
 }
 
 // litRef locates one body-literal occurrence of a predicate.
@@ -101,7 +98,9 @@ func (r *DeltaResult) ChangedPreds() []string {
 // Incremental maintains the minimal model of a fixed rule set under fact
 // deltas. Build one with NewIncremental; the rule set is immutable
 // afterwards (rule changes require a rebuild). Not safe for concurrent use;
-// Clone before mutating a shared engine.
+// Clone before mutating a shared engine. The support counts live in the
+// model's relations, beside the tuples (Store.support), so the model is the
+// engine's only per-tuple state.
 type Incremental struct {
 	rules       []Clause
 	stratumOf   map[string]int // predicate -> stratum
@@ -113,8 +112,7 @@ type Incremental struct {
 	posRefs     map[string][]litRef // predicate -> positive body occurrences
 	negRefs     map[string][]litRef // predicate -> negated body occurrences
 
-	model *Store
-	info  map[string]*tupleInfo // atom key -> support counts
+	model *Store // counting: every tuple carries its TupleCount
 
 	// Limits bounds each ApplyDelta call (steps, facts, memory count the
 	// delta's own work, not the standing model). The zero value is unlimited.
@@ -151,9 +149,9 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 		posRefs:   map[string][]litRef{},
 		negRefs:   map[string][]litRef{},
 		model:     model,
-		info:      map[string]*tupleInfo{},
 		Limits:    limits,
 	}
+	model.keepCounts()
 	for _, s := range stratum {
 		if s+1 > inc.numStrata {
 			inc.numStrata = s + 1
@@ -164,7 +162,9 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 	}
 	for _, c := range p.Clauses {
 		if c.IsFact() {
-			inc.bump(c.Head, 1)
+			if err := inc.bump(c.Head, TupleCount{Base: 1}); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		ri := len(inc.rules)
@@ -185,7 +185,9 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 	if edb != nil {
 		for _, pred := range edb.Preds() {
 			for _, f := range edb.Facts(pred) {
-				inc.bump(f, 1)
+				if err := inc.bump(f, TupleCount{Base: 1}); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -203,8 +205,7 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 			if err != nil {
 				return err
 			}
-			inc.ensure(head).derived++
-			return nil
+			return inc.bump(head, TupleCount{Derived: 1})
 		})
 		if err != nil {
 			return nil, err
@@ -213,20 +214,16 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 	return inc, nil
 }
 
-// bump adjusts the base count of a tuple that is already in the model.
-func (inc *Incremental) bump(a Atom, by int) {
-	ti := inc.ensure(a)
-	ti.base += by
-}
-
-func (inc *Incremental) ensure(a Atom) *tupleInfo {
+// bump adds to the support counts of a tuple of the finished model: every
+// fact and every head of a firing is in the fixpoint it was derived from.
+func (inc *Incremental) bump(a Atom, by TupleCount) error {
 	k := a.Key()
-	ti := inc.info[k]
-	if ti == nil {
-		ti = &tupleInfo{atom: a}
-		inc.info[k] = ti
+	tc, ok := inc.model.support(a.Pred, k)
+	if !ok {
+		return fmt.Errorf("datalog: internal: %s is supported but missing from the model", a)
 	}
-	return ti
+	inc.model.setSupport(a.Pred, k, TupleCount{Base: tc.Base + by.Base, Derived: tc.Derived + by.Derived})
+	return nil
 }
 
 // analyzeStrata detects, per stratum, whether its predicates form a positive
@@ -315,33 +312,21 @@ func (inc *Incremental) Model() *Store { return inc.model }
 // Count returns the support counts for a ground atom, and whether the atom
 // is currently in the model.
 func (inc *Incremental) Count(a Atom) (TupleCount, bool) {
-	ti := inc.info[a.Key()]
-	if ti == nil {
-		return TupleCount{}, false
-	}
-	return TupleCount{Base: ti.base, Derived: ti.derived}, true
+	return inc.model.support(a.Pred, a.Key())
 }
 
 // Counts returns a snapshot of every tuple's support counts, keyed by atom
 // key — the derivation-count sanity surface the differential harness checks
 // against a freshly built engine.
-func (inc *Incremental) Counts() map[string]TupleCount {
-	out := make(map[string]TupleCount, len(inc.info))
-	for k, ti := range inc.info {
-		out[k] = TupleCount{Base: ti.base, Derived: ti.derived}
-	}
-	return out
-}
+func (inc *Incremental) Counts() map[string]TupleCount { return inc.model.supports() }
 
-// Clone returns an independent engine sharing only the immutable rule set.
+// Clone returns an independent engine. It shares the immutable rule set
+// outright and the model copy-on-write (Store.Clone): a delta applied to
+// either engine copies only the relations it touches, so cloning costs one
+// map entry per relation whatever the model's size.
 func (inc *Incremental) Clone() *Incremental {
 	c := *inc
 	c.model = inc.model.Clone()
-	c.info = make(map[string]*tupleInfo, len(inc.info))
-	for k, ti := range inc.info {
-		cp := *ti
-		c.info[k] = &cp
-	}
 	c.gov = nil
 	return &c
 }
@@ -501,13 +486,15 @@ func (inc *Incremental) applyDelta(adds, dels []Atom) (*DeltaResult, error) {
 			return nil, fmt.Errorf("datalog: delta retract of invalid atom %s", d)
 		}
 		k := d.Key()
-		ti := inc.info[k]
-		if ti == nil || ti.base == 0 {
+		tc, ok := inc.model.support(d.Pred, k)
+		if !ok || tc.Base == 0 {
 			continue // retracting an assertion that does not exist
 		}
-		ti.base--
-		if ti.base == 0 && ti.derived == 0 {
+		tc.Base--
+		if tc.Base == 0 && tc.Derived == 0 {
 			inc.removeTuple(d, k, st)
+		} else {
+			inc.model.setSupport(d.Pred, k, tc)
 		}
 	}
 	for _, a := range adds {
@@ -515,13 +502,14 @@ func (inc *Incremental) applyDelta(adds, dels []Atom) (*DeltaResult, error) {
 			return nil, fmt.Errorf("datalog: delta assert of invalid atom %s", a)
 		}
 		k := a.Key()
-		ti := inc.ensure(a)
-		ti.base++
-		if ti.base == 1 && ti.derived == 0 {
+		tc, ok := inc.model.support(a.Pred, k)
+		if !ok {
 			if err := inc.insertTuple(a, k, st); err != nil {
 				return nil, err
 			}
 		}
+		tc.Base++
+		inc.model.setSupport(a.Pred, k, tc)
 	}
 	for s := 0; s < inc.numStrata; s++ {
 		affected := map[string]Atom{}
@@ -540,8 +528,9 @@ func (inc *Incremental) applyDelta(adds, dels []Atom) (*DeltaResult, error) {
 		// Recount every touched tuple exactly against the now-final model of
 		// this stratum. Lower predicates never change again, so the counts
 		// are final.
-		for _, t := range affected {
-			if !inc.model.Contains(t) {
+		for k, t := range affected {
+			tc, ok := inc.model.support(t.Pred, k)
+			if !ok {
 				continue
 			}
 			n, err := inc.countFirings(t, false)
@@ -549,7 +538,8 @@ func (inc *Incremental) applyDelta(adds, dels []Atom) (*DeltaResult, error) {
 				return nil, err
 			}
 			inc.Stats.Recounts++
-			inc.ensure(t).derived = n
+			tc.Derived = n
+			inc.model.setSupport(t.Pred, k, tc)
 		}
 	}
 	res := &DeltaResult{Changed: map[string]PredDelta{}}
@@ -576,7 +566,8 @@ func sortAtoms(as []Atom) {
 	sort.Slice(as, func(i, j int) bool { return as[i].Key() < as[j].Key() })
 }
 
-// removeTuple takes a tuple out of the model and records the net deletion.
+// removeTuple takes a tuple — and with it its support counts — out of the
+// model and records the net deletion.
 func (inc *Incremental) removeTuple(t Atom, k string, st *deltaState) {
 	inc.model.Remove(t)
 	st.grave.Insert(t) //nolint:errcheck // ground: was in the model
@@ -592,13 +583,11 @@ func (inc *Incremental) removeTuple(t Atom, k string, st *deltaState) {
 	} else {
 		st.noteDel(t, k)
 	}
-	if ti := inc.info[k]; ti != nil && ti.base == 0 {
-		delete(inc.info, k)
-	}
 }
 
-// insertTuple puts a tuple into the model and records the net addition; a
-// tuple returning after a same-delta deletion nets out instead.
+// insertTuple puts a tuple into the model, with zero support counts for the
+// caller (or the stratum's final recount) to set, and records the net
+// addition; a tuple returning after a same-delta deletion nets out instead.
 func (inc *Incremental) insertTuple(t Atom, k string, st *deltaState) error {
 	if _, err := inc.model.Insert(t); err != nil {
 		return err
@@ -658,8 +647,8 @@ func (inc *Incremental) deleteCounting(s int, st *deltaState) error {
 			sort.Strings(keys)
 			for _, k := range keys {
 				t := m[k]
-				ti := inc.info[k]
-				if ti == nil || !inc.model.Contains(t) {
+				tc, ok := inc.model.support(t.Pred, k)
+				if !ok {
 					continue
 				}
 				n, err := inc.countFirings(t, false)
@@ -667,8 +656,8 @@ func (inc *Incremental) deleteCounting(s int, st *deltaState) error {
 					return err
 				}
 				inc.Stats.Recounts++
-				ti.derived = n
-				if n == 0 && ti.base == 0 {
+				tc.Derived = n
+				if n == 0 && tc.Base == 0 {
 					inc.removeTuple(t, k, st)
 					// Cascade: downstream suspects are topologically later
 					// predicates of this stratum (or later strata, reached
@@ -676,6 +665,8 @@ func (inc *Incremental) deleteCounting(s int, st *deltaState) error {
 					if err := inc.lostHeads(s, t, false, oldView, suspect); err != nil {
 						return err
 					}
+				} else {
+					inc.model.setSupport(t.Pred, k, tc)
 				}
 			}
 		}
@@ -698,13 +689,13 @@ func (inc *Incremental) deleteDRed(s int, st *deltaState, affected map[string]At
 	}
 	onLost := func(h Atom) {
 		k := h.Key()
-		ti := inc.info[k]
-		if ti == nil || !inc.model.Contains(h) {
+		tc, ok := inc.model.support(h.Pred, k)
+		if !ok {
 			return
 		}
 		inc.Stats.Suspects++
 		affected[k] = h
-		if ti.base > 0 {
+		if tc.Base > 0 {
 			return // base-supported: stays, count recomputed later
 		}
 		inc.Stats.OverDeleted++
@@ -797,7 +788,7 @@ func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]A
 			if inc.model.Contains(head) {
 				return nil
 			}
-			inc.ensure(head) // derived count set by the recount
+			// The derived count is set by the stratum's final recount.
 			if err := inc.insertTuple(head, k, st); err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -11,9 +12,19 @@ import (
 // Store holds ground facts grouped by predicate, with optional per-argument
 // hash indexes to accelerate joins. The zero value is not usable; call
 // NewStore.
+//
+// Clone is copy-on-write at relation granularity: the clone shares every
+// relation with its source, and a relation that has ever been shared is
+// immutable — whichever store next inserts into or removes from it first
+// replaces it, in its own map, by a private copy. Reading (Match, Facts,
+// Contains) never writes, so a store that is no longer mutated keeps serving
+// any number of readers while its clones are being patched.
 type Store struct {
 	rels     map[string]*relation
 	indexing bool
+	// counting makes every relation carry a support-count column beside its
+	// facts; set by Incremental on the model it maintains.
+	counting bool
 	// InsertFault, when set, is consulted before every insert; a non-nil
 	// return aborts the insert with that error. The evaluator propagates the
 	// hook from the EDB store to its derived stores, so the fault-injection
@@ -29,15 +40,57 @@ func NewStore() *Store { return &Store{rels: map[string]*relation{}, indexing: t
 func NewStoreNoIndex() *Store { return &Store{rels: map[string]*relation{}} }
 
 type relation struct {
-	facts []Atom         // insertion order (perturbed by Remove's swap-delete)
-	seen  map[string]int // fact key -> offset into facts
+	facts []Atom // insertion order (perturbed by Remove's swap-delete)
+	// counts holds each fact's support counts at the fact's offset, moved
+	// with it by Remove's swap-delete; nil unless the store is counting.
+	counts []TupleCount
+	seen   map[string]int // fact key -> offset into facts
 	// index[pos][key] lists offsets into facts whose argument at pos has
 	// that term key. Built lazily per argument position.
 	index map[int]map[string][]int
+	// shared is set once a Clone has handed the relation to a second store.
+	// It never clears: a shared relation is frozen, and writers copy it.
+	shared bool
 }
 
 func newRelation() *relation {
 	return &relation{seen: map[string]int{}, index: map[int]map[string][]int{}}
+}
+
+// clone copies the relation in bulk — no fact is re-keyed or re-inserted.
+// Every index list gets capacity equal to its length, so a later append
+// reallocates it instead of growing into its neighbour in the arena.
+func (r *relation) clone() *relation {
+	c := &relation{
+		facts: append([]Atom(nil), r.facts...),
+		seen:  maps.Clone(r.seen),
+		index: make(map[int]map[string][]int, len(r.index)),
+	}
+	if r.counts != nil {
+		c.counts = append([]TupleCount(nil), r.counts...)
+	}
+	for pos, m := range r.index {
+		cm := maps.Clone(m)
+		arena := make([]int, 0, len(r.facts)) // one offset per fact and position
+		for k, list := range cm {
+			start := len(arena)
+			arena = append(arena, list...)
+			cm[k] = arena[start:len(arena):len(arena)]
+		}
+		c.index[pos] = cm
+	}
+	return c
+}
+
+// own returns pred's relation ready to be mutated, first replacing a shared
+// one by a private copy; nil when the store has no such relation.
+func (s *Store) own(pred string) *relation {
+	r := s.rels[pred]
+	if r != nil && r.shared {
+		r = r.clone()
+		s.rels[pred] = r
+	}
+	return r
 }
 
 // Insert adds a ground fact; it reports whether the fact was new. Stores
@@ -52,18 +105,22 @@ func (s *Store) Insert(a Atom) (bool, error) {
 			return false, err
 		}
 	}
+	k := a.Key()
 	r := s.rels[a.Pred]
 	if r == nil {
 		r = newRelation()
 		s.rels[a.Pred] = r
-	}
-	k := a.Key()
-	if _, ok := r.seen[k]; ok {
+	} else if _, ok := r.seen[k]; ok {
 		return false, nil
+	} else {
+		r = s.own(a.Pred)
 	}
 	pos := len(r.facts)
 	r.seen[k] = pos
 	r.facts = append(r.facts, a)
+	if s.counting {
+		r.counts = append(r.counts, TupleCount{})
+	}
 	if s.indexing {
 		for i, t := range a.Args {
 			m := r.index[i]
@@ -91,7 +148,7 @@ func (s *Store) InsertBatch(pred string, facts []Atom, keys []string, argKeys []
 		return 0, fmt.Errorf("datalog: InsertBatch: %d facts with %d keys, %d arg-key rows",
 			len(facts), len(keys), len(argKeys))
 	}
-	r := s.rels[pred]
+	r := s.own(pred)
 	if r == nil {
 		r = &relation{seen: make(map[string]int, len(facts)), index: map[int]map[string][]int{}}
 		s.rels[pred] = r
@@ -112,6 +169,9 @@ func (s *Store) InsertBatch(pred string, facts []Atom, keys []string, argKeys []
 		pos := len(r.facts)
 		r.seen[keys[i]] = pos
 		r.facts = append(r.facts, a)
+		if s.counting {
+			r.counts = append(r.counts, TupleCount{})
+		}
 		if s.indexing {
 			for j, t := range a.Args {
 				m := r.index[j]
@@ -147,9 +207,9 @@ func (s *Store) Contains(a Atom) bool {
 }
 
 // Remove deletes a ground fact, reporting whether it was present. Removal
-// swap-deletes within the relation, so it invalidates slices previously
-// returned by Facts and perturbs insertion order; rendering and query paths
-// sort or deduplicate, so observable results are unaffected.
+// swap-deletes within the relation, so it invalidates slices this store
+// previously returned from Facts and perturbs insertion order; rendering and
+// query paths sort or deduplicate, so observable results are unaffected.
 func (s *Store) Remove(a Atom) bool {
 	r := s.rels[a.Pred]
 	if r == nil {
@@ -160,6 +220,7 @@ func (s *Store) Remove(a Atom) bool {
 	if !ok {
 		return false
 	}
+	r = s.own(a.Pred)
 	last := len(r.facts) - 1
 	if s.indexing {
 		dropOffset(r, r.facts[off], off)
@@ -171,9 +232,15 @@ func (s *Store) Remove(a Atom) bool {
 		moved := r.facts[last]
 		r.facts[off] = moved
 		r.seen[moved.Key()] = off
+		if r.counts != nil {
+			r.counts[off] = r.counts[last]
+		}
 	}
 	r.facts[last] = Atom{} // release the term references
 	r.facts = r.facts[:last]
+	if r.counts != nil {
+		r.counts = r.counts[:last]
+	}
 	delete(r.seen, k)
 	if len(r.facts) == 0 {
 		delete(s.rels, a.Pred)
@@ -223,7 +290,7 @@ func replaceOffset(r *relation, a Atom, from, to int) {
 }
 
 // Facts returns all facts for a predicate in insertion order. The slice must
-// not be modified, and is invalidated by a subsequent Remove.
+// not be modified, and is invalidated by a subsequent Remove on this store.
 func (s *Store) Facts(pred string) []Atom {
 	r := s.rels[pred]
 	if r == nil {
@@ -304,16 +371,69 @@ func (s *Store) Match(query Atom, base term.Subst, fn func(term.Subst) bool) {
 	}
 }
 
-// Clone returns a deep copy of the store. Fault hooks are not cloned: a
-// clone is a private working copy, and source facts are ground by invariant.
+// Clone returns a store with the same facts that can be mutated without
+// affecting s, and vice versa. It costs one map entry per relation, not per
+// fact: relations are shared and copied on first write (see Store). Clone
+// may run beside readers of s, but not beside a writer or another Clone of
+// s. Fault hooks are not cloned: a clone is a private working copy.
 func (s *Store) Clone() *Store {
-	c := &Store{rels: map[string]*relation{}, indexing: s.indexing}
-	for _, r := range s.rels {
-		for _, f := range r.facts {
-			c.Insert(f) //nolint:errcheck // ground by invariant, no fault hook
+	c := &Store{rels: make(map[string]*relation, len(s.rels)), indexing: s.indexing, counting: s.counting}
+	for pred, r := range s.rels {
+		if !r.shared { // no store to a relation readers have in cache, once frozen
+			r.shared = true
 		}
+		c.rels[pred] = r
 	}
 	return c
+}
+
+// keepCounts turns on the support-count column, zeroed for the facts
+// already stored.
+func (s *Store) keepCounts() {
+	s.counting = true
+	for pred := range s.rels {
+		r := s.own(pred)
+		r.counts = make([]TupleCount, len(r.facts))
+	}
+}
+
+// support returns the support counts of the stored fact with the given key,
+// and whether it is stored. Only meaningful on a counting store.
+func (s *Store) support(pred, key string) (TupleCount, bool) {
+	r := s.rels[pred]
+	if r == nil {
+		return TupleCount{}, false
+	}
+	off, ok := r.seen[key]
+	if !ok {
+		return TupleCount{}, false
+	}
+	return r.counts[off], true
+}
+
+// setSupport overwrites the support counts of a stored fact. Writing the
+// value already there leaves a shared relation shared.
+func (s *Store) setSupport(pred, key string, tc TupleCount) {
+	r := s.rels[pred]
+	if r == nil {
+		return
+	}
+	off, ok := r.seen[key]
+	if !ok || r.counts[off] == tc {
+		return
+	}
+	s.own(pred).counts[off] = tc
+}
+
+// supports returns every stored fact's support counts, by fact key.
+func (s *Store) supports() map[string]TupleCount {
+	out := make(map[string]TupleCount, s.Len())
+	for _, r := range s.rels {
+		for k, off := range r.seen {
+			out[k] = r.counts[off]
+		}
+	}
+	return out
 }
 
 // String renders all facts sorted, one per line — handy in tests and the CLI.

@@ -56,6 +56,12 @@ func (m MAtom) IsGround() bool {
 	return m.Level.IsGround() && m.Key.IsGround() && m.Class.IsGround() && m.Value.IsGround()
 }
 
+// Equal reports structural equality.
+func (m MAtom) Equal(n MAtom) bool {
+	return m.Pred == n.Pred && m.Attr == n.Attr && m.Level.Equal(n.Level) &&
+		m.Key.Equal(n.Key) && m.Class.Equal(n.Class) && m.Value.Equal(n.Value)
+}
+
 // String renders the atom in MultiLog surface syntax.
 func (m MAtom) String() string {
 	return fmt.Sprintf("%s[%s(%s: %s -%s-> %s)]", m.Level, m.Pred, m.Key, m.Attr, m.Class, m.Value)
@@ -165,6 +171,23 @@ func (g Goal) Vars(dst []string) []string {
 	}
 }
 
+// Equal reports structural equality, source positions aside: exactly the
+// fields String renders are compared, so parsed goals are Equal iff they
+// render alike.
+func (g Goal) Equal(h Goal) bool {
+	if g.Kind != h.Kind {
+		return false
+	}
+	switch g.Kind {
+	case GoalM:
+		return g.M.Equal(h.M)
+	case GoalB:
+		return g.Mode == h.Mode && g.M.Equal(h.M)
+	default:
+		return g.P.Equal(h.P)
+	}
+}
+
 // String renders the goal.
 func (g Goal) String() string {
 	switch g.Kind {
@@ -191,6 +214,19 @@ func (c Clause) Pos() datalog.Position { return c.Head.Pos }
 
 // IsFact reports whether the clause has an empty body.
 func (c Clause) IsFact() bool { return len(c.Body) == 0 }
+
+// Equal reports structural equality, source positions aside (see Goal.Equal).
+func (c Clause) Equal(d Clause) bool {
+	if len(c.Body) != len(d.Body) || !c.Head.Equal(d.Head) {
+		return false
+	}
+	for i := range c.Body {
+		if !c.Body[i].Equal(d.Body[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // String renders the clause.
 func (c Clause) String() string {

@@ -20,18 +20,20 @@ type Database struct {
 	Pi      []Clause
 	Queries []Query
 
-	poset *lattice.Poset // cached by Poset()
+	poset  *lattice.Poset // cached by Poset()
+	posetN int            // len(Lambda) the cache was built from
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database { return &Database{} }
 
-// AddClause routes a clause into Λ, Σ or Π by its head kind and invalidates
-// the cached lattice.
+// AddClause routes a clause into Λ, Σ or Π by its head kind; a Λ clause
+// invalidates the cached lattice.
 func (db *Database) AddClause(c Clause) error {
 	switch c.Head.Kind {
 	case GoalL, GoalH:
 		db.Lambda = append(db.Lambda, c)
+		db.poset = nil
 	case GoalM:
 		db.Sigma = append(db.Sigma, c)
 	case GoalP:
@@ -41,22 +43,24 @@ func (db *Database) AddClause(c Clause) error {
 	default:
 		return fmt.Errorf("multilog: cannot place clause %s", c)
 	}
-	db.poset = nil
 	return nil
 }
 
 // Clone returns a deep copy of the database: the four component slices and
 // every clause body are fresh, so appending to or editing the clone never
-// aliases the original. The cached lattice is not carried over (clones are
-// usually cloned in order to be changed). Clone is what makes copy-on-write
-// snapshots safe: a server can keep answering queries from the original
-// while an updater grows the clone.
+// aliases the original. The cached lattice (immutable once built) is carried
+// over: clones are made to take Σ/Π writes, which cannot change it, and
+// AddClause drops it when a Λ clause does arrive. Clone is what makes
+// copy-on-write snapshots safe: a server can keep answering queries from the
+// original while an updater grows the clone.
 func (db *Database) Clone() *Database {
 	c := &Database{
 		Lambda:  cloneClauses(db.Lambda),
 		Sigma:   cloneClauses(db.Sigma),
 		Pi:      cloneClauses(db.Pi),
 		Queries: make([]Query, len(db.Queries)),
+		poset:   db.poset,
+		posetN:  db.posetN,
 	}
 	for i, q := range db.Queries {
 		c.Queries[i] = append(Query(nil), q...)
@@ -98,9 +102,10 @@ func (db *Database) String() string {
 
 // Poset evaluates Λ with the classical engine and builds the security
 // lattice from the resulting level/1 and order/2 facts. The result is
-// cached; AddClause invalidates it.
+// cached; a Λ clause added since (through AddClause or by appending to
+// Lambda) invalidates it.
 func (db *Database) Poset() (*lattice.Poset, error) {
-	if db.poset != nil {
+	if db.poset != nil && db.posetN == len(db.Lambda) {
 		return db.poset, nil
 	}
 	prog := &datalog.Program{}
@@ -137,7 +142,7 @@ func (db *Database) Poset() (*lattice.Poset, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("multilog: Λ does not define a partial order: %w", err)
 	}
-	db.poset = p
+	db.poset, db.posetN = p, len(db.Lambda)
 	return p, nil
 }
 

@@ -2,16 +2,18 @@ package multilog
 
 // Incremental maintenance of prepared reductions. A reduction prepared via
 // Prepare owns a counting-based incremental engine over its translated
-// program; when the underlying database changes by facts only, a freshly
-// translated reduction can be advanced from the old one by cloning that
-// engine and applying the fact delta (AdvanceFrom) instead of re-deriving
-// the fixpoint from scratch. QueryDeps and ImpactGraph expose the translated
+// program; when the underlying database changes by facts only, the next
+// reduction is advanced from the old one — the written facts translated and
+// applied as a delta to a copy-on-write clone of that engine (Advance,
+// AdvanceFrom) — instead of re-reducing the database and re-deriving the
+// fixpoint from scratch. QueryDeps and ImpactGraph expose the translated
 // dependency structure so callers (the server's result cache) can invalidate
 // only what a write could actually reach.
 
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/datalog"
@@ -20,13 +22,38 @@ import (
 	"repro/internal/term"
 )
 
-// DeltaReport describes how AdvanceFrom prepared a reduction.
+// FullReason says why an advance re-derived the model from scratch instead of
+// patching the old one. The zero value means it did not.
+type FullReason string
+
+const (
+	// ReasonOldNotIncremental: there is no old engine to patch — no old
+	// reduction, one never prepared, or one prepared by the compiled engine
+	// (InstallPrepared), which keeps no support counts.
+	ReasonOldNotIncremental FullReason = "old-not-incremental"
+	// ReasonRuleChange: the write adds or removes a rule (or anything else
+	// that is not a Σ/Π fact), so the translated rule set changes.
+	ReasonRuleChange FullReason = "rule-change"
+	// ReasonNewPredicate: a written m-fact's predicate is not one the old
+	// reduction translated, so the write brings its Figure 12 axiom
+	// instances with it — rules the old engine does not have.
+	ReasonNewPredicate FullReason = "new-predicate"
+	// ReasonNonGround: a written fact is not ground after level grounding.
+	ReasonNonGround FullReason = "non-ground"
+	// ReasonDeltaFailed: translating or applying the delta failed (resource
+	// limits, cancellation, an inadmissible level); the full path re-runs
+	// under the same bounds and reports the error if it persists.
+	ReasonDeltaFailed FullReason = "delta-failed"
+)
+
+// DeltaReport describes how an advance prepared a reduction.
 type DeltaReport struct {
-	// Incremental is true when the old engine was patched in place. False
-	// means a full Prepare ran (rule sets differed, the old reduction was
-	// not prepared, or the delta application failed); ChangedPreds is then
-	// nil and callers must assume every predicate may have changed.
+	// Incremental is true when the old engine was patched. False means a
+	// full Prepare ran, for Reason; ChangedPreds is then nil and callers
+	// must assume every predicate may have changed.
 	Incremental bool
+	// Reason is set exactly when Incremental is false.
+	Reason FullReason
 	// ChangedPreds lists the translated predicates whose derived tuple sets
 	// actually changed, sorted. Empty with Incremental=true means the write
 	// was a semantic no-op.
@@ -35,63 +62,178 @@ type DeltaReport struct {
 	Added, Deleted int
 }
 
-// AdvanceFrom prepares r by reusing old's incremental engine: when the two
-// translated programs have identical rule multisets, the fact multiset delta
-// is applied to a clone of old's engine, which becomes r's prepared model.
-// Any other case — old nil or unprepared, rule changes, non-ground facts, a
-// failed delta — falls back to a full Prepare. r itself serves concurrent
-// readers only after AdvanceFrom returns; old is never mutated and can keep
-// serving QueryPrepared calls throughout.
-func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits resource.Limits) (DeltaReport, error) {
-	full := func() (DeltaReport, error) {
-		if err := r.Prepare(ctx, limits); err != nil {
-			return DeltaReport{}, err
-		}
-		return DeltaReport{}, nil
-	}
-	if old == nil || old.inc == nil {
-		return full()
-	}
-	oldRules, oldFacts, ok := splitProgram(old.Program)
-	newRules, newFacts, ok2 := splitProgram(r.Program)
-	if !ok || !ok2 || !equalSorted(oldRules, newRules) {
-		return full()
-	}
-	var adds, dels []datalog.Atom
-	for k, fc := range newFacts {
-		for i := oldFacts[k].count; i < fc.count; i++ {
-			adds = append(adds, fc.atom)
-		}
-	}
-	for k, fc := range oldFacts {
-		for i := newFacts[k].count; i < fc.count; i++ {
-			dels = append(dels, fc.atom)
-		}
-	}
-	sortByKey(adds)
-	sortByKey(dels)
-	inc := old.inc.Clone()
-	rep := DeltaReport{Incremental: true}
-	if len(adds)+len(dels) > 0 {
-		res, err := inc.ApplyDeltaContext(ctx, adds, dels)
+// Advance returns the prepared reduction, at old's clearance and options, of
+// db — which must be old.DB with the clauses of removed taken out and those
+// of added put in. When the write is Σ/Π facts only, they are translated at
+// this clearance (the translation of a clause depends on nothing but the
+// clause, the lattice and the clearance) and applied as a delta to a
+// copy-on-write clone of old's engine: the cost is the relations the delta
+// touches, not the database. Anything else (see FullReason) is a full
+// Reduce + Prepare of db. old is never mutated and keeps serving
+// QueryPrepared calls throughout.
+func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed []Clause, limits resource.Limits) (*Reduction, DeltaReport, error) {
+	inc, adds, dels, rep := old.advanceEngine(ctx, added, removed)
+	if !rep.Incremental {
+		r, err := ReduceOpts(db, old.User, old.opts)
 		if err != nil {
-			// The clone is poisoned; discard it and rebuild from scratch
-			// under the same limits.
-			return full()
+			return nil, rep, err
 		}
-		rep.ChangedPreds = res.ChangedPreds()
-		for _, pd := range res.Changed {
-			rep.Added += len(pd.Added)
-			rep.Deleted += len(pd.Deleted)
+		return r, rep, r.Prepare(ctx, limits)
+	}
+	// A fact write leaves the rule set alone, hence the dependency edges
+	// (immutable once built) and the registered predicates and belief needs;
+	// the two small maps are copied because RequireBelief grows them.
+	return &Reduction{DB: db, User: old.User, Poset: old.Poset, Program: patchFacts(old.Program, adds, dels),
+		model: inc.Model(), inc: inc, deps: old.deps,
+		needs: maps.Clone(old.needs), preds: maps.Clone(old.preds), opts: old.opts}, rep, nil
+}
+
+// AdvanceFrom prepares r, a fresh reduction of a later version of old's
+// database, by the same delta path as Advance: the clause-level difference
+// between old.DB and r.DB is found structurally and handed to the one core.
+// r itself serves concurrent readers only after AdvanceFrom returns.
+func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits resource.Limits) (DeltaReport, error) {
+	var inc *datalog.Incremental
+	rep := DeltaReport{Reason: ReasonOldNotIncremental}
+	if old != nil {
+		added, removed := diffClauses(old.DB.Sigma, r.DB.Sigma)
+		piAdded, piRemoved := diffClauses(old.DB.Pi, r.DB.Pi)
+		lamAdded, lamRemoved := diffClauses(old.DB.Lambda, r.DB.Lambda)
+		if len(lamAdded)+len(lamRemoved) > 0 || old.User != r.User || old.opts != r.opts {
+			rep.Reason = ReasonRuleChange
+		} else {
+			inc, _, _, rep = old.advanceEngine(ctx, append(added, piAdded...), append(removed, piRemoved...))
 		}
+	}
+	if !rep.Incremental {
+		return rep, r.Prepare(ctx, limits)
 	}
 	r.inc = inc
 	r.model = inc.Model()
-	r.deps = old.deps // rule sets are identical, so the edges are too
-	if r.deps == nil {
-		r.deps = dependencyEdges(r.Program)
-	}
+	r.deps = old.deps // the rule sets are identical, so the edges are too
 	return rep, nil
+}
+
+// advanceEngine is the delta core: it translates a fact write at old's
+// clearance and applies it to a clone of old's engine, returning the patched
+// engine with the translated delta, or a report naming why it cannot. A
+// write that translates to nothing returns old's engine itself.
+func (old *Reduction) advanceEngine(ctx context.Context, added, removed []Clause) (inc *datalog.Incremental, adds, dels []datalog.Atom, rep DeltaReport) {
+	if old.inc == nil {
+		return nil, nil, nil, DeltaReport{Reason: ReasonOldNotIncremental}
+	}
+	adds, reason := old.translateFacts(added)
+	if reason == "" {
+		dels, reason = old.translateFacts(removed)
+	}
+	if reason != "" {
+		return nil, nil, nil, DeltaReport{Reason: reason}
+	}
+	rep = DeltaReport{Incremental: true}
+	if len(adds)+len(dels) == 0 {
+		return old.inc, nil, nil, rep
+	}
+	inc = old.inc.Clone()
+	res, err := inc.ApplyDeltaContext(ctx, adds, dels)
+	if err != nil {
+		// The clone is poisoned; it is discarded and the caller rebuilds
+		// from scratch under the same limits.
+		return nil, nil, nil, DeltaReport{Reason: ReasonDeltaFailed}
+	}
+	rep.ChangedPreds = res.ChangedPreds()
+	for _, pd := range res.Changed {
+		rep.Added += len(pd.Added)
+		rep.Deleted += len(pd.Deleted)
+	}
+	return inc, adds, dels, rep
+}
+
+// translateFacts maps written fact clauses to the ground facts they
+// contribute to the reduced program at r's clearance, one per clause instance
+// (a level variable instantiates over every asserted level). It only reads r.
+func (r *Reduction) translateFacts(cs []Clause) ([]datalog.Atom, FullReason) {
+	var out []datalog.Atom
+	for _, c := range cs {
+		if !c.IsFact() {
+			return nil, ReasonRuleChange
+		}
+		switch c.Head.Kind {
+		case GoalM:
+			if !r.preds[c.Head.M.Pred] {
+				return nil, ReasonNewPredicate
+			}
+			for _, gc := range r.groundLevels(c) {
+				ok, dcs, err := r.sigmaClause(gc)
+				if err != nil {
+					return nil, ReasonDeltaFailed
+				}
+				if !ok {
+					continue
+				}
+				for _, dc := range dcs {
+					if !dc.Head.IsGround() {
+						return nil, ReasonNonGround
+					}
+					out = append(out, dc.Head)
+				}
+			}
+		case GoalP:
+			// τ is the identity on p-clauses.
+			if !c.Head.P.IsGround() {
+				return nil, ReasonNonGround
+			}
+			out = append(out, c.Head.P)
+		default:
+			return nil, ReasonRuleChange // Λ clauses change the lattice
+		}
+	}
+	return out, ""
+}
+
+// diffClauses returns a clause-level difference between two versions of one
+// database component, compared structurally: new is old minus removed plus
+// added, as multisets. It walks both in order, which finds the minimal
+// difference for the edits the write path makes (clauses filtered out in
+// place, clauses appended) and a correct, larger one for anything else.
+func diffClauses(old, new []Clause) (added, removed []Clause) {
+	j := 0
+	for _, c := range old {
+		if j < len(new) && c.Equal(new[j]) {
+			j++
+		} else {
+			removed = append(removed, c)
+		}
+	}
+	return new[j:len(new):len(new)], removed
+}
+
+// patchFacts returns p without one fact clause per atom of dels and with one
+// appended per atom of adds, leaving every rule in place and in order.
+func patchFacts(p *datalog.Program, adds, dels []datalog.Atom) *datalog.Program {
+	out := &datalog.Program{Queries: p.Queries, Clauses: make([]datalog.Clause, 0, len(p.Clauses)+len(adds))}
+	dels = append([]datalog.Atom(nil), dels...)
+	for _, c := range p.Clauses {
+		if c.IsFact() && dropFirst(&dels, c.Head) {
+			continue
+		}
+		out.Clauses = append(out.Clauses, c)
+	}
+	for _, a := range adds {
+		out.Clauses = append(out.Clauses, datalog.Fact(a))
+	}
+	return out
+}
+
+// dropFirst removes the first atom equal to a from *as, reporting whether
+// there was one.
+func dropFirst(as *[]datalog.Atom, a datalog.Atom) bool {
+	for i, d := range *as {
+		if d.Equal(a) {
+			*as = append((*as)[:i], (*as)[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // Counts exposes the engine's per-tuple derivation counts (nil when the
@@ -101,50 +243,6 @@ func (r *Reduction) Counts() map[string]datalog.TupleCount {
 		return nil
 	}
 	return r.inc.Counts()
-}
-
-// factCount is one distinct ground fact with its multiplicity in a program.
-type factCount struct {
-	atom  datalog.Atom
-	count int
-}
-
-// splitProgram separates a translated program into its rule multiset
-// (canonical strings) and ground-fact multiset. ok is false when a fact
-// clause has a non-ground head, which AdvanceFrom treats as non-diffable.
-func splitProgram(p *datalog.Program) (rules []string, facts map[string]factCount, ok bool) {
-	facts = map[string]factCount{}
-	for _, c := range p.Clauses {
-		if !c.IsFact() {
-			rules = append(rules, c.String())
-			continue
-		}
-		if !c.Head.IsGround() {
-			return nil, nil, false
-		}
-		k := c.Head.Key()
-		fc := facts[k]
-		fc.atom, fc.count = c.Head, fc.count+1
-		facts[k] = fc
-	}
-	sort.Strings(rules)
-	return rules, facts, true
-}
-
-func equalSorted(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortByKey(as []datalog.Atom) {
-	sort.Slice(as, func(i, j int) bool { return as[i].Key() < as[j].Key() })
 }
 
 // dependencyEdges builds the head-to-body predicate edges of a program,
@@ -273,7 +371,8 @@ func NewImpactGraph(db *Database) (*ImpactGraph, error) {
 // at any clearance when the given fact clauses are asserted or retracted:
 // the written facts' translated predicates closed upward over the reverse
 // graph. Sorted. It errors on heads it cannot map (b-atom heads, levels not
-// asserted by Λ); callers should fall back to invalidating everything.
+// asserted by Λ, m-predicates Σ did not mention when the graph was built);
+// callers should fall back to invalidating everything and rebuild the graph.
 func (g *ImpactGraph) Impact(delta []Clause) ([]string, error) {
 	seen := map[string]bool{}
 	var stack []string
@@ -297,7 +396,14 @@ func (g *ImpactGraph) Impact(delta []Clause) ([]string, error) {
 				levels = g.poset.Labels()
 			}
 			for _, l := range levels {
-				add(relPred(c.Head.M.Pred, l))
+				rel := relPred(c.Head.M.Pred, l)
+				if len(g.rev[rel]) == 0 {
+					// Every Σ predicate's rel feeds at least its own level's
+					// fir axiom, so this one postdates the graph: its belief
+					// axioms, and their edges, arrive with the write.
+					return nil, fmt.Errorf("multilog: write impact: predicate %q is new to Σ", c.Head.M.Pred)
+				}
+				add(rel)
 			}
 		case GoalP, GoalL, GoalH:
 			add(c.Head.P.Pred)

@@ -98,8 +98,8 @@ func (r *Reduction) QueryContext(ctx context.Context, q Query, limits resource.L
 //
 // Prepare builds the model through a counting-based incremental engine
 // (datalog.Incremental) rather than a one-shot Eval: a prepared reduction can
-// afterwards be advanced in place under fact deltas via AdvanceFrom instead
-// of being re-derived from scratch. The extra cost over a plain Eval is one
+// afterwards be advanced under fact deltas (Advance, AdvanceFrom) instead of
+// being re-derived from scratch. The extra cost over a plain Eval is one
 // full enumeration of the rules to seed derivation counts.
 func (r *Reduction) Prepare(ctx context.Context, limits resource.Limits) error {
 	if r.inc != nil || r.compiled {
@@ -120,9 +120,9 @@ func (r *Reduction) Prepare(ctx context.Context, limits resource.Limits) error {
 // marks the reduction prepared, so QueryPrepared serves it exactly as if
 // Prepare had built it. The caller guarantees the model is the complete
 // lfp of r.Program; installing a partial model would silently drop answers.
-// A reduction prepared this way has no incremental engine: AdvanceFrom
-// from it falls back to a full Prepare, and callers on the compiled path
-// advance by re-running the (cached) plan instead.
+// A reduction prepared this way has no incremental engine: advancing from
+// it falls back to a full Prepare (ReasonOldNotIncremental), and callers on
+// the compiled path advance by re-running the (cached) plan instead.
 func (r *Reduction) InstallPrepared(model *datalog.Store) {
 	r.model = model
 	r.compiled = true

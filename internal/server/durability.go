@@ -162,7 +162,9 @@ func (s *Server) replayRecord(r wal.Record) error {
 		if err != nil {
 			return err
 		}
-		_, _, _, err = prog.update(ur.Clauses, lattice.Label(ur.Clearance), ur.Retract, nil)
+		// Replay runs before the server takes requests: nothing can give up
+		// on it, so it is bounded by the prepare limits alone.
+		_, _, _, err = prog.update(context.Background(), ur.Clauses, lattice.Label(ur.Clearance), ur.Retract, nil)
 		return err
 	}
 	return fmt.Errorf("unknown record type %d", r.Type)

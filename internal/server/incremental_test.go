@@ -2,8 +2,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/multilog"
+	"repro/internal/resource"
+	"repro/internal/wal"
 )
 
 // precisionProgram has two independent base predicates (emp, dept) and one
@@ -275,5 +280,190 @@ func TestCachePrecisionAcrossClearances(t *testing.T) {
 		if !found {
 			t.Errorf("session %d does not see the written fact: %v", i, resp.Answers)
 		}
+	}
+}
+
+// TestCancelledWriteLeavesNothingBehind: the update critical section runs
+// under the request's context, and a write whose context is done before
+// commit is abandoned — no commit callback (hence no WAL record), no new
+// snapshot, no epoch — and reported as a cancellation. The next write goes
+// through as if the abandoned one had never been sent.
+func TestCancelledWriteLeavesNothingBehind(t *testing.T) {
+	store, rec, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s := New(Config{WAL: store})
+	if err := s.Recover(rec, map[string]string{"test": precisionProgram}); err != nil {
+		t.Fatal(err)
+	}
+	sess := openSess(t, s, "l1", "")
+	runQuery(t, s, sess, "l0[emp(K: salary -C-> V)]") // a warm reduction to advance
+	prog, err := s.program("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, appended := prog.current(), s.Stats().Durability.Appended
+	fact := "l0[emp(hal: salary -l0-> low)]."
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	committed := false
+	_, _, _, err = prog.update(cancelled, fact, "l1", false, func() error { committed = true; return nil })
+	if !errors.Is(err, resource.ErrCanceled) {
+		t.Fatalf("cancelled update returned %v, want resource.ErrCanceled", err)
+	}
+	if committed {
+		t.Fatal("a cancelled update reached its commit callback")
+	}
+	if _, err := s.Update(cancelled, sess, UpdateRequest{Clauses: fact}, false); err == nil {
+		t.Fatal("Server.Update with a cancelled context succeeded")
+	}
+	if prog.current() != before || s.Stats().Durability.Appended != appended || prog.updates.Load() != 0 {
+		t.Fatalf("a cancelled write left a trace: snapshot changed=%v, WAL appends %d → %d, updates %d",
+			prog.current() != before, appended, s.Stats().Durability.Appended, prog.updates.Load())
+	}
+	if st := s.Stats().Databases["test"]; st.AdvanceIncremental != 0 || len(st.AdvanceFull) != 0 {
+		t.Fatalf("a cancelled write was counted as an advance: %+v", st)
+	}
+
+	up := runUpdate(t, s, sess, fact, false)
+	if up.Epoch != before.epoch+1 || s.Stats().Durability.Appended != appended+1 {
+		t.Fatalf("the write after a cancelled one: epoch %d (want %d), WAL appends %d (want %d)",
+			up.Epoch, before.epoch+1, s.Stats().Durability.Appended, appended+1)
+	}
+}
+
+// TestAdvanceReasonsOnStats: /v1/stats says, per database, how committed
+// writes carried the warm reductions forward — patched, or rebuilt and why.
+func TestAdvanceReasonsOnStats(t *testing.T) {
+	s := newIncServer(t, Config{})
+	writer := openSess(t, s, "l1", "")
+	for _, cl := range []string{"l0", "l1"} {
+		runQuery(t, s, openSess(t, s, cl, ""), "l0[emp(K: salary -C-> V)]")
+	}
+	want := DBStats{}
+	check := func(step string) {
+		t.Helper()
+		got := s.Stats().Databases["test"]
+		if got.AdvanceIncremental != want.AdvanceIncremental || !reflect.DeepEqual(got.AdvanceFull, want.AdvanceFull) {
+			t.Fatalf("%s: advance_incremental %d advance_full %v, want %d %v",
+				step, got.AdvanceIncremental, got.AdvanceFull, want.AdvanceIncremental, want.AdvanceFull)
+		}
+	}
+	check("before any write")
+
+	// The first queries prepared both clearances through the compiled
+	// engine, which keeps no support counts: the first write rebuilds.
+	runUpdate(t, s, writer, "l0[emp(ivy: salary -l0-> low)].", false)
+	want.AdvanceFull = map[string]int64{"old-not-incremental": 2}
+	check("first fact write")
+
+	runUpdate(t, s, writer, "l0[emp(jon: salary -l0-> low)].", false)
+	runUpdate(t, s, writer, "l0[emp(jon: salary -l0-> low)].", true)
+	want.AdvanceIncremental = 4
+	check("fact assert + retract")
+
+	runUpdate(t, s, writer, "l0[badge(ivy: colour -l0-> red)].", false)
+	want.AdvanceFull["new-predicate"] = 2
+	check("first fact of a new predicate")
+
+	runUpdate(t, s, writer, "l1[audit(K: seen -l1-> V)] :- l0[badge(K: colour -C-> V)] << fir.", false)
+	want.AdvanceFull["rule-change"] = 2
+	check("rule write")
+
+	// A retract that matches nothing is no write at all.
+	runUpdate(t, s, writer, "l0[emp(nobody: salary -l0-> low)].", true)
+	check("no-op retract")
+}
+
+// TestNewPredicateWriteInvalidatesBeliefQueries: the first fact of a
+// predicate Σ never mentioned brings its Figure 12 belief axioms, which the
+// carried impact graph has no edges for — so the write invalidates
+// everything and the graph is rebuilt, instead of leaving a cached empty
+// belief answer behind.
+func TestNewPredicateWriteInvalidatesBeliefQueries(t *testing.T) {
+	s := newIncServer(t, Config{})
+	sess := openSess(t, s, "l1", "opt")
+	q := "L[badge(K: colour -C-> V)]"
+	runUpdate(t, s, sess, "l0[emp(kim: salary -l0-> low)].", false) // builds the impact graph
+	if resp := runQuery(t, s, sess, q); len(resp.Answers) != 0 {
+		t.Fatalf("badge answers before any badge fact: %v", resp.Answers)
+	}
+	if !runQuery(t, s, sess, q).Cached {
+		t.Fatal("prime query missed")
+	}
+	up := runUpdate(t, s, sess, "l0[badge(kim: colour -l0-> red)].", false)
+	if up.Incremental {
+		t.Fatalf("a new predicate's first fact was bounded per predicate: %+v", up)
+	}
+	resp := runQuery(t, s, sess, q)
+	if resp.Cached || len(resp.Answers) != 2 { // believed at l0 and, optimistically, at l1
+		t.Fatalf("after the first badge fact: cached=%v answers=%v", resp.Cached, resp.Answers)
+	}
+	// The rebuilt graph knows the predicate: its next fact is bounded again,
+	// and still reaches the belief query.
+	up = runUpdate(t, s, sess, "l1[badge(lee: colour -l1-> blue)].", false)
+	if !up.Incremental {
+		t.Fatalf("second badge fact invalidated everything: %+v", up)
+	}
+	if resp := runQuery(t, s, sess, q); resp.Cached || len(resp.Answers) != 3 {
+		t.Fatalf("after the second badge fact: cached=%v answers=%v", resp.Cached, resp.Answers)
+	}
+}
+
+// TestRetractMatchesStructurally pins retract's equality: a stored clause
+// goes exactly when it renders like a retracted one — whatever the
+// whitespace, quoting or position it was written with — every copy of it,
+// and nothing that differs in any rendered field.
+func TestRetractMatchesStructurally(t *testing.T) {
+	parse := func(src string) []multilog.Clause {
+		db, err := multilog.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db.Sigma
+	}
+	stored := parse(`
+		l0[emp(alice: salary -l0-> low)].
+		l0[emp(alice: salary -l0-> mid)].
+		l0[emp(alice: salary -l0-> low)].
+		l1[emp(alice: salary -l0-> low)].
+		l0[emp(alice: bonus -l0-> low)].
+		l0[emp('alice': salary   -l0->   low)] :- l0[emp(bob: salary -l0-> low)].
+		l1[payroll(K: cost -l1-> V)] :- l0[emp(K: salary -C-> V)] << opt.
+		l1[payroll(K: cost -l1-> V)] :- l0[emp(K: salary -C-> V)] << cau.
+	`)
+	del := parse(`
+		l0[emp( 'alice' : salary -l0-> low )].
+		l1[payroll(K: cost -l1-> V)] :- l0[emp(K: salary -C-> V)] << opt.
+		l0[emp(nobody: salary -l0-> low)].
+	`)
+	var want, wantRemoved []string
+	gone := map[string]bool{}
+	for _, c := range del {
+		gone[c.String()] = true
+	}
+	for _, c := range stored {
+		if gone[c.String()] {
+			wantRemoved = append(wantRemoved, c.String())
+		} else {
+			want = append(want, c.String())
+		}
+	}
+	removed := retractClauses(&stored, del)
+	render := func(cs []multilog.Clause) []string {
+		var out []string
+		for _, c := range cs {
+			out = append(out, c.String())
+		}
+		return out
+	}
+	if got := render(stored); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept %v\nwant %v", got, want)
+	}
+	if got := render(removed); !reflect.DeepEqual(got, wantRemoved) || len(removed) != 3 {
+		t.Fatalf("removed %v\nwant %v", got, wantRemoved)
 	}
 }

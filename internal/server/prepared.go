@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"fmt"
+	"maps"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,6 +34,10 @@ type preparedProgram struct {
 
 	upMu    sync.Mutex // serializes updates (clone → edit → lint → swap)
 	updates atomic.Int64
+
+	advMu   sync.Mutex       // guards the two counters below
+	advInc  int64            // warm reductions patched incrementally by committed writes
+	advFull map[string]int64 // ... and rebuilt in full, by multilog.FullReason
 }
 
 // snapshot is one immutable program version. The database, its poset and
@@ -149,7 +156,7 @@ func (p *preparedProgram) stats() DBStats {
 	s.redMu.RLock()
 	nred := len(s.reductions)
 	s.redMu.RUnlock()
-	return DBStats{
+	st := DBStats{
 		Epoch:      s.epoch,
 		Lambda:     len(s.db.Lambda),
 		Sigma:      len(s.db.Sigma),
@@ -157,6 +164,10 @@ func (p *preparedProgram) stats() DBStats {
 		Reductions: nred,
 		Updates:    p.updates.Load(),
 	}
+	p.advMu.Lock()
+	st.AdvanceIncremental, st.AdvanceFull = p.advInc, maps.Clone(p.advFull)
+	p.advMu.Unlock()
+	return st
 }
 
 // update applies an assert or retract on behalf of a session cleared at
@@ -177,7 +188,11 @@ func (p *preparedProgram) stats() DBStats {
 // hangs its WAL append here, making the update durable strictly before it
 // is visible, in the exact order snapshots are published. A commit error
 // aborts the update with nothing swapped.
-func (p *preparedProgram) update(src string, clearance lattice.Label, retract bool, commit func() error) (uint64, int, invalidation, error) {
+//
+// ctx governs the critical section: it bounds the advance of every warm
+// reduction, and a write whose ctx is done before commit is abandoned with
+// epoch, snapshot and log untouched.
+func (p *preparedProgram) update(ctx context.Context, src string, clearance lattice.Label, retract bool, commit func() error) (uint64, int, invalidation, error) {
 	none := invalidation{}
 	delta, err := multilog.Parse(src)
 	if err != nil {
@@ -205,11 +220,10 @@ func (p *preparedProgram) update(src string, clearance lattice.Label, retract bo
 	}
 
 	next := cur.db.Clone()
-	changed := 0
+	var added, removed []multilog.Clause
 	if retract {
-		changed += retractClauses(&next.Sigma, delta.Sigma)
-		changed += retractClauses(&next.Pi, delta.Pi)
-		if changed == 0 {
+		removed = append(retractClauses(&next.Sigma, delta.Sigma), retractClauses(&next.Pi, delta.Pi)...)
+		if len(removed) == 0 {
 			return cur.epoch, 0, none, nil
 		}
 	} else {
@@ -217,8 +231,8 @@ func (p *preparedProgram) update(src string, clearance lattice.Label, retract bo
 			if err := next.AddClause(c); err != nil {
 				return 0, 0, none, err
 			}
-			changed++
 		}
+		added = deltaClauses
 	}
 
 	diags := lint.MultiLog(next, lint.Options{File: p.name})
@@ -231,7 +245,10 @@ func (p *preparedProgram) update(src string, clearance lattice.Label, retract bo
 	}
 	inv := p.planInvalidation(cur, snap, deltaClauses)
 	p.invalidatePlans(cur, inv)
-	p.advanceReductions(cur, snap, &inv)
+	p.advanceReductions(ctx, cur, snap, added, removed, &inv)
+	if ctx.Err() != nil {
+		return 0, 0, none, fmt.Errorf("server: update abandoned before commit: %w: %v", resource.ErrCanceled, context.Cause(ctx))
+	}
 	if commit != nil {
 		if err := commit(); err != nil {
 			return 0, 0, none, err
@@ -241,7 +258,16 @@ func (p *preparedProgram) update(src string, clearance lattice.Label, retract bo
 	p.snap = snap
 	p.mu.Unlock()
 	p.updates.Add(1)
-	return snap.epoch, changed, inv, nil
+	p.advMu.Lock()
+	p.advInc += inv.advanced
+	for reason, n := range inv.full {
+		if p.advFull == nil {
+			p.advFull = map[string]int64{}
+		}
+		p.advFull[reason] += n
+	}
+	p.advMu.Unlock()
+	return snap.epoch, len(added) + len(removed), inv, nil
 }
 
 // invalidation says what a committed update could have changed: either
@@ -250,7 +276,26 @@ func (p *preparedProgram) update(src string, clearance lattice.Label, retract bo
 type invalidation struct {
 	all      bool
 	preds    []string
-	advanced int // prepared reductions advanced incrementally into the new snapshot
+	advanced int64            // prepared reductions advanced incrementally into the new snapshot
+	full     map[string]int64 // ... and rebuilt in full instead, by multilog.FullReason
+}
+
+// FormatAdvances renders an advance tally — of one write, for its log line,
+// or of a database's lifetime, for the REPL's \stats — as "4 incremental" or
+// "1 incremental, 3 full (rule-change 3)".
+func FormatAdvances(incremental int64, full map[string]int64) string {
+	out := fmt.Sprintf("%d incremental", incremental)
+	if len(full) == 0 {
+		return out
+	}
+	reasons := make([]string, 0, len(full))
+	var total int64
+	for reason, n := range full {
+		reasons = append(reasons, fmt.Sprintf("%s %d", reason, n))
+		total += n
+	}
+	sort.Strings(reasons)
+	return fmt.Sprintf("%s, %d full (%s)", out, total, strings.Join(reasons, ", "))
 }
 
 // planInvalidation bounds the write's blast radius. For fact-only deltas it
@@ -270,11 +315,13 @@ func (p *preparedProgram) planInvalidation(cur, snap *snapshot, deltaClauses []m
 	if err != nil {
 		return invalidation{all: true}
 	}
-	snap.impact = g // pre-publication; no lock needed yet
 	preds, err := g.Impact(deltaClauses)
 	if err != nil {
+		// Not carried: the next write rebuilds the graph from the new rules
+		// (a fact of a new predicate brings its belief axioms).
 		return invalidation{all: true}
 	}
+	snap.impact = g // pre-publication; no lock needed yet
 	return invalidation{preds: preds}
 }
 
@@ -330,13 +377,14 @@ func (s *snapshot) impactGraph() (*multilog.ImpactGraph, error) {
 }
 
 // advanceReductions carries cur's prepared reductions into the new snapshot
-// by incremental delta application (multilog.AdvanceFrom), so a write no
-// longer discards every materialized model: the next query at an already-
-// warm clearance matches against an up-to-date model instead of paying a
-// full re-derivation. A reduction that fails to advance (resource limits,
-// reduce errors) is simply not carried; the next query at that clearance
-// rebuilds it lazily, exactly as before.
-func (p *preparedProgram) advanceReductions(cur, snap *snapshot, inv *invalidation) {
+// (multilog.Advance): a fact write is translated per warm clearance and
+// applied as a delta to a copy-on-write clone of that clearance's engine, so
+// the write costs the relations it touches and the next query at a warm
+// clearance matches against an up-to-date model; a rule write re-reduces
+// and re-derives. A reduction that fails to advance (resource limits,
+// cancellation, reduce errors) is simply not carried; the next query at
+// that clearance rebuilds it lazily.
+func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snapshot, added, removed []multilog.Clause, inv *invalidation) {
 	cur.redMu.RLock()
 	olds := make(map[lattice.Label]*multilog.Reduction, len(cur.reductions))
 	for u, red := range cur.reductions {
@@ -344,16 +392,17 @@ func (p *preparedProgram) advanceReductions(cur, snap *snapshot, inv *invalidati
 	}
 	cur.redMu.RUnlock()
 	for u, old := range olds {
-		red, err := multilog.Reduce(snap.db, u)
-		if err != nil {
-			continue
-		}
-		rep, err := red.AdvanceFrom(context.Background(), old, p.limits)
+		red, rep, err := old.Advance(ctx, snap.db, added, removed, p.limits)
 		if err != nil {
 			continue
 		}
 		if rep.Incremental {
 			inv.advanced++
+		} else {
+			if inv.full == nil {
+				inv.full = map[string]int64{}
+			}
+			inv.full[string(rep.Reason)]++
 		}
 		snap.reductions[u] = red
 	}
@@ -387,24 +436,55 @@ func authorizeClause(c multilog.Clause, poset *lattice.Poset, clearance lattice.
 	return nil
 }
 
-// retractClauses removes from dst every clause whose canonical rendering
-// equals a clause of del, returning how many were removed.
-func retractClauses(dst *[]multilog.Clause, del []multilog.Clause) int {
-	if len(del) == 0 {
-		return 0
+// clauseSig is the part of a clause head that is plain strings: a
+// comparable, allocation-free prefilter for retractClauses.
+type clauseSig struct {
+	kind                   multilog.GoalKind
+	pred, attr, level, key string
+	body                   int
+}
+
+func sigOf(c multilog.Clause) clauseSig {
+	h := c.Head
+	if h.Kind == multilog.GoalM {
+		return clauseSig{h.Kind, h.M.Pred, h.M.Attr, h.M.Level.Name(), h.M.Key.Name(), len(c.Body)}
 	}
-	gone := map[string]bool{}
+	sig := clauseSig{kind: h.Kind, pred: h.P.Pred, body: len(c.Body)}
+	if len(h.P.Args) > 0 {
+		sig.key = h.P.Args[0].Name()
+	}
+	return sig
+}
+
+// retractClauses removes from dst every clause equal to a clause of del —
+// structurally, which for parsed clauses is "renders the same" — and returns
+// the removed clauses. Nothing is rendered: a stored clause is compared only
+// with the del clauses sharing its head signature.
+func retractClauses(dst *[]multilog.Clause, del []multilog.Clause) []multilog.Clause {
+	if len(del) == 0 {
+		return nil
+	}
+	gone := make(map[clauseSig][]multilog.Clause, len(del))
 	for _, c := range del {
-		gone[c.String()] = true
+		sig := sigOf(c)
+		gone[sig] = append(gone[sig], c)
+	}
+	matches := func(c multilog.Clause) bool {
+		for _, d := range gone[sigOf(c)] {
+			if c.Equal(d) {
+				return true
+			}
+		}
+		return false
 	}
 	kept := (*dst)[:0]
-	removed := 0
+	var removed []multilog.Clause
 	for _, c := range *dst {
-		if gone[c.String()] {
-			removed++
-			continue
+		if matches(c) {
+			removed = append(removed, c)
+		} else {
+			kept = append(kept, c)
 		}
-		kept = append(kept, c)
 	}
 	*dst = kept
 	return removed

@@ -347,6 +347,12 @@ type DBStats struct {
 	Pi         int    `json:"pi"`
 	Reductions int    `json:"reductions"` // prepared (per-clearance) reductions
 	Updates    int64  `json:"updates"`
+	// AdvanceIncremental counts warm reductions that committed writes
+	// carried into their new epoch by patching the old model;
+	// AdvanceFull counts those re-derived from scratch instead, by reason
+	// (multilog.FullReason: "rule-change", "new-predicate", ...).
+	AdvanceIncremental int64            `json:"advance_incremental"`
+	AdvanceFull        map[string]int64 `json:"advance_full,omitempty"`
 }
 
 // LintRequest asks for a full static-analysis report on a loaded database.

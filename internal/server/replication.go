@@ -273,7 +273,9 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 			mirrored = true
 			return s.wal.AppendMirror(rec)
 		}
-		epoch, changed, inv, err := prog.update(ur.Clauses, lattice.Label(ur.Clearance), ur.Retract, commit)
+		// A replicated record is already committed on the primary: giving up
+		// on it half-way would be divergence, so no request context applies.
+		epoch, changed, inv, err := prog.update(context.Background(), ur.Clauses, lattice.Label(ur.Clearance), ur.Retract, commit)
 		if err != nil {
 			err = fmt.Errorf("server: applying replicated update %d: %w", rec.Seq, err)
 			if mirrored {

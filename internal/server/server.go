@@ -465,7 +465,7 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 		}
 	}
 	s.walMu.RLock()
-	epoch, changed, inv, err := prog.update(req.Clauses, sess.Clearance, retract, commit)
+	epoch, changed, inv, err := prog.update(ctx, req.Clauses, sess.Clearance, retract, commit)
 	s.walMu.RUnlock()
 	if err != nil {
 		degraded = resource.IsLimit(err)
@@ -490,8 +490,8 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 		if !inv.all {
 			scope = fmt.Sprintf("%d predicate(s)", len(inv.preds))
 		}
-		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated (%s, %d reduction(s) advanced)",
-			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, invalidated, scope, inv.advanced)
+		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated (%s; reductions advanced: %s)",
+			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, invalidated, scope, FormatAdvances(inv.advanced, inv.full))
 	}
 	resp.Invalidated = invalidated
 	return resp, nil

@@ -1,5 +1,6 @@
 #!/bin/sh
-# bench_smoke.sh — CI smoke for two committed benchmark artifacts.
+# bench_smoke.sh — CI smoke for two committed benchmark artifacts and the
+# write path's allocation count.
 #
 # 1. BenchmarkOperationalVsReduction: gate the model-construction time
 #    ratio between the interpreted reduction arm and the compiled engine
@@ -7,6 +8,12 @@
 #    the [facts=320] filter pins the assertion to the scale point).
 # 2. BenchmarkOverloadStorm: gate the goodput ratio between admission
 #    control on and the no-admission baseline under a 5x-capacity storm.
+# 3. BenchmarkAdvanceFactWrite: gate the allocations of a fact write carried
+#    through four warm clearances by delta (advance=delta) against the full
+#    Reduce + Prepare it replaces (advance=full). Allocation counts are
+#    deterministic, so unlike a time gate this one holds on a loud machine:
+#    the ratio is ~1000x when a write copies only the relations it touches
+#    and ~4x if it ever copies the model again.
 #
 # The smoke gates are deliberately looser than the committed artifacts
 # (>=2x vs >=5x for compiled, >=1.2x vs >=1.5x for overload): short
@@ -23,7 +30,7 @@
 #       -gate 'OperationalVsReduction[facts=320]/engine/compiled:model-ns>=5'
 #
 #   go test ./internal/server -run '^$' -bench BenchmarkOverloadStorm \
-#       -benchtime 2000x -count=1 | tee /tmp/bench_overload.txt
+#       -benchtime 8000x -count=1 | tee /tmp/bench_overload.txt
 #   go run ./cmd/benchreport -in /tmp/bench_overload.txt \
 #       -json BENCH_overload.json \
 #       -gate 'OverloadStorm/admission/off:goodput>=1.5'
@@ -34,8 +41,9 @@ set -eu
 GO=${GO:-go}
 COMPILED_BENCHTIME=${BENCH_SMOKE_COMPILED_TIME:-10x}
 COMPILED_GATE=${BENCH_SMOKE_COMPILED_GATE:-'OperationalVsReduction[facts=320]/engine/compiled:model-ns>=2'}
-OVERLOAD_BENCHTIME=${BENCH_SMOKE_OVERLOAD_TIME:-800x}
+OVERLOAD_BENCHTIME=${BENCH_SMOKE_OVERLOAD_TIME:-4000x}
 OVERLOAD_GATE=${BENCH_SMOKE_OVERLOAD_GATE:-'OverloadStorm/admission/off:goodput>=1.2'}
+ADVANCE_GATE=${BENCH_SMOKE_ADVANCE_GATE:-'AdvanceFactWrite/advance/delta:allocs/op>=100'}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT INT TERM
 
@@ -46,4 +54,7 @@ $GO run ./cmd/benchreport -in "$TMP/bench_compiled.txt" -gate "$COMPILED_GATE"
 $GO test ./internal/server -run '^$' -bench BenchmarkOverloadStorm \
     -benchtime "$OVERLOAD_BENCHTIME" -count=1 | tee "$TMP/bench_overload.txt"
 $GO run ./cmd/benchreport -in "$TMP/bench_overload.txt" -gate "$OVERLOAD_GATE"
+$GO test ./internal/multilog -run '^$' -bench BenchmarkAdvanceFactWrite \
+    -benchtime 1x -count=1 | tee "$TMP/bench_advance.txt"
+$GO run ./cmd/benchreport -in "$TMP/bench_advance.txt" -gate "$ADVANCE_GATE"
 echo "bench-smoke: ok"
