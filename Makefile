@@ -107,10 +107,10 @@ overload-chaos:
 		-run 'TestOverloadChaos|TestSustainedOverloadNoLeaks|TestBrownoutServesStale' \
 		./internal/server
 
-# bench-smoke runs the compiled-engine, overload and fact-write benchmarks at
-# a short benchtime and gates their ratios (compiled model build vs
-# interpreter, goodput with admission on vs off, allocations of a full
-# rebuild vs a delta advance) through benchreport. The smoke bars
+# bench-smoke runs the compiled-engine, overload, fact-write and rule-write
+# benchmarks at a short benchtime and gates their ratios (compiled model
+# build vs interpreter, goodput with admission on vs off, allocations of a
+# full rebuild vs a delta advance) through benchreport. The smoke bars
 # are looser than the committed BENCH_*.json to absorb short-run noise.
 bench-smoke:
 	sh scripts/bench_smoke.sh

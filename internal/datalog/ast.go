@@ -174,6 +174,20 @@ func Rule(head Atom, body ...Literal) Clause { return Clause{Head: head, Body: b
 // IsFact reports whether the clause has an empty body.
 func (c Clause) IsFact() bool { return len(c.Body) == 0 }
 
+// Equal reports structural equality: the same head and the same body
+// literals in the same order, variables compared by name.
+func (c Clause) Equal(d Clause) bool {
+	if len(c.Body) != len(d.Body) || !c.Head.Equal(d.Head) {
+		return false
+	}
+	for i, l := range c.Body {
+		if l.Negated != d.Body[i].Negated || !l.Atom.Equal(d.Body[i].Atom) {
+			return false
+		}
+	}
+	return true
+}
+
 // Vars appends all variable names in the clause to dst.
 func (c Clause) Vars(dst []string) []string {
 	dst = c.Head.Vars(dst)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/resource"
@@ -38,6 +39,10 @@ var errStopEnum = errors.New("datalog: stop enumeration")
 // After both phases, derivation counts of every touched tuple are
 // recomputed exactly, so counts never drift even though the deletion
 // phases over-approximate the affected set.
+//
+// A delta may also change the rule set (ApplyClauses): the next rule set is
+// stratified before the model is touched, and its strata order the same
+// phases — seeded with a removed rule's firings, firing an added rule once.
 
 // IncStats counts the work done by delta application, cumulatively.
 type IncStats struct {
@@ -82,7 +87,9 @@ type DeltaResult struct {
 	// Changed maps each predicate whose tuple set changed to its net
 	// additions and deletions, each sorted by atom key.
 	Changed map[string]PredDelta
-	Stats   IncStats // work done by this delta
+	// Rule-set changes that took effect (retracting an absent rule is none).
+	RulesAdded, RulesRemoved int
+	Stats                    IncStats // work done by this delta
 }
 
 // ChangedPreds returns the sorted predicates whose tuple sets changed.
@@ -95,15 +102,12 @@ func (r *DeltaResult) ChangedPreds() []string {
 	return out
 }
 
-// Incremental maintains the minimal model of a fixed rule set under fact
-// deltas. Build one with NewIncremental; the rule set is immutable
-// afterwards (rule changes require a rebuild). Not safe for concurrent use;
-// Clone before mutating a shared engine. The support counts live in the
-// model's relations, beside the tuples (Store.support), so the model is the
-// engine's only per-tuple state.
-type Incremental struct {
+// ruleSet is a rule multiset with the indexes maintenance runs on. It is
+// immutable once built: engines that Clone one another share it, and a delta
+// that changes the rules builds the next one (edit) instead of patching it.
+type ruleSet struct {
 	rules       []Clause
-	stratumOf   map[string]int // predicate -> stratum
+	stratumOf   map[string]int // predicate -> stratum; 0 for predicates no rule mentions
 	ruleStratum []int          // rule index -> stratum of its head predicate
 	numStrata   int
 	recursive   []bool              // stratum -> has a positive same-stratum cycle
@@ -111,7 +115,16 @@ type Incremental struct {
 	headRules   map[string][]int    // head predicate -> rule indices
 	posRefs     map[string][]litRef // predicate -> positive body occurrences
 	negRefs     map[string][]litRef // predicate -> negated body occurrences
+}
 
+// Incremental maintains the minimal model of a program under clause deltas:
+// fact clauses are base assertions, rule clauses change the rule set. Build
+// one with NewIncremental. Not safe for concurrent use; Clone before mutating
+// a shared engine. The support counts live in the model's relations, beside
+// the tuples (Store.support), so the model is the engine's only per-tuple
+// state.
+type Incremental struct {
+	*ruleSet
 	model *Store // counting: every tuple carries its TupleCount
 
 	// Limits bounds each ApplyDelta call (steps, facts, memory count the
@@ -139,46 +152,16 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 	if err != nil {
 		return nil, err
 	}
-	stratum, err := Stratify(p)
+	rs, err := newRuleSet(p.Clauses)
 	if err != nil {
 		return nil, err
 	}
-	inc := &Incremental{
-		stratumOf: stratum,
-		headRules: map[string][]int{},
-		posRefs:   map[string][]litRef{},
-		negRefs:   map[string][]litRef{},
-		model:     model,
-		Limits:    limits,
-	}
+	inc := &Incremental{ruleSet: rs, model: model, Limits: limits}
 	model.keepCounts()
-	for _, s := range stratum {
-		if s+1 > inc.numStrata {
-			inc.numStrata = s + 1
-		}
-	}
-	if inc.numStrata == 0 {
-		inc.numStrata = 1
-	}
 	for _, c := range p.Clauses {
 		if c.IsFact() {
 			if err := inc.bump(c.Head, TupleCount{Base: 1}); err != nil {
 				return nil, err
-			}
-			continue
-		}
-		ri := len(inc.rules)
-		inc.rules = append(inc.rules, c)
-		inc.ruleStratum = append(inc.ruleStratum, stratum[c.Head.Pred])
-		inc.headRules[c.Head.Pred] = append(inc.headRules[c.Head.Pred], ri)
-		for li, l := range c.Body {
-			if l.Atom.IsBuiltin() {
-				continue
-			}
-			if l.Negated {
-				inc.negRefs[l.Atom.Pred] = append(inc.negRefs[l.Atom.Pred], litRef{ri, li})
-			} else {
-				inc.posRefs[l.Atom.Pred] = append(inc.posRefs[l.Atom.Pred], litRef{ri, li})
 			}
 		}
 	}
@@ -191,7 +174,6 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 			}
 		}
 	}
-	inc.analyzeStrata()
 	// Exact initial derivation counts: one full enumeration of every rule
 	// against the finished model. This is a single naive pass, paid once at
 	// build time.
@@ -214,6 +196,84 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 	return inc, nil
 }
 
+// newRuleSet stratifies and indexes the rules among clauses; facts are
+// skipped. It fails when the rules are not stratifiable.
+func newRuleSet(clauses []Clause) (*ruleSet, error) {
+	stratum, err := Stratify(&Program{Clauses: clauses})
+	if err != nil {
+		return nil, err
+	}
+	rs := &ruleSet{
+		stratumOf: stratum,
+		numStrata: 1,
+		headRules: map[string][]int{},
+		posRefs:   map[string][]litRef{},
+		negRefs:   map[string][]litRef{},
+	}
+	for _, s := range stratum {
+		if s+1 > rs.numStrata {
+			rs.numStrata = s + 1
+		}
+	}
+	for _, c := range clauses {
+		if c.IsFact() {
+			continue
+		}
+		ri := len(rs.rules)
+		rs.rules = append(rs.rules, c)
+		rs.ruleStratum = append(rs.ruleStratum, stratum[c.Head.Pred])
+		rs.headRules[c.Head.Pred] = append(rs.headRules[c.Head.Pred], ri)
+		for li, l := range c.Body {
+			if l.Atom.IsBuiltin() {
+				continue
+			}
+			if l.Negated {
+				rs.negRefs[l.Atom.Pred] = append(rs.negRefs[l.Atom.Pred], litRef{ri, li})
+			} else {
+				rs.posRefs[l.Atom.Pred] = append(rs.posRefs[l.Atom.Pred], litRef{ri, li})
+			}
+		}
+	}
+	rs.analyzeStrata()
+	return rs, nil
+}
+
+// edit returns the rule set without the first structurally equal instance of
+// each rule of dels (one that is not there is a no-op, like retracting an
+// absent assertion) and with adds appended, and the rules it removed. Every
+// index of the result is fresh — rs may be serving other engines — and an
+// edit that changes nothing returns rs itself.
+func (rs *ruleSet) edit(adds, dels []Clause) (*ruleSet, []Clause, error) {
+	gone := make([]bool, len(rs.rules))
+	var removed []Clause
+	for _, d := range dels {
+		for i, c := range rs.rules {
+			if !gone[i] && c.Equal(d) {
+				gone[i] = true
+				removed = append(removed, c)
+				break
+			}
+		}
+	}
+	if len(adds)+len(removed) == 0 {
+		return rs, nil, nil
+	}
+	rules := make([]Clause, 0, len(rs.rules)-len(removed)+len(adds))
+	for i, c := range rs.rules {
+		if !gone[i] {
+			rules = append(rules, c)
+		}
+	}
+	for _, c := range adds {
+		if err := ValidateClause(c); err != nil {
+			return nil, nil, err
+		}
+		rules = append(rules, c)
+	}
+	next, err := newRuleSet(rules)
+	return next, removed, err
+}
+
 // bump adds to the support counts of a tuple of the finished model: every
 // fact and every head of a firing is in the fixpoint it was derived from.
 func (inc *Incremental) bump(a Atom, by TupleCount) error {
@@ -229,37 +289,34 @@ func (inc *Incremental) bump(a Atom, by TupleCount) error {
 // analyzeStrata detects, per stratum, whether its predicates form a positive
 // cycle (recursive → DRed deletion) and computes a topological order for the
 // non-recursive ones (→ counting deletion).
-func (inc *Incremental) analyzeStrata() {
-	inc.recursive = make([]bool, inc.numStrata)
-	inc.topo = make([][]string, inc.numStrata)
+func (rs *ruleSet) analyzeStrata() {
+	rs.recursive = make([]bool, rs.numStrata)
+	rs.topo = make([][]string, rs.numStrata)
 	// Same-stratum positive adjacency: head -> body predicates.
-	type edge struct{ from, to string }
-	adj := make([]map[string][]string, inc.numStrata)
-	preds := make([]map[string]bool, inc.numStrata)
+	adj := make([]map[string][]string, rs.numStrata)
+	preds := make([]map[string]bool, rs.numStrata)
 	for i := range adj {
 		adj[i] = map[string][]string{}
 		preds[i] = map[string]bool{}
 	}
-	for ri, c := range inc.rules {
-		s := inc.ruleStratum[ri]
+	for ri, c := range rs.rules {
+		s := rs.ruleStratum[ri]
 		preds[s][c.Head.Pred] = true
-		seen := map[edge]bool{}
+		from := len(adj[s][c.Head.Pred]) // this rule's edges: one per body predicate
 		for _, l := range c.Body {
 			if l.Negated || l.Atom.IsBuiltin() {
 				continue
 			}
-			if inc.stratumOf[l.Atom.Pred] != s {
+			if rs.stratumOf[l.Atom.Pred] != s {
 				continue
 			}
 			preds[s][l.Atom.Pred] = true
-			e := edge{c.Head.Pred, l.Atom.Pred}
-			if !seen[e] {
-				seen[e] = true
-				adj[s][e.from] = append(adj[s][e.from], e.to)
+			if tos := adj[s][c.Head.Pred]; !slices.Contains(tos[from:], l.Atom.Pred) {
+				adj[s][c.Head.Pred] = append(tos, l.Atom.Pred)
 			}
 		}
 	}
-	for s := 0; s < inc.numStrata; s++ {
+	for s := 0; s < rs.numStrata; s++ {
 		// Kahn's algorithm over the reversed edges (dependencies first).
 		// Leftover nodes mean a cycle → the stratum is recursive.
 		indeg := map[string]int{}
@@ -298,9 +355,9 @@ func (inc *Incremental) analyzeStrata() {
 			}
 		}
 		if len(order) < len(names) {
-			inc.recursive[s] = true
+			rs.recursive[s] = true
 		} else {
-			inc.topo[s] = order
+			rs.topo[s] = order
 		}
 	}
 }
@@ -320,10 +377,11 @@ func (inc *Incremental) Count(a Atom) (TupleCount, bool) {
 // against a freshly built engine.
 func (inc *Incremental) Counts() map[string]TupleCount { return inc.model.supports() }
 
-// Clone returns an independent engine. It shares the immutable rule set
-// outright and the model copy-on-write (Store.Clone): a delta applied to
-// either engine copies only the relations it touches, so cloning costs one
-// map entry per relation whatever the model's size.
+// Clone returns an independent engine. It shares the rule set outright — a
+// rule delta on either side replaces its own pointer — and the model
+// copy-on-write (Store.Clone): a delta applied to either engine copies only
+// the relations it touches, so cloning costs one map entry per relation
+// whatever the model's size.
 func (inc *Incremental) Clone() *Incremental {
 	c := *inc
 	c.model = inc.model.Clone()
@@ -401,12 +459,31 @@ func (inc *Incremental) lostHeads(s int, d Atom, neg bool, v storeView, yield fu
 	return nil
 }
 
+// fullFirings enumerates against v every firing of the rules of cs whose
+// head is in stratum s: the whole contribution of a rule that joined or left
+// the rule set.
+func (inc *Incremental) fullFirings(s int, cs []Clause, v storeView, each func(Clause, term.Subst) error) error {
+	for _, c := range cs {
+		if inc.stratumOf[c.Head.Pred] != s {
+			continue
+		}
+		inc.Stats.Firings++
+		err := solveBody(inc.gov, c, -1, term.Subst{}, v, func(sub term.Subst) error { return each(c, sub) })
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // deltaState is the bookkeeping shared by the phases of one ApplyDelta.
 type deltaState struct {
 	added   map[string]map[string]Atom // pred -> key -> atom, net additions
 	deleted map[string]map[string]Atom // pred -> key -> atom, net deletions
 	grave   *Store                     // every tuple removed at any point
 	addKeys map[string]bool            // keys of net-added atoms (negation masking)
+	// The rule-set change, already in the engine's rules.
+	addRules, delRules []Clause
 }
 
 func (d *deltaState) noteAdd(a Atom, k string) {
@@ -455,30 +532,65 @@ func (inc *Incremental) ApplyDelta(adds, dels []Atom) (*DeltaResult, error) {
 	return inc.ApplyDeltaContext(context.Background(), adds, dels)
 }
 
-// ApplyDeltaContext is ApplyDelta bounded by ctx and inc.Limits.
+// ApplyDeltaContext is ApplyDelta bounded by ctx and inc.Limits: the
+// facts-only call of the delta core.
 func (inc *Incremental) ApplyDeltaContext(ctx context.Context, adds, dels []Atom) (*DeltaResult, error) {
+	return inc.apply(ctx, adds, dels, nil, nil)
+}
+
+// ApplyClauses applies a clause delta, bounded by ctx and inc.Limits. Fact
+// clauses are base assertions, as in ApplyDelta. Rule clauses change the rule
+// set (ruleSet.edit): a rule of dels leaves with exactly the derivations its
+// firings contributed, a rule of adds joins and fires. The next rule set is
+// validated and stratified before the model is touched: an unsafe or
+// unstratifiable one is an error that leaves the engine as it was, and usable.
+func (inc *Incremental) ApplyClauses(ctx context.Context, adds, dels []Clause) (*DeltaResult, error) {
+	var facts [2][]Atom
+	var rules [2][]Clause
+	for i, cs := range [2][]Clause{adds, dels} {
+		for _, c := range cs {
+			if c.IsFact() {
+				facts[i] = append(facts[i], c.Head)
+			} else {
+				rules[i] = append(rules[i], c)
+			}
+		}
+	}
+	return inc.apply(ctx, facts[0], facts[1], rules[0], rules[1])
+}
+
+// apply is the one entry to the delta core.
+func (inc *Incremental) apply(ctx context.Context, adds, dels []Atom, addRules, delRules []Clause) (*DeltaResult, error) {
 	if inc.broken {
 		return nil, fmt.Errorf("datalog: incremental engine poisoned by an earlier failed delta")
 	}
-	before := inc.Stats
-	inc.gov = resource.New(ctx, inc.Limits)
-	res, err := inc.applyDelta(adds, dels)
-	if err != nil {
-		inc.broken = true
-		return nil, err
-	}
-	inc.Stats.Deltas++
-	res.Stats = inc.Stats.sub(before)
-	return res, nil
-}
-
-func (inc *Incremental) applyDelta(adds, dels []Atom) (*DeltaResult, error) {
 	st := &deltaState{
 		added:   map[string]map[string]Atom{},
 		deleted: map[string]map[string]Atom{},
 		grave:   NewStore(),
 		addKeys: map[string]bool{},
 	}
+	if len(addRules)+len(delRules) > 0 {
+		next, removed, err := inc.ruleSet.edit(addRules, delRules)
+		if err != nil {
+			return nil, err // nothing touched yet: the engine stays usable
+		}
+		inc.ruleSet, st.addRules, st.delRules = next, addRules, removed
+	}
+	before := inc.Stats
+	inc.gov = resource.New(ctx, inc.Limits)
+	res, err := inc.applyDelta(adds, dels, st)
+	if err != nil {
+		inc.broken = true
+		return nil, err
+	}
+	inc.Stats.Deltas++
+	res.RulesAdded, res.RulesRemoved = len(st.addRules), len(st.delRules)
+	res.Stats = inc.Stats.sub(before)
+	return res, nil
+}
+
+func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaResult, error) {
 	// Phase 0: base-assertion bookkeeping. Deletions first, so a delta that
 	// retracts and re-asserts the same atom nets out.
 	for _, d := range dels {
@@ -513,11 +625,20 @@ func (inc *Incremental) applyDelta(adds, dels []Atom) (*DeltaResult, error) {
 	}
 	for s := 0; s < inc.numStrata; s++ {
 		affected := map[string]Atom{}
-		var err error
+		// A removed rule's firings are gone: their heads, enumerated against
+		// the pre-delta view, seed the stratum's deletion phase.
+		var lost []Atom
+		err := inc.fullFirings(s, st.delRules, storeView{live: inc.model, grave: st.grave, negSkip: st.addKeys}, func(c Clause, sub term.Subst) error {
+			lost = append(lost, c.Head.Apply(sub))
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
 		if inc.recursive[s] {
-			err = inc.deleteDRed(s, st, affected)
+			err = inc.deleteDRed(s, st, lost, affected)
 		} else {
-			err = inc.deleteCounting(s, st)
+			err = inc.deleteCounting(s, st, lost)
 		}
 		if err != nil {
 			return nil, err
@@ -605,7 +726,7 @@ func (inc *Incremental) insertTuple(t Atom, k string, st *deltaState) error {
 // exact re-counting in topological predicate order. oldView widens matches
 // to the graveyard so every pre-delta firing involving a deleted tuple is
 // enumerated (an over-approximation; counts are recomputed exactly).
-func (inc *Incremental) deleteCounting(s int, st *deltaState) error {
+func (inc *Incremental) deleteCounting(s int, st *deltaState, lost []Atom) error {
 	suspects := map[string]map[string]Atom{} // pred -> key -> atom
 	suspect := func(h Atom) error {
 		inc.Stats.Suspects++
@@ -618,6 +739,15 @@ func (inc *Incremental) deleteCounting(s int, st *deltaState) error {
 		return nil
 	}
 	oldView := storeView{live: inc.model, grave: st.grave, negSkip: st.addKeys}
+	// A predicate that lost its last rule may be missing from the topological
+	// order; it depends on nothing, so it goes first.
+	order := inc.topo[s]
+	for _, h := range lost {
+		if len(inc.headRules[h.Pred]) == 0 && !slices.Contains(order, h.Pred) {
+			order = append([]string{h.Pred}, order...)
+		}
+		suspect(h) //nolint:errcheck // only records
+	}
 	for _, m := range st.deleted {
 		for _, d := range m {
 			if err := inc.lostHeads(s, d, false, oldView, suspect); err != nil {
@@ -632,7 +762,7 @@ func (inc *Incremental) deleteCounting(s int, st *deltaState) error {
 			}
 		}
 	}
-	for _, pred := range inc.topo[s] {
+	for _, pred := range order {
 		for {
 			m := suspects[pred]
 			if len(m) == 0 {
@@ -678,7 +808,7 @@ func (inc *Incremental) deleteCounting(s int, st *deltaState) error {
 // delete-and-rederive: over-delete everything reachable from the deletions,
 // then re-derive from the surviving model. Touched tuples are recorded in
 // affected for the final exact recount.
-func (inc *Incremental) deleteDRed(s int, st *deltaState, affected map[string]Atom) error {
+func (inc *Incremental) deleteDRed(s int, st *deltaState, removed []Atom, affected map[string]Atom) error {
 	oldView := storeView{live: inc.model, grave: st.grave, negSkip: st.addKeys}
 	overdeleted := map[string]Atom{}
 	var queue []Atom
@@ -719,6 +849,9 @@ func (inc *Incremental) deleteDRed(s int, st *deltaState, affected map[string]At
 			onLost(h)
 		}
 		return nil
+	}
+	for _, h := range removed {
+		onLost(h)
 	}
 	// Additions below the stratum kill firings through negated literals.
 	for _, m := range st.added {
@@ -777,24 +910,22 @@ func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]A
 			frontier = append(frontier, a)
 		}
 	}
-	emit := func(c Clause) func(term.Subst) error {
-		return func(sub term.Subst) error {
-			head, err := headOf(c, sub)
-			if err != nil {
-				return err
-			}
-			k := head.Key()
-			affected[k] = head
-			if inc.model.Contains(head) {
-				return nil
-			}
-			// The derived count is set by the stratum's final recount.
-			if err := inc.insertTuple(head, k, st); err != nil {
-				return err
-			}
-			frontier = append(frontier, head)
+	emit := func(c Clause, sub term.Subst) error {
+		head, err := headOf(c, sub)
+		if err != nil {
+			return err
+		}
+		k := head.Key()
+		affected[k] = head
+		if inc.model.Contains(head) {
 			return nil
 		}
+		// The derived count is set by the stratum's final recount.
+		if err := inc.insertTuple(head, k, st); err != nil {
+			return err
+		}
+		frontier = append(frontier, head)
+		return nil
 	}
 	fire := func(d Atom, neg bool) error {
 		refs := inc.posRefs[d.Pred]
@@ -811,7 +942,8 @@ func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]A
 				continue
 			}
 			inc.Stats.Firings++
-			if err := solveBody(inc.gov, c, rf.lit, s0, live, emit(c)); err != nil {
+			err := solveBody(inc.gov, c, rf.lit, s0, live, func(sub term.Subst) error { return emit(c, sub) })
+			if err != nil {
 				return err
 			}
 		}
@@ -826,6 +958,10 @@ func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]A
 				return err
 			}
 		}
+	}
+	// An added rule fires once in full; what it derives joins the frontier.
+	if err := inc.fullFirings(s, st.addRules, live, emit); err != nil {
+		return err
 	}
 	for len(frontier) > 0 {
 		d := frontier[0]

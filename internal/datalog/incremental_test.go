@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -371,5 +372,137 @@ func TestIncrementalRandomStorm(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// clauseStep applies a clause delta — source text, rules and facts mixed — to
+// the engine and to the reference, and fails on any divergence in tuple sets
+// or derivation counts from a from-scratch build of the resulting program.
+func clauseStep(t *testing.T, rs *refState, inc *Incremental, addSrc, delSrc string) *DeltaResult {
+	t.Helper()
+	adds, dels := mustParse(t, addSrc).Clauses, mustParse(t, delSrc).Clauses
+	res, err := inc.ApplyClauses(context.Background(), adds, dels)
+	if err != nil {
+		t.Fatalf("ApplyClauses(+%s, -%s): %v", addSrc, delSrc, err)
+	}
+	var addFacts, delFacts []Atom
+	for _, d := range dels {
+		if d.IsFact() {
+			delFacts = append(delFacts, d.Head)
+			continue
+		}
+		for i, c := range rs.rules.Clauses {
+			if c.Equal(d) {
+				rs.rules.Clauses = append(rs.rules.Clauses[:i:i], rs.rules.Clauses[i+1:]...)
+				break
+			}
+		}
+	}
+	for _, a := range adds {
+		if a.IsFact() {
+			addFacts = append(addFacts, a.Head)
+		} else {
+			rs.rules.Add(a)
+		}
+	}
+	rs.apply(addFacts, delFacts)
+	refModel, fresh := rs.full(t)
+	if got, want := inc.Model().String(), refModel.String(); got != want {
+		t.Fatalf("model divergence after +%s -%s\nincremental:\n%s\nreference:\n%s", addSrc, delSrc, got, want)
+	}
+	if got, want := inc.Counts(), fresh.Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("count divergence after +%s -%s\nincremental: %v\nreference:   %v", addSrc, delSrc, got, want)
+	}
+	return res
+}
+
+// TestIncrementalRuleDeltas walks one engine through every shape of rule
+// change: each step is checked, model and counts, against a fresh build.
+func TestIncrementalRuleDeltas(t *testing.T) {
+	rs, inc := newRefState(t, `
+		e(a, b). e(b, c). e(c, a). node(a). node(b). node(c). node(d).
+		tc(X, Y) :- e(X, Y).
+	`)
+	// Recursion arrives (the stratum turns DRed) and leaves again (counting).
+	res := clauseStep(t, rs, inc, "tc(X, Z) :- e(X, Y), tc(Y, Z).", "")
+	if res.RulesAdded != 1 || len(res.Changed["tc"].Added) != 6 {
+		t.Fatalf("adding the recursive rule: %+v", res)
+	}
+	if !inc.recursive[inc.stratumOf["tc"]] {
+		t.Fatal("tc's stratum is not recursive after the recursive rule arrived")
+	}
+	res = clauseStep(t, rs, inc, "", "tc(X, Z) :- e(X, Y), tc(Y, Z).")
+	if res.RulesRemoved != 1 || len(res.Changed["tc"].Deleted) != 6 || inc.recursive[inc.stratumOf["tc"]] {
+		t.Fatalf("removing the recursive rule: %+v", res)
+	}
+	// A head on a brand-new predicate, negating a lower stratum; then the
+	// lower stratum grows under it, by a rule and a fact in one delta.
+	res = clauseStep(t, rs, inc, "island(X) :- node(X), not linked(X). linked(X) :- tc(X, Y).", "")
+	if got := len(res.Changed["island"].Added); got != 1 {
+		t.Fatalf("island: %d tuples, want 1 (d)", got)
+	}
+	clauseStep(t, rs, inc, "linked(X) :- tc(Y, X). e(c, d).", "")
+	if inc.Model().Contains(mustAtom(t, "island(d)")) {
+		t.Fatal("island(d) survived e(c, d)")
+	}
+	// A duplicate of a present rule doubles its firings; one retract takes
+	// one copy, a second the other, a third is a no-op.
+	clauseStep(t, rs, inc, "tc(X, Y) :- e(X, Y).", "")
+	if c, _ := inc.Count(mustAtom(t, "tc(a, b)")); c.Derived != 2 {
+		t.Fatalf("tc(a, b) under a duplicated rule: %+v", c)
+	}
+	clauseStep(t, rs, inc, "", "tc(X, Y) :- e(X, Y).")
+	res = clauseStep(t, rs, inc, "", "tc(X, Y) :- e(X, Y).")
+	if res.RulesRemoved != 1 || len(res.Changed["tc"].Deleted) != 4 || len(res.Changed["island"].Added) != 4 {
+		t.Fatalf("removing tc's last rule: %+v", res)
+	}
+	model := inc.Model().String()
+	res = clauseStep(t, rs, inc, "", "tc(X, Y) :- e(X, Y).")
+	if res.RulesRemoved != 0 || len(res.Changed) != 0 || inc.Model().String() != model {
+		t.Fatalf("retracting an absent rule: %+v", res)
+	}
+	// Replaced in one delta: the rule leaves, a different definition arrives.
+	clauseStep(t, rs, inc, "linked(X) :- e(X, X).", "linked(X) :- tc(X, Y).")
+
+	// An unstratifiable or unsafe result is refused before anything moves,
+	// and the engine keeps working.
+	counts := inc.Counts()
+	for _, bad := range []string{"linked(X) :- node(X), not island(X).", "tc(X, Y) :- e(X, Z)."} {
+		if _, err := inc.ApplyClauses(context.Background(), mustParse(t, bad).Clauses, nil); err == nil {
+			t.Fatalf("%s was accepted", bad)
+		}
+		if !reflect.DeepEqual(inc.Counts(), counts) {
+			t.Fatalf("refusing %s changed the model", bad)
+		}
+	}
+	clauseStep(t, rs, inc, "tc(X, Y) :- e(X, Y). e(d, a).", "e(c, a).")
+}
+
+// TestRuleDeltaLeavesCloneSourceAlone: a rule delta builds its rule set
+// afresh, so the engine it was cloned from — and a sibling clone taking fact
+// deltas — keep their rules, indexes and models.
+func TestRuleDeltaLeavesCloneSourceAlone(t *testing.T) {
+	rs, src := newRefState(t, `
+		e(a, b). e(b, c).
+		tc(X, Y) :- e(X, Y).
+		tc(X, Z) :- e(X, Y), tc(Y, Z).
+	`)
+	srcRules, srcModel, srcCounts := src.ruleSet, src.Model().String(), src.Counts()
+	srcHeads := fmt.Sprint(src.headRules, src.posRefs, src.negRefs, src.stratumOf, src.topo, src.recursive)
+	ruled, sibling := src.Clone(), src.Clone()
+	if _, err := ruled.ApplyClauses(context.Background(),
+		mustParse(t, "far(X) :- tc(a, X), not e(a, X).").Clauses,
+		mustParse(t, "tc(X, Z) :- e(X, Y), tc(Y, Z).").Clauses); err != nil {
+		t.Fatal(err)
+	}
+	step(t, rs, sibling, atoms(t, "e(c, d)"), nil)
+	if src.ruleSet != srcRules || sibling.ruleSet != srcRules || ruled.ruleSet == srcRules {
+		t.Fatal("the rule delta did not replace exactly its own engine's rule set")
+	}
+	if got := fmt.Sprint(src.headRules, src.posRefs, src.negRefs, src.stratumOf, src.topo, src.recursive); got != srcHeads {
+		t.Fatalf("the source's rule indexes changed:\n%s\nwas\n%s", got, srcHeads)
+	}
+	if src.Model().String() != srcModel || !reflect.DeepEqual(src.Counts(), srcCounts) {
+		t.Fatal("the source's model changed")
 	}
 }

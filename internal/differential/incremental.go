@@ -8,18 +8,21 @@ package differential
 //     agree with every other evaluation strategy on every query.
 //
 //   - The write-sequence campaign exercises what no stateless oracle can:
-//     ApplyDelta. Each case is a seeded workload program plus a randomized
-//     sequence of assert/retract deltas; after every delta the maintained
+//     the delta core. Each case is a seeded workload program plus a
+//     randomized sequence of clause deltas — fact asserts and retracts, and
+//     rule asserts and retracts that move strata, turn recursion on and off
+//     and are sometimes not stratifiable; after every delta the maintained
 //     model and its derivation counts are compared against a full
 //     re-derivation of the patched program. Divergences are shrunk twice —
 //     ddmin over the write sequence, then clause/body minimization of the
 //     program — before being reported.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/compile"
@@ -42,11 +45,17 @@ func (incrementalOracle) Answer(p *datalog.Program, goal datalog.Atom) (Result, 
 	return substResult(datalog.QueryStore(inc.Model(), goal)), nil
 }
 
-// WriteOp is one maintenance delta. Deletions apply before additions,
-// matching ApplyDelta's contract.
+// WriteOp is one maintenance delta, facts and rules mixed. Deletions apply
+// before additions, matching the delta core's contract.
 type WriteOp struct {
-	Adds []datalog.Atom
-	Dels []datalog.Atom
+	Adds []datalog.Clause
+	Dels []datalog.Clause
+}
+
+// HasRules reports whether the delta changes the rule set.
+func (op WriteOp) HasRules() bool {
+	isRule := func(c datalog.Clause) bool { return !c.IsFact() }
+	return slices.ContainsFunc(op.Adds, isRule) || slices.ContainsFunc(op.Dels, isRule)
 }
 
 func (op WriteOp) String() string {
@@ -102,10 +111,63 @@ func randomEDBAtom(f workload.DatalogFamily, r *rand.Rand, size int) datalog.Ato
 	}
 }
 
+// ruleCandidates is the pool a case's rule writes are drawn from: the
+// program's own rules — to retract, assert back, assert twice — and, for
+// every derived predicate d, rules built to move the stratification:
+//
+//	copy_d(X̄) :- d(X̄).               a head on a brand-new predicate
+//	d(X̄) :- copy_d(X̄).               with the one above, d's stratum is recursive
+//	                                  and self-supporting; retracting either undoes it
+//	non_d(X̄) :- dom(X̄), not d(X̄).    negation on the stratum below
+//	d(X̄) :- dom(X̄), not non_d(X̄).    stratifiable only while non_d's rule is away
+//	d(X̄) :- dom(X̄), not d(X̄).        never stratifiable
+//
+// dom binds each variable through the program's first fact predicate.
+func ruleCandidates(p *datalog.Program) []datalog.Clause {
+	var pool []datalog.Clause
+	var dom *datalog.Atom
+	for i, c := range p.Clauses {
+		if !c.IsFact() {
+			pool = append(pool, c)
+		} else if dom == nil && len(c.Head.Args) > 0 {
+			dom = &p.Clauses[i].Head
+		}
+	}
+	seen := map[string]bool{}
+	for _, c := range p.Clauses {
+		d := c.Head
+		if c.IsFact() || seen[d.Pred] || dom == nil {
+			continue
+		}
+		seen[d.Pred] = true
+		vars := make([]term.Term, len(d.Args))
+		var binders []datalog.Literal
+		for i := range vars {
+			vars[i] = term.Var(fmt.Sprintf("X%d", i))
+			args := []term.Term{vars[i]}
+			for j := 1; j < len(dom.Args); j++ {
+				args = append(args, term.Var(fmt.Sprintf("F%d_%d", i, j)))
+			}
+			binders = append(binders, datalog.Pos(datalog.NewAtom(dom.Pred, args...)))
+		}
+		head := datalog.NewAtom(d.Pred, vars...)
+		cp, non := datalog.NewAtom("copy_"+d.Pred, vars...), datalog.NewAtom("non_"+d.Pred, vars...)
+		guarded := func(h, negated datalog.Atom) datalog.Clause {
+			return datalog.Rule(h, append(slices.Clone(binders), datalog.Neg(negated))...)
+		}
+		pool = append(pool, datalog.Rule(cp, datalog.Pos(head)), datalog.Rule(head, datalog.Pos(cp)),
+			guarded(non, head), guarded(head, non), guarded(head, head))
+	}
+	return pool
+}
+
 // IncrementalCases generates n seeded (program, write sequence) cases
 // cycling through the workload families. Deletions are drawn from the
 // currently asserted base facts — including the program's own seed facts —
-// so retract paths through load-bearing tuples are exercised.
+// so retract paths through load-bearing tuples are exercised. About a third
+// of the deltas change the rule set (ruleCandidates), alone or together with
+// a fact. The generator's own copy of the program moves only on deltas the
+// reference accepts, so it stays what a correct engine holds.
 func IncrementalCases(seed int64, n int) []IncrementalCase {
 	out := make([]IncrementalCase, 0, n)
 	for i := 0; i < n; i++ {
@@ -116,31 +178,40 @@ func IncrementalCases(seed int64, n int) []IncrementalCase {
 		}
 		prog, _ := workload.DatalogProgram(cfg)
 		r := rand.New(rand.NewSource(cfg.Seed ^ 0x1ced))
-		present := map[string]datalog.Atom{}
-		for _, c := range prog.Clauses {
-			if c.IsFact() {
-				present[c.Head.Key()] = c.Head
-			}
-		}
+		state, pool := prog, ruleCandidates(prog)
 		steps := 3 + r.Intn(6)
 		writes := make([]WriteOp, 0, steps)
 		for s := 0; s < steps; s++ {
 			var op WriteOp
-			for j, k := 0, 1+r.Intn(3); j < k; j++ {
-				if len(present) > 0 && r.Intn(3) == 0 {
-					keys := make([]string, 0, len(present))
-					for key := range present {
-						keys = append(keys, key)
-					}
-					sort.Strings(keys)
-					victim := keys[r.Intn(len(keys))]
-					op.Dels = append(op.Dels, present[victim])
-					delete(present, victim)
+			nFacts, nRules := 1+r.Intn(3), 0
+			if len(pool) > 0 && r.Intn(3) == 0 {
+				nFacts, nRules = r.Intn(2), 1+r.Intn(5)/4
+			}
+			for ; nRules > 0; nRules-- {
+				// Mostly a change that takes effect — retract what is there,
+				// assert what is not — sometimes a duplicate, or a retract of
+				// an absent rule.
+				if c := pool[r.Intn(len(pool))]; slices.ContainsFunc(state.Clauses, c.Equal) != (r.Intn(5) == 0) {
+					op.Dels = append(op.Dels, c)
 				} else {
-					a := randomEDBAtom(cfg.Family, r, cfg.Size)
-					op.Adds = append(op.Adds, a)
-					present[a.Key()] = a
+					op.Adds = append(op.Adds, c)
 				}
+			}
+			var facts []datalog.Clause
+			for _, c := range state.Clauses {
+				if c.IsFact() {
+					facts = append(facts, c)
+				}
+			}
+			for ; nFacts > 0; nFacts-- {
+				if len(facts) > 0 && r.Intn(3) == 0 {
+					op.Dels = append(op.Dels, facts[r.Intn(len(facts))])
+				} else {
+					op.Adds = append(op.Adds, datalog.Fact(randomEDBAtom(cfg.Family, r, cfg.Size)))
+				}
+			}
+			if next := withOp(state, op); stratifiable(next) {
+				state = next
 			}
 			writes = append(writes, op)
 		}
@@ -149,71 +220,32 @@ func IncrementalCases(seed int64, n int) []IncrementalCase {
 	return out
 }
 
-// incBase is the reference fact multiset a write sequence evolves.
-type incBase struct {
-	counts map[string]int
-	atoms  map[string]datalog.Atom
-}
-
-func splitIncremental(p *datalog.Program) (*datalog.Program, *incBase) {
-	rules := &datalog.Program{Queries: p.Queries}
-	base := &incBase{counts: map[string]int{}, atoms: map[string]datalog.Atom{}}
-	for _, c := range p.Clauses {
-		if c.IsFact() {
-			base.counts[c.Head.Key()]++
-			base.atoms[c.Head.Key()] = c.Head
-		} else {
-			rules.Add(c)
-		}
-	}
-	return rules, base
-}
-
-func (b *incBase) apply(op WriteOp) {
+// withOp returns the program after op, the reference a write sequence
+// evolves, leaving p as it was: retracts first, each taking the first equal
+// clause — fact or rule — if there is one; asserts appended.
+func withOp(p *datalog.Program, op WriteOp) *datalog.Program {
+	next := &datalog.Program{Queries: p.Queries, Clauses: slices.Clone(p.Clauses)}
 	for _, d := range op.Dels {
-		if b.counts[d.Key()] > 0 {
-			b.counts[d.Key()]--
-			if b.counts[d.Key()] == 0 {
-				delete(b.counts, d.Key())
-			}
+		if i := slices.IndexFunc(next.Clauses, d.Equal); i >= 0 {
+			next.Clauses = slices.Delete(next.Clauses, i, i+1)
 		}
 	}
-	for _, a := range op.Adds {
-		b.counts[a.Key()]++
-		b.atoms[a.Key()] = a
-	}
+	next.Add(op.Adds...)
+	return next
 }
 
-// rebuild assembles rules plus the current fact multiset into a program for
-// full re-derivation.
-func (b *incBase) rebuild(rules *datalog.Program) *datalog.Program {
-	p := &datalog.Program{Queries: rules.Queries}
-	p.Add(rules.Clauses...)
-	keys := make([]string, 0, len(b.counts))
-	for k := range b.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for i := 0; i < b.counts[k]; i++ {
-			p.Add(datalog.Fact(b.atoms[k]))
-		}
-	}
-	return p
+func stratifiable(p *datalog.Program) bool {
+	_, err := datalog.Stratify(p)
+	return err == nil
 }
 
-// compareToFull re-derives the patched program from scratch and diffs the
-// maintained engine against it: the tuple sets must be identical and every
-// tuple's (base, derived) counts must match exactly. The compiled engine
-// evaluates the same patched program as a third voice — its model must
-// match the reference at every step of the write sequence, which is how
+// compareToFull diffs the maintained engine against fresh, a from-scratch
+// build of full, the patched program: the tuple sets must be identical and
+// every tuple's (base, derived) counts must match exactly. The compiled
+// engine evaluates the same patched program as a third voice — its model
+// must match the reference at every step of the write sequence, which is how
 // the stateful campaign covers the plan cache under evolving fact sets.
-func compareToFull(inc *datalog.Incremental, rules *datalog.Program, base *incBase) string {
-	full := base.rebuild(rules)
-	fresh, err := datalog.NewIncremental(full, nil)
-	if err != nil {
-		return fmt.Sprintf("reference re-derivation failed: %v", err)
-	}
+func compareToFull(inc, fresh *datalog.Incremental, full *datalog.Program) string {
 	if got, want := inc.Model().String(), fresh.Model().String(); got != want {
 		return fmt.Sprintf("model mismatch\nincremental:\n%s\nfull:\n%s", got, want)
 	}
@@ -233,25 +265,54 @@ func compareToFull(inc *datalog.Incremental, rules *datalog.Program, base *incBa
 	return ""
 }
 
+// applyOp hands one delta to the engine: through the facts-only entry when
+// it is facts only, so both entries of the core stay covered.
+func applyOp(inc *datalog.Incremental, op WriteOp) error {
+	if op.HasRules() {
+		_, err := inc.ApplyClauses(context.Background(), op.Adds, op.Dels)
+		return err
+	}
+	var heads [2][]datalog.Atom
+	for i, cs := range [2][]datalog.Clause{op.Adds, op.Dels} {
+		for _, c := range cs {
+			heads[i] = append(heads[i], c.Head)
+		}
+	}
+	_, err := inc.ApplyDelta(heads[0], heads[1])
+	return err
+}
+
 // incDiverges replays the write sequence and returns a description of the
 // first divergence from full re-derivation, or "" if the engine tracks the
 // reference exactly. A program the engine rejects outright is not a
-// divergence (there is nothing to maintain); a delta it rejects mid-run is.
+// divergence (there is nothing to maintain). A delta the reference cannot
+// build — its rules are not stratifiable — must be refused by the engine
+// too, and leave it what it was, and usable; any other refusal is a
+// divergence.
 func incDiverges(p *datalog.Program, writes []WriteOp) string {
-	rules, base := splitIncremental(p)
 	inc, err := datalog.NewIncremental(p, nil)
 	if err != nil {
 		return ""
 	}
-	if msg := compareToFull(inc, rules, base); msg != "" {
+	full, fresh := p, inc
+	if msg := compareToFull(inc, fresh, full); msg != "" {
 		return "initial model: " + msg
 	}
 	for i, op := range writes {
-		if _, err := inc.ApplyDelta(op.Adds, op.Dels); err != nil {
-			return fmt.Sprintf("step %d (%s): ApplyDelta: %v", i, op, err)
+		next := withOp(full, op)
+		nextFresh, refErr := datalog.NewIncremental(next, nil)
+		err := applyOp(inc, op)
+		switch {
+		case refErr != nil && err == nil:
+			return fmt.Sprintf("step %d (%s): accepted a delta full re-derivation refuses: %v", i, op, refErr)
+		case refErr != nil:
+			// Refused, as it must be: checked below against the state before.
+		case err != nil:
+			return fmt.Sprintf("step %d (%s): delta refused: %v", i, op, err)
+		default:
+			full, fresh = next, nextFresh
 		}
-		base.apply(op)
-		if msg := compareToFull(inc, rules, base); msg != "" {
+		if msg := compareToFull(inc, fresh, full); msg != "" {
 			return fmt.Sprintf("step %d (%s): %s", i, op, msg)
 		}
 	}

@@ -40,8 +40,32 @@ func TestIncrementalCampaign(t *testing.T) {
 	}
 	t.Logf("incremental campaign: %d programs, %d maintained deltas in %v",
 		total.Programs, total.Cases, time.Since(start))
-	if !testing.Short() && total.Cases < 200 {
-		t.Errorf("campaign covered %d delta cases, want ≥ 200", total.Cases)
+	if !testing.Short() && total.Cases < 1300 {
+		t.Errorf("campaign covered %d delta cases, want ≥ 1300", total.Cases)
+	}
+	// What the generator drew, recounted: a quarter of the deltas must change
+	// the rule set, and some of those must be ones the engine has to refuse.
+	ruleOps, refused := 0, 0
+	for s := 0; s < shards; s++ {
+		for _, c := range IncrementalCases(int64(1000+s*programs), programs) {
+			st := c.Program
+			for _, op := range c.Writes {
+				next := withOp(st, op)
+				if stratifiable(next) {
+					st = next
+				}
+				if op.HasRules() {
+					ruleOps++
+					if st != next {
+						refused++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("rule deltas: %d of %d (%d not stratifiable)", ruleOps, total.Cases, refused)
+	if 4*ruleOps < total.Cases || refused == 0 {
+		t.Errorf("%d of %d deltas change the rule set (%d refused), want ≥ 25%% and some refused", ruleOps, total.Cases, refused)
 	}
 }
 
@@ -106,23 +130,22 @@ func TestCheckIncrementalReportsAndShrinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	goodCase := IncrementalCase{Seed: 1, Program: p, Writes: []WriteOp{
-		{Adds: atomsOf(t, "e(c, d)")},
-		{Dels: atomsOf(t, "e(a, b)")},
+		{Adds: clausesOf(t, "e(c, d).")},
+		{Dels: clausesOf(t, "e(a, b).")},
+		{Dels: clausesOf(t, "tc(X, Z) :- e(X, Y), tc(Y, Z)."), Adds: clausesOf(t, "e(a, b). far(X) :- tc(a, X), not e(a, X).")},
+		{Adds: clausesOf(t, "e(X, Y) :- far(X), far(Y).")}, // not stratifiable: refused, engine as before
+		{Adds: clausesOf(t, "tc(X, Z) :- tc(X, Y), tc(Y, Z).")},
 	}}
 	if d := CheckIncremental(goodCase); d != nil {
 		t.Fatalf("agreeing case reported a divergence:\n%s", d.Report())
 	}
 }
 
-func atomsOf(t *testing.T, srcs ...string) []datalog.Atom {
+func clausesOf(t *testing.T, src string) []datalog.Clause {
 	t.Helper()
-	out := make([]datalog.Atom, 0, len(srcs))
-	for _, s := range srcs {
-		p, err := datalog.Parse(s + ".")
-		if err != nil || len(p.Clauses) != 1 {
-			t.Fatalf("bad atom source %q: %v", s, err)
-		}
-		out = append(out, p.Clauses[0].Head)
+	p, err := datalog.Parse(src)
+	if err != nil || len(p.Clauses) == 0 {
+		t.Fatalf("bad clause source %q: %v", src, err)
 	}
-	return out
+	return p.Clauses
 }

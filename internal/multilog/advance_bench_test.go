@@ -10,24 +10,28 @@ import (
 	"repro/internal/workload"
 )
 
-// factWriteFixture is the write path's standing state at the benchmark's
-// large shape: a 2000-fact / 16-rule / 6-predicate program over a 4-level
-// chain, with a prepared reduction warm at every clearance.
-type factWriteFixture struct {
-	db   *multilog.Database
-	reds []*multilog.Reduction
-	fact multilog.Clause // a fresh fact at the bottom level: every clearance sees it
+// writeFixture is the write path's standing state at the benchmark's shapes:
+// a 16-rule / 6-predicate program of the given fact count (2000 is the large
+// shape, 200 rule_churn's) over a 4-level chain, with a prepared reduction
+// warm at every clearance, and the one clause the benchmark writes.
+type writeFixture struct {
+	db     *multilog.Database
+	reds   []*multilog.Reduction
+	clause multilog.Clause
 }
 
-func newFactWriteFixture(tb testing.TB) *factWriteFixture {
+// factWrite is a fresh fact at the bottom level: every clearance sees it.
+var factWrite = fmt.Sprintf("%s[p0(bench_key: a -%s-> bench_value)].", workload.Level(0), workload.Level(0))
+
+func newWriteFixture(tb testing.TB, facts int, clause string) *writeFixture {
 	tb.Helper()
 	const levels = 4
 	db, err := multilog.Parse(workload.ProgramSource(workload.ProgramConfig{
-		Levels: levels, Facts: 2000, Rules: 16, Preds: 6, Poly: 0.3, Seed: 1}))
+		Levels: levels, Facts: facts, Rules: 16, Preds: 6, Poly: 0.3, Seed: 1}))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fx := &factWriteFixture{db: db}
+	fx := &writeFixture{db: db}
 	for l := 0; l < levels; l++ {
 		red, err := multilog.Reduce(db, workload.Level(l))
 		if err != nil {
@@ -38,27 +42,35 @@ func newFactWriteFixture(tb testing.TB) *factWriteFixture {
 		}
 		fx.reds = append(fx.reds, red)
 	}
-	delta, err := multilog.Parse(fmt.Sprintf("%s[p0(bench_key: a -%s-> bench_value)].", workload.Level(0), workload.Level(0)))
+	delta, err := multilog.Parse(clause)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fx.fact = delta.Sigma[0]
+	fx.clause = append(delta.Sigma, delta.Pi...)[0]
 	return fx
 }
 
-// write carries every warm reduction across one fact write, as the server's
-// update does: clone the database, edit it, advance each clearance.
-func (fx *factWriteFixture) write(tb testing.TB, retract bool, advance func(old *multilog.Reduction, next *multilog.Database, added, removed []multilog.Clause) *multilog.Reduction) {
+// advanceFunc carries one warm reduction across a write.
+type advanceFunc func(old *multilog.Reduction, next *multilog.Database, added, removed []multilog.Clause) *multilog.Reduction
+
+// write carries every warm reduction across one write of the fixture's
+// clause, as the server's update does: clone the database, edit it, advance
+// each clearance.
+func (fx *writeFixture) write(tb testing.TB, retract bool, advance advanceFunc) {
 	next := fx.db.Clone()
 	var added, removed []multilog.Clause
 	if retract {
-		removed = []multilog.Clause{next.Sigma[len(next.Sigma)-1]}
-		next.Sigma = next.Sigma[:len(next.Sigma)-1]
+		part := &next.Pi
+		if fx.clause.Head.Kind == multilog.GoalM {
+			part = &next.Sigma
+		}
+		removed = []multilog.Clause{(*part)[len(*part)-1]}
+		*part = (*part)[:len(*part)-1]
 	} else {
-		if err := next.AddClause(fx.fact); err != nil {
+		if err := next.AddClause(fx.clause); err != nil {
 			tb.Fatal(err)
 		}
-		added = []multilog.Clause{fx.fact}
+		added = []multilog.Clause{fx.clause}
 	}
 	for i, old := range fx.reds {
 		fx.reds[i] = advance(old, next, added, removed)
@@ -66,17 +78,19 @@ func (fx *factWriteFixture) write(tb testing.TB, retract bool, advance func(old 
 	fx.db = next
 }
 
-// BenchmarkAdvanceFactWrite prices one fact assert plus its retract across
-// four warm clearances. advance=delta is the serving path (Advance: the
-// write's clauses translated and applied to a copy-on-write clone of each
-// engine); advance=full is what it replaces when it cannot apply — Reduce and
-// Prepare per clearance — and the reference arm of the bench-smoke allocation
-// gate.
-func BenchmarkAdvanceFactWrite(b *testing.B) {
+// advanceArms are the two ways across a write: advance=delta is the serving
+// path (Advance: the write's clauses translated and applied to a
+// copy-on-write clone of each engine); advance=full is what it replaces when
+// it cannot apply — Reduce and Prepare per clearance — and the reference arm
+// of the bench-smoke allocation gates.
+func advanceArms(b *testing.B) []struct {
+	name    string
+	advance advanceFunc
+} {
 	ctx := context.Background()
-	arms := []struct {
+	return []struct {
 		name    string
-		advance func(old *multilog.Reduction, next *multilog.Database, added, removed []multilog.Clause) *multilog.Reduction
+		advance advanceFunc
 	}{
 		{"delta", func(old *multilog.Reduction, next *multilog.Database, added, removed []multilog.Clause) *multilog.Reduction {
 			red, rep, err := old.Advance(ctx, next, added, removed, resource.Limits{})
@@ -96,9 +110,14 @@ func BenchmarkAdvanceFactWrite(b *testing.B) {
 			return red
 		}},
 	}
-	for _, arm := range arms {
+}
+
+// BenchmarkAdvanceFactWrite prices one fact assert plus its retract across
+// four warm clearances.
+func BenchmarkAdvanceFactWrite(b *testing.B) {
+	for _, arm := range advanceArms(b) {
 		b.Run("advance="+arm.name, func(b *testing.B) {
-			fx := newFactWriteFixture(b)
+			fx := newWriteFixture(b, 2000, factWrite)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -106,5 +125,33 @@ func BenchmarkAdvanceFactWrite(b *testing.B) {
 				fx.write(b, true, arm.advance)
 			}
 		})
+	}
+}
+
+// BenchmarkAdvanceRuleWrite prices one rule assert plus its retract across
+// four warm clearances: the Π rule the benchmark's rule_churn workload
+// writes — four tuples whatever the fact count, hence the two sizes — and a
+// Σ belief rule over a sixth of the bottom level's facts, whose head
+// predicate is new to Σ.
+func BenchmarkAdvanceRuleWrite(b *testing.B) {
+	for _, c := range []struct {
+		name, clause string
+		facts        int
+	}{
+		{"rule=pi/facts=200", "churn0(X) :- level(X).", 200},
+		{"rule=pi/facts=2000", "churn0(X) :- level(X).", 2000},
+		{"rule=sigma/facts=2000", "l3[r(K: d -l3-> x)] :- l0[p0(K: a -C-> V)] << cau.", 2000},
+	} {
+		for _, arm := range advanceArms(b) {
+			b.Run(c.name+"/advance="+arm.name, func(b *testing.B) {
+				fx := newWriteFixture(b, c.facts, c.clause)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fx.write(b, false, arm.advance)
+					fx.write(b, true, arm.advance)
+				}
+			})
+		}
 	}
 }

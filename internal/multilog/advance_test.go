@@ -3,9 +3,10 @@ package multilog
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
-	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/datalog"
@@ -15,243 +16,261 @@ import (
 
 // The program diff below is how AdvanceFrom found a write's delta before the
 // write's own clauses were translated instead: reduce both databases in
-// full, render every rule, and subtract the fact multisets. It stays here as
-// the oracle the translated delta is checked against.
+// full, render every clause, and subtract the multisets. It stays here as the
+// oracle the translated delta is checked against.
 
-// factCount is one distinct ground fact with its multiplicity in a program.
-type factCount struct {
-	atom  datalog.Atom
-	count int
+// clauseBag is a translated program as a multiset of rendered clauses.
+func clauseBag(cs []datalog.Clause) map[string]int {
+	bag := map[string]int{}
+	for _, c := range cs {
+		bag[c.String()]++
+	}
+	return bag
 }
 
-// splitProgram separates a translated program into its rule multiset
-// (canonical strings) and ground-fact multiset; ok is false when a fact
-// clause has a non-ground head.
-func splitProgram(p *datalog.Program) (rules []string, facts map[string]factCount, ok bool) {
-	facts = map[string]factCount{}
-	for _, c := range p.Clauses {
-		if !c.IsFact() {
-			rules = append(rules, c.String())
-			continue
-		}
-		if !c.Head.IsGround() {
-			return nil, nil, false
-		}
-		k := c.Head.Key()
-		fc := facts[k]
-		fc.atom, fc.count = c.Head, fc.count+1
-		facts[k] = fc
-	}
-	sort.Strings(rules)
-	return rules, facts, true
-}
-
-// programDiff is the oracle: the fact keys to add and to delete that turn
-// old's translated program into new's, or sameRules=false when their rule
-// multisets differ.
-func programDiff(t *testing.T, old, new *Reduction) (adds, dels []string, sameRules bool) {
-	t.Helper()
-	oldRules, oldFacts, ok := splitProgram(old.Program)
-	newRules, newFacts, ok2 := splitProgram(new.Program)
-	if !ok || !ok2 {
-		t.Fatal("oracle: non-ground fact in a reduced program")
-	}
-	if !reflect.DeepEqual(oldRules, newRules) {
-		return nil, nil, false
-	}
-	for k, fc := range newFacts {
-		for i := oldFacts[k].count; i < fc.count; i++ {
-			adds = append(adds, k)
+// bagMinus returns a − b, dropping what does not stay positive.
+func bagMinus(a, b map[string]int) map[string]int {
+	out := map[string]int{}
+	for k, n := range a {
+		if n > b[k] {
+			out[k] = n - b[k]
 		}
 	}
-	for k, fc := range oldFacts {
-		for i := newFacts[k].count; i < fc.count; i++ {
-			dels = append(dels, k)
-		}
-	}
-	sort.Strings(adds)
-	sort.Strings(dels)
-	return adds, dels, true
-}
-
-func sortedKeys(as []datalog.Atom) []string {
-	var out []string
-	for _, a := range as {
-		out = append(out, a.Key())
-	}
-	sort.Strings(out)
 	return out
 }
 
-func mustReduce(t *testing.T, db *Database, user lattice.Label) *Reduction {
+func mustReduceOpts(t *testing.T, db *Database, user lattice.Label, opts Options) *Reduction {
 	t.Helper()
-	red, err := Reduce(db, user)
+	red, err := ReduceOpts(db, user, opts)
 	if err != nil {
 		t.Fatalf("reduce at %s: %v", user, err)
 	}
 	return red
 }
 
+func mustReduce(t *testing.T, db *Database, user lattice.Label) *Reduction {
+	t.Helper()
+	return mustReduceOpts(t, db, user, Options{})
+}
+
 // sameAsFresh fails unless red's model and support counts are those of a
-// reduction of db prepared from scratch.
+// reduction of db prepared from scratch, and its Program is that reduction's
+// as a multiset of clauses — give or take the inert axioms of predicates
+// whose last mention a retract took out of Σ: rules whose head predicate
+// heads nothing in the fresh program.
 func sameAsFresh(t *testing.T, what string, red *Reduction, db *Database, user lattice.Label) {
 	t.Helper()
-	fresh := freshPrepared(t, db, user)
+	fresh := mustReduceOpts(t, db, user, red.opts)
+	if err := fresh.Prepare(context.Background(), resource.Limits{}); err != nil {
+		t.Fatalf("%s: fresh prepare: %v", what, err)
+	}
+	sameAs(t, what, red, fresh)
+}
+
+// sameAs is sameAsFresh against a fresh reduction already prepared.
+func sameAs(t *testing.T, what string, red, fresh *Reduction) {
+	t.Helper()
 	if got, want := modelString(t, red), modelString(t, fresh); got != want {
 		t.Fatalf("%s: model diverges from a fresh prepare\ngot:\n%s\nwant:\n%s", what, got, want)
 	}
 	if !reflect.DeepEqual(red.Counts(), fresh.Counts()) {
 		t.Fatalf("%s: support counts diverge from a fresh prepare", what)
 	}
+	got, want := clauseBag(red.Program.Clauses), clauseBag(fresh.Program.Clauses)
+	if missing := bagMinus(want, got); len(missing) > 0 {
+		t.Fatalf("%s: Program lacks %v", what, missing)
+	}
+	heads := map[string]bool{}
+	for _, c := range fresh.Program.Clauses {
+		heads[c.Head.Pred] = true
+	}
+	extra := bagMinus(got, want)
+	for _, c := range red.Program.Clauses {
+		if extra[c.String()] > 0 && (c.IsFact() || heads[c.Head.Pred]) {
+			t.Fatalf("%s: Program has %s, a fresh reduction does not", what, c)
+		}
+	}
+}
+
+// ruleWrites is the pool TestTranslatedDeltaMatchesProgramDiff draws rule
+// asserts from, over randomDatabase's vocabulary (m-predicates p0, p1, q*,
+// the classical h/1): Π rules, Σ belief rules with level variables in all
+// three modes and in a user-defined one (→ bel/7, defined by a Π rule of the
+// pool), and rules whose head or body is the first mention of a predicate.
+// Heads stay off p* and q*, so every combination stratifies.
+func ruleWrites(levels []lattice.Label) []string {
+	bottom, top := levels[0], levels[len(levels)-1]
+	return []string{
+		"lv(X) :- level(X).",
+		"pair(X, Y) :- h(X), h(Y), X != Y.",
+		"h(z).",
+		"L[r0(K: e -L-> V)] :- L[p0(K: a -C-> V)] << fir.",
+		"L[r1(K: e -L-> V)] :- L[p1(K: b -C-> V)] << opt.",
+		"H[r2(K: e -H-> V)] :- L[p0(K: a -C-> V)] << cau, order(L, H).",
+		fmt.Sprintf("%s[r3(K: e -%s-> V)] :- L[p1(K: a -C-> V)] << skeptical.", top, top),
+		"bel(p1, K, a, seen, C, L, skeptical) :- h(K), level(C), level(L).",
+		"L[fresh0(K: e -L-> V)] :- L[p0(K: a -C-> V)] << opt.",
+		fmt.Sprintf("%s[r4(k1: e -%s-> v1)] :- %s[ghost(k1: a -C-> V)].", top, top, bottom),
+		fmt.Sprintf("%s[fresh1(k1: a -%s-> v1)].", bottom, bottom),
+	}
 }
 
 // TestTranslatedDeltaMatchesProgramDiff is the delta-translation invariant:
-// over random databases × random fact writes × every clearance, translating
-// the write's own clauses yields exactly the fact delta the full program
-// diff finds, both entries (Advance with the clauses, AdvanceFrom with the
-// two databases) agree with a fresh Prepare on model and counts, and the
-// advanced reduction keeps serving further advances.
+// over random databases × random Σ/Π writes — facts and rules, asserts,
+// duplicates and retracts, first mentions of a predicate — × every clearance,
+// with and without Options.Filter, translating the write's own clauses
+// yields exactly the clause delta the full program diff finds; both entries
+// (Advance with the clauses, AdvanceFrom with the two databases) patch the
+// old engine and agree with a fresh Prepare on Program, model and counts;
+// and the advanced reduction keeps serving further advances.
 func TestTranslatedDeltaMatchesProgramDiff(t *testing.T) {
 	seeds, steps := 20, 10
 	if testing.Short() {
 		seeds, steps = 6, 5
 	}
 	ctx := context.Background()
-	writes, vanished, newPreds := 0, 0, 0
+	writes, ruleWritesSeen, inert, firstMentions := 0, 0, 0, 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		r := rand.New(rand.NewSource(1400 + seed))
+		opts := Options{Filter: seed%4 == 3}
 		db, levels := randomDatabase(r)
-		cur := map[lattice.Label]*Reduction{}
+		pool := ruleWrites(levels)
+		prepared := func(db *Database, u lattice.Label) *Reduction {
+			red := mustReduceOpts(t, db, u, opts)
+			if err := red.Prepare(ctx, resource.Limits{}); err != nil {
+				t.Fatal(err)
+			}
+			return red
+		}
+		cur, fresh := map[lattice.Label]*Reduction{}, map[lattice.Label]*Reduction{}
 		for _, u := range levels {
-			cur[u] = freshPrepared(t, db, u)
+			cur[u], fresh[u] = prepared(db, u), prepared(db, u)
 		}
 		for step := 0; step < steps; step++ {
 			next := db.Clone()
 			var added, removed []Clause
-			if r.Intn(3) == 0 && len(db.Sigma) > 0 {
-				// Retract a stored fact (a miss when a rule is drawn).
-				victim := db.Sigma[r.Intn(len(db.Sigma))]
-				if !victim.IsFact() {
-					continue
-				}
-				kept := next.Sigma[:0]
-				for _, c := range next.Sigma {
-					if len(removed) == 0 && c.Equal(victim) {
-						removed = append(removed, c)
-						continue
+			stored := append(append([]Clause{}, db.Sigma...), db.Pi...)
+			switch k := r.Intn(8); {
+			case k < 2:
+				// Retract a stored clause, fact or rule, in all its copies,
+				// as the server does.
+				victim := stored[r.Intn(len(stored))]
+				for _, part := range []*[]Clause{&next.Sigma, &next.Pi} {
+					kept := (*part)[:0]
+					for _, c := range *part {
+						if c.Equal(victim) {
+							removed = append(removed, c)
+						} else {
+							kept = append(kept, c)
+						}
 					}
-					kept = append(kept, c)
+					*part = kept
 				}
-				next.Sigma = kept
-			} else {
-				fact := mustSigmaFact(t, randomFact(r, levels))
-				if err := next.AddClause(fact); err != nil {
+			case k < 3:
+				added = []Clause{stored[r.Intn(len(stored))]} // a duplicate
+			case k < 5:
+				delta, err := Parse(pool[r.Intn(len(pool))])
+				if err != nil {
 					t.Fatal(err)
 				}
-				added = []Clause{fact}
+				added = append(delta.Sigma, delta.Pi...)
+			default:
+				added = []Clause{mustSigmaFact(t, randomFact(r, levels))}
+			}
+			for _, c := range added {
+				if err := next.AddClause(c); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if next.CheckAdmissible() != nil {
 				continue
 			}
 			writes++
+			if len(added)+len(removed) > 0 && !append(added, removed...)[0].IsFact() {
+				ruleWritesSeen++
+			}
 			for _, u := range levels {
 				what := fmt.Sprintf("seed %d step %d clearance %s (+%v -%v)", seed, step, u, added, removed)
 				old := cur[u]
-				wantAdds, wantDels, sameRules := programDiff(t, mustReduce(t, db, u), mustReduce(t, next, u))
-
-				adds, reason := old.translateFacts(added)
-				dels, reason2 := old.translateFacts(removed)
-				if reason == ReasonNewPredicate {
-					// The generator drew a predicate Σ had not mentioned: the
-					// oracle sees its Figure 12 axioms arrive as new rules,
-					// and both entries must rebuild and say why.
-					if sameRules {
-						t.Fatalf("%s: new-predicate reported, but the reduced rules are unchanged", what)
-					}
-					red, rep, err := old.Advance(ctx, next, added, removed, resource.Limits{})
-					if err != nil || rep.Incremental || rep.Reason != ReasonNewPredicate {
-						t.Fatalf("%s: Advance: %+v, %v", what, rep, err)
-					}
-					sameAsFresh(t, what+": new predicate", red, next, u)
-					viaDiff := mustReduce(t, next, u)
-					if rep, err := viaDiff.AdvanceFrom(ctx, old, resource.Limits{}); err != nil || rep.Reason != ReasonNewPredicate {
-						t.Fatalf("%s: AdvanceFrom: %+v, %v", what, rep, err)
-					}
-					newPreds++
-					cur[u] = red
-					continue
-				}
-				if reason != "" || reason2 != "" {
-					t.Fatalf("%s: translation refused: %q %q", what, reason, reason2)
-				}
-				if sameRules {
-					if got := sortedKeys(adds); !reflect.DeepEqual(got, wantAdds) {
-						t.Fatalf("%s: translated adds %v, program diff %v", what, got, wantAdds)
-					}
-					if got := sortedKeys(dels); !reflect.DeepEqual(got, wantDels) {
-						t.Fatalf("%s: translated dels %v, program diff %v", what, got, wantDels)
-					}
-				} else if len(removed) > 0 {
-					// The retract took a predicate's last mention out of Σ,
-					// and its Figure 12 axioms out of a fresh reduction. The
-					// advanced engine keeps them: they derive nothing.
-					vanished++
-				} else if pred := added[0].Head.M.Pred; mustReduce(t, db, u).preds[pred] {
-					t.Fatalf("%s: an assert of a predicate Σ mentions changed the reduced rules", what)
-				} else {
-					// ... until the predicate comes back, to an engine that
-					// still has them: the sameAsFresh below is the check.
-					vanished++
-				}
+				oldPreds, oldNeeds, oldDeps, oldProgram := maps.Clone(old.preds), maps.Clone(old.needs), old.deps, old.Program
+				freshOld, freshNew := fresh[u], prepared(next, u)
 
 				red, rep, err := old.Advance(ctx, next, added, removed, resource.Limits{})
 				if err != nil || !rep.Incremental || rep.Reason != "" {
 					t.Fatalf("%s: Advance: incremental=%v reason=%q err=%v", what, rep.Incremental, rep.Reason, err)
 				}
-				sameAsFresh(t, what+": Advance", red, next, u)
+				sameAs(t, what+": Advance", red, freshNew)
 				if want := changedPredsBetween(old, red); !reflect.DeepEqual(rep.ChangedPreds, want) &&
 					len(rep.ChangedPreds)+len(want) > 0 {
 					t.Fatalf("%s: ChangedPreds = %v, want %v", what, rep.ChangedPreds, want)
 				}
+				if !reflect.DeepEqual(red.deps, dependencyEdges(red.Program)) {
+					t.Fatalf("%s: deps are not the advanced Program's", what)
+				}
 
-				viaDiff := mustReduce(t, next, u)
+				// The translated delta is the program diff — whenever neither
+				// end carries a vanished predicate's inert axioms, which the
+				// diff of two fresh reductions cannot see.
+				if len(old.preds) == len(freshOld.preds) && len(red.preds) == len(freshNew.preds) {
+					scratch := &Reduction{User: u, Poset: old.Poset, opts: opts, needs: maps.Clone(old.needs), preds: maps.Clone(old.preds)}
+					adds, reason := scratch.translateDelta(added, true)
+					dels, reason2 := scratch.translateDelta(removed, false)
+					if reason != "" || reason2 != "" {
+						t.Fatalf("%s: translation refused: %q %q", what, reason, reason2)
+					}
+					oldBag, newBag := clauseBag(freshOld.Program.Clauses), clauseBag(freshNew.Program.Clauses)
+					if got, want := clauseBag(adds), bagMinus(newBag, oldBag); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: translated adds %v, program diff %v", what, got, want)
+					}
+					if got, want := clauseBag(dels), bagMinus(oldBag, newBag); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: translated dels %v, program diff %v", what, got, want)
+					}
+					rulesIn := func(cs []datalog.Clause) (n int) {
+						for _, c := range cs {
+							if !c.IsFact() {
+								n++
+							}
+						}
+						return n
+					}
+					if rep.RulesAdded != rulesIn(adds) || rep.RulesRemoved != rulesIn(dels) {
+						t.Fatalf("%s: report counts +%d -%d rules, the translation +%d -%d", what,
+							rep.RulesAdded, rep.RulesRemoved, rulesIn(adds), rulesIn(dels))
+					}
+					if len(freshNew.preds) > len(freshOld.preds) {
+						firstMentions++
+					}
+				} else {
+					inert++
+				}
+
+				viaDiff := mustReduceOpts(t, next, u, opts)
 				rep2, err := viaDiff.AdvanceFrom(ctx, old, resource.Limits{})
 				if err != nil || !rep2.Incremental {
 					t.Fatalf("%s: AdvanceFrom: incremental=%v reason=%q err=%v", what, rep2.Incremental, rep2.Reason, err)
 				}
-				sameAsFresh(t, what+": AdvanceFrom", viaDiff, next, u)
+				sameAs(t, what+": AdvanceFrom", viaDiff, freshNew)
 				if !reflect.DeepEqual(rep2.ChangedPreds, rep.ChangedPreds) {
 					t.Fatalf("%s: the two entries disagree: %v vs %v", what, rep2.ChangedPreds, rep.ChangedPreds)
 				}
 
-				// The advanced reduction's own Program is the fresh
-				// reduction's: the same fact multiset and at least its rules
-				// (plus the inert axioms of predicates that have vanished).
-				freshRules, freshFacts, _ := splitProgram(mustReduce(t, next, u).Program)
-				gotRules, gotFacts, _ := splitProgram(red.Program)
-				if !reflect.DeepEqual(gotFacts, freshFacts) {
-					t.Fatalf("%s: advanced Program's facts differ from a fresh reduction's", what)
-				}
-				have := map[string]bool{}
-				for _, rule := range gotRules {
-					have[rule] = true
-				}
-				for _, rule := range freshRules {
-					if !have[rule] {
-						t.Fatalf("%s: advanced Program lacks the rule %s", what, rule)
-					}
-				}
 				// old is untouched and still what it was.
-				sameAsFresh(t, what+": source after Advance", old, db, u)
-				cur[u] = red
+				sameAs(t, what+": source after Advance", old, freshOld)
+				if !reflect.DeepEqual(old.preds, oldPreds) || !reflect.DeepEqual(old.needs, oldNeeds) ||
+					old.Program != oldProgram || !reflect.DeepEqual(old.deps, oldDeps) {
+					t.Fatalf("%s: the advance wrote to its source", what)
+				}
+				cur[u], fresh[u] = red, freshNew
 			}
 			db = next
 		}
 	}
-	if writes < seeds*steps/2 {
-		t.Fatalf("only %d writes exercised", writes)
+	if writes < seeds*steps/2 || ruleWritesSeen < writes/5 || inert == 0 || firstMentions == 0 {
+		t.Fatalf("%d writes exercised (%d rule writes; clearance-writes with inert axioms around: %d, with a first mention: %d)",
+			writes, ruleWritesSeen, inert, firstMentions)
 	}
-	t.Logf("%d writes checked at every clearance; clearance-writes with a new predicate: %d, with one vanishing or returning: %d", writes, newPreds, vanished)
+	t.Logf("%d writes (%d of rules) checked at every clearance; clearance-writes with inert axioms around: %d, with a first mention: %d",
+		writes, ruleWritesSeen, inert, firstMentions)
 }
 
 // TestAdvanceWriteAboveClearance: the reduction at u keeps the facts of levels
@@ -305,7 +324,8 @@ func TestAdvanceWriteAboveClearance(t *testing.T) {
 }
 
 // TestAdvanceReasons pins every way an advance is not incremental, each by
-// name, and that the fallback is a correct full prepare.
+// name, and that the fallback is a correct full prepare — and that a Σ/Π
+// write of a rule, or of a predicate's first mention, is not one of them.
 func TestAdvanceReasons(t *testing.T) {
 	ctx := context.Background()
 	db, err := Parse(`
@@ -332,10 +352,10 @@ func TestAdvanceReasons(t *testing.T) {
 	}
 
 	// The first fact of a predicate Σ has never mentioned brings its belief
-	// axioms with it.
+	// axioms with it, as added rules of the same delta.
 	next, added := write("l0[fresh(k1: a -l0-> v1)].")
 	red, rep, err := base.Advance(ctx, next, added, nil, resource.Limits{})
-	if err != nil || rep.Incremental || rep.Reason != ReasonNewPredicate {
+	if err != nil || !rep.Incremental || rep.RulesAdded == 0 {
 		t.Fatalf("new predicate: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "new predicate", red, next, "l1")
@@ -343,24 +363,55 @@ func TestAdvanceReasons(t *testing.T) {
 	if err != nil || len(ans) != 1 {
 		t.Fatalf("belief in the new predicate: %v, %v", ans, err)
 	}
-	// Its second fact is an ordinary delta again.
+	// Its second fact brings none.
 	next2 := next.Clone()
 	second := mustSigmaFact(t, "l1[fresh(k2: a -l1-> v2)].")
 	if err := next2.AddClause(second); err != nil {
 		t.Fatal(err)
 	}
 	red2, rep, err := red.Advance(ctx, next2, []Clause{second}, nil, resource.Limits{})
-	if err != nil || !rep.Incremental {
+	if err != nil || !rep.Incremental || rep.RulesAdded != 0 {
 		t.Fatalf("second fact of the new predicate: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "second fact", red2, next2, "l1")
 
+	// A written rule is a delta too: its one instance at this clearance, and
+	// the axioms of r, which it mentions first — per level one for fir and,
+	// per dominated level, one for opt and two for cau: 4 at l0, 7 at l1.
 	next, added = write("l1[r(K: c -l1-> V)] :- l0[p(K: a -C-> V)] << fir.")
 	red, rep, err = base.Advance(ctx, next, added, nil, resource.Limits{})
-	if err != nil || rep.Incremental || rep.Reason != ReasonRuleChange {
-		t.Fatalf("rule change: %+v, %v", rep, err)
+	if err != nil || !rep.Incremental || rep.RulesAdded != 1+4+7 || rep.Added != 5 {
+		t.Fatalf("rule write: %+v, %v", rep, err)
 	}
-	sameAsFresh(t, "rule change", red, next, "l1")
+	sameAsFresh(t, "rule write", red, next, "l1")
+	back, rep, err := red.Advance(ctx, db, nil, added, resource.Limits{})
+	if err != nil || !rep.Incremental || rep.RulesRemoved != 1 || rep.Deleted != 5 {
+		t.Fatalf("rule retract: %+v, %v", rep, err)
+	}
+	sameAsFresh(t, "rule retract", back, db, "l1")
+
+	// What no clause delta expresses is still a rule change: another
+	// clearance, other options, another lattice.
+	wider := db.Clone()
+	lam, err := Parse("level(l2). order(l1, l2).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range lam.Lambda {
+		if err := wider.AddClause(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, other := range map[string]*Reduction{
+		"clearance": mustReduce(t, db, "l0"),
+		"options":   mustReduceOpts(t, db, "l1", Options{Filter: true}),
+		"lattice":   mustReduce(t, wider, "l1"),
+	} {
+		if rep, err := other.AdvanceFrom(ctx, base, resource.Limits{}); err != nil || rep.Incremental || rep.Reason != ReasonRuleChange {
+			t.Fatalf("another %s: %+v, %v", name, rep, err)
+		}
+		sameAsFresh(t, "another "+name, other, other.DB, other.User)
+	}
 
 	next, added = write("l0[p(K: a -l0-> v1)].")
 	if _, rep, _ = base.Advance(ctx, next, added, nil, resource.Limits{}); rep.Incremental || rep.Reason != ReasonNonGround {
@@ -426,5 +477,137 @@ func TestCloneCarriesPoset(t *testing.T) {
 	}
 	if again, _ := db.Poset(); again != poset || again.Has("t") {
 		t.Fatal("the clone's Λ write reached the original")
+	}
+}
+
+// TestRuleAdvanceLeavesSourceServing is the aliasing half of the rule delta,
+// for the race detector: while readers QueryPrepared one reduction, a chain
+// of rule writes (Σ rules whose body beliefs write needs, a predicate's first
+// mention that writes preds and brings axioms, their retracts) advances from
+// it, and a sibling chain of fact writes advances from it too. The source's
+// answers, Program, registered predicates, belief needs, dependency edges and
+// counts are afterwards what they were.
+func TestRuleAdvanceLeavesSourceServing(t *testing.T) {
+	ctx := context.Background()
+	db, levels := randomDatabase(rand.New(rand.NewSource(77)))
+	top := levels[len(levels)-1]
+	src := freshPrepared(t, db, top)
+	queries := []Query{mustGoals(t, "L[p0(K: a -C-> V)] << cau"), mustGoals(t, "L[p1(K: b -C-> V)] << opt"), mustGoals(t, "h(X)")}
+	answers := func() string {
+		var out []string
+		for _, q := range queries {
+			ans, _, err := src.QueryPrepared(ctx, q, resource.Limits{})
+			if err != nil {
+				t.Error(err)
+			}
+			out = append(out, fmt.Sprint(ans))
+		}
+		return fmt.Sprint(out)
+	}
+	want := answers()
+	wantPreds, wantNeeds, wantDeps := maps.Clone(src.preds), maps.Clone(src.needs), maps.Clone(src.deps)
+	wantProgram, wantCounts := clauseBag(src.Program.Clauses), src.Counts()
+
+	// chain advances from src through writes, asserting each and retracting
+	// every other one again, and checks the end against a fresh prepare. Only
+	// the step that clones src's own engine is serialized between the chains,
+	// as the server's update lock does (Store.Clone marks relations shared:
+	// it may run beside readers, not beside another Clone of the same store).
+	var fromSrc sync.Mutex
+	chain := func(what string, writes []string) {
+		red, cur := src, db
+		for i, w := range writes {
+			delta, err := Parse(w)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			clauses := append(delta.Sigma, delta.Pi...)
+			for _, retract := range []bool{false, true}[:1+i%2] {
+				next := cur.Clone()
+				var added, removed []Clause
+				if retract {
+					removed = clauses
+					for _, part := range []*[]Clause{&next.Sigma, &next.Pi} {
+						kept := (*part)[:0]
+						for _, c := range *part {
+							if !c.Equal(clauses[0]) {
+								kept = append(kept, c)
+							}
+						}
+						*part = kept
+					}
+				} else {
+					added = clauses
+					if err := next.AddClause(clauses[0]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if red == src {
+					fromSrc.Lock()
+				}
+				adv, rep, err := red.Advance(ctx, next, added, removed, resource.Limits{})
+				if red == src {
+					fromSrc.Unlock()
+				}
+				if err != nil || !rep.Incremental {
+					t.Errorf("%s: %s (retract=%v): %+v, %v", what, w, retract, rep, err)
+					return
+				}
+				red, cur = adv, next
+			}
+		}
+		fresh, err := Reduce(cur, top)
+		if err == nil {
+			err = fresh.Prepare(ctx, resource.Limits{})
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if fmt.Sprint(red.model) != fmt.Sprint(fresh.model) || !reflect.DeepEqual(red.Counts(), fresh.Counts()) {
+			t.Errorf("%s: the advanced chain diverges from a fresh prepare", what)
+		}
+	}
+	var facts []string
+	for i := 0; i < 8; i++ {
+		facts = append(facts, randomFact(rand.New(rand.NewSource(int64(i))), levels))
+	}
+
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := answers(); got != want {
+					t.Errorf("the source's answers changed under a reader:\n%s\nwant\n%s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	writers.Add(2)
+	go func() { defer writers.Done(); chain("rule chain", ruleWrites(levels)) }()
+	go func() { defer writers.Done(); chain("fact chain", facts) }()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	if got := answers(); got != want {
+		t.Errorf("the source's answers changed:\n%s\nwant\n%s", got, want)
+	}
+	if !reflect.DeepEqual(src.preds, wantPreds) || !reflect.DeepEqual(src.needs, wantNeeds) || !reflect.DeepEqual(src.deps, wantDeps) {
+		t.Error("an advance wrote to its source's preds, needs or deps")
+	}
+	if !reflect.DeepEqual(clauseBag(src.Program.Clauses), wantProgram) || !reflect.DeepEqual(src.Counts(), wantCounts) {
+		t.Error("an advance wrote to its source's Program or counts")
 	}
 }

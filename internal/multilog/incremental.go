@@ -2,18 +2,20 @@ package multilog
 
 // Incremental maintenance of prepared reductions. A reduction prepared via
 // Prepare owns a counting-based incremental engine over its translated
-// program; when the underlying database changes by facts only, the next
-// reduction is advanced from the old one — the written facts translated and
-// applied as a delta to a copy-on-write clone of that engine (Advance,
-// AdvanceFrom) — instead of re-reducing the database and re-deriving the
-// fixpoint from scratch. QueryDeps and ImpactGraph expose the translated
-// dependency structure so callers (the server's result cache) can invalidate
-// only what a write could actually reach.
+// program; when the underlying database changes by Σ/Π clauses — facts or
+// rules — the next reduction is advanced from the old one: the written
+// clauses are translated and applied as a clause delta to a copy-on-write
+// clone of that engine (Advance, AdvanceFrom), instead of re-reducing the
+// database and re-deriving the fixpoint from scratch. QueryDeps and
+// ImpactGraph expose the translated dependency structure so callers (the
+// server's result cache) can invalidate only what a write could actually
+// reach.
 
 import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/datalog"
@@ -23,7 +25,7 @@ import (
 )
 
 // FullReason says why an advance re-derived the model from scratch instead of
-// patching the old one. The zero value means it did not.
+// patching the old one; a Σ/Π write as such never is one. Zero: it did not.
 type FullReason string
 
 const (
@@ -31,18 +33,16 @@ const (
 	// reduction, one never prepared, or one prepared by the compiled engine
 	// (InstallPrepared), which keeps no support counts.
 	ReasonOldNotIncremental FullReason = "old-not-incremental"
-	// ReasonRuleChange: the write adds or removes a rule (or anything else
-	// that is not a Σ/Π fact), so the translated rule set changes.
+	// ReasonRuleChange: the two reductions differ in what no clause delta
+	// expresses — the lattice Λ, the clearance or the options (AdvanceFrom
+	// can be handed such a pair; a server write cannot make one).
 	ReasonRuleChange FullReason = "rule-change"
-	// ReasonNewPredicate: a written m-fact's predicate is not one the old
-	// reduction translated, so the write brings its Figure 12 axiom
-	// instances with it — rules the old engine does not have.
-	ReasonNewPredicate FullReason = "new-predicate"
 	// ReasonNonGround: a written fact is not ground after level grounding.
 	ReasonNonGround FullReason = "non-ground"
 	// ReasonDeltaFailed: translating or applying the delta failed (resource
-	// limits, cancellation, an inadmissible level); the full path re-runs
-	// under the same bounds and reports the error if it persists.
+	// limits, cancellation, an inadmissible level, a rule set that no longer
+	// stratifies); the full path re-runs under the same bounds and reports
+	// the error if it persists.
 	ReasonDeltaFailed FullReason = "delta-failed"
 )
 
@@ -60,19 +60,24 @@ type DeltaReport struct {
 	ChangedPreds []string
 	// Added and Deleted count net tuple-level changes across all predicates.
 	Added, Deleted int
+	// The translated rules that joined and left the reduced program: a rule's
+	// instances at this clearance, a newly mentioned predicate's axioms.
+	RulesAdded, RulesRemoved int
 }
 
 // Advance returns the prepared reduction, at old's clearance and options, of
 // db — which must be old.DB with the clauses of removed taken out and those
-// of added put in. When the write is Σ/Π facts only, they are translated at
-// this clearance (the translation of a clause depends on nothing but the
-// clause, the lattice and the clearance) and applied as a delta to a
-// copy-on-write clone of old's engine: the cost is the relations the delta
-// touches, not the database. Anything else (see FullReason) is a full
-// Reduce + Prepare of db. old is never mutated and keeps serving
-// QueryPrepared calls throughout.
+// of added put in. The written Σ/Π clauses, facts and rules alike, are
+// translated at this clearance (the translation of a clause depends on
+// nothing but the clause, the lattice and the clearance) and applied as a
+// clause delta to a copy-on-write clone of old's engine: the cost is what the
+// clauses derive and the relations that touches, not the database. Only what
+// FullReason lists is a full Reduce + Prepare of db. old is never mutated and
+// keeps serving QueryPrepared calls throughout; two advances from the same
+// old must not run at once (Store.Clone), which the server's update lock
+// sees to.
 func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed []Clause, limits resource.Limits) (*Reduction, DeltaReport, error) {
-	inc, adds, dels, rep := old.advanceEngine(ctx, added, removed)
+	r, rep := old.advance(ctx, added, removed)
 	if !rep.Incremental {
 		r, err := ReduceOpts(db, old.User, old.opts)
 		if err != nil {
@@ -80,20 +85,16 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 		}
 		return r, rep, r.Prepare(ctx, limits)
 	}
-	// A fact write leaves the rule set alone, hence the dependency edges
-	// (immutable once built) and the registered predicates and belief needs;
-	// the two small maps are copied because RequireBelief grows them.
-	return &Reduction{DB: db, User: old.User, Poset: old.Poset, Program: patchFacts(old.Program, adds, dels),
-		model: inc.Model(), inc: inc, deps: old.deps,
-		needs: maps.Clone(old.needs), preds: maps.Clone(old.preds), opts: old.opts}, rep, nil
+	r.DB = db
+	return r, rep, nil
 }
 
 // AdvanceFrom prepares r, a fresh reduction of a later version of old's
 // database, by the same delta path as Advance: the clause-level difference
-// between old.DB and r.DB is found structurally and handed to the one core.
-// r itself serves concurrent readers only after AdvanceFrom returns.
+// between old.DB and r.DB is found structurally and handed to the one core,
+// and r becomes what Advance would have returned. r itself serves concurrent
+// readers only after AdvanceFrom returns.
 func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits resource.Limits) (DeltaReport, error) {
-	var inc *datalog.Incremental
 	rep := DeltaReport{Reason: ReasonOldNotIncremental}
 	if old != nil {
 		added, removed := diffClauses(old.DB.Sigma, r.DB.Sigma)
@@ -102,92 +103,91 @@ func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits reso
 		if len(lamAdded)+len(lamRemoved) > 0 || old.User != r.User || old.opts != r.opts {
 			rep.Reason = ReasonRuleChange
 		} else {
-			inc, _, _, rep = old.advanceEngine(ctx, append(added, piAdded...), append(removed, piRemoved...))
+			var next *Reduction
+			if next, rep = old.advance(ctx, append(added, piAdded...), append(removed, piRemoved...)); rep.Incremental {
+				next.DB = r.DB
+				*r = *next
+			}
 		}
 	}
 	if !rep.Incremental {
 		return rep, r.Prepare(ctx, limits)
 	}
-	r.inc = inc
-	r.model = inc.Model()
-	r.deps = old.deps // the rule sets are identical, so the edges are too
 	return rep, nil
 }
 
-// advanceEngine is the delta core: it translates a fact write at old's
-// clearance and applies it to a clone of old's engine, returning the patched
-// engine with the translated delta, or a report naming why it cannot. A
-// write that translates to nothing returns old's engine itself.
-func (old *Reduction) advanceEngine(ctx context.Context, added, removed []Clause) (inc *datalog.Incremental, adds, dels []datalog.Atom, rep DeltaReport) {
+// advance is the delta core: it translates a Σ/Π write at old's clearance
+// and applies it to a clone of old's engine, returning the next reduction
+// (its DB left to the caller), or a report naming why it cannot. What the
+// translation writes, needs and preds, are the next reduction's own copies:
+// old is serving. A write that translates to nothing shares old's engine.
+func (old *Reduction) advance(ctx context.Context, added, removed []Clause) (*Reduction, DeltaReport) {
 	if old.inc == nil {
-		return nil, nil, nil, DeltaReport{Reason: ReasonOldNotIncremental}
+		return nil, DeltaReport{Reason: ReasonOldNotIncremental}
 	}
-	adds, reason := old.translateFacts(added)
+	r := &Reduction{User: old.User, Poset: old.Poset, opts: old.opts,
+		needs: maps.Clone(old.needs), preds: maps.Clone(old.preds)}
+	var dels []datalog.Clause
+	adds, reason := r.translateDelta(added, true)
 	if reason == "" {
-		dels, reason = old.translateFacts(removed)
+		dels, reason = r.translateDelta(removed, false)
 	}
 	if reason != "" {
-		return nil, nil, nil, DeltaReport{Reason: reason}
+		return nil, DeltaReport{Reason: reason}
 	}
-	rep = DeltaReport{Incremental: true}
-	if len(adds)+len(dels) == 0 {
-		return old.inc, nil, nil, rep
+	rep := DeltaReport{Incremental: true}
+	// The Program is a copy even when nothing changed: RequireBelief appends.
+	r.Program, r.inc, r.deps = patchProgram(old.Program, adds, dels), old.inc, old.deps
+	if len(adds)+len(dels) > 0 {
+		r.inc = old.inc.Clone()
+		res, err := r.inc.ApplyClauses(ctx, adds, dels)
+		if err != nil {
+			// The clone is discarded; the caller rebuilds from scratch under
+			// the same limits.
+			return nil, DeltaReport{Reason: ReasonDeltaFailed}
+		}
+		rep.ChangedPreds = res.ChangedPreds()
+		for _, pd := range res.Changed {
+			rep.Added += len(pd.Added)
+			rep.Deleted += len(pd.Deleted)
+		}
+		rep.RulesAdded, rep.RulesRemoved = res.RulesAdded, res.RulesRemoved
+		if rep.RulesAdded+rep.RulesRemoved > 0 {
+			r.deps = dependencyEdges(r.Program)
+		}
 	}
-	inc = old.inc.Clone()
-	res, err := inc.ApplyDeltaContext(ctx, adds, dels)
-	if err != nil {
-		// The clone is poisoned; it is discarded and the caller rebuilds
-		// from scratch under the same limits.
-		return nil, nil, nil, DeltaReport{Reason: ReasonDeltaFailed}
-	}
-	rep.ChangedPreds = res.ChangedPreds()
-	for _, pd := range res.Changed {
-		rep.Added += len(pd.Added)
-		rep.Deleted += len(pd.Deleted)
-	}
-	return inc, adds, dels, rep
+	r.model = r.inc.Model()
+	return r, rep
 }
 
-// translateFacts maps written fact clauses to the ground facts they
-// contribute to the reduced program at r's clearance, one per clause instance
-// (a level variable instantiates over every asserted level). It only reads r.
-func (r *Reduction) translateFacts(cs []Clause) ([]datalog.Atom, FullReason) {
-	var out []datalog.Atom
+// translateDelta maps written Σ/Π clauses to the clauses, facts and rules,
+// they contribute to the reduced program at r's clearance (translateClause).
+// With register, a clause that mentions an m-predicate r has not registered
+// brings that predicate's axioms along (emitPredAxioms); a retract never
+// unregisters one, so a predicate whose last mention is gone keeps its
+// axioms, which derive nothing. It writes r.needs, r.preds and r.Program.
+func (r *Reduction) translateDelta(cs []Clause, register bool) ([]datalog.Clause, FullReason) {
+	r.Program = &datalog.Program{}
 	for _, c := range cs {
-		if !c.IsFact() {
-			return nil, ReasonRuleChange
-		}
-		switch c.Head.Kind {
-		case GoalM:
-			if !r.preds[c.Head.M.Pred] {
-				return nil, ReasonNewPredicate
-			}
-			for _, gc := range r.groundLevels(c) {
-				ok, dcs, err := r.sigmaClause(gc)
-				if err != nil {
-					return nil, ReasonDeltaFailed
-				}
-				if !ok {
-					continue
-				}
-				for _, dc := range dcs {
-					if !dc.Head.IsGround() {
-						return nil, ReasonNonGround
-					}
-					out = append(out, dc.Head)
-				}
-			}
-		case GoalP:
-			// τ is the identity on p-clauses.
-			if !c.Head.P.IsGround() {
-				return nil, ReasonNonGround
-			}
-			out = append(out, c.Head.P)
-		default:
+		if c.Head.Kind != GoalM && c.Head.Kind != GoalP {
 			return nil, ReasonRuleChange // Λ clauses change the lattice
 		}
+		for _, g := range append([]Goal{c.Head}, c.Body...) {
+			if register && (g.Kind == GoalM || g.Kind == GoalB) && !r.preds[g.M.Pred] {
+				r.preds[g.M.Pred] = true
+				r.emitPredAxioms(g.M.Pred)
+			}
+		}
+		if err := r.translateClause(c); err != nil {
+			return nil, ReasonDeltaFailed
+		}
 	}
-	return out, ""
+	for _, dc := range r.Program.Clauses {
+		if dc.IsFact() && !dc.Head.IsGround() {
+			return nil, ReasonNonGround
+		}
+	}
+	return r.Program.Clauses, ""
 }
 
 // diffClauses returns a clause-level difference between two versions of one
@@ -207,33 +207,24 @@ func diffClauses(old, new []Clause) (added, removed []Clause) {
 	return new[j:len(new):len(new)], removed
 }
 
-// patchFacts returns p without one fact clause per atom of dels and with one
-// appended per atom of adds, leaving every rule in place and in order.
-func patchFacts(p *datalog.Program, adds, dels []datalog.Atom) *datalog.Program {
+// patchProgram returns p without the first clause equal to each clause of
+// dels (one that is not there is a no-op) and with adds appended, everything
+// else in place and in order: the engine's own reading of a clause delta.
+func patchProgram(p *datalog.Program, adds, dels []datalog.Clause) *datalog.Program {
 	out := &datalog.Program{Queries: p.Queries, Clauses: make([]datalog.Clause, 0, len(p.Clauses)+len(adds))}
-	dels = append([]datalog.Atom(nil), dels...)
+	dels = slices.Clone(dels)
+next:
 	for _, c := range p.Clauses {
-		if c.IsFact() && dropFirst(&dels, c.Head) {
-			continue
+		for i, d := range dels {
+			if c.Equal(d) {
+				dels = slices.Delete(dels, i, i+1)
+				continue next
+			}
 		}
 		out.Clauses = append(out.Clauses, c)
 	}
-	for _, a := range adds {
-		out.Clauses = append(out.Clauses, datalog.Fact(a))
-	}
+	out.Clauses = append(out.Clauses, adds...)
 	return out
-}
-
-// dropFirst removes the first atom equal to a from *as, reporting whether
-// there was one.
-func dropFirst(as *[]datalog.Atom, a datalog.Atom) bool {
-	for i, d := range *as {
-		if d.Equal(a) {
-			*as = append((*as)[:i], (*as)[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Counts exposes the engine's per-tuple derivation counts (nil when the
@@ -243,6 +234,28 @@ func (r *Reduction) Counts() map[string]datalog.TupleCount {
 		return nil
 	}
 	return r.inc.Counts()
+}
+
+// RulePreds returns the translated predicates the reduced program's rules
+// mention, in first-occurrence order — what a compiled plan of it is filed
+// under. The lattice's own predicates are left out: every reduction of every
+// database has dominate, level and order, so they tell no two programs'
+// plans apart. Fact clauses are not visited.
+func (r *Reduction) RulePreds() []string {
+	seen := map[string]bool{predDominate: true, predLevel: true, predOrder: true}
+	var out []string
+	for _, c := range r.Program.Clauses {
+		if c.IsFact() {
+			continue
+		}
+		for _, l := range append([]datalog.Literal{{Atom: c.Head}}, c.Body...) {
+			if p := l.Atom.Pred; !seen[p] && !l.Atom.IsBuiltin() {
+				seen[p] = true
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }
 
 // dependencyEdges builds the head-to-body predicate edges of a program,

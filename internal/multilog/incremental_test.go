@@ -251,9 +251,9 @@ func TestAdvanceAssertRetractNoop(t *testing.T) {
 	}
 }
 
-// TestAdvanceRuleChangeFallsBack pins the safety gate: when the delta is not
-// facts-only, AdvanceFrom must rebuild from scratch and say so.
-func TestAdvanceRuleChangeFallsBack(t *testing.T) {
+// TestAdvanceRuleWriteAndFallback: a written rule is a delta like a written
+// fact; an old reduction with no engine to patch is a rebuild, and says so.
+func TestAdvanceRuleWriteAndFallback(t *testing.T) {
 	db, err := Parse(`
 		level(l0). level(l1). order(l0, l1).
 		l0[p(k1: a -l0-> v1)].
@@ -268,12 +268,12 @@ func TestAdvanceRuleChangeFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	red, rep := advance(t, next, base)
-	if rep.Incremental {
-		t.Fatal("rule change must not be applied incrementally")
+	if !rep.Incremental || rep.RulesAdded == 0 {
+		t.Fatalf("a rule write was not applied incrementally: %+v", rep)
 	}
 	fresh := freshPrepared(t, next, "l1")
 	if got, want := modelString(t, red), modelString(t, fresh); got != want {
-		t.Fatalf("fallback model diverges:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("advanced model diverges:\n%s\nwant:\n%s", got, want)
 	}
 	// Unprepared old reduction: also a full prepare.
 	unprepared, err := Reduce(db, "l1")

@@ -134,67 +134,100 @@ func ReduceOpts(db *Database, user lattice.Label, opts Options) (*Reduction, err
 		r.Program.Add(dc)
 	}
 
-	// Π component translates unchanged (τ is the identity on p-clauses).
+	// Π translates unchanged; Σ is grounded over S, instances whose static
+	// guards fail dropped, the rest translated.
 	for _, c := range db.Pi {
-		dc := datalog.Clause{Head: c.Head.P}
-		for _, g := range c.Body {
-			if g.Kind == GoalM || g.Kind == GoalB {
-				return nil, fmt.Errorf("multilog: m- and b-atoms in p-clause bodies require level grounding; move the clause to Σ by giving it an m-atom head, or keep Π classical: %s", c)
-			}
-			lit, err := r.bodyLiteral(g, nil)
-			if err != nil {
-				return nil, err
-			}
-			dc.Body = append(dc.Body, lit...)
+		if err := r.translateClause(c); err != nil {
+			return nil, err
 		}
-		r.Program.Add(dc)
 	}
-
-	// Σ component: ground level variables over S, drop instances whose
-	// static guards fail, translate.
 	for _, c := range db.Sigma {
+		if err := r.translateClause(c); err != nil {
+			return nil, err
+		}
+	}
+	for _, pred := range r.predList() {
+		r.emitPredAxioms(pred)
+	}
+	return r, nil
+}
+
+// translateClause appends τ(c) at r's clearance to r.Program. τ is the
+// identity on a Π clause; a Σ clause has its level variables grounded over S
+// and yields one classical clause per instance whose static guards hold at
+// r.User (sigmaClause, which also notes in r.needs the beliefs the body
+// reads). The result depends on the clause, the lattice and the clearance
+// and on nothing else in the database, so a written clause is translated on
+// its own (Advance).
+func (r *Reduction) translateClause(c Clause) error {
+	switch c.Head.Kind {
+	case GoalM:
 		for _, gc := range r.groundLevels(c) {
 			ok, dcs, err := r.sigmaClause(gc)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if ok {
 				r.Program.Add(dcs...)
 			}
 		}
+	case GoalP:
+		dc := datalog.Clause{Head: c.Head.P}
+		for _, g := range c.Body {
+			if g.Kind == GoalM || g.Kind == GoalB {
+				return fmt.Errorf("multilog: m- and b-atoms in p-clause bodies require level grounding; move the clause to Σ by giving it an m-atom head, or keep Π classical: %s", c)
+			}
+			lit, err := r.bodyLiteral(g, nil)
+			if err != nil {
+				return err
+			}
+			dc.Body = append(dc.Body, lit...)
+		}
+		r.Program.Add(dc)
+	default:
+		return fmt.Errorf("multilog: %s is neither a Σ nor a Π clause", c)
 	}
+	return nil
+}
 
-	// Figure 13 FILTER / FILTER-NULL rules, one pair per covering-related
-	// level pair: values whose classification the lower level dominates
-	// flow down unchanged; the rest flow down as nulls classified at the
-	// inheriting level.
-	if opts.Filter {
+// emitPredAxioms appends what the reduction holds per Σ predicate rather
+// than per clause. Under Options.Filter, the Figure 13 FILTER / FILTER-NULL
+// rules, one pair per level pair lo < hi: values whose classification the
+// lower level dominates flow down unchanged; the rest flow down as nulls
+// classified at the inheriting level. Then the Figure 12 axiom instances, in
+// every mode, at every level r.User dominates — the only levels a clause
+// guard or a query guard lets through, so every query stays answerable
+// without re-evaluating.
+func (r *Reduction) emitPredAxioms(pred string) {
+	if r.opts.Filter {
 		av := axiomVars
-		for pred := range r.preds {
-			for _, lo := range poset.Labels() {
-				for _, hi := range poset.UpSet(lo) {
-					if hi == lo {
-						continue
-					}
-					loC := term.Const(string(lo))
-					r.Program.Add(datalog.Rule(
-						datalog.Atom{Pred: relPred(pred, lo), Args: []term.Term{av.k, av.a, av.v, av.c}},
-						datalog.Pos(datalog.Atom{Pred: relPred(pred, hi), Args: []term.Term{av.k, av.a, av.v, av.c}}),
-						datalog.Pos(datalog.Atom{Pred: predDominate, Args: []term.Term{av.c, loC}}),
-					))
-					r.Program.Add(datalog.Rule(
-						datalog.Atom{Pred: relPred(pred, lo), Args: []term.Term{av.k, av.a, term.Null(), loC}},
-						datalog.Pos(datalog.Atom{Pred: relPred(pred, hi), Args: []term.Term{av.k, av.a, av.v, av.c}}),
-						datalog.Neg(datalog.Atom{Pred: predDominate, Args: []term.Term{av.c, loC}}),
-					))
+		for _, lo := range r.Poset.Labels() {
+			for _, hi := range r.Poset.UpSet(lo) {
+				if hi == lo {
+					continue
 				}
+				loC := term.Const(string(lo))
+				r.Program.Add(datalog.Rule(
+					datalog.Atom{Pred: relPred(pred, lo), Args: []term.Term{av.k, av.a, av.v, av.c}},
+					datalog.Pos(datalog.Atom{Pred: relPred(pred, hi), Args: []term.Term{av.k, av.a, av.v, av.c}}),
+					datalog.Pos(datalog.Atom{Pred: predDominate, Args: []term.Term{av.c, loC}}),
+				))
+				r.Program.Add(datalog.Rule(
+					datalog.Atom{Pred: relPred(pred, lo), Args: []term.Term{av.k, av.a, term.Null(), loC}},
+					datalog.Pos(datalog.Atom{Pred: relPred(pred, hi), Args: []term.Term{av.k, av.a, av.v, av.c}}),
+					datalog.Neg(datalog.Atom{Pred: predDominate, Args: []term.Term{av.c, loC}}),
+				))
 			}
 		}
 	}
-
-	// Figure 12 axiom instances for every (level, mode) pair in use.
-	r.emitAxioms()
-	return r, nil
+	levels := r.Poset.DownSet(r.User)
+	sort.Slice(levels, func(i, j int) bool { return levels[i] < levels[j] })
+	for _, l := range levels {
+		for _, m := range []Mode{ModeCau, ModeFir, ModeOpt} {
+			r.needs[belNeed{pred, l, m}] = true
+			r.emitAxiomFor(pred, l, m)
+		}
+	}
 }
 
 // groundLevels instantiates every variable occurring in a security-level
@@ -326,8 +359,8 @@ func (r *Reduction) groundLevelOf(t term.Term, c Clause) (lattice.Label, error) 
 }
 
 // RequireBelief registers a (predicate, level, mode) triple needed by a
-// query so that emitAxioms covers it. Reduce pre-registers every triple for
-// the predicates in Σ; queries over other predicates register lazily.
+// query. Reduce pre-registers every triple for the predicates in Σ
+// (emitPredAxioms); queries over other predicates register lazily.
 func (r *Reduction) RequireBelief(pred string, l lattice.Label, m Mode) {
 	if m != ModeFir && m != ModeOpt && m != ModeCau {
 		return
@@ -339,41 +372,6 @@ func (r *Reduction) RequireBelief(pred string, l lattice.Label, m Mode) {
 		r.model = nil
 		r.inc = nil
 		r.deps = nil
-	}
-}
-
-// emitAxioms instantiates the Figure 12 inference-engine axioms for every
-// (predicate, level, mode) triple the program needs. To keep every query
-// answerable without re-evaluating, it also pre-registers all triples over
-// the Σ predicates for levels dominated by the user level — the only ones a
-// query guard can pass.
-func (r *Reduction) emitAxioms() {
-	for pred := range r.preds {
-		for _, l := range r.Poset.DownSet(r.User) {
-			for _, m := range []Mode{ModeFir, ModeOpt, ModeCau} {
-				r.needs[belNeed{pred, l, m}] = true
-			}
-		}
-	}
-	var needs []belNeed
-	for n := range r.needs {
-		needs = append(needs, n)
-	}
-	sort.Slice(needs, func(i, j int) bool {
-		if needs[i].pred != needs[j].pred {
-			return needs[i].pred < needs[j].pred
-		}
-		if needs[i].level != needs[j].level {
-			return needs[i].level < needs[j].level
-		}
-		return needs[i].mode < needs[j].mode
-	})
-	emitted := map[belNeed]bool{}
-	for _, n := range needs {
-		if !emitted[n] {
-			emitted[n] = true
-			r.emitAxiomFor(n.pred, n.level, n.mode)
-		}
 	}
 }
 

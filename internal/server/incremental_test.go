@@ -158,21 +158,20 @@ func TestCachePrecisionObservesWrites(t *testing.T) {
 }
 
 // TestServerAssertRetractMetamorphic is the write-path no-op property end to
-// end: asserting a fact and retracting it leaves the database source
-// byte-identical and every probe query's answers byte-identical, across all
-// three belief modes and every clearance.
+// end, for a fact, a Σ rule and a Π rule alike: asserting the clause and
+// retracting it leaves the database source byte-identical, every probe
+// query's answers byte-identical across all three belief modes and every
+// clearance, and every warm reduction's support counts identical; and in
+// between, the answers are those of a server cold-started on the program the
+// write produced.
 func TestServerAssertRetractMetamorphic(t *testing.T) {
-	s := newIncServer(t, Config{})
 	probes := []string{
 		"L[emp(K: salary -C-> V)]",
 		"l0[emp(K: salary -C-> V)]",
 		"l1[payroll(K: cost -C-> V)]",
 		"l0[dept(K: head -C-> V)]",
-	}
-	dbSource := func() string {
-		s.progMu.RLock()
-		defer s.progMu.RUnlock()
-		return s.programs["test"].current().db.String()
+		"L[bonus(K: due -C-> V)]",
+		"senior(X)",
 	}
 	type view struct{ clearance, mode string }
 	var views []view
@@ -181,7 +180,7 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 			views = append(views, view{cl, m})
 		}
 	}
-	collect := func() map[string][][]map[string]string {
+	collect := func(s *Server) map[string][][]map[string]string {
 		out := map[string][][]map[string]string{}
 		for _, v := range views {
 			sess := openSess(t, s, v.clearance, v.mode)
@@ -193,28 +192,68 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 		}
 		return out
 	}
+	for _, clause := range []string{
+		"l1[emp(dave: salary -l1-> mid)].",
+		"l1[bonus(K: due -l1-> V)] :- L[emp(K: salary -C-> V)] << cau.",
+		"senior(X) :- level(X), order(Y, X).",
+	} {
+		s := newIncServer(t, Config{})
+		prog, err := s.program("test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbSource := func() string { return prog.current().db.String() }
+		counts := func() map[string]any {
+			snap, out := prog.current(), map[string]any{}
+			snap.redMu.RLock()
+			defer snap.redMu.RUnlock()
+			for u, red := range snap.reductions {
+				out[string(u)] = red.Counts()
+			}
+			return out
+		}
+		writer := openSess(t, s, "l1", "")
+		// One write first, so the clearances the probes warm are held by the
+		// counting engine and not by a compiled model, which has no counts.
+		collect(s)
+		runUpdate(t, s, writer, "l0[dept(ops: head -l0-> bob)].", false)
+		baseSrc, baseAnswers, baseCounts := dbSource(), collect(s), counts()
+		if len(baseCounts) != 2 {
+			t.Fatalf("%s: %d warm reductions with counts, want 2", clause, len(baseCounts))
+		}
 
-	baseSrc := dbSource()
-	baseAnswers := collect()
+		if up := runUpdate(t, s, writer, clause, false); up.Changed != 1 {
+			t.Fatalf("%s: assert changed %d clauses, want 1", clause, up.Changed)
+		}
+		midAnswers := collect(s)
+		if reflect.DeepEqual(baseAnswers, midAnswers) {
+			t.Fatalf("%s: assert was not observable through the probes", clause)
+		}
+		cold := New(Config{})
+		if err := cold.Load("test", dbSource()); err != nil {
+			t.Fatalf("%s: cold start on the written program: %v", clause, err)
+		}
+		if got := collect(cold); !reflect.DeepEqual(got, midAnswers) {
+			t.Errorf("%s: answers after the write differ from a cold start on the same program\ngot:  %v\nwant: %v", clause, midAnswers, got)
+		}
+		if up := runUpdate(t, s, writer, clause, true); up.Changed != 1 {
+			t.Fatalf("%s: retract changed %d clauses, want 1", clause, up.Changed)
+		}
 
-	writer := openSess(t, s, "l1", "")
-	fact := "l1[emp(dave: salary -l1-> mid)]."
-	if up := runUpdate(t, s, writer, fact, false); up.Changed != 1 {
-		t.Fatalf("assert changed %d clauses, want 1", up.Changed)
-	}
-	midAnswers := collect()
-	if reflect.DeepEqual(baseAnswers, midAnswers) {
-		t.Fatal("assert was not observable through the probes")
-	}
-	if up := runUpdate(t, s, writer, fact, true); up.Changed != 1 {
-		t.Fatalf("retract changed %d clauses, want 1", up.Changed)
-	}
-
-	if got := dbSource(); got != baseSrc {
-		t.Errorf("assert-then-retract changed the database source\ngot:\n%s\nwant:\n%s", got, baseSrc)
-	}
-	if got := collect(); !reflect.DeepEqual(got, baseAnswers) {
-		t.Errorf("assert-then-retract changed probe answers across modes/clearances")
+		if got := dbSource(); got != baseSrc {
+			t.Errorf("%s: assert-then-retract changed the database source\ngot:\n%s\nwant:\n%s", clause, got, baseSrc)
+		}
+		if got := collect(s); !reflect.DeepEqual(got, baseAnswers) {
+			t.Errorf("%s: assert-then-retract changed probe answers across modes/clearances", clause)
+		}
+		// bonus is new to Σ: its inert axioms stay behind and derive nothing,
+		// so the counts are those of before all the same.
+		if got := counts(); !reflect.DeepEqual(got, baseCounts) {
+			t.Errorf("%s: assert-then-retract changed support counts", clause)
+		}
+		if st := s.Stats().Databases["test"]; len(st.AdvanceFull) != 1 || st.AdvanceFull["old-not-incremental"] != 2 {
+			t.Errorf("%s: a write rebuilt a warm reduction: %+v", clause, st)
+		}
 	}
 }
 
@@ -365,13 +404,22 @@ func TestAdvanceReasonsOnStats(t *testing.T) {
 	want.AdvanceIncremental = 4
 	check("fact assert + retract")
 
-	runUpdate(t, s, writer, "l0[badge(ivy: colour -l0-> red)].", false)
-	want.AdvanceFull["new-predicate"] = 2
-	check("first fact of a new predicate")
-
-	runUpdate(t, s, writer, "l1[audit(K: seen -l1-> V)] :- l0[badge(K: colour -C-> V)] << fir.", false)
-	want.AdvanceFull["rule-change"] = 2
-	check("rule write")
+	// Neither a predicate's first mention (its belief axioms come along as
+	// added rules) nor a rule write, Σ or Π, assert or retract, is a rebuild.
+	for _, w := range []struct {
+		step, clauses string
+		retract       bool
+	}{
+		{"first fact of a new predicate", "l0[badge(ivy: colour -l0-> red)].", false},
+		{"Σ rule write", "l1[audit(K: seen -l1-> V)] :- l0[badge(K: colour -C-> V)] << fir.", false},
+		{"Π rule write", "cleared(X) :- level(X).", false},
+		{"Π rule retract", "cleared(X) :- level(X).", true},
+		{"Σ rule retract", "l1[audit(K: seen -l1-> V)] :- l0[badge(K: colour -C-> V)] << fir.", true},
+	} {
+		runUpdate(t, s, writer, w.clauses, w.retract)
+		want.AdvanceIncremental += 2
+		check(w.step)
+	}
 
 	// A retract that matches nothing is no write at all.
 	runUpdate(t, s, writer, "l0[emp(nobody: salary -l0-> low)].", true)

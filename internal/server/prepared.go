@@ -282,7 +282,7 @@ type invalidation struct {
 
 // FormatAdvances renders an advance tally — of one write, for its log line,
 // or of a database's lifetime, for the REPL's \stats — as "4 incremental" or
-// "1 incremental, 3 full (rule-change 3)".
+// "1 incremental, 3 full (old-not-incremental 3)".
 func FormatAdvances(incremental int64, full map[string]int64) string {
 	out := fmt.Sprintf("%d incremental", incremental)
 	if len(full) == 0 {
@@ -331,31 +331,19 @@ func (p *preparedProgram) planInvalidation(cur, snap *snapshot, deltaClauses []m
 // re-runs the same plan over the new facts, which is the compiled fast
 // path. A rule write changes the reduced rule set at every clearance,
 // stranding this program's cached plans under keys that can never be hit
-// again; those are dropped by the translated predicate names the program's
-// prepared reductions mention (a clearance never prepared compiled no
-// plan, so an empty set is complete).
+// again; those are dropped by the translated predicate names the rules of
+// the program's prepared reductions mention (a clearance never prepared
+// compiled no plan, so an empty set is complete) — the lattice predicates
+// excepted (Reduction.RulePreds): the cache is process-wide, and naming what
+// every database's plans share would empty it for all of them.
 func (p *preparedProgram) invalidatePlans(cur *snapshot, inv invalidation) {
 	if !inv.all {
 		return
 	}
-	seen := map[string]bool{}
 	var preds []string
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			preds = append(preds, name)
-		}
-	}
 	cur.redMu.RLock()
 	for _, red := range cur.reductions {
-		for _, c := range red.Program.Clauses {
-			add(c.Head.Pred)
-			for _, l := range c.Body {
-				if !l.Atom.IsBuiltin() {
-					add(l.Atom.Pred)
-				}
-			}
-		}
+		preds = append(preds, red.RulePreds()...)
 	}
 	cur.redMu.RUnlock()
 	compile.DefaultCache.Invalidate(preds)
@@ -377,13 +365,13 @@ func (s *snapshot) impactGraph() (*multilog.ImpactGraph, error) {
 }
 
 // advanceReductions carries cur's prepared reductions into the new snapshot
-// (multilog.Advance): a fact write is translated per warm clearance and
-// applied as a delta to a copy-on-write clone of that clearance's engine, so
-// the write costs the relations it touches and the next query at a warm
-// clearance matches against an up-to-date model; a rule write re-reduces
-// and re-derives. A reduction that fails to advance (resource limits,
-// cancellation, reduce errors) is simply not carried; the next query at
-// that clearance rebuilds it lazily.
+// (multilog.Advance): the write's clauses, facts or rules, are translated
+// per warm clearance and applied as a clause delta to a copy-on-write clone
+// of that clearance's engine, so the write costs what its clauses derive
+// and the relations that touches, and the next query at a warm clearance
+// matches against an up-to-date model. A reduction that fails to advance
+// (resource limits, cancellation, reduce errors) is simply not carried; the
+// next query at that clearance rebuilds it lazily.
 func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snapshot, added, removed []multilog.Clause, inv *invalidation) {
 	cur.redMu.RLock()
 	olds := make(map[lattice.Label]*multilog.Reduction, len(cur.reductions))

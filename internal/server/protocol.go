@@ -350,7 +350,7 @@ type DBStats struct {
 	// AdvanceIncremental counts warm reductions that committed writes
 	// carried into their new epoch by patching the old model;
 	// AdvanceFull counts those re-derived from scratch instead, by reason
-	// (multilog.FullReason: "rule-change", "new-predicate", ...).
+	// (multilog.FullReason: "old-not-incremental", "delta-failed", ...).
 	AdvanceIncremental int64            `json:"advance_incremental"`
 	AdvanceFull        map[string]int64 `json:"advance_full,omitempty"`
 }

@@ -54,6 +54,11 @@ type Scenario struct {
 	// recovered state is compared against a reference full replay of the
 	// surviving operation sequence.
 	WriteStorm bool
+	// RuleWrites makes every fourth tracked op of the storm the assert, or
+	// the retract, of a rule (crashRule) deriving a predicate new to Σ: the
+	// doomed daemon's warm reductions take rule deltas, and the WAL the
+	// recovered one replays mixes facts and rules.
+	RuleWrites bool
 }
 
 // Matrix is the crashpoint × fsync-mode grid run by `make crash` and CI.
@@ -116,6 +121,14 @@ func Matrix() []Scenario {
 			Fsync:           "always",
 			CheckpointEvery: 6,
 			WriteStorm:      true,
+		},
+		Scenario{
+			Name:           "rule-storm-torn/always",
+			Plan:           "kill-torn@wal.append.start:14",
+			Fsync:          "always",
+			WantTruncation: true,
+			WriteStorm:     true,
+			RuleWrites:     true,
 		},
 	)
 	return out
@@ -275,7 +288,7 @@ func (h *Harness) Run(ctx context.Context, sc Scenario) error {
 		return err
 	}
 	if sc.WriteStorm {
-		ops, inFlight, derr := h.driveStorm(ctx, d)
+		ops, inFlight, derr := h.driveStorm(ctx, d, sc.RuleWrites)
 		if derr != nil {
 			d.kill()
 			return derr
@@ -355,6 +368,13 @@ func (h *Harness) drive(ctx context.Context, d *daemon) (acked []string, inFligh
 // crashFact is the i-th tracked write: a unique key at the bottom level.
 func crashFact(i int) string {
 	return fmt.Sprintf("l0[p0(crashed%d: a -l0-> w%d)].", i, i)
+}
+
+// crashRule is the i-th tracked rule write: it derives a predicate the
+// program never mentions from the bottom level's p0 facts, tracked ones
+// included, so it is in force exactly when its head has answers.
+func crashRule(i int) string {
+	return fmt.Sprintf("l0[ruled(K: a -l0-> via%d)] :- l0[p0(K: a -C-> V)] << fir.", i)
 }
 
 // verify checks the recovered daemon against a reference in-memory server
@@ -486,19 +506,25 @@ func (h *Harness) checkRecoveryStats(ctx context.Context, c *server.Client, sc S
 }
 
 // stormOp is one tracked operation of the write storm: assert or retract of
-// the idx-th tracked fact.
+// the idx-th tracked fact, or of the idx-th tracked rule.
 type stormOp struct {
 	idx     int
 	retract bool
+	rule    bool
 }
 
-func (op stormOp) clause() string { return crashFact(op.idx) }
+func (op stormOp) clause() string {
+	if op.rule {
+		return crashRule(op.idx)
+	}
+	return crashFact(op.idx)
+}
 
 func (op stormOp) String() string {
 	if op.retract {
-		return fmt.Sprintf("-crashed%d", op.idx)
+		return "-" + op.clause()
 	}
-	return fmt.Sprintf("+crashed%d", op.idx)
+	return "+" + op.clause()
 }
 
 // driveStorm fires the mixed assert/retract storm: roughly every third
@@ -506,7 +532,7 @@ func (op stormOp) String() string {
 // additions and deletions when the kill lands. The concurrent read storm
 // keeps prepared reductions warm, so each write also advances materialized
 // incremental state in the doomed daemon.
-func (h *Harness) driveStorm(ctx context.Context, d *daemon) (acked []stormOp, inFlight *stormOp, err error) {
+func (h *Harness) driveStorm(ctx context.Context, d *daemon, ruleWrites bool) (acked []stormOp, inFlight *stormOp, err error) {
 	c := server.NewClient(d.addr, nil) // writes: no retry, ever
 	sess, err := c.Open(ctx, server.OpenRequest{Subject: "mutator", Clearance: "l0", DB: dbName})
 	if err != nil {
@@ -528,7 +554,10 @@ func (h *Harness) driveStorm(ctx context.Context, d *daemon) (acked []stormOp, i
 	nextKey := 0
 	for i := 0; i < maxWrites; i++ {
 		var op stormOp
-		if i%3 == 2 && len(live) > 0 {
+		if ruleWrites && i%4 == 1 {
+			// Rule i/8 arrives at op 8k+1 and leaves at op 8k+5.
+			op = stormOp{idx: i / 8, rule: true, retract: i%8 == 5}
+		} else if i%3 == 2 && len(live) > 0 {
 			v := (i * 7) % len(live)
 			op = stormOp{idx: live[v], retract: true}
 			live = append(live[:v], live[v+1:]...)
@@ -562,49 +591,55 @@ func (h *Harness) verifyStorm(ctx context.Context, d *daemon, sc Scenario, progS
 	if err != nil {
 		return fmt.Errorf("verifier open: %w", err)
 	}
-	probe := func(idx int) (int, error) {
-		resp, err := c.QueryContext(ctx, server.QueryRequest{
-			Session: sess.Session, Query: fmt.Sprintf("l0[p0(crashed%d: a -l0-> V)]", idx)})
-		if err != nil {
-			return 0, fmt.Errorf("probing crashed%d: %w", idx, err)
+	// probe reports whether what op writes — a tracked fact or rule — is in
+	// force: the fact answers exactly once, the rule through every p0 key it
+	// derives from. The map below keys on the assert of each.
+	probe := func(w stormOp) (bool, error) {
+		q := fmt.Sprintf("l0[p0(crashed%d: a -l0-> V)]", w.idx)
+		if w.rule {
+			q = fmt.Sprintf("l0[ruled(K: a -l0-> via%d)]", w.idx)
 		}
-		return len(resp.Answers), nil
+		resp, err := c.QueryContext(ctx, server.QueryRequest{Session: sess.Session, Query: q})
+		if err != nil {
+			return false, fmt.Errorf("probing %s: %w", q, err)
+		}
+		if !w.rule && len(resp.Answers) > 1 {
+			return false, fmt.Errorf("crashed%d recovered %d times", w.idx, len(resp.Answers))
+		}
+		return len(resp.Answers) > 0, nil
 	}
 
 	// Net expectation from the acked prefix.
-	present := map[int]bool{}
+	present := map[stormOp]bool{}
 	for _, op := range acked {
-		present[op.idx] = !op.retract
+		present[stormOp{idx: op.idx, rule: op.rule}] = !op.retract
 	}
 	expected := append([]stormOp{}, acked...)
 
 	// The in-flight op is all-or-nothing; probe which way it went.
 	if inFlight != nil {
-		n, err := probe(inFlight.idx)
+		w := stormOp{idx: inFlight.idx, rule: inFlight.rule}
+		there, err := probe(w)
 		if err != nil {
 			return err
 		}
-		if n > 1 {
-			return fmt.Errorf("in-flight op %v recovered %d times", *inFlight, n)
-		}
-		applied := (inFlight.retract && n == 0) || (!inFlight.retract && n == 1)
-		if applied {
+		if there != inFlight.retract {
 			expected = append(expected, *inFlight)
-			present[inFlight.idx] = !inFlight.retract
+			present[w] = !inFlight.retract
 		}
 	}
 
-	// Zero acked-op loss: every tracked key matches its net expectation.
-	for idx, want := range present {
-		n, err := probe(idx)
+	// Zero acked-op loss: every tracked write matches its net expectation.
+	for w, want := range present {
+		there, err := probe(w)
 		if err != nil {
 			return err
 		}
 		switch {
-		case want && n != 1:
-			return fmt.Errorf("ACKED WRITE LOST: crashed%d absent after recovery", idx)
-		case !want && n != 0:
-			return fmt.Errorf("ACKED RETRACT LOST: crashed%d resurrected after recovery (%d answers)", idx, n)
+		case want && !there:
+			return fmt.Errorf("ACKED WRITE LOST: %v absent after recovery", w)
+		case !want && there:
+			return fmt.Errorf("ACKED RETRACT LOST: %v resurrected after recovery", w)
 		}
 	}
 
@@ -643,9 +678,12 @@ func openAndAnswer(ctx context.Context, c *server.Client, clearance, mode string
 		return "", err
 	}
 	var b strings.Builder
+	queries := []string{"L[ruled(K: a -C-> V)]"} // what crashRule derives
 	for p := 0; p < programCfg.Preds; p++ {
-		resp, err := c.QueryContext(ctx, server.QueryRequest{
-			Session: sess.Session, Query: fmt.Sprintf("L[p%d(K: a -C-> V)]", p)})
+		queries = append(queries, fmt.Sprintf("L[p%d(K: a -C-> V)]", p))
+	}
+	for _, q := range queries {
+		resp, err := c.QueryContext(ctx, server.QueryRequest{Session: sess.Session, Query: q})
 		if err != nil {
 			return "", err
 		}

@@ -49,12 +49,13 @@ func TestKillCrashRecovery(t *testing.T) {
 	if !fullMatrix() {
 		// Representative subset: one torn-tail, one pre-fsync, one
 		// checkpoint crash — all under the strict fsync=always contract —
-		// plus one mixed assert/retract write storm.
+		// plus one mixed assert/retract write storm of facts, and one of
+		// facts and rules.
 		subset := scenarios[:0]
 		for _, sc := range scenarios {
 			switch sc.Name {
 			case "mid-append-torn/always", "pre-fsync/always", "mid-checkpoint-temp",
-				"write-storm-torn/always":
+				"write-storm-torn/always", "rule-storm-torn/always":
 				subset = append(subset, sc)
 			}
 		}

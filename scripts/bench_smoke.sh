@@ -14,6 +14,11 @@
 #    deterministic, so unlike a time gate this one holds on a loud machine:
 #    the ratio is ~1000x when a write copies only the relations it touches
 #    and ~4x if it ever copies the model again.
+# 4. BenchmarkAdvanceRuleWrite: the same gate for a rule write — the Π rule
+#    rule_churn writes, at 200 and at 2000 facts, and a Σ belief rule —
+#    carried by clause delta against the Reduce + Prepare it replaces: ~40x
+#    to ~400x when a rule write costs what the rule derives plus one
+#    re-stratification of the rule set, 1x if it ever rebuilds again.
 #
 # The smoke gates are deliberately looser than the committed artifacts
 # (>=2x vs >=5x for compiled, >=1.2x vs >=1.5x for overload): short
@@ -44,6 +49,7 @@ COMPILED_GATE=${BENCH_SMOKE_COMPILED_GATE:-'OperationalVsReduction[facts=320]/en
 OVERLOAD_BENCHTIME=${BENCH_SMOKE_OVERLOAD_TIME:-4000x}
 OVERLOAD_GATE=${BENCH_SMOKE_OVERLOAD_GATE:-'OverloadStorm/admission/off:goodput>=1.2'}
 ADVANCE_GATE=${BENCH_SMOKE_ADVANCE_GATE:-'AdvanceFactWrite/advance/delta:allocs/op>=100'}
+ADVANCE_RULE_GATE=${BENCH_SMOKE_ADVANCE_RULE_GATE:-'AdvanceRuleWrite/advance/delta:allocs/op>=20'}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT INT TERM
 
@@ -54,7 +60,8 @@ $GO run ./cmd/benchreport -in "$TMP/bench_compiled.txt" -gate "$COMPILED_GATE"
 $GO test ./internal/server -run '^$' -bench BenchmarkOverloadStorm \
     -benchtime "$OVERLOAD_BENCHTIME" -count=1 | tee "$TMP/bench_overload.txt"
 $GO run ./cmd/benchreport -in "$TMP/bench_overload.txt" -gate "$OVERLOAD_GATE"
-$GO test ./internal/multilog -run '^$' -bench BenchmarkAdvanceFactWrite \
+$GO test ./internal/multilog -run '^$' -bench 'BenchmarkAdvance(Fact|Rule)Write' \
     -benchtime 1x -count=1 | tee "$TMP/bench_advance.txt"
 $GO run ./cmd/benchreport -in "$TMP/bench_advance.txt" -gate "$ADVANCE_GATE"
+$GO run ./cmd/benchreport -in "$TMP/bench_advance.txt" -gate "$ADVANCE_RULE_GATE"
 echo "bench-smoke: ok"
