@@ -166,7 +166,11 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 		}
 	}
 
+	// An answer is rendered once: its key deduplicates it here and orders it
+	// below, so the sort compares strings instead of re-rendering two
+	// substitutions per comparison.
 	var answers []Answer
+	var keys []string
 	seen := map[string]bool{}
 	emit := func(s term.Subst) {
 		restricted := term.Subst{}
@@ -176,7 +180,7 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 		key := restricted.String()
 		if !seen[key] {
 			seen[key] = true
-			answers = append(answers, Answer{Bindings: restricted})
+			answers, keys = append(answers, Answer{Bindings: restricted}), append(keys, key)
 		}
 	}
 
@@ -252,10 +256,21 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 		return nil
 	}
 	err := solve(0, term.Subst{})
-	sort.Slice(answers, func(i, j int) bool {
-		return answers[i].Bindings.String() < answers[j].Bindings.String()
-	})
+	sort.Sort(byKey{answers, keys})
 	return answers, gov.Snapshot(), err
+}
+
+// byKey sorts answers by their rendered bindings, keys[i] being answers[i]'s.
+type byKey struct {
+	answers []Answer
+	keys    []string
+}
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.answers[i], b.answers[j] = b.answers[j], b.answers[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 // levelCandidates enumerates the levels a level-position term can take:
