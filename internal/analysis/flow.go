@@ -156,17 +156,13 @@ func AnalyzeFlow(db *multilog.Database) (*Flow, error) {
 	}
 	isLabel := func(name string) bool { return poset.Has(lattice.Label(name)) }
 
-	// clauses = Σ then Π; one transfer per clause.
-	type clauseRef struct {
-		sigma bool
-		c     multilog.Clause
-	}
-	var clauses []clauseRef
-	for _, c := range db.Sigma {
-		clauses = append(clauses, clauseRef{sigma: true, c: c})
-	}
-	for _, c := range db.Pi {
-		clauses = append(clauses, clauseRef{sigma: false, c: c})
+	// Σ then Π, one transfer per clause, read in place: a copy of every
+	// clause per analysis was most of what a write's re-lint allocated.
+	clause := func(i int) (c *multilog.Clause, sigma bool) {
+		if i < len(db.Sigma) {
+			return &db.Sigma[i], true
+		}
+		return &db.Pi[i-len(db.Sigma)], false
 	}
 
 	// labelConsts collects label-valued constants in a term tree.
@@ -225,18 +221,18 @@ func AnalyzeFlow(db *multilog.Database) (*Flow, error) {
 
 	reads := func(i int) []string {
 		var out []string
-		for _, g := range clauses[i].c.Body {
+		c, _ := clause(i)
+		for _, g := range c.Body {
 			keys, _ := goalEffects(g, labelSet{})
 			out = append(out, keys...)
 		}
 		return out
 	}
 	transfer := func(i int, get func(string) labelSet) []Contribution[labelSet] {
-		ref := clauses[i]
-		c := ref.c
+		c, sigma := clause(i)
 		srcs := labelSet{}
 		var headKey string
-		if ref.sigma && (c.Head.Kind == multilog.GoalM || c.Head.Kind == multilog.GoalB) {
+		if sigma && (c.Head.Kind == multilog.GoalM || c.Head.Kind == multilog.GoalB) {
 			headKey = mKey(c.Head.M.Pred)
 			// The head's own assertion level is not a source, but every
 			// other label constant in the head is carried into the
@@ -289,7 +285,7 @@ func AnalyzeFlow(db *multilog.Database) (*Flow, error) {
 			return cur, grew
 		},
 	}
-	values, converged := solver.Solve(len(clauses), reads, transfer, nil)
+	values, converged := solver.Solve(len(db.Sigma)+len(db.Pi), reads, transfer, nil)
 	f.Converged = converged
 
 	// Universal levels: dominated by every asserted level. Sources inside

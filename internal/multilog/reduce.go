@@ -166,22 +166,14 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 		}
 	}
 
-	// An answer is rendered once: its key deduplicates it here and orders it
-	// below, so the sort compares strings instead of re-rendering two
-	// substitutions per comparison.
-	var answers []Answer
-	var keys []string
-	seen := map[string]bool{}
+	// An answer is rendered once: its key deduplicates it here, orders it below.
+	seen := map[string]Answer{}
 	emit := func(s term.Subst) {
 		restricted := term.Subst{}
 		for v := range queryVars {
 			restricted[v] = s.Apply(term.Var(v))
 		}
-		key := restricted.String()
-		if !seen[key] {
-			seen[key] = true
-			answers, keys = append(answers, Answer{Bindings: restricted}), append(keys, key)
-		}
+		seen[restricted.String()] = Answer{Bindings: restricted}
 	}
 
 	var solve func(i int, s term.Subst) error
@@ -256,21 +248,16 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 		return nil
 	}
 	err := solve(0, term.Subst{})
-	sort.Sort(byKey{answers, keys})
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var answers []Answer
+	for _, k := range keys {
+		answers = append(answers, seen[k])
+	}
 	return answers, gov.Snapshot(), err
-}
-
-// byKey sorts answers by their rendered bindings, keys[i] being answers[i]'s.
-type byKey struct {
-	answers []Answer
-	keys    []string
-}
-
-func (b byKey) Len() int           { return len(b.keys) }
-func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b byKey) Swap(i, j int) {
-	b.answers[i], b.answers[j] = b.answers[j], b.answers[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 // levelCandidates enumerates the levels a level-position term can take:
