@@ -6,7 +6,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: build test check vet race fuzz-smoke campaign chaos staticcheck \
 	staticcheck-install analyzers lint analyze serve-smoke crash cluster-chaos \
-	bench-smoke bench-check overload-chaos
+	bench-smoke bench-check overload-chaos census
 
 build:
 	$(GO) build ./...
@@ -123,10 +123,24 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
 
+# census counts what the roadmap budgets — non-test Go lines outside bench/
+# and the wall time of tier-1 (go build ./... && go test ./..., uncached) —
+# prints both and writes them to CENSUS.json, the committed two-row artifact
+# beside BENCHMARK.json that a PR's "lines not up" and the next re-anchor read
+# instead of recounting.
+census:
+	@lines=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l); \
+	start=$$(date +%s); \
+	$(GO) build ./... && $(GO) test -count=1 ./... > /dev/null || exit 1; \
+	printf '[\n  {"name": "non_test_go_lines", "scope": "*.go outside bench/, _test.go left out", "unit": "lines", "value": %d},\n  {"name": "tier1_wall", "scope": "go build ./... && go test -count=1 ./...", "unit": "s", "value": %d}\n]\n' \
+		$$lines $$(($$(date +%s) - start)) > CENSUS.json; \
+	cat CENSUS.json
+
 # check is the CI tier: vet, the custom analyzers, staticcheck, build, the
 # program linter, the SARIF analysis artifact, the race-enabled suite, the chaos tier, the crash-recovery
 # matrix, the replication cluster-chaos matrix, the overload-protection
 # harness, the daemon smoke, the frozen-benchmark compile guard, the bench
-# smokes (compiled, overload goodput), and a bounded differential fuzz smoke.
-check: vet analyzers staticcheck build bench-check lint analyze race chaos crash cluster-chaos overload-chaos serve-smoke bench-smoke fuzz-smoke
+# smokes (compiled, overload goodput), a bounded differential fuzz smoke, and
+# the line and tier-1 census.
+check: vet analyzers staticcheck build bench-check lint analyze race chaos crash cluster-chaos overload-chaos serve-smoke bench-smoke fuzz-smoke census
 	@echo "check: all gates passed"

@@ -258,7 +258,7 @@ func (r *repl) remoteStats() error {
 	for _, n := range names {
 		db := st.Databases[n]
 		fmt.Fprintf(r.out, "db %s:    epoch %d, |Λ|=%d |Σ|=%d |Π|=%d, %d reductions, %d updates; advances: %s\n",
-			n, db.Epoch, db.Lambda, db.Sigma, db.Pi, db.Reductions, db.Updates, server.FormatAdvances(db.AdvanceIncremental, db.AdvanceFull))
+			n, db.Epoch, db.Lambda, db.Sigma, db.Pi, db.Reductions, db.Updates, db.AdvanceTally)
 	}
 	if rp := st.Replication; rp != nil {
 		switch rp.Role {

@@ -25,10 +25,9 @@ type CacheStats struct {
 }
 
 // Cache is an LRU plan cache keyed by (rule set hash, seed adornment).
-// Plans depend only on a program's rules, so every fact-only write to a
-// prepared program re-runs a cached plan; rule writes invalidate by
-// predicate set through the impact graph (Invalidate). Safe for concurrent
-// use.
+// Plans depend only on a program's rules, so programs that differ in their
+// facts alone share one; Invalidate drops plans by predicate set. Safe for
+// concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -59,7 +58,7 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-// DefaultCache serves EvalContext and the multilog/server fast path.
+// DefaultCache serves EvalContext, and through it the server's cold builds.
 var DefaultCache = NewCache(256)
 
 // cacheKey derives the cache key and the canonical rule text for a

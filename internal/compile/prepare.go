@@ -13,20 +13,13 @@ import (
 // false when the compiler routed the program to the interpreter
 // (*ErrFallback) and r.Prepare ran instead. Resource-limit and genuine
 // errors propagate with the reduction left unprepared, matching Prepare.
-//
-// The reduced program's rules depend only on the database's rules, the
-// lattice, and the registered belief needs — not on the fact set — so
-// consecutive reductions of a database under fact-only writes hit the same
-// cached plan; that cache hit is the compiled fast path the server serves
-// per clearance.
+// This is the server's cold build, once per clearance: writes advance the
+// installed model as deltas (Reduction.Advance) and come here no more.
 func PrepareReduction(ctx context.Context, r *multilog.Reduction, opts Options) (bool, error) {
 	model, _, err := EvalContext(ctx, r.Program, nil, opts)
 	if err != nil {
 		if IsFallback(err) {
-			if perr := r.Prepare(ctx, opts.Limits); perr != nil {
-				return false, perr
-			}
-			return false, nil
+			return false, r.Prepare(ctx, opts.Limits)
 		}
 		return false, fmt.Errorf("multilog: reduced program: %w", err)
 	}

@@ -152,6 +152,24 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 	if err != nil {
 		return nil, err
 	}
+	return seedCounts(ctx, p, edb, model, limits)
+}
+
+// Adopt returns an engine over model, the minimal model of p as any evaluator
+// built it (internal/compile's, say), without deriving it again: support
+// counts are a function of the rules and the model alone. The engine works on
+// a copy-on-write clone, of which the count column copies every relation once;
+// model itself may be serving readers and is never written (but, Store.Clone,
+// not cloned by anyone else meanwhile). A model with a supported tuple missing
+// or a stored one nothing supports is refused; a larger fixpoint than the
+// least the pass cannot tell. limits bound the pass and every later delta.
+func Adopt(ctx context.Context, p *Program, model *Store, limits resource.Limits) (*Incremental, error) {
+	return seedCounts(ctx, p, nil, model.Clone(), limits)
+}
+
+// seedCounts makes model, the minimal model of p ∪ edb, a counting engine's
+// own: a base count per fact clause and EDB fact, a derived count per firing.
+func seedCounts(ctx context.Context, p *Program, edb, model *Store, limits resource.Limits) (*Incremental, error) {
 	rs, err := newRuleSet(p.Clauses)
 	if err != nil {
 		return nil, err
@@ -175,8 +193,7 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 		}
 	}
 	// Exact initial derivation counts: one full enumeration of every rule
-	// against the finished model. This is a single naive pass, paid once at
-	// build time.
+	// against the finished model, a single naive pass.
 	inc.gov = resource.New(ctx, limits)
 	live := storeView{live: model}
 	for ri := range inc.rules {
@@ -191,6 +208,11 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 		})
 		if err != nil {
 			return nil, err
+		}
+	}
+	for _, r := range model.rels {
+		if off := slices.Index(r.counts, TupleCount{}); off >= 0 {
+			return nil, fmt.Errorf("datalog: %s is in the model but nothing supports it: not the program's minimal model", r.facts[off])
 		}
 	}
 	return inc, nil
@@ -280,7 +302,7 @@ func (inc *Incremental) bump(a Atom, by TupleCount) error {
 	k := a.Key()
 	tc, ok := inc.model.support(a.Pred, k)
 	if !ok {
-		return fmt.Errorf("datalog: internal: %s is supported but missing from the model", a)
+		return fmt.Errorf("datalog: %s is supported but missing from the model: not the program's minimal model", a)
 	}
 	inc.model.setSupport(a.Pred, k, TupleCount{Base: tc.Base + by.Base, Derived: tc.Derived + by.Derived})
 	return nil
@@ -529,13 +551,7 @@ func (d *deltaState) cancelDel(pred, k string) bool {
 // engine is poisoned (the model may be half-patched) and every later call
 // fails; keep a Clone if you need to survive failed deltas.
 func (inc *Incremental) ApplyDelta(adds, dels []Atom) (*DeltaResult, error) {
-	return inc.ApplyDeltaContext(context.Background(), adds, dels)
-}
-
-// ApplyDeltaContext is ApplyDelta bounded by ctx and inc.Limits: the
-// facts-only call of the delta core.
-func (inc *Incremental) ApplyDeltaContext(ctx context.Context, adds, dels []Atom) (*DeltaResult, error) {
-	return inc.apply(ctx, adds, dels, nil, nil)
+	return inc.apply(context.Background(), adds, dels, nil, nil)
 }
 
 // ApplyClauses applies a clause delta, bounded by ctx and inc.Limits. Fact

@@ -294,7 +294,14 @@ func incDiverges(p *datalog.Program, writes []WriteOp) string {
 	if err != nil {
 		return ""
 	}
-	full, fresh := p, inc
+	return replayDiverges(inc, inc, p, writes)
+}
+
+// replayDiverges is incDiverges for an engine that came to p's model some
+// other way (adoption): fresh is the from-scratch build of p it must equal
+// before the first delta and track after each.
+func replayDiverges(inc, fresh *datalog.Incremental, p *datalog.Program, writes []WriteOp) string {
+	full := p
 	if msg := compareToFull(inc, fresh, full); msg != "" {
 		return "initial model: " + msg
 	}

@@ -1,10 +1,18 @@
 package differential
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/compile"
 	"repro/internal/datalog"
+	"repro/internal/lattice"
+	"repro/internal/multilog"
+	"repro/internal/resource"
+	"repro/internal/term"
 )
 
 // TestIncrementalCampaign is the standing gate for the maintenance engine:
@@ -66,6 +74,145 @@ func TestIncrementalCampaign(t *testing.T) {
 	t.Logf("rule deltas: %d of %d (%d not stratifiable)", ruleOps, total.Cases, refused)
 	if 4*ruleOps < total.Cases || refused == 0 {
 		t.Errorf("%d of %d deltas change the rule set (%d refused), want ≥ 25%% and some refused", ruleOps, total.Cases, refused)
+	}
+}
+
+// adoptFunc turns a finished model of p into a counting engine.
+type adoptFunc func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error)
+
+func adopt(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
+	return datalog.Adopt(context.Background(), p, model, resource.Limits{})
+}
+
+// adoptDiverges builds p's model in the compiled engine (the interpreter's
+// plain Eval where the compiler declines the program), adopts it and replays
+// the write sequence from the adopted engine: model and counts must be those
+// of NewIncremental before the first delta and after each, and the adopted
+// model — a serving reduction's, in the daemon — must come out untouched.
+func adoptDiverges(p *datalog.Program, writes []WriteOp, adoptWith adoptFunc) string {
+	fresh, err := datalog.NewIncremental(p, nil)
+	if err != nil {
+		return "" // nothing to maintain
+	}
+	model, err := compile.Eval(p, nil)
+	if compile.IsFallback(err) {
+		model, err = datalog.Eval(p, nil)
+	}
+	if err != nil {
+		return fmt.Sprintf("model build failed: %v", err)
+	}
+	before := model.String()
+	inc, err := adoptWith(p, model)
+	if err != nil {
+		return fmt.Sprintf("adoption refused: %v", err)
+	}
+	if msg := replayDiverges(inc, fresh, p, writes); msg != "" {
+		return msg
+	}
+	if model.String() != before {
+		return "the adopted model was written to"
+	}
+	return ""
+}
+
+// TestAdoptionCampaign: support counts are a function of the rules and the
+// finished model, so an engine that adopts the compiled engine's model is the
+// engine NewIncremental builds — on every program of the incremental campaign
+// and of the figure corpus (D1 reduced at every level, with and without the
+// Figure 13 filter), model and Counts() alike — and stays it under the
+// campaign's delta sequences.
+func TestAdoptionCampaign(t *testing.T) {
+	programs, shards := 60, 4
+	if testing.Short() {
+		programs, shards = 16, 2
+	}
+	start := time.Now()
+	var cases []IncrementalCase
+	for s := 0; s < shards; s++ {
+		cases = append(cases, IncrementalCases(int64(1000+s*programs), programs)...)
+	}
+	deltas := 0
+	for _, c := range cases {
+		deltas += len(c.Writes)
+	}
+	for _, u := range []lattice.Label{lattice.Unclassified, lattice.Classified, lattice.Secret} {
+		for _, filter := range []bool{false, true} {
+			red, err := multilog.ReduceOpts(multilog.D1(), u, multilog.Options{Filter: filter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, IncrementalCase{Program: red.Program})
+		}
+	}
+	for i, c := range cases {
+		if msg := adoptDiverges(c.Program, c.Writes, adopt); msg != "" {
+			t.Errorf("case %d (seed %d): an adopted engine diverged from NewIncremental: %s\nprogram:\n%s\nwrites: %s",
+				i, c.Seed, msg, c.Program, renderWrites(c.Writes))
+		}
+	}
+	t.Logf("adoption campaign: %d programs adopted, %d deltas replayed from adopted engines in %v", len(cases), deltas, time.Since(start))
+	if !testing.Short() && deltas < 1300 {
+		t.Errorf("campaign replayed %d deltas, want ≥ 1300", deltas)
+	}
+}
+
+// TestAdoptionCampaignCatchesMutations plants the four ways adoption can go
+// wrong — a model short of a tuple, a model with a tuple too many, a rule the
+// counting pass skips, an adoption that writes to the store it was handed —
+// and requires adoptDiverges to report each; the first two by Adopt's own
+// refusal of a model that is not the program's least.
+func TestAdoptionCampaignCatchesMutations(t *testing.T) {
+	p, err := datalog.Parse(`
+		e(a, b). e(b, c). e(c, d).
+		tc(X, Y) :- e(X, Y).
+		tc(X, Z) :- e(X, Y), tc(Y, Z).
+		far(X) :- tc(a, X), not e(a, X).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := []WriteOp{{Adds: clausesOf(t, "e(d, a).")}, {Dels: clausesOf(t, "e(b, c).")}}
+	if msg := adoptDiverges(p, writes, adopt); msg != "" {
+		t.Fatalf("unmutated adoption diverges: %s", msg)
+	}
+	stray := datalog.NewAtom("far", term.Const("zz")) // feeds no rule: only its own zero counts give it away
+	mutations := map[string]adoptFunc{
+		"dropped tuple": func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
+			short := model.Clone()
+			short.Remove(short.Facts("tc")[0])
+			return adopt(p, short)
+		},
+		"extra tuple": func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
+			long := model.Clone()
+			if _, err := long.Insert(stray); err != nil {
+				return nil, err
+			}
+			return adopt(p, long)
+		},
+		"skipped rule": func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
+			// The pass never fires far's rule; far's tuples are in the model, as
+			// base facts would be, so that only the counts can tell.
+			skip := &datalog.Program{Clauses: p.Clauses[: len(p.Clauses)-1 : len(p.Clauses)-1]}
+			for _, f := range model.Facts("far") {
+				skip.Add(datalog.Fact(f))
+			}
+			return adopt(skip, model)
+		},
+		"source written": func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
+			inc, err := adopt(p, model)
+			if err == nil {
+				_, err = model.Insert(stray)
+			}
+			return inc, err
+		},
+	}
+	for name, mutated := range mutations {
+		msg := adoptDiverges(p, writes, mutated)
+		if msg == "" {
+			t.Errorf("%s: not caught", name)
+		}
+		first, _, _ := strings.Cut(msg, "\n")
+		t.Logf("%s: %s", name, first)
 	}
 }
 

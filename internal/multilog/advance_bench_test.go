@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/multilog"
 	"repro/internal/resource"
 	"repro/internal/workload"
@@ -23,31 +24,40 @@ type writeFixture struct {
 // factWrite is a fresh fact at the bottom level: every clearance sees it.
 var factWrite = fmt.Sprintf("%s[p0(bench_key: a -%s-> bench_value)].", workload.Level(0), workload.Level(0))
 
+const fixtureLevels = 4
+
 func newWriteFixture(tb testing.TB, facts int, clause string) *writeFixture {
 	tb.Helper()
-	const levels = 4
 	db, err := multilog.Parse(workload.ProgramSource(workload.ProgramConfig{
-		Levels: levels, Facts: facts, Rules: 16, Preds: 6, Poly: 0.3, Seed: 1}))
+		Levels: fixtureLevels, Facts: facts, Rules: 16, Preds: 6, Poly: 0.3, Seed: 1}))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	fx := &writeFixture{db: db}
-	for l := 0; l < levels; l++ {
-		red, err := multilog.Reduce(db, workload.Level(l))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := red.Prepare(context.Background(), resource.Limits{}); err != nil {
-			tb.Fatal(err)
-		}
-		fx.reds = append(fx.reds, red)
-	}
+	fx.warm(tb, func(red *multilog.Reduction) error { return red.Prepare(context.Background(), resource.Limits{}) })
 	delta, err := multilog.Parse(clause)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	fx.clause = append(delta.Sigma, delta.Pi...)[0]
 	return fx
+}
+
+// warm replaces the fixture's reductions by fresh ones of its database, one
+// per clearance, each prepared by prepare.
+func (fx *writeFixture) warm(tb testing.TB, prepare func(*multilog.Reduction) error) {
+	tb.Helper()
+	fx.reds = fx.reds[:0]
+	for l := 0; l < fixtureLevels; l++ {
+		red, err := multilog.Reduce(fx.db, workload.Level(l))
+		if err == nil {
+			err = prepare(red)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fx.reds = append(fx.reds, red)
+	}
 }
 
 // advanceFunc carries one warm reduction across a write.
@@ -80,9 +90,9 @@ func (fx *writeFixture) write(tb testing.TB, retract bool, advance advanceFunc) 
 
 // advanceArms are the two ways across a write: advance=delta is the serving
 // path (Advance: the write's clauses translated and applied to a
-// copy-on-write clone of each engine); advance=full is what it replaces when
-// it cannot apply — Reduce and Prepare per clearance — and the reference arm
-// of the bench-smoke allocation gates.
+// copy-on-write clone of each engine); advance=full is the cold-build
+// reference — Reduce and a counting Prepare per clearance, which no write
+// runs any more — and the reference arm of the bench-smoke allocation gates.
 func advanceArms(b *testing.B) []struct {
 	name    string
 	advance advanceFunc
@@ -113,9 +123,12 @@ func advanceArms(b *testing.B) []struct {
 }
 
 // BenchmarkAdvanceFactWrite prices one fact assert plus its retract across
-// four warm clearances.
+// four warm clearances; advance=adopt, the same pair as the first writes
+// after a cold build — every clearance holding the compiled engine's model,
+// which the assert adopts (one counting pass each) before its delta.
 func BenchmarkAdvanceFactWrite(b *testing.B) {
-	for _, arm := range advanceArms(b) {
+	arms := advanceArms(b)
+	for _, arm := range arms {
 		b.Run("advance="+arm.name, func(b *testing.B) {
 			fx := newWriteFixture(b, 2000, factWrite)
 			b.ReportAllocs()
@@ -126,6 +139,21 @@ func BenchmarkAdvanceFactWrite(b *testing.B) {
 			}
 		})
 	}
+	b.Run("advance=adopt", func(b *testing.B) {
+		fx := newWriteFixture(b, 2000, factWrite)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fx.warm(b, func(red *multilog.Reduction) error {
+				_, err := compile.PrepareReduction(context.Background(), red, compile.Options{})
+				return err
+			})
+			b.StartTimer()
+			fx.write(b, false, arms[0].advance)
+			fx.write(b, true, arms[0].advance)
+		}
+	})
 }
 
 // BenchmarkAdvanceRuleWrite prices one rule assert plus its retract across

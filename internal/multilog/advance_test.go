@@ -213,10 +213,10 @@ func TestTranslatedDeltaMatchesProgramDiff(t *testing.T) {
 				// diff of two fresh reductions cannot see.
 				if len(old.preds) == len(freshOld.preds) && len(red.preds) == len(freshNew.preds) {
 					scratch := &Reduction{User: u, Poset: old.Poset, opts: opts, needs: maps.Clone(old.needs), preds: maps.Clone(old.preds)}
-					adds, reason := scratch.translateDelta(added, true)
-					dels, reason2 := scratch.translateDelta(removed, false)
-					if reason != "" || reason2 != "" {
-						t.Fatalf("%s: translation refused: %q %q", what, reason, reason2)
+					adds, _, err := scratch.translateDelta(added, true)
+					dels, _, err2 := scratch.translateDelta(removed, false)
+					if err != nil || err2 != nil {
+						t.Fatalf("%s: translation refused: %v, %v", what, err, err2)
 					}
 					oldBag, newBag := clauseBag(freshOld.Program.Clauses), clauseBag(freshNew.Program.Clauses)
 					if got, want := clauseBag(adds), bagMinus(newBag, oldBag); !reflect.DeepEqual(got, want) {
@@ -323,9 +323,22 @@ func TestAdvanceWriteAboveClearance(t *testing.T) {
 	}
 }
 
-// TestAdvanceReasons pins every way an advance is not incremental, each by
-// name, and that the fallback is a correct full prepare — and that a Σ/Π
-// write of a rule, or of a predicate's first mention, is not one of them.
+// evalModel is the reduced program's minimal model as a plain evaluator
+// builds it: no engine, no support counts — what InstallPrepared is handed.
+func evalModel(t *testing.T, r *Reduction) *datalog.Store {
+	t.Helper()
+	m, err := datalog.Eval(r.Program, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestAdvanceReasons pins what an advance is: a patch of the old model — a
+// written rule or a predicate's first mention included, an installed model
+// adopted first — or an error that names its reason and leaves old serving.
+// Nothing is rebuilt; only AdvanceFrom, handed a pair no delta relates,
+// prepares from scratch.
 func TestAdvanceReasons(t *testing.T) {
 	ctx := context.Background()
 	db, err := Parse(`
@@ -355,7 +368,7 @@ func TestAdvanceReasons(t *testing.T) {
 	// axioms with it, as added rules of the same delta.
 	next, added := write("l0[fresh(k1: a -l0-> v1)].")
 	red, rep, err := base.Advance(ctx, next, added, nil, resource.Limits{})
-	if err != nil || !rep.Incremental || rep.RulesAdded == 0 {
+	if err != nil || !rep.Incremental || rep.Adopted || rep.RulesAdded == 0 {
 		t.Fatalf("new predicate: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "new predicate", red, next, "l1")
@@ -378,25 +391,56 @@ func TestAdvanceReasons(t *testing.T) {
 	// A written rule is a delta too: its one instance at this clearance, and
 	// the axioms of r, which it mentions first — per level one for fir and,
 	// per dominated level, one for opt and two for cau: 4 at l0, 7 at l1.
-	next, added = write("l1[r(K: c -l1-> V)] :- l0[p(K: a -C-> V)] << fir.")
-	red, rep, err = base.Advance(ctx, next, added, nil, resource.Limits{})
+	ruleDB, rule := write("l1[r(K: c -l1-> V)] :- l0[p(K: a -C-> V)] << fir.")
+	red, rep, err = base.Advance(ctx, ruleDB, rule, nil, resource.Limits{})
 	if err != nil || !rep.Incremental || rep.RulesAdded != 1+4+7 || rep.Added != 5 {
 		t.Fatalf("rule write: %+v, %v", rep, err)
 	}
-	sameAsFresh(t, "rule write", red, next, "l1")
-	back, rep, err := red.Advance(ctx, db, nil, added, resource.Limits{})
+	sameAsFresh(t, "rule write", red, ruleDB, "l1")
+	back, rep, err := red.Advance(ctx, db, nil, rule, resource.Limits{})
 	if err != nil || !rep.Incremental || rep.RulesRemoved != 1 || rep.Deleted != 5 {
 		t.Fatalf("rule retract: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "rule retract", back, db, "l1")
 
+	// An installed model has no counts: the first advance adopts it — the same
+	// rule write, the same result, counts included — and leaves it as it was;
+	// the advanced reduction has its engine and adopts nothing again.
+	installed := mustReduce(t, db, "l1")
+	installed.InstallPrepared(evalModel(t, installed))
+	red, rep, err = installed.Advance(ctx, ruleDB, rule, nil, resource.Limits{})
+	if err != nil || !rep.Incremental || !rep.Adopted || rep.RulesAdded != 1+4+7 || rep.Added != 5 {
+		t.Fatalf("installed old reduction: %+v, %v", rep, err)
+	}
+	sameAsFresh(t, "advance from an installed model", red, ruleDB, "l1")
+	if installed.inc != nil || installed.Counts() != nil || modelString(t, installed) != modelString(t, base) {
+		t.Fatal("adoption wrote to the reduction it adopted from")
+	}
+	if _, rep, err = red.Advance(ctx, db, nil, rule, resource.Limits{}); err != nil || rep.Adopted {
+		t.Fatalf("advance from an adopted engine: %+v, %v", rep, err)
+	}
+	// A write that translates to nothing has nothing to count for.
+	same, rep, err := installed.Advance(ctx, db, nil, nil, resource.Limits{})
+	if err != nil || !rep.Incremental || rep.Adopted || same.model != installed.model || same.inc != nil {
+		t.Fatalf("empty advance from an installed model: %+v, %v", rep, err)
+	}
+	// A model that is not the program's is refused, not served.
+	short := mustReduce(t, db, "l1")
+	m := evalModel(t, short)
+	m.Remove(m.Facts(relPred("p", "l0"))[0])
+	short.InstallPrepared(m)
+	if _, rep, err = short.Advance(ctx, ruleDB, rule, nil, resource.Limits{}); err == nil || rep.Reason != ReasonDeltaFailed {
+		t.Fatalf("advance from a model missing a fact: %+v, %v", rep, err)
+	}
+
 	// What no clause delta expresses is still a rule change: another
-	// clearance, other options, another lattice.
-	wider := db.Clone()
+	// clearance, other options, another lattice. AdvanceFrom prepares those
+	// from scratch; Advance, handed a Λ clause, refuses.
 	lam, err := Parse("level(l2). order(l1, l2).")
 	if err != nil {
 		t.Fatal(err)
 	}
+	wider := db.Clone()
 	for _, c := range lam.Lambda {
 		if err := wider.AddClause(c); err != nil {
 			t.Fatal(err)
@@ -413,35 +457,32 @@ func TestAdvanceReasons(t *testing.T) {
 		sameAsFresh(t, "another "+name, other, other.DB, other.User)
 	}
 
-	next, added = write("l0[p(K: a -l0-> v1)].")
-	if _, rep, _ = base.Advance(ctx, next, added, nil, resource.Limits{}); rep.Incremental || rep.Reason != ReasonNonGround {
-		t.Fatalf("non-ground fact: %+v", rep)
+	// The refusals: each an error, a reason, no reduction — and none rebuilt.
+	unstratifiable := mustSigmaFact(t, "l0[p(K: a -l0-> V)] :- l0[p(K: a -C-> V)] << cau.")
+	for _, tc := range []struct {
+		name  string
+		old   *Reduction
+		added []Clause
+		want  Refusal
+	}{
+		{"Λ clause", base, lam.Lambda, ReasonRuleChange},
+		{"non-ground fact", base, []Clause{mustSigmaFact(t, "l0[p(K: a -l0-> v1)].")}, ReasonNonGround},
+		{"unstratifiable rule", base, []Clause{unstratifiable}, ReasonDeltaFailed},
+		{"unstratifiable rule on an installed model", installed, []Clause{unstratifiable}, ReasonDeltaFailed},
+		{"inadmissible level", base, []Clause{mustSigmaFact(t, "nolevel[p(k3: a -nolevel-> v3)].")}, ReasonDeltaFailed},
+		{"never-prepared old reduction", mustReduce(t, db, "l1"), []Clause{mustSigmaFact(t, "l0[p(k2: a -l0-> v2)].")}, ReasonOldNotIncremental},
+	} {
+		next := db.Clone()
+		next.Sigma = append(next.Sigma, tc.added...) // unchecked: some of these no database admits
+		red, rep, err := tc.old.Advance(ctx, next, tc.added, nil, resource.Limits{})
+		if err == nil || red != nil || rep.Incremental || rep.Reason != tc.want {
+			t.Fatalf("%s: reduction %v, %+v, %v; want an error for %q", tc.name, red != nil, rep, err, tc.want)
+		}
 	}
-
-	next, added = write("l0[p(k2: a -l0-> v2)].")
-	unprepared := mustReduce(t, db, "l1")
-	red, rep, err = unprepared.Advance(ctx, next, added, nil, resource.Limits{})
-	if err != nil || rep.Incremental || rep.Reason != ReasonOldNotIncremental {
-		t.Fatalf("unprepared old reduction: %+v, %v", rep, err)
+	sameAsFresh(t, "source after refused advances", base, db, "l1")
+	if installed.inc != nil || modelString(t, installed) != modelString(t, base) {
+		t.Fatal("a refused advance wrote to the installed reduction")
 	}
-	sameAsFresh(t, "unprepared old reduction", red, next, "l1")
-	installed := mustReduce(t, db, "l1")
-	installed.InstallPrepared(base.model)
-	if _, rep, err = installed.Advance(ctx, next, added, nil, resource.Limits{}); err != nil || rep.Reason != ReasonOldNotIncremental {
-		t.Fatalf("compiled old reduction: %+v, %v", rep, err)
-	}
-
-	// A delta that cannot be translated goes to the full path, which reports
-	// what is wrong with it.
-	bad := mustSigmaFact(t, "nolevel[p(k3: a -nolevel-> v3)].")
-	next = db.Clone()
-	if err := next.AddClause(bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, rep, err = base.Advance(ctx, next, []Clause{bad}, nil, resource.Limits{}); err == nil || rep.Reason != ReasonDeltaFailed {
-		t.Fatalf("inadmissible fact: %+v, %v", rep, err)
-	}
-	sameAsFresh(t, "source after a failed advance", base, db, "l1")
 }
 
 // TestCloneCarriesPoset: Λ is fixed across Σ/Π writes, so a clone shares the
@@ -485,13 +526,25 @@ func TestCloneCarriesPoset(t *testing.T) {
 // of rule writes (Σ rules whose body beliefs write needs, a predicate's first
 // mention that writes preds and brings axioms, their retracts) advances from
 // it, and a sibling chain of fact writes advances from it too. The source's
-// answers, Program, registered predicates, belief needs, dependency edges and
-// counts are afterwards what they were.
+// answers, Program, registered predicates, belief needs, dependency edges,
+// model and counts are afterwards what they were — whether it holds a
+// counting engine of its own or an installed model each chain's first write
+// adopts.
 func TestRuleAdvanceLeavesSourceServing(t *testing.T) {
+	for _, installed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("installed=%v", installed), func(t *testing.T) { ruleAdvanceLeavesSourceServing(t, installed) })
+	}
+}
+
+func ruleAdvanceLeavesSourceServing(t *testing.T, installed bool) {
 	ctx := context.Background()
 	db, levels := randomDatabase(rand.New(rand.NewSource(77)))
 	top := levels[len(levels)-1]
 	src := freshPrepared(t, db, top)
+	if installed {
+		src = mustReduce(t, db, top)
+		src.InstallPrepared(evalModel(t, src))
+	}
 	queries := []Query{mustGoals(t, "L[p0(K: a -C-> V)] << cau"), mustGoals(t, "L[p1(K: b -C-> V)] << opt"), mustGoals(t, "h(X)")}
 	answers := func() string {
 		var out []string
@@ -506,7 +559,7 @@ func TestRuleAdvanceLeavesSourceServing(t *testing.T) {
 	}
 	want := answers()
 	wantPreds, wantNeeds, wantDeps := maps.Clone(src.preds), maps.Clone(src.needs), maps.Clone(src.deps)
-	wantProgram, wantCounts := clauseBag(src.Program.Clauses), src.Counts()
+	wantProgram, wantCounts, wantModel := clauseBag(src.Program.Clauses), src.Counts(), src.model.String()
 
 	// chain advances from src through writes, asserting each and retracting
 	// every other one again, and checks the end against a fresh prepare. Only
@@ -551,7 +604,7 @@ func TestRuleAdvanceLeavesSourceServing(t *testing.T) {
 				if red == src {
 					fromSrc.Unlock()
 				}
-				if err != nil || !rep.Incremental {
+				if err != nil || !rep.Incremental || rep.Adopted != (installed && red == src) {
 					t.Errorf("%s: %s (retract=%v): %+v, %v", what, w, retract, rep, err)
 					return
 				}
@@ -607,7 +660,8 @@ func TestRuleAdvanceLeavesSourceServing(t *testing.T) {
 	if !reflect.DeepEqual(src.preds, wantPreds) || !reflect.DeepEqual(src.needs, wantNeeds) || !reflect.DeepEqual(src.deps, wantDeps) {
 		t.Error("an advance wrote to its source's preds, needs or deps")
 	}
-	if !reflect.DeepEqual(clauseBag(src.Program.Clauses), wantProgram) || !reflect.DeepEqual(src.Counts(), wantCounts) {
-		t.Error("an advance wrote to its source's Program or counts")
+	if !reflect.DeepEqual(clauseBag(src.Program.Clauses), wantProgram) || !reflect.DeepEqual(src.Counts(), wantCounts) ||
+		src.model.String() != wantModel || (installed && src.inc != nil) {
+		t.Error("an advance wrote to its source's Program, model or counts")
 	}
 }

@@ -1,18 +1,19 @@
 package multilog
 
-// Incremental maintenance of prepared reductions. A reduction prepared via
-// Prepare owns a counting-based incremental engine over its translated
-// program; when the underlying database changes by Σ/Π clauses — facts or
-// rules — the next reduction is advanced from the old one: the written
-// clauses are translated and applied as a clause delta to a copy-on-write
-// clone of that engine (Advance, AdvanceFrom), instead of re-reducing the
-// database and re-deriving the fixpoint from scratch. QueryDeps and
-// ImpactGraph expose the translated dependency structure so callers (the
-// server's result cache) can invalidate only what a write could actually
-// reach.
+// Incremental maintenance of prepared reductions. When the underlying
+// database changes by Σ/Π clauses — facts or rules — the next reduction is
+// advanced from the old one: the written clauses are translated and applied
+// as a clause delta to a copy-on-write clone of the old reduction's counting
+// engine (Advance, AdvanceFrom), instead of re-reducing the database and
+// re-deriving the fixpoint from scratch. A reduction whose model another
+// engine built (InstallPrepared) gets that engine at its first advance, by one
+// counting pass over the model (datalog.Adopt). QueryDeps and ImpactGraph
+// expose the translated dependency structure so callers (the server's result
+// cache) can invalidate only what a write could actually reach.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -24,36 +25,36 @@ import (
 	"repro/internal/term"
 )
 
-// FullReason says why an advance re-derived the model from scratch instead of
-// patching the old one; a Σ/Π write as such never is one. Zero: it did not.
-type FullReason string
+// Refusal names why a reduction could not be advanced by a delta; a Σ/Π write
+// to a prepared reduction as such never is one. Zero: it was advanced.
+type Refusal string
 
 const (
-	// ReasonOldNotIncremental: there is no old engine to patch — no old
-	// reduction, one never prepared, or one prepared by the compiled engine
-	// (InstallPrepared), which keeps no support counts.
-	ReasonOldNotIncremental FullReason = "old-not-incremental"
+	// ReasonOldNotIncremental: there is no old model to patch — no old
+	// reduction, or one never prepared.
+	ReasonOldNotIncremental Refusal = "old-not-incremental"
 	// ReasonRuleChange: the two reductions differ in what no clause delta
 	// expresses — the lattice Λ, the clearance or the options (AdvanceFrom
 	// can be handed such a pair; a server write cannot make one).
-	ReasonRuleChange FullReason = "rule-change"
+	ReasonRuleChange Refusal = "rule-change"
 	// ReasonNonGround: a written fact is not ground after level grounding.
-	ReasonNonGround FullReason = "non-ground"
-	// ReasonDeltaFailed: translating or applying the delta failed (resource
-	// limits, cancellation, an inadmissible level, a rule set that no longer
-	// stratifies); the full path re-runs under the same bounds and reports
-	// the error if it persists.
-	ReasonDeltaFailed FullReason = "delta-failed"
+	ReasonNonGround Refusal = "non-ground"
+	// ReasonDeltaFailed: adopting the model, translating the delta or applying
+	// it failed (resource limits, cancellation, an inadmissible level, a rule
+	// set that no longer stratifies); the error says which.
+	ReasonDeltaFailed Refusal = "delta-failed"
 )
 
 // DeltaReport describes how an advance prepared a reduction.
 type DeltaReport struct {
-	// Incremental is true when the old engine was patched. False means a
-	// full Prepare ran, for Reason; ChangedPreds is then nil and callers
-	// must assume every predicate may have changed.
+	// Incremental is true when the old model was patched. False means it was
+	// not, for Reason: Advance then returns an error, AdvanceFrom has run a
+	// full Prepare and every predicate may have changed.
 	Incremental bool
 	// Reason is set exactly when Incremental is false.
-	Reason FullReason
+	Reason Refusal
+	// Adopted: the advance began by counting an installed model's support.
+	Adopted bool
 	// ChangedPreds lists the translated predicates whose derived tuple sets
 	// actually changed, sorted. Empty with Incremental=true means the write
 	// was a semantic no-op.
@@ -67,84 +68,51 @@ type DeltaReport struct {
 
 // Advance returns the prepared reduction, at old's clearance and options, of
 // db — which must be old.DB with the clauses of removed taken out and those
-// of added put in. The written Σ/Π clauses, facts and rules alike, are
+// of added put in — or an error, the report naming the reason; it never
+// re-derives a model. The written Σ/Π clauses, facts and rules alike, are
 // translated at this clearance (the translation of a clause depends on
 // nothing but the clause, the lattice and the clearance) and applied as a
-// clause delta to a copy-on-write clone of old's engine: the cost is what the
-// clauses derive and the relations that touches, not the database. Only what
-// FullReason lists is a full Reduce + Prepare of db. old is never mutated and
-// keeps serving QueryPrepared calls throughout; two advances from the same
-// old must not run at once (Store.Clone), which the server's update lock
+// clause delta to a copy-on-write clone of old's engine, under limits: the
+// cost is what the clauses derive and the relations that touches, not the
+// database — plus, when old's model was installed and not yet counted, one
+// enumeration of the rules over it. A write that translates to nothing shares
+// old's engine and model as they are. old is never mutated — what the
+// translation writes, needs and preds, are the next reduction's own copies —
+// and keeps serving QueryPrepared calls throughout; two advances from the
+// same old must not run at once (Store.Clone), which the server's update lock
 // sees to.
 func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed []Clause, limits resource.Limits) (*Reduction, DeltaReport, error) {
-	r, rep := old.advance(ctx, added, removed)
-	if !rep.Incremental {
-		r, err := ReduceOpts(db, old.User, old.opts)
-		if err != nil {
-			return nil, rep, err
-		}
-		return r, rep, r.Prepare(ctx, limits)
+	refuse := func(reason Refusal, err error) (*Reduction, DeltaReport, error) {
+		return nil, DeltaReport{Reason: reason}, fmt.Errorf("multilog: advance refused (%s): %w", reason, err)
 	}
-	r.DB = db
-	return r, rep, nil
-}
-
-// AdvanceFrom prepares r, a fresh reduction of a later version of old's
-// database, by the same delta path as Advance: the clause-level difference
-// between old.DB and r.DB is found structurally and handed to the one core,
-// and r becomes what Advance would have returned. r itself serves concurrent
-// readers only after AdvanceFrom returns.
-func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits resource.Limits) (DeltaReport, error) {
-	rep := DeltaReport{Reason: ReasonOldNotIncremental}
-	if old != nil {
-		added, removed := diffClauses(old.DB.Sigma, r.DB.Sigma)
-		piAdded, piRemoved := diffClauses(old.DB.Pi, r.DB.Pi)
-		lamAdded, lamRemoved := diffClauses(old.DB.Lambda, r.DB.Lambda)
-		if len(lamAdded)+len(lamRemoved) > 0 || old.User != r.User || old.opts != r.opts {
-			rep.Reason = ReasonRuleChange
-		} else {
-			var next *Reduction
-			if next, rep = old.advance(ctx, append(added, piAdded...), append(removed, piRemoved...)); rep.Incremental {
-				next.DB = r.DB
-				*r = *next
-			}
-		}
+	if old.model == nil {
+		return refuse(ReasonOldNotIncremental, errors.New("the old reduction was never prepared"))
 	}
-	if !rep.Incremental {
-		return rep, r.Prepare(ctx, limits)
-	}
-	return rep, nil
-}
-
-// advance is the delta core: it translates a Σ/Π write at old's clearance
-// and applies it to a clone of old's engine, returning the next reduction
-// (its DB left to the caller), or a report naming why it cannot. What the
-// translation writes, needs and preds, are the next reduction's own copies:
-// old is serving. A write that translates to nothing shares old's engine.
-func (old *Reduction) advance(ctx context.Context, added, removed []Clause) (*Reduction, DeltaReport) {
-	if old.inc == nil {
-		return nil, DeltaReport{Reason: ReasonOldNotIncremental}
-	}
-	r := &Reduction{User: old.User, Poset: old.Poset, opts: old.opts,
+	r := &Reduction{DB: db, User: old.User, Poset: old.Poset, opts: old.opts,
 		needs: maps.Clone(old.needs), preds: maps.Clone(old.preds)}
+	adds, reason, err := r.translateDelta(added, true)
 	var dels []datalog.Clause
-	adds, reason := r.translateDelta(added, true)
-	if reason == "" {
-		dels, reason = r.translateDelta(removed, false)
+	if err == nil {
+		dels, reason, err = r.translateDelta(removed, false)
 	}
-	if reason != "" {
-		return nil, DeltaReport{Reason: reason}
+	if err != nil {
+		return refuse(reason, err)
 	}
 	rep := DeltaReport{Incremental: true}
 	// The Program is a copy even when nothing changed: RequireBelief appends.
-	r.Program, r.inc, r.deps = patchProgram(old.Program, adds, dels), old.inc, old.deps
+	r.Program, r.inc, r.model, r.deps = patchProgram(old.Program, adds, dels), old.inc, old.model, old.deps
 	if len(adds)+len(dels) > 0 {
-		r.inc = old.inc.Clone()
+		if old.inc != nil {
+			r.inc = old.inc.Clone()
+			r.inc.Limits = limits
+		} else if r.inc, err = datalog.Adopt(ctx, old.Program, old.model, limits); err != nil {
+			return refuse(ReasonDeltaFailed, err)
+		} else {
+			rep.Adopted = true
+		}
 		res, err := r.inc.ApplyClauses(ctx, adds, dels)
 		if err != nil {
-			// The clone is discarded; the caller rebuilds from scratch under
-			// the same limits.
-			return nil, DeltaReport{Reason: ReasonDeltaFailed}
+			return refuse(ReasonDeltaFailed, err) // the clone is discarded
 		}
 		rep.ChangedPreds = res.ChangedPreds()
 		for _, pd := range res.Changed {
@@ -155,9 +123,35 @@ func (old *Reduction) advance(ctx context.Context, added, removed []Clause) (*Re
 		if rep.RulesAdded+rep.RulesRemoved > 0 {
 			r.deps = dependencyEdges(r.Program)
 		}
+		r.model = r.inc.Model()
 	}
-	r.model = r.inc.Model()
-	return r, rep
+	return r, rep, nil
+}
+
+// AdvanceFrom prepares r, a fresh reduction of a later version of old's
+// database, by way of Advance: the clause-level difference between old.DB and
+// r.DB is found structurally, and r becomes what Advance returns for it;
+// where Advance would refuse, r is prepared from scratch and the report names
+// the reason. r itself serves concurrent readers only after AdvanceFrom
+// returns.
+func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits resource.Limits) (DeltaReport, error) {
+	rep := DeltaReport{Reason: ReasonOldNotIncremental}
+	if old != nil {
+		added, removed := diffClauses(old.DB.Sigma, r.DB.Sigma)
+		piAdded, piRemoved := diffClauses(old.DB.Pi, r.DB.Pi)
+		lamAdded, lamRemoved := diffClauses(old.DB.Lambda, r.DB.Lambda)
+		if len(lamAdded)+len(lamRemoved) > 0 || old.User != r.User || old.opts != r.opts {
+			rep.Reason = ReasonRuleChange
+		} else {
+			var next *Reduction
+			var err error
+			if next, rep, err = old.Advance(ctx, r.DB, append(added, piAdded...), append(removed, piRemoved...), limits); err == nil {
+				*r = *next
+				return rep, nil
+			}
+		}
+	}
+	return rep, r.Prepare(ctx, limits)
 }
 
 // translateDelta maps written Σ/Π clauses to the clauses, facts and rules,
@@ -166,11 +160,11 @@ func (old *Reduction) advance(ctx context.Context, added, removed []Clause) (*Re
 // brings that predicate's axioms along (emitPredAxioms); a retract never
 // unregisters one, so a predicate whose last mention is gone keeps its
 // axioms, which derive nothing. It writes r.needs, r.preds and r.Program.
-func (r *Reduction) translateDelta(cs []Clause, register bool) ([]datalog.Clause, FullReason) {
+func (r *Reduction) translateDelta(cs []Clause, register bool) ([]datalog.Clause, Refusal, error) {
 	r.Program = &datalog.Program{}
 	for _, c := range cs {
 		if c.Head.Kind != GoalM && c.Head.Kind != GoalP {
-			return nil, ReasonRuleChange // Λ clauses change the lattice
+			return nil, ReasonRuleChange, fmt.Errorf("%s changes the lattice Λ", c)
 		}
 		for _, g := range append([]Goal{c.Head}, c.Body...) {
 			if register && (g.Kind == GoalM || g.Kind == GoalB) && !r.preds[g.M.Pred] {
@@ -179,15 +173,15 @@ func (r *Reduction) translateDelta(cs []Clause, register bool) ([]datalog.Clause
 			}
 		}
 		if err := r.translateClause(c); err != nil {
-			return nil, ReasonDeltaFailed
+			return nil, ReasonDeltaFailed, err
 		}
 	}
 	for _, dc := range r.Program.Clauses {
 		if dc.IsFact() && !dc.Head.IsGround() {
-			return nil, ReasonNonGround
+			return nil, ReasonNonGround, fmt.Errorf("fact %s is not ground", dc)
 		}
 	}
-	return r.Program.Clauses, ""
+	return r.Program.Clauses, "", nil
 }
 
 // diffClauses returns a clause-level difference between two versions of one
@@ -234,28 +228,6 @@ func (r *Reduction) Counts() map[string]datalog.TupleCount {
 		return nil
 	}
 	return r.inc.Counts()
-}
-
-// RulePreds returns the translated predicates the reduced program's rules
-// mention, in first-occurrence order — what a compiled plan of it is filed
-// under. The lattice's own predicates are left out: every reduction of every
-// database has dominate, level and order, so they tell no two programs'
-// plans apart. Fact clauses are not visited.
-func (r *Reduction) RulePreds() []string {
-	seen := map[string]bool{predDominate: true, predLevel: true, predOrder: true}
-	var out []string
-	for _, c := range r.Program.Clauses {
-		if c.IsFact() {
-			continue
-		}
-		for _, l := range append([]datalog.Literal{{Atom: c.Head}}, c.Body...) {
-			if p := l.Atom.Pred; !seen[p] && !l.Atom.IsBuiltin() {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	return out
 }
 
 // dependencyEdges builds the head-to-body predicate edges of a program,

@@ -94,15 +94,15 @@ func (r *Reduction) QueryContext(ctx context.Context, q Query, limits resource.L
 // reduction can afterwards serve any number of concurrent QueryPrepared
 // calls without further mutation. It returns an error — and leaves the
 // reduction unprepared — when ctx or limits cut the model construction
-// short. Call it once, before publishing the reduction to other goroutines.
+// short. Call it once, before publishing the reduction to other goroutines;
+// on a reduction that already holds its model it does nothing.
 //
-// Prepare builds the model through a counting-based incremental engine
-// (datalog.Incremental) rather than a one-shot Eval: a prepared reduction can
-// afterwards be advanced under fact deltas (Advance, AdvanceFrom) instead of
-// being re-derived from scratch. The extra cost over a plain Eval is one
-// full enumeration of the rules to seed derivation counts.
+// The model is built through a counting engine (datalog.Incremental) rather
+// than a one-shot Eval — one more enumeration of the rules, to seed the
+// support counts the first clause delta (Advance, AdvanceFrom) patches.
 func (r *Reduction) Prepare(ctx context.Context, limits resource.Limits) error {
-	if r.inc != nil || r.compiled {
+	if r.model != nil {
+		r.InstallPrepared(r.model)
 		return nil
 	}
 	inc, err := datalog.NewIncrementalContext(ctx, r.Program, nil, limits)
@@ -110,22 +110,20 @@ func (r *Reduction) Prepare(ctx context.Context, limits resource.Limits) error {
 		return fmt.Errorf("multilog: reduced program: %w", err)
 	}
 	r.inc = inc
-	r.model = inc.Model()
-	r.deps = dependencyEdges(r.Program)
+	r.InstallPrepared(inc.Model())
 	return nil
 }
 
 // InstallPrepared installs an externally materialized minimal model of the
 // reduced program — the compiled engine's output (internal/compile) — and
-// marks the reduction prepared, so QueryPrepared serves it exactly as if
+// with it the reduction is prepared: QueryPrepared serves it exactly as if
 // Prepare had built it. The caller guarantees the model is the complete
 // lfp of r.Program; installing a partial model would silently drop answers.
-// A reduction prepared this way has no incremental engine: advancing from
-// it falls back to a full Prepare (ReasonOldNotIncremental), and callers on
-// the compiled path advance by re-running the (cached) plan instead.
+// The model comes without support counts: the first advance from the
+// reduction seeds them with one pass over it (datalog.Adopt), which a
+// reduction that is only ever read never pays.
 func (r *Reduction) InstallPrepared(model *datalog.Store) {
 	r.model = model
-	r.compiled = true
 	if r.deps == nil {
 		r.deps = dependencyEdges(r.Program)
 	}

@@ -56,13 +56,12 @@ type Reduction struct {
 	// QueryContext) matching steps. Valid whether or not the call completed.
 	LastStats resource.Stats
 
-	model    *datalog.Store       // cached by Model()
-	inc      *datalog.Incremental // built by Prepare; owns model on the prepared path
-	compiled bool                 // model installed by InstallPrepared (compiled engine)
-	deps     map[string][]string  // head pred -> body preds, built by Prepare
-	needs    map[belNeed]bool
-	preds    map[string]bool // MultiLog predicate names seen in Σ and queries
-	opts     Options
+	model *datalog.Store       // the minimal model, once built or installed: the reduction is prepared
+	inc   *datalog.Incremental // model's counting engine: built by Prepare or by the first advance, nil before
+	deps  map[string][]string  // head pred -> body preds, built with the model
+	needs map[belNeed]bool
+	preds map[string]bool // MultiLog predicate names seen in Σ and queries
+	opts  Options
 }
 
 type belNeed struct {

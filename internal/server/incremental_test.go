@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/multilog"
 	"repro/internal/resource"
@@ -157,13 +159,22 @@ func TestCachePrecisionObservesWrites(t *testing.T) {
 	}
 }
 
+// fourLevelProgram is precisionProgram under a four-level chain: one warm
+// reduction per clearance for a first write to carry.
+const fourLevelProgram = precisionProgram + `
+	level(l2). level(l3). order(l1, l2). order(l2, l3).
+`
+
 // TestServerAssertRetractMetamorphic is the write-path no-op property end to
-// end, for a fact, a Σ rule and a Π rule alike: asserting the clause and
-// retracting it leaves the database source byte-identical, every probe
-// query's answers byte-identical across all three belief modes and every
-// clearance, and every warm reduction's support counts identical; and in
-// between, the answers are those of a server cold-started on the program the
-// write produced.
+// end, for a fact, a Σ rule and a Π rule alike, each as the first write after
+// cold queries at four clearances — the write that finds compiled models and
+// adopts them: every warm reduction is advanced, none dropped; asserting the
+// clause and retracting it leaves the database source byte-identical, every
+// probe query's answers, across all three belief modes and every clearance,
+// byte-identical to what the compiled models answered, and every warm
+// reduction's support counts those of a fresh build; and in between, the
+// answers are those of a server cold-started on the program the write
+// produced.
 func TestServerAssertRetractMetamorphic(t *testing.T) {
 	probes := []string{
 		"L[emp(K: salary -C-> V)]",
@@ -173,21 +184,15 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 		"L[bonus(K: due -C-> V)]",
 		"senior(X)",
 	}
-	type view struct{ clearance, mode string }
-	var views []view
-	for _, cl := range []string{"l0", "l1"} {
-		for _, m := range []string{"fir", "opt", "cau"} {
-			views = append(views, view{cl, m})
-		}
-	}
+	clearances := []string{"l0", "l1", "l2", "l3"}
 	collect := func(s *Server) map[string][][]map[string]string {
 		out := map[string][][]map[string]string{}
-		for _, v := range views {
-			sess := openSess(t, s, v.clearance, v.mode)
-			key := v.clearance + "/" + v.mode
-			for _, q := range probes {
-				resp := runQuery(t, s, sess, q)
-				out[key] = append(out[key], resp.Answers)
+		for _, cl := range clearances {
+			for _, m := range []string{"fir", "opt", "cau"} {
+				sess := openSess(t, s, cl, m)
+				for _, q := range probes {
+					out[cl+"/"+m] = append(out[cl+"/"+m], runQuery(t, s, sess, q).Answers)
+				}
 			}
 		}
 		return out
@@ -197,37 +202,56 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 		"l1[bonus(K: due -l1-> V)] :- L[emp(K: salary -C-> V)] << cau.",
 		"senior(X) :- level(X), order(Y, X).",
 	} {
-		s := newIncServer(t, Config{})
+		s := New(Config{})
+		if err := s.Load("test", fourLevelProgram); err != nil {
+			t.Fatal(err)
+		}
 		prog, err := s.program("test")
 		if err != nil {
 			t.Fatal(err)
 		}
 		dbSource := func() string { return prog.current().db.String() }
-		counts := func() map[string]any {
+		// counts are the warm reductions' support counts; fresh, those of a
+		// from-scratch counting build of the current database at each clearance.
+		counts := func(fresh bool) map[string]any {
 			snap, out := prog.current(), map[string]any{}
 			snap.redMu.RLock()
 			defer snap.redMu.RUnlock()
 			for u, red := range snap.reductions {
+				if fresh {
+					var err error
+					if red, err = multilog.Reduce(snap.db, u); err == nil {
+						err = red.Prepare(context.Background(), resource.Limits{})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
 				out[string(u)] = red.Counts()
 			}
 			return out
 		}
-		writer := openSess(t, s, "l1", "")
-		// One write first, so the clearances the probes warm are held by the
-		// counting engine and not by a compiled model, which has no counts.
-		collect(s)
-		runUpdate(t, s, writer, "l0[dept(ops: head -l0-> bob)].", false)
-		baseSrc, baseAnswers, baseCounts := dbSource(), collect(s), counts()
-		if len(baseCounts) != 2 {
-			t.Fatalf("%s: %d warm reductions with counts, want 2", clause, len(baseCounts))
+		advances := func(step string, incremental, adopted int64) {
+			t.Helper()
+			if st := s.Stats().Databases["test"]; st.AdvanceIncremental != incremental || st.AdvanceAdopted != adopted || len(st.AdvanceDropped) != 0 {
+				t.Fatalf("%s: %s: %s, want %d incremental of which %d adopted and none dropped",
+					clause, step, st.AdvanceTally, incremental, adopted)
+			}
 		}
+		writer := openSess(t, s, "l3", "")
+		baseSrc, baseAnswers := dbSource(), collect(s)
+		advances("cold", 0, 0)
 
 		if up := runUpdate(t, s, writer, clause, false); up.Changed != 1 {
 			t.Fatalf("%s: assert changed %d clauses, want 1", clause, up.Changed)
 		}
+		advances("first write", 4, 4)
 		midAnswers := collect(s)
 		if reflect.DeepEqual(baseAnswers, midAnswers) {
 			t.Fatalf("%s: assert was not observable through the probes", clause)
+		}
+		if got, want := counts(false), counts(true); len(got) != 4 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: support counts after adoption and the write differ from a fresh build's", clause)
 		}
 		cold := New(Config{})
 		if err := cold.Load("test", dbSource()); err != nil {
@@ -239,6 +263,7 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 		if up := runUpdate(t, s, writer, clause, true); up.Changed != 1 {
 			t.Fatalf("%s: retract changed %d clauses, want 1", clause, up.Changed)
 		}
+		advances("retract", 8, 4)
 
 		if got := dbSource(); got != baseSrc {
 			t.Errorf("%s: assert-then-retract changed the database source\ngot:\n%s\nwant:\n%s", clause, got, baseSrc)
@@ -247,12 +272,9 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 			t.Errorf("%s: assert-then-retract changed probe answers across modes/clearances", clause)
 		}
 		// bonus is new to Σ: its inert axioms stay behind and derive nothing,
-		// so the counts are those of before all the same.
-		if got := counts(); !reflect.DeepEqual(got, baseCounts) {
-			t.Errorf("%s: assert-then-retract changed support counts", clause)
-		}
-		if st := s.Stats().Databases["test"]; len(st.AdvanceFull) != 1 || st.AdvanceFull["old-not-incremental"] != 2 {
-			t.Errorf("%s: a write rebuilt a warm reduction: %+v", clause, st)
+		// so the counts are a fresh build's all the same.
+		if got, want := counts(false), counts(true); len(got) != 4 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: assert-then-retract left support counts a fresh build does not have", clause)
 		}
 	}
 }
@@ -363,7 +385,7 @@ func TestCancelledWriteLeavesNothingBehind(t *testing.T) {
 		t.Fatalf("a cancelled write left a trace: snapshot changed=%v, WAL appends %d → %d, updates %d",
 			prog.current() != before, appended, s.Stats().Durability.Appended, prog.updates.Load())
 	}
-	if st := s.Stats().Databases["test"]; st.AdvanceIncremental != 0 || len(st.AdvanceFull) != 0 {
+	if st := s.Stats().Databases["test"]; st.AdvanceIncremental != 0 || st.AdvanceAdopted != 0 || len(st.AdvanceDropped) != 0 {
 		t.Fatalf("a cancelled write was counted as an advance: %+v", st)
 	}
 
@@ -375,37 +397,42 @@ func TestCancelledWriteLeavesNothingBehind(t *testing.T) {
 }
 
 // TestAdvanceReasonsOnStats: /v1/stats says, per database, how committed
-// writes carried the warm reductions forward — patched, or rebuilt and why.
+// writes carried the warm reductions forward — patched, after adopting a
+// compiled model or not — or dropped them, and why. A reduction a write drops
+// is exactly the one whose advance failed; the next read at that clearance
+// builds it again.
 func TestAdvanceReasonsOnStats(t *testing.T) {
 	s := newIncServer(t, Config{})
 	writer := openSess(t, s, "l1", "")
-	for _, cl := range []string{"l0", "l1"} {
-		runQuery(t, s, openSess(t, s, cl, ""), "l0[emp(K: salary -C-> V)]")
+	low := openSess(t, s, "l0", "")
+	for _, sess := range []*Session{low, writer} {
+		runQuery(t, s, sess, "l0[emp(K: salary -C-> V)]")
 	}
 	want := DBStats{}
 	check := func(step string) {
 		t.Helper()
 		got := s.Stats().Databases["test"]
-		if got.AdvanceIncremental != want.AdvanceIncremental || !reflect.DeepEqual(got.AdvanceFull, want.AdvanceFull) {
-			t.Fatalf("%s: advance_incremental %d advance_full %v, want %d %v",
-				step, got.AdvanceIncremental, got.AdvanceFull, want.AdvanceIncremental, want.AdvanceFull)
+		if got.AdvanceIncremental != want.AdvanceIncremental || got.AdvanceAdopted != want.AdvanceAdopted ||
+			!reflect.DeepEqual(got.AdvanceDropped, want.AdvanceDropped) {
+			t.Fatalf("%s: %s, want %s", step, got.AdvanceTally, want.AdvanceTally)
 		}
 	}
 	check("before any write")
 
 	// The first queries prepared both clearances through the compiled
-	// engine, which keeps no support counts: the first write rebuilds.
+	// engine, which keeps no support counts: the first write counts them.
 	runUpdate(t, s, writer, "l0[emp(ivy: salary -l0-> low)].", false)
-	want.AdvanceFull = map[string]int64{"old-not-incremental": 2}
+	want.AdvanceIncremental, want.AdvanceAdopted = 2, 2
 	check("first fact write")
 
 	runUpdate(t, s, writer, "l0[emp(jon: salary -l0-> low)].", false)
 	runUpdate(t, s, writer, "l0[emp(jon: salary -l0-> low)].", true)
-	want.AdvanceIncremental = 4
+	want.AdvanceIncremental += 4
 	check("fact assert + retract")
 
 	// Neither a predicate's first mention (its belief axioms come along as
-	// added rules) nor a rule write, Σ or Π, assert or retract, is a rebuild.
+	// added rules) nor a rule write, Σ or Π, assert or retract, is anything
+	// but a delta.
 	for _, w := range []struct {
 		step, clauses string
 		retract       bool
@@ -424,6 +451,130 @@ func TestAdvanceReasonsOnStats(t *testing.T) {
 	// A retract that matches nothing is no write at all.
 	runUpdate(t, s, writer, "l0[emp(nobody: salary -l0-> low)].", true)
 	check("no-op retract")
+
+	// Under a one-step advance budget a fact written at l1 still reaches the
+	// reduction at l0 — one base tuple in a relation nothing there reads — and
+	// fails at l1, where belief axioms fire: that reduction, and only that
+	// one, is dropped, by name, and rebuilt by the next read at l1.
+	prog, err := s.program("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := func() (out []string) {
+		snap := prog.current()
+		snap.redMu.RLock()
+		defer snap.redMu.RUnlock()
+		for u := range snap.reductions {
+			out = append(out, string(u))
+		}
+		return out
+	}
+	prog.limits = resource.Limits{MaxSteps: 1}
+	runUpdate(t, s, writer, "l1[emp(kay: salary -l1-> mid)].", false)
+	want.AdvanceIncremental++
+	want.AdvanceDropped = map[string]int64{"delta-failed": 1}
+	check("write under a one-step limit")
+	if got := warm(); !reflect.DeepEqual(got, []string{"l0"}) {
+		t.Fatalf("warm reductions after the failed advance: %v, want exactly l0", got)
+	}
+	if resp := runQuery(t, s, writer, "l1[emp(kay: salary -C-> V)]"); len(resp.Answers) != 1 {
+		t.Fatalf("the read after a dropped advance: %v", resp.Answers)
+	}
+	if got := warm(); len(got) != 2 {
+		t.Fatalf("the read at l1 did not rebuild its reduction: warm %v", got)
+	}
+	// The rebuilt reduction is a compiled model again: the next write adopts it.
+	prog.limits = resource.Limits{}
+	runUpdate(t, s, writer, "l1[emp(kay: salary -l1-> mid)].", true)
+	want.AdvanceIncremental += 2
+	want.AdvanceAdopted++
+	check("write after the rebuild")
+}
+
+// TestColdBuildBlocksNobodyElse: a cold build runs outside the reductions
+// map's lock, behind an in-flight entry of its own clearance. With the build
+// at l3 parked on an injected stall (the evaluation's fault probe), a
+// cache-missing read at warm l0 (which prices its admission by looking the
+// map up), /v1/stats and a fact write (which walks the map to advance what is
+// warm) all complete; a second reader at l3 waits for the one build instead
+// of starting another, and gets the reduction it leaves.
+func TestColdBuildBlocksNobodyElse(t *testing.T) {
+	var park atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	s := New(Config{Limits: resource.Limits{Probe: func(resource.Event, int64) error {
+		if park.CompareAndSwap(true, false) {
+			parked <- struct{}{}
+			<-release
+		}
+		return nil
+	}}})
+	if err := s.Load("test", fourLevelProgram); err != nil {
+		t.Fatal(err)
+	}
+	low, high := openSess(t, s, "l0", ""), openSess(t, s, "l3", "")
+	runQuery(t, s, low, "l0[emp(K: salary -C-> V)]") // warms l0
+
+	park.Store(true)
+	prog, err := s.program("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := prog.current()
+	first := make(chan int, 1)
+	go func() {
+		resp, err := s.Query(context.Background(), high, QueryRequest{Query: "l1[payroll(K: cost -C-> V)]"})
+		if err != nil {
+			t.Error(err)
+		}
+		first <- len(resp.Answers)
+	}()
+	<-parked
+	// The second reader asks the same snapshot, whatever the write below swaps
+	// in: it finds the build in flight, or the reduction it left.
+	second := make(chan *multilog.Reduction, 1)
+	go func() {
+		red, err := snap.reductionAt(context.Background(), "l3", resource.Limits{})
+		if err != nil {
+			t.Error(err)
+		}
+		second <- red
+	}()
+
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatalf("%s waited for another clearance's cold build", what)
+		}
+	}
+	within("a miss read at a warm clearance", func() { runQuery(t, s, low, "l0[dept(K: head -C-> V)]") })
+	within("/v1/stats", func() { s.Stats() })
+	within("a fact write", func() { runUpdate(t, s, low, "l0[dept(ops: head -l0-> bob)].", false) })
+	select {
+	case <-first:
+		t.Fatal("the reader at the cold clearance answered before its build finished")
+	case <-second:
+		t.Fatal("the second reader at the cold clearance did not wait for the build in flight")
+	default:
+	}
+
+	close(release)
+	if n := <-first; n != 1 {
+		t.Errorf("the reader at l3 got %d payroll rows, want 1", n)
+	}
+	snap.redMu.RLock()
+	built := snap.reductions["l3"]
+	snap.redMu.RUnlock()
+	if red := <-second; red == nil || red != built {
+		t.Error("the second reader at l3 did not get the reduction the one build left")
+	}
+	if st := s.Stats().Databases["test"]; st.AdvanceIncremental != 1 || st.AdvanceAdopted != 1 {
+		t.Errorf("the write carried %s, want the one warm reduction, adopted", st.AdvanceTally)
+	}
 }
 
 // TestNewPredicateWriteInvalidatesBeliefQueries: the first fact of a

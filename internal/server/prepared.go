@@ -35,9 +35,8 @@ type preparedProgram struct {
 	upMu    sync.Mutex // serializes updates (clone → edit → lint → swap)
 	updates atomic.Int64
 
-	advMu   sync.Mutex       // guards the two counters below
-	advInc  int64            // warm reductions patched incrementally by committed writes
-	advFull map[string]int64 // ... and rebuilt in full, by multilog.FullReason
+	advMu sync.Mutex   // guards adv
+	adv   AdvanceTally // how committed writes carried the warm reductions
 }
 
 // snapshot is one immutable program version. The database, its poset and
@@ -52,6 +51,7 @@ type snapshot struct {
 
 	redMu      sync.RWMutex
 	reductions map[lattice.Label]*multilog.Reduction
+	building   map[lattice.Label]chan struct{} // cold builds in flight, each closed when it ends
 
 	// impact is the clearance-independent reverse dependency graph of the
 	// translation, used to bound which cache entries a fact write can
@@ -100,7 +100,8 @@ func newSnapshot(epoch uint64, db *multilog.Database) (*snapshot, error) {
 		return nil, err
 	}
 	return &snapshot{epoch: epoch, db: db, poset: poset,
-		reductions: map[lattice.Label]*multilog.Reduction{}}, nil
+		reductions: map[lattice.Label]*multilog.Reduction{},
+		building:   map[lattice.Label]chan struct{}{}}, nil
 }
 
 // current returns the live snapshot.
@@ -111,43 +112,63 @@ func (p *preparedProgram) current() *snapshot {
 }
 
 // reductionAt returns the snapshot's prepared reduction for one clearance,
-// compiling it on first use. Compilation (parse-free: the database is
-// already in memory) runs Reduce plus an eager model build under limits,
-// so a hostile program cannot wedge the first query at a level forever.
-// The model build goes through the compiled engine (compile.
-// PrepareReduction): its plan cache is keyed by the reduced program's
-// rules, so re-preparing after a fact-only write reuses the plan, and
-// programs the compiler routes to the interpreter fall back transparently.
+// building it on first use: Reduce plus an eager model build under limits (a
+// hostile program cannot wedge the first query at a level forever) in the
+// compiled engine, or the interpreter for programs the compiler declines
+// (compile.PrepareReduction). Writes carry the reduction forward as deltas
+// from then on (advanceReductions): a clearance is built once per load, or
+// again after a write dropped it.
+//
+// The build runs outside redMu, behind one in-flight entry per clearance: a
+// second caller for that clearance waits for it (and builds in its turn if it
+// failed: that caller's deadline is not this one's); nothing else waits.
 func (s *snapshot) reductionAt(ctx context.Context, u lattice.Label, limits resource.Limits) (*multilog.Reduction, error) {
-	s.redMu.RLock()
-	red := s.reductions[u]
-	s.redMu.RUnlock()
+	red := s.warm(u)
+	var built chan struct{}
+	for red == nil && built == nil {
+		s.redMu.Lock()
+		red = s.reductions[u]
+		inflight := s.building[u]
+		if red == nil && inflight == nil {
+			built = make(chan struct{})
+			s.building[u] = built
+		}
+		s.redMu.Unlock()
+		if red == nil && inflight != nil {
+			select {
+			case <-inflight:
+			case <-ctx.Done():
+				return nil, resource.New(ctx, limits).Check()
+			}
+		}
+	}
 	if red != nil {
 		return red, nil
 	}
-	s.redMu.Lock()
-	defer s.redMu.Unlock()
-	if red := s.reductions[u]; red != nil {
-		return red, nil
-	}
 	red, err := multilog.Reduce(s.db, u)
+	if err == nil {
+		_, err = compile.PrepareReduction(ctx, red, compile.Options{Limits: limits})
+	}
+	s.redMu.Lock()
+	delete(s.building, u)
+	if err == nil {
+		s.reductions[u] = red
+	}
+	s.redMu.Unlock()
+	close(built)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := compile.PrepareReduction(ctx, red, compile.Options{Limits: limits}); err != nil {
-		return nil, err
-	}
-	s.reductions[u] = red
 	return red, nil
 }
 
-// hasReduction reports whether the clearance's reduction is already
-// compiled — the admission controller prices a match-only read far below a
-// first query that must pay the reduction build.
-func (s *snapshot) hasReduction(u lattice.Label) bool {
+// warm returns the clearance's reduction if it is built, else nil — the
+// admission controller prices a match-only read far below a first query that
+// must pay the reduction build.
+func (s *snapshot) warm(u lattice.Label) *multilog.Reduction {
 	s.redMu.RLock()
 	defer s.redMu.RUnlock()
-	return s.reductions[u] != nil
+	return s.reductions[u]
 }
 
 // stats snapshots the program's counters.
@@ -165,7 +186,7 @@ func (p *preparedProgram) stats() DBStats {
 		Updates:    p.updates.Load(),
 	}
 	p.advMu.Lock()
-	st.AdvanceIncremental, st.AdvanceFull = p.advInc, maps.Clone(p.advFull)
+	st.add(p.adv) // a copy: the reasons map is p's
 	p.advMu.Unlock()
 	return st
 }
@@ -244,7 +265,6 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 		return 0, 0, none, err
 	}
 	inv := p.planInvalidation(cur, snap, deltaClauses)
-	p.invalidatePlans(cur, inv)
 	p.advanceReductions(ctx, cur, snap, added, removed, &inv)
 	if ctx.Err() != nil {
 		return 0, 0, none, fmt.Errorf("server: update abandoned before commit: %w: %v", resource.ErrCanceled, context.Cause(ctx))
@@ -259,13 +279,7 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 	p.mu.Unlock()
 	p.updates.Add(1)
 	p.advMu.Lock()
-	p.advInc += inv.advanced
-	for reason, n := range inv.full {
-		if p.advFull == nil {
-			p.advFull = map[string]int64{}
-		}
-		p.advFull[reason] += n
-	}
+	p.adv.add(inv.AdvanceTally)
 	p.advMu.Unlock()
 	return snap.epoch, len(added) + len(removed), inv, nil
 }
@@ -274,28 +288,40 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 // everything (rule changes, or an impact the server could not bound) or the
 // listed translated predicates, at any clearance.
 type invalidation struct {
-	all      bool
-	preds    []string
-	advanced int64            // prepared reductions advanced incrementally into the new snapshot
-	full     map[string]int64 // ... and rebuilt in full instead, by multilog.FullReason
+	all          bool
+	preds        []string
+	AdvanceTally // of the prepared reductions, into the new snapshot
 }
 
-// FormatAdvances renders an advance tally — of one write, for its log line,
-// or of a database's lifetime, for the REPL's \stats — as "4 incremental" or
-// "1 incremental, 3 full (old-not-incremental 3)".
-func FormatAdvances(incremental int64, full map[string]int64) string {
-	out := fmt.Sprintf("%d incremental", incremental)
-	if len(full) == 0 {
-		return out
+func (t *AdvanceTally) add(o AdvanceTally) {
+	t.AdvanceIncremental += o.AdvanceIncremental
+	t.AdvanceAdopted += o.AdvanceAdopted
+	for reason, n := range o.AdvanceDropped {
+		if t.AdvanceDropped == nil {
+			t.AdvanceDropped = map[string]int64{}
+		}
+		t.AdvanceDropped[reason] += n
 	}
-	reasons := make([]string, 0, len(full))
+}
+
+// String renders the tally for a write's log line and the REPL's \stats:
+// "4 incremental (4 adopted)", "1 incremental, 3 dropped (delta-failed 3)".
+func (t AdvanceTally) String() string {
+	out := fmt.Sprintf("%d incremental", t.AdvanceIncremental)
+	if t.AdvanceAdopted > 0 {
+		out += fmt.Sprintf(" (%d adopted)", t.AdvanceAdopted)
+	}
+	var reasons []string
 	var total int64
-	for reason, n := range full {
+	for reason, n := range t.AdvanceDropped {
 		reasons = append(reasons, fmt.Sprintf("%s %d", reason, n))
 		total += n
 	}
+	if total == 0 {
+		return out
+	}
 	sort.Strings(reasons)
-	return fmt.Sprintf("%s, %d full (%s)", out, total, strings.Join(reasons, ", "))
+	return fmt.Sprintf("%s, %d dropped (%s)", out, total, strings.Join(reasons, ", "))
 }
 
 // planInvalidation bounds the write's blast radius. For fact-only deltas it
@@ -325,30 +351,6 @@ func (p *preparedProgram) planInvalidation(cur, snap *snapshot, deltaClauses []m
 	return invalidation{preds: preds}
 }
 
-// invalidatePlans keeps the compiled plan cache honest across updates.
-// Plans are keyed by the reduced program's rule set, so a fact-only write
-// leaves every cached plan valid — the next prepare at any clearance
-// re-runs the same plan over the new facts, which is the compiled fast
-// path. A rule write changes the reduced rule set at every clearance,
-// stranding this program's cached plans under keys that can never be hit
-// again; those are dropped by the translated predicate names the rules of
-// the program's prepared reductions mention (a clearance never prepared
-// compiled no plan, so an empty set is complete) — the lattice predicates
-// excepted (Reduction.RulePreds): the cache is process-wide, and naming what
-// every database's plans share would empty it for all of them.
-func (p *preparedProgram) invalidatePlans(cur *snapshot, inv invalidation) {
-	if !inv.all {
-		return
-	}
-	var preds []string
-	cur.redMu.RLock()
-	for _, red := range cur.reductions {
-		preds = append(preds, red.RulePreds()...)
-	}
-	cur.redMu.RUnlock()
-	compile.DefaultCache.Invalidate(preds)
-}
-
 // impactGraph returns the snapshot's reverse dependency graph, building it
 // on first use.
 func (s *snapshot) impactGraph() (*multilog.ImpactGraph, error) {
@@ -367,30 +369,25 @@ func (s *snapshot) impactGraph() (*multilog.ImpactGraph, error) {
 // advanceReductions carries cur's prepared reductions into the new snapshot
 // (multilog.Advance): the write's clauses, facts or rules, are translated
 // per warm clearance and applied as a clause delta to a copy-on-write clone
-// of that clearance's engine, so the write costs what its clauses derive
-// and the relations that touches, and the next query at a warm clearance
-// matches against an up-to-date model. A reduction that fails to advance
-// (resource limits, cancellation, reduce errors) is simply not carried; the
-// next query at that clearance rebuilds it lazily.
+// of that clearance's engine — seeded, at the first write after a cold build,
+// by one counting pass over the compiled model — so the write costs what its
+// clauses derive and the relations that touches. No model is re-derived here:
+// a reduction that fails to advance (resource limits, cancellation) is
+// dropped, by reason, and the next query at its clearance builds it, under
+// that reader's admission ticket and outside the update lock.
 func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snapshot, added, removed []multilog.Clause, inv *invalidation) {
 	cur.redMu.RLock()
-	olds := make(map[lattice.Label]*multilog.Reduction, len(cur.reductions))
-	for u, red := range cur.reductions {
-		olds[u] = red
-	}
+	olds := maps.Clone(cur.reductions)
 	cur.redMu.RUnlock()
 	for u, old := range olds {
 		red, rep, err := old.Advance(ctx, snap.db, added, removed, p.limits)
 		if err != nil {
+			inv.add(AdvanceTally{AdvanceDropped: map[string]int64{string(rep.Reason): 1}})
 			continue
 		}
-		if rep.Incremental {
-			inv.advanced++
-		} else {
-			if inv.full == nil {
-				inv.full = map[string]int64{}
-			}
-			inv.full[string(rep.Reason)]++
+		inv.AdvanceIncremental++
+		if rep.Adopted {
+			inv.AdvanceAdopted++
 		}
 		snap.reductions[u] = red
 	}

@@ -237,9 +237,9 @@ type ReplicationStats struct {
 	SnapshotBootstraps int64 `json:"snapshot_bootstraps,omitempty"` // full snapshot installs
 	// Rebootstraps counts diverged-state wipes followed by a fresh snapshot
 	// bootstrap (the opt-in -rebootstrap-on-diverge path).
-	Rebootstraps int64 `json:"rebootstraps,omitempty"`
-	FramesReceived     int64 `json:"frames_received,omitempty"`
-	BytesReceived      int64 `json:"bytes_received,omitempty"`
+	Rebootstraps   int64 `json:"rebootstraps,omitempty"`
+	FramesReceived int64 `json:"frames_received,omitempty"`
+	BytesReceived  int64 `json:"bytes_received,omitempty"`
 
 	// Primary-side serving counters.
 	StreamsServed   int64 `json:"streams_served,omitempty"`
@@ -347,12 +347,19 @@ type DBStats struct {
 	Pi         int    `json:"pi"`
 	Reductions int    `json:"reductions"` // prepared (per-clearance) reductions
 	Updates    int64  `json:"updates"`
-	// AdvanceIncremental counts warm reductions that committed writes
-	// carried into their new epoch by patching the old model;
-	// AdvanceFull counts those re-derived from scratch instead, by reason
-	// (multilog.FullReason: "old-not-incremental", "delta-failed", ...).
-	AdvanceIncremental int64            `json:"advance_incremental"`
-	AdvanceFull        map[string]int64 `json:"advance_full,omitempty"`
+	AdvanceTally
+}
+
+// AdvanceTally counts how committed writes — one, or a database's lifetime of
+// them — carried warm reductions into their new epoch. None re-derives a model.
+type AdvanceTally struct {
+	// Patched from the old model; of which, after first counting a compiled
+	// model's support (the first write after a cold build).
+	AdvanceIncremental int64 `json:"advance_incremental"`
+	AdvanceAdopted     int64 `json:"advance_adopted"`
+	// Not carried, but left for the next read at that clearance to build, by
+	// reason (multilog.Refusal: "delta-failed", ...).
+	AdvanceDropped map[string]int64 `json:"advance_dropped,omitempty"`
 }
 
 // LintRequest asks for a full static-analysis report on a loaded database.

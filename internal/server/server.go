@@ -375,7 +375,7 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	// recently invalidated answer may be served stale (brownout) instead
 	// of rejecting outright.
 	pri, cost := admission.Read, costRead
-	if !snap.hasReduction(sess.Clearance) {
+	if snap.warm(sess.Clearance) == nil {
 		pri, cost = admission.Prepare, costPrepare
 	}
 	ticket, aerr := s.admit(ctx, pri, cost)
@@ -491,7 +491,7 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 			scope = fmt.Sprintf("%d predicate(s)", len(inv.preds))
 		}
 		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated (%s; reductions advanced: %s)",
-			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, invalidated, scope, FormatAdvances(inv.advanced, inv.full))
+			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, invalidated, scope, inv.AdvanceTally)
 	}
 	resp.Invalidated = invalidated
 	return resp, nil
