@@ -3,8 +3,6 @@ package compile
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/datalog"
 	"repro/internal/resource"
@@ -13,10 +11,6 @@ import (
 
 // Options configures one compiled run.
 type Options struct {
-	// Workers > 1 fans each round's rule jobs across that many goroutines.
-	// The result is identical to the sequential run: jobs emit into private
-	// buffers that are merged in fixed job order between rounds.
-	Workers int
 	// Limits bounds the run (facts, steps, memory — interner and index
 	// memory included). The zero value is unlimited.
 	Limits resource.Limits
@@ -62,8 +56,7 @@ type job struct {
 
 // emitBuf collects one job's derived rows: flattened head tuples plus a
 // job-local dedup set. Buffers are private to their job during a round and
-// merged single-threaded after it, which is what makes the parallel mode
-// deterministic.
+// merged after it in job order: the round's jobs all read the same relations.
 type emitBuf struct {
 	n    int
 	rows []ID
@@ -81,7 +74,6 @@ type runtime struct {
 	order   []predKey   // creation order, for deterministic externalization
 	pools   map[*rulePlan][]ID
 	scratch []byte
-	workers int
 	stats   *Stats
 }
 
@@ -92,14 +84,13 @@ type runtime struct {
 func (pl *Plan) Run(ctx context.Context, p *datalog.Program, edb *datalog.Store, opts Options) (*datalog.Store, *Stats, error) {
 	gov := resource.New(ctx, opts.Limits)
 	rt := &runtime{
-		plan:    pl,
-		gov:     gov,
-		in:      NewInterner(gov),
-		rels:    make(map[predKey]*Relation, len(pl.preds)),
-		bound:   make([]*Relation, len(pl.preds)),
-		pools:   make(map[*rulePlan][]ID),
-		workers: opts.Workers,
-		stats:   &Stats{},
+		plan:  pl,
+		gov:   gov,
+		in:    NewInterner(gov),
+		rels:  make(map[predKey]*Relation, len(pl.preds)),
+		bound: make([]*Relation, len(pl.preds)),
+		pools: make(map[*rulePlan][]ID),
+		stats: &Stats{},
 	}
 	for i, pk := range pl.preds {
 		rt.bound[i] = rt.rel(pk)
@@ -262,10 +253,10 @@ func (rt *runtime) internPool(rp *rulePlan) error {
 	return nil
 }
 
-// ensureIndexes builds or extends, single-threaded, every hash index the
-// round's jobs will probe, so that the (possibly parallel) job phase only
-// reads. Delta scans probe the base relation's index through a row-range
-// view, so one index per (predicate, mask) serves both full and delta reads.
+// ensureIndexes builds or extends every hash index the round's jobs will
+// probe, so that the job phase only reads. Delta scans probe the base
+// relation's index through a row-range view, so one index per (predicate,
+// mask) serves both full and delta reads.
 func (rt *runtime) ensureIndexes(jobs []job) error {
 	for _, jb := range jobs {
 		for i := range jb.rp.ops {
@@ -281,52 +272,15 @@ func (rt *runtime) ensureIndexes(jobs []job) error {
 	return nil
 }
 
-// runJobs executes the round's jobs — sequentially, or fanned across
-// Workers goroutines. Either way the result is the same ordered slice of
-// private buffers.
+// runJobs executes the round's jobs, each emitting into a private buffer;
+// merge folds the buffers in job order.
 func (rt *runtime) runJobs(jobs []job, deltas map[int]rowRange) ([]*emitBuf, error) {
 	bufs := make([]*emitBuf, len(jobs))
-	run := func(k int) error {
+	for k := range jobs {
 		bufs[k] = &emitBuf{seen: make(map[string]bool)}
-		m := rt.newMachine(jobs[k], deltas, bufs[k])
-		return m.step(0)
-	}
-	if rt.workers <= 1 || len(jobs) <= 1 {
-		for k := range jobs {
-			if err := run(k); err != nil {
-				return nil, err
-			}
+		if err := rt.newMachine(jobs[k], deltas, bufs[k]).step(0); err != nil {
+			return nil, err
 		}
-		return bufs, nil
-	}
-	var (
-		wg    sync.WaitGroup
-		cur   atomic.Int64
-		first atomic.Pointer[error]
-	)
-	workers := rt.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(cur.Add(1)) - 1
-				if k >= len(jobs) || first.Load() != nil {
-					return
-				}
-				if err := run(k); err != nil {
-					first.CompareAndSwap(nil, &err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if errp := first.Load(); errp != nil {
-		return nil, *errp
 	}
 	return bufs, nil
 }

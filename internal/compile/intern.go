@@ -30,10 +30,8 @@ type ID uint32
 const internerEntryOverhead = 48
 
 // Interner hash-conses ground terms to dense IDs with a reverse table for
-// output. It is append-only: evaluation threads may intern concurrently
-// only through external synchronization (the engine interns during
-// single-threaded seeding and merging), while lookups on a quiescent
-// interner are safe from any number of goroutines.
+// output. It is append-only and not synchronized: a run interns from its one
+// goroutine; lookups on a quiescent interner are safe from any number.
 type Interner struct {
 	gov   *resource.Governor
 	ids   map[string]ID

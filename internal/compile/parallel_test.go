@@ -7,33 +7,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestParallelDeterminism runs every workload family with Workers=8,
-// repeatedly, and requires the model to be identical to the sequential
-// run every time — parallelism must be invisible. Run under -race this is
-// also the data-race check for the round-buffered fan-out.
-func TestParallelDeterminism(t *testing.T) {
-	for fam := 0; fam < workload.NumDatalogFamilies; fam++ {
-		fam := workload.DatalogFamily(fam)
-		t.Run(fam.String(), func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				p, _ := workload.DatalogProgram(workload.DatalogConfig{Family: fam, Size: 12, Seed: seed})
-				seq, _, err := EvalContext(context.Background(), p, nil, Options{Workers: 1})
-				if err != nil {
-					t.Fatalf("seed %d: sequential: %v", seed, err)
-				}
-				want := dump(seq)
-				for rep := 0; rep < 3; rep++ {
-					par, _, err := EvalContext(context.Background(), p, nil, Options{Workers: 8})
-					if err != nil {
-						t.Fatalf("seed %d rep %d: parallel: %v", seed, rep, err)
-					}
-					equalDump(t, want, dump(par))
-				}
-			}
-		})
-	}
-}
-
 // TestParallelSharedPlan exercises one immutable plan serving concurrent
 // Run calls (the server pattern: one cached plan, many clearances).
 func TestParallelSharedPlan(t *testing.T) {
@@ -49,14 +22,14 @@ func TestParallelSharedPlan(t *testing.T) {
 	want := dump(seq)
 	done := make(chan []string, 6)
 	for i := 0; i < 6; i++ {
-		go func(workers int) {
-			model, _, err := plan.Run(context.Background(), p, nil, Options{Workers: workers})
+		go func() {
+			model, _, err := plan.Run(context.Background(), p, nil, Options{})
 			if err != nil {
 				done <- nil
 				return
 			}
 			done <- dump(model)
-		}(1 + i%3)
+		}()
 	}
 	for i := 0; i < 6; i++ {
 		got := <-done

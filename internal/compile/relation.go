@@ -95,8 +95,7 @@ func (r *Relation) Contains(row []ID, scratch []byte) (bool, []byte) {
 func (r *Relation) at(row int32, col int) ID { return r.cols[col][row] }
 
 // containsKey reports whether an already-packed row key is stored. It only
-// reads, so concurrent calls are safe while no insert is in flight (the
-// engine inserts single-threaded, between rounds).
+// reads (the engine inserts between rounds).
 func (r *Relation) containsKey(key []byte) bool {
 	if r == nil {
 		return false
@@ -107,7 +106,7 @@ func (r *Relation) containsKey(key []byte) bool {
 
 // ensureIndex builds or extends the hash index for one bound-position
 // bitmask so it covers every stored row. The engine calls it between
-// rounds (single-threaded); after that, concurrent Probe calls only read.
+// rounds; after that, Probe calls only read.
 func (r *Relation) ensureIndex(mask uint32, gov *resource.Governor) error {
 	if r == nil || mask == 0 {
 		return nil

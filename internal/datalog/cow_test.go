@@ -13,11 +13,11 @@ import (
 
 // storeImage is everything a reader can observe of a counting store: the
 // fact set per predicate, what each single-argument index lookup returns,
-// and the support counts.
+// and the base counts.
 type storeImage struct {
 	Facts   map[string][]string
 	Lookups map[string][]string
-	Counts  map[string]TupleCount
+	Counts  map[string]int
 }
 
 func imageOf(s *Store) storeImage {
@@ -54,7 +54,7 @@ func imageOf(s *Store) storeImage {
 // relations, meant for -race: readers keep matching on an engine's model
 // while the next engine in a chain of clones is cloned from it and patched.
 // After every step the source is exactly what it was (facts, index lookups,
-// support counts), and the patched clone equals an engine built from scratch
+// base counts), and the patched clone equals an engine built from scratch
 // (model and Counts).
 func TestCloneCopyOnWriteUnderReaders(t *testing.T) {
 	steps := 200

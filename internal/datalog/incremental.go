@@ -15,64 +15,34 @@ import (
 // one firing); it never escapes this file.
 var errStopEnum = errors.New("datalog: stop enumeration")
 
-// This file implements counting-based incremental maintenance of a
-// stratified minimal model: every materialized tuple carries its exact
-// number of rule firings (derivation count) plus a count of base
-// assertions, and ApplyDelta patches the fixpoint in place instead of
-// re-running Eval.
+// This file implements incremental maintenance of a stratified minimal
+// model. The model is a set; base assertions (fact clauses, EDB inserts) are
+// a multiset, one count per tuple beside it in the store; whether a rule
+// derives a tuple is never stored, it is asked of the rules and the live
+// model when — and only when — something that supported the tuple went away.
+// ApplyDelta patches the fixpoint in place instead of re-running Eval.
 //
-// Pure counting deletion is unsound under recursion (a cyclic derivation
-// can keep its own count alive after the external support is gone), so the
-// engine splits by stratum shape:
+// What went away seeds a stratum's deletion phase: tuples deleted below it,
+// the firings of a removed rule, and a tuple of the stratum whose last base
+// assertion was retracted (a tuple no rule can derive leaves at once). The
+// phase splits by stratum shape:
 //
-//   - Non-recursive strata form a DAG of predicates. Deletions are handled
-//     by exact re-counting in topological order: every tuple that may have
-//     lost a firing has its derivation count recomputed against the live
-//     model, and tuples whose count and base both reach zero are removed,
-//     cascading downstream.
-//   - Recursive strata use DRed (delete-and-rederive): tuples reachable
-//     from a deletion are over-deleted transitively, then re-derived from
-//     the surviving model before the net deletions are reported.
+//   - Non-recursive strata form a DAG of predicates. Every tuple that may
+//     have lost a firing is a suspect, re-checked in topological order for
+//     one surviving firing against the live model; one without any, and
+//     without a base assertion, is removed, cascading downstream.
+//   - Recursive strata use DRed (delete-and-rederive): a surviving firing
+//     proves nothing there (it may run through the tuple's own consequences),
+//     so tuples reachable from a seed are over-deleted transitively, then
+//     re-derived from the surviving model before the net deletions are
+//     reported.
 //
 // Insertions run standard semi-naive delta propagation, including the
 // firings a deletion below a stratum enables through a negated literal.
-// After both phases, derivation counts of every touched tuple are
-// recomputed exactly, so counts never drift even though the deletion
-// phases over-approximate the affected set.
 //
 // A delta may also change the rule set (ApplyClauses): the next rule set is
 // stratified before the model is touched, and its strata order the same
 // phases — seeded with a removed rule's firings, firing an added rule once.
-
-// IncStats counts the work done by delta application, cumulatively.
-type IncStats struct {
-	Deltas      int // ApplyDelta calls completed
-	Suspects    int // tuples re-checked after a deletion
-	OverDeleted int // tuples provisionally removed by DRed
-	Rederived   int // over-deleted tuples that found alternative support
-	Recounts    int // exact derivation-count recomputations
-	Firings     int // rule-body enumerations performed
-}
-
-func (a IncStats) sub(b IncStats) IncStats {
-	return IncStats{
-		Deltas:      a.Deltas - b.Deltas,
-		Suspects:    a.Suspects - b.Suspects,
-		OverDeleted: a.OverDeleted - b.OverDeleted,
-		Rederived:   a.Rederived - b.Rederived,
-		Recounts:    a.Recounts - b.Recounts,
-		Firings:     a.Firings - b.Firings,
-	}
-}
-
-// TupleCount is the support bookkeeping for one materialized tuple. The
-// counts are bag multiplicities over the set-semantics model (Bertossi &
-// Gottlob, "Datalog: Bag Semantics via Set Semantics"): a tuple is in the
-// model iff Base+Derived > 0.
-type TupleCount struct {
-	Base    int // base assertions (fact clauses / EDB inserts), a multiset count
-	Derived int // rule firings currently deriving the tuple
-}
 
 // litRef locates one body-literal occurrence of a predicate.
 type litRef struct{ clause, lit int }
@@ -89,7 +59,6 @@ type DeltaResult struct {
 	Changed map[string]PredDelta
 	// Rule-set changes that took effect (retracting an absent rule is none).
 	RulesAdded, RulesRemoved int
-	Stats                    IncStats // work done by this delta
 }
 
 // ChangedPreds returns the sorted predicates whose tuple sets changed.
@@ -120,56 +89,53 @@ type ruleSet struct {
 // Incremental maintains the minimal model of a program under clause deltas:
 // fact clauses are base assertions, rule clauses change the rule set. Build
 // one with NewIncremental. Not safe for concurrent use; Clone before mutating
-// a shared engine. The support counts live in the model's relations, beside
-// the tuples (Store.support), so the model is the engine's only per-tuple
-// state.
+// a shared engine. The base counts live in the model's relations, beside the
+// tuples (Store.support), so the model is the engine's only per-tuple state.
 type Incremental struct {
 	*ruleSet
-	model *Store // counting: every tuple carries its TupleCount
+	model *Store // counting: every tuple carries its base-assertion count
 
 	// Limits bounds each ApplyDelta call (steps, facts, memory count the
 	// delta's own work, not the standing model). The zero value is unlimited.
 	Limits resource.Limits
-	// Stats accumulates across the engine's lifetime.
-	Stats IncStats
 
 	broken bool
 	gov    *resource.Governor
 }
 
 // NewIncremental evaluates program ∪ edb and returns an engine holding the
-// model with exact derivation counts. edb may be nil.
+// model and its base counts. edb may be nil.
 func NewIncremental(p *Program, edb *Store) (*Incremental, error) {
 	return NewIncrementalContext(context.Background(), p, edb, resource.Limits{})
 }
 
 // NewIncrementalContext is NewIncremental bounded by ctx and limits; the
 // limits also bound every later ApplyDelta. Unlike EvalContext, a limit stop
-// is a hard error: a partially counted model cannot be maintained.
+// is a hard error: a partial model cannot be maintained.
 func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits resource.Limits) (*Incremental, error) {
 	ev := Evaluator{Limits: limits}
 	model, err := ev.EvalContext(ctx, p, edb)
 	if err != nil {
 		return nil, err
 	}
-	return seedCounts(ctx, p, edb, model, limits)
+	return seedCounts(p, edb, model, limits)
 }
 
 // Adopt returns an engine over model, the minimal model of p as any evaluator
-// built it (internal/compile's, say), without deriving it again: support
-// counts are a function of the rules and the model alone. The engine works on
-// a copy-on-write clone, of which the count column copies every relation once;
-// model itself may be serving readers and is never written (but, Store.Clone,
-// not cloned by anyone else meanwhile). A model with a supported tuple missing
-// or a stored one nothing supports is refused; a larger fixpoint than the
-// least the pass cannot tell. limits bound the pass and every later delta.
-func Adopt(ctx context.Context, p *Program, model *Store, limits resource.Limits) (*Incremental, error) {
-	return seedCounts(ctx, p, nil, model.Clone(), limits)
+// built it (internal/compile's, say), without deriving it again: an engine
+// holds nothing about a tuple but its base assertions, and those are p's fact
+// clauses. The engine works on a copy-on-write clone, of which the count
+// column copies every relation once; model itself may be serving readers and
+// is never written (but, Store.Clone, not cloned by anyone else meanwhile). A
+// model missing the tuple of a fact clause is refused; any other way of not
+// being p's least model nothing here can tell. limits bound every later delta.
+func Adopt(p *Program, model *Store, limits resource.Limits) (*Incremental, error) {
+	return seedCounts(p, nil, model.Clone(), limits)
 }
 
-// seedCounts makes model, the minimal model of p ∪ edb, a counting engine's
-// own: a base count per fact clause and EDB fact, a derived count per firing.
-func seedCounts(ctx context.Context, p *Program, edb, model *Store, limits resource.Limits) (*Incremental, error) {
+// seedCounts makes model, the minimal model of p ∪ edb, an engine's own: the
+// rule set, and a base count per fact clause and EDB fact.
+func seedCounts(p *Program, edb, model *Store, limits resource.Limits) (*Incremental, error) {
 	rs, err := newRuleSet(p.Clauses)
 	if err != nil {
 		return nil, err
@@ -178,7 +144,7 @@ func seedCounts(ctx context.Context, p *Program, edb, model *Store, limits resou
 	model.keepCounts()
 	for _, c := range p.Clauses {
 		if c.IsFact() {
-			if err := inc.bump(c.Head, TupleCount{Base: 1}); err != nil {
+			if err := inc.bump(c.Head); err != nil {
 				return nil, err
 			}
 		}
@@ -186,33 +152,10 @@ func seedCounts(ctx context.Context, p *Program, edb, model *Store, limits resou
 	if edb != nil {
 		for _, pred := range edb.Preds() {
 			for _, f := range edb.Facts(pred) {
-				if err := inc.bump(f, TupleCount{Base: 1}); err != nil {
+				if err := inc.bump(f); err != nil {
 					return nil, err
 				}
 			}
-		}
-	}
-	// Exact initial derivation counts: one full enumeration of every rule
-	// against the finished model, a single naive pass.
-	inc.gov = resource.New(ctx, limits)
-	live := storeView{live: model}
-	for ri := range inc.rules {
-		c := inc.rules[ri]
-		inc.Stats.Firings++
-		err := solveBody(inc.gov, c, -1, term.Subst{}, live, func(sub term.Subst) error {
-			head, err := headOf(c, sub)
-			if err != nil {
-				return err
-			}
-			return inc.bump(head, TupleCount{Derived: 1})
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range model.rels {
-		if off := slices.Index(r.counts, TupleCount{}); off >= 0 {
-			return nil, fmt.Errorf("datalog: %s is in the model but nothing supports it: not the program's minimal model", r.facts[off])
 		}
 	}
 	return inc, nil
@@ -296,21 +239,21 @@ func (rs *ruleSet) edit(adds, dels []Clause) (*ruleSet, []Clause, error) {
 	return next, removed, err
 }
 
-// bump adds to the support counts of a tuple of the finished model: every
-// fact and every head of a firing is in the fixpoint it was derived from.
-func (inc *Incremental) bump(a Atom, by TupleCount) error {
+// bump counts one more base assertion of a tuple of the finished model: every
+// fact is in the fixpoint built over it.
+func (inc *Incremental) bump(a Atom) error {
 	k := a.Key()
-	tc, ok := inc.model.support(a.Pred, k)
+	base, ok := inc.model.support(a.Pred, k)
 	if !ok {
-		return fmt.Errorf("datalog: %s is supported but missing from the model: not the program's minimal model", a)
+		return fmt.Errorf("datalog: %s is asserted but missing from the model: not the program's minimal model", a)
 	}
-	inc.model.setSupport(a.Pred, k, TupleCount{Base: tc.Base + by.Base, Derived: tc.Derived + by.Derived})
+	inc.model.setSupport(a.Pred, k, base+1)
 	return nil
 }
 
 // analyzeStrata detects, per stratum, whether its predicates form a positive
 // cycle (recursive → DRed deletion) and computes a topological order for the
-// non-recursive ones (→ counting deletion).
+// non-recursive ones (→ suspects re-checked in that order).
 func (rs *ruleSet) analyzeStrata() {
 	rs.recursive = make([]bool, rs.numStrata)
 	rs.topo = make([][]string, rs.numStrata)
@@ -388,16 +331,10 @@ func (rs *ruleSet) analyzeStrata() {
 // invalidated (and remains correct) across ApplyDelta calls.
 func (inc *Incremental) Model() *Store { return inc.model }
 
-// Count returns the support counts for a ground atom, and whether the atom
-// is currently in the model.
-func (inc *Incremental) Count(a Atom) (TupleCount, bool) {
-	return inc.model.support(a.Pred, a.Key())
-}
-
-// Counts returns a snapshot of every tuple's support counts, keyed by atom
-// key — the derivation-count sanity surface the differential harness checks
-// against a freshly built engine.
-func (inc *Incremental) Counts() map[string]TupleCount { return inc.model.supports() }
+// Counts returns a snapshot of every tuple's base-assertion count, keyed by
+// atom key (0: the tuple is only derived) — with the model, all the state the
+// differential harness checks against a freshly built engine.
+func (inc *Incremental) Counts() map[string]int { return inc.model.supports() }
 
 // Clone returns an independent engine. It shares the rule set outright — a
 // rule delta on either side replaces its own pointer — and the model
@@ -423,33 +360,25 @@ func bindTo(pattern, ground Atom) (term.Subst, bool) {
 	return s, true
 }
 
-// countFirings recomputes the exact number of firings deriving t against the
-// live model. With earlyStop, it returns as soon as one firing is found.
-func (inc *Incremental) countFirings(t Atom, earlyStop bool) (int, error) {
+// derivable reports whether some rule firing derives t against the live
+// model, stopping at the first.
+func (inc *Incremental) derivable(t Atom) (bool, error) {
 	live := storeView{live: inc.model}
-	n := 0
 	for _, ri := range inc.headRules[t.Pred] {
 		c := inc.rules[ri]
 		s0, ok := bindTo(c.Head, t)
 		if !ok {
 			continue
 		}
-		inc.Stats.Firings++
-		err := solveBody(inc.gov, c, -1, s0, live, func(term.Subst) error {
-			n++
-			if earlyStop {
-				return errStopEnum
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopEnum) {
-			return n, err
+		err := solveBody(inc.gov, c, -1, s0, live, func(term.Subst) error { return errStopEnum })
+		if errors.Is(err, errStopEnum) {
+			return true, nil
 		}
-		if earlyStop && n > 0 {
-			return n, nil
+		if err != nil {
+			return false, err
 		}
 	}
-	return n, nil
+	return false, nil
 }
 
 // lostHeads enumerates heads of stratum-s rule firings that existed in the
@@ -470,7 +399,6 @@ func (inc *Incremental) lostHeads(s int, d Atom, neg bool, v storeView, yield fu
 		if !ok {
 			continue
 		}
-		inc.Stats.Firings++
 		err := solveBody(inc.gov, c, rf.lit, s0, v, func(sub term.Subst) error {
 			return yield(c.Head.Apply(sub))
 		})
@@ -489,7 +417,6 @@ func (inc *Incremental) fullFirings(s int, cs []Clause, v storeView, each func(C
 		if inc.stratumOf[c.Head.Pred] != s {
 			continue
 		}
-		inc.Stats.Firings++
 		err := solveBody(inc.gov, c, -1, term.Subst{}, v, func(sub term.Subst) error { return each(c, sub) })
 		if err != nil {
 			return err
@@ -593,36 +520,42 @@ func (inc *Incremental) apply(ctx context.Context, adds, dels []Atom, addRules, 
 		}
 		inc.ruleSet, st.addRules, st.delRules = next, addRules, removed
 	}
-	before := inc.Stats
 	inc.gov = resource.New(ctx, inc.Limits)
 	res, err := inc.applyDelta(adds, dels, st)
 	if err != nil {
 		inc.broken = true
 		return nil, err
 	}
-	inc.Stats.Deltas++
 	res.RulesAdded, res.RulesRemoved = len(st.addRules), len(st.delRules)
-	res.Stats = inc.Stats.sub(before)
 	return res, nil
 }
 
 func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaResult, error) {
 	// Phase 0: base-assertion bookkeeping. Deletions first, so a delta that
-	// retracts and re-asserts the same atom nets out.
+	// retracts and re-asserts the same atom nets out. A tuple that lost its
+	// last base assertion leaves at once if no rule heads its predicate;
+	// otherwise it seeds its stratum's deletion phase, which knows how to ask
+	// whether the rules still derive it (a firing found here would prove
+	// nothing in a recursive stratum: it may rest on the tuple itself).
+	unbased := make([][]Atom, inc.numStrata)
 	for _, d := range dels {
 		if !d.IsGround() || d.IsBuiltin() {
 			return nil, fmt.Errorf("datalog: delta retract of invalid atom %s", d)
 		}
 		k := d.Key()
-		tc, ok := inc.model.support(d.Pred, k)
-		if !ok || tc.Base == 0 {
+		base, ok := inc.model.support(d.Pred, k)
+		if !ok || base == 0 {
 			continue // retracting an assertion that does not exist
 		}
-		tc.Base--
-		if tc.Base == 0 && tc.Derived == 0 {
+		inc.model.setSupport(d.Pred, k, base-1)
+		if base > 1 {
+			continue
+		}
+		if len(inc.headRules[d.Pred]) == 0 {
 			inc.removeTuple(d, k, st)
 		} else {
-			inc.model.setSupport(d.Pred, k, tc)
+			s := inc.stratumOf[d.Pred]
+			unbased[s] = append(unbased[s], d)
 		}
 	}
 	for _, a := range adds {
@@ -630,20 +563,19 @@ func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaRes
 			return nil, fmt.Errorf("datalog: delta assert of invalid atom %s", a)
 		}
 		k := a.Key()
-		tc, ok := inc.model.support(a.Pred, k)
+		base, ok := inc.model.support(a.Pred, k)
 		if !ok {
 			if err := inc.insertTuple(a, k, st); err != nil {
 				return nil, err
 			}
 		}
-		tc.Base++
-		inc.model.setSupport(a.Pred, k, tc)
+		inc.model.setSupport(a.Pred, k, base+1)
 	}
 	for s := 0; s < inc.numStrata; s++ {
-		affected := map[string]Atom{}
 		// A removed rule's firings are gone: their heads, enumerated against
-		// the pre-delta view, seed the stratum's deletion phase.
-		var lost []Atom
+		// the pre-delta view, seed the stratum's deletion phase beside the
+		// tuples phase 0 left without a base assertion.
+		lost := unbased[s]
 		err := inc.fullFirings(s, st.delRules, storeView{live: inc.model, grave: st.grave, negSkip: st.addKeys}, func(c Clause, sub term.Subst) error {
 			lost = append(lost, c.Head.Apply(sub))
 			return nil
@@ -652,31 +584,15 @@ func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaRes
 			return nil, err
 		}
 		if inc.recursive[s] {
-			err = inc.deleteDRed(s, st, lost, affected)
+			err = inc.deleteDRed(s, st, lost)
 		} else {
-			err = inc.deleteCounting(s, st, lost)
+			err = inc.deleteSuspects(s, st, lost)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if err := inc.insertPhase(s, st, affected); err != nil {
+		if err := inc.insertPhase(s, st); err != nil {
 			return nil, err
-		}
-		// Recount every touched tuple exactly against the now-final model of
-		// this stratum. Lower predicates never change again, so the counts
-		// are final.
-		for k, t := range affected {
-			tc, ok := inc.model.support(t.Pred, k)
-			if !ok {
-				continue
-			}
-			n, err := inc.countFirings(t, false)
-			if err != nil {
-				return nil, err
-			}
-			inc.Stats.Recounts++
-			tc.Derived = n
-			inc.model.setSupport(t.Pred, k, tc)
 		}
 	}
 	res := &DeltaResult{Changed: map[string]PredDelta{}}
@@ -703,8 +619,8 @@ func sortAtoms(as []Atom) {
 	sort.Slice(as, func(i, j int) bool { return as[i].Key() < as[j].Key() })
 }
 
-// removeTuple takes a tuple — and with it its support counts — out of the
-// model and records the net deletion.
+// removeTuple takes a tuple — and with it its base count — out of the model
+// and records the net deletion.
 func (inc *Incremental) removeTuple(t Atom, k string, st *deltaState) {
 	inc.model.Remove(t)
 	st.grave.Insert(t) //nolint:errcheck // ground: was in the model
@@ -722,9 +638,9 @@ func (inc *Incremental) removeTuple(t Atom, k string, st *deltaState) {
 	}
 }
 
-// insertTuple puts a tuple into the model, with zero support counts for the
-// caller (or the stratum's final recount) to set, and records the net
-// addition; a tuple returning after a same-delta deletion nets out instead.
+// insertTuple puts a tuple into the model, with a zero base count for the
+// caller to set, and records the net addition; a tuple returning after a
+// same-delta deletion nets out instead.
 func (inc *Incremental) insertTuple(t Atom, k string, st *deltaState) error {
 	if _, err := inc.model.Insert(t); err != nil {
 		return err
@@ -738,14 +654,14 @@ func (inc *Incremental) insertTuple(t Atom, k string, st *deltaState) error {
 	return nil
 }
 
-// deleteCounting handles the deletion side of a non-recursive stratum by
-// exact re-counting in topological predicate order. oldView widens matches
-// to the graveyard so every pre-delta firing involving a deleted tuple is
-// enumerated (an over-approximation; counts are recomputed exactly).
-func (inc *Incremental) deleteCounting(s int, st *deltaState, lost []Atom) error {
+// deleteSuspects handles the deletion side of a non-recursive stratum:
+// suspects are re-checked for a surviving firing in topological predicate
+// order. oldView widens matches to the graveyard so every pre-delta firing
+// involving a deleted tuple is enumerated (an over-approximation of the
+// suspects; the re-check is exact).
+func (inc *Incremental) deleteSuspects(s int, st *deltaState, lost []Atom) error {
 	suspects := map[string]map[string]Atom{} // pred -> key -> atom
 	suspect := func(h Atom) error {
-		inc.Stats.Suspects++
 		m := suspects[h.Pred]
 		if m == nil {
 			m = map[string]Atom{}
@@ -793,26 +709,20 @@ func (inc *Incremental) deleteCounting(s int, st *deltaState, lost []Atom) error
 			sort.Strings(keys)
 			for _, k := range keys {
 				t := m[k]
-				tc, ok := inc.model.support(t.Pred, k)
-				if !ok {
+				if base, ok := inc.model.support(t.Pred, k); !ok || base > 0 {
 					continue
 				}
-				n, err := inc.countFirings(t, false)
-				if err != nil {
+				if ok, err := inc.derivable(t); err != nil {
 					return err
+				} else if ok {
+					continue
 				}
-				inc.Stats.Recounts++
-				tc.Derived = n
-				if n == 0 && tc.Base == 0 {
-					inc.removeTuple(t, k, st)
-					// Cascade: downstream suspects are topologically later
-					// predicates of this stratum (or later strata, reached
-					// through st.deleted when they run).
-					if err := inc.lostHeads(s, t, false, oldView, suspect); err != nil {
-						return err
-					}
-				} else {
-					inc.model.setSupport(t.Pred, k, tc)
+				inc.removeTuple(t, k, st)
+				// Cascade: downstream suspects are topologically later
+				// predicates of this stratum (or later strata, reached
+				// through st.deleted when they run).
+				if err := inc.lostHeads(s, t, false, oldView, suspect); err != nil {
+					return err
 				}
 			}
 		}
@@ -821,10 +731,9 @@ func (inc *Incremental) deleteCounting(s int, st *deltaState, lost []Atom) error
 }
 
 // deleteDRed handles the deletion side of a recursive stratum with
-// delete-and-rederive: over-delete everything reachable from the deletions,
-// then re-derive from the surviving model. Touched tuples are recorded in
-// affected for the final exact recount.
-func (inc *Incremental) deleteDRed(s int, st *deltaState, removed []Atom, affected map[string]Atom) error {
+// delete-and-rederive: over-delete everything reachable from the deletions
+// and from seeds, the stratum's own, then re-derive from the surviving model.
+func (inc *Incremental) deleteDRed(s int, st *deltaState, seeds []Atom) error {
 	oldView := storeView{live: inc.model, grave: st.grave, negSkip: st.addKeys}
 	overdeleted := map[string]Atom{}
 	var queue []Atom
@@ -835,16 +744,9 @@ func (inc *Incremental) deleteDRed(s int, st *deltaState, removed []Atom, affect
 	}
 	onLost := func(h Atom) {
 		k := h.Key()
-		tc, ok := inc.model.support(h.Pred, k)
-		if !ok {
-			return
+		if base, ok := inc.model.support(h.Pred, k); !ok || base > 0 {
+			return // gone already, or base-supported: stays
 		}
-		inc.Stats.Suspects++
-		affected[k] = h
-		if tc.Base > 0 {
-			return // base-supported: stays, count recomputed later
-		}
-		inc.Stats.OverDeleted++
 		inc.removeTuple(h, k, st)
 		overdeleted[k] = h
 		queue = append(queue, h)
@@ -866,7 +768,7 @@ func (inc *Incremental) deleteDRed(s int, st *deltaState, removed []Atom, affect
 		}
 		return nil
 	}
-	for _, h := range removed {
+	for _, h := range seeds {
 		onLost(h)
 	}
 	// Additions below the stratum kill firings through negated literals.
@@ -895,19 +797,17 @@ func (inc *Incremental) deleteDRed(s int, st *deltaState, removed []Atom, affect
 		sort.Strings(keys)
 		for _, k := range keys {
 			t := overdeleted[k]
-			n, err := inc.countFirings(t, true)
+			ok, err := inc.derivable(t)
 			if err != nil {
 				return err
 			}
-			if n > 0 {
-				inc.Stats.Rederived++
+			if ok {
 				// insertTuple cancels the deletion recorded at over-delete
 				// time, so the tuple's net change is zero.
 				if err := inc.insertTuple(t, k, st); err != nil {
 					return err
 				}
 				delete(overdeleted, k)
-				affected[k] = t
 				changed = true
 			}
 		}
@@ -917,8 +817,8 @@ func (inc *Incremental) deleteDRed(s int, st *deltaState, removed []Atom, affect
 
 // insertPhase runs semi-naive delta propagation for the additions visible to
 // stratum s, including firings enabled by deletions below through negated
-// literals. Every emitted head lands in affected for the final recount.
-func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]Atom) error {
+// literals.
+func (inc *Incremental) insertPhase(s int, st *deltaState) error {
 	live := storeView{live: inc.model}
 	var frontier []Atom
 	for _, m := range st.added {
@@ -931,13 +831,10 @@ func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]A
 		if err != nil {
 			return err
 		}
-		k := head.Key()
-		affected[k] = head
 		if inc.model.Contains(head) {
 			return nil
 		}
-		// The derived count is set by the stratum's final recount.
-		if err := inc.insertTuple(head, k, st); err != nil {
+		if err := inc.insertTuple(head, head.Key(), st); err != nil {
 			return err
 		}
 		frontier = append(frontier, head)
@@ -957,7 +854,6 @@ func (inc *Incremental) insertPhase(s int, st *deltaState, affected map[string]A
 			if !ok {
 				continue
 			}
-			inc.Stats.Firings++
 			err := solveBody(inc.gov, c, rf.lit, s0, live, func(sub term.Subst) error { return emit(c, sub) })
 			if err != nil {
 				return err

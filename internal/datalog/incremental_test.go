@@ -139,7 +139,7 @@ func (rs *refState) apply(adds, dels []Atom) {
 }
 
 // step applies the delta to both the engine and the reference and fails the
-// test on any divergence in tuple sets or derivation counts.
+// test on any divergence in tuple sets or base counts.
 func step(t *testing.T, rs *refState, inc *Incremental, adds, dels []Atom) *DeltaResult {
 	t.Helper()
 	before := inc.Model().String()
@@ -177,9 +177,9 @@ func TestIncrementalChainTC(t *testing.T) {
 }
 
 func TestIncrementalCyclicSupport(t *testing.T) {
-	// The classic counting-unsound case: p(a)'s recursive firing via the
-	// cycle keeps a nonzero count after the external support is deleted.
-	// DRed must take p(a) (and the cycle-mate q(a)) out.
+	// The classic case against trusting a surviving firing: p(a)'s firing
+	// through the cycle outlives its external support. DRed must take p(a)
+	// (and the cycle-mate q(a)) out.
 	rs, inc := newRefState(t, `
 		e(a).
 		p(X) :- e(X).
@@ -254,12 +254,12 @@ func TestIncrementalBaseAndDerivedOverlap(t *testing.T) {
 		tc(X, Y) :- e(X, Y).
 		tc(a, b).
 	`)
-	if c, ok := inc.Count(mustAtom(t, "tc(a, b)")); !ok || c.Base != 1 || c.Derived != 1 {
-		t.Fatalf("tc(a,b) counts = %+v, want base 1 derived 1", c)
+	if base := inc.Counts()[mustAtom(t, "tc(a, b)").Key()]; base != 1 {
+		t.Fatalf("tc(a,b) base count = %d, want 1", base)
 	}
 	// Retracting the base assertion keeps the tuple (still derived).
 	res := step(t, rs, inc, nil, atoms(t, "tc(a, b)"))
-	if len(res.Changed) != 0 {
+	if len(res.Changed) != 0 || !inc.Model().Contains(mustAtom(t, "tc(a, b)")) {
 		t.Fatalf("retracting a still-derived base fact changed membership: %+v", res.Changed)
 	}
 	// Now deleting the edge removes the derivation and the tuple.
@@ -267,6 +267,87 @@ func TestIncrementalBaseAndDerivedOverlap(t *testing.T) {
 	if len(res.Changed["tc"].Deleted) != 1 {
 		t.Fatalf("tuple should be gone once base and derivations are: %+v", res.Changed)
 	}
+	// Base assertion and premise retracted in one delta: gone at once.
+	step(t, rs, inc, atoms(t, "e(a, b)", "tc(a, b)"), nil)
+	res = step(t, rs, inc, nil, atoms(t, "tc(a, b)", "e(a, b)"))
+	if len(res.Changed["tc"].Deleted) != 1 || inc.Model().Len() != 0 {
+		t.Fatalf("tc(a,b) outlived its base fact and its premise: %+v", res.Changed)
+	}
+}
+
+// TestIncrementalBaseRetractUnderRecursion: a tuple that lost its last base
+// assertion is a deletion seed of its stratum, not a question put to a stored
+// number — a firing that runs through the tuple's own consequences must not
+// keep it.
+func TestIncrementalBaseRetractUnderRecursion(t *testing.T) {
+	t.Run("two-rule cycle", func(t *testing.T) {
+		rs, inc := newRefState(t, `
+			p(X) :- q(X).
+			q(X) :- p(X).
+			p(a).
+		`)
+		res := step(t, rs, inc, nil, atoms(t, "p(a)"))
+		if inc.Model().Len() != 0 || len(res.Changed["p"].Deleted) != 1 || len(res.Changed["q"].Deleted) != 1 {
+			t.Fatalf("p(a) kept itself alive through q(a):\n%s\n%+v", inc.Model(), res.Changed)
+		}
+	})
+	t.Run("longer cycle, second base fact", func(t *testing.T) {
+		rs, inc := newRefState(t, `
+			p(X) :- s(X).
+			q(X) :- p(X).
+			r(X) :- q(X).
+			s(X) :- r(X).
+			p(a). r(a). q(b).
+		`)
+		// r(a) still feeds the cycle: everything on a stays.
+		if res := step(t, rs, inc, nil, atoms(t, "p(a)")); len(res.Changed) != 0 {
+			t.Fatalf("the cycle lost tuples while r(a) is asserted: %+v", res.Changed)
+		}
+		// Without it the cycle on a supports only itself; b's is untouched.
+		res := step(t, rs, inc, nil, atoms(t, "r(a)"))
+		if n := len(res.ChangedPreds()); n != 4 || inc.Model().Len() != 4 {
+			t.Fatalf("the a-cycle outlived its last base fact:\n%s\n%+v", inc.Model(), res.Changed)
+		}
+	})
+	t.Run("retract and reassert in one delta", func(t *testing.T) {
+		rs, inc := newRefState(t, `
+			p(X) :- q(X).
+			q(X) :- p(X).
+			p(a).
+		`)
+		if res := step(t, rs, inc, atoms(t, "p(a)"), atoms(t, "p(a)")); len(res.Changed) != 0 {
+			t.Fatalf("retract+assert of p(a) in one delta changed membership: %+v", res.Changed)
+		}
+		// And in a non-recursive stratum, over a derivation.
+		rs, inc = newRefState(t, `
+			e(a). tc(a).
+			tc(X) :- e(X).
+		`)
+		if res := step(t, rs, inc, atoms(t, "tc(a)"), atoms(t, "tc(a)", "e(a)")); len(res.Changed["tc"].Deleted) != 0 {
+			t.Fatalf("tc(a) was re-asserted in the delta that took e(a): %+v", res.Changed)
+		}
+		step(t, rs, inc, nil, atoms(t, "tc(a)"))
+	})
+	t.Run("the predicate lost its last rule in the same delta", func(t *testing.T) {
+		rs, inc := newRefState(t, `
+			e(a). e(b). d(a).
+			d(X) :- e(X).
+			up(X) :- d(X).
+		`)
+		res := clauseStep(t, rs, inc, "", "d(X) :- e(X). d(a).")
+		if len(res.Changed["d"].Deleted) != 2 || len(res.Changed["up"].Deleted) != 2 {
+			t.Fatalf("d lost its rule and its fact: %+v", res.Changed)
+		}
+		// One rule of two leaves with the base fact: the other still derives it.
+		rs, inc = newRefState(t, `
+			e(a). f(a). d(a).
+			d(X) :- e(X).
+			d(X) :- f(X).
+		`)
+		if res := clauseStep(t, rs, inc, "", "d(X) :- e(X). d(a)."); len(res.Changed) != 0 {
+			t.Fatalf("d(a) is still derived from f(a): %+v", res.Changed)
+		}
+	})
 }
 
 func TestIncrementalDuplicateBaseFacts(t *testing.T) {
@@ -274,8 +355,8 @@ func TestIncrementalDuplicateBaseFacts(t *testing.T) {
 		e(a, b). e(a, b).
 		tc(X, Y) :- e(X, Y).
 	`)
-	if c, _ := inc.Count(mustAtom(t, "e(a, b)")); c.Base != 2 {
-		t.Fatalf("duplicate fact base count = %d, want 2", c.Base)
+	if base := inc.Counts()[mustAtom(t, "e(a, b)").Key()]; base != 2 {
+		t.Fatalf("duplicate fact base count = %d, want 2", base)
 	}
 	// One retract leaves the other assertion standing.
 	res := step(t, rs, inc, nil, atoms(t, "e(a, b)"))
@@ -377,7 +458,7 @@ func TestIncrementalRandomStorm(t *testing.T) {
 
 // clauseStep applies a clause delta — source text, rules and facts mixed — to
 // the engine and to the reference, and fails on any divergence in tuple sets
-// or derivation counts from a from-scratch build of the resulting program.
+// or base counts from a from-scratch build of the resulting program.
 func clauseStep(t *testing.T, rs *refState, inc *Incremental, addSrc, delSrc string) *DeltaResult {
 	t.Helper()
 	adds, dels := mustParse(t, addSrc).Clauses, mustParse(t, delSrc).Clauses
@@ -423,7 +504,7 @@ func TestIncrementalRuleDeltas(t *testing.T) {
 		e(a, b). e(b, c). e(c, a). node(a). node(b). node(c). node(d).
 		tc(X, Y) :- e(X, Y).
 	`)
-	// Recursion arrives (the stratum turns DRed) and leaves again (counting).
+	// Recursion arrives (the stratum turns DRed) and leaves again.
 	res := clauseStep(t, rs, inc, "tc(X, Z) :- e(X, Y), tc(Y, Z).", "")
 	if res.RulesAdded != 1 || len(res.Changed["tc"].Added) != 6 {
 		t.Fatalf("adding the recursive rule: %+v", res)
@@ -445,13 +526,15 @@ func TestIncrementalRuleDeltas(t *testing.T) {
 	if inc.Model().Contains(mustAtom(t, "island(d)")) {
 		t.Fatal("island(d) survived e(c, d)")
 	}
-	// A duplicate of a present rule doubles its firings; one retract takes
-	// one copy, a second the other, a third is a no-op.
-	clauseStep(t, rs, inc, "tc(X, Y) :- e(X, Y).", "")
-	if c, _ := inc.Count(mustAtom(t, "tc(a, b)")); c.Derived != 2 {
-		t.Fatalf("tc(a, b) under a duplicated rule: %+v", c)
+	// The rule set is a multiset: a duplicate of a present rule changes no
+	// tuple; one retract takes one copy and still none, a second the other, a
+	// third is a no-op.
+	if res = clauseStep(t, rs, inc, "tc(X, Y) :- e(X, Y).", ""); res.RulesAdded != 1 || len(res.Changed) != 0 {
+		t.Fatalf("duplicating tc's rule: %+v", res)
 	}
-	clauseStep(t, rs, inc, "", "tc(X, Y) :- e(X, Y).")
+	if res = clauseStep(t, rs, inc, "", "tc(X, Y) :- e(X, Y)."); res.RulesRemoved != 1 || len(res.Changed) != 0 {
+		t.Fatalf("removing one of tc's two equal rules: %+v", res)
+	}
 	res = clauseStep(t, rs, inc, "", "tc(X, Y) :- e(X, Y).")
 	if res.RulesRemoved != 1 || len(res.Changed["tc"].Deleted) != 4 || len(res.Changed["island"].Added) != 4 {
 		t.Fatalf("removing tc's last rule: %+v", res)

@@ -22,8 +22,8 @@ import (
 type Store struct {
 	rels     map[string]*relation
 	indexing bool
-	// counting makes every relation carry a support-count column beside its
-	// facts; set by Incremental on the model it maintains.
+	// counting makes every relation carry a base-assertion count column
+	// beside its facts; set by Incremental on the model it maintains.
 	counting bool
 	// InsertFault, when set, is consulted before every insert; a non-nil
 	// return aborts the insert with that error. The evaluator propagates the
@@ -41,9 +41,9 @@ func NewStoreNoIndex() *Store { return &Store{rels: map[string]*relation{}} }
 
 type relation struct {
 	facts []Atom // insertion order (perturbed by Remove's swap-delete)
-	// counts holds each fact's support counts at the fact's offset, moved
-	// with it by Remove's swap-delete; nil unless the store is counting.
-	counts []TupleCount
+	// counts holds each fact's base-assertion count at the fact's offset,
+	// moved with it by Remove's swap-delete; nil unless the store is counting.
+	counts []int
 	seen   map[string]int // fact key -> offset into facts
 	// index[pos][key] lists offsets into facts whose argument at pos has
 	// that term key. Built lazily per argument position.
@@ -67,7 +67,7 @@ func (r *relation) clone() *relation {
 		index: make(map[int]map[string][]int, len(r.index)),
 	}
 	if r.counts != nil {
-		c.counts = append([]TupleCount(nil), r.counts...)
+		c.counts = append([]int(nil), r.counts...)
 	}
 	for pos, m := range r.index {
 		cm := maps.Clone(m)
@@ -119,7 +119,7 @@ func (s *Store) Insert(a Atom) (bool, error) {
 	r.seen[k] = pos
 	r.facts = append(r.facts, a)
 	if s.counting {
-		r.counts = append(r.counts, TupleCount{})
+		r.counts = append(r.counts, 0)
 	}
 	if s.indexing {
 		for i, t := range a.Args {
@@ -170,7 +170,7 @@ func (s *Store) InsertBatch(pred string, facts []Atom, keys []string, argKeys []
 		r.seen[keys[i]] = pos
 		r.facts = append(r.facts, a)
 		if s.counting {
-			r.counts = append(r.counts, TupleCount{})
+			r.counts = append(r.counts, 0)
 		}
 		if s.indexing {
 			for j, t := range a.Args {
@@ -387,47 +387,47 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
-// keepCounts turns on the support-count column, zeroed for the facts
-// already stored.
+// keepCounts turns on the base-count column, zeroed for the facts already
+// stored.
 func (s *Store) keepCounts() {
 	s.counting = true
 	for pred := range s.rels {
 		r := s.own(pred)
-		r.counts = make([]TupleCount, len(r.facts))
+		r.counts = make([]int, len(r.facts))
 	}
 }
 
-// support returns the support counts of the stored fact with the given key,
-// and whether it is stored. Only meaningful on a counting store.
-func (s *Store) support(pred, key string) (TupleCount, bool) {
+// support returns the base-assertion count of the stored fact with the given
+// key, and whether it is stored. Only meaningful on a counting store.
+func (s *Store) support(pred, key string) (int, bool) {
 	r := s.rels[pred]
 	if r == nil {
-		return TupleCount{}, false
+		return 0, false
 	}
 	off, ok := r.seen[key]
 	if !ok {
-		return TupleCount{}, false
+		return 0, false
 	}
 	return r.counts[off], true
 }
 
-// setSupport overwrites the support counts of a stored fact. Writing the
-// value already there leaves a shared relation shared.
-func (s *Store) setSupport(pred, key string, tc TupleCount) {
+// setSupport overwrites the base-assertion count of a stored fact. Writing
+// the value already there leaves a shared relation shared.
+func (s *Store) setSupport(pred, key string, base int) {
 	r := s.rels[pred]
 	if r == nil {
 		return
 	}
 	off, ok := r.seen[key]
-	if !ok || r.counts[off] == tc {
+	if !ok || r.counts[off] == base {
 		return
 	}
-	s.own(pred).counts[off] = tc
+	s.own(pred).counts[off] = base
 }
 
-// supports returns every stored fact's support counts, by fact key.
-func (s *Store) supports() map[string]TupleCount {
-	out := make(map[string]TupleCount, s.Len())
+// supports returns every stored fact's base-assertion count, by fact key.
+func (s *Store) supports() map[string]int {
+	out := make(map[string]int, s.Len())
 	for _, r := range s.rels {
 		for k, off := range r.seen {
 			out[k] = r.counts[off]

@@ -1,6 +1,6 @@
 package differential
 
-// Differential testing of the counting-based incremental engine
+// Differential testing of the incremental maintenance engine
 // (datalog.Incremental). Two layers:
 //
 //   - incrementalOracle registers the engine's from-scratch construction in
@@ -12,7 +12,7 @@ package differential
 //     randomized sequence of clause deltas — fact asserts and retracts, and
 //     rule asserts and retracts that move strata, turn recursion on and off
 //     and are sometimes not stratifiable; after every delta the maintained
-//     model and its derivation counts are compared against a full
+//     model and its base counts are compared against a full
 //     re-derivation of the patched program. Divergences are shrunk twice —
 //     ddmin over the write sequence, then clause/body minimization of the
 //     program — before being reported.
@@ -32,7 +32,7 @@ import (
 )
 
 // incrementalOracle answers through the incremental engine's initial
-// fixpoint (count-seeding construction, no deltas applied).
+// fixpoint (no deltas applied).
 type incrementalOracle struct{}
 
 func (incrementalOracle) Name() string { return "incremental" }
@@ -111,6 +111,40 @@ func randomEDBAtom(f workload.DatalogFamily, r *rand.Rand, size int) datalog.Ato
 	}
 }
 
+// randomDerivedAtom draws a base fact on a predicate some rule of p heads,
+// when there is one: a tuple both asserted and — where the rules agree —
+// derived, inside a recursive stratum when the predicate is (a family's own
+// tc, a d under ruleCandidates' copy_d pair), so that retracting it asks the
+// engine whether the rules still derive it, its own consequences aside.
+func randomDerivedAtom(p *datalog.Program, r *rand.Rand, size int) (datalog.Atom, bool) {
+	heads := ruleHeads(p)
+	if len(heads) == 0 {
+		return datalog.Atom{}, false
+	}
+	h := heads[r.Intn(len(heads))]
+	args := make([]term.Term, len(h.Args))
+	for i := range args {
+		args[i] = inode(r.Intn(size + 2))
+	}
+	return datalog.NewAtom(h.Pred, args...), true
+}
+
+// ruleHeads returns one rule head per predicate p's rules define, in clause
+// order.
+func ruleHeads(p *datalog.Program) []datalog.Atom {
+	var heads []datalog.Atom
+	for _, c := range p.Clauses {
+		if !c.IsFact() && !defines(heads, c.Head.Pred) {
+			heads = append(heads, c.Head)
+		}
+	}
+	return heads
+}
+
+func defines(heads []datalog.Atom, pred string) bool {
+	return slices.ContainsFunc(heads, func(h datalog.Atom) bool { return h.Pred == pred })
+}
+
 // ruleCandidates is the pool a case's rule writes are drawn from: the
 // program's own rules — to retract, assert back, assert twice — and, for
 // every derived predicate d, rules built to move the stratification:
@@ -164,7 +198,10 @@ func ruleCandidates(p *datalog.Program) []datalog.Clause {
 // IncrementalCases generates n seeded (program, write sequence) cases
 // cycling through the workload families. Deletions are drawn from the
 // currently asserted base facts — including the program's own seed facts —
-// so retract paths through load-bearing tuples are exercised. About a third
+// so retract paths through load-bearing tuples are exercised; one assertion
+// in four is on a derived predicate (randomDerivedAtom), and now and then such
+// a fact is retracted alone, so that what becomes of the tuple is the rules'
+// doing and nothing else's. About a third
 // of the deltas change the rule set (ruleCandidates), alone or together with
 // a fact. The generator's own copy of the program moves only on deltas the
 // reference accepts, so it stays what a correct engine holds.
@@ -182,9 +219,22 @@ func IncrementalCases(seed int64, n int) []IncrementalCase {
 		steps := 3 + r.Intn(6)
 		writes := make([]WriteOp, 0, steps)
 		for s := 0; s < steps; s++ {
+			heads := ruleHeads(state)
+			var facts, derived []datalog.Clause // state's fact clauses; those on a predicate a rule defines
+			for _, c := range state.Clauses {
+				if c.IsFact() {
+					facts = append(facts, c)
+					if defines(heads, c.Head.Pred) {
+						derived = append(derived, c)
+					}
+				}
+			}
 			var op WriteOp
 			nFacts, nRules := 1+r.Intn(3), 0
-			if len(pool) > 0 && r.Intn(3) == 0 {
+			switch {
+			case len(derived) > 0 && r.Intn(8) == 0:
+				op.Dels, nFacts = []datalog.Clause{derived[r.Intn(len(derived))]}, 0
+			case len(pool) > 0 && r.Intn(3) == 0:
 				nFacts, nRules = r.Intn(2), 1+r.Intn(5)/4
 			}
 			for ; nRules > 0; nRules-- {
@@ -197,17 +247,18 @@ func IncrementalCases(seed int64, n int) []IncrementalCase {
 					op.Adds = append(op.Adds, c)
 				}
 			}
-			var facts []datalog.Clause
-			for _, c := range state.Clauses {
-				if c.IsFact() {
-					facts = append(facts, c)
-				}
-			}
 			for ; nFacts > 0; nFacts-- {
 				if len(facts) > 0 && r.Intn(3) == 0 {
 					op.Dels = append(op.Dels, facts[r.Intn(len(facts))])
 				} else {
-					op.Adds = append(op.Adds, datalog.Fact(randomEDBAtom(cfg.Family, r, cfg.Size)))
+					a, ok := datalog.Atom{}, false
+					if r.Intn(4) == 0 {
+						a, ok = randomDerivedAtom(state, r, cfg.Size)
+					}
+					if !ok {
+						a = randomEDBAtom(cfg.Family, r, cfg.Size)
+					}
+					op.Adds = append(op.Adds, datalog.Fact(a))
 				}
 			}
 			if next := withOp(state, op); stratifiable(next) {
@@ -241,7 +292,7 @@ func stratifiable(p *datalog.Program) bool {
 
 // compareToFull diffs the maintained engine against fresh, a from-scratch
 // build of full, the patched program: the tuple sets must be identical and
-// every tuple's (base, derived) counts must match exactly. The compiled
+// every tuple's base count must match exactly. The compiled
 // engine evaluates the same patched program as a third voice — its model
 // must match the reference at every step of the write sequence, which is how
 // the stateful campaign covers the plan cache under evolving fact sets.
@@ -250,7 +301,7 @@ func compareToFull(inc, fresh *datalog.Incremental, full *datalog.Program) strin
 		return fmt.Sprintf("model mismatch\nincremental:\n%s\nfull:\n%s", got, want)
 	}
 	if got, want := inc.Counts(), fresh.Counts(); !reflect.DeepEqual(got, want) {
-		return fmt.Sprintf("derivation-count mismatch\nincremental: %v\nfull:        %v", got, want)
+		return fmt.Sprintf("base-count mismatch\nincremental: %v\nfull:        %v", got, want)
 	}
 	switch compiled, err := compile.Eval(full, nil); {
 	case compile.IsFallback(err):

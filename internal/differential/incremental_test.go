@@ -1,7 +1,6 @@
 package differential
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -17,8 +16,8 @@ import (
 
 // TestIncrementalCampaign is the standing gate for the maintenance engine:
 // a seeded campaign of generated (program, write sequence) cases where the
-// incrementally patched model and its derivation counts are checked against
-// full re-derivation after every single delta. Sharded into parallel
+// incrementally patched model and its base counts are checked against full
+// re-derivation after every single delta. Sharded into parallel
 // subtests so the race-enabled CI tier exercises concurrent engine
 // instances.
 func TestIncrementalCampaign(t *testing.T) {
@@ -77,11 +76,11 @@ func TestIncrementalCampaign(t *testing.T) {
 	}
 }
 
-// adoptFunc turns a finished model of p into a counting engine.
+// adoptFunc turns a finished model of p into a maintenance engine.
 type adoptFunc func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error)
 
 func adopt(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
-	return datalog.Adopt(context.Background(), p, model, resource.Limits{})
+	return datalog.Adopt(p, model, resource.Limits{})
 }
 
 // adoptDiverges builds p's model in the compiled engine (the interpreter's
@@ -115,8 +114,8 @@ func adoptDiverges(p *datalog.Program, writes []WriteOp, adoptWith adoptFunc) st
 	return ""
 }
 
-// TestAdoptionCampaign: support counts are a function of the rules and the
-// finished model, so an engine that adopts the compiled engine's model is the
+// TestAdoptionCampaign: an engine holds the model, the rules and the fact
+// clauses' counts, so one that adopts the compiled engine's model is the
 // engine NewIncremental builds — on every program of the incremental campaign
 // and of the figure corpus (D1 reduced at every level, with and without the
 // Figure 13 filter), model and Counts() alike — and stays it under the
@@ -157,10 +156,11 @@ func TestAdoptionCampaign(t *testing.T) {
 }
 
 // TestAdoptionCampaignCatchesMutations plants the four ways adoption can go
-// wrong — a model short of a tuple, a model with a tuple too many, a rule the
-// counting pass skips, an adoption that writes to the store it was handed —
-// and requires adoptDiverges to report each; the first two by Adopt's own
-// refusal of a model that is not the program's least.
+// wrong — a model short of a tuple, a model with a tuple too many, a rule left
+// out of the adopted rule set, an adoption that writes to the store it was
+// handed — and requires adoptDiverges to report each: Adopt checks nothing but
+// that fact clauses are in the model, the comparison with a fresh engine,
+// before the first delta and after each, is what tells.
 func TestAdoptionCampaignCatchesMutations(t *testing.T) {
 	p, err := datalog.Parse(`
 		e(a, b). e(b, c). e(c, d).
@@ -175,7 +175,7 @@ func TestAdoptionCampaignCatchesMutations(t *testing.T) {
 	if msg := adoptDiverges(p, writes, adopt); msg != "" {
 		t.Fatalf("unmutated adoption diverges: %s", msg)
 	}
-	stray := datalog.NewAtom("far", term.Const("zz")) // feeds no rule: only its own zero counts give it away
+	stray := datalog.NewAtom("far", term.Const("zz")) // feeds no rule: only its own presence gives it away
 	mutations := map[string]adoptFunc{
 		"dropped tuple": func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
 			short := model.Clone()
@@ -190,13 +190,9 @@ func TestAdoptionCampaignCatchesMutations(t *testing.T) {
 			return adopt(p, long)
 		},
 		"skipped rule": func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
-			// The pass never fires far's rule; far's tuples are in the model, as
-			// base facts would be, so that only the counts can tell.
-			skip := &datalog.Program{Clauses: p.Clauses[: len(p.Clauses)-1 : len(p.Clauses)-1]}
-			for _, f := range model.Facts("far") {
-				skip.Add(datalog.Fact(f))
-			}
-			return adopt(skip, model)
+			// The engine never learns far's rule: model and counts are right
+			// until a delta should have moved far.
+			return adopt(&datalog.Program{Clauses: p.Clauses[:len(p.Clauses)-1]}, model)
 		},
 		"source written": func(p *datalog.Program, model *datalog.Store) (*datalog.Incremental, error) {
 			inc, err := adopt(p, model)
@@ -295,4 +291,61 @@ func clausesOf(t *testing.T, src string) []datalog.Clause {
 		t.Fatalf("bad clause source %q: %v", src, err)
 	}
 	return p.Clauses
+}
+
+// firedBy reports whether some rule of p fires for t against model: what a
+// stored derivation count answered, true or not of the least model.
+func firedBy(p *datalog.Program, model *datalog.Store, t datalog.Atom) bool {
+	probe := &datalog.Program{}
+	for _, c := range p.Clauses {
+		if !c.IsFact() && c.Head.Pred == t.Pred {
+			probe.Add(datalog.Rule(datalog.NewAtom("fired", c.Head.Args...), c.Body...))
+		}
+	}
+	out, err := datalog.Eval(probe, model)
+	return err == nil && out.Contains(datalog.NewAtom("fired", t.Args...))
+}
+
+// TestIncrementalCampaignCatchesCountShortcut plants the shortcut the engine
+// had while it stored derivation counts — a tuple whose last base assertion
+// is retracted stays if a firing derives it, no questions asked of where the
+// firing's premises come from — as a fifth mutation, on the campaign's own
+// cases: at a delta that is one such retract and nothing else, the mutant
+// leaves the model as it was. The campaign catches it wherever full
+// re-derivation disagrees, which takes a tuple that supports itself through a
+// cycle; the write generator must reach some.
+func TestIncrementalCampaignCatchesCountShortcut(t *testing.T) {
+	programs, shards := 60, 4
+	taken, caught := 0, 0
+	for s := 0; s < shards; s++ {
+		for _, c := range IncrementalCases(int64(1000+s*programs), programs) {
+			full := c.Program
+			fresh, err := datalog.NewIncremental(full, nil)
+			if err != nil {
+				continue
+			}
+			for _, op := range c.Writes {
+				next := withOp(full, op)
+				nextFresh, err := datalog.NewIncremental(next, nil)
+				if err != nil {
+					continue // refused: the engine stays what it was
+				}
+				if len(op.Adds) == 0 && len(op.Dels) == 1 && op.Dels[0].IsFact() {
+					d := op.Dels[0].Head
+					if fresh.Counts()[d.Key()] == 1 && firedBy(full, fresh.Model(), d) {
+						taken++
+						if nextFresh.Model().String() != fresh.Model().String() {
+							caught++
+							t.Logf("seed %d: -%s leaves a model the shortcut keeps", c.Seed, d)
+						}
+					}
+				}
+				full, fresh = next, nextFresh
+			}
+		}
+	}
+	t.Logf("the shortcut decides %d lone retracts of the campaign, %d of them wrongly", taken, caught)
+	if caught == 0 {
+		t.Errorf("the campaign never retracts a base fact that supports itself through a cycle (%d shortcut retracts, all sound)", taken)
+	}
 }

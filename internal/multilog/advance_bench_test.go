@@ -91,7 +91,7 @@ func (fx *writeFixture) write(tb testing.TB, retract bool, advance advanceFunc) 
 // advanceArms are the two ways across a write: advance=delta is the serving
 // path (Advance: the write's clauses translated and applied to a
 // copy-on-write clone of each engine); advance=full is the cold-build
-// reference — Reduce and a counting Prepare per clearance, which no write
+// reference — Reduce and an interpreted Prepare per clearance, which no write
 // runs any more — and the reference arm of the bench-smoke allocation gates.
 func advanceArms(b *testing.B) []struct {
 	name    string
@@ -104,8 +104,8 @@ func advanceArms(b *testing.B) []struct {
 	}{
 		{"delta", func(old *multilog.Reduction, next *multilog.Database, added, removed []multilog.Clause) *multilog.Reduction {
 			red, rep, err := old.Advance(ctx, next, added, removed, resource.Limits{})
-			if err != nil || !rep.Incremental {
-				b.Fatalf("advance: incremental=%v reason=%q err=%v", rep.Incremental, rep.Reason, err)
+			if err != nil || rep.Reason != "" {
+				b.Fatalf("advance: reason=%q err=%v", rep.Reason, err)
 			}
 			return red
 		}},
@@ -125,7 +125,8 @@ func advanceArms(b *testing.B) []struct {
 // BenchmarkAdvanceFactWrite prices one fact assert plus its retract across
 // four warm clearances; advance=adopt, the same pair as the first writes
 // after a cold build — every clearance holding the compiled engine's model,
-// which the assert adopts (one counting pass each) before its delta.
+// which the assert adopts (a clone and its fact clauses counted in, each)
+// before its delta.
 func BenchmarkAdvanceFactWrite(b *testing.B) {
 	arms := advanceArms(b)
 	for _, arm := range arms {

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -53,7 +54,7 @@ func mustReduce(t *testing.T, db *Database, user lattice.Label) *Reduction {
 	return mustReduceOpts(t, db, user, Options{})
 }
 
-// sameAsFresh fails unless red's model and support counts are those of a
+// sameAsFresh fails unless red's model and base counts are those of a
 // reduction of db prepared from scratch, and its Program is that reduction's
 // as a multiset of clauses — give or take the inert axioms of predicates
 // whose last mention a retract took out of Σ: rules whose head predicate
@@ -74,7 +75,7 @@ func sameAs(t *testing.T, what string, red, fresh *Reduction) {
 		t.Fatalf("%s: model diverges from a fresh prepare\ngot:\n%s\nwant:\n%s", what, got, want)
 	}
 	if !reflect.DeepEqual(red.Counts(), fresh.Counts()) {
-		t.Fatalf("%s: support counts diverge from a fresh prepare", what)
+		t.Fatalf("%s: base counts diverge from a fresh prepare", what)
 	}
 	got, want := clauseBag(red.Program.Clauses), clauseBag(fresh.Program.Clauses)
 	if missing := bagMinus(want, got); len(missing) > 0 {
@@ -196,8 +197,8 @@ func TestTranslatedDeltaMatchesProgramDiff(t *testing.T) {
 				freshOld, freshNew := fresh[u], prepared(next, u)
 
 				red, rep, err := old.Advance(ctx, next, added, removed, resource.Limits{})
-				if err != nil || !rep.Incremental || rep.Reason != "" {
-					t.Fatalf("%s: Advance: incremental=%v reason=%q err=%v", what, rep.Incremental, rep.Reason, err)
+				if err != nil || rep.Reason != "" {
+					t.Fatalf("%s: Advance: reason=%q err=%v", what, rep.Reason, err)
 				}
 				sameAs(t, what+": Advance", red, freshNew)
 				if want := changedPredsBetween(old, red); !reflect.DeepEqual(rep.ChangedPreds, want) &&
@@ -246,8 +247,8 @@ func TestTranslatedDeltaMatchesProgramDiff(t *testing.T) {
 
 				viaDiff := mustReduceOpts(t, next, u, opts)
 				rep2, err := viaDiff.AdvanceFrom(ctx, old, resource.Limits{})
-				if err != nil || !rep2.Incremental {
-					t.Fatalf("%s: AdvanceFrom: incremental=%v reason=%q err=%v", what, rep2.Incremental, rep2.Reason, err)
+				if err != nil || rep2.Reason != "" {
+					t.Fatalf("%s: AdvanceFrom: reason=%q err=%v", what, rep2.Reason, err)
 				}
 				sameAs(t, what+": AdvanceFrom", viaDiff, freshNew)
 				if !reflect.DeepEqual(rep2.ChangedPreds, rep.ChangedPreds) {
@@ -288,8 +289,8 @@ func TestAdvanceWriteAboveClearance(t *testing.T) {
 		t.Fatal(err)
 	}
 	red, rep, err := old.Advance(ctx, next, []Clause{fact}, nil, resource.Limits{})
-	if err != nil || !rep.Incremental {
-		t.Fatalf("advance: incremental=%v reason=%q err=%v", rep.Incremental, rep.Reason, err)
+	if err != nil || rep.Reason != "" {
+		t.Fatalf("advance: reason=%q err=%v", rep.Reason, err)
 	}
 	if want := []string{relPred("p", "s")}; !reflect.DeepEqual(rep.ChangedPreds, want) || rep.Added != 1 || rep.Deleted != 0 {
 		t.Fatalf("a write above the clearance changed %v (+%d -%d), want exactly %v (+1 -0)",
@@ -311,20 +312,20 @@ func TestAdvanceWriteAboveClearance(t *testing.T) {
 	}
 
 	same, rep, err := red.Advance(ctx, next, nil, nil, resource.Limits{})
-	if err != nil || !rep.Incremental || len(rep.ChangedPreds) != 0 {
+	if err != nil || rep.Reason != "" || len(rep.ChangedPreds) != 0 {
 		t.Fatalf("empty advance: %+v, %v", rep, err)
 	}
 	if same.inc != red.inc || same.model != red.model {
 		t.Fatal("an empty delta did not share the old engine and model")
 	}
 	again := mustReduce(t, next, "u")
-	if rep, err := again.AdvanceFrom(ctx, red, resource.Limits{}); err != nil || !rep.Incremental || again.inc != red.inc {
+	if rep, err := again.AdvanceFrom(ctx, red, resource.Limits{}); err != nil || rep.Reason != "" || again.inc != red.inc {
 		t.Fatalf("AdvanceFrom over an unchanged database: %+v, %v, shared=%v", rep, err, again.inc == red.inc)
 	}
 }
 
 // evalModel is the reduced program's minimal model as a plain evaluator
-// builds it: no engine, no support counts — what InstallPrepared is handed.
+// builds it: no engine, no base counts — what InstallPrepared is handed.
 func evalModel(t *testing.T, r *Reduction) *datalog.Store {
 	t.Helper()
 	m, err := datalog.Eval(r.Program, nil)
@@ -368,7 +369,7 @@ func TestAdvanceReasons(t *testing.T) {
 	// axioms with it, as added rules of the same delta.
 	next, added := write("l0[fresh(k1: a -l0-> v1)].")
 	red, rep, err := base.Advance(ctx, next, added, nil, resource.Limits{})
-	if err != nil || !rep.Incremental || rep.Adopted || rep.RulesAdded == 0 {
+	if err != nil || rep.Reason != "" || rep.Adopted || rep.RulesAdded == 0 {
 		t.Fatalf("new predicate: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "new predicate", red, next, "l1")
@@ -383,7 +384,7 @@ func TestAdvanceReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 	red2, rep, err := red.Advance(ctx, next2, []Clause{second}, nil, resource.Limits{})
-	if err != nil || !rep.Incremental || rep.RulesAdded != 0 {
+	if err != nil || rep.Reason != "" || rep.RulesAdded != 0 {
 		t.Fatalf("second fact of the new predicate: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "second fact", red2, next2, "l1")
@@ -393,12 +394,12 @@ func TestAdvanceReasons(t *testing.T) {
 	// per dominated level, one for opt and two for cau: 4 at l0, 7 at l1.
 	ruleDB, rule := write("l1[r(K: c -l1-> V)] :- l0[p(K: a -C-> V)] << fir.")
 	red, rep, err = base.Advance(ctx, ruleDB, rule, nil, resource.Limits{})
-	if err != nil || !rep.Incremental || rep.RulesAdded != 1+4+7 || rep.Added != 5 {
+	if err != nil || rep.Reason != "" || rep.RulesAdded != 1+4+7 || rep.Added != 5 {
 		t.Fatalf("rule write: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "rule write", red, ruleDB, "l1")
 	back, rep, err := red.Advance(ctx, db, nil, rule, resource.Limits{})
-	if err != nil || !rep.Incremental || rep.RulesRemoved != 1 || rep.Deleted != 5 {
+	if err != nil || rep.Reason != "" || rep.RulesRemoved != 1 || rep.Deleted != 5 {
 		t.Fatalf("rule retract: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "rule retract", back, db, "l1")
@@ -409,7 +410,7 @@ func TestAdvanceReasons(t *testing.T) {
 	installed := mustReduce(t, db, "l1")
 	installed.InstallPrepared(evalModel(t, installed))
 	red, rep, err = installed.Advance(ctx, ruleDB, rule, nil, resource.Limits{})
-	if err != nil || !rep.Incremental || !rep.Adopted || rep.RulesAdded != 1+4+7 || rep.Added != 5 {
+	if err != nil || rep.Reason != "" || !rep.Adopted || rep.RulesAdded != 1+4+7 || rep.Added != 5 {
 		t.Fatalf("installed old reduction: %+v, %v", rep, err)
 	}
 	sameAsFresh(t, "advance from an installed model", red, ruleDB, "l1")
@@ -421,7 +422,7 @@ func TestAdvanceReasons(t *testing.T) {
 	}
 	// A write that translates to nothing has nothing to count for.
 	same, rep, err := installed.Advance(ctx, db, nil, nil, resource.Limits{})
-	if err != nil || !rep.Incremental || rep.Adopted || same.model != installed.model || same.inc != nil {
+	if err != nil || rep.Reason != "" || rep.Adopted || same.model != installed.model || same.inc != nil {
 		t.Fatalf("empty advance from an installed model: %+v, %v", rep, err)
 	}
 	// A model that is not the program's is refused, not served.
@@ -451,7 +452,7 @@ func TestAdvanceReasons(t *testing.T) {
 		"options":   mustReduceOpts(t, db, "l1", Options{Filter: true}),
 		"lattice":   mustReduce(t, wider, "l1"),
 	} {
-		if rep, err := other.AdvanceFrom(ctx, base, resource.Limits{}); err != nil || rep.Incremental || rep.Reason != ReasonRuleChange {
+		if rep, err := other.AdvanceFrom(ctx, base, resource.Limits{}); err != nil || rep.Reason != ReasonRuleChange {
 			t.Fatalf("another %s: %+v, %v", name, rep, err)
 		}
 		sameAsFresh(t, "another "+name, other, other.DB, other.User)
@@ -475,7 +476,7 @@ func TestAdvanceReasons(t *testing.T) {
 		next := db.Clone()
 		next.Sigma = append(next.Sigma, tc.added...) // unchecked: some of these no database admits
 		red, rep, err := tc.old.Advance(ctx, next, tc.added, nil, resource.Limits{})
-		if err == nil || red != nil || rep.Incremental || rep.Reason != tc.want {
+		if err == nil || red != nil || rep.Reason != tc.want {
 			t.Fatalf("%s: reduction %v, %+v, %v; want an error for %q", tc.name, red != nil, rep, err, tc.want)
 		}
 	}
@@ -528,7 +529,7 @@ func TestCloneCarriesPoset(t *testing.T) {
 // it, and a sibling chain of fact writes advances from it too. The source's
 // answers, Program, registered predicates, belief needs, dependency edges,
 // model and counts are afterwards what they were — whether it holds a
-// counting engine of its own or an installed model each chain's first write
+// maintenance engine of its own or an installed model each chain's first write
 // adopts.
 func TestRuleAdvanceLeavesSourceServing(t *testing.T) {
 	for _, installed := range []bool{false, true} {
@@ -604,7 +605,7 @@ func ruleAdvanceLeavesSourceServing(t *testing.T, installed bool) {
 				if red == src {
 					fromSrc.Unlock()
 				}
-				if err != nil || !rep.Incremental || rep.Adopted != (installed && red == src) {
+				if err != nil || rep.Reason != "" || rep.Adopted != (installed && red == src) {
 					t.Errorf("%s: %s (retract=%v): %+v, %v", what, w, retract, rep, err)
 					return
 				}
@@ -663,5 +664,39 @@ func ruleAdvanceLeavesSourceServing(t *testing.T, installed bool) {
 	if !reflect.DeepEqual(clauseBag(src.Program.Clauses), wantProgram) || !reflect.DeepEqual(src.Counts(), wantCounts) ||
 		src.model.String() != wantModel || (installed && src.inc != nil) {
 		t.Error("an advance wrote to its source's Program, model or counts")
+	}
+}
+
+// TestAdvanceRetractUnderRecursion: a Π fact whose tuple supports itself
+// through a rule cycle goes when it is retracted, from an engine Prepare built
+// and from one adopted at this very write alike — the retract seeds DRed
+// instead of asking whether some firing still derives the tuple.
+func TestAdvanceRetractUnderRecursion(t *testing.T) {
+	db, err := Parse(`
+		level(l0).
+		p(X) :- q(X).
+		q(X) :- p(X).
+		p(a). q(b).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact := db.Pi[2]
+	next := db.Clone()
+	next.Pi = slices.Delete(slices.Clone(next.Pi), 2, 3)
+	for _, installed := range []bool{false, true} {
+		old := freshPrepared(t, db, "l0")
+		if installed {
+			old = mustReduce(t, db, "l0")
+			old.InstallPrepared(evalModel(t, old))
+		}
+		red, rep, err := old.Advance(context.Background(), next, nil, []Clause{fact}, resource.Limits{})
+		if err != nil || rep.Adopted != installed {
+			t.Fatalf("installed=%v: advance: %+v, %v", installed, rep, err)
+		}
+		if want := []string{"p", "q"}; !reflect.DeepEqual(rep.ChangedPreds, want) || rep.Deleted != 2 {
+			t.Errorf("installed=%v: retracting %s changed %v (-%d), want %v (-2)", installed, fact, rep.ChangedPreds, rep.Deleted, want)
+		}
+		sameAsFresh(t, fmt.Sprintf("cyclic retract, installed=%v", installed), red, next, "l0")
 	}
 }

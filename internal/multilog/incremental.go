@@ -3,11 +3,12 @@ package multilog
 // Incremental maintenance of prepared reductions. When the underlying
 // database changes by Σ/Π clauses — facts or rules — the next reduction is
 // advanced from the old one: the written clauses are translated and applied
-// as a clause delta to a copy-on-write clone of the old reduction's counting
-// engine (Advance, AdvanceFrom), instead of re-reducing the database and
-// re-deriving the fixpoint from scratch. A reduction whose model another
-// engine built (InstallPrepared) gets that engine at its first advance, by one
-// counting pass over the model (datalog.Adopt). QueryDeps and ImpactGraph
+// as a clause delta to a copy-on-write clone of the old reduction's
+// maintenance engine (Advance, AdvanceFrom), instead of re-reducing the
+// database and re-deriving the fixpoint from scratch. A reduction whose model
+// another engine built (InstallPrepared) gets that engine at its first
+// advance, by counting the program's fact clauses into a clone of the model
+// (datalog.Adopt). QueryDeps and ImpactGraph
 // expose the translated dependency structure so callers (the server's result
 // cache) can invalidate only what a write could actually reach.
 
@@ -47,17 +48,16 @@ const (
 
 // DeltaReport describes how an advance prepared a reduction.
 type DeltaReport struct {
-	// Incremental is true when the old model was patched. False means it was
-	// not, for Reason: Advance then returns an error, AdvanceFrom has run a
-	// full Prepare and every predicate may have changed.
-	Incremental bool
-	// Reason is set exactly when Incremental is false.
+	// Reason is empty when the old model was patched. Otherwise it was not,
+	// for Reason: Advance then returns an error, AdvanceFrom has run a full
+	// Prepare and every predicate may have changed.
 	Reason Refusal
-	// Adopted: the advance began by counting an installed model's support.
+	// Adopted: the advance began by adopting an installed model, the first
+	// write after a cold build.
 	Adopted bool
 	// ChangedPreds lists the translated predicates whose derived tuple sets
-	// actually changed, sorted. Empty with Incremental=true means the write
-	// was a semantic no-op.
+	// actually changed, sorted. Empty with no Reason means the write was a
+	// semantic no-op.
 	ChangedPreds []string
 	// Added and Deleted count net tuple-level changes across all predicates.
 	Added, Deleted int
@@ -74,8 +74,9 @@ type DeltaReport struct {
 // nothing but the clause, the lattice and the clearance) and applied as a
 // clause delta to a copy-on-write clone of old's engine, under limits: the
 // cost is what the clauses derive and the relations that touches, not the
-// database — plus, when old's model was installed and not yet counted, one
-// enumeration of the rules over it. A write that translates to nothing shares
+// database — plus, when old's model was installed and never advanced, a copy
+// of its relations with the fact clauses counted in. A write that translates
+// to nothing shares
 // old's engine and model as they are. old is never mutated — what the
 // translation writes, needs and preds, are the next reduction's own copies —
 // and keeps serving QueryPrepared calls throughout; two advances from the
@@ -98,14 +99,14 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 	if err != nil {
 		return refuse(reason, err)
 	}
-	rep := DeltaReport{Incremental: true}
+	var rep DeltaReport
 	// The Program is a copy even when nothing changed: RequireBelief appends.
 	r.Program, r.inc, r.model, r.deps = patchProgram(old.Program, adds, dels), old.inc, old.model, old.deps
 	if len(adds)+len(dels) > 0 {
 		if old.inc != nil {
 			r.inc = old.inc.Clone()
 			r.inc.Limits = limits
-		} else if r.inc, err = datalog.Adopt(ctx, old.Program, old.model, limits); err != nil {
+		} else if r.inc, err = datalog.Adopt(old.Program, old.model, limits); err != nil {
 			return refuse(ReasonDeltaFailed, err)
 		} else {
 			rep.Adopted = true
@@ -221,9 +222,9 @@ next:
 	return out
 }
 
-// Counts exposes the engine's per-tuple derivation counts (nil when the
-// reduction is not prepared); used by the differential and crash harnesses.
-func (r *Reduction) Counts() map[string]datalog.TupleCount {
+// Counts exposes the engine's per-tuple base-assertion counts (nil when the
+// reduction has no engine yet); used by the differential and crash harnesses.
+func (r *Reduction) Counts() map[string]int {
 	if r.inc == nil {
 		return nil
 	}

@@ -162,7 +162,7 @@ func TestAdvanceFromMatchesFreshPrepare(t *testing.T) {
 				continue // the write would be rejected upstream; skip
 			}
 			red, rep := advance(t, next, cur)
-			if !rep.Incremental {
+			if rep.Reason != "" {
 				t.Fatalf("seed %d step %d: expected incremental advance", seed, step)
 			}
 			fresh := freshPrepared(t, next, user)
@@ -171,7 +171,7 @@ func TestAdvanceFromMatchesFreshPrepare(t *testing.T) {
 					seed, step, fact, got, want)
 			}
 			if !reflect.DeepEqual(red.Counts(), fresh.Counts()) {
-				t.Fatalf("seed %d step %d: derivation counts diverge (fact %s)", seed, step, fact)
+				t.Fatalf("seed %d step %d: base counts diverge (fact %s)", seed, step, fact)
 			}
 			if want := changedPredsBetween(cur, red); !reflect.DeepEqual(rep.ChangedPreds, want) &&
 				!(len(rep.ChangedPreds) == 0 && len(want) == 0) {
@@ -184,7 +184,7 @@ func TestAdvanceFromMatchesFreshPrepare(t *testing.T) {
 
 // TestAdvanceAssertRetractNoop is the metamorphic write-path property at the
 // reduction layer: asserting a fresh fact and then retracting it restores a
-// byte-identical model and identical derivation counts, at every clearance,
+// byte-identical model and identical base counts, at every clearance,
 // and the belief sets of all three modes are unchanged.
 func TestAdvanceAssertRetractNoop(t *testing.T) {
 	db, err := Parse(`
@@ -227,7 +227,7 @@ func TestAdvanceAssertRetractNoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		with, rep := advance(t, withDB, base)
-		if !rep.Incremental {
+		if rep.Reason != "" {
 			t.Fatalf("user %s: assert: expected incremental advance", user)
 		}
 		if user != "l0" && rep.Added == 0 {
@@ -236,14 +236,14 @@ func TestAdvanceAssertRetractNoop(t *testing.T) {
 
 		backDB := withoutClause(withDB, fact)
 		back, rep2 := advance(t, backDB, with)
-		if !rep2.Incremental {
+		if rep2.Reason != "" {
 			t.Fatalf("user %s: retract: expected incremental advance", user)
 		}
 		if got := modelString(t, back); got != baseModel {
 			t.Errorf("user %s: assert-then-retract is not a model no-op\ngot:\n%s\nwant:\n%s", user, got, baseModel)
 		}
 		if !reflect.DeepEqual(back.Counts(), baseCounts) {
-			t.Errorf("user %s: assert-then-retract changed derivation counts", user)
+			t.Errorf("user %s: assert-then-retract changed base counts", user)
 		}
 		if got := beliefs(back); got != baseBeliefs {
 			t.Errorf("user %s: belief sets changed across assert-then-retract\ngot:\n%s\nwant:\n%s", user, got, baseBeliefs)
@@ -268,7 +268,7 @@ func TestAdvanceRuleWriteAndFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	red, rep := advance(t, next, base)
-	if !rep.Incremental || rep.RulesAdded == 0 {
+	if rep.Reason != "" || rep.RulesAdded == 0 {
 		t.Fatalf("a rule write was not applied incrementally: %+v", rep)
 	}
 	fresh := freshPrepared(t, next, "l1")
@@ -288,7 +288,7 @@ func TestAdvanceRuleWriteAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Incremental {
+	if rep2.Reason == "" {
 		t.Fatal("advancing from an unprepared reduction must fall back")
 	}
 }

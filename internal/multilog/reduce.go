@@ -97,9 +97,9 @@ func (r *Reduction) QueryContext(ctx context.Context, q Query, limits resource.L
 // short. Call it once, before publishing the reduction to other goroutines;
 // on a reduction that already holds its model it does nothing.
 //
-// The model is built through a counting engine (datalog.Incremental) rather
-// than a one-shot Eval — one more enumeration of the rules, to seed the
-// support counts the first clause delta (Advance, AdvanceFrom) patches.
+// The model is built into a maintenance engine (datalog.Incremental): the
+// one-shot Eval, plus the base count of every fact clause, which the first
+// clause delta (Advance, AdvanceFrom) patches.
 func (r *Reduction) Prepare(ctx context.Context, limits resource.Limits) error {
 	if r.model != nil {
 		r.InstallPrepared(r.model)
@@ -119,9 +119,9 @@ func (r *Reduction) Prepare(ctx context.Context, limits resource.Limits) error {
 // with it the reduction is prepared: QueryPrepared serves it exactly as if
 // Prepare had built it. The caller guarantees the model is the complete
 // lfp of r.Program; installing a partial model would silently drop answers.
-// The model comes without support counts: the first advance from the
-// reduction seeds them with one pass over it (datalog.Adopt), which a
-// reduction that is only ever read never pays.
+// The model comes without an engine: the first advance from the reduction
+// makes one over a clone of it (datalog.Adopt), which a reduction that is
+// only ever read never pays.
 func (r *Reduction) InstallPrepared(model *datalog.Store) {
 	r.model = model
 	if r.deps == nil {

@@ -57,7 +57,7 @@ type Reduction struct {
 	LastStats resource.Stats
 
 	model *datalog.Store       // the minimal model, once built or installed: the reduction is prepared
-	inc   *datalog.Incremental // model's counting engine: built by Prepare or by the first advance, nil before
+	inc   *datalog.Incremental // model's maintenance engine: built by Prepare or by the first advance, nil before
 	deps  map[string][]string  // head pred -> body preds, built with the model
 	needs map[belNeed]bool
 	preds map[string]bool // MultiLog predicate names seen in Σ and queries

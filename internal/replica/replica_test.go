@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -67,12 +68,17 @@ func startPrimary(t testing.TB, program string, faults faultinject.FilePlan) *no
 
 func startFollower(t testing.TB, primaryURL string) *node {
 	t.Helper()
+	return startFollowerConfig(t, server.Config{}, primaryURL)
+}
+
+func startFollowerConfig(t testing.TB, cfg server.Config, primaryURL string) *node {
+	t.Helper()
 	store, rec, err := wal.Open(wal.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	nd, err := replica.NewFollower(server.Config{}, store, rec, primaryURL)
+	nd, err := replica.NewFollower(cfg, store, rec, primaryURL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,5 +686,104 @@ func TestCanceledWriteDoesNotDeposePrimary(t *testing.T) {
 	}
 	if _, err := rcl.Assert(ctx, sess.Session, "s[emp(gary: salary -s-> high)]."); err != nil {
 		t.Fatalf("write after the canceled one: %v", err)
+	}
+}
+
+// TestRouterForwardsPastStaleBrownout: a session writes through the router,
+// its pinned replica applies the write — retiring the cached answer into the
+// brownout table — and is then saturated, so it answers the session's next
+// read from that table. The answer is the one from before the write and says
+// so by its epoch: the read-your-writes floor turns it down and the read goes
+// to the primary.
+func TestRouterForwardsPastStaleBrownout(t *testing.T) {
+	const maxInflight = 4 // exactly one cost-4 read at a time
+	const maxQueue = 4 * maxInflight
+	var hold atomic.Bool
+	parked, release := make(chan struct{}, 1), make(chan struct{})
+	p := startPrimary(t, testProgram, nil)
+	f := startFollowerConfig(t, server.Config{
+		QueryTimeout: time.Minute,
+		MaxInflight:  maxInflight,
+		MaxStale:     time.Minute,
+		StreamFaults: func(ev faultinject.FileEvent, _ int64) faultinject.FileAction {
+			if ev == faultinject.ServerQueryWork && hold.Load() {
+				select {
+				case parked <- struct{}{}:
+				default:
+				}
+				<-release
+			}
+			return faultinject.FileOK
+		},
+	}, p.url)
+	waitApplied(t, p, f)
+	rurl := startRouter(t, replica.RouterConfig{
+		Primary: p.url, Replicas: []replica.BackendSpec{{Addr: f.url}}, RYWHold: 50 * time.Millisecond})
+	rc := server.NewClient(rurl, nil)
+	waitHealthyReplicas(t, rc, 1)
+
+	ctx := context.Background()
+	sess, err := rc.Open(ctx, server.OpenRequest{Subject: "ryw", Clearance: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = "L[emp(K: salary -C-> V)]"
+	read := func() *server.QueryResponse {
+		t.Helper()
+		resp, err := rc.QueryContext(ctx, server.QueryRequest{Session: sess.Session, Query: query})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	before := read() // cached on the replica
+	if _, err := rc.Assert(ctx, sess.Session, "u[emp(carol: salary -u-> low)]."); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, p, f)
+
+	// Saturate the replica, not through the router: one read parks inside its
+	// admitted span, maxQueue more queue behind it, the next one is shed.
+	direct, err := f.cl.Open(ctx, server.OpenRequest{Subject: "flood", Clearance: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.Store(true)
+	var readers sync.WaitGroup
+	defer readers.Wait()
+	defer close(release)
+	flood := func(i int) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			f.cl.QueryContext(ctx, server.QueryRequest{ //nolint:errcheck // shed expected once the stall lifts
+				Session: direct.Session, Query: fmt.Sprintf("s[emp(flood%d: salary -u-> V)]", i)})
+		}()
+	}
+	flood(0)
+	<-parked
+	for i := 1; i <= maxQueue; i++ {
+		flood(i)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st, err := f.cl.Stats(ctx)
+		if err == nil && st.Admission.Queued == maxQueue {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the replica's admission queue never filled (err=%v, stats=%+v)", err, st)
+		}
+	}
+
+	after := read()
+	if after.StaleMS != 0 || len(after.Answers) != len(before.Answers)+1 {
+		t.Errorf("the session's read after its write: stale_ms=%d, %d answers, want the fresh %d",
+			after.StaleMS, len(after.Answers), len(before.Answers)+1)
+	}
+	if st, err := f.cl.Stats(ctx); err != nil || st.Admission.StaleServed == 0 {
+		t.Errorf("the saturated replica served no brownout answer (err=%v): the router was never offered one", err)
+	}
+	if rs := routerStats(t, rc); rs.RYWForwards != 1 {
+		t.Errorf("router ryw_forwards = %d, want the one read forwarded past the stale answer", rs.RYWForwards)
 	}
 }

@@ -41,10 +41,12 @@ type resultCache struct {
 }
 
 // staleEntry is a brownout candidate: answers an invalidation dropped,
-// kept with the moment they went stale.
+// kept with the moment they went stale and the last epoch they were valid
+// at, the one before the write that dropped them.
 type staleEntry struct {
 	db      string
 	at      time.Time
+	epoch   uint64
 	answers []map[string]string
 }
 
@@ -85,9 +87,10 @@ func newResultCache(capacity int) *resultCache {
 		dbs: map[string]*dbEpochs{}, stale: map[string]*staleEntry{}}
 }
 
-// retire moves an invalidated entry into the stale side table (bounded by
-// the cache capacity; an arbitrary victim makes room). Callers hold c.mu.
-func (c *resultCache) retire(ent *cacheEntry, now time.Time) {
+// retire moves an entry the write of epoch invalidated into the stale side
+// table (bounded by the cache capacity; an arbitrary victim makes room).
+// Callers hold c.mu.
+func (c *resultCache) retire(ent *cacheEntry, now time.Time, epoch uint64) {
 	if !c.keepStale {
 		return
 	}
@@ -97,25 +100,25 @@ func (c *resultCache) retire(ent *cacheEntry, now time.Time) {
 			break
 		}
 	}
-	c.stale[ent.key] = &staleEntry{db: ent.db, at: now, answers: ent.answers}
+	c.stale[ent.key] = &staleEntry{db: ent.db, at: now, epoch: epoch - 1, answers: ent.answers}
 }
 
-// GetStale returns the invalidated answers previously stored under key if
-// they went stale no longer than maxAge ago — the brownout read. Entries
-// past maxAge are dropped on probe.
-func (c *resultCache) GetStale(key string, maxAge time.Duration) ([]map[string]string, time.Duration, bool) {
+// GetStale returns the invalidated answers previously stored under key, with
+// the last epoch they were valid at, if they went stale no longer than maxAge
+// ago — the brownout read. Entries past maxAge are dropped on probe.
+func (c *resultCache) GetStale(key string, maxAge time.Duration) (answers []map[string]string, epoch uint64, age time.Duration, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent, ok := c.stale[key]
 	if !ok {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	age := time.Since(ent.at)
+	age = time.Since(ent.at)
 	if age > maxAge {
 		delete(c.stale, key)
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	return ent.answers, age, true
+	return ent.answers, ent.epoch, age, true
 }
 
 // epochs returns db's invalidation state, creating it on first use. Callers
@@ -210,7 +213,7 @@ func (c *resultCache) InvalidatePreds(db string, epoch uint64, preds []string) i
 		if ent.db == db && ent.epoch < epoch && dependsOn(ent.deps, touched) {
 			c.lru.Remove(el)
 			delete(c.by, ent.key)
-			c.retire(ent, now)
+			c.retire(ent, now, epoch)
 			n++
 		}
 		el = next
@@ -252,7 +255,7 @@ func (c *resultCache) InvalidateAll(db string, epoch uint64) int {
 		if ent.db == db && ent.epoch < epoch {
 			c.lru.Remove(el)
 			delete(c.by, ent.key)
-			c.retire(ent, now)
+			c.retire(ent, now, epoch)
 			n++
 		}
 		el = next

@@ -172,7 +172,7 @@ const fourLevelProgram = precisionProgram + `
 // clause and retracting it leaves the database source byte-identical, every
 // probe query's answers, across all three belief modes and every clearance,
 // byte-identical to what the compiled models answered, and every warm
-// reduction's support counts those of a fresh build; and in between, the
+// reduction's base counts those of a fresh build; and in between, the
 // answers are those of a server cold-started on the program the write
 // produced.
 func TestServerAssertRetractMetamorphic(t *testing.T) {
@@ -211,8 +211,8 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 			t.Fatal(err)
 		}
 		dbSource := func() string { return prog.current().db.String() }
-		// counts are the warm reductions' support counts; fresh, those of a
-		// from-scratch counting build of the current database at each clearance.
+		// counts are the warm reductions' base counts; fresh, those of a
+		// from-scratch interpreted build of the current database at each clearance.
 		counts := func(fresh bool) map[string]any {
 			snap, out := prog.current(), map[string]any{}
 			snap.redMu.RLock()
@@ -251,7 +251,7 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 			t.Fatalf("%s: assert was not observable through the probes", clause)
 		}
 		if got, want := counts(false), counts(true); len(got) != 4 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: support counts after adoption and the write differ from a fresh build's", clause)
+			t.Errorf("%s: base counts after adoption and the write differ from a fresh build's", clause)
 		}
 		cold := New(Config{})
 		if err := cold.Load("test", dbSource()); err != nil {
@@ -274,7 +274,7 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 		// bonus is new to Σ: its inert axioms stay behind and derive nothing,
 		// so the counts are a fresh build's all the same.
 		if got, want := counts(false), counts(true); len(got) != 4 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: assert-then-retract left support counts a fresh build does not have", clause)
+			t.Errorf("%s: assert-then-retract left base counts a fresh build does not have", clause)
 		}
 	}
 }
@@ -420,7 +420,7 @@ func TestAdvanceReasonsOnStats(t *testing.T) {
 	check("before any write")
 
 	// The first queries prepared both clearances through the compiled
-	// engine, which keeps no support counts: the first write counts them.
+	// engine, which hands over a model and no engine: the first write adopts it.
 	runUpdate(t, s, writer, "l0[emp(ivy: salary -l0-> low)].", false)
 	want.AdvanceIncremental, want.AdvanceAdopted = 2, 2
 	check("first fact write")
@@ -664,5 +664,48 @@ func TestRetractMatchesStructurally(t *testing.T) {
 	}
 	if got := render(removed); !reflect.DeepEqual(got, wantRemoved) || len(removed) != 3 {
 		t.Fatalf("removed %v\nwant %v", got, wantRemoved)
+	}
+}
+
+// TestRetractUnderRecursionMatchesColdStart: a retracted Π fact whose tuple
+// fed the very cycle that derives it back is gone from the warm daemon's
+// answers, as from a cold daemon's on the written program — on the write that
+// adopts the compiled model and on one to an engine already there.
+func TestRetractUnderRecursionMatchesColdStart(t *testing.T) {
+	s := New(Config{})
+	if err := s.Load("test", `
+		level(l0).
+		p(X) :- q(X).
+		q(X) :- p(X).
+		p(a). p(b).
+	`); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := s.program("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := openSess(t, s, "l0", "")
+	answers := func(s *Server, sess *Session) [][]map[string]string {
+		return [][]map[string]string{runQuery(t, s, sess, "p(X)").Answers, runQuery(t, s, sess, "q(X)").Answers}
+	}
+	if got := answers(s, sess); len(got[0]) != 2 || len(got[1]) != 2 {
+		t.Fatalf("warm-up answers: %v", got)
+	}
+	for i, fact := range []string{"p(a).", "p(b)."} {
+		if up := runUpdate(t, s, sess, fact, true); up.Changed != 1 {
+			t.Fatalf("retract %s changed %d clauses, want 1", fact, up.Changed)
+		}
+		if st := s.Stats().Databases["test"]; st.AdvanceIncremental != int64(i+1) || st.AdvanceAdopted != 1 || len(st.AdvanceDropped) != 0 {
+			t.Fatalf("retract %s: %s, want %d incremental of which 1 adopted", fact, st.AdvanceTally, i+1)
+		}
+		cold := New(Config{})
+		if err := cold.Load("test", prog.current().db.String()); err != nil {
+			t.Fatal(err)
+		}
+		got, want := answers(s, sess), answers(cold, openSess(t, cold, "l0", ""))
+		if !reflect.DeepEqual(got, want) || len(got[0]) != 1-i {
+			t.Errorf("after retracting %s the warm daemon answers %v, a cold one %v", fact, got, want)
+		}
 	}
 }

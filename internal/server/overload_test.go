@@ -305,9 +305,11 @@ func TestSustainedOverloadNoLeaks(t *testing.T) {
 
 // TestBrownoutServesStale pins the brownout path end to end: a cached
 // answer is invalidated by a write, the controller is saturated, and a
-// shed read comes back 200 with the invalidated answer, StaleMS set and
-// the X-Multilog-Stale header on the wire — degraded service instead of a
-// 429. The saturation is held, not raced for: one admitted read parks on an
+// shed read comes back 200 with the invalidated answer, StaleMS set, the
+// X-Multilog-Stale header on the wire and the last epoch the answer was true
+// at, the one before the write — degraded service instead of a 429, and
+// nothing a read-your-writes floor could take for the write's own epoch. The
+// saturation is held, not raced for: one admitted read parks on an
 // injected ServerQueryWork stall and fills the limiter, the reads behind it
 // fill the admission queue, and the first probe after that is shed.
 func TestBrownoutServesStale(t *testing.T) {
@@ -352,7 +354,8 @@ func TestBrownoutServesStale(t *testing.T) {
 
 	// Invalidate the cached answer: the entry retires into the brownout
 	// side table instead of vanishing.
-	if _, err := c.Assert(bg, sess.Session, "l0[p0(brown: a -l0-> v0)]."); err != nil {
+	up, err := c.Assert(bg, sess.Session, "l0[p0(brown: a -l0-> v0)].")
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -412,6 +415,9 @@ func TestBrownoutServesStale(t *testing.T) {
 	}
 	if n := len(qr.Answers); n != len(warm.Answers) {
 		t.Errorf("stale answer has %d rows, want the invalidated %d", n, len(warm.Answers))
+	}
+	if qr.Epoch != up.Epoch-1 {
+		t.Errorf("stale answer claims epoch %d; the write that retired it made epoch %d, so it was last true at %d", qr.Epoch, up.Epoch, up.Epoch-1)
 	}
 	st, err := c.Stats(bg)
 	if err != nil {

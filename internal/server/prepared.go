@@ -369,9 +369,9 @@ func (s *snapshot) impactGraph() (*multilog.ImpactGraph, error) {
 // advanceReductions carries cur's prepared reductions into the new snapshot
 // (multilog.Advance): the write's clauses, facts or rules, are translated
 // per warm clearance and applied as a clause delta to a copy-on-write clone
-// of that clearance's engine — seeded, at the first write after a cold build,
-// by one counting pass over the compiled model — so the write costs what its
-// clauses derive and the relations that touches. No model is re-derived here:
+// of that clearance's engine — made, at the first write after a cold build,
+// over a clone of the compiled model (datalog.Adopt) — so the write costs what
+// its clauses derive and the relations that touches. No model is re-derived here:
 // a reduction that fails to advance (resource limits, cancellation) is
 // dropped, by reason, and the next query at its clearance builds it, under
 // that reader's admission ticket and outside the update lock.

@@ -353,8 +353,8 @@ type DBStats struct {
 // AdvanceTally counts how committed writes — one, or a database's lifetime of
 // them — carried warm reductions into their new epoch. None re-derives a model.
 type AdvanceTally struct {
-	// Patched from the old model; of which, after first counting a compiled
-	// model's support (the first write after a cold build).
+	// Patched from the old model; of which, after first adopting a compiled
+	// model (the first write after a cold build).
 	AdvanceIncremental int64 `json:"advance_incremental"`
 	AdvanceAdopted     int64 `json:"advance_adopted"`
 	// Not carried, but left for the next read at that clearance to build, by

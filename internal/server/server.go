@@ -12,17 +12,23 @@
 //     readers never block on writers);
 //   - compiled reductions: per (snapshot, clearance), the §6 reduction and
 //     its materialized minimal model are built once and shared read-only by
-//     every session at that clearance (multilog.Prepare/QueryPrepared), so
-//     the hot path is match-only;
-//   - result cache: complete answers keyed by (database, program epoch,
-//     clearance, belief mode, effective query); an update bumps the epoch,
-//     which makes every stale entry unreachable before any query can see
-//     the new program.
+//     every session at that clearance (multilog.QueryPrepared), so the hot
+//     path is match-only; a write carries them into its snapshot by clause
+//     delta (multilog.Advance) instead of rebuilding them;
+//   - result cache: complete answers keyed by (database, load generation,
+//     clearance, belief mode, effective query), each with the translated
+//     predicates it was derived from and the epoch it was computed at; a
+//     write invalidates the entries that depend on a predicate it changed
+//     (all of them, for a rule write) and records its epoch per predicate,
+//     so an answer computed before it cannot be stored after it.
 //
 // Every request runs under the internal/resource governor: per-request
 // wall-clock deadlines plus fact/step budgets, with typed errors, and
-// panic containment at the handler boundary. Admission control is a
-// concurrent-session cap with a typed overload error.
+// panic containment at the handler boundary. Sessions are capped
+// (Config.MaxSessions, a typed 503); with Config.MaxInflight set, queries and
+// writes also pass internal/admission's cost-aware AIMD limiter, which queues
+// by priority, sheds with a typed 429 and, under Config.MaxStale, lets a shed
+// read be answered from a recently invalidated cache entry (brownout).
 package server
 
 import (
@@ -382,7 +388,7 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	if aerr != nil {
 		var shed *admission.OverloadError
 		if errors.As(aerr, &shed) {
-			if resp := s.staleResponse(key, canonical, snap.epoch); resp != nil {
+			if resp := s.staleResponse(key, canonical); resp != nil {
 				s.queries.Add(1)
 				return resp, nil
 			}
@@ -520,13 +526,15 @@ func (s *Server) Stats() StatsResponse {
 
 // staleResponse answers a shed read from the brownout side table when a
 // recently invalidated copy of exactly this query's answers exists and is
-// no older than Config.MaxStale. nil means no brownout answer: the caller
-// propagates the overload rejection.
-func (s *Server) staleResponse(key, canonical string, epoch uint64) *QueryResponse {
+// no older than Config.MaxStale. The response carries the last epoch those
+// answers were valid at, not the snapshot's: a reader that needs a later one
+// (the router's read-your-writes floor) must not take them for it. nil means
+// no brownout answer: the caller propagates the overload rejection.
+func (s *Server) staleResponse(key, canonical string) *QueryResponse {
 	if s.cfg.MaxStale <= 0 {
 		return nil
 	}
-	answers, age, ok := s.cache.GetStale(key, s.cfg.MaxStale)
+	answers, epoch, age, ok := s.cache.GetStale(key, s.cfg.MaxStale)
 	if !ok {
 		return nil
 	}
