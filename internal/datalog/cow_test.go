@@ -11,7 +11,7 @@ import (
 	"repro/internal/term"
 )
 
-// storeImage is everything a reader can observe of a counting store: the
+// storeImage is everything a reader can observe of a store: the
 // fact set per predicate, what each single-argument index lookup returns,
 // and the base counts.
 type storeImage struct {
@@ -50,27 +50,47 @@ func imageOf(s *Store) storeImage {
 	return img
 }
 
+// checkFlatBases fails the test unless every delta relation of s sits on a
+// flat, frozen base.
+func checkFlatBases(t *testing.T, s *Store) {
+	t.Helper()
+	for pred, r := range s.rels {
+		if r.base != nil && (r.base.base != nil || !r.base.shared) {
+			t.Fatalf("relation %s is a delta over a delta, or over an unfrozen base", pred)
+		}
+	}
+}
+
 // TestCloneCopyOnWriteUnderReaders is the aliasing invariant of copy-on-write
 // relations, meant for -race: readers keep matching on an engine's model
 // while the next engine in a chain of clones is cloned from it and patched.
 // After every step the source is exactly what it was (facts, index lookups,
 // base counts), and the patched clone equals an engine built from scratch
-// (model and Counts).
+// (model and Counts). The edge relation and the two derived from it are large
+// enough to be written as deltas, and the chain long enough that they fold
+// several times; a delta that reached a clone by reference instead of by copy
+// changes the source here.
 func TestCloneCopyOnWriteUnderReaders(t *testing.T) {
 	steps := 200
 	if testing.Short() {
 		steps = 60
 	}
-	rs, cur := newRefState(t, `
+	consts := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	prog := `
 		reach(X) :- start(X).
 		reach(Y) :- reach(X), e(X, Y).
 		unreached(X) :- node(X), not reach(X).
 		two(X, Z) :- e(X, Y), e(Y, Z).
-		node(a). node(b). node(c). node(d). node(e). start(a).
-		e(a, b). e(b, c).
-	`)
+		start(a).
+	`
+	for i, c := range consts {
+		prog += fmt.Sprintf("node(%s). ", c)
+		for j := 0; j < 5; j++ {
+			prog += fmt.Sprintf("e(%s, %s). ", c, consts[(i+j*3+1)%len(consts)])
+		}
+	}
+	rs, cur := newRefState(t, prog)
 	r := rand.New(rand.NewSource(14))
-	consts := []string{"a", "b", "c", "d", "e"}
 	present := map[string]Atom{}
 	for _, f := range cur.Model().Facts("e") {
 		present[f.Key()] = f
@@ -82,6 +102,7 @@ func TestCloneCopyOnWriteUnderReaders(t *testing.T) {
 		NewAtom("two", term.Var("X"), term.Const("c")),
 		NewAtom("unreached", term.Var("X")),
 	}
+	folds := 0
 	for step := 0; step < steps; step++ {
 		src := cur
 		before := imageOf(src.Model())
@@ -143,8 +164,152 @@ func TestCloneCopyOnWriteUnderReaders(t *testing.T) {
 		if got, want := next.Counts(), fresh.Counts(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: clone counts diverge from a fresh engine (+%v -%v)\ngot:  %v\nwant: %v", step, adds, dels, got, want)
 		}
+		checkFlatBases(t, next.Model())
+		if was, is := src.Model().rels["two"], next.Model().rels["two"]; was != nil && is != nil && was.base != nil && is.base == nil {
+			folds++
+		}
 		cur = next
 	}
+	t.Logf("the derived relation two folded %d times in %d steps", folds, steps)
+	if folds < 3 {
+		t.Fatalf("the derived relation two folded %d times in %d steps, want several", folds, steps)
+	}
+}
+
+// deltaStore returns a store holding one relation r of n binary tuples,
+// r(k<i>, v<i%7>), as a flat base frozen by a clone, and the clone.
+func deltaStore(tb testing.TB, n int) (src, clone *Store) {
+	tb.Helper()
+	src = wideStore(tb, 1, n)
+	return src, src.Clone()
+}
+
+func rAtom(key, val string) Atom { return NewAtom("r0", term.Const(key), term.Const(val)) }
+
+// TestDeltaRelationFolds walks one relation through random writes in a chain
+// of clones and checks, at every step, the delta rules: a write to a shared
+// flat relation of flatCopyBelow tuples or more makes a delta over it, a
+// delta's base is flat and frozen, it holds exactly the changes written since
+// its base, it folds at the write that finds it at foldAt(|base|) changes,
+// and folding it then yields the same facts, index lookups and counts.
+func TestDeltaRelationFolds(t *testing.T) {
+	_, s := deltaStore(t, 100)
+	if got := foldAt(100); got != 20 {
+		t.Fatalf("foldAt(100) = %d, want 2√100 = 20", got)
+	}
+	if got := foldAt(10); got != 8 {
+		t.Fatalf("foldAt(10) = %d, want the floor 8", got)
+	}
+	r := rand.New(rand.NewSource(22))
+	folds := 0
+	for step := 0; step < 400; step++ {
+		before := s.rels["r0"]
+		key := fmt.Sprintf("k%d", r.Intn(130)) // some present, some not
+		switch r.Intn(3) {
+		case 0:
+			s.Insert(rAtom(key, "v0")) //nolint:errcheck // ground
+		case 1:
+			s.Remove(rAtom(key, fmt.Sprintf("v%d", r.Intn(7))))
+		default:
+			s.setSupport("r0", rAtom(key, "v0").Key(), 1+r.Intn(3))
+		}
+		after := s.rels["r0"]
+		if after == nil {
+			t.Fatal("the relation emptied")
+		}
+		checkFlatBases(t, s)
+		switch {
+		case after == before:
+		case before.base != nil && before.changes() >= foldAt(len(before.base.facts)):
+			if after.base != nil {
+				t.Fatalf("step %d: a delta of %d changes over %d tuples did not fold", step, before.changes(), len(before.base.facts))
+			}
+			folds++
+		case before.base != nil && after.base == nil:
+			t.Fatalf("step %d: a delta of %d changes over %d tuples folded early", step, before.changes(), len(before.base.facts))
+		case after.base == nil && before.shared && len(before.facts) >= flatCopyBelow:
+			t.Fatalf("step %d: a shared relation of %d tuples was copied whole", step, len(before.facts))
+		}
+		if after.base != nil {
+			folded := &Store{rels: map[string]*relation{"r0": after.fold(true)}, indexing: true}
+			if got, want := imageOf(folded), imageOf(s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: the fold differs from the delta\nfolded: %+v\ndelta:  %+v", step, got, want)
+			}
+		}
+		if step%25 == 24 { // a new generation: freeze this one behind a clone
+			s = s.Clone()
+		}
+	}
+	t.Logf("%d folds in 400 writes", folds)
+	if folds < 5 {
+		t.Fatalf("%d folds in 400 writes, want several", folds)
+	}
+}
+
+// TestDeltaRelationEdgeCases pins the writes a delta must represent exactly:
+// a base tuple removed and its key inserted again, a base tuple's count
+// overridden and read back, and every tuple of a delta's relation removed.
+func TestDeltaRelationEdgeCases(t *testing.T) {
+	t.Run("tombstone then re-insert", func(t *testing.T) {
+		src, s := deltaStore(t, 64)
+		a := rAtom("k5", "v5")
+		if !s.Remove(a) || s.Contains(a) {
+			t.Fatal("remove through a delta failed")
+		}
+		if added, err := s.Insert(a); err != nil || !added {
+			t.Fatalf("re-insert: added=%v err=%v", added, err)
+		}
+		d := s.rels["r0"]
+		if d.base == nil || len(d.dead) != 1 || len(d.facts) != 1 {
+			t.Fatalf("want a delta of one tombstone and one added tuple, got base=%v dead=%v added=%v", d.base != nil, d.dead, d.facts)
+		}
+		if !reflect.DeepEqual(imageOf(s), imageOf(src)) {
+			t.Fatal("removing and re-inserting a tuple changed what the relation holds")
+		}
+		if added, _ := s.Insert(a); added {
+			t.Fatal("a re-inserted tuple was inserted twice")
+		}
+	})
+	t.Run("count override", func(t *testing.T) {
+		src, s := deltaStore(t, 64)
+		k := rAtom("k9", "v2").Key()
+		s.setSupport("r0", k, 3)
+		if n, ok := s.support("r0", k); !ok || n != 3 {
+			t.Fatalf("support = %d, %v after overriding it to 3", n, ok)
+		}
+		if n, _ := src.support("r0", k); n != 0 {
+			t.Fatalf("the override reached the base: %d", n)
+		}
+		if d := s.rels["r0"]; d.base == nil || d.over[d.base.seen[k]] != 3 {
+			t.Fatal("the override is not the delta's")
+		}
+		s.Remove(rAtom("k9", "v2"))
+		s.Insert(rAtom("k9", "v2")) //nolint:errcheck // ground
+		if n, _ := s.support("r0", k); n != 0 {
+			t.Fatalf("a re-inserted tuple kept its removed predecessor's count %d", n)
+		}
+	})
+	t.Run("every tuple removed", func(t *testing.T) {
+		// Added tuples first, so removals reach both sides of the delta;
+		// the delta folds on the way down, and the last removal empties a
+		// flat relation.
+		src, s := deltaStore(t, 40)
+		extra := []Atom{rAtom("x1", "v0"), rAtom("x2", "v0")}
+		for _, a := range extra {
+			s.Insert(a) //nolint:errcheck // ground
+		}
+		for _, f := range append(extra, src.Facts("r0")...) {
+			if !s.Remove(f) {
+				t.Fatalf("remove %s failed", f)
+			}
+		}
+		if s.rels["r0"] != nil || s.Len() != 0 || s.Facts("r0") != nil {
+			t.Fatalf("the emptied relation is still there: %d facts", s.Len())
+		}
+		if src.Len() != 40 {
+			t.Fatalf("emptying the clone emptied its source to %d facts", src.Len())
+		}
+	})
 }
 
 // TestCloneSharesUntouchedRelations pins the sharing rule: a clone holds its
@@ -268,5 +433,44 @@ func BenchmarkIncrementalCloneApply(b *testing.B) {
 			b.Fatal(err)
 		}
 		cloneSink = next.Model()
+	}
+}
+
+// BenchmarkStoreWriteAfterClone prices one insert and one remove written to a
+// clone of a relation of 320, 3,200 and 32,000 tuples. chain=false clones
+// the flat source every time — a write to a relation at its first write since
+// a fold, write_mix's every write; chain=true clones the last clone, so the
+// delta grows by a tombstone and an added tuple per write and folds at
+// foldAt: the trade the fold rule makes between copying a delta per write and
+// copying the base per fold.
+func BenchmarkStoreWriteAfterClone(b *testing.B) {
+	for _, n := range []int{320, 3200, 32000} {
+		for _, chain := range []bool{false, true} {
+			b.Run(fmt.Sprintf("tuples=%d/chain=%v", n, chain), func(b *testing.B) {
+				src := wideStore(b, 1, n)
+				facts := append([]Atom(nil), src.Facts("r0")...)
+				added := func(i int) Atom { return rAtom(fmt.Sprintf("new%d", i), "v0") }
+				s := src
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c := s.Clone()
+					if _, err := c.Insert(added(i)); err != nil {
+						b.Fatal(err)
+					}
+					victim := facts[i%n]
+					if chain && i >= n {
+						victim = added(i - n)
+					}
+					if !c.Remove(victim) {
+						b.Fatalf("write %d: %s is not there to remove", i, victim)
+					}
+					if chain {
+						s = c
+					}
+				}
+				cloneSink = s
+			})
+		}
 	}
 }

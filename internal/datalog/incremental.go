@@ -124,24 +124,26 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 // Adopt returns an engine over model, the minimal model of p as any evaluator
 // built it (internal/compile's, say), without deriving it again: an engine
 // holds nothing about a tuple but its base assertions, and those are p's fact
-// clauses. The engine works on a copy-on-write clone, of which the count
-// column copies every relation once; model itself may be serving readers and
-// is never written (but, Store.Clone, not cloned by anyone else meanwhile). A
-// model missing the tuple of a fact clause is refused; any other way of not
-// being p's least model nothing here can tell. limits bound every later delta.
+// clauses. The engine works on a copy-on-write clone, whose fact clauses'
+// counts change only the relations they are in; model itself may be serving
+// readers and is never written (but, Store.Clone, not cloned by anyone else
+// meanwhile). model must be an evaluator's output, every base count zero: an
+// engine's own model carries counts, which would be counted twice. A model
+// missing the tuple of a fact clause is refused; any other way of not being
+// p's least model nothing here can tell. limits bound every later delta.
 func Adopt(p *Program, model *Store, limits resource.Limits) (*Incremental, error) {
 	return seedCounts(p, nil, model.Clone(), limits)
 }
 
-// seedCounts makes model, the minimal model of p ∪ edb, an engine's own: the
-// rule set, and a base count per fact clause and EDB fact.
+// seedCounts makes model, the minimal model of p ∪ edb as an evaluator built
+// it — every base count zero — an engine's own: the rule set, and a base
+// count per fact clause and EDB fact.
 func seedCounts(p *Program, edb, model *Store, limits resource.Limits) (*Incremental, error) {
 	rs, err := newRuleSet(p.Clauses)
 	if err != nil {
 		return nil, err
 	}
 	inc := &Incremental{ruleSet: rs, model: model, Limits: limits}
-	model.keepCounts()
 	for _, c := range p.Clauses {
 		if c.IsFact() {
 			if err := inc.bump(c.Head); err != nil {
@@ -338,9 +340,9 @@ func (inc *Incremental) Counts() map[string]int { return inc.model.supports() }
 
 // Clone returns an independent engine. It shares the rule set outright — a
 // rule delta on either side replaces its own pointer — and the model
-// copy-on-write (Store.Clone): a delta applied to either engine copies only
-// the relations it touches, so cloning costs one map entry per relation
-// whatever the model's size.
+// copy-on-write (Store.Clone): a delta applied to either engine writes only
+// the relations it touches, each as a delta over the shared one, so cloning
+// costs one map entry per relation whatever the model's size.
 func (inc *Incremental) Clone() *Incremental {
 	c := *inc
 	c.model = inc.model.Clone()

@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 	"strings"
 
@@ -16,15 +17,20 @@ import (
 // Clone is copy-on-write at relation granularity: the clone shares every
 // relation with its source, and a relation that has ever been shared is
 // immutable — whichever store next inserts into or removes from it first
-// replaces it, in its own map, by a private copy. Reading (Match, Facts,
+// replaces it, in its own map, by a private one. Reading (Match, Facts,
 // Contains) never writes, so a store that is no longer mutated keeps serving
 // any number of readers while its clones are being patched.
+//
+// The private replacement of a flat shared relation of flatCopyBelow tuples
+// or more is a delta over it: the shared relation stays the delta's frozen
+// base, and the delta holds only what writes changed — tuples added, base
+// tuples removed, base counts overridden — so a write copies what it changes,
+// not the relation. Replacing a shared delta copies the delta and keeps its
+// base, so a base is always flat. A delta that reaches foldAt(|base|) changes
+// is folded into a fresh flat relation at its next write.
 type Store struct {
 	rels     map[string]*relation
 	indexing bool
-	// counting makes every relation carry a base-assertion count column
-	// beside its facts; set by Incremental on the model it maintains.
-	counting bool
 	// InsertFault, when set, is consulted before every insert; a non-nil
 	// return aborts the insert with that error. The evaluator propagates the
 	// hook from the EDB store to its derived stores, so the fault-injection
@@ -39,32 +45,57 @@ func NewStore() *Store { return &Store{rels: map[string]*relation{}, indexing: t
 // indexing ablation benchmark.
 func NewStoreNoIndex() *Store { return &Store{rels: map[string]*relation{}} }
 
+// relation is one predicate's tuples. A flat relation (base nil) holds them
+// all in facts; a delta relation holds in facts only the tuples it added to
+// its base, which are never among the base's live ones.
 type relation struct {
 	facts []Atom // insertion order (perturbed by Remove's swap-delete)
 	// counts holds each fact's base-assertion count at the fact's offset,
-	// moved with it by Remove's swap-delete; nil unless the store is counting.
+	// moved with it by Remove's swap-delete; nil while every count is zero.
 	counts []int
 	seen   map[string]int // fact key -> offset into facts
 	// index[pos][key] lists offsets into facts whose argument at pos has
 	// that term key. Built lazily per argument position.
 	index map[int]map[string][]int
 	// shared is set once a Clone has handed the relation to a second store.
-	// It never clears: a shared relation is frozen, and writers copy it.
+	// It never clears: a shared relation is frozen, and writers replace it.
 	shared bool
+
+	base *relation    // a delta's frozen flat base; nil for a flat relation
+	dead map[int]bool // base offsets the delta removed
+	over map[int]int  // base offset -> base count, where the delta set one
 }
+
+// flatCopyBelow is the size under which a shared relation is replaced by a
+// flat copy rather than a delta: a copy of a few dozen tuples costs about
+// what an empty delta does, and reads it at full speed.
+const flatCopyBelow = 32
+
+// foldAt is how many changes a delta over a base of n tuples holds before it
+// is folded: 2√n, at least 8. Each copy of a delta then costs O(√n), and a
+// fold's O(n) copy is paid once per O(√n) changes. Of c·√n for c = ¼, ½, 1,
+// 2 and 4, and of n/8 and n/32, 2√n allocated least per write at 3,200 and
+// 32,000 tuples in a chain of clones each writing a tuple in and a tuple out
+// (BenchmarkStoreWriteAfterClone, chain=true).
+func foldAt(n int) int { return max(8, int(2*math.Sqrt(float64(n)))) }
 
 func newRelation() *relation {
 	return &relation{seen: map[string]int{}, index: map[int]map[string][]int{}}
 }
 
-// clone copies the relation in bulk — no fact is re-keyed or re-inserted.
-// Every index list gets capacity equal to its length, so a later append
-// reallocates it instead of growing into its neighbour in the arena.
+// clone copies the relation's own tuples in bulk — no fact is re-keyed or
+// re-inserted — and shares its base. Every index list gets capacity equal to
+// its length, so a later append reallocates it instead of growing into its
+// neighbour in the arena. Of a flat relation it is a whole copy, made only
+// for relations under flatCopyBelow tuples and by fold.
 func (r *relation) clone() *relation {
 	c := &relation{
 		facts: append([]Atom(nil), r.facts...),
 		seen:  maps.Clone(r.seen),
 		index: make(map[int]map[string][]int, len(r.index)),
+		base:  r.base,
+		dead:  maps.Clone(r.dead),
+		over:  maps.Clone(r.over),
 	}
 	if r.counts != nil {
 		c.counts = append([]int(nil), r.counts...)
@@ -82,14 +113,197 @@ func (r *relation) clone() *relation {
 	return c
 }
 
-// own returns pred's relation ready to be mutated, first replacing a shared
-// one by a private copy; nil when the store has no such relation.
+// changes is the size of a delta: what fold has to apply to its base.
+func (r *relation) changes() int { return len(r.facts) + len(r.dead) + len(r.over) }
+
+// fold returns the flat relation holding what the delta r holds: its base
+// copied in bulk, then r's count overrides, removals and added tuples applied.
+func (r *relation) fold(indexing bool) *relation {
+	c := r.base.clone()
+	if len(r.over) > 0 && c.counts == nil {
+		c.counts = make([]int, len(c.facts))
+	}
+	for off, n := range r.over {
+		c.counts[off] = n
+	}
+	// Highest offset first: every tuple swapped down into a freed slot then
+	// sits below the offsets still to go, so those stay where they were.
+	dead := make([]int, 0, len(r.dead))
+	for off := range r.dead {
+		dead = append(dead, off)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(dead)))
+	for _, off := range dead {
+		c.removeAt(off, c.facts[off].Key(), indexing)
+	}
+	keys := make([]string, len(r.facts))
+	for k, off := range r.seen {
+		keys[off] = k
+	}
+	for i, f := range r.facts {
+		c.add(f, keys[i], nil, indexing)
+		if n := r.count(i, true); n != 0 {
+			c.setCount(len(c.facts)-1, true, n)
+		}
+	}
+	return c
+}
+
+// lookup finds the stored tuple with key k: at offset off of r's own facts
+// (own), or of its base.
+func (r *relation) lookup(k string) (off int, own, ok bool) {
+	if off, ok := r.seen[k]; ok {
+		return off, true, true
+	}
+	if r.base != nil {
+		if off, ok := r.base.seen[k]; ok && !r.dead[off] {
+			return off, false, true
+		}
+	}
+	return 0, false, false
+}
+
+// count is the base count of the tuple lookup found at off.
+func (r *relation) count(off int, own bool) int {
+	if !own {
+		if n, ok := r.over[off]; ok {
+			return n
+		}
+		r = r.base
+	}
+	if r.counts == nil {
+		return 0
+	}
+	return r.counts[off]
+}
+
+// setCount overwrites the base count of the tuple lookup found at off.
+func (r *relation) setCount(off int, own bool, n int) {
+	if !own {
+		if r.over == nil {
+			r.over = map[int]int{}
+		}
+		r.over[off] = n
+		return
+	}
+	if r.counts == nil {
+		r.counts = make([]int, len(r.facts), cap(r.facts))
+	}
+	r.counts[off] = n
+}
+
+// size is the number of tuples the relation holds.
+func (r *relation) size() int {
+	if r.base == nil {
+		return len(r.facts)
+	}
+	return len(r.base.facts) - len(r.dead) + len(r.facts)
+}
+
+// all returns the relation's tuples: a flat relation's own slice, or a fresh
+// one holding a delta's live base tuples and then its added ones.
+func (r *relation) all() []Atom {
+	if r.base == nil {
+		return r.facts
+	}
+	out := make([]Atom, 0, r.size())
+	for off, f := range r.base.facts {
+		if !r.dead[off] {
+			out = append(out, f)
+		}
+	}
+	return append(out, r.facts...)
+}
+
+// add appends a tuple the relation does not hold, under key k, to its own
+// facts; argKeys, when non-nil, are its arguments' term keys.
+func (r *relation) add(a Atom, k string, argKeys []string, indexing bool) {
+	pos := len(r.facts)
+	r.seen[k] = pos
+	r.facts = append(r.facts, a)
+	if r.counts != nil {
+		r.counts = append(r.counts, 0)
+	}
+	if !indexing {
+		return
+	}
+	for i, t := range a.Args {
+		m := r.index[i]
+		if m == nil {
+			// No size hint: positions holding low-cardinality constants
+			// (levels, modes) would waste a full-width table on a handful
+			// of distinct keys.
+			m = map[string][]int{}
+			r.index[i] = m
+		}
+		var tk string
+		if argKeys != nil {
+			tk = argKeys[i]
+		} else {
+			tk = t.Key()
+		}
+		m[tk] = append(m[tk], pos)
+	}
+}
+
+// remove takes the tuple with key k, which the relation holds, out of it:
+// swap-deleted from its own facts, or tombstoned in its base.
+func (r *relation) remove(k string, indexing bool) {
+	off, own, _ := r.lookup(k)
+	if !own {
+		if r.dead == nil {
+			r.dead = map[int]bool{}
+		}
+		r.dead[off] = true
+		delete(r.over, off)
+		return
+	}
+	r.removeAt(off, k, indexing)
+}
+
+// removeAt swap-deletes own fact off, whose key is k.
+func (r *relation) removeAt(off int, k string, indexing bool) {
+	last := len(r.facts) - 1
+	if indexing {
+		dropOffset(r, r.facts[off], off)
+		if off != last {
+			replaceOffset(r, r.facts[last], last, off)
+		}
+	}
+	if off != last {
+		moved := r.facts[last]
+		r.facts[off] = moved
+		r.seen[moved.Key()] = off
+		if r.counts != nil {
+			r.counts[off] = r.counts[last]
+		}
+	}
+	r.facts[last] = Atom{} // release the term references
+	r.facts = r.facts[:last]
+	if r.counts != nil {
+		r.counts = r.counts[:last]
+	}
+	delete(r.seen, k)
+}
+
+// own returns pred's relation ready to be mutated — a shared one replaced by
+// a private flat copy or delta, a delta that reached foldAt folded — or nil
+// when the store has no such relation.
 func (s *Store) own(pred string) *relation {
 	r := s.rels[pred]
-	if r != nil && r.shared {
+	switch {
+	case r == nil:
+		return nil
+	case r.base != nil && r.changes() >= foldAt(len(r.base.facts)):
+		r = r.fold(s.indexing)
+	case !r.shared:
+		return r
+	case r.base != nil || len(r.facts) < flatCopyBelow:
 		r = r.clone()
-		s.rels[pred] = r
+	default:
+		r = &relation{base: r, seen: map[string]int{}, index: map[int]map[string][]int{}}
 	}
+	s.rels[pred] = r
 	return r
 }
 
@@ -110,28 +324,12 @@ func (s *Store) Insert(a Atom) (bool, error) {
 	if r == nil {
 		r = newRelation()
 		s.rels[a.Pred] = r
-	} else if _, ok := r.seen[k]; ok {
+	} else if _, _, ok := r.lookup(k); ok {
 		return false, nil
 	} else {
 		r = s.own(a.Pred)
 	}
-	pos := len(r.facts)
-	r.seen[k] = pos
-	r.facts = append(r.facts, a)
-	if s.counting {
-		r.counts = append(r.counts, 0)
-	}
-	if s.indexing {
-		for i, t := range a.Args {
-			m := r.index[i]
-			if m == nil {
-				m = map[string][]int{}
-				r.index[i] = m
-			}
-			tk := t.Key()
-			m[tk] = append(m[tk], pos)
-		}
-	}
+	r.add(a, k, nil, s.indexing)
 	return true, nil
 }
 
@@ -163,34 +361,14 @@ func (s *Store) InsertBatch(pred string, facts []Atom, keys []string, argKeys []
 				return added, err
 			}
 		}
-		if _, ok := r.seen[keys[i]]; ok {
+		if _, _, ok := r.lookup(keys[i]); ok {
 			continue
 		}
-		pos := len(r.facts)
-		r.seen[keys[i]] = pos
-		r.facts = append(r.facts, a)
-		if s.counting {
-			r.counts = append(r.counts, 0)
+		var ak []string
+		if argKeys != nil {
+			ak = argKeys[i]
 		}
-		if s.indexing {
-			for j, t := range a.Args {
-				m := r.index[j]
-				if m == nil {
-					// No size hint: positions holding low-cardinality
-					// constants (levels, modes) would waste a full-width
-					// table on a handful of distinct keys.
-					m = map[string][]int{}
-					r.index[j] = m
-				}
-				tk := ""
-				if argKeys != nil {
-					tk = argKeys[i][j]
-				} else {
-					tk = t.Key()
-				}
-				m[tk] = append(m[tk], pos)
-			}
-		}
+		r.add(a, keys[i], ak, s.indexing)
 		added++
 	}
 	return added, nil
@@ -202,7 +380,7 @@ func (s *Store) Contains(a Atom) bool {
 	if r == nil {
 		return false
 	}
-	_, ok := r.seen[a.Key()]
+	_, _, ok := r.lookup(a.Key())
 	return ok
 }
 
@@ -216,33 +394,12 @@ func (s *Store) Remove(a Atom) bool {
 		return false
 	}
 	k := a.Key()
-	off, ok := r.seen[k]
-	if !ok {
+	if _, _, ok := r.lookup(k); !ok {
 		return false
 	}
 	r = s.own(a.Pred)
-	last := len(r.facts) - 1
-	if s.indexing {
-		dropOffset(r, r.facts[off], off)
-		if off != last {
-			replaceOffset(r, r.facts[last], last, off)
-		}
-	}
-	if off != last {
-		moved := r.facts[last]
-		r.facts[off] = moved
-		r.seen[moved.Key()] = off
-		if r.counts != nil {
-			r.counts[off] = r.counts[last]
-		}
-	}
-	r.facts[last] = Atom{} // release the term references
-	r.facts = r.facts[:last]
-	if r.counts != nil {
-		r.counts = r.counts[:last]
-	}
-	delete(r.seen, k)
-	if len(r.facts) == 0 {
+	r.remove(k, s.indexing)
+	if r.size() == 0 {
 		delete(s.rels, a.Pred)
 	}
 	return true
@@ -291,19 +448,20 @@ func replaceOffset(r *relation, a Atom, from, to int) {
 
 // Facts returns all facts for a predicate in insertion order. The slice must
 // not be modified, and is invalidated by a subsequent Remove on this store.
+// A relation that is a delta assembles a fresh slice per call.
 func (s *Store) Facts(pred string) []Atom {
 	r := s.rels[pred]
 	if r == nil {
 		return nil
 	}
-	return r.facts
+	return r.all()
 }
 
 // Len returns the total number of facts.
 func (s *Store) Len() int {
 	n := 0
 	for _, r := range s.rels {
-		n += len(r.facts)
+		n += r.size()
 	}
 	return n
 }
@@ -325,6 +483,10 @@ func (s *Store) Preds() []string {
 func (s *Store) Match(query Atom, base term.Subst, fn func(term.Subst) bool) {
 	r := s.rels[query.Pred]
 	if r == nil {
+		return
+	}
+	if r.base != nil {
+		s.matchDelta(r, query, base, fn)
 		return
 	}
 	candidates := r.facts
@@ -371,13 +533,65 @@ func (s *Store) Match(query Atom, base term.Subst, fn func(term.Subst) bool) {
 	}
 }
 
+// matchDelta is Match over a delta relation: the live base tuples, then the
+// added ones, through the pair of index lists of the most selective ground
+// argument position when there is one.
+func (s *Store) matchDelta(r *relation, query Atom, base term.Subst, fn func(term.Subst) bool) {
+	try := func(f Atom) bool {
+		if len(f.Args) != len(query.Args) {
+			return true
+		}
+		s2 := base.Clone()
+		return !term.UnifyAll(query.Args, f.Args, s2) || fn(s2)
+	}
+	b := r.base
+	if s.indexing {
+		best := -1
+		var baseList, ownList []int
+		for i, t := range query.Args {
+			bound := base.Apply(t)
+			if !bound.IsGround() || b.index[i] == nil && r.index[i] == nil {
+				continue
+			}
+			k := bound.Key()
+			bl, ol := b.index[i][k], r.index[i][k]
+			if best == -1 || len(bl)+len(ol) < len(baseList)+len(ownList) {
+				best, baseList, ownList = i, bl, ol
+			}
+		}
+		if best >= 0 {
+			for _, off := range baseList {
+				if !r.dead[off] && !try(b.facts[off]) {
+					return
+				}
+			}
+			for _, off := range ownList {
+				if !try(r.facts[off]) {
+					return
+				}
+			}
+			return
+		}
+	}
+	for off, f := range b.facts {
+		if !r.dead[off] && !try(f) {
+			return
+		}
+	}
+	for _, f := range r.facts {
+		if !try(f) {
+			return
+		}
+	}
+}
+
 // Clone returns a store with the same facts that can be mutated without
 // affecting s, and vice versa. It costs one map entry per relation, not per
-// fact: relations are shared and copied on first write (see Store). Clone
+// fact: relations are shared and replaced on first write (see Store). Clone
 // may run beside readers of s, but not beside a writer or another Clone of
 // s. Fault hooks are not cloned: a clone is a private working copy.
 func (s *Store) Clone() *Store {
-	c := &Store{rels: make(map[string]*relation, len(s.rels)), indexing: s.indexing, counting: s.counting}
+	c := &Store{rels: make(map[string]*relation, len(s.rels)), indexing: s.indexing}
 	for pred, r := range s.rels {
 		if !r.shared { // no store to a relation readers have in cache, once frozen
 			r.shared = true
@@ -387,28 +601,18 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
-// keepCounts turns on the base-count column, zeroed for the facts already
-// stored.
-func (s *Store) keepCounts() {
-	s.counting = true
-	for pred := range s.rels {
-		r := s.own(pred)
-		r.counts = make([]int, len(r.facts))
-	}
-}
-
 // support returns the base-assertion count of the stored fact with the given
-// key, and whether it is stored. Only meaningful on a counting store.
+// key, and whether it is stored.
 func (s *Store) support(pred, key string) (int, bool) {
 	r := s.rels[pred]
 	if r == nil {
 		return 0, false
 	}
-	off, ok := r.seen[key]
+	off, own, ok := r.lookup(key)
 	if !ok {
 		return 0, false
 	}
-	return r.counts[off], true
+	return r.count(off, own), true
 }
 
 // setSupport overwrites the base-assertion count of a stored fact. Writing
@@ -418,19 +622,28 @@ func (s *Store) setSupport(pred, key string, base int) {
 	if r == nil {
 		return
 	}
-	off, ok := r.seen[key]
-	if !ok || r.counts[off] == base {
+	off, own, ok := r.lookup(key)
+	if !ok || r.count(off, own) == base {
 		return
 	}
-	s.own(pred).counts[off] = base
+	r = s.own(pred)
+	off, own, _ = r.lookup(key)
+	r.setCount(off, own, base)
 }
 
 // supports returns every stored fact's base-assertion count, by fact key.
 func (s *Store) supports() map[string]int {
 	out := make(map[string]int, s.Len())
 	for _, r := range s.rels {
+		if b := r.base; b != nil {
+			for k, off := range b.seen {
+				if !r.dead[off] {
+					out[k] = r.count(off, false)
+				}
+			}
+		}
 		for k, off := range r.seen {
-			out[k] = r.counts[off]
+			out[k] = r.count(off, true)
 		}
 	}
 	return out
@@ -440,7 +653,7 @@ func (s *Store) supports() map[string]int {
 func (s *Store) String() string {
 	var lines []string
 	for _, p := range s.Preds() {
-		for _, f := range s.rels[p].facts {
+		for _, f := range s.rels[p].all() {
 			lines = append(lines, f.String()+".")
 		}
 	}

@@ -16,6 +16,7 @@ package lint
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -195,19 +196,49 @@ func Datalog(p *datalog.Program, opts Options) Diagnostics {
 // component Π and range restriction over Σ — and returns sorted findings.
 func MultiLog(db *multilog.Database, opts Options) Diagnostics {
 	r := &reporter{file: opts.File}
-	lintMultiLogSafety(r, db)
-	lintMultiLogBeliefs(r, db, opts)
-	lintMultiLogLattice(r, db)
+	lintMultiLogErrors(r, db, db, opts)
 	lintMultiLogFlow(r, db)
-	// Π is a classical program; every Datalog pass applies to it.
 	pi := piProgram(db)
-	lintDatalogSafety(r, pi)
-	lintDatalogArity(r, pi)
 	lintDatalogDuplicates(r, pi)
-	lintDatalogStratify(r, pi)
 	lintDatalogCost(r, pi)
 	r.diags.Sort()
 	return r.diags
+}
+
+// MultiLogWrite lints next, the database a write made of a lint-clean one by
+// adding the clauses of added and taking out those of removed, with the Error
+// passes alone: its findings are MultiLog(next)'s Error findings, which decide
+// whether the write may be published. Those passes judge a Σ clause against Λ
+// and Π, never against another Σ clause, so a write of Σ clauses checks only
+// the Σ clauses it adds — a Σ retract, none. A write carrying a Π clause
+// checks all of next: retracting one can undefine a predicate a Σ body reads,
+// or a belief mode a b-atom uses.
+func MultiLogWrite(next *multilog.Database, added, removed []multilog.Clause, opts Options) Diagnostics {
+	check := &multilog.Database{Sigma: added}
+	for _, c := range slices.Concat(added, removed) {
+		if c.Head.Kind != multilog.GoalM {
+			check = next
+			break
+		}
+	}
+	r := &reporter{file: opts.File}
+	lintMultiLogErrors(r, check, next, opts)
+	r.diags.Sort()
+	return r.diags
+}
+
+// lintMultiLogErrors runs every Error-severity MultiLog pass over the clauses
+// and queries of db, judged in env's Λ and Π (env is db itself, or the
+// database db's clauses are written into).
+func lintMultiLogErrors(r *reporter, db, env *multilog.Database, opts Options) {
+	lintMultiLogSafety(r, db, env)
+	lintMultiLogBeliefs(r, db, env, opts)
+	lintMultiLogLattice(r, db, env)
+	// Π is a classical program; the Datalog Error passes apply to it.
+	pi := piProgram(db)
+	lintDatalogSafety(r, pi)
+	lintDatalogArity(r, pi)
+	lintDatalogStratify(r, pi)
 }
 
 // FromParseError converts a parser error into a positioned diagnostic

@@ -60,8 +60,8 @@ func eachGoal(db *multilog.Database, visit func(c *multilog.Clause, g multilog.G
 // lintMultiLogSafety reports DL001 range-restriction findings for Σ
 // clauses (head variables of an m-clause must be bound by some body goal;
 // m-facts must be ground) and DL002 findings for classical predicates
-// referenced from Σ bodies or queries but defined nowhere in Λ ∪ Π.
-func lintMultiLogSafety(r *reporter, db *multilog.Database) {
+// referenced from Σ bodies or queries but defined nowhere in env's Λ ∪ Π.
+func lintMultiLogSafety(r *reporter, db, env *multilog.Database) {
 	for _, c := range db.Sigma {
 		bound := map[string]bool{}
 		for _, g := range c.Body {
@@ -80,7 +80,7 @@ func lintMultiLogSafety(r *reporter, db *multilog.Database) {
 	}
 
 	defined := map[string]bool{"level": true, "order": true, multilog.UserBelPred: true}
-	for _, cs := range [][]multilog.Clause{db.Lambda, db.Pi} {
+	for _, cs := range [][]multilog.Clause{env.Lambda, env.Pi} {
 		for _, c := range cs {
 			defined[c.Head.P.Pred] = true
 		}
@@ -102,8 +102,9 @@ func lintMultiLogSafety(r *reporter, db *multilog.Database) {
 
 // lintMultiLogBeliefs reports ML001 (malformed m-/b-atoms: null or compound
 // security terms) and ML002 (belief-mode misuse: a mode that is neither
-// built-in, nor registered, nor defined by the Figure 13 bel/7 facts in Π).
-func lintMultiLogBeliefs(r *reporter, db *multilog.Database, opts Options) {
+// built-in, nor registered, nor defined by the Figure 13 bel/7 facts in
+// env's Π).
+func lintMultiLogBeliefs(r *reporter, db, env *multilog.Database, opts Options) {
 	known := map[multilog.Mode]bool{multilog.ModeFir: true, multilog.ModeOpt: true, multilog.ModeCau: true}
 	for _, m := range opts.Modes {
 		known[m] = true
@@ -111,7 +112,7 @@ func lintMultiLogBeliefs(r *reporter, db *multilog.Database, opts Options) {
 	// Modes a user-defined belief could still satisfy: the 7th argument of
 	// bel/7 clause heads in Π (a variable head argument admits any mode).
 	anyMode := false
-	for _, c := range db.Pi {
+	for _, c := range env.Pi {
 		a := c.Head.P
 		if a.Pred != multilog.UserBelPred || len(a.Args) != 7 {
 			continue
@@ -155,16 +156,16 @@ func lintMultiLogBeliefs(r *reporter, db *multilog.Database, opts Options) {
 	})
 }
 
-// lintMultiLogLattice reports ML004 (Definition 5.3 admissibility: Λ must
-// define a partial order, and every ground security constant in Σ or the
+// lintMultiLogLattice reports ML004 (Definition 5.3 admissibility: env's Λ
+// must define a partial order, and every ground security constant in Σ or the
 // queries must be asserted by ⟦Λ⟧) and ML003 (the paper's dominance order:
 // a ground atom's assertion level must dominate its classification, c ⪯ s).
-func lintMultiLogLattice(r *reporter, db *multilog.Database) {
-	poset, err := db.Poset()
+func lintMultiLogLattice(r *reporter, db, env *multilog.Database) {
+	poset, err := env.Poset()
 	if err != nil {
 		var pos datalog.Position
-		if len(db.Lambda) > 0 {
-			pos = db.Lambda[0].Pos()
+		if len(env.Lambda) > 0 {
+			pos = env.Lambda[0].Pos()
 		}
 		r.report("ML004", Error, pos, "Λ does not define an admissible security lattice: %v", err)
 		return

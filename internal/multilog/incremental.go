@@ -74,8 +74,8 @@ type DeltaReport struct {
 // nothing but the clause, the lattice and the clearance) and applied as a
 // clause delta to a copy-on-write clone of old's engine, under limits: the
 // cost is what the clauses derive and the relations that touches, not the
-// database — plus, when old's model was installed and never advanced, a copy
-// of its relations with the fact clauses counted in. A write that translates
+// database — plus, when old's model was installed and never advanced, the
+// fact clauses counted into a clone of it. A write that translates
 // to nothing shares
 // old's engine and model as they are. old is never mutated — what the
 // translation writes, needs and preds, are the next reduction's own copies —
@@ -324,7 +324,9 @@ type ImpactGraph struct {
 	rev   map[string][]string
 }
 
-// NewImpactGraph builds the reverse dependency graph for db.
+// NewImpactGraph builds the reverse dependency graph for db from the
+// translation, at every level, of its rules and of the axioms of every
+// predicate Σ mentions — a fact clause adds no edge, so none is translated.
 func NewImpactGraph(db *Database) (*ImpactGraph, error) {
 	poset, err := db.Poset()
 	if err != nil {
@@ -333,7 +335,7 @@ func NewImpactGraph(db *Database) (*ImpactGraph, error) {
 	g := &ImpactGraph{poset: poset, rev: map[string][]string{}}
 	seen := map[string]bool{}
 	for _, u := range poset.Labels() {
-		red, err := Reduce(db, u)
+		red, err := translate(db, poset, u, Options{}, false)
 		if err != nil {
 			return nil, err
 		}

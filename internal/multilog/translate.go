@@ -102,8 +102,15 @@ func ReduceOpts(db *Database, user lattice.Label, opts Options) (*Reduction, err
 	if !poset.Has(user) {
 		return nil, fmt.Errorf("multilog: user level %q is not asserted by Λ", user)
 	}
+	return translate(db, poset, user, opts, true)
+}
+
+// translate is τ at user over db's clauses — all of them, or without facts
+// only its rules — and the Figure 12 axioms of every predicate Σ mentions.
+func translate(db *Database, poset *lattice.Poset, user lattice.Label, opts Options, facts bool) (*Reduction, error) {
 	r := &Reduction{DB: db, User: user, Poset: poset, Program: &datalog.Program{},
 		needs: map[belNeed]bool{}, preds: map[string]bool{}, opts: opts}
+	keep := func(c Clause) bool { return facts || !c.IsFact() }
 	for _, c := range db.Sigma {
 		goals := append([]Goal{c.Head}, c.Body...)
 		for _, g := range goals {
@@ -115,6 +122,9 @@ func ReduceOpts(db *Database, user lattice.Label, opts Options) (*Reduction, err
 
 	// Λ component and the dominance axioms a1-a3.
 	for _, c := range db.Lambda {
+		if !keep(c) {
+			continue
+		}
 		dc, err := lambdaClause(c)
 		if err != nil {
 			return nil, err
@@ -135,14 +145,14 @@ func ReduceOpts(db *Database, user lattice.Label, opts Options) (*Reduction, err
 
 	// Π translates unchanged; Σ is grounded over S, instances whose static
 	// guards fail dropped, the rest translated.
-	for _, c := range db.Pi {
-		if err := r.translateClause(c); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range db.Sigma {
-		if err := r.translateClause(c); err != nil {
-			return nil, err
+	for _, cs := range [][]Clause{db.Pi, db.Sigma} {
+		for _, c := range cs {
+			if !keep(c) {
+				continue
+			}
+			if err := r.translateClause(c); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for _, pred := range r.predList() {

@@ -81,27 +81,24 @@ func newPreparedEpoch(name, src string, epoch uint64, prepLimits resource.Limits
 	if diags.HasErrors() {
 		return nil, diags, &LintError{Name: name, Findings: diags.String()}
 	}
-	snap, err := newSnapshot(epoch, db)
-	if err != nil {
-		return nil, diags, err
-	}
-	return &preparedProgram{name: name, limits: prepLimits, snap: snap}, diags, nil
-}
-
-// newSnapshot freezes a database into an immutable version: the poset is
-// computed (and admissibility checked) up front so that later concurrent
-// Reduce calls only read the cache.
-func newSnapshot(epoch uint64, db *multilog.Database) (*snapshot, error) {
+	// The poset is computed (and admissibility checked) up front so that
+	// later concurrent Reduce calls only read the cache.
 	if err := db.CheckAdmissible(); err != nil {
-		return nil, err
+		return nil, diags, err
 	}
 	poset, err := db.Poset()
 	if err != nil {
-		return nil, err
+		return nil, diags, err
 	}
+	return &preparedProgram{name: name, limits: prepLimits, snap: newSnapshot(epoch, db, poset)}, diags, nil
+}
+
+// newSnapshot freezes a database into an immutable version over its
+// security lattice.
+func newSnapshot(epoch uint64, db *multilog.Database, poset *lattice.Poset) *snapshot {
 	return &snapshot{epoch: epoch, db: db, poset: poset,
 		reductions: map[lattice.Label]*multilog.Reduction{},
-		building:   map[lattice.Label]chan struct{}{}}, nil
+		building:   map[lattice.Label]chan struct{}{}}
 }
 
 // current returns the live snapshot.
@@ -197,8 +194,12 @@ func (p *preparedProgram) stats() DBStats {
 // at load). Write authorization is value-based MLS: every ground security
 // level and classification mentioned by the clauses must be dominated by
 // the subject's clearance — you cannot write (or remove) data you cannot
-// see. The updated program is re-linted before the swap; a program the
-// linter rejects never becomes an epoch.
+// see. Before the swap the write is checked by the linter's Error passes
+// (lint.MultiLogWrite): the Σ clauses it adds, or all of the updated program
+// when it writes Π. Every published program is Error-free, so that verdict
+// is the full lint's, and a program the linter rejects never becomes an
+// epoch. The new snapshot keeps the old one's lattice, which no write can
+// change.
 //
 // It returns the new epoch (unchanged when nothing changed), how many
 // clauses were added or removed, and an invalidation describing which
@@ -256,14 +257,10 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 		added = deltaClauses
 	}
 
-	diags := lint.MultiLog(next, lint.Options{File: p.name})
-	if diags.HasErrors() {
+	if diags := lint.MultiLogWrite(next, added, removed, lint.Options{File: p.name}); len(diags) > 0 {
 		return 0, 0, none, &LintError{Name: p.name, Findings: diags.String()}
 	}
-	snap, err := newSnapshot(cur.epoch+1, next)
-	if err != nil {
-		return 0, 0, none, err
-	}
+	snap := newSnapshot(cur.epoch+1, next, cur.poset)
 	inv := p.planInvalidation(cur, snap, deltaClauses)
 	p.advanceReductions(ctx, cur, snap, added, removed, &inv)
 	if ctx.Err() != nil {

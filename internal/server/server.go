@@ -8,8 +8,9 @@
 //
 //   - prepared programs: each database is parsed, linted and
 //     admissibility-checked once at load, behind a copy-on-write snapshot
-//     (assert/retract clones the database, re-lints, and swaps a pointer;
-//     readers never block on writers);
+//     (assert/retract clones the database, checks the clauses it writes
+//     with the linter's Error passes, and swaps a pointer; readers never
+//     block on writers);
 //   - compiled reductions: per (snapshot, clearance), the §6 reduction and
 //     its materialized minimal model are built once and shared read-only by
 //     every session at that clearance (multilog.QueryPrepared), so the hot

@@ -1,0 +1,91 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/resource"
+	"repro/internal/workload"
+)
+
+// factWriteLevels is the benchmark's chain: four clearances, all warm.
+const factWriteLevels = 4
+
+// factWriteFixture is the write path at one database size: a 16-rule /
+// 6-predicate program over a 4-level chain with a compiled reduction warm at
+// every clearance, fed the fact writes of the benchmark's write_mix workload.
+type factWriteFixture struct {
+	p      *preparedProgram
+	writes int
+}
+
+func newFactWriteFixture(tb testing.TB, facts int) *factWriteFixture {
+	tb.Helper()
+	src := workload.ProgramSource(workload.ProgramConfig{
+		Levels: factWriteLevels, Facts: facts, Rules: 16, Preds: 6, Poly: 0.3, Seed: 1})
+	p, _, err := newPrepared("bench", src, resource.Limits{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for l := 0; l < factWriteLevels; l++ {
+		if _, err := p.current().reductionAt(context.Background(), workload.Level(l), resource.Limits{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	fx := &factWriteFixture{p: p}
+	// The first write adopts every compiled model; the benchmark's set-up
+	// plays two writes for the same reason.
+	fx.write(tb)
+	fx.write(tb)
+	return fx
+}
+
+// write commits the stream's next write, as write_mix's client 0 makes them:
+// it alternately asserts and retracts a fact only it names, at the level of
+// the session it writes through, round-robin over the predicates and the
+// twelve sessions (clearance × belief mode).
+func (fx *factWriteFixture) write(tb testing.TB) {
+	pair := fx.writes / 2
+	lvl := workload.Level(pair % 12 % factWriteLevels)
+	src := fmt.Sprintf("%s[p%d(w0_%d: a -%s-> wv0)].", lvl, pair%6, pair, lvl)
+	if _, _, _, err := fx.p.update(context.Background(), src, lvl, fx.writes%2 == 1, nil); err != nil {
+		tb.Fatal(err)
+	}
+	fx.writes++
+}
+
+// BenchmarkServerFactWrite prices one committed fact write through
+// preparedProgram.update — parse, authorize, clone, lint, snapshot, impact,
+// an advance per warm clearance — at three database sizes, without the WAL
+// and the HTTP round trip.
+func BenchmarkServerFactWrite(b *testing.B) {
+	for _, facts := range []int{200, 2000, 8000} {
+		b.Run(fmt.Sprintf("facts=%d", facts), func(b *testing.B) {
+			fx := newFactWriteFixture(b, facts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fx.write(b)
+			}
+		})
+	}
+}
+
+// TestFactWriteAllocsFlatInDatabaseSize is the write path's deterministic
+// allocation gate: a fact write allocates for what it changes, so ten times
+// the facts may cost at most a quarter more allocations. A write that lints
+// or copies in proportion to the database fails it (2.6x, when every
+// touched relation was copied whole and the whole program re-linted).
+func TestFactWriteAllocsFlatInDatabaseSize(t *testing.T) {
+	allocs := func(facts int) float64 {
+		fx := newFactWriteFixture(t, facts)
+		return testing.AllocsPerRun(24, func() { fx.write(t) })
+	}
+	small, large := allocs(200), allocs(2000)
+	t.Logf("allocations per fact write: %.0f at 200 facts, %.0f at 2000", small, large)
+	if large > 1.25*small {
+		t.Fatalf("a fact write allocates %.0f times at 2000 facts, %.0f at 200: %.2fx, want at most 1.25x",
+			large, small, large/small)
+	}
+}

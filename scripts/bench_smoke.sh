@@ -25,6 +25,14 @@
 #    carried by clause delta against the same reference: ~40x to ~400x when a
 #    rule write costs what the rule derives plus one re-stratification of the
 #    rule set, 1x if it ever rebuilds.
+# 5. TestFactWriteAllocsFlatInDatabaseSize (internal/server, also in tier-1):
+#    a committed fact write through preparedProgram.update — write_mix's
+#    stream over four warm clearances — allocates at 2000 facts at most 1.25x
+#    what it does at 200: ~1.0x when a write lints only the clauses it writes
+#    and copies only its delta of each relation it touches, ~2.6x when it
+#    re-lints the program and copies those relations whole.
+#    BenchmarkServerFactWrite prices the same write at 200, 2000 and 8000
+#    facts.
 #
 # The smoke gates are deliberately looser than the committed artifacts
 # (>=2x vs >=5x for compiled, >=1.2x vs >=1.5x for overload): short
@@ -74,4 +82,7 @@ $GO test ./internal/multilog -run '^$' -bench 'BenchmarkAdvance(Fact|Rule)Write'
 grep -v 'advance=adopt' "$TMP/bench_advance.txt" | $GO run ./cmd/benchreport -gate "$ADVANCE_GATE"
 $GO run ./cmd/benchreport -in "$TMP/bench_advance.txt" -gate "$ADVANCE_RULE_GATE"
 grep -v 'advance=delta' "$TMP/bench_advance.txt" | $GO run ./cmd/benchreport -gate "$ADOPT_GATE"
+$GO test ./internal/server -run '^TestFactWriteAllocsFlatInDatabaseSize$' -count=1 -v > "$TMP/write_allocs.txt" ||
+    { cat "$TMP/write_allocs.txt"; exit 1; }
+grep 'allocations per' "$TMP/write_allocs.txt"
 echo "bench-smoke: ok"
