@@ -175,8 +175,8 @@ type Controller struct {
 	queuedCost int // cost units across queues
 
 	shedding   bool
-	aboveSince time.Time // first moment sojourn exceeded Target (zero = below)
-	lastCut    time.Time // last multiplicative decrease
+	aboveSince time.Time     // first moment sojourn exceeded Target (zero = below)
+	lastCut    time.Time     // last multiplicative decrease
 	ewma       time.Duration // EWMA of admitted service latency
 
 	admitted  int64

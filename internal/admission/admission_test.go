@@ -122,7 +122,7 @@ func shedController(t *testing.T) (*Controller, *Ticket) {
 
 	time.Sleep(15 * time.Millisecond) // both sojourns now exceed Target
 	hold.Done(time.Millisecond, false)
-	first := <-grants // first grant: starts the above-target clock
+	first := <-grants                 // first grant: starts the above-target clock
 	time.Sleep(15 * time.Millisecond) // stay above target past Interval
 	first.Done(time.Millisecond, false)
 	second := <-grants // second grant: above target for >= Interval → shedding

@@ -19,14 +19,8 @@ import (
 // On a multi-core host the nodes=3 arm shows the read fan-out replication
 // buys; on a single-CPU runner the arms land near parity, and the number
 // that matters is that a replica read costs no more than a primary read —
-// mirrored application must not tax the serving path.
-//
-// Regenerate the committed artifact with:
-//
-//	go test ./internal/replica -run '^$' -bench BenchmarkClusterRead \
-//	    -benchtime 2000x -count=1 | tee /tmp/bench_replication.txt
-//	go run ./cmd/benchreport -in /tmp/bench_replication.txt \
-//	    -json BENCH_replication.json
+// mirrored application must not tax the serving path. EXPERIMENTS.md
+// ("Replica reads") records a -benchtime 2000x run.
 func BenchmarkClusterRead(b *testing.B) {
 	cfg := workload.ProgramConfig{Levels: 3, Facts: 60, Rules: 6, Preds: 2, Seed: 1, Poly: 0.3}
 	prog := workload.ProgramSource(cfg)

@@ -22,6 +22,26 @@ func TestPercentileZeroSamples(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank pins the rank: the ⌈q·n⌉-th smallest sample,
+// so a rank q·n that falls between two samples rounds up, never down.
+func TestPercentileNearestRank(t *testing.T) {
+	ten := []int64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
+	for _, c := range []struct {
+		ns   []int64
+		q    float64
+		want time.Duration
+	}{
+		{[]int64{3, 1, 2}, 0.5, 2},
+		{ten, 0.99, 10},
+		{ten, 0.5, 5},
+		{ten, 0, 1},
+	} {
+		if got := percentileNS(c.ns, c.q); got != c.want {
+			t.Errorf("percentileNS(%v, %v) = %d, want %d", c.ns, c.q, got, c.want)
+		}
+	}
+}
+
 // TestBucketWindows folds a crafted sample timeline into fixed windows and
 // checks the per-window admitted/shed/stale counts — including that a
 // window with no samples at all reports zeroes, not NaN.
