@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -145,11 +146,11 @@ func TestCloneCopyOnWriteUnderReaders(t *testing.T) {
 			}
 		}
 		next := src.Clone()
-		_, err := next.ApplyDelta(adds, dels)
+		_, err := next.ApplyClauses(context.Background(), facts(adds), facts(dels))
 		close(stop)
 		readers.Wait()
 		if err != nil {
-			t.Fatalf("step %d: ApplyDelta(+%v, -%v): %v", step, adds, dels, err)
+			t.Fatalf("step %d: ApplyClauses(+%v, -%v): %v", step, adds, dels, err)
 		}
 
 		if after := imageOf(src.Model()); !reflect.DeepEqual(after, before) {
@@ -424,12 +425,12 @@ func BenchmarkIncrementalCloneApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fact := []Atom{NewAtom("base7", term.Const("fresh"), term.Const("v0"))}
+	fact := []Clause{Fact(NewAtom("base7", term.Const("fresh"), term.Const("v0")))}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		next := inc.Clone()
-		if _, err := next.ApplyDelta(fact, nil); err != nil {
+		if _, err := next.ApplyClauses(context.Background(), fact, nil); err != nil {
 			b.Fatal(err)
 		}
 		cloneSink = next.Model()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/resource"
@@ -20,22 +19,17 @@ var errStopEnum = errors.New("datalog: stop enumeration")
 // a multiset, one count per tuple beside it in the store; whether a rule
 // derives a tuple is never stored, it is asked of the rules and the live
 // model when — and only when — something that supported the tuple went away.
-// ApplyDelta patches the fixpoint in place instead of re-running Eval.
+// ApplyClauses patches the fixpoint in place instead of re-running Eval.
 //
 // What went away seeds a stratum's deletion phase: tuples deleted below it,
 // the firings of a removed rule, and a tuple of the stratum whose last base
-// assertion was retracted (a tuple no rule can derive leaves at once). The
-// phase splits by stratum shape:
-//
-//   - Non-recursive strata form a DAG of predicates. Every tuple that may
-//     have lost a firing is a suspect, re-checked in topological order for
-//     one surviving firing against the live model; one without any, and
-//     without a base assertion, is removed, cascading downstream.
-//   - Recursive strata use DRed (delete-and-rederive): a surviving firing
-//     proves nothing there (it may run through the tuple's own consequences),
-//     so tuples reachable from a seed are over-deleted transitively, then
-//     re-derived from the surviving model before the net deletions are
-//     reported.
+// assertion was retracted (a tuple no rule can derive leaves at once). Every
+// stratum runs the same phase, DRed (delete-and-rederive): a firing that
+// survives proves nothing by itself — in a recursive stratum it may run
+// through the tuple's own consequences — so tuples reachable from a seed are
+// over-deleted transitively, then re-derived from the surviving model before
+// the net deletions are reported. A non-recursive stratum is the case whose
+// over-delete never loops back.
 //
 // Insertions run standard semi-naive delta propagation, including the
 // firings a deletion below a stratum enables through a negated literal.
@@ -52,7 +46,7 @@ type PredDelta struct {
 	Added, Deleted []Atom
 }
 
-// DeltaResult reports what one ApplyDelta changed in the model.
+// DeltaResult reports what one ApplyClauses changed in the model.
 type DeltaResult struct {
 	// Changed maps each predicate whose tuple set changed to its net
 	// additions and deletions, each sorted by atom key.
@@ -79,8 +73,6 @@ type ruleSet struct {
 	stratumOf   map[string]int // predicate -> stratum; 0 for predicates no rule mentions
 	ruleStratum []int          // rule index -> stratum of its head predicate
 	numStrata   int
-	recursive   []bool              // stratum -> has a positive same-stratum cycle
-	topo        [][]string          // stratum -> predicates in topological order (non-recursive strata only)
 	headRules   map[string][]int    // head predicate -> rule indices
 	posRefs     map[string][]litRef // predicate -> positive body occurrences
 	negRefs     map[string][]litRef // predicate -> negated body occurrences
@@ -95,7 +87,7 @@ type Incremental struct {
 	*ruleSet
 	model *Store // counting: every tuple carries its base-assertion count
 
-	// Limits bounds each ApplyDelta call (steps, facts, memory count the
+	// Limits bounds each ApplyClauses call (steps, facts, memory count the
 	// delta's own work, not the standing model). The zero value is unlimited.
 	Limits resource.Limits
 
@@ -110,7 +102,7 @@ func NewIncremental(p *Program, edb *Store) (*Incremental, error) {
 }
 
 // NewIncrementalContext is NewIncremental bounded by ctx and limits; the
-// limits also bound every later ApplyDelta. Unlike EvalContext, a limit stop
+// limits also bound every later ApplyClauses. Unlike EvalContext, a limit stop
 // is a hard error: a partial model cannot be maintained.
 func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits resource.Limits) (*Incremental, error) {
 	ev := Evaluator{Limits: limits}
@@ -201,7 +193,6 @@ func newRuleSet(clauses []Clause) (*ruleSet, error) {
 			}
 		}
 	}
-	rs.analyzeStrata()
 	return rs, nil
 }
 
@@ -253,84 +244,8 @@ func (inc *Incremental) bump(a Atom) error {
 	return nil
 }
 
-// analyzeStrata detects, per stratum, whether its predicates form a positive
-// cycle (recursive → DRed deletion) and computes a topological order for the
-// non-recursive ones (→ suspects re-checked in that order).
-func (rs *ruleSet) analyzeStrata() {
-	rs.recursive = make([]bool, rs.numStrata)
-	rs.topo = make([][]string, rs.numStrata)
-	// Same-stratum positive adjacency: head -> body predicates.
-	adj := make([]map[string][]string, rs.numStrata)
-	preds := make([]map[string]bool, rs.numStrata)
-	for i := range adj {
-		adj[i] = map[string][]string{}
-		preds[i] = map[string]bool{}
-	}
-	for ri, c := range rs.rules {
-		s := rs.ruleStratum[ri]
-		preds[s][c.Head.Pred] = true
-		from := len(adj[s][c.Head.Pred]) // this rule's edges: one per body predicate
-		for _, l := range c.Body {
-			if l.Negated || l.Atom.IsBuiltin() {
-				continue
-			}
-			if rs.stratumOf[l.Atom.Pred] != s {
-				continue
-			}
-			preds[s][l.Atom.Pred] = true
-			if tos := adj[s][c.Head.Pred]; !slices.Contains(tos[from:], l.Atom.Pred) {
-				adj[s][c.Head.Pred] = append(tos, l.Atom.Pred)
-			}
-		}
-	}
-	for s := 0; s < rs.numStrata; s++ {
-		// Kahn's algorithm over the reversed edges (dependencies first).
-		// Leftover nodes mean a cycle → the stratum is recursive.
-		indeg := map[string]int{}
-		rev := map[string][]string{}
-		var names []string
-		for p := range preds[s] {
-			names = append(names, p)
-		}
-		sort.Strings(names) // deterministic order
-		for _, p := range names {
-			indeg[p] = 0
-		}
-		for from, tos := range adj[s] {
-			for _, to := range tos {
-				rev[to] = append(rev[to], from)
-				indeg[from]++
-			}
-		}
-		var queue []string
-		for _, p := range names {
-			if indeg[p] == 0 {
-				queue = append(queue, p)
-			}
-		}
-		var order []string
-		for len(queue) > 0 {
-			sort.Strings(queue)
-			p := queue[0]
-			queue = queue[1:]
-			order = append(order, p)
-			for _, q := range rev[p] {
-				indeg[q]--
-				if indeg[q] == 0 {
-					queue = append(queue, q)
-				}
-			}
-		}
-		if len(order) < len(names) {
-			rs.recursive[s] = true
-		} else {
-			rs.topo[s] = order
-		}
-	}
-}
-
 // Model returns the live model. Callers must treat it as read-only; it is
-// invalidated (and remains correct) across ApplyDelta calls.
+// invalidated (and remains correct) across ApplyClauses calls.
 func (inc *Incremental) Model() *Store { return inc.model }
 
 // Counts returns a snapshot of every tuple's base-assertion count, keyed by
@@ -427,7 +342,7 @@ func (inc *Incremental) fullFirings(s int, cs []Clause, v storeView, each func(C
 	return nil
 }
 
-// deltaState is the bookkeeping shared by the phases of one ApplyDelta.
+// deltaState is the bookkeeping shared by the phases of one delta.
 type deltaState struct {
 	added   map[string]map[string]Atom // pred -> key -> atom, net additions
 	deleted map[string]map[string]Atom // pred -> key -> atom, net deletions
@@ -473,23 +388,22 @@ func (d *deltaState) cancelDel(pred, k string) bool {
 	return true
 }
 
-// ApplyDelta patches the model in place: dels retracts base assertions
-// (multiset semantics; retracting an absent assertion is a no-op), adds
-// asserts new ones, and derived consequences are propagated stratum by
-// stratum. It reports the net membership change per predicate. On error the
-// engine is poisoned (the model may be half-patched) and every later call
-// fails; keep a Clone if you need to survive failed deltas.
-func (inc *Incremental) ApplyDelta(adds, dels []Atom) (*DeltaResult, error) {
-	return inc.apply(context.Background(), adds, dels, nil, nil)
-}
-
-// ApplyClauses applies a clause delta, bounded by ctx and inc.Limits. Fact
-// clauses are base assertions, as in ApplyDelta. Rule clauses change the rule
-// set (ruleSet.edit): a rule of dels leaves with exactly the derivations its
-// firings contributed, a rule of adds joins and fires. The next rule set is
-// validated and stratified before the model is touched: an unsafe or
-// unstratifiable one is an error that leaves the engine as it was, and usable.
+// ApplyClauses patches the model in place by a clause delta, bounded by ctx
+// and inc.Limits, and reports the net membership change per predicate. Fact
+// clauses are base assertions: dels retracts them (multiset semantics;
+// retracting an absent assertion is a no-op), adds asserts new ones, and
+// derived consequences are propagated stratum by stratum. Rule clauses change
+// the rule set (ruleSet.edit): a rule of dels leaves with exactly the
+// derivations its firings contributed, a rule of adds joins and fires. The
+// next rule set is validated and stratified before the model is touched: an
+// unsafe or unstratifiable one is an error that leaves the engine as it was,
+// and usable. On any later error the engine is poisoned (the model may be
+// half-patched) and every later call fails; keep a Clone if you need to
+// survive failed deltas.
 func (inc *Incremental) ApplyClauses(ctx context.Context, adds, dels []Clause) (*DeltaResult, error) {
+	if inc.broken {
+		return nil, fmt.Errorf("datalog: incremental engine poisoned by an earlier failed delta")
+	}
 	var facts [2][]Atom
 	var rules [2][]Clause
 	for i, cs := range [2][]Clause{adds, dels} {
@@ -501,29 +415,21 @@ func (inc *Incremental) ApplyClauses(ctx context.Context, adds, dels []Clause) (
 			}
 		}
 	}
-	return inc.apply(ctx, facts[0], facts[1], rules[0], rules[1])
-}
-
-// apply is the one entry to the delta core.
-func (inc *Incremental) apply(ctx context.Context, adds, dels []Atom, addRules, delRules []Clause) (*DeltaResult, error) {
-	if inc.broken {
-		return nil, fmt.Errorf("datalog: incremental engine poisoned by an earlier failed delta")
-	}
 	st := &deltaState{
 		added:   map[string]map[string]Atom{},
 		deleted: map[string]map[string]Atom{},
 		grave:   NewStore(),
 		addKeys: map[string]bool{},
 	}
-	if len(addRules)+len(delRules) > 0 {
-		next, removed, err := inc.ruleSet.edit(addRules, delRules)
+	if len(rules[0])+len(rules[1]) > 0 {
+		next, removed, err := inc.ruleSet.edit(rules[0], rules[1])
 		if err != nil {
 			return nil, err // nothing touched yet: the engine stays usable
 		}
-		inc.ruleSet, st.addRules, st.delRules = next, addRules, removed
+		inc.ruleSet, st.addRules, st.delRules = next, rules[0], removed
 	}
 	inc.gov = resource.New(ctx, inc.Limits)
-	res, err := inc.applyDelta(adds, dels, st)
+	res, err := inc.applyDelta(facts[0], facts[1], st)
 	if err != nil {
 		inc.broken = true
 		return nil, err
@@ -585,12 +491,7 @@ func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaRes
 		if err != nil {
 			return nil, err
 		}
-		if inc.recursive[s] {
-			err = inc.deleteDRed(s, st, lost)
-		} else {
-			err = inc.deleteSuspects(s, st, lost)
-		}
-		if err != nil {
+		if err := inc.deletePhase(s, st, lost); err != nil {
 			return nil, err
 		}
 		if err := inc.insertPhase(s, st); err != nil {
@@ -656,86 +557,18 @@ func (inc *Incremental) insertTuple(t Atom, k string, st *deltaState) error {
 	return nil
 }
 
-// deleteSuspects handles the deletion side of a non-recursive stratum:
-// suspects are re-checked for a surviving firing in topological predicate
-// order. oldView widens matches to the graveyard so every pre-delta firing
-// involving a deleted tuple is enumerated (an over-approximation of the
-// suspects; the re-check is exact).
-func (inc *Incremental) deleteSuspects(s int, st *deltaState, lost []Atom) error {
-	suspects := map[string]map[string]Atom{} // pred -> key -> atom
-	suspect := func(h Atom) error {
-		m := suspects[h.Pred]
-		if m == nil {
-			m = map[string]Atom{}
-			suspects[h.Pred] = m
-		}
-		m[h.Key()] = h
-		return nil
-	}
-	oldView := storeView{live: inc.model, grave: st.grave, negSkip: st.addKeys}
-	// A predicate that lost its last rule may be missing from the topological
-	// order; it depends on nothing, so it goes first.
-	order := inc.topo[s]
-	for _, h := range lost {
-		if len(inc.headRules[h.Pred]) == 0 && !slices.Contains(order, h.Pred) {
-			order = append([]string{h.Pred}, order...)
-		}
-		suspect(h) //nolint:errcheck // only records
-	}
-	for _, m := range st.deleted {
-		for _, d := range m {
-			if err := inc.lostHeads(s, d, false, oldView, suspect); err != nil {
-				return err
-			}
-		}
-	}
-	for _, m := range st.added {
-		for _, a := range m {
-			if err := inc.lostHeads(s, a, true, oldView, suspect); err != nil {
-				return err
-			}
-		}
-	}
-	for _, pred := range order {
-		for {
-			m := suspects[pred]
-			if len(m) == 0 {
-				break
-			}
-			delete(suspects, pred)
-			// Sorted for deterministic enumeration order.
-			keys := make([]string, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				t := m[k]
-				if base, ok := inc.model.support(t.Pred, k); !ok || base > 0 {
-					continue
-				}
-				if ok, err := inc.derivable(t); err != nil {
-					return err
-				} else if ok {
-					continue
-				}
-				inc.removeTuple(t, k, st)
-				// Cascade: downstream suspects are topologically later
-				// predicates of this stratum (or later strata, reached
-				// through st.deleted when they run).
-				if err := inc.lostHeads(s, t, false, oldView, suspect); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// deleteDRed handles the deletion side of a recursive stratum with
-// delete-and-rederive: over-delete everything reachable from the deletions
-// and from seeds, the stratum's own, then re-derive from the surviving model.
-func (inc *Incremental) deleteDRed(s int, st *deltaState, seeds []Atom) error {
+// deletePhase is stratum s's one deletion phase, whatever its shape: DRed
+// (delete-and-rederive). It over-deletes every tuple of s without a base
+// assertion that lost a firing — through a tuple deleted below s or already
+// over-deleted in it, through a tuple added below s at a negated literal, or
+// as one of seeds, the stratum's own — then puts back each one the surviving
+// model still derives. No tuple is kept on a firing found before the
+// over-delete: in a recursive stratum that firing may rest on the tuple
+// itself. So a tuple that keeps another firing costs extra: it is removed and
+// put back, with whatever of s rests on it, each by its own derivable check.
+// That stays inside s — insertTuple cancels the deletion recorded at
+// over-delete time — and later strata see only the net change.
+func (inc *Incremental) deletePhase(s int, st *deltaState, seeds []Atom) error {
 	oldView := storeView{live: inc.model, grave: st.grave, negSkip: st.addKeys}
 	overdeleted := map[string]Atom{}
 	var queue []Atom

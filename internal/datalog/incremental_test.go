@@ -20,6 +20,15 @@ func atoms(t *testing.T, srcs ...string) []Atom {
 	return out
 }
 
+// facts makes each atom a fact clause: a base assertion for ApplyClauses.
+func facts(as []Atom) []Clause {
+	out := make([]Clause, len(as))
+	for i, a := range as {
+		out[i] = Fact(a)
+	}
+	return out
+}
+
 func TestStoreRemove(t *testing.T) {
 	s := NewStore()
 	facts := []Atom{
@@ -143,9 +152,9 @@ func (rs *refState) apply(adds, dels []Atom) {
 func step(t *testing.T, rs *refState, inc *Incremental, adds, dels []Atom) *DeltaResult {
 	t.Helper()
 	before := inc.Model().String()
-	res, err := inc.ApplyDelta(adds, dels)
+	res, err := inc.ApplyClauses(context.Background(), facts(adds), facts(dels))
 	if err != nil {
-		t.Fatalf("ApplyDelta(+%v, -%v): %v", adds, dels, err)
+		t.Fatalf("ApplyClauses(+%v, -%v): %v", adds, dels, err)
 	}
 	rs.apply(adds, dels)
 	refModel, fresh := rs.full(t)
@@ -214,6 +223,26 @@ func TestIncrementalNegation(t *testing.T) {
 	}
 	step(t, rs, inc, atoms(t, "e(a, c)"), nil)
 	step(t, rs, inc, nil, atoms(t, "node(b)"))
+
+	// A non-recursive diamond: a(1) has a firing through b and one through c.
+	// Losing one over-deletes a(1), and d(1) with it, and puts both back
+	// inside their stratum; e's stratum, which negates a, sees no change.
+	rs, inc = newRefState(t, `
+		a(X) :- b(X).
+		a(X) :- c(X).
+		d(X) :- a(X).
+		e(X) :- n(X), not a(X).
+		b(1). c(1). n(1).
+	`)
+	res = step(t, rs, inc, nil, atoms(t, "b(1)"))
+	if got := res.ChangedPreds(); !reflect.DeepEqual(got, []string{"b"}) || inc.Model().Contains(mustAtom(t, "e(1)")) {
+		t.Fatalf("retracting b(1) changed more than b: %+v", res.Changed)
+	}
+	// Now a(1) has no firing left: it goes, d(1) with it, and e(1) arrives.
+	res = step(t, rs, inc, nil, atoms(t, "c(1)"))
+	if len(res.Changed["a"].Deleted) != 1 || len(res.Changed["d"].Deleted) != 1 || len(res.Changed["e"].Added) != 1 {
+		t.Fatalf("retracting c(1), a(1)'s last firing: %+v", res.Changed)
+	}
 }
 
 func TestIncrementalAssertRetractNoop(t *testing.T) {
@@ -393,8 +422,8 @@ func TestIncrementalClone(t *testing.T) {
 		t.Fatalf("mutating the original leaked into the clone:\n%s\nvs\n%s", got, snapshot)
 	}
 	// The clone must still be maintainable on its own.
-	if _, err := clone.ApplyDelta(atoms(t, "e(x, y)"), nil); err != nil {
-		t.Fatalf("clone ApplyDelta: %v", err)
+	if _, err := clone.ApplyClauses(context.Background(), facts(atoms(t, "e(x, y)")), nil); err != nil {
+		t.Fatalf("clone ApplyClauses: %v", err)
 	}
 }
 
@@ -504,16 +533,13 @@ func TestIncrementalRuleDeltas(t *testing.T) {
 		e(a, b). e(b, c). e(c, a). node(a). node(b). node(c). node(d).
 		tc(X, Y) :- e(X, Y).
 	`)
-	// Recursion arrives (the stratum turns DRed) and leaves again.
+	// Recursion arrives and leaves again.
 	res := clauseStep(t, rs, inc, "tc(X, Z) :- e(X, Y), tc(Y, Z).", "")
 	if res.RulesAdded != 1 || len(res.Changed["tc"].Added) != 6 {
 		t.Fatalf("adding the recursive rule: %+v", res)
 	}
-	if !inc.recursive[inc.stratumOf["tc"]] {
-		t.Fatal("tc's stratum is not recursive after the recursive rule arrived")
-	}
 	res = clauseStep(t, rs, inc, "", "tc(X, Z) :- e(X, Y), tc(Y, Z).")
-	if res.RulesRemoved != 1 || len(res.Changed["tc"].Deleted) != 6 || inc.recursive[inc.stratumOf["tc"]] {
+	if res.RulesRemoved != 1 || len(res.Changed["tc"].Deleted) != 6 {
 		t.Fatalf("removing the recursive rule: %+v", res)
 	}
 	// A head on a brand-new predicate, negating a lower stratum; then the
@@ -571,7 +597,7 @@ func TestRuleDeltaLeavesCloneSourceAlone(t *testing.T) {
 		tc(X, Z) :- e(X, Y), tc(Y, Z).
 	`)
 	srcRules, srcModel, srcCounts := src.ruleSet, src.Model().String(), src.Counts()
-	srcHeads := fmt.Sprint(src.headRules, src.posRefs, src.negRefs, src.stratumOf, src.topo, src.recursive)
+	srcHeads := fmt.Sprint(src.headRules, src.posRefs, src.negRefs, src.stratumOf)
 	ruled, sibling := src.Clone(), src.Clone()
 	if _, err := ruled.ApplyClauses(context.Background(),
 		mustParse(t, "far(X) :- tc(a, X), not e(a, X).").Clauses,
@@ -582,7 +608,7 @@ func TestRuleDeltaLeavesCloneSourceAlone(t *testing.T) {
 	if src.ruleSet != srcRules || sibling.ruleSet != srcRules || ruled.ruleSet == srcRules {
 		t.Fatal("the rule delta did not replace exactly its own engine's rule set")
 	}
-	if got := fmt.Sprint(src.headRules, src.posRefs, src.negRefs, src.stratumOf, src.topo, src.recursive); got != srcHeads {
+	if got := fmt.Sprint(src.headRules, src.posRefs, src.negRefs, src.stratumOf); got != srcHeads {
 		t.Fatalf("the source's rule indexes changed:\n%s\nwas\n%s", got, srcHeads)
 	}
 	if src.Model().String() != srcModel || !reflect.DeepEqual(src.Counts(), srcCounts) {

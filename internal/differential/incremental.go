@@ -316,23 +316,6 @@ func compareToFull(inc, fresh *datalog.Incremental, full *datalog.Program) strin
 	return ""
 }
 
-// applyOp hands one delta to the engine: through the facts-only entry when
-// it is facts only, so both entries of the core stay covered.
-func applyOp(inc *datalog.Incremental, op WriteOp) error {
-	if op.HasRules() {
-		_, err := inc.ApplyClauses(context.Background(), op.Adds, op.Dels)
-		return err
-	}
-	var heads [2][]datalog.Atom
-	for i, cs := range [2][]datalog.Clause{op.Adds, op.Dels} {
-		for _, c := range cs {
-			heads[i] = append(heads[i], c.Head)
-		}
-	}
-	_, err := inc.ApplyDelta(heads[0], heads[1])
-	return err
-}
-
 // incDiverges replays the write sequence and returns a description of the
 // first divergence from full re-derivation, or "" if the engine tracks the
 // reference exactly. A program the engine rejects outright is not a
@@ -359,7 +342,7 @@ func replayDiverges(inc, fresh *datalog.Incremental, p *datalog.Program, writes 
 	for i, op := range writes {
 		next := withOp(full, op)
 		nextFresh, refErr := datalog.NewIncremental(next, nil)
-		err := applyOp(inc, op)
+		_, err := inc.ApplyClauses(context.Background(), op.Adds, op.Dels)
 		switch {
 		case refErr != nil && err == nil:
 			return fmt.Sprintf("step %d (%s): accepted a delta full re-derivation refuses: %v", i, op, refErr)
@@ -418,7 +401,7 @@ func CheckIncremental(c IncrementalCase) *Disagreement {
 }
 
 // RunIncrementalCampaign checks n seeded write-sequence cases. Every
-// ApplyDelta step inside a case is itself verified against full
+// ApplyClauses step inside a case is itself verified against full
 // re-derivation, so Cases counts maintained deltas, not just programs.
 func RunIncrementalCampaign(seed int64, n int) CampaignResult {
 	res := CampaignResult{Programs: n}

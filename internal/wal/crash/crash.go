@@ -48,11 +48,9 @@ type Scenario struct {
 	// WantTruncation asserts that recovery truncated at least one record
 	// (the torn-tail scenarios).
 	WantTruncation bool
-	// WriteStorm switches the driver to the mixed assert/retract storm:
-	// tracked writes interleave retracts of earlier acked facts, so replay
-	// exercises the incremental delta machinery's deletion path, and the
-	// recovered state is compared against a reference full replay of the
-	// surviving operation sequence.
+	// WriteStorm interleaves retracts of earlier acked facts with the
+	// tracked asserts, so replay exercises the incremental delta machinery's
+	// deletion path.
 	WriteStorm bool
 	// RuleWrites makes every fourth tracked op of the storm the assert, or
 	// the retract, of a rule (crashRule) deriving a predicate new to Σ: the
@@ -287,27 +285,7 @@ func (h *Harness) Run(ctx context.Context, sc Scenario) error {
 	if err != nil {
 		return err
 	}
-	if sc.WriteStorm {
-		ops, inFlight, derr := h.driveStorm(ctx, d, sc.RuleWrites)
-		if derr != nil {
-			d.kill()
-			return derr
-		}
-		if err := d.waitExit(30 * time.Second); err != nil {
-			return err
-		}
-		h.logf("%s: crashed after %d acked op(s), in-flight %v", sc.Name, len(ops), inFlight)
-		d2, err := h.start(ctx, dir, sc, progPath, false)
-		if err != nil {
-			return fmt.Errorf("restart after crash: %w", err)
-		}
-		defer d2.kill()
-		if err := h.verifyStorm(ctx, d2, sc, progSrc, ops, inFlight); err != nil {
-			return fmt.Errorf("%w\nchild logs:\n%s", err, d2.logs)
-		}
-		return nil
-	}
-	acked, inFlight, err := h.drive(ctx, d)
+	acked, inFlight, err := h.drive(ctx, d, sc)
 	if err != nil {
 		d.kill()
 		return err
@@ -315,7 +293,7 @@ func (h *Harness) Run(ctx context.Context, sc Scenario) error {
 	if err := d.waitExit(30 * time.Second); err != nil {
 		return err
 	}
-	h.logf("%s: crashed after %d acked write(s), in-flight %q", sc.Name, len(acked), inFlight)
+	h.logf("%s: crashed after %d acked op(s), in-flight %v", sc.Name, len(acked), inFlight)
 
 	// Phase 2: restart on the same data directory, no crash plan.
 	d2, err := h.start(ctx, dir, sc, progPath, false)
@@ -329,42 +307,6 @@ func (h *Harness) Run(ctx context.Context, sc Scenario) error {
 	return nil
 }
 
-// drive fires tracked sequential asserts (each acknowledged before the
-// next is sent) while a read storm runs concurrently, until the daemon
-// dies. It returns the facts that were acknowledged and the one write that
-// was in flight when the connection broke ("" when the crash happened
-// between requests).
-func (h *Harness) drive(ctx context.Context, d *daemon) (acked []string, inFlight string, err error) {
-	c := server.NewClient(d.addr, nil) // writes: no retry, ever
-	sess, err := c.Open(ctx, server.OpenRequest{Subject: "mutator", Clearance: "l0", DB: dbName})
-	if err != nil {
-		return nil, "", fmt.Errorf("mutator open: %w", err)
-	}
-
-	stormCtx, stopStorm := context.WithCancel(ctx)
-	var storm sync.WaitGroup
-	storm.Add(1)
-	go func() {
-		defer storm.Done()
-		// Read-only concurrency across clearances and modes; its errors are
-		// expected once the daemon dies.
-		serverload.Run(stormCtx, server.NewClient(d.addr, nil), serverload.Config{
-			Sessions: 4, Queries: 10_000, Program: programCfg, Seed: 99, DB: dbName,
-		})
-	}()
-	defer func() { stopStorm(); storm.Wait() }()
-
-	for i := 0; i < maxWrites; i++ {
-		fact := crashFact(i)
-		if _, aerr := c.Assert(ctx, sess.Session, fact); aerr != nil {
-			// The daemon died under this request: appended-but-unacked.
-			return acked, fact, nil
-		}
-		acked = append(acked, fact)
-	}
-	return acked, "", fmt.Errorf("daemon survived %d writes; crashpoint never reached", maxWrites)
-}
-
 // crashFact is the i-th tracked write: a unique key at the bottom level.
 func crashFact(i int) string {
 	return fmt.Sprintf("l0[p0(crashed%d: a -l0-> w%d)].", i, i)
@@ -375,68 +317,6 @@ func crashFact(i int) string {
 // included, so it is in force exactly when its head has answers.
 func crashRule(i int) string {
 	return fmt.Sprintf("l0[ruled(K: a -l0-> via%d)] :- l0[p0(K: a -C-> V)] << fir.", i)
-}
-
-// verify checks the recovered daemon against a reference in-memory server
-// replaying the same acknowledged writes.
-func (h *Harness) verify(ctx context.Context, d *daemon, sc Scenario, progSrc string, acked []string, inFlight string) error {
-	c := server.NewClient(d.addr, nil).WithRetry(server.DefaultRetryPolicy())
-	sess, err := c.Open(ctx, server.OpenRequest{Subject: "verifier", Clearance: "l0", DB: dbName})
-	if err != nil {
-		return fmt.Errorf("verifier open: %w", err)
-	}
-
-	// Zero acked-write loss: every acknowledged fact answers.
-	for i, fact := range acked {
-		resp, err := c.QueryContext(ctx, server.QueryRequest{
-			Session: sess.Session, Query: fmt.Sprintf("l0[p0(crashed%d: a -l0-> V)]", i)})
-		if err != nil {
-			return fmt.Errorf("probing acked write %d: %w", i, err)
-		}
-		if len(resp.Answers) != 1 || resp.Answers[0]["V"] != fmt.Sprintf("w%d", i) {
-			return fmt.Errorf("ACKED WRITE LOST: %s not recovered (got %v)", fact, resp.Answers)
-		}
-	}
-
-	// The in-flight write is all-or-nothing; probe which way it went.
-	expected := append([]string{}, acked...)
-	if inFlight != "" {
-		resp, err := c.QueryContext(ctx, server.QueryRequest{
-			Session: sess.Session, Query: fmt.Sprintf("l0[p0(crashed%d: a -l0-> V)]", len(acked))})
-		if err != nil {
-			return fmt.Errorf("probing in-flight write: %w", err)
-		}
-		switch len(resp.Answers) {
-		case 0: // dropped with the crash — fine
-		case 1:
-			expected = append(expected, inFlight) // durable before the kill — fine
-		default:
-			return fmt.Errorf("in-flight write recovered %d times: %v", len(resp.Answers), resp.Answers)
-		}
-	}
-
-	// Reference replay: a fresh in-memory server fed the same program and
-	// the same surviving writes, in order.
-	refHS, rc, err := h.referenceReplay(ctx, progSrc, func(rc *server.Client, sess string) error {
-		for _, fact := range expected {
-			if _, err := rc.Assert(ctx, sess, fact); err != nil {
-				return fmt.Errorf("reference assert: %w", err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	defer refHS.Close()
-
-	if err := compareAnswers(ctx, c, rc); err != nil {
-		return err
-	}
-	if err := h.checkRecoveryStats(ctx, c, sc, len(expected)); err != nil {
-		return err
-	}
-	return nil
 }
 
 // referenceReplay boots an in-memory reference server on progSrc, opens a
@@ -505,8 +385,8 @@ func (h *Harness) checkRecoveryStats(ctx context.Context, c *server.Client, sc S
 	return nil
 }
 
-// stormOp is one tracked operation of the write storm: assert or retract of
-// the idx-th tracked fact, or of the idx-th tracked rule.
+// stormOp is one tracked write: assert or retract of the idx-th tracked
+// fact, or of the idx-th tracked rule.
 type stormOp struct {
 	idx     int
 	retract bool
@@ -527,12 +407,16 @@ func (op stormOp) String() string {
 	return "+" + op.clause()
 }
 
-// driveStorm fires the mixed assert/retract storm: roughly every third
-// tracked write retracts a fact acked earlier, so the WAL holds interleaved
-// additions and deletions when the kill lands. The concurrent read storm
-// keeps prepared reductions warm, so each write also advances materialized
-// incremental state in the doomed daemon.
-func (h *Harness) driveStorm(ctx context.Context, d *daemon, ruleWrites bool) (acked []stormOp, inFlight *stormOp, err error) {
+// drive fires tracked sequential writes (each acknowledged before the next is
+// sent) while a read storm runs concurrently, until the daemon dies. Every
+// write asserts a fresh fact, except that under sc.WriteStorm roughly every
+// third retracts a fact acked earlier, so the WAL holds interleaved additions
+// and deletions when the kill lands, and under sc.RuleWrites every fourth
+// asserts or retracts a rule. The read storm keeps prepared reductions warm,
+// so each write also advances materialized incremental state in the doomed
+// daemon. drive returns the acked ops and the one in flight when the
+// connection broke (nil when the crash happened between requests).
+func (h *Harness) drive(ctx context.Context, d *daemon, sc Scenario) (acked []stormOp, inFlight *stormOp, err error) {
 	c := server.NewClient(d.addr, nil) // writes: no retry, ever
 	sess, err := c.Open(ctx, server.OpenRequest{Subject: "mutator", Clearance: "l0", DB: dbName})
 	if err != nil {
@@ -554,10 +438,10 @@ func (h *Harness) driveStorm(ctx context.Context, d *daemon, ruleWrites bool) (a
 	nextKey := 0
 	for i := 0; i < maxWrites; i++ {
 		var op stormOp
-		if ruleWrites && i%4 == 1 {
+		if sc.RuleWrites && i%4 == 1 {
 			// Rule i/8 arrives at op 8k+1 and leaves at op 8k+5.
 			op = stormOp{idx: i / 8, rule: true, retract: i%8 == 5}
-		} else if i%3 == 2 && len(live) > 0 {
+		} else if sc.WriteStorm && i%3 == 2 && len(live) > 0 {
 			v := (i * 7) % len(live)
 			op = stormOp{idx: live[v], retract: true}
 			live = append(live[:v], live[v+1:]...)
@@ -578,14 +462,14 @@ func (h *Harness) driveStorm(ctx context.Context, d *daemon, ruleWrites bool) (a
 		}
 		acked = append(acked, op)
 	}
-	return acked, nil, fmt.Errorf("daemon survived %d storm ops; crashpoint never reached", maxWrites)
+	return acked, nil, fmt.Errorf("daemon survived %d writes; crashpoint never reached", maxWrites)
 }
 
-// verifyStorm checks the recovered daemon after a write storm: the net
-// effect of every acked operation survived, the in-flight op is
-// all-or-nothing, and the recovered state answers byte-equal to a reference
-// full replay of the surviving operation sequence.
-func (h *Harness) verifyStorm(ctx context.Context, d *daemon, sc Scenario, progSrc string, acked []stormOp, inFlight *stormOp) error {
+// verify checks the recovered daemon: the net effect of every acked operation
+// survived, the in-flight op is all-or-nothing, and the recovered state
+// answers byte-equal to a reference full replay of the surviving operation
+// sequence.
+func (h *Harness) verify(ctx context.Context, d *daemon, sc Scenario, progSrc string, acked []stormOp, inFlight *stormOp) error {
 	c := server.NewClient(d.addr, nil).WithRetry(server.DefaultRetryPolicy())
 	sess, err := c.Open(ctx, server.OpenRequest{Subject: "verifier", Clearance: "l0", DB: dbName})
 	if err != nil {

@@ -21,8 +21,9 @@
 #    again, 1x if it derives the model.
 # 4. BenchmarkAdvanceRuleWrite: the same gate for a rule write — the Π rule
 #    rule_churn writes, at 200 and at 2000 facts, and a Σ belief rule — at
-#    20x in every case: ~40x to ~400x when a rule write costs what the rule
-#    derives plus one re-stratification of the rule set, 1x if it rebuilds.
+#    20x in every case: ~50x and ~420x for the Π rule, ~33x for the Σ rule,
+#    when a rule write costs what the rule derives plus one stratification
+#    of the rule set; 1x if it rebuilds.
 # 5. TestFactWriteAllocsFlatInDatabaseSize (internal/server, also in tier-1):
 #    a committed fact write through preparedProgram.update — write_mix's
 #    stream over four warm clearances — allocates at 2000 facts at most 1.25x
