@@ -8,9 +8,10 @@ package multilog
 // database and re-deriving the fixpoint from scratch. A reduction whose model
 // another engine built (InstallPrepared) gets that engine at its first
 // advance, by counting the program's fact clauses into a clone of the model
-// (datalog.Adopt). QueryDeps and ImpactGraph
-// expose the translated dependency structure so callers (the server's result
-// cache) can invalidate only what a write could actually reach.
+// (datalog.Adopt). An advance reports the translated relations whose tuples
+// changed at its clearance (DeltaReport.ChangedPreds) and QueryDeps names the
+// relations a query reads, so a cache of answers (the server's) drops exactly
+// the entries a write changed.
 
 import (
 	"context"
@@ -101,7 +102,7 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 	}
 	var rep DeltaReport
 	// The Program is a copy even when nothing changed: RequireBelief appends.
-	r.Program, r.inc, r.model, r.deps = patchProgram(old.Program, adds, dels), old.inc, old.model, old.deps
+	r.Program, r.inc, r.model = patchProgram(old.Program, adds, dels), old.inc, old.model
 	if len(adds)+len(dels) > 0 {
 		if old.inc != nil {
 			r.inc = old.inc.Clone()
@@ -121,9 +122,6 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 			rep.Deleted += len(pd.Deleted)
 		}
 		rep.RulesAdded, rep.RulesRemoved = res.RulesAdded, res.RulesRemoved
-		if rep.RulesAdded+rep.RulesRemoved > 0 {
-			r.deps = dependencyEdges(r.Program)
-		}
 		r.model = r.inc.Model()
 	}
 	return r, rep, nil
@@ -231,84 +229,40 @@ func (r *Reduction) Counts() map[string]int {
 	return r.inc.Counts()
 }
 
-// dependencyEdges builds the head-to-body predicate edges of a program,
-// deduplicated, builtins skipped. Negated literals count as dependencies:
-// a change below a negation can flip derivations above it.
-func dependencyEdges(p *datalog.Program) map[string][]string {
-	deps := map[string][]string{}
-	seen := map[string]bool{}
-	for _, c := range p.Clauses {
-		for _, l := range c.Body {
-			if l.Atom.IsBuiltin() {
-				continue
-			}
-			ek := c.Head.Pred + "\x00" + l.Atom.Pred
-			if !seen[ek] {
-				seen[ek] = true
-				deps[c.Head.Pred] = append(deps[c.Head.Pred], l.Atom.Pred)
-			}
-		}
-	}
-	return deps
-}
-
-// QueryDeps returns the translated predicates q's answers can depend on: the
-// goals' target predicates, closed downward over the reduced program's rule
-// dependencies (including through negation). The result is sorted. A query
-// whose cached answers should survive a write is exactly one whose QueryDeps
-// are disjoint from the write's changed predicates. Safe for concurrent use
-// once the reduction is prepared.
+// QueryDeps returns the translated relations match reads to answer q: each
+// goal's target relation at every level the user dominates, sorted. The model
+// is materialized, so q's answers change only when the tuples of one of these
+// relations do: a cached answer survives a write whose DeltaReport.ChangedPreds
+// at this clearance misses them all. Safe for concurrent use.
 //
-//vet:allow govcontext — pure graph walk over precomputed edges, no evaluation
+//vet:allow govcontext — names relations from the query and the lattice, no evaluation
 func (r *Reduction) QueryDeps(q Query) []string {
-	deps := r.deps
-	if deps == nil {
-		deps = dependencyEdges(r.Program)
-	}
-	seen := map[string]bool{}
-	var stack []string
-	add := func(p string) {
-		if p != "" && !seen[p] {
-			seen[p] = true
-			stack = append(stack, p)
-		}
-	}
+	var out []string
 	for _, g := range q {
 		switch g.Kind {
 		case GoalP, GoalL, GoalH:
 			if !g.P.IsBuiltin() {
-				add(g.P.Pred)
+				out = append(out, g.P.Pred)
 			}
 		case GoalM, GoalB:
-			// Mirror match(): only levels the user dominates are reachable.
+			// Mirror match(): only levels the user dominates are read.
 			for _, lvl := range r.levelCandidates(g.M.Level) {
 				if !r.Poset.Has(lvl) || !r.Poset.Dominates(r.User, lvl) {
 					continue
 				}
 				switch {
 				case g.Kind == GoalM:
-					add(relPred(g.M.Pred, lvl))
+					out = append(out, relPred(g.M.Pred, lvl))
 				case g.Mode == ModeFir || g.Mode == ModeOpt || g.Mode == ModeCau:
-					add(belPred(g.M.Pred, lvl, g.Mode))
+					out = append(out, belPred(g.M.Pred, lvl, g.Mode))
 				default:
-					add(UserBelPred)
+					out = append(out, UserBelPred)
 				}
 			}
 		}
 	}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, d := range deps[p] {
-			add(d)
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ImpactGraph is the clearance-independent reverse dependency graph of a
@@ -316,9 +270,12 @@ func (r *Reduction) QueryDeps(q Query) []string {
 // the reductions at every asserted level. Fact translation does not depend
 // on the clearance, while rule instances do (the λ static guards drop
 // instances per clearance), so the union is a safe over-approximation of
-// what any prepared reduction could re-derive from a written fact. The graph
-// depends only on the database's rules — fact clauses contribute no edges —
-// so it can be cached across fact-only writes.
+// what any prepared reduction could re-derive from a written fact. Nothing
+// on the serving path uses it: an advance reports exactly what a write
+// changed at its clearance (DeltaReport.ChangedPreds). Its callers are
+// TestTranslatedDeltaMatchesProgramDiff, which holds those reports inside
+// the graph's closure, compile's plan-cache test, which invalidates plans by
+// it, and bench/mirror.go, which prices it as the multilog.impact layer.
 type ImpactGraph struct {
 	poset *lattice.Poset
 	rev   map[string][]string
@@ -359,8 +316,7 @@ func NewImpactGraph(db *Database) (*ImpactGraph, error) {
 // at any clearance when the given fact clauses are asserted or retracted:
 // the written facts' translated predicates closed upward over the reverse
 // graph. Sorted. It errors on heads it cannot map (b-atom heads, levels not
-// asserted by Λ, m-predicates Σ did not mention when the graph was built);
-// callers should fall back to invalidating everything and rebuild the graph.
+// asserted by Λ, m-predicates Σ did not mention when the graph was built).
 func (g *ImpactGraph) Impact(delta []Clause) ([]string, error) {
 	seen := map[string]bool{}
 	var stack []string

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -293,66 +294,103 @@ func TestAdvanceRuleWriteAndFallback(t *testing.T) {
 	}
 }
 
-// TestQueryDeps pins the dependency closure the server's cache keys on.
+// TestQueryDeps pins what the server's cache keys on: QueryDeps names exactly
+// the relations match reads — each goal's target at the levels the user
+// dominates — and an answer changes across a write only when the write's
+// ChangedPreds at that clearance meet them.
 func TestQueryDeps(t *testing.T) {
 	db, err := Parse(`
 		level(l0). level(l1). order(l0, l1).
 		l0[p(k1: a -l0-> v1)].
 		l0[q(k2: b -l0-> w1)].
 		l1[d(K: c -l1-> V)] :- l0[p(K: a -C-> V)] << opt.
+		h(k1).
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red := freshPrepared(t, db, "l1")
 	cases := []struct {
-		query    string
-		must     []string
-		mustNot  []string
-		anyOfNot string
+		user  lattice.Label
+		query string
+		want  []string
 	}{
-		{
-			query:   "l0[p(K: a -C-> V)]",
-			must:    []string{"mlrel_p_l0"},
-			mustNot: []string{"mlrel_q_l0", "mlbel_q_l0_opt"},
-		},
-		{
-			query: "l1[p(K: a -C-> V)] << cau",
-			must: []string{
-				"mlbel_p_l1_cau", "mlexceeded_p_l1", "mlrel_p_l0", "mlrel_p_l1",
-			},
-			mustNot: []string{"mlrel_q_l0", "mlrel_d_l0"},
-		},
-		{
-			// The derived predicate depends, through its rule, on p's
-			// optimistic beliefs — but never on q.
-			query:   "l1[d(K: c -C-> V)]",
-			must:    []string{"mlrel_d_l1", "mlbel_p_l0_opt", "mlrel_p_l0"},
-			mustNot: []string{"mlrel_q_l0", "mlbel_q_l0_opt"},
-		},
-		{
-			// Variable level fans out over every reachable level.
-			query:   "L[q(K: b -C-> V)]",
-			must:    []string{"mlrel_q_l0", "mlrel_q_l1"},
-			mustNot: []string{"mlrel_p_l0"},
-		},
+		{"l1", "l0[p(K: a -C-> V)]", []string{"mlrel_p_l0"}},
+		{"l1", "l1[p(K: a -C-> V)] << cau", []string{"mlbel_p_l1_cau"}},
+		{"l1", "l1[d(K: c -C-> V)]", []string{"mlrel_d_l1"}},
+		// A variable level fans out over the levels the user dominates.
+		{"l1", "L[q(K: b -C-> V)]", []string{"mlrel_q_l0", "mlrel_q_l1"}},
+		{"l0", "L[q(K: b -C-> V)] << opt", []string{"mlbel_q_l0_opt"}},
+		// A level the user does not dominate, or the lattice lacks, is read
+		// by nothing; builtins read no relation; duplicates collapse.
+		{"l0", "l1[d(K: c -C-> V)]", nil},
+		{"l1", "l7[p(K: a -C-> V)]", nil},
+		{"l1", "h(K), K != k2, l0[p(K: a -C-> V)], l0[p(K: a -C-> W)]", []string{"h", "mlrel_p_l0"}},
+		{"l1", "l0[p(K: a -C-> V)] << skeptical", []string{UserBelPred}},
 	}
 	for _, tc := range cases {
-		deps := red.QueryDeps(mustGoals(t, tc.query))
-		set := map[string]bool{}
-		for _, d := range deps {
-			set[d] = true
+		red := freshPrepared(t, db, tc.user)
+		if got := red.QueryDeps(mustGoals(t, tc.query)); !reflect.DeepEqual(got, tc.want) && len(got)+len(tc.want) > 0 {
+			t.Errorf("at %s QueryDeps(%s) = %v, want %v", tc.user, tc.query, got, tc.want)
 		}
-		for _, m := range tc.must {
-			if !set[m] {
-				t.Errorf("QueryDeps(%s) = %v: missing %s", tc.query, deps, m)
+	}
+
+	// The contract: across facts and rules written at both levels, a query
+	// whose answers changed reads a relation the advance reports changed.
+	queries := []string{
+		"L[p(K: a -C-> V)]", "l0[p(K: a -C-> V)] << cau", "L[d(K: c -C-> V)] << opt",
+		"L[q(K: b -C-> V)] << fir", "h(K)",
+	}
+	writes := []string{
+		"l0[p(k3: a -l0-> v3)].",
+		"l1[p(k1: a -l1-> v9)].",
+		"l0[q(k4: b -l0-> w4)].",
+		"l1[q(K: b -l1-> V)] :- l0[p(K: a -C-> V)] << fir.",
+		"h(K) :- level(K).",
+	}
+	moved := 0
+	for _, user := range []lattice.Label{"l0", "l1"} {
+		cur, curDB := freshPrepared(t, db, user), db
+		for _, w := range writes {
+			delta, err := Parse(w)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, m := range tc.mustNot {
-			if set[m] {
-				t.Errorf("QueryDeps(%s) = %v: must not contain %s", tc.query, deps, m)
+			added := append(delta.Sigma, delta.Pi...)
+			next := curDB.Clone()
+			for _, c := range added {
+				if err := next.AddClause(c); err != nil {
+					t.Fatal(err)
+				}
 			}
+			red, rep, err := cur.Advance(context.Background(), next, added, nil, resource.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := map[string]bool{}
+			for _, p := range rep.ChangedPreds {
+				changed[p] = true
+			}
+			for _, q := range queries {
+				goals := mustGoals(t, q)
+				before, _, err1 := cur.QueryPrepared(context.Background(), goals, resource.Limits{})
+				after, _, err2 := red.QueryPrepared(context.Background(), goals, resource.Limits{})
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if fmt.Sprint(before) == fmt.Sprint(after) {
+					continue
+				}
+				moved++
+				if deps := red.QueryDeps(goals); !slices.ContainsFunc(deps, func(d string) bool { return changed[d] }) {
+					t.Errorf("at %s, %s changed the answers to %s, but QueryDeps %v misses ChangedPreds %v",
+						user, w, q, deps, rep.ChangedPreds)
+				}
+			}
+			cur, curDB = red, next
 		}
+	}
+	if moved < 10 {
+		t.Fatalf("only %d answer sets moved across the writes", moved)
 	}
 }
 

@@ -124,9 +124,6 @@ func (r *Reduction) Prepare(ctx context.Context, limits resource.Limits) error {
 // only ever read never pays.
 func (r *Reduction) InstallPrepared(model *datalog.Store) {
 	r.model = model
-	if r.deps == nil {
-		r.deps = dependencyEdges(r.Program)
-	}
 }
 
 // QueryPrepared answers q against the prepared model without mutating the

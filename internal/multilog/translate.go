@@ -58,7 +58,6 @@ type Reduction struct {
 
 	model *datalog.Store       // the minimal model, once built or installed: the reduction is prepared
 	inc   *datalog.Incremental // model's maintenance engine: built by Prepare or by the first advance, nil before
-	deps  map[string][]string  // head pred -> body preds, built with the model
 	needs map[belNeed]bool
 	preds map[string]bool // MultiLog predicate names seen in Σ and queries
 	opts  Options
@@ -380,7 +379,6 @@ func (r *Reduction) RequireBelief(pred string, l lattice.Label, m Mode) {
 		r.emitAxiomFor(pred, l, m)
 		r.model = nil
 		r.inc = nil
-		r.deps = nil
 	}
 }
 

@@ -689,6 +689,79 @@ func TestCanceledWriteDoesNotDeposePrimary(t *testing.T) {
 	}
 }
 
+// TestRouterRelaysBackendErrors: a backend's refusal reaches the client as
+// the backend said it — a primary's 429 with its Retry-After, a 421 with the
+// address writes go to — and a draining router's 503 says when to retry, as a
+// draining server's does.
+func TestRouterRelaysBackendErrors(t *testing.T) {
+	ctx := context.Background()
+	const elsewhere = "10.255.0.7:7070" // not a backend: the router cannot follow it
+	var asserts atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/session", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(server.OpenResponse{Session: "b-1", DB: "test", Epoch: 1}) //nolint:errcheck // test stub
+	})
+	mux.HandleFunc("POST /v1/assert", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // test stub
+		if asserts.Add(1) == 1 {
+			w.Header().Set("Retry-After", "7")
+			w.WriteHeader(http.StatusTooManyRequests)
+			json.NewEncoder(w).Encode(server.ErrorResponse{Code: server.CodeOverloaded, Message: "shed"}) //nolint:errcheck // test stub
+			return
+		}
+		w.WriteHeader(http.StatusMisdirectedRequest)
+		json.NewEncoder(w).Encode(server.ErrorResponse{Code: server.CodeNotPrimary, Message: "not primary", Primary: elsewhere}) //nolint:errcheck // test stub
+	})
+	mux.HandleFunc("GET /v1/repl/status", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(server.ReplicationStats{Role: "primary", Synced: true}) //nolint:errcheck // test stub
+	})
+	stub := httptest.NewServer(mux)
+	t.Cleanup(func() { stub.CloseClientConnections(); stub.Close() })
+
+	rt, err := replica.NewRouter(replica.RouterConfig{Primary: stub.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { rh.CloseClientConnections(); rh.Close() })
+	rcl := server.NewClient(rh.URL, nil)
+	sess, err := rcl.Open(ctx, server.OpenRequest{Subject: "w", Clearance: "s", Mode: "fir"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusal := func(err error) *server.RemoteError {
+		t.Helper()
+		var re *server.RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("want a relayed refusal, got %v", err)
+		}
+		return re
+	}
+
+	_, err = rcl.Assert(ctx, sess.Session, "s[emp(gary: salary -s-> high)].")
+	if re := refusal(err); re.Status != http.StatusTooManyRequests || re.Code != server.CodeOverloaded || re.RetryAfter != 7*time.Second {
+		t.Errorf("a primary's 429 relayed as %d %s, Retry-After %s; want 429 overloaded, 7s", re.Status, re.Code, re.RetryAfter)
+	}
+	_, err = rcl.Assert(ctx, sess.Session, "s[emp(gary: salary -s-> high)].")
+	if re := refusal(err); re.Status != http.StatusMisdirectedRequest || re.Code != server.CodeNotPrimary || re.Primary != elsewhere {
+		t.Errorf("a 421 relayed as %d %s, primary %q; want 421 not-primary, %q", re.Status, re.Code, re.Primary, elsewhere)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, stop := context.WithCancel(ctx)
+	stop()
+	if err := rt.Serve(sctx, ln, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_, err = rcl.Assert(ctx, sess.Session, "s[emp(gary: salary -s-> high)].")
+	if re := refusal(err); re.Status != http.StatusServiceUnavailable || re.RetryAfter != time.Second {
+		t.Errorf("a draining router answered %d, Retry-After %s; want 503, 1s", re.Status, re.RetryAfter)
+	}
+}
+
 // TestRouterForwardsPastStaleBrownout: a session writes through the router,
 // its pinned replica applies the write — retiring the cached answer into the
 // brownout table — and is then saturated, so it answers the session's next

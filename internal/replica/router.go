@@ -35,9 +35,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,6 +251,7 @@ func (r *Router) Handler() http.Handler {
 func (r *Router) wrap(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, q *http.Request) {
 		if r.draining.Load() {
+			w.Header().Set("Retry-After", "1")
 			writeErrJSON(w, http.StatusServiceUnavailable, server.CodeOverloaded, "router is draining")
 			return
 		}
@@ -898,11 +901,12 @@ func (r *Router) writeError(w http.ResponseWriter, err error) {
 	var re *server.RemoteError
 	switch {
 	case errors.As(err, &re):
-		// Relay the backend's verdict as-is.
-		if re.Status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
+		// Relay the backend's verdict as-is: its Retry-After, in whole
+		// seconds and never below 1, and where writes go.
+		if re.RetryAfter > 0 || re.Status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", strconv.FormatInt(max(1, int64(math.Ceil(re.RetryAfter.Seconds()))), 10))
 		}
-		writeErrJSON(w, re.Status, re.Code, re.Message)
+		writeJSON(w, re.Status, server.ErrorResponse{Code: re.Code, Message: re.Message, Primary: re.Primary}) //nolint:errcheck // best-effort error body
 	case errors.Is(err, server.ErrUnknownSession):
 		writeErrJSON(w, http.StatusNotFound, server.CodeUnknownSession, err.Error())
 	default:

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lattice"
 )
 
 // resultCache is the invalidating answer cache: finished (complete,
@@ -13,17 +15,16 @@ import (
 // belief mode, effective query). Bounded LRU; all methods are safe for
 // concurrent use.
 //
-// Staleness is tracked per predicate, not per program epoch: each entry
-// records the translated predicates its answers were derived from (its dep
-// set) and the epoch of the snapshot it was computed against. A write
-// invalidates by predicate set (InvalidatePreds) — entries whose deps are
-// disjoint from the write's impact survive — and records the invalidation
-// epoch in a per-database epoch vector, so a Put racing with the write (a
-// query that evaluated against the pre-write snapshot but stores its answer
-// after the invalidation ran) is rejected by the epoch gate instead of
-// resurrecting stale answers. Reset (program load/replace) bumps the
-// database's generation, making every old key unreachable regardless of
-// timing.
+// Staleness is decided per clearance, from what the write's advance changed
+// there: each entry records its clearance, the translated relations its
+// query reads (its deps) and the epoch of the snapshot it was computed
+// against. A write drops the older entries whose deps meet the relations its
+// advance changed at their clearance, and every older entry of a clearance it
+// did not advance (Invalidate). It also raises the database's latest epoch,
+// below which Put refuses: a query that evaluated against a superseded
+// snapshot cannot store its answer after the write that superseded it. Reset
+// (program load/replace) bumps the database's generation, making every old
+// key unreachable regardless of timing.
 type resultCache struct {
 	mu  sync.Mutex
 	cap int
@@ -51,20 +52,19 @@ type staleEntry struct {
 }
 
 // dbEpochs is one database's invalidation state: the load generation (part
-// of every key) and the epoch vector recording, per translated predicate,
-// the epoch of the last write that touched it.
+// of every key) and the epoch of the latest write that invalidated.
 type dbEpochs struct {
-	gen   uint64
-	all   uint64            // epoch of the last whole-database invalidation
-	preds map[string]uint64 // translated predicate -> last invalidation epoch
+	gen    uint64
+	latest uint64
 }
 
 type cacheEntry struct {
-	key     string
-	db      string
-	epoch   uint64   // snapshot epoch the answers were computed at
-	deps    []string // translated predicates the answers depend on
-	answers []map[string]string
+	key       string
+	db        string
+	clearance lattice.Label
+	epoch     uint64   // snapshot epoch the answers were computed at
+	deps      []string // translated relations the query reads (Reduction.QueryDeps)
+	answers   []map[string]string
 }
 
 // cacheKey builds the composite key. The components are length-prefixed so
@@ -126,7 +126,7 @@ func (c *resultCache) GetStale(key string, maxAge time.Duration) (answers []map[
 func (c *resultCache) epochs(db string) *dbEpochs {
 	e := c.dbs[db]
 	if e == nil {
-		e = &dbEpochs{preds: map[string]uint64{}}
+		e = &dbEpochs{}
 		c.dbs[db] = e
 	}
 	return e
@@ -153,26 +153,19 @@ func (c *resultCache) Get(key string) ([]map[string]string, bool) {
 	return el.Value.(*cacheEntry).answers, true
 }
 
-// Put stores a complete result computed at the given snapshot epoch with
-// the given dep set, evicting the least recently used entry when full.
-// Callers must not cache truncated or erroneous results. The store is
-// refused when an invalidation newer than epoch has touched any dep (or the
-// whole database): the caller computed against a snapshot a write has since
-// superseded.
-func (c *resultCache) Put(key, db string, epoch uint64, deps []string, answers []map[string]string) {
+// Put stores a complete result computed at clearance on the snapshot of the
+// given epoch, reading the relations deps, evicting the least recently used
+// entry when full. Callers must not cache truncated or erroneous results.
+// The store is refused when a write newer than epoch has invalidated: the
+// caller computed against a snapshot that write superseded.
+func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64, deps []string, answers []map[string]string) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.epochs(db)
-	if epoch < e.all {
+	if epoch < c.epochs(db).latest {
 		return
-	}
-	for _, d := range deps {
-		if e.preds[d] > epoch {
-			return
-		}
 	}
 	delete(c.stale, key) // a fresh result supersedes any brownout copy
 	if el, ok := c.by[key]; ok {
@@ -187,22 +180,25 @@ func (c *resultCache) Put(key, db string, epoch uint64, deps []string, answers [
 		delete(c.by, oldest.Value.(*cacheEntry).key)
 		c.evictions++
 	}
-	c.by[key] = c.lru.PushFront(&cacheEntry{key: key, db: db, epoch: epoch, deps: deps, answers: answers})
+	c.by[key] = c.lru.PushFront(&cacheEntry{key: key, db: db, clearance: clearance, epoch: epoch, deps: deps, answers: answers})
 }
 
-// InvalidatePreds drops every entry of db older than epoch whose dep set
-// intersects preds, records epoch in the predicate epoch vector, and
-// returns how many entries were dropped. Entries with no recorded deps are
-// treated as depending on everything.
-func (c *resultCache) InvalidatePreds(db string, epoch uint64, preds []string) int {
+// Invalidate applies the write of epoch to db's entries and returns how many
+// it dropped. changed holds, per clearance the write advanced, the translated
+// relations whose tuples changed there (multilog.DeltaReport.ChangedPreds).
+// An entry computed before epoch goes when its clearance is not in changed —
+// cold at the write, dropped by it, or built while it ran — or when its deps
+// meet that clearance's changed relations. Later Puts below epoch are refused.
+func (c *resultCache) Invalidate(db string, epoch uint64, changed map[lattice.Label][]string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.epochs(db)
-	touched := make(map[string]bool, len(preds))
-	for _, p := range preds {
-		touched[p] = true
-		if e.preds[p] < epoch {
-			e.preds[p] = epoch
+	e.latest = max(e.latest, epoch)
+	touched := make(map[lattice.Label]map[string]bool, len(changed))
+	for u, preds := range changed {
+		touched[u] = make(map[string]bool, len(preds))
+		for _, p := range preds {
+			touched[u][p] = true
 		}
 	}
 	n := 0
@@ -210,7 +206,7 @@ func (c *resultCache) InvalidatePreds(db string, epoch uint64, preds []string) i
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*cacheEntry)
-		if ent.db == db && ent.epoch < epoch && dependsOn(ent.deps, touched) {
+		if ent.db == db && ent.epoch < epoch && mayHaveChanged(ent, touched) {
 			c.lru.Remove(el)
 			delete(c.by, ent.key)
 			c.retire(ent, now, epoch)
@@ -222,49 +218,22 @@ func (c *resultCache) InvalidatePreds(db string, epoch uint64, preds []string) i
 	return n
 }
 
-// dependsOn reports whether any dep is in touched; a nil/empty dep set is
-// conservatively dependent.
-func dependsOn(deps []string, touched map[string]bool) bool {
-	if len(deps) == 0 {
+// mayHaveChanged reports whether a write that touched these relations per
+// clearance may have changed ent's answers.
+func mayHaveChanged(ent *cacheEntry, touched map[lattice.Label]map[string]bool) bool {
+	preds, advanced := touched[ent.clearance]
+	if !advanced {
 		return true
 	}
-	for _, d := range deps {
-		if touched[d] {
+	for _, d := range ent.deps {
+		if preds[d] {
 			return true
 		}
 	}
 	return false
 }
 
-// InvalidateAll drops every entry of db older than epoch and raises the
-// whole-database epoch floor, returning how many entries were dropped. The
-// update path uses it when a write's impact cannot be bounded (rule
-// changes).
-func (c *resultCache) InvalidateAll(db string, epoch uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.epochs(db)
-	if e.all < epoch {
-		e.all = epoch
-	}
-	n := 0
-	now := time.Now()
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.db == db && ent.epoch < epoch {
-			c.lru.Remove(el)
-			delete(c.by, ent.key)
-			c.retire(ent, now, epoch)
-			n++
-		}
-		el = next
-	}
-	c.invalidations += int64(n)
-	return n
-}
-
-// Reset drops every entry of db, clears its epoch vector and bumps its
+// Reset drops every entry of db, clears its latest epoch and bumps its
 // generation; the load path calls it when a program is (re)installed, whose
 // epochs restart and whose predicates mean new things.
 func (c *resultCache) Reset(db string) int {
@@ -272,8 +241,7 @@ func (c *resultCache) Reset(db string) int {
 	defer c.mu.Unlock()
 	e := c.epochs(db)
 	e.gen++
-	e.all = 0
-	e.preds = map[string]uint64{}
+	e.latest = 0
 	// A reload changes what the predicates mean; its brownout copies are
 	// not merely stale but wrong.
 	for k, ent := range c.stale {

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/lattice"
 )
 
 func ans(v string) []map[string]string {
@@ -13,13 +15,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
 	k := func(i int) string { return cacheKey("db", 1, "s", "fir", fmt.Sprintf("q%d", i)) }
 
-	c.Put(k(0), "db", 1, nil, ans("a"))
-	c.Put(k(1), "db", 1, nil, ans("b"))
+	c.Put(k(0), "db", "s", 1, nil, ans("a"))
+	c.Put(k(1), "db", "s", 1, nil, ans("b"))
 	// Touch k0 so k1 is the LRU victim.
 	if _, ok := c.Get(k(0)); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
-	c.Put(k(2), "db", 1, nil, ans("c"))
+	c.Put(k(2), "db", "s", 1, nil, ans("c"))
 
 	if _, ok := c.Get(k(1)); ok {
 		t.Error("k1 survived eviction; LRU order wrong")
@@ -33,74 +35,89 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateAll(t *testing.T) {
-	c := newResultCache(16)
-	c.Put(cacheKey("a", 1, "s", "fir", "q"), "a", 1, nil, ans("old"))
-	c.Put(cacheKey("a", 2, "s", "fir", "q"), "a", 2, nil, ans("new"))
-	c.Put(cacheKey("b", 1, "s", "fir", "q"), "b", 1, nil, ans("other"))
+// cachedEntry is one Put of an invalidation test and whether the write under
+// test must drop it.
+type cachedEntry struct {
+	db        string
+	clearance lattice.Label
+	q         string
+	epoch     uint64
+	deps      []string
+	dropped   bool
+}
 
-	// Dropping db "a" entries older than epoch 2 keeps the current epoch
-	// and the unrelated database.
-	if n := c.InvalidateAll("a", 2); n != 1 {
-		t.Fatalf("invalidated %d entries, want 1", n)
+func entryKey(db string, clearance lattice.Label, q string) string {
+	return cacheKey(db, 1, string(clearance), "fir", q)
+}
+
+// checkInvalidate stores entries, applies the write of epoch to db and checks
+// that exactly the entries marked dropped are gone.
+func checkInvalidate(t *testing.T, c *resultCache, entries []cachedEntry, epoch uint64, changed map[lattice.Label][]string) {
+	t.Helper()
+	want := 0
+	for _, e := range entries {
+		c.Put(entryKey(e.db, e.clearance, e.q), e.db, e.clearance, e.epoch, e.deps, ans(e.q))
+		if e.dropped {
+			want++
+		}
 	}
-	if _, ok := c.Get(cacheKey("a", 1, "s", "fir", "q")); ok {
-		t.Error("stale epoch-1 entry survived invalidation")
+	if n := c.Invalidate("db", epoch, changed); n != want {
+		t.Fatalf("invalidated %d entries, want %d", n, want)
 	}
-	if _, ok := c.Get(cacheKey("a", 2, "s", "fir", "q")); !ok {
-		t.Error("current-epoch entry was dropped")
+	for _, e := range entries {
+		if _, ok := c.Get(entryKey(e.db, e.clearance, e.q)); ok == e.dropped {
+			t.Errorf("%s@%s %q at epoch %d: cached=%v, want %v", e.db, e.clearance, e.q, e.epoch, ok, !e.dropped)
+		}
 	}
-	if _, ok := c.Get(cacheKey("b", 1, "s", "fir", "q")); !ok {
-		t.Error("entry of an unrelated database was dropped")
-	}
-	if st := c.Stats(); st.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", st.Invalidations)
-	}
-	// The epoch floor also gates late Puts from pre-invalidation snapshots.
-	c.Put(cacheKey("a", 1, "s", "fir", "late"), "a", 1, nil, ans("stale"))
-	if _, ok := c.Get(cacheKey("a", 1, "s", "fir", "late")); ok {
-		t.Error("Put from a superseded snapshot was accepted")
+	if st := c.Stats(); st.Invalidations != int64(want) {
+		t.Errorf("invalidations = %d, want %d", st.Invalidations, want)
 	}
 }
 
+// TestCacheInvalidateAll: a write that advanced no clearance drops every
+// older entry of its database, whatever it reads, keeps the current epoch and
+// other databases, and refuses later Puts below its epoch.
+func TestCacheInvalidateAll(t *testing.T) {
+	c := newResultCache(16)
+	checkInvalidate(t, c, []cachedEntry{
+		{"db", "s", "p", 1, []string{"mlrel_p_l0"}, true},
+		{"db", "t", "const", 1, nil, true},
+		{"db", "s", "now", 2, []string{"mlrel_p_l0"}, false},  // computed at the write's epoch
+		{"other", "s", "p", 1, []string{"mlrel_p_l0"}, false}, // another database
+	}, 2, nil)
+
+	// The latest epoch gates late Puts from pre-write snapshots, per database.
+	c.Put(entryKey("db", "s", "late"), "db", "s", 1, nil, ans("stale"))
+	if _, ok := c.Get(entryKey("db", "s", "late")); ok {
+		t.Error("Put from a superseded snapshot was accepted")
+	}
+	c.Put(entryKey("other", "s", "late"), "other", "s", 1, nil, ans("ok"))
+	if _, ok := c.Get(entryKey("other", "s", "late")); !ok {
+		t.Error("a write to db refused a Put to another database")
+	}
+}
+
+// TestCacheInvalidatePreds pins the per-clearance contract: a write drops an
+// older entry exactly when its clearance was not advanced or its deps meet the
+// relations changed at its clearance, and refuses later Puts below its epoch
+// whatever they read.
 func TestCacheInvalidatePreds(t *testing.T) {
 	c := newResultCache(16)
-	kp := cacheKey("db", 1, "s", "fir", "p-query")
-	kq := cacheKey("db", 1, "s", "fir", "q-query")
-	kn := cacheKey("db", 1, "s", "fir", "no-deps")
-	c.Put(kp, "db", 3, []string{"mlrel_p_l0", "mlbel_p_l1_opt"}, ans("p"))
-	c.Put(kq, "db", 3, []string{"mlrel_q_l0"}, ans("q"))
-	c.Put(kn, "db", 3, nil, ans("n"))
+	checkInvalidate(t, c, []cachedEntry{
+		{"db", "s", "p", 3, []string{"mlrel_p_l0", "mlbel_p_l1_opt"}, true}, // reads a changed relation
+		{"db", "s", "q", 3, []string{"mlrel_q_l0"}, false},                  // reads none
+		{"db", "s", "const", 3, nil, false},                                 // reads nothing at all
+		{"db", "t", "q", 3, []string{"mlrel_q_l0"}, true},                   // t was not advanced
+	}, 4, map[lattice.Label][]string{"s": {"mlbel_p_l0_fir", "mlrel_p_l0"}})
 
-	// A write touching p's closure at epoch 4 drops the p entry and the
-	// deps-unknown entry, never the q entry.
-	if n := c.InvalidatePreds("db", 4, []string{"mlrel_p_l0", "mlbel_p_l0_fir"}); n != 2 {
-		t.Fatalf("invalidated %d entries, want 2", n)
+	late := entryKey("db", "s", "late")
+	c.Put(late, "db", "s", 3, []string{"mlrel_q_l0"}, ans("stale"))
+	if _, ok := c.Get(late); ok {
+		t.Error("Put from a superseded snapshot with untouched deps was accepted")
 	}
-	if _, ok := c.Get(kp); ok {
-		t.Error("dependent entry survived a predicate invalidation")
-	}
-	if _, ok := c.Get(kn); ok {
-		t.Error("deps-unknown entry must be invalidated conservatively")
-	}
-	if _, ok := c.Get(kq); !ok {
-		t.Error("independent entry was evicted")
-	}
-
-	// A late Put computed against the pre-write snapshot (epoch 3) with a
-	// touched dep is refused; with untouched deps it is accepted.
-	c.Put(kp, "db", 3, []string{"mlrel_p_l0"}, ans("stale"))
-	if _, ok := c.Get(kp); ok {
-		t.Error("late Put with an invalidated dep was accepted")
-	}
-	c.Put(kp, "db", 4, []string{"mlrel_p_l0"}, ans("fresh"))
-	if _, ok := c.Get(kp); !ok {
-		t.Error("Put at the invalidation epoch was refused")
-	}
-	kq2 := cacheKey("db", 1, "s", "fir", "q2")
-	c.Put(kq2, "db", 3, []string{"mlrel_q_l0"}, ans("ok"))
-	if _, ok := c.Get(kq2); !ok {
-		t.Error("late Put with untouched deps was refused")
+	c.Put(late, "db", "s", 4, []string{"mlrel_p_l0"}, ans("fresh"))
+	if _, ok := c.Get(late); !ok {
+		t.Error("Put at the write's epoch was refused")
 	}
 }
 
@@ -109,8 +126,8 @@ func TestCacheReset(t *testing.T) {
 	if g := c.Generation("db"); g != 0 {
 		t.Fatalf("fresh generation = %d, want 0", g)
 	}
-	c.Put(cacheKey("db", 0, "s", "fir", "q"), "db", 5, []string{"mlrel_p_l0"}, ans("x"))
-	c.InvalidatePreds("db", 6, []string{"mlrel_p_l0"})
+	c.Put(cacheKey("db", 0, "s", "fir", "q"), "db", "s", 5, []string{"mlrel_p_l0"}, ans("x"))
+	c.Invalidate("db", 6, map[lattice.Label][]string{"s": {"mlrel_p_l0"}})
 
 	if n := c.Reset("db"); n != 0 {
 		t.Fatalf("reset dropped %d entries, want 0 (already invalidated)", n)
@@ -118,19 +135,19 @@ func TestCacheReset(t *testing.T) {
 	if g := c.Generation("db"); g != 1 {
 		t.Fatalf("generation after reset = %d, want 1", g)
 	}
-	// The epoch vector is cleared: a new program's epoch-1 results must be
+	// The latest epoch is cleared: a new program's epoch-1 results must be
 	// cacheable even though the old program saw higher epochs.
 	key := cacheKey("db", 1, "s", "fir", "q")
-	c.Put(key, "db", 1, []string{"mlrel_p_l0"}, ans("new"))
+	c.Put(key, "db", "s", 1, []string{"mlrel_p_l0"}, ans("new"))
 	if _, ok := c.Get(key); !ok {
-		t.Error("post-reset Put at epoch 1 was refused by stale epoch vector")
+		t.Error("post-reset Put at epoch 1 was refused by the old program's latest epoch")
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(0)
 	key := cacheKey("db", 1, "s", "fir", "q")
-	c.Put(key, "db", 1, nil, ans("x"))
+	c.Put(key, "db", "s", 1, nil, ans("x"))
 	if _, ok := c.Get(key); ok {
 		t.Error("disabled cache returned a hit")
 	}

@@ -60,10 +60,9 @@ func runUpdate(t *testing.T, s *Server, sess *Session, clauses string, retract b
 	return resp
 }
 
-// TestCachePrecision pins the per-predicate invalidation contract: a write
-// touching predicate p evicts every cached entry that depends on p (directly
-// or through rules) and no entry independent of p. Rule writes evict
-// everything.
+// TestCachePrecision pins the invalidation contract: a write, fact or rule,
+// evicts exactly the cached entries whose relations its advance changed at
+// their clearance — directly or through rules — and no other.
 func TestCachePrecision(t *testing.T) {
 	queries := []string{
 		"l0[emp(K: salary -C-> V)]",
@@ -71,36 +70,37 @@ func TestCachePrecision(t *testing.T) {
 		"l1[payroll(K: cost -C-> V)]",
 	}
 	cases := []struct {
-		name        string
-		clauses     string
-		retract     bool
-		incremental bool
-		evicted     []bool // parallel to queries
+		name    string
+		clauses string
+		retract bool
+		evicted []bool // parallel to queries
 	}{
 		{
-			name:        "dept write leaves emp and payroll cached",
-			clauses:     "l0[dept(sales: head -l0-> bob)].",
-			incremental: true,
-			evicted:     []bool{false, true, false},
+			name:    "dept write leaves emp and payroll cached",
+			clauses: "l0[dept(sales: head -l0-> bob)].",
+			evicted: []bool{false, true, false},
 		},
 		{
-			name:        "emp write evicts emp and the derived payroll",
-			clauses:     "l0[emp(carol: salary -l0-> low)].",
-			incremental: true,
-			evicted:     []bool{true, false, true},
+			name:    "emp write evicts emp and the derived payroll",
+			clauses: "l0[emp(carol: salary -l0-> low)].",
+			evicted: []bool{true, false, true},
 		},
 		{
-			name:        "retract is as precise as assert",
-			clauses:     "l0[dept(sales: head -l0-> bob)].",
-			retract:     true,
-			incremental: true,
-			evicted:     []bool{false, true, false},
+			name:    "retract is as precise as assert",
+			clauses: "l0[dept(sales: head -l0-> bob)].",
+			retract: true,
+			evicted: []bool{false, true, false},
 		},
 		{
-			name:        "rule write evicts everything",
-			clauses:     "l1[extra(K: x -l1-> V)] :- l0[dept(K: head -C-> V)].",
-			incremental: false,
-			evicted:     []bool{true, true, true},
+			// extra is read by none of the queries.
+			name:    "rule write evicts only what it changes",
+			clauses: "l1[extra(K: x -l1-> V)] :- l0[dept(K: head -C-> V)].",
+			evicted: []bool{false, false, false},
+		},
+		{
+			name:    "rule deriving into payroll evicts payroll",
+			clauses: "l1[payroll(K: cost -l1-> V)] :- l0[dept(K: head -C-> V)].",
+			evicted: []bool{false, false, true},
 		},
 	}
 	s := newIncServer(t, Config{})
@@ -118,11 +118,8 @@ func TestCachePrecision(t *testing.T) {
 			if up.Changed == 0 {
 				t.Fatalf("update %q changed nothing", tc.clauses)
 			}
-			if up.Incremental != tc.incremental {
-				t.Errorf("Incremental = %v, want %v", up.Incremental, tc.incremental)
-			}
-			if tc.incremental && len(up.ChangedPreds) == 0 {
-				t.Errorf("incremental update reported no changed predicates")
+			if !up.Incremental || len(up.ChangedPreds) == 0 {
+				t.Errorf("update advanced nothing: Incremental=%v ChangedPreds=%v", up.Incremental, up.ChangedPreds)
 			}
 			for i, q := range queries {
 				resp := runQuery(t, s, sess, q)
@@ -312,35 +309,71 @@ func TestUpdateAdvancesPreparedReductions(t *testing.T) {
 	}
 }
 
-// TestCachePrecisionAcrossClearances guards the conservative side: the
-// invalidation set is clearance-independent, so a write by one session
-// evicts dependent entries cached for other clearances too.
+// TestCachePrecisionAcrossClearances: invalidation is per clearance. A fact
+// at l0, which both clearances read, evicts both sessions' entries over it. A
+// write-down rule derives l0's leak from l1's emp — at clearance l1 only, for
+// at l0 its body is guarded out — so a fact at l1 evicts the l1 session's
+// entry over leak and leaves the l0 session's cached, with the answers a
+// server cold-started on the written program gives. (A clearance-independent
+// closure evicts both: a write above l0 observable at l0 as a cache miss.)
 func TestCachePrecisionAcrossClearances(t *testing.T) {
 	s := newIncServer(t, Config{})
 	low := openSess(t, s, "l0", "")
 	high := openSess(t, s, "l1", "")
-	q := "l0[emp(K: salary -C-> V)]"
-	for _, sess := range []*Session{low, high} {
-		runQuery(t, s, sess, q)
-		if got := runQuery(t, s, sess, q); !got.Cached {
-			t.Fatal("prime query missed")
+	prime := func(q string) {
+		t.Helper()
+		for _, sess := range []*Session{low, high} {
+			runQuery(t, s, sess, q)
+			if got := runQuery(t, s, sess, q); !got.Cached {
+				t.Fatal("prime query missed")
+			}
 		}
 	}
+	sees := func(resp *QueryResponse, key string) bool {
+		for _, a := range resp.Answers {
+			if a["K"] == key {
+				return true
+			}
+		}
+		return false
+	}
+	q := "l0[emp(K: salary -C-> V)]"
+	prime(q)
 	runUpdate(t, s, high, "l0[emp(gail: salary -l0-> low)].", false)
 	for i, sess := range []*Session{low, high} {
 		resp := runQuery(t, s, sess, q)
 		if resp.Cached {
 			t.Errorf("session %d served stale answers after a cross-clearance write", i)
 		}
-		found := false
-		for _, a := range resp.Answers {
-			if a["K"] == "gail" {
-				found = true
-			}
-		}
-		if !found {
+		if !sees(resp, "gail") {
 			t.Errorf("session %d does not see the written fact: %v", i, resp.Answers)
 		}
+	}
+
+	runUpdate(t, s, high, `
+		l0[leak(ann: x -l0-> low)].
+		l0[leak(K: x -l0-> V)] :- l1[emp(K: salary -C-> V)] << fir.`, false)
+	q = "L[leak(K: x -C-> V)]"
+	prime(q)
+	runUpdate(t, s, high, "l1[emp(hank: salary -l1-> mid)].", false)
+	if resp := runQuery(t, s, high, q); resp.Cached || !sees(resp, "hank") {
+		t.Errorf("l1 session after a fact at l1: cached=%v answers=%v", resp.Cached, resp.Answers)
+	}
+	resp := runQuery(t, s, low, q)
+	if !resp.Cached {
+		t.Error("a fact at l1 evicted the l0 session's entry")
+	}
+	prog, err := s.program("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := New(Config{})
+	if err := cold.Load("test", prog.current().db.String()); err != nil {
+		t.Fatal(err)
+	}
+	want := runQuery(t, cold, openSess(t, cold, "l0", ""), q)
+	if !reflect.DeepEqual(resp.Answers, want.Answers) || !sees(resp, "ann") {
+		t.Errorf("l0 session's cached answers %v, a cold server's %v", resp.Answers, want.Answers)
 	}
 }
 
@@ -577,36 +610,90 @@ func TestColdBuildBlocksNobodyElse(t *testing.T) {
 	}
 }
 
+// TestColdBuildRacingAWriteIsNotCached: a cold build at l0, parked on its
+// evaluation probe while a write that changes what it reads commits, is on a
+// snapshot the write supersedes and not among the reductions the write
+// advances. Its answer must not be served from the cache afterwards, whichever
+// lands first: its Put after the write's invalidation is below the latest
+// epoch and refused; an entry Put before it is of a clearance the write did
+// not advance, and dropped.
+func TestColdBuildRacingAWriteIsNotCached(t *testing.T) {
+	ctx := context.Background()
+	q, fact := "l0[emp(K: salary -C-> V)]", "l0[emp(zed: salary -l0-> low)]."
+	for _, putFirst := range []bool{false, true} {
+		var park atomic.Bool
+		parked, release := make(chan struct{}), make(chan struct{})
+		s := New(Config{Limits: resource.Limits{Probe: func(resource.Event, int64) error {
+			if park.CompareAndSwap(true, false) {
+				parked <- struct{}{}
+				<-release
+			}
+			return nil
+		}}})
+		if err := s.Load("test", precisionProgram); err != nil {
+			t.Fatal(err)
+		}
+		prog, err := s.program("test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader, writer := openSess(t, s, "l0", ""), openSess(t, s, "l1", "")
+		park.Store(true)
+		built := make(chan *QueryResponse, 1)
+		go func() {
+			resp, err := s.Query(ctx, reader, QueryRequest{Query: q})
+			if err != nil {
+				t.Error(err)
+			}
+			built <- resp
+		}()
+		<-parked
+		var raced *QueryResponse
+		if putFirst {
+			// Server.Update's two steps, with the build's Put between them.
+			epoch, _, inv, err := prog.update(ctx, fact, writer.Clearance, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			close(release)
+			raced = <-built
+			s.cache.Invalidate("test", epoch, inv.changed)
+		} else {
+			runUpdate(t, s, writer, fact, false)
+			close(release)
+			raced = <-built
+		}
+		if raced == nil || len(raced.Answers) != 1 {
+			t.Fatalf("putFirst=%v: the parked build answered %+v, want the one pre-write row", putFirst, raced)
+		}
+		if resp := runQuery(t, s, reader, q); resp.Cached || len(resp.Answers) != 2 {
+			t.Errorf("putFirst=%v: after the write: cached=%v answers=%v", putFirst, resp.Cached, resp.Answers)
+		}
+	}
+}
+
 // TestNewPredicateWriteInvalidatesBeliefQueries: the first fact of a
-// predicate Σ never mentioned brings its Figure 12 belief axioms, which the
-// carried impact graph has no edges for — so the write invalidates
-// everything and the graph is rebuilt, instead of leaving a cached empty
-// belief answer behind.
+// predicate Σ never mentioned brings its Figure 12 belief axioms, as added
+// rules, and the belief relations they fill are among what the advance
+// reports changed — so the cached empty belief answer goes, and so does the
+// next one a later fact of the predicate changes.
 func TestNewPredicateWriteInvalidatesBeliefQueries(t *testing.T) {
 	s := newIncServer(t, Config{})
 	sess := openSess(t, s, "l1", "opt")
 	q := "L[badge(K: colour -C-> V)]"
-	runUpdate(t, s, sess, "l0[emp(kim: salary -l0-> low)].", false) // builds the impact graph
+	runUpdate(t, s, sess, "l0[emp(kim: salary -l0-> low)].", false)
 	if resp := runQuery(t, s, sess, q); len(resp.Answers) != 0 {
 		t.Fatalf("badge answers before any badge fact: %v", resp.Answers)
 	}
 	if !runQuery(t, s, sess, q).Cached {
 		t.Fatal("prime query missed")
 	}
-	up := runUpdate(t, s, sess, "l0[badge(kim: colour -l0-> red)].", false)
-	if up.Incremental {
-		t.Fatalf("a new predicate's first fact was bounded per predicate: %+v", up)
-	}
+	runUpdate(t, s, sess, "l0[badge(kim: colour -l0-> red)].", false)
 	resp := runQuery(t, s, sess, q)
 	if resp.Cached || len(resp.Answers) != 2 { // believed at l0 and, optimistically, at l1
 		t.Fatalf("after the first badge fact: cached=%v answers=%v", resp.Cached, resp.Answers)
 	}
-	// The rebuilt graph knows the predicate: its next fact is bounded again,
-	// and still reaches the belief query.
-	up = runUpdate(t, s, sess, "l1[badge(lee: colour -l1-> blue)].", false)
-	if !up.Incremental {
-		t.Fatalf("second badge fact invalidated everything: %+v", up)
-	}
+	runUpdate(t, s, sess, "l1[badge(lee: colour -l1-> blue)].", false)
 	if resp := runQuery(t, s, sess, q); resp.Cached || len(resp.Answers) != 3 {
 		t.Fatalf("after the second badge fact: cached=%v answers=%v", resp.Cached, resp.Answers)
 	}

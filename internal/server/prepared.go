@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -52,14 +53,6 @@ type snapshot struct {
 	redMu      sync.RWMutex
 	reductions map[lattice.Label]*multilog.Reduction
 	building   map[lattice.Label]chan struct{} // cold builds in flight, each closed when it ends
-
-	// impact is the clearance-independent reverse dependency graph of the
-	// translation, used to bound which cache entries a fact write can
-	// invalidate. Built lazily on the first write and carried from snapshot
-	// to snapshot across fact-only updates (the graph depends only on the
-	// rules). Guarded by impactMu after publication.
-	impactMu sync.Mutex
-	impact   *multilog.ImpactGraph
 }
 
 // newPrepared parses, lints and prepares a program. Lint findings of
@@ -202,8 +195,8 @@ func (p *preparedProgram) stats() DBStats {
 // change.
 //
 // It returns the new epoch (unchanged when nothing changed), how many
-// clauses were added or removed, and an invalidation describing which
-// translated predicates the write could affect.
+// clauses were added or removed, and an invalidation saying, per clearance
+// the write advanced, which translated relations changed there.
 //
 // commit, when non-nil, runs inside the critical section after the new
 // snapshot is built (post-lint) and before it is swapped in: the server
@@ -261,8 +254,7 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 		return 0, 0, none, &LintError{Name: p.name, Findings: diags.String()}
 	}
 	snap := newSnapshot(cur.epoch+1, next, cur.poset)
-	inv := p.planInvalidation(cur, snap, deltaClauses)
-	p.advanceReductions(ctx, cur, snap, added, removed, &inv)
+	inv := p.advanceReductions(ctx, cur, snap, added, removed)
 	if ctx.Err() != nil {
 		return 0, 0, none, fmt.Errorf("server: update abandoned before commit: %w: %v", resource.ErrCanceled, context.Cause(ctx))
 	}
@@ -281,13 +273,24 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 	return snap.epoch, len(added) + len(removed), inv, nil
 }
 
-// invalidation says what a committed update could have changed: either
-// everything (rule changes, or an impact the server could not bound) or the
-// listed translated predicates, at any clearance.
+// invalidation says what a committed update changed: for each clearance it
+// advanced, the translated relations whose tuples changed there
+// (multilog.DeltaReport.ChangedPreds). A clearance it did not advance — cold,
+// or dropped — is absent: anything cached there may have changed.
 type invalidation struct {
-	all          bool
-	preds        []string
+	changed      map[lattice.Label][]string
 	AdvanceTally // of the prepared reductions, into the new snapshot
+}
+
+// changedPreds is the sorted union of the relations changed at every
+// advanced clearance.
+func (inv invalidation) changedPreds() []string {
+	var out []string
+	for _, preds := range inv.changed {
+		out = append(out, preds...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func (t *AdvanceTally) add(o AdvanceTally) {
@@ -321,48 +324,6 @@ func (t AdvanceTally) String() string {
 	return fmt.Sprintf("%s, %d dropped (%s)", out, total, strings.Join(reasons, ", "))
 }
 
-// planInvalidation bounds the write's blast radius. For fact-only deltas it
-// closes the written facts' translated predicates over the clearance-
-// independent reverse dependency graph; cache entries whose deps are
-// disjoint from that closure cannot have changed at any clearance. Anything
-// else — rule changes, unmappable heads — invalidates everything. The graph
-// depends only on the rules, so fact-only updates carry it forward to the
-// new snapshot instead of rebuilding it per write.
-func (p *preparedProgram) planInvalidation(cur, snap *snapshot, deltaClauses []multilog.Clause) invalidation {
-	for _, c := range deltaClauses {
-		if !c.IsFact() {
-			return invalidation{all: true}
-		}
-	}
-	g, err := cur.impactGraph()
-	if err != nil {
-		return invalidation{all: true}
-	}
-	preds, err := g.Impact(deltaClauses)
-	if err != nil {
-		// Not carried: the next write rebuilds the graph from the new rules
-		// (a fact of a new predicate brings its belief axioms).
-		return invalidation{all: true}
-	}
-	snap.impact = g // pre-publication; no lock needed yet
-	return invalidation{preds: preds}
-}
-
-// impactGraph returns the snapshot's reverse dependency graph, building it
-// on first use.
-func (s *snapshot) impactGraph() (*multilog.ImpactGraph, error) {
-	s.impactMu.Lock()
-	defer s.impactMu.Unlock()
-	if s.impact == nil {
-		g, err := multilog.NewImpactGraph(s.db)
-		if err != nil {
-			return nil, err
-		}
-		s.impact = g
-	}
-	return s.impact, nil
-}
-
 // advanceReductions carries cur's prepared reductions into the new snapshot
 // (multilog.Advance): the write's clauses, facts or rules, are translated
 // per warm clearance and applied as a clause delta to a copy-on-write clone
@@ -371,11 +332,13 @@ func (s *snapshot) impactGraph() (*multilog.ImpactGraph, error) {
 // its clauses derive and the relations that touches. No model is re-derived here:
 // a reduction that fails to advance (resource limits, cancellation) is
 // dropped, by reason, and the next query at its clearance builds it, under
-// that reader's admission ticket and outside the update lock.
-func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snapshot, added, removed []multilog.Clause, inv *invalidation) {
+// that reader's admission ticket and outside the update lock. The returned
+// invalidation records what each advance changed.
+func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snapshot, added, removed []multilog.Clause) invalidation {
 	cur.redMu.RLock()
 	olds := maps.Clone(cur.reductions)
 	cur.redMu.RUnlock()
+	inv := invalidation{changed: make(map[lattice.Label][]string, len(olds))}
 	for u, old := range olds {
 		red, rep, err := old.Advance(ctx, snap.db, added, removed, p.limits)
 		if err != nil {
@@ -386,8 +349,10 @@ func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snap
 		if rep.Adopted {
 			inv.AdvanceAdopted++
 		}
+		inv.changed[u] = rep.ChangedPreds
 		snap.reductions[u] = red
 	}
+	return inv
 }
 
 // authorizeClause enforces the write rule on one Σ clause: every ground

@@ -140,11 +140,12 @@ type UpdateResponse struct {
 	Changed int `json:"changed"`
 	// Invalidated counts result-cache entries dropped by this update.
 	Invalidated int `json:"invalidated"`
-	// Incremental reports that the write's impact was bounded per predicate
-	// (fact-only delta); false means the whole cache was invalidated.
+	// Incremental reports that every warm reduction was advanced by the
+	// write's delta; false means at least one was dropped, and its
+	// clearance's cached answers with it.
 	Incremental bool `json:"incremental,omitempty"`
-	// ChangedPreds lists the translated predicates the write could affect,
-	// when Incremental.
+	// ChangedPreds lists, sorted, the translated relations whose tuples the
+	// write changed at any advanced clearance.
 	ChangedPreds []string `json:"changed_preds,omitempty"`
 	// Seq is the write's WAL sequence number (0 without durability). The
 	// router acks a write to its client only after every live replica

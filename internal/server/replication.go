@@ -295,11 +295,7 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 			return s.divergedErr(fmt.Errorf("server: replicated update %d was a no-op here: follower state diverged", rec.Seq))
 		}
 		if changed > 0 {
-			if inv.all {
-				s.cache.InvalidateAll(ur.DB, epoch)
-			} else {
-				s.cache.InvalidatePreds(ur.DB, epoch, inv.preds)
-			}
+			s.cache.Invalidate(ur.DB, epoch, inv.changed)
 		}
 	default:
 		return fmt.Errorf("server: replicated record %d has unknown type %d", rec.Seq, rec.Type)

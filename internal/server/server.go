@@ -18,10 +18,10 @@
 //     delta (multilog.Advance) instead of rebuilding them;
 //   - result cache: complete answers keyed by (database, load generation,
 //     clearance, belief mode, effective query), each with the translated
-//     predicates it was derived from and the epoch it was computed at; a
-//     write invalidates the entries that depend on a predicate it changed
-//     (all of them, for a rule write) and records its epoch per predicate,
-//     so an answer computed before it cannot be stored after it.
+//     relations its query reads and the epoch it was computed at; a write,
+//     fact or rule, drops the entries whose relations its advance changed at
+//     their clearance (and every entry of a clearance it did not advance), and
+//     an answer computed before it cannot be stored after it.
 //
 // Every request runs under the internal/resource governor: per-request
 // wall-clock deadlines plus fact/step budgets, with typed errors, and
@@ -427,7 +427,7 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 		return nil, err
 	}
 	rendered := renderAnswers(answers)
-	s.cache.Put(key, sess.DB, snap.epoch, red.QueryDeps(goals), rendered)
+	s.cache.Put(key, sess.DB, sess.Clearance, snap.epoch, red.QueryDeps(goals), rendered)
 	s.queries.Add(1)
 	return &QueryResponse{Answers: rendered, Query: canonical, Epoch: snap.epoch, Stats: stats}, nil
 }
@@ -479,28 +479,18 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 		return nil, err
 	}
 	s.kickCheckpoint()
-	invalidated := 0
 	resp := &UpdateResponse{Epoch: epoch, Changed: changed, Seq: seq}
 	if changed > 0 {
-		if inv.all {
-			invalidated = s.cache.InvalidateAll(sess.DB, epoch)
-		} else {
-			invalidated = s.cache.InvalidatePreds(sess.DB, epoch, inv.preds)
-			resp.ChangedPreds = inv.preds
-			resp.Incremental = true
-		}
+		resp.Invalidated = s.cache.Invalidate(sess.DB, epoch, inv.changed)
+		resp.ChangedPreds = inv.changedPreds()
+		resp.Incremental = len(inv.AdvanceDropped) == 0
 		verb := "assert"
 		if retract {
 			verb = "retract"
 		}
-		scope := "all predicates"
-		if !inv.all {
-			scope = fmt.Sprintf("%d predicate(s)", len(inv.preds))
-		}
-		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated (%s; reductions advanced: %s)",
-			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, invalidated, scope, inv.AdvanceTally)
+		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated (%d relation(s) changed; reductions advanced: %s)",
+			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, resp.Invalidated, len(resp.ChangedPreds), inv.AdvanceTally)
 	}
-	resp.Invalidated = invalidated
 	return resp, nil
 }
 
