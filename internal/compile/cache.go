@@ -160,8 +160,8 @@ func (c *Cache) Plan(p *datalog.Program) (*Plan, bool, error) {
 }
 
 // Invalidate drops every cached plan referencing any of the given
-// predicate names (the impact-graph closure of a rule write) and returns
-// how many plans were dropped. An empty set drops nothing.
+// predicate names and returns how many plans were dropped. An empty set
+// drops nothing. No write calls it: a write compiles nothing.
 func (c *Cache) Invalidate(preds []string) int {
 	if len(preds) == 0 {
 		return 0
@@ -187,8 +187,7 @@ func (c *Cache) Invalidate(preds []string) int {
 	return dropped
 }
 
-// InvalidateAll empties the cache (rule writes whose impact cannot be
-// bounded) and returns how many plans were dropped.
+// InvalidateAll empties the cache and returns how many plans were dropped.
 func (c *Cache) InvalidateAll() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

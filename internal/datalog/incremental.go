@@ -253,6 +253,9 @@ func (inc *Incremental) Model() *Store { return inc.model }
 // differential harness checks against a freshly built engine.
 func (inc *Incremental) Counts() map[string]int { return inc.model.supports() }
 
+// Rules returns the engine's rule multiset; callers must treat it as read-only.
+func (inc *Incremental) Rules() []Clause { return inc.rules }
+
 // Clone returns an independent engine. It shares the rule set outright — a
 // rule delta on either side replaces its own pointer — and the model
 // copy-on-write (Store.Clone): a delta applied to either engine writes only

@@ -55,10 +55,10 @@ func mustReduce(t *testing.T, db *Database, user lattice.Label) *Reduction {
 }
 
 // sameAsFresh fails unless red's model and base counts are those of a
-// reduction of db prepared from scratch, and its Program is that reduction's
-// as a multiset of clauses — give or take the inert axioms of predicates
-// whose last mention a retract took out of Σ: rules whose head predicate
-// heads nothing in the fresh program.
+// reduction of db prepared from scratch, and its rules are that reduction's
+// as a multiset — give or take the inert axioms of predicates whose last
+// mention a retract took out of Σ: rules whose head predicate heads nothing
+// in the fresh program.
 func sameAsFresh(t *testing.T, what string, red *Reduction, db *Database, user lattice.Label) {
 	t.Helper()
 	fresh := mustReduceOpts(t, db, user, red.opts)
@@ -68,7 +68,23 @@ func sameAsFresh(t *testing.T, what string, red *Reduction, db *Database, user l
 	sameAs(t, what, red, fresh)
 }
 
-// sameAs is sameAsFresh against a fresh reduction already prepared.
+// rulesOf is the rule multiset a reduction derives by: its engine's, or,
+// before it has one, its Program's.
+func rulesOf(r *Reduction) []datalog.Clause {
+	if r.inc != nil {
+		return r.inc.Rules()
+	}
+	var rules []datalog.Clause
+	for _, c := range r.Program.Clauses {
+		if !c.IsFact() {
+			rules = append(rules, c)
+		}
+	}
+	return rules
+}
+
+// sameAs is sameAsFresh against a fresh reduction already prepared. The base
+// counts stand for the fact clauses: one count per assertion.
 func sameAs(t *testing.T, what string, red, fresh *Reduction) {
 	t.Helper()
 	if got, want := modelString(t, red), modelString(t, fresh); got != want {
@@ -77,18 +93,18 @@ func sameAs(t *testing.T, what string, red, fresh *Reduction) {
 	if !reflect.DeepEqual(red.Counts(), fresh.Counts()) {
 		t.Fatalf("%s: base counts diverge from a fresh prepare", what)
 	}
-	got, want := clauseBag(red.Program.Clauses), clauseBag(fresh.Program.Clauses)
+	got, want := clauseBag(rulesOf(red)), clauseBag(rulesOf(fresh))
 	if missing := bagMinus(want, got); len(missing) > 0 {
-		t.Fatalf("%s: Program lacks %v", what, missing)
+		t.Fatalf("%s: the rules lack %v", what, missing)
 	}
 	heads := map[string]bool{}
 	for _, c := range fresh.Program.Clauses {
 		heads[c.Head.Pred] = true
 	}
 	extra := bagMinus(got, want)
-	for _, c := range red.Program.Clauses {
-		if extra[c.String()] > 0 && (c.IsFact() || heads[c.Head.Pred]) {
-			t.Fatalf("%s: Program has %s, a fresh reduction does not", what, c)
+	for _, c := range rulesOf(red) {
+		if extra[c.String()] > 0 && heads[c.Head.Pred] {
+			t.Fatalf("%s: the rules have %s, a fresh reduction's do not", what, c)
 		}
 	}
 }
@@ -122,7 +138,8 @@ func ruleWrites(levels []lattice.Label) []string {
 // with and without Options.Filter, translating the write's own clauses
 // yields exactly the clause delta the full program diff finds; both entries
 // (Advance with the clauses, AdvanceFrom with the two databases) patch the
-// old engine and agree with a fresh Prepare on Program, model and counts;
+// old engine and agree with a fresh Prepare on rules, model and counts, the
+// source keeping its Program, model and counts;
 // the relations an advance reports changed are exactly those whose tuples
 // differ, and for a fact write lie inside the ImpactGraph closure; and the
 // advanced reduction keeps serving further advances.
@@ -721,5 +738,125 @@ func TestAdvanceRetractUnderRecursion(t *testing.T) {
 			t.Errorf("installed=%v: retracting %s changed %v (-%d), want %v (-2)", installed, fact, rep.ChangedPreds, rep.Deleted, want)
 		}
 		sameAsFresh(t, fmt.Sprintf("cyclic retract, installed=%v", installed), red, next, "l0")
+	}
+}
+
+// TestAdvancedReductionQueriesLikeAFreshOne: an advanced reduction holds no
+// Program, so the lazy path behind QueryContext and BeliefFacts translates
+// its database again before it registers an axiom (RequireBelief). After a
+// fact write and after a rule write, with Filter off and on, each such call
+// on a just-advanced reduction — b-atoms over a predicate outside Σ, beliefs
+// at a level the clearance does not dominate — answers what a fresh
+// reduction of the same database does.
+func TestAdvancedReductionQueriesLikeAFreshOne(t *testing.T) {
+	ctx := context.Background()
+	queries := []string{
+		"c[nosuch(K: a -C-> V)] << cau",
+		"L[nosuch(K: a -C-> V)] << opt",
+		"L[p(K: a -C-> V)] << cau",
+		"L[r(K: b -C-> V)] << fir",
+		"q(X)",
+	}
+	// D1 without r8, whose write-up from a cautious belief does not stratify
+	// under Filter's write-down.
+	db, err := Parse(`
+		level(u). level(c). level(s). order(u, c). order(c, s).
+		u[p(k: a -u-> v)].
+		c[p(k: a -c-> t)] :- q(j).
+		s[p(k: a -s-> x)].
+		q(j).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {Filter: true}} {
+		for _, w := range []string{"c[p(k2: a -c-> w)].", "c[r(K: b -c-> V)] :- L[p(K: a -C-> V)] << opt."} {
+			what := fmt.Sprintf("filter=%v, %s", opts.Filter, w)
+			written := mustSigmaFact(t, w)
+			next := db.Clone()
+			if err := next.AddClause(written); err != nil {
+				t.Fatal(err)
+			}
+			old := mustReduceOpts(t, db, "c", opts)
+			if err := old.Prepare(ctx, resource.Limits{}); err != nil {
+				t.Fatal(err)
+			}
+			advanced := func() *Reduction {
+				red, rep, err := old.Advance(ctx, next, []Clause{written}, nil, resource.Limits{})
+				if err != nil || rep.Reason != "" || red.Program != nil {
+					t.Fatalf("%s: advance: %+v, %v, Program kept: %v", what, rep, err, red != nil && red.Program != nil)
+				}
+				return red
+			}
+			for _, src := range queries {
+				q := mustGoals(t, src)
+				want, err := mustReduceOpts(t, next, "c", opts).QueryContext(ctx, q, resource.Limits{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := advanced().QueryContext(ctx, q, resource.Limits{}); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: %s on the advanced reduction: %v, %v; a fresh one answers %v", what, src, got, err, want)
+				}
+			}
+			for _, l := range []lattice.Label{"u", "c", "s"} {
+				for _, m := range []Mode{ModeFir, ModeOpt, ModeCau} {
+					want, err := mustReduceOpts(t, next, "c", opts).BeliefFacts(l, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := advanced().BeliefFacts(l, m); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s: BeliefFacts(%s, %s) on the advanced reduction: %v, %v; a fresh one gives %v", what, l, m, got, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEmptyAdvanceSharesProgramReadOnly: a write that translates to nothing
+// at the clearance of an installed model leaves the advanced reduction
+// without an engine, holding its source's Program for the next write to
+// adopt the model by. Either side registering a lazy axiom (QueryContext)
+// leaves the other's Program as it was.
+func TestEmptyAdvanceSharesProgramReadOnly(t *testing.T) {
+	ctx := context.Background()
+	db := D1()
+	old := mustReduce(t, db, "c")
+	old.InstallPrepared(evalModel(t, old))
+	// Only s may read the body: at c the rule has no instance.
+	rule := mustSigmaFact(t, "c[p(k3: a -c-> V)] :- s[p(k3: a -C-> V)] << fir.")
+	next := db.Clone()
+	if err := next.AddClause(rule); err != nil {
+		t.Fatal(err)
+	}
+	red, rep, err := old.Advance(ctx, next, []Clause{rule}, nil, resource.Limits{})
+	if err != nil || rep.RulesAdded != 0 || red.inc != nil || red.Program == nil || red.Program == old.Program {
+		t.Fatalf("empty advance from an installed model: %+v, %v", rep, err)
+	}
+	if !reflect.DeepEqual(clauseBag(old.Program.Clauses), clauseBag(red.Program.Clauses)) {
+		t.Fatal("the advanced reduction does not hold its source's Program")
+	}
+	// The second step catches an unclipped share: old appends in place over
+	// the axioms the first step appended for red.
+	for _, step := range []struct {
+		who, other *Reduction
+		query      string
+	}{
+		{red, old, "c[nosuch(K: a -C-> V)] << cau"},
+		{old, red, "u[other(K: a -C-> V)] << opt"},
+	} {
+		otherBag := clauseBag(step.other.Program.Clauses)
+		q := mustGoals(t, step.query)
+		want, err := mustReduce(t, step.who.DB, "c").QueryContext(ctx, q, resource.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := step.who.QueryContext(ctx, q, resource.Limits{})
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: %v, %v; want %v", step.query, got, err, want)
+		}
+		if !reflect.DeepEqual(clauseBag(step.other.Program.Clauses), otherBag) {
+			t.Fatalf("registering %s reached the other reduction's Program", step.query)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package multilog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/datalog"
@@ -46,38 +47,27 @@ func (db *Database) AddClause(c Clause) error {
 	return nil
 }
 
-// Clone returns a deep copy of the database: the four component slices and
-// every clause body are fresh, so appending to or editing the clone never
-// aliases the original. The cached lattice (immutable once built) is carried
-// over: clones are made to take Σ/Π writes, which cannot change it, and
-// AddClause drops it when a Λ clause does arrive. Clone is what makes
+// Clone returns a copy of the database whose four component slices are
+// fresh, so growing, filtering or replacing the clone's clauses never reaches
+// the original; the clauses themselves are shared, for a parsed clause is
+// immutable. Σ and Π leave room for a few appends, so the write that clones
+// to add a clause copies them once. The cached lattice (immutable once built)
+// is carried over: clones are made to take Σ/Π writes, which cannot change
+// it, and AddClause drops it when a Λ clause does arrive. Clone is what makes
 // copy-on-write snapshots safe: a server can keep answering queries from the
 // original while an updater grows the clone.
 func (db *Database) Clone() *Database {
-	c := &Database{
-		Lambda:  cloneClauses(db.Lambda),
-		Sigma:   cloneClauses(db.Sigma),
-		Pi:      cloneClauses(db.Pi),
-		Queries: make([]Query, len(db.Queries)),
+	return &Database{
+		Lambda:  slices.Clone(db.Lambda),
+		Sigma:   append(make([]Clause, 0, len(db.Sigma)+cloneRoom), db.Sigma...),
+		Pi:      append(make([]Clause, 0, len(db.Pi)+cloneRoom), db.Pi...),
+		Queries: slices.Clone(db.Queries),
 		poset:   db.poset,
 		posetN:  db.posetN,
 	}
-	for i, q := range db.Queries {
-		c.Queries[i] = append(Query(nil), q...)
-	}
-	return c
 }
 
-func cloneClauses(cs []Clause) []Clause {
-	if cs == nil {
-		return nil
-	}
-	out := make([]Clause, len(cs))
-	for i, c := range cs {
-		out[i] = Clause{Head: c.Head, Body: append([]Goal(nil), c.Body...)}
-	}
-	return out
-}
+const cloneRoom = 8 // Clone's spare capacity in Σ and Π: a write's clauses
 
 // String renders the database in the four-component layout of Figure 10.
 func (db *Database) String() string {

@@ -5,8 +5,9 @@ package multilog
 // advanced from the old one: the written clauses are translated and applied
 // as a clause delta to a copy-on-write clone of the old reduction's
 // maintenance engine (Advance, AdvanceFrom), instead of re-reducing the
-// database and re-deriving the fixpoint from scratch. A reduction whose model
-// another engine built (InstallPrepared) gets that engine at its first
+// database and re-deriving the fixpoint from scratch; the engine — rules,
+// model, base counts — is all an advanced reduction holds. A reduction whose
+// model another engine built (InstallPrepared) gets that engine at its first
 // advance, by counting the program's fact clauses into a clone of the model
 // (datalog.Adopt). An advance reports the translated relations whose tuples
 // changed at its clearance (DeltaReport.ChangedPreds) and QueryDeps names the
@@ -76,13 +77,12 @@ type DeltaReport struct {
 // clause delta to a copy-on-write clone of old's engine, under limits: the
 // cost is what the clauses derive and the relations that touches, not the
 // database — plus, when old's model was installed and never advanced, the
-// fact clauses counted into a clone of it. A write that translates
-// to nothing shares
-// old's engine and model as they are. old is never mutated — what the
-// translation writes, needs and preds, are the next reduction's own copies —
-// and keeps serving QueryPrepared calls throughout; two advances from the
-// same old must not run at once (Store.Clone), which the server's update lock
-// sees to.
+// fact clauses counted into a clone of it. The result holds no Program: its
+// engine has the rules. A write that translates to nothing shares old's
+// engine and model — or, with no engine yet, the model and, read-only, the
+// Program the next write adopts it by. old is never mutated and keeps
+// serving QueryPrepared calls throughout; two advances from the same old
+// must not run at once (Store.Clone), which the server's update lock sees to.
 func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed []Clause, limits resource.Limits) (*Reduction, DeltaReport, error) {
 	refuse := func(reason Refusal, err error) (*Reduction, DeltaReport, error) {
 		return nil, DeltaReport{Reason: reason}, fmt.Errorf("multilog: advance refused (%s): %w", reason, err)
@@ -91,7 +91,7 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 		return refuse(ReasonOldNotIncremental, errors.New("the old reduction was never prepared"))
 	}
 	r := &Reduction{DB: db, User: old.User, Poset: old.Poset, opts: old.opts,
-		needs: maps.Clone(old.needs), preds: maps.Clone(old.preds)}
+		needs: map[belNeed]bool{}, preds: maps.Clone(old.preds)}
 	adds, reason, err := r.translateDelta(added, true)
 	var dels []datalog.Clause
 	if err == nil {
@@ -101,38 +101,41 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 		return refuse(reason, err)
 	}
 	var rep DeltaReport
-	// The Program is a copy even when nothing changed: RequireBelief appends.
-	r.Program, r.inc, r.model = patchProgram(old.Program, adds, dels), old.inc, old.model
-	if len(adds)+len(dels) > 0 {
-		if old.inc != nil {
-			r.inc = old.inc.Clone()
-			r.inc.Limits = limits
-		} else if r.inc, err = datalog.Adopt(old.Program, old.model, limits); err != nil {
-			return refuse(ReasonDeltaFailed, err)
-		} else {
-			rep.Adopted = true
+	r.Program, r.inc, r.model = nil, old.inc, old.model
+	if len(adds)+len(dels) == 0 {
+		if old.inc == nil { // clipped: neither side's RequireBelief appends reach the other
+			r.Program, r.needs = &datalog.Program{Queries: old.Program.Queries, Clauses: slices.Clip(old.Program.Clauses)}, maps.Clone(old.needs)
 		}
-		res, err := r.inc.ApplyClauses(ctx, adds, dels)
-		if err != nil {
-			return refuse(ReasonDeltaFailed, err) // the clone is discarded
-		}
-		rep.ChangedPreds = res.ChangedPreds()
-		for _, pd := range res.Changed {
-			rep.Added += len(pd.Added)
-			rep.Deleted += len(pd.Deleted)
-		}
-		rep.RulesAdded, rep.RulesRemoved = res.RulesAdded, res.RulesRemoved
-		r.model = r.inc.Model()
+		return r, rep, nil
 	}
+	if old.inc != nil {
+		r.inc = old.inc.Clone()
+		r.inc.Limits = limits
+	} else if r.inc, err = datalog.Adopt(old.Program, old.model, limits); err != nil {
+		return refuse(ReasonDeltaFailed, err)
+	} else {
+		rep.Adopted = true
+	}
+	res, err := r.inc.ApplyClauses(ctx, adds, dels)
+	if err != nil {
+		return refuse(ReasonDeltaFailed, err) // the clone is discarded
+	}
+	rep.ChangedPreds = res.ChangedPreds()
+	for _, pd := range res.Changed {
+		rep.Added += len(pd.Added)
+		rep.Deleted += len(pd.Deleted)
+	}
+	rep.RulesAdded, rep.RulesRemoved = res.RulesAdded, res.RulesRemoved
+	r.model = r.inc.Model()
 	return r, rep, nil
 }
 
 // AdvanceFrom prepares r, a fresh reduction of a later version of old's
 // database, by way of Advance: the clause-level difference between old.DB and
-// r.DB is found structurally, and r becomes what Advance returns for it;
-// where Advance would refuse, r is prepared from scratch and the report names
-// the reason. r itself serves concurrent readers only after AdvanceFrom
-// returns.
+// r.DB is found structurally, and r becomes what Advance returns for it,
+// keeping its own Program where that has none; where Advance would refuse, r
+// is prepared from scratch and the report names the reason. r itself serves
+// concurrent readers only after AdvanceFrom returns.
 func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits resource.Limits) (DeltaReport, error) {
 	rep := DeltaReport{Reason: ReasonOldNotIncremental}
 	if old != nil {
@@ -145,6 +148,9 @@ func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits reso
 			var next *Reduction
 			var err error
 			if next, rep, err = old.Advance(ctx, r.DB, append(added, piAdded...), append(removed, piRemoved...), limits); err == nil {
+				if next.Program == nil {
+					next.Program, next.needs = r.Program, r.needs
+				}
 				*r = *next
 				return rep, nil
 			}
@@ -198,26 +204,6 @@ func diffClauses(old, new []Clause) (added, removed []Clause) {
 		}
 	}
 	return new[j:len(new):len(new)], removed
-}
-
-// patchProgram returns p without the first clause equal to each clause of
-// dels (one that is not there is a no-op) and with adds appended, everything
-// else in place and in order: the engine's own reading of a clause delta.
-func patchProgram(p *datalog.Program, adds, dels []datalog.Clause) *datalog.Program {
-	out := &datalog.Program{Queries: p.Queries, Clauses: make([]datalog.Clause, 0, len(p.Clauses)+len(adds))}
-	dels = slices.Clone(dels)
-next:
-	for _, c := range p.Clauses {
-		for i, d := range dels {
-			if c.Equal(d) {
-				dels = slices.Delete(dels, i, i+1)
-				continue next
-			}
-		}
-		out.Clauses = append(out.Clauses, c)
-	}
-	out.Clauses = append(out.Clauses, adds...)
-	return out
 }
 
 // Counts exposes the engine's per-tuple base-assertion counts (nil when the

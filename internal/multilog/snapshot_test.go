@@ -9,16 +9,26 @@ import (
 	"repro/internal/resource"
 )
 
-// TestDatabaseClone pins the deep-copy contract Clone promises: growing or
-// editing the clone must never reach back into the original, because the
-// server's copy-on-write update path keeps answering queries from the
-// original while the clone is being changed.
+// TestDatabaseClone pins the contract Clone promises: the clone's component
+// slices are its own, so growing, filtering or replacing its clauses never
+// reaches back into the original — the server's copy-on-write update path
+// keeps answering queries from the original while the clone is being
+// changed — and the clauses themselves are shared, for a parsed clause is
+// immutable.
 func TestDatabaseClone(t *testing.T) {
 	db := D1()
 	before := db.String()
 	c := db.Clone()
 	if c.String() != before {
 		t.Fatalf("clone differs from original:\n%s\nvs\n%s", c.String(), before)
+	}
+	for i, sc := range c.Sigma {
+		if &c.Sigma[i] == &db.Sigma[i] {
+			t.Fatal("the clone shares the original's Σ slice")
+		}
+		if len(sc.Body) > 0 && &sc.Body[0] != &db.Sigma[i].Body[0] {
+			t.Fatalf("the clone copied the body of %s", sc)
+		}
 	}
 
 	// Grow every component of the clone.
@@ -35,15 +45,15 @@ func TestDatabaseClone(t *testing.T) {
 	c.Sigma = append(c.Sigma, extra.Sigma...)
 	c.Pi = append(c.Pi, extra.Pi...)
 	c.Queries = append(c.Queries, extra.Queries...)
-	// Edit a clause body in place.
-	if len(c.Sigma) == 0 || len(db.Sigma) == 0 {
-		t.Fatal("want Σ clauses in D1")
-	}
-	for i := range c.Sigma {
-		if len(c.Sigma[i].Body) > 0 {
-			c.Sigma[i].Body = append(c.Sigma[i].Body, PGoal(extra.Pi[0].Head.P))
+	// Filter Σ in place, as a retract does, and replace a Π clause.
+	kept := c.Sigma[:0]
+	for _, sc := range c.Sigma {
+		if len(sc.Body) > 0 {
+			kept = append(kept, sc)
 		}
 	}
+	c.Sigma = kept
+	c.Pi[0] = extra.Pi[0]
 
 	if db.String() != before {
 		t.Errorf("mutating the clone changed the original:\n%s\nwant\n%s", db.String(), before)
@@ -51,6 +61,65 @@ func TestDatabaseClone(t *testing.T) {
 	// The clone must still be a working database.
 	if _, err := c.Poset(); err != nil {
 		t.Fatalf("clone poset: %v", err)
+	}
+}
+
+// TestDatabaseCloneUnderReaders is Clone's contract under the race detector:
+// readers render and Reduce the original while a writer clones it, asserts
+// into the clone and retracts from it in place, as the server's update path
+// does beside the snapshot it serves.
+func TestDatabaseCloneUnderReaders(t *testing.T) {
+	db := D1()
+	if _, err := db.Poset(); err != nil { // readers only read the cached lattice
+		t.Fatal(err)
+	}
+	want := db.String()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	defer readers.Wait()
+	defer close(stop)
+	for i := 0; i < 3; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := db.String(); got != want {
+					t.Errorf("the original changed under a reader:\n%s\nwant\n%s", got, want)
+					return
+				}
+				if _, err := Reduce(db, "s"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		next := db.Clone()
+		fact := mustSigmaFact(t, fmt.Sprintf("c[p(w%d: a -c-> v)].", i))
+		if err := next.AddClause(fact); err != nil {
+			t.Fatal(err)
+		}
+		if last := next.Sigma[len(next.Sigma)-1]; !last.Equal(fact) {
+			t.Fatalf("the clone's Σ ends in %s, want %s", last, fact)
+		}
+		// Retract the fact and every other Σ fact, filtering in place.
+		kept := next.Sigma[:0]
+		for _, c := range next.Sigma {
+			if !c.IsFact() {
+				kept = append(kept, c)
+			}
+		}
+		next.Sigma = kept
+		next.Pi = next.Pi[:0]
+	}
+	if got := db.String(); got != want {
+		t.Errorf("the writer's clones reached the original:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -43,12 +43,15 @@ func excPred(pred string, l lattice.Label) string {
 
 // Reduction is a MultiLog database reduced to the classical engine at a
 // fixed user level (§6.1: "the level of the database we are interested in
-// must be determined at the compile time"). It owns the translated program
-// (including the Figure 12 axiom instances) and translates queries.
+// must be determined at the compile time"). It translates queries and holds
+// the reduced program's minimal model.
 type Reduction struct {
-	DB      *Database
-	User    lattice.Label
-	Poset   *lattice.Poset
+	DB    *Database
+	User  lattice.Label
+	Poset *lattice.Poset
+	// Program is the translated program, Figure 12 axioms included, of a
+	// fresh reduction; nil on one Advance returned with an engine, which holds
+	// the rules (RequireBelief translates DB again when a query needs one).
 	Program *datalog.Program
 
 	// LastStats reports the resource usage of the most recent governed
@@ -368,10 +371,19 @@ func (r *Reduction) groundLevelOf(t term.Term, c Clause) (lattice.Label, error) 
 
 // RequireBelief registers a (predicate, level, mode) triple needed by a
 // query. Reduce pre-registers every triple for the predicates in Σ
-// (emitPredAxioms); queries over other predicates register lazily.
+// (emitPredAxioms); queries over other predicates register lazily, into a
+// fresh translation of DB when the reduction has no Program (τ depends on DB,
+// the clearance and the options alone).
 func (r *Reduction) RequireBelief(pred string, l lattice.Label, m Mode) {
 	if m != ModeFir && m != ModeOpt && m != ModeCau {
 		return
+	}
+	if r.Program == nil {
+		fresh, err := translate(r.DB, r.Poset, r.User, r.opts, true)
+		if err != nil {
+			return // unreachable: every clause of DB translated on its way in
+		}
+		r.Program, r.needs, r.preds = fresh.Program, fresh.needs, fresh.preds
 	}
 	if !r.needs[belNeed{pred, l, m}] {
 		r.needs[belNeed{pred, l, m}] = true

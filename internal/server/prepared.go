@@ -22,7 +22,8 @@ import (
 // snapshot: the hot path (queries) takes a read lock only long enough to
 // grab the current *snapshot pointer, then evaluates against that snapshot
 // with no locks held; the cold path (assert/retract) builds a fresh
-// snapshot from a deep clone and swaps the pointer. In-flight queries keep
+// snapshot from a clone (multilog.Database.Clone: Σ and Π copied once, the
+// immutable clauses shared) and swaps the pointer. In-flight queries keep
 // answering from the snapshot they started on — their answers are tagged
 // (and cached) with that snapshot's epoch, so they can never be confused
 // with post-update state.
