@@ -28,10 +28,12 @@ race:
 	$(GO) test -race -short ./...
 
 # fuzz-smoke runs the cross-engine differential fuzzer for a bounded time
-# on top of the checked-in corpus. Any disagreement is shrunk and reported
-# with a ready-to-paste regression test.
+# on top of the checked-in corpus (any disagreement is shrunk and reported
+# with a ready-to-paste regression test), then the server's answer encoder
+# against encoding/json for 10 s.
 fuzz-smoke:
 	$(GO) test ./internal/differential -run='^$$' -fuzz=FuzzCrossEngine -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswersJSON -fuzztime=10s
 
 # campaign replays the standing 200-program differential campaign (also run
 # as TestCrossEngineCampaign) through the CLI.

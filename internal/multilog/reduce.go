@@ -3,6 +3,7 @@ package multilog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/datalog"
@@ -154,21 +155,32 @@ func (r *Reduction) QueryPrepared(ctx context.Context, q Query, limits resource.
 // neither, so concurrent calls over the same model are safe.
 func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, limits resource.Limits) ([]Answer, resource.Stats, error) {
 	gov := resource.New(ctx, limits)
-	queryVars := map[string]bool{}
+	var vars []string
 	for _, g := range q {
-		for _, v := range g.Vars(nil) {
-			queryVars[v] = true
-		}
+		vars = g.Vars(vars)
 	}
+	sort.Strings(vars)
+	vars = slices.Compact(vars)
 
-	// An answer is rendered once: its key deduplicates it here, orders it below.
+	// An answer is rendered once, to the Subst.String of its restriction to
+	// the query's variables: that key deduplicates it here and orders it
+	// below. The restriction is built only for a key not seen before.
 	seen := map[string]Answer{}
+	vals := make([]term.Term, len(vars))
+	var key []byte
 	emit := func(s term.Subst) {
-		restricted := term.Subst{}
-		for v := range queryVars {
-			restricted[v] = s.Apply(term.Var(v))
+		for i, v := range vars {
+			vals[i] = s.Apply(term.Var(v))
 		}
-		seen[restricted.String()] = Answer{Bindings: restricted}
+		key = term.AppendBindings(key[:0], vars, vals)
+		if _, dup := seen[string(key)]; dup {
+			return
+		}
+		restricted := make(term.Subst, len(vars))
+		for i, v := range vars {
+			restricted[v] = vals[i]
+		}
+		seen[string(key)] = Answer{Bindings: restricted}
 	}
 
 	var solve func(i int, s term.Subst) error

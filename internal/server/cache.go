@@ -11,9 +11,11 @@ import (
 )
 
 // resultCache is the invalidating answer cache: finished (complete,
-// untruncated) query results keyed by (database, generation, clearance,
-// belief mode, effective query). Bounded LRU; all methods are safe for
-// concurrent use.
+// untruncated) query results, held as the encoded JSON array of their
+// answers that a response carries (Server.Query renders them once; a hit
+// writes them unchanged), keyed by (database, generation, clearance, belief
+// mode, effective query). Bounded LRU; all methods are safe for concurrent
+// use. The stored bytes are shared by every reader and never modified.
 //
 // Staleness is decided per clearance, from what the write's advance changed
 // there: each entry records its clearance, the translated relations its
@@ -48,7 +50,7 @@ type staleEntry struct {
 	db      string
 	at      time.Time
 	epoch   uint64
-	answers []map[string]string
+	answers []byte
 }
 
 // dbEpochs is one database's invalidation state: the load generation (part
@@ -64,7 +66,7 @@ type cacheEntry struct {
 	clearance lattice.Label
 	epoch     uint64   // snapshot epoch the answers were computed at
 	deps      []string // translated relations the query reads (Reduction.QueryDeps)
-	answers   []map[string]string
+	answers   []byte   // the encoded JSON array of the answers
 }
 
 // cacheKey builds the composite key. The components are length-prefixed so
@@ -106,7 +108,7 @@ func (c *resultCache) retire(ent *cacheEntry, now time.Time, epoch uint64) {
 // GetStale returns the invalidated answers previously stored under key, with
 // the last epoch they were valid at, if they went stale no longer than maxAge
 // ago — the brownout read. Entries past maxAge are dropped on probe.
-func (c *resultCache) GetStale(key string, maxAge time.Duration) (answers []map[string]string, epoch uint64, age time.Duration, ok bool) {
+func (c *resultCache) GetStale(key string, maxAge time.Duration) (answers []byte, epoch uint64, age time.Duration, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent, ok := c.stale[key]
@@ -139,8 +141,8 @@ func (c *resultCache) Generation(db string) uint64 {
 	return c.epochs(db).gen
 }
 
-// Get returns the cached answers for key, if present.
-func (c *resultCache) Get(key string) ([]map[string]string, bool) {
+// Get returns the encoded answers cached under key, if present.
+func (c *resultCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.by[key]
@@ -153,12 +155,13 @@ func (c *resultCache) Get(key string) ([]map[string]string, bool) {
 	return el.Value.(*cacheEntry).answers, true
 }
 
-// Put stores a complete result computed at clearance on the snapshot of the
-// given epoch, reading the relations deps, evicting the least recently used
-// entry when full. Callers must not cache truncated or erroneous results.
+// Put stores a complete result's encoded answers, computed at clearance on
+// the snapshot of the given epoch, reading the relations deps, evicting the
+// least recently used entry when full. Callers must not cache truncated or
+// erroneous results.
 // The store is refused when a write newer than epoch has invalidated: the
 // caller computed against a snapshot that write superseded.
-func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64, deps []string, answers []map[string]string) {
+func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64, deps []string, answers []byte) {
 	if c.cap <= 0 {
 		return
 	}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/lattice"
 )
 
-func ans(v string) []map[string]string {
-	return []map[string]string{{"V": v}}
+func ans(v string) []byte {
+	return []byte(`[{"V":"` + v + `"}]`)
 }
 
 func TestCacheLRUEviction(t *testing.T) {

@@ -127,20 +127,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	resp, err := s.Query(r.Context(), sess, req)
+	resp, answers, err := s.Query(r.Context(), sess, req)
+	status := http.StatusOK
 	if err != nil {
-		if resp != nil && resource.IsLimit(err) {
-			// Partial answers under a limit stop: 408 plus what was found.
-			return writeJSON(w, http.StatusRequestTimeout, resp)
+		if resp == nil || !resource.IsLimit(err) {
+			return err
 		}
-		return err
+		// Partial answers under a limit stop: 408 plus what was found.
+		status = http.StatusRequestTimeout
 	}
 	if resp.StaleMS > 0 {
 		// Brownout answer: surfaced in a header too, so clients and proxies
 		// can spot staleness without parsing the body.
 		w.Header().Set("X-Multilog-Stale", strconv.FormatInt(resp.StaleMS, 10))
 	}
-	return writeJSON(w, http.StatusOK, resp)
+	return writeQuery(w, status, resp, answers)
+}
+
+// answersOpen opens every encoded QueryResponse: Answers is its first field.
+// With nil Answers, "null" follows.
+var answersOpen = []byte(`{"answers":`)
+
+// writeQuery writes resp with answers, an encoded JSON array, in the place
+// of its nil Answers: the bytes writeJSON writes for resp with those answers
+// as maps. The other fields are marshalled as ever and spliced in behind the
+// array; the answers are written as they are.
+func writeQuery(w http.ResponseWriter, status int, resp *QueryResponse, answers []byte) error {
+	rest, err := json.Marshal(resp)
+	if err != nil {
+		return err
+	}
+	rest = rest[len(answersOpen)+len("null"):]
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	for _, part := range [][]byte{answersOpen, answers, append(rest, '\n')} {
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) error {

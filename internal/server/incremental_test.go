@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -44,11 +45,23 @@ func openSess(t *testing.T, s *Server, clearance, mode string) *Session {
 
 func runQuery(t *testing.T, s *Server, sess *Session, q string) *QueryResponse {
 	t.Helper()
-	resp, err := s.Query(context.Background(), sess, QueryRequest{Query: q})
+	resp, err := query(context.Background(), s, sess, QueryRequest{Query: q})
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
 	return resp
+}
+
+// query is Server.Query with the encoded answers decoded into resp.Answers,
+// as a Client would see them.
+func query(ctx context.Context, s *Server, sess *Session, req QueryRequest) (*QueryResponse, error) {
+	resp, answers, err := s.Query(ctx, sess, req)
+	if resp != nil {
+		if derr := json.Unmarshal(answers, &resp.Answers); derr != nil {
+			return nil, derr
+		}
+	}
+	return resp, err
 }
 
 func runUpdate(t *testing.T, s *Server, sess *Session, clauses string, retract bool) *UpdateResponse {
@@ -555,7 +568,7 @@ func TestColdBuildBlocksNobodyElse(t *testing.T) {
 	snap := prog.current()
 	first := make(chan int, 1)
 	go func() {
-		resp, err := s.Query(context.Background(), high, QueryRequest{Query: "l1[payroll(K: cost -C-> V)]"})
+		resp, err := query(context.Background(), s, high, QueryRequest{Query: "l1[payroll(K: cost -C-> V)]"})
 		if err != nil {
 			t.Error(err)
 		}
@@ -641,7 +654,7 @@ func TestColdBuildRacingAWriteIsNotCached(t *testing.T) {
 		park.Store(true)
 		built := make(chan *QueryResponse, 1)
 		go func() {
-			resp, err := s.Query(ctx, reader, QueryRequest{Query: q})
+			resp, err := query(ctx, s, reader, QueryRequest{Query: q})
 			if err != nil {
 				t.Error(err)
 			}

@@ -16,9 +16,11 @@
 //     every session at that clearance (multilog.QueryPrepared), so the hot
 //     path is match-only; a write carries them into its snapshot by clause
 //     delta (multilog.Advance) instead of rebuilding them;
-//   - result cache: complete answers keyed by (database, load generation,
-//     clearance, belief mode, effective query), each with the translated
-//     relations its query reads and the epoch it was computed at; a write,
+//   - result cache: complete answers, encoded once to the JSON array the
+//     wire carries (a hit writes those bytes as they are), keyed by
+//     (database, load generation, clearance, belief mode, effective query),
+//     each with the translated relations its query reads and the epoch it
+//     was computed at; a write,
 //     fact or rule, drops the entries whose relations its advance changed at
 //     their clearance (and every entry of a clearance it did not advance), and
 //     an answer computed before it cannot be stored after it.
@@ -39,11 +41,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/admission"
 	"repro/internal/compile"
@@ -51,6 +55,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/multilog"
 	"repro/internal/resource"
+	"repro/internal/term"
 	"repro/internal/wal"
 )
 
@@ -335,9 +340,13 @@ func (s *Server) Open(req OpenRequest) (*Session, uint64, error) {
 }
 
 // Query answers one request on a session. The belief rewrite, the cache
-// probe, the reduction lookup and the governed match all happen here;
-// handlers only do transport.
-func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*QueryResponse, error) {
+// probe, the reduction lookup, the governed match and the answers' one
+// rendering all happen here; handlers only do transport. The answers come
+// back encoded, as the JSON array resp.Answers would marshal to (resp.Answers
+// itself is nil); on a cache hit they are the cached bytes, which nobody may
+// modify. With a resource-limit error, resp and answers carry the partial
+// result.
+func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (resp *QueryResponse, answers []byte, err error) {
 	// The generation read must precede the program lookup: if a concurrent
 	// Load lands in between, the stale generation makes this query's cache
 	// key unreachable (a harmless orphan) rather than ever pairing a fresh
@@ -345,13 +354,13 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	gen := s.cache.Generation(sess.DB)
 	prog, err := s.program(sess.DB)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	snap := prog.current()
 
 	goals, err := multilog.ParseGoals(trimQuery(req.Query))
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+		return nil, nil, fmt.Errorf("parse: %w", err)
 	}
 	mode := sess.Mode
 	if req.Mode != "" {
@@ -370,7 +379,7 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	key := cacheKey(sess.DB, gen, string(sess.Clearance), modeKey, canonical)
 	if answers, ok := s.cache.Get(key); ok {
 		s.queries.Add(1)
-		return &QueryResponse{Answers: answers, Query: canonical, Cached: true, Epoch: snap.epoch}, nil
+		return &QueryResponse{Query: canonical, Cached: true, Epoch: snap.epoch}, answers, nil
 	}
 
 	ctx, cancel := s.deadline(ctx, req.TimeoutMS)
@@ -389,13 +398,13 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	if aerr != nil {
 		var shed *admission.OverloadError
 		if errors.As(aerr, &shed) {
-			if resp := s.staleResponse(key, canonical); resp != nil {
+			if resp, answers := s.staleResponse(key, canonical); resp != nil {
 				s.queries.Add(1)
-				return resp, nil
+				return resp, answers, nil
 			}
 		}
 		s.qErrors.Add(1)
-		return nil, aerr
+		return nil, nil, aerr
 	}
 	start := time.Now()
 	degraded := false
@@ -409,9 +418,10 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 	if err != nil {
 		degraded = resource.IsLimit(err)
 		s.qErrors.Add(1)
-		return nil, err
+		return nil, nil, err
 	}
-	answers, stats, err := red.QueryPrepared(ctx, goals, s.requestLimits(req))
+	found, stats, err := red.QueryPrepared(ctx, goals, s.requestLimits(req))
+	resp = &QueryResponse{Query: canonical, Epoch: snap.epoch, Stats: stats}
 	if err != nil {
 		if resource.IsLimit(err) {
 			// Graceful truncation: report the partial answers with the
@@ -420,16 +430,15 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (*Q
 			degraded = true
 			s.queries.Add(1)
 			s.qTrunc.Add(1)
-			return &QueryResponse{Answers: renderAnswers(answers), Query: canonical,
-				Epoch: snap.epoch, Stats: stats}, err
+			return resp, encodeAnswers(found), err
 		}
 		s.qErrors.Add(1)
-		return nil, err
+		return nil, nil, err
 	}
-	rendered := renderAnswers(answers)
-	s.cache.Put(key, sess.DB, sess.Clearance, snap.epoch, red.QueryDeps(goals), rendered)
+	answers = encodeAnswers(found)
+	s.cache.Put(key, sess.DB, sess.Clearance, snap.epoch, red.QueryDeps(goals), answers)
 	s.queries.Add(1)
-	return &QueryResponse{Answers: rendered, Query: canonical, Epoch: snap.epoch, Stats: stats}, nil
+	return resp, answers, nil
 }
 
 // Update applies an assert/retract on the session's database and
@@ -521,21 +530,20 @@ func (s *Server) Stats() StatsResponse {
 // answers were valid at, not the snapshot's: a reader that needs a later one
 // (the router's read-your-writes floor) must not take them for it. nil means
 // no brownout answer: the caller propagates the overload rejection.
-func (s *Server) staleResponse(key, canonical string) *QueryResponse {
+func (s *Server) staleResponse(key, canonical string) (*QueryResponse, []byte) {
 	if s.cfg.MaxStale <= 0 {
-		return nil
+		return nil, nil
 	}
 	answers, epoch, age, ok := s.cache.GetStale(key, s.cfg.MaxStale)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	s.staleServed.Add(1)
 	staleMS := age.Milliseconds()
 	if staleMS < 1 {
 		staleMS = 1 // omitempty would erase 0 and the answer would read as fresh
 	}
-	return &QueryResponse{Answers: answers, Query: canonical, Cached: true,
-		Epoch: epoch, StaleMS: staleMS}
+	return &QueryResponse{Query: canonical, Cached: true, Epoch: epoch, StaleMS: staleMS}, answers
 }
 
 // admissionStats maps the controller snapshot for /v1/stats; nil when
@@ -665,18 +673,74 @@ func rewriteBelief(goals []multilog.Goal, mode multilog.Mode) []multilog.Goal {
 	return out
 }
 
-// renderAnswers flattens answers to var->text maps; the engine already
-// orders them deterministically. Always non-nil so JSON says [] not null.
-func renderAnswers(answers []multilog.Answer) []map[string]string {
-	out := make([]map[string]string, len(answers))
+// encodeAnswers encodes answers, in the engine's order, as the JSON array
+// QueryResponse.Answers carries: byte for byte what encoding/json makes of
+// one var->text map per answer — keys sorted, never null — without building
+// the maps. A row's variable names are sorted once for every run of rows
+// binding the same set; every answer of one query binds the query's
+// variables.
+func encodeAnswers(answers []multilog.Answer) []byte {
+	dst := []byte{'['}
+	var vars []string
 	for i, a := range answers {
-		m := make(map[string]string, len(a.Bindings))
-		for v, t := range a.Bindings {
-			m[v] = t.String()
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		out[i] = m
+		row, ok := len(dst), len(vars) == len(a.Bindings)
+		if ok {
+			dst, ok = appendRow(dst, vars, a.Bindings)
+		}
+		if !ok {
+			// Another variable set: sort its names and write the row again.
+			vars = vars[:0]
+			for v := range a.Bindings {
+				vars = append(vars, v)
+			}
+			sort.Strings(vars)
+			dst, _ = appendRow(dst[:row], vars, a.Bindings)
+		}
+		if i == 0 {
+			// The rows of a query are about the same size.
+			dst = slices.Grow(dst, (len(dst)-row+1)*(len(answers)-1)+1)
+		}
 	}
-	return out
+	return append(dst, ']')
+}
+
+// appendRow appends the answer b as a JSON object over vars, which are
+// sorted. It reports false, having written part of the row, when b does not
+// bind one of vars.
+func appendRow(dst []byte, vars []string, b term.Subst) ([]byte, bool) {
+	dst = append(dst, '{')
+	for j, v := range vars {
+		t, ok := b[v]
+		if !ok {
+			return dst, false
+		}
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		open := len(dst)
+		dst = quoteJSON(append(append(dst, '"'), v...), open)
+		dst = append(dst, ':')
+		open = len(dst)
+		dst = quoteJSON(t.Append(append(dst, '"')), open)
+	}
+	return append(dst, '}'), true
+}
+
+// quoteJSON closes the JSON string opened by the quote at dst[open], whose
+// text runs to the end of dst, as encoding/json writes it. Printable ASCII
+// other than `"`, `\` and the HTML-escaped `<`, `>`, `&` is written as it
+// stands; a text with anything else is handed to json.Marshal.
+func quoteJSON(dst []byte, open int) []byte {
+	for _, c := range dst[open+1:] {
+		if c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(string(dst[open+1:])) // a string always marshals
+			return append(dst[:open], quoted...)
+		}
+	}
+	return append(dst, '"')
 }
 
 // trimQuery strips the optional "?-" prefix and trailing ".".

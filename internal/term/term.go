@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Kind discriminates the term variants.
@@ -107,7 +108,7 @@ func bareConst(s string) bool {
 			digits = false
 		}
 	}
-	if unicode.IsDigit([]rune(s)[0]) {
+	if first, _ := utf8.DecodeRuneInString(s); unicode.IsDigit(first) {
 		return digits // "42" lexes as a number; "9a" would split
 	}
 	return true
@@ -145,14 +146,37 @@ func (t Term) String() string {
 		return t.functor
 	case KindNull:
 		return "null"
-	case KindCompound:
-		parts := make([]string, len(t.args))
-		for i, a := range t.args {
-			parts[i] = a.String()
-		}
-		return fmt.Sprintf("%s(%s)", QuoteIdent(t.functor), strings.Join(parts, ", "))
 	}
-	return "?"
+	return string(t.Append(nil))
+}
+
+// Append appends the term's String rendering to dst and returns the
+// extended slice.
+func (t Term) Append(dst []byte) []byte {
+	switch t.kind {
+	case KindConst:
+		if bareConst(t.functor) {
+			return append(dst, t.functor...)
+		}
+		dst = append(dst, '\'')
+		dst = append(dst, t.functor...)
+		return append(dst, '\'')
+	case KindVar:
+		return append(dst, t.functor...)
+	case KindNull:
+		return append(dst, "null"...)
+	case KindCompound:
+		dst = append(dst, QuoteIdent(t.functor)...)
+		dst = append(dst, '(')
+		for i, a := range t.args {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = a.Append(dst)
+		}
+		return append(dst, ')')
+	}
+	return append(dst, '?')
 }
 
 // Key returns a canonical string usable as a map key. Distinct terms have
@@ -195,11 +219,13 @@ func (t Term) Vars(dst []string) []string {
 type Subst map[string]Term
 
 // Lookup resolves a variable through the substitution, following chains
-// (X ↦ Y, Y ↦ a resolves X to a). Non-variables are returned unchanged.
+// (X ↦ Y, Y ↦ a resolves X to a). Non-variables are returned unchanged, and
+// so is a variable bound to itself: an answer restricted to a query variable
+// the query left unbound holds X ↦ X.
 func (s Subst) Lookup(t Term) Term {
 	for t.IsVar() {
 		u, ok := s[t.functor]
-		if !ok {
+		if !ok || (u.kind == KindVar && u.functor == t.functor) {
 			return t
 		}
 		t = u
@@ -250,11 +276,27 @@ func (s Subst) String() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	parts := make([]string, len(keys))
+	vals := make([]Term, len(keys))
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s/%s", k, s.Apply(Var(k)))
+		vals[i] = s.Apply(Var(k))
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	return string(AppendBindings(nil, keys, vals))
+}
+
+// AppendBindings appends the binding set vars[i] ↦ vals[i] to dst as
+// Subst.String renders it, "{R/u, X/avenger}": vars sorted, each vals[i]
+// already resolved. It returns the extended slice.
+func AppendBindings(dst []byte, vars []string, vals []Term) []byte {
+	dst = append(dst, '{')
+	for i, v := range vars {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, v...)
+		dst = append(dst, '/')
+		dst = vals[i].Append(dst)
+	}
+	return append(dst, '}')
 }
 
 func occurs(v string, t Term, s Subst) bool {

@@ -129,6 +129,36 @@ func TestSubstString(t *testing.T) {
 	if got := s.String(); got != "{A/x, R/u}" {
 		t.Errorf("Subst.String() = %q", got)
 	}
+	s = Subst{"Q": Comp("f", Const("A b"), Null(), Comp("'g'")), "v10": Const("9a"), "v1": Const("42")}
+	if got := s.String(); got != "{Q/f('A b', null, ''g''()), v1/42, v10/'9a'}" {
+		t.Errorf("Subst.String() = %q", got)
+	}
+}
+
+// TestSelfBoundVariable: an answer restricted to a query variable nothing
+// bound holds X ↦ X (or X ↦ Y, Y ↦ Y). Lookup, Apply and String stop there
+// instead of following the binding forever.
+func TestSelfBoundVariable(t *testing.T) {
+	s := Subst{"X": Var("Y"), "Y": Var("Y"), "Z": Var("Z")}
+	if got := s.Lookup(Var("X")); !got.Equal(Var("Y")) {
+		t.Errorf("Lookup(X) = %s, want Y", got)
+	}
+	if got := s.Apply(Comp("f", Var("Z"))); !got.Equal(Comp("f", Var("Z"))) {
+		t.Errorf("Apply(f(Z)) = %s, want f(Z)", got)
+	}
+	if got := s.String(); got != "{X/Y, Y/Y, Z/Z}" {
+		t.Errorf("Subst.String() = %q", got)
+	}
+}
+
+// TestAppendIsString: Append writes exactly String's rendering.
+func TestAppendIsString(t *testing.T) {
+	for _, tm := range []Term{Const("a"), Const("A"), Const(""), Const("null"), Const("42"), Const("é"),
+		Var("X"), Null(), Comp("f"), Comp("F", Const("a"), Comp("g", Var("X"), Null()))} {
+		if got := string(tm.Append([]byte("<"))); got != "<"+tm.String() {
+			t.Errorf("Append(%s) = %q", tm, got)
+		}
+	}
 }
 
 func TestUnifyAll(t *testing.T) {
