@@ -49,8 +49,8 @@ func DatalogPrograms(seed int64, n int) []DatalogCase {
 
 // MultiLogPrograms generates n seeded databases (chains of 2-4 levels with
 // polyinstantiation) and pairs each with probe queries spanning m-atoms,
-// all three belief modes, derived predicates, and a variable-level goal, at
-// every user level.
+// all three belief modes, derived predicates, a variable-level goal and two
+// joins, at every user level.
 func MultiLogPrograms(seed int64, n int) []MultiLogCase {
 	var out []MultiLogCase
 	for i := 0; i < n; i++ {
@@ -79,7 +79,12 @@ func MultiLogPrograms(seed int64, n int) []MultiLogCase {
 				fmt.Sprintf("%s[q0(K: d -C-> V)]", lvl),
 			)
 		}
-		probes = append(probes, "L[p0(K: a -C-> V)] << opt")
+		// Two joins the reduction's planner reorders and the prover solves
+		// as written: the unbound derived goal first, and a two-predicate
+		// join ending in a '!=' (last, so that the prover accepts it).
+		probes = append(probes, "L[p0(K: a -C-> V)] << opt",
+			"M[q0(K: d -D-> W)], L[p0(K: a -C-> v1)]",
+			"L[p0(K: a -C-> V)], M[p1(K2: a -D-> V)] << cau, K != K2")
 		for l := 0; l < cfg.Levels; l++ {
 			user := workload.Level(l)
 			for _, probe := range probes {

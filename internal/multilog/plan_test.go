@@ -1,0 +1,298 @@
+package multilog_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/lattice"
+	"repro/internal/multilog"
+	"repro/internal/resource"
+	"repro/internal/workload"
+)
+
+// planModes are the ways a query reads the model: raw m-atoms, and b-atoms
+// in each belief mode.
+var planModes = []multilog.Mode{"", multilog.ModeFir, multilog.ModeOpt, multilog.ModeCau}
+
+// counting is a step budget no query here reaches: with it the governor
+// counts, and Stats.Steps reports the nodes a match visited.
+var counting = resource.Limits{MaxSteps: 1 << 40}
+
+// renderAnswers is an answer list as bytes: every row's bindings, in order.
+func renderAnswers(answers []multilog.Answer) string {
+	var b strings.Builder
+	for _, a := range answers {
+		b.WriteString(a.Bindings.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// permutations returns every ordering of q's goals, q itself first.
+func permutations(q multilog.Query) []multilog.Query {
+	if len(q) <= 1 {
+		return []multilog.Query{q}
+	}
+	var out []multilog.Query
+	for i := range q {
+		rest := append(append(multilog.Query{}, q[:i]...), q[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append(multilog.Query{q[i]}, p...))
+		}
+	}
+	return out
+}
+
+func mustGoals(t testing.TB, src string) multilog.Query {
+	t.Helper()
+	q, err := multilog.ParseGoals(src)
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	return q
+}
+
+// prepared reduces db at u and materializes the model for QueryPrepared.
+func prepared(t testing.TB, db *multilog.Database, u lattice.Label) *multilog.Reduction {
+	t.Helper()
+	red, err := multilog.Reduce(db, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := red.Prepare(context.Background(), resource.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	return red
+}
+
+// joinProbes are the planner's query shapes, each m-atom read in mode m (a
+// b-atom; raw for ""): a derived × base join sharing K, the derived goal
+// unbound; a base × base join sharing V; a join with an '=' and a '!='; and
+// joins over variable levels, one level variable shared by two goals.
+func joinProbes(m multilog.Mode) []string {
+	in := ""
+	if m != "" {
+		in = " << " + string(m)
+	}
+	return []string{
+		fmt.Sprintf("M[q0(K: d -D-> W)]%[1]s, l0[p0(K: a -C-> v1)]%[1]s", in),
+		fmt.Sprintf("L[q1(K: d -D-> W)]%[1]s, L[p0(K: a -C-> V)]%[1]s, M[p1(K: a -E-> V2)]%[1]s", in),
+		fmt.Sprintf("l0[p0(K: a -C-> V)]%[1]s, L[p1(K2: a -D-> V)]%[1]s", in),
+		fmt.Sprintf("L[p0(K: a -C-> V)]%s, V = v2, K != k1", in),
+		fmt.Sprintf("L[p0(K: a -C-> V)]%[1]s, M[p1(K2: a -D-> V)]%[1]s, K != K2", in),
+	}
+}
+
+// TestQueryAnswersIndependentOfGoalOrder: every permutation of a join's
+// goals gives byte-identical answers — the same rows in the same order —
+// through QueryPrepared and through QueryContext, on generated programs
+// with polyinstantiation and derived predicates, at every clearance and in
+// every belief mode. A '!=' written before the goal that binds it answers
+// like one written after it.
+func TestQueryAnswersIndependentOfGoalOrder(t *testing.T) {
+	const programs = 4
+	// answered counts, per probe shape, the queries that answered: a shape
+	// that never answers checks no order, and a '!=' run before it is
+	// ground empties every shape that holds one.
+	answered := make([]int, len(joinProbes("")))
+	for seed := int64(1); seed <= int64(programs); seed++ {
+		cfg := workload.ProgramConfig{Levels: 3 + int(seed)%2, Facts: 40, Rules: 3 + int(seed)%3, Preds: 2, Poly: 0.4, Seed: seed}
+		db, err := multilog.Parse(workload.ProgramSource(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < cfg.Levels; l++ {
+			u := workload.Level(l)
+			prep := prepared(t, db, u)
+			lazy, err := multilog.Reduce(db, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range planModes {
+				for pi, src := range joinProbes(m) {
+					var want string
+					for i, q := range permutations(mustGoals(t, src)) {
+						got, _, err := prep.QueryPrepared(context.Background(), q, resource.Limits{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						viaCtx, err := lazy.QueryContext(context.Background(), q, resource.Limits{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if i == 0 {
+							want = renderAnswers(got)
+							if len(got) > 0 {
+								answered[pi]++
+							}
+						}
+						if r := renderAnswers(got); r != want {
+							t.Errorf("seed %d at %s: QueryPrepared %s answered\n%s want (as %s)\n%s", seed, u, q, r, src, want)
+						}
+						if r := renderAnswers(viaCtx); r != want {
+							t.Errorf("seed %d at %s: QueryContext %s answered\n%s want (as %s)\n%s", seed, u, q, r, src, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	for pi, n := range answered {
+		if n == 0 {
+			t.Errorf("%s answered nothing in any program, clearance or mode", joinProbes("")[pi])
+		}
+	}
+}
+
+// joinProgram is the step gate's input, in the benchmark's shape: 2000
+// facts of six predicates over a 4-level chain with values drawn from 500,
+// and 16 belief rules, rule i deriving q<i> one or more levels above the
+// p<i%6> facts it reads. It returns the value of p0's first fact, at l0,
+// which q0's rule reads.
+func joinProgram(t testing.TB) (*multilog.Database, string) {
+	t.Helper()
+	r := rand.New(rand.NewSource(1))
+	var b strings.Builder
+	b.WriteString("level(l0). level(l1). level(l2). level(l3).\norder(l0, l1). order(l1, l2). order(l2, l3).\n")
+	first := ""
+	for i := 0; i < 2000; i++ {
+		lvl, val := i/6%4, fmt.Sprintf("v%d", r.Intn(500))
+		if i == 0 {
+			first = val
+		}
+		fmt.Fprintf(&b, "l%d[p%d(k%d: a -l%d-> %s)].\n", lvl, i%6, i/6, lvl, val)
+	}
+	pairs := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
+	for i := 0; i < 16; i++ {
+		lo, hi := pairs[i%6][0], pairs[i%6][1]
+		fmt.Fprintf(&b, "l%d[q%d(K: d -l%d-> derived%d)] :- l%d[p%d(K: a -C-> V)] << %s.\n",
+			hi, i, hi, i, lo, i%6, planModes[1+i%3])
+	}
+	db, err := multilog.Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, first
+}
+
+// TestJoinStepsFollowTheBoundGoal: a join written with its unbound derived
+// goal first takes at most 1.25x the steps of the same join written with
+// its value-bound goal first (1.0x when both are planned alike; 13-17x when
+// the goals are solved as written), and a step budget cuts either order to
+// a subset of its unbounded answers.
+func TestJoinStepsFollowTheBoundGoal(t *testing.T) {
+	db, val := joinProgram(t)
+	red := prepared(t, db, "l3")
+	for _, m := range planModes {
+		unboundFirst := mustGoals(t, strings.NewReplacer("l0[", "L[", "v1", val).Replace(joinProbes(m)[0]))
+		boundFirst := multilog.Query{unboundFirst[1], unboundFirst[0]}
+		var steps [2]int64
+		var full [2][]multilog.Answer
+		for i, q := range []multilog.Query{boundFirst, unboundFirst} {
+			answers, stats, err := red.QueryPrepared(context.Background(), q, counting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps[i], full[i] = stats.Steps, answers
+		}
+		if len(full[0]) == 0 {
+			t.Fatalf("%s: the join answers nothing; it measures no plan", m)
+		}
+		if renderAnswers(full[0]) != renderAnswers(full[1]) {
+			t.Errorf("%s: the two orders answer differently", m)
+		}
+		ratio := float64(steps[1]) / float64(steps[0])
+		if m == "" {
+			m = "raw"
+		}
+		t.Logf("%s: %d answers; steps bound-first %d, unbound-first %d (%.2fx)", m, len(full[0]), steps[0], steps[1], ratio)
+		if ratio > 1.25 {
+			t.Errorf("%s: unbound-first join took %.2fx the steps of bound-first (%d vs %d), want <= 1.25x",
+				m, ratio, steps[1], steps[0])
+		}
+
+		for i, q := range []multilog.Query{boundFirst, unboundFirst} {
+			want := map[string]bool{}
+			for _, a := range full[i] {
+				want[a.Bindings.String()] = true
+			}
+			for _, budget := range []int64{1, 2, steps[i] / 3, steps[i] / 2, steps[i] - 1} {
+				partial, _, err := red.QueryPrepared(context.Background(), q, resource.Limits{MaxSteps: budget})
+				if !resource.IsLimit(err) {
+					t.Fatalf("%s under %d steps: err = %v, want a limit", q, budget, err)
+				}
+				for _, a := range partial {
+					if !want[a.Bindings.String()] {
+						t.Errorf("%s under %d steps: partial answer %s is not an answer", q, budget, a.Bindings)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinPlanDependsOnlyOnDominatedLevels: two databases that differ only
+// in facts a clearance below the top may not see — facts at the top level,
+// or facts at the bottom level whose attribute is classified top — give, at
+// every such clearance and in every mode, equal answers and equal steps for
+// every join. Steps go out on the wire, so a plan chosen by counting facts
+// u may not see would be a channel from above u.
+func TestJoinPlanDependsOnlyOnDominatedLevels(t *testing.T) {
+	cfg := workload.ProgramConfig{Levels: 4, Facts: 100, Rules: 8, Preds: 2, Poly: 0.3, Seed: 3}
+	src := workload.ProgramSource(cfg)
+	low, err := multilog.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One database per joined predicate, each with 200 more facts of it
+	// classified top: p0's at the top level, which u does not dominate, and
+	// p1's at the bottom level, which u dominates but whose class guard
+	// hides them from u. A plan that counted either would turn.
+	top := workload.Level(cfg.Levels - 1)
+	hidden := []struct {
+		pred string
+		lvl  lattice.Label
+	}{{"p0", top}, {"p1", workload.Level(0)}}
+	var highs []*multilog.Database
+	for _, h := range hidden {
+		var b strings.Builder
+		b.WriteString(src)
+		for i := 0; i < 200; i++ {
+			fmt.Fprintf(&b, "%s[%s(h%d: a -%s-> v%d)].\n", h.lvl, h.pred, i, top, i%5)
+		}
+		db, err := multilog.Parse(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		highs = append(highs, db)
+	}
+	for l := 0; l < cfg.Levels-1; l++ {
+		u := workload.Level(l)
+		ref := prepared(t, low, u)
+		for hi, high := range highs {
+			red := prepared(t, high, u)
+			for _, m := range planModes {
+				for _, src := range joinProbes(m) {
+					for _, q := range permutations(mustGoals(t, src)) {
+						want, wantStats, errA := ref.QueryPrepared(context.Background(), q, counting)
+						got, gotStats, errB := red.QueryPrepared(context.Background(), q, counting)
+						if errA != nil || errB != nil {
+							t.Fatal(errA, errB)
+						}
+						p, lvl := hidden[hi].pred, hidden[hi].lvl
+						if renderAnswers(got) != renderAnswers(want) {
+							t.Errorf("at %s, %s answers depend on %s facts at %s classified %s", u, q, p, lvl, top)
+						}
+						if gotStats.Steps != wantStats.Steps {
+							t.Errorf("at %s, %s took %d steps without %s facts at %s classified %s, %d with them",
+								u, q, wantStats.Steps, p, lvl, top, gotStats.Steps)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -131,7 +131,8 @@ func (r *Reduction) InstallPrepared(model *datalog.Store) {
 // reduction, so it is safe for concurrent use by any number of goroutines
 // once Prepare has succeeded. The matching phase is governed by ctx and
 // limits; the work done is returned as stats rather than stored in
-// LastStats (which QueryPrepared never touches).
+// LastStats (which QueryPrepared never touches). The goals are matched in
+// the order match's planner picks, the same as for QueryContext.
 //
 // Unlike QueryContext it performs no lazy axiom registration. That is
 // semantically harmless: Reduce pre-registers every (predicate, level,
@@ -153,6 +154,15 @@ func (r *Reduction) QueryPrepared(ctx context.Context, q Query, limits resource.
 // match runs the top-down matching phase of a query against a materialized
 // model. It reads the reduction (Poset, User) and the model but mutates
 // neither, so concurrent calls over the same model are safe.
+//
+// A conjunction means the same in any goal order, and match does not solve
+// it as written: at each node with two or more goals left it solves next the
+// goal pick ranks first by which of its arguments the bindings so far make
+// ground, so a join probes an index with what one goal bound instead of
+// walking a relation per fact of another, and a '!=' waits until it is
+// ground. Every node is one governor step. The answers, deduplicated and
+// sorted by their rendering, do not depend on the order; the steps a query
+// takes, and which answers a step budget cuts short, do.
 func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, limits resource.Limits) ([]Answer, resource.Stats, error) {
 	gov := resource.New(ctx, limits)
 	var vars []string
@@ -183,35 +193,49 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 		seen[string(key)] = Answer{Bindings: restricted}
 	}
 
-	var solve func(i int, s term.Subst) error
-	solve = func(i int, s term.Subst) error {
+	// The goals are solved in the order pick chooses, not as written:
+	// order[depth:] holds the indices of the goals a branch at that depth has
+	// yet to solve, the one it solves swapped to the front for its subtree.
+	order := make([]int, len(q))
+	for i := range order {
+		order[i] = i
+	}
+	var solve func(depth int, s term.Subst) error
+	solve = func(depth int, s term.Subst) error {
 		if err := gov.Step(); err != nil {
 			return err
 		}
-		if i == len(q) {
+		rest := order[depth:]
+		if len(rest) == 0 {
 			emit(s)
 			return nil
 		}
-		g := q[i].Apply(s)
+		j := 0
+		if len(rest) > 1 {
+			if j = pick(q, rest, s); j < 0 {
+				return nil // only '!=' goals nothing binds are left
+			}
+		}
+		rest[0], rest[j] = rest[j], rest[0]
+		g := q[rest[0]].Apply(s)
+		var err error
 		switch g.Kind {
 		case GoalP, GoalL, GoalH:
 			switch g.P.Pred {
 			case datalog.BuiltinEq:
 				s2 := s.Clone()
 				if term.Unify(g.P.Args[0], g.P.Args[1], s2) {
-					return solve(i+1, s2)
+					err = solve(depth+1, s2)
 				}
 			case datalog.BuiltinNeq:
 				if g.P.IsGround() && !g.P.Args[0].Equal(g.P.Args[1]) {
-					return solve(i+1, s)
+					err = solve(depth+1, s)
 				}
 			default:
-				var innerErr error
 				model.Match(g.P, s, func(s2 term.Subst) bool {
-					innerErr = solve(i+1, s2)
-					return innerErr == nil
+					err = solve(depth+1, s2)
+					return err == nil
 				})
-				return innerErr
 			}
 		case GoalM, GoalB:
 			for _, lvl := range r.levelCandidates(g.M.Level) {
@@ -224,35 +248,23 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 				if !r.Poset.Dominates(r.User, lvl) {
 					continue
 				}
-				var pred string
-				var args []term.Term
-				if g.Kind == GoalM {
-					pred = relPred(g.M.Pred, lvl)
-					args = []term.Term{g.M.Key, term.Const(g.M.Attr), g.M.Value, g.M.Class}
-				} else if g.Mode == ModeFir || g.Mode == ModeOpt || g.Mode == ModeCau {
-					pred = belPred(g.M.Pred, lvl, g.Mode)
-					args = []term.Term{g.M.Key, term.Const(g.M.Attr), g.M.Value, g.M.Class}
-				} else {
-					pred = UserBelPred
-					args = []term.Term{term.Const(g.M.Pred), g.M.Key, term.Const(g.M.Attr), g.M.Value, g.M.Class,
-						term.Const(string(lvl)), term.Const(string(g.Mode))}
-				}
-				var innerErr error
-				model.Match(datalog.Atom{Pred: pred, Args: args}, s2, func(s3 term.Subst) bool {
+				var args [goalArgs]term.Term
+				model.Match(goalAtom(g, lvl, args[:0]), s2, func(s3 term.Subst) bool {
 					class := s3.Apply(g.M.Class)
 					if class.Kind() == term.KindConst &&
 						!r.Poset.Dominates(r.User, lattice.Label(class.Name())) {
 						return true // class guard c ⪯ u failed
 					}
-					innerErr = solve(i+1, s3)
-					return innerErr == nil
+					err = solve(depth+1, s3)
+					return err == nil
 				})
-				if innerErr != nil {
-					return innerErr
+				if err != nil {
+					break
 				}
 			}
 		}
-		return nil
+		rest[0], rest[j] = rest[j], rest[0]
+		return err
 	}
 	err := solve(0, term.Subst{})
 	keys := make([]string, 0, len(seen))
@@ -266,6 +278,82 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 	}
 	return answers, gov.Snapshot(), err
 }
+
+// pick is match's planner. Of the goals q[rest[k]] it returns the position
+// k of the one planRank ranks lowest under s, the earliest written on a tie,
+// or -1 when every goal left is a '!=' that is not ground. It reads the
+// binding pattern alone, never the model: the plan, and the steps a query
+// reports, cannot depend on facts the user may not see.
+func pick(q Query, rest []int, s term.Subst) int {
+	best, bestRank := -1, 0
+	for k, i := range rest {
+		rank := planRank(q[i], s)
+		if rank < 0 {
+			continue
+		}
+		if best < 0 || rank < bestRank || rank == bestRank && i < rest[best] {
+			best, bestRank = k, rank
+		}
+	}
+	return best
+}
+
+// planRank is how soon pick solves g under s, lowest first: 0 for an '=' and
+// for a ground '!=', then 1 for an atom whose selecting arguments are all
+// ground (a lookup), 2 for one with some ground (an index probe) and 3 for
+// one with none (a scan); -1 for a '!=' not yet ground, which waits. A p-,
+// l- or h-atom selects on every argument; an m- or b-atom on its key and
+// value, as its attribute is a constant of every fact of its relation and
+// its level and class range over a handful of labels.
+func planRank(g Goal, s term.Subst) int {
+	sel := g.P.Args
+	switch {
+	case g.Kind == GoalM || g.Kind == GoalB:
+		sel = []term.Term{g.M.Key, g.M.Value}
+	case g.P.Pred == datalog.BuiltinEq:
+		return 0
+	case g.P.Pred == datalog.BuiltinNeq:
+		if g.P.Apply(s).IsGround() {
+			return 0
+		}
+		return -1
+	}
+	bound := 0
+	for _, t := range sel {
+		if s.Apply(t).IsGround() {
+			bound++
+		}
+	}
+	switch bound {
+	case len(sel):
+		return 1
+	case 0:
+		return 3
+	}
+	return 2
+}
+
+// goalAtom is the model atom an m- or b-goal reads at level lvl: the level's
+// rel relation for an m-atom, its bel relation for a b-atom in a built-in
+// mode, the user-belief relation for any other mode. Its arguments are
+// appended to args, so that a caller's array of goalArgs keeps them off the
+// heap. The match and the Σ translation both read through it.
+func goalAtom(g Goal, lvl lattice.Label, args []term.Term) datalog.Atom {
+	switch {
+	case g.Kind == GoalM:
+		return datalog.Atom{Pred: relPred(g.M.Pred, lvl),
+			Args: append(args, g.M.Key, term.Const(g.M.Attr), g.M.Value, g.M.Class)}
+	case g.Mode == ModeFir || g.Mode == ModeOpt || g.Mode == ModeCau:
+		return datalog.Atom{Pred: belPred(g.M.Pred, lvl, g.Mode),
+			Args: append(args, g.M.Key, term.Const(g.M.Attr), g.M.Value, g.M.Class)}
+	}
+	return datalog.Atom{Pred: UserBelPred, Args: append(args, term.Const(g.M.Pred), g.M.Key,
+		term.Const(g.M.Attr), g.M.Value, g.M.Class, term.Const(string(lvl)), term.Const(string(g.Mode)))}
+}
+
+// goalArgs is the most arguments goalAtom gives an atom: the user-belief
+// relation's seven.
+const goalArgs = 7
 
 // levelCandidates enumerates the levels a level-position term can take:
 // the term's own label when ground, or every asserted level when variable.

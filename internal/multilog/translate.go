@@ -32,13 +32,13 @@ const (
 // at the same level is perfectly stratified, and must not be conflated
 // with the (genuinely circular) self-referential case.
 func relPred(pred string, l lattice.Label) string {
-	return fmt.Sprintf("%s%s_%s", relPrefix, pred, l)
+	return relPrefix + pred + "_" + string(l)
 }
 func belPred(pred string, l lattice.Label, m Mode) string {
-	return fmt.Sprintf("%s%s_%s_%s", belPrefix, pred, l, m)
+	return belPrefix + pred + "_" + string(l) + "_" + string(m)
 }
 func excPred(pred string, l lattice.Label) string {
-	return fmt.Sprintf("%s%s_%s", excPrefix, pred, l)
+	return excPrefix + pred + "_" + string(l)
 }
 
 // Reduction is a MultiLog database reduced to the classical engine at a
@@ -311,28 +311,13 @@ func (r *Reduction) sigmaClause(c Clause) (bool, []datalog.Clause, error) {
 			if !r.Poset.Dominates(r.User, lvl) {
 				return false, nil, nil
 			}
-			var pred string
-			if g.Kind == GoalM {
-				pred = relPred(g.M.Pred, lvl)
-			} else if g.Mode == ModeFir || g.Mode == ModeOpt || g.Mode == ModeCau {
-				pred = belPred(g.M.Pred, lvl, g.Mode)
+			// A b-atom in a built-in mode needs that mode's axioms; one in a
+			// user-defined mode reads the distinguished bel/7 predicate
+			// defined in Π (Figure 13, USER-BELIEF).
+			if g.Kind == GoalB && (g.Mode == ModeFir || g.Mode == ModeOpt || g.Mode == ModeCau) {
 				r.needs[belNeed{g.M.Pred, lvl, g.Mode}] = true
-			} else {
-				// User-defined mode: the distinguished bel/7 predicate
-				// defined in Π (Figure 13, USER-BELIEF).
-				dc.Body = append(dc.Body,
-					datalog.Pos(datalog.Atom{Pred: UserBelPred, Args: []term.Term{
-						term.Const(g.M.Pred), g.M.Key, term.Const(g.M.Attr), g.M.Value, g.M.Class,
-						term.Const(string(lvl)), term.Const(string(g.Mode)),
-					}}),
-					r.classGuard(g.M.Class))
-				continue
 			}
-			dc.Body = append(dc.Body,
-				datalog.Pos(datalog.Atom{Pred: pred, Args: []term.Term{
-					g.M.Key, term.Const(g.M.Attr), g.M.Value, g.M.Class,
-				}}),
-				r.classGuard(g.M.Class))
+			dc.Body = append(dc.Body, datalog.Pos(goalAtom(g, lvl, nil)), r.classGuard(g.M.Class))
 		default:
 			lits, err := r.bodyLiteral(g, nil)
 			if err != nil {

@@ -375,6 +375,46 @@ func TestUnboundQueryVariableAnswers(t *testing.T) {
 	}
 }
 
+// TestNeqBeforeItsBinderAnswers: a '!=' written before the goal that binds
+// its variable answers what it does written after it, byte for byte, in
+// every mode; a '!=' nothing binds answers nothing, wherever it stands.
+func TestNeqBeforeItsBinderAnswers(t *testing.T) {
+	s := New(Config{QueryTimeout: time.Second})
+	if err := s.Load("test", `level(l0). level(l1). order(l0, l1).
+	l0[p(k1: a -l0-> v1)].
+	l0[p(k2: a -l0-> v2)].
+	l1[p(k2: a -l1-> v3)].`); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"fir", "opt", "cau"} {
+		sess := openSess(t, s, "l1", mode)
+		ask := func(q string) string {
+			_, answers, err := s.Query(context.Background(), sess, QueryRequest{Query: q})
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			return string(answers)
+		}
+		for _, pair := range [][2]string{
+			{"l0[p(X: a -C-> V)], X != k1", "X != k1, l0[p(X: a -C-> V)]"},
+			{"L[p(X: a -C-> V)], M[p(Y: a -D-> W)], X != Y", "X != Y, L[p(X: a -C-> V)], M[p(Y: a -D-> W)]"},
+		} {
+			after, before := ask(pair[0]), ask(pair[1])
+			if after == "[]" {
+				t.Fatalf("%s: %s answers nothing; it tests no order", mode, pair[0])
+			}
+			if before != after {
+				t.Errorf("%s: %s answered %s, but %s answered %s", mode, pair[1], before, pair[0], after)
+			}
+		}
+		for _, q := range []string{"X != Y", "X != Y, l0[p(K: a -C-> V)]", "l0[p(K: a -C-> V)], X != Y"} {
+			if got := ask(q); got != "[]" {
+				t.Errorf("%s: %s answered %s, want []", mode, q, got)
+			}
+		}
+	}
+}
+
 // FuzzAnswersJSON holds the encoder to encoding/json over the reference maps
 // for arbitrary variable names and term texts: constants (quoted when not
 // bare), variables (written as they are) and compounds, with the variable
