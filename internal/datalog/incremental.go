@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/resource"
@@ -35,8 +36,10 @@ var errStopEnum = errors.New("datalog: stop enumeration")
 // firings a deletion below a stratum enables through a negated literal.
 //
 // A delta may also change the rule set (ApplyClauses): the next rule set is
-// stratified before the model is touched, and its strata order the same
-// phases — seeded with a removed rule's firings, firing an added rule once.
+// edited, its strata lifted where the added rules require, before the model
+// is touched, and its strata order the same phases — seeded with a removed
+// rule's firings, firing an added rule once. Any valid stratification will
+// do: the perfect model does not depend on which one orders the phases.
 
 // litRef locates one body-literal occurrence of a predicate.
 type litRef struct{ clause, lit int }
@@ -68,14 +71,26 @@ func (r *DeltaResult) ChangedPreds() []string {
 // ruleSet is a rule multiset with the indexes maintenance runs on. It is
 // immutable once built: engines that Clone one another share it, and a delta
 // that changes the rules builds the next one (edit) instead of patching it.
+//
+// Like a relation (store.go), a rule set is flat or a delta. A flat one,
+// newRuleSet's — the only full build — holds every rule under the minimal
+// strata. A delta holds a frozen flat base and what edits changed over it:
+// the rules they appended, whose ids run on from the base's; the ids they
+// tombstoned; the index entries of the appended rules; and the stratum of
+// each predicate a lift raised. Every lookup reads the delta, then the base,
+// and skips tombstoned ids, so a rule keeps its id until a fold. Editing a
+// delta copies the delta and keeps its base; a delta that reaches
+// foldAt(len(base.rules)) changes is rebuilt flat.
 type ruleSet struct {
-	rules       []Clause
-	stratumOf   map[string]int // predicate -> stratum; 0 for predicates no rule mentions
-	ruleStratum []int          // rule index -> stratum of its head predicate
-	numStrata   int
-	headRules   map[string][]int    // head predicate -> rule indices
-	posRefs     map[string][]litRef // predicate -> positive body occurrences
-	negRefs     map[string][]litRef // predicate -> negated body occurrences
+	rules     []Clause            // by id; a delta's own, from len(base.rules) on
+	stratumOf map[string]int      // predicate -> stratum; a delta's, where a lift raised it
+	numStrata int                 // above every stratum
+	headRules map[string][]int    // head predicate -> rule ids
+	posRefs   map[string][]litRef // predicate -> positive body occurrences
+	negRefs   map[string][]litRef // predicate -> negated body occurrences
+
+	base *ruleSet     // a delta's frozen flat base; nil for a flat rule set
+	dead map[int]bool // rule ids the delta removed
 }
 
 // Incremental maintains the minimal model of a program under clause deltas:
@@ -165,71 +180,271 @@ func newRuleSet(clauses []Clause) (*ruleSet, error) {
 	rs := &ruleSet{
 		stratumOf: stratum,
 		numStrata: 1,
-		headRules: map[string][]int{},
-		posRefs:   map[string][]litRef{},
+		headRules: make(map[string][]int, len(stratum)),
+		posRefs:   make(map[string][]litRef, len(stratum)),
 		negRefs:   map[string][]litRef{},
 	}
 	for _, s := range stratum {
-		if s+1 > rs.numStrata {
-			rs.numStrata = s + 1
-		}
+		rs.numStrata = max(rs.numStrata, s+1)
 	}
 	for _, c := range clauses {
-		if c.IsFact() {
-			continue
-		}
-		ri := len(rs.rules)
-		rs.rules = append(rs.rules, c)
-		rs.ruleStratum = append(rs.ruleStratum, stratum[c.Head.Pred])
-		rs.headRules[c.Head.Pred] = append(rs.headRules[c.Head.Pred], ri)
-		for li, l := range c.Body {
-			if l.Atom.IsBuiltin() {
-				continue
-			}
-			if l.Negated {
-				rs.negRefs[l.Atom.Pred] = append(rs.negRefs[l.Atom.Pred], litRef{ri, li})
-			} else {
-				rs.posRefs[l.Atom.Pred] = append(rs.posRefs[l.Atom.Pred], litRef{ri, li})
-			}
+		if !c.IsFact() {
+			rs.index(c)
 		}
 	}
 	return rs, nil
 }
 
-// edit returns the rule set without the first structurally equal instance of
-// each rule of dels (one that is not there is a no-op, like retracting an
-// absent assertion) and with adds appended, and the rules it removed. Every
-// index of the result is fresh — rs may be serving other engines — and an
-// edit that changes nothing returns rs itself.
-func (rs *ruleSet) edit(adds, dels []Clause) (*ruleSet, []Clause, error) {
-	gone := make([]bool, len(rs.rules))
-	var removed []Clause
-	for _, d := range dels {
-		for i, c := range rs.rules {
-			if !gone[i] && c.Equal(d) {
-				gone[i] = true
-				removed = append(removed, c)
-				break
+// index appends c to rs's own rules and its entries to rs's own indexes.
+func (rs *ruleSet) index(c Clause) {
+	id := rs.size()
+	rs.rules = append(rs.rules, c)
+	rs.headRules[c.Head.Pred] = append(rs.headRules[c.Head.Pred], id)
+	for li, l := range c.Body {
+		if l.Atom.IsBuiltin() {
+			continue
+		}
+		refs := rs.posRefs
+		if l.Negated {
+			refs = rs.negRefs
+		}
+		refs[l.Atom.Pred] = append(refs[l.Atom.Pred], litRef{id, li})
+	}
+}
+
+// size is the number of rule ids rs has handed out, tombstoned ones included.
+func (rs *ruleSet) size() int {
+	if rs.base == nil {
+		return len(rs.rules)
+	}
+	return len(rs.base.rules) + len(rs.rules)
+}
+
+// rule returns the rule with id id.
+func (rs *ruleSet) rule(id int) Clause {
+	if rs.base != nil {
+		if id < len(rs.base.rules) {
+			return rs.base.rules[id]
+		}
+		id -= len(rs.base.rules)
+	}
+	return rs.rules[id]
+}
+
+// stratum returns pred's stratum.
+func (rs *ruleSet) stratum(pred string) int {
+	s, ok := rs.stratumOf[pred]
+	if !ok && rs.base != nil {
+		s = rs.base.stratumOf[pred]
+	}
+	return s
+}
+
+// eachHead calls fn on every live rule whose head predicate is pred, in id
+// order, and returns fn's first error.
+func (rs *ruleSet) eachHead(pred string, fn func(id int, c Clause) error) error {
+	lists := [2][]int{rs.headRules[pred]}
+	if rs.base != nil {
+		lists = [2][]int{rs.base.headRules[pred], rs.headRules[pred]}
+	}
+	for _, ids := range lists {
+		for _, id := range ids {
+			if rs.dead[id] {
+				continue
+			}
+			if err := fn(id, rs.rule(id)); err != nil {
+				return err
 			}
 		}
 	}
-	if len(adds)+len(removed) == 0 {
-		return rs, nil, nil
+	return nil
+}
+
+// defines reports whether a live rule has head predicate pred.
+func (rs *ruleSet) defines(pred string) bool {
+	return rs.eachHead(pred, func(int, Clause) error { return errStopEnum }) != nil
+}
+
+// eachRef calls fn on every live body occurrence of pred — the negated ones
+// when neg, else the positive ones — with its rule, in id order, and returns
+// fn's first error.
+func (rs *ruleSet) eachRef(pred string, neg bool, fn func(rf litRef, c Clause) error) error {
+	refs := func(r *ruleSet) []litRef {
+		if neg {
+			return r.negRefs[pred]
+		}
+		return r.posRefs[pred]
 	}
-	rules := make([]Clause, 0, len(rs.rules)-len(removed)+len(adds))
-	for i, c := range rs.rules {
-		if !gone[i] {
-			rules = append(rules, c)
+	lists := [2][]litRef{refs(rs)}
+	if rs.base != nil {
+		lists = [2][]litRef{refs(rs.base), refs(rs)}
+	}
+	for _, list := range lists {
+		for _, rf := range list {
+			if rs.dead[rf.clause] {
+				continue
+			}
+			if err := fn(rf, rs.rule(rf.clause)); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// live returns the rules rs holds, in id order.
+func (rs *ruleSet) live() []Clause {
+	if rs.base == nil {
+		return rs.rules
+	}
+	out := make([]Clause, 0, rs.size()-len(rs.dead))
+	for id := 0; id < rs.size(); id++ {
+		if !rs.dead[id] {
+			out = append(out, rs.rule(id))
+		}
+	}
+	return out
+}
+
+// delta returns a private delta holding what rs holds: a copy of rs's delta
+// over the same base, or an empty delta over a flat rs. The copy shares rs's
+// lists clipped to their length, so an append reallocates one instead of
+// writing into an array rs or another copy may use.
+func (rs *ruleSet) delta() *ruleSet {
+	if rs.base == nil {
+		return &ruleSet{
+			stratumOf: map[string]int{},
+			numStrata: rs.numStrata,
+			headRules: map[string][]int{},
+			posRefs:   map[string][]litRef{},
+			negRefs:   map[string][]litRef{},
+			base:      rs,
+			dead:      map[int]bool{},
+		}
+	}
+	return &ruleSet{
+		rules:     rs.rules[:len(rs.rules):len(rs.rules)],
+		stratumOf: maps.Clone(rs.stratumOf),
+		numStrata: rs.numStrata,
+		headRules: clipped(rs.headRules),
+		posRefs:   clipped(rs.posRefs),
+		negRefs:   clipped(rs.negRefs),
+		base:      rs.base,
+		dead:      maps.Clone(rs.dead),
+	}
+}
+
+// clipped returns a copy of m whose lists have no spare capacity.
+func clipped[T any](m map[string][]T) map[string][]T {
+	c := make(map[string][]T, len(m))
+	for k, list := range m {
+		c[k] = list[:len(list):len(list)]
+	}
+	return c
+}
+
+// changes is the size of a delta: what a fold rebuilds away.
+func (rs *ruleSet) changes() int { return len(rs.rules) + len(rs.dead) + len(rs.stratumOf) }
+
+// edit returns the rule set without the first structurally equal instance of
+// each rule of dels (one that is not there is a no-op, like retracting an
+// absent assertion) and with adds appended, and the rules it removed. rs may
+// be serving other engines and is never written; an edit that changes nothing
+// returns rs itself.
+//
+// The result is a delta over rs's base. A removed rule is found among its
+// head predicate's rules and tombstoned, and no stratum moves: a
+// stratification stays valid for a subset of its rules. An added rule's
+// edges lift its head's stratum as far as they require, and the lift runs on
+// through every rule reading a predicate that rose. The strata stay valid
+// but may be coarser than the minimal ones, which is sound: a stratified
+// program's perfect model does not depend on the stratification chosen (Apt,
+// Blair and Walker, 1988). A stratum that would rise past the number of
+// predicates (lift) means a negative cycle — or strata that removals left
+// coarse — so the live rules are stratified afresh: Stratify's error, byte
+// for byte, or a flat rule set. So is a delta that reaches
+// foldAt(len(base.rules)) changes, which resets the strata to the minimal
+// ones.
+func (rs *ruleSet) edit(adds, dels []Clause) (*ruleSet, []Clause, error) {
 	for _, c := range adds {
 		if err := ValidateClause(c); err != nil {
 			return nil, nil, err
 		}
-		rules = append(rules, c)
 	}
-	next, err := newRuleSet(rules)
-	return next, removed, err
+	next := rs.delta()
+	var removed []Clause
+	for _, d := range dels {
+		// The only error is errStopEnum, at the first equal live rule.
+		_ = next.eachHead(d.Head.Pred, func(id int, c Clause) error {
+			if !c.Equal(d) {
+				return nil
+			}
+			next.dead[id] = true
+			removed = append(removed, c)
+			return errStopEnum
+		})
+	}
+	if len(adds)+len(removed) == 0 {
+		return rs, nil, nil
+	}
+	for _, c := range adds {
+		next.index(c)
+	}
+	if !next.lift(adds) || next.changes() >= foldAt(len(next.base.rules)) {
+		flat, err := newRuleSet(next.live())
+		return flat, removed, err
+	}
+	return next, removed, nil
+}
+
+// lift raises strata, in rs's own overrides, until every edge of the added
+// rules and every edge reading a predicate that rose holds: a positive body
+// predicate at or below its head, a negated one strictly below. It reports
+// false, stopping, when a stratum would pass the number of predicates with a
+// stratum in rs, plus one: every level of a minimal stratification below the
+// top holds a predicate that rose there, so only a negative cycle, or strata
+// that removals left coarse, climbs that high.
+func (rs *ruleSet) lift(added []Clause) bool {
+	var work []string
+	raise := func(head, body string, neg bool) bool {
+		want := rs.stratum(body)
+		if neg {
+			want++
+		}
+		if rs.stratum(head) >= want {
+			return true
+		}
+		if want > len(rs.base.stratumOf)+len(rs.stratumOf)+1 {
+			return false
+		}
+		rs.stratumOf[head] = want
+		rs.numStrata = max(rs.numStrata, want+1)
+		work = append(work, head)
+		return true
+	}
+	for _, c := range added {
+		for _, l := range c.Body {
+			if !l.Atom.IsBuiltin() && !raise(c.Head.Pred, l.Atom.Pred, l.Negated) {
+				return false
+			}
+		}
+	}
+	for len(work) > 0 {
+		q := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, neg := range []bool{false, true} {
+			err := rs.eachRef(q, neg, func(_ litRef, c Clause) error {
+				if !raise(c.Head.Pred, q, neg) {
+					return errStopEnum
+				}
+				return nil
+			})
+			if err != nil {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // bump counts one more base assertion of a tuple of the finished model: every
@@ -253,8 +468,9 @@ func (inc *Incremental) Model() *Store { return inc.model }
 // differential harness checks against a freshly built engine.
 func (inc *Incremental) Counts() map[string]int { return inc.model.supports() }
 
-// Rules returns the engine's rule multiset; callers must treat it as read-only.
-func (inc *Incremental) Rules() []Clause { return inc.rules }
+// Rules returns the engine's rule multiset, in the order the rules joined it;
+// callers must treat it as read-only.
+func (inc *Incremental) Rules() []Clause { return inc.live() }
 
 // Clone returns an independent engine. It shares the rule set outright — a
 // rule delta on either side replaces its own pointer — and the model
@@ -284,21 +500,17 @@ func bindTo(pattern, ground Atom) (term.Subst, bool) {
 // model, stopping at the first.
 func (inc *Incremental) derivable(t Atom) (bool, error) {
 	live := storeView{live: inc.model}
-	for _, ri := range inc.headRules[t.Pred] {
-		c := inc.rules[ri]
+	err := inc.eachHead(t.Pred, func(_ int, c Clause) error {
 		s0, ok := bindTo(c.Head, t)
 		if !ok {
-			continue
+			return nil
 		}
-		err := solveBody(inc.gov, c, -1, s0, live, func(term.Subst) error { return errStopEnum })
-		if errors.Is(err, errStopEnum) {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
-		}
+		return solveBody(inc.gov, c, -1, s0, live, func(term.Subst) error { return errStopEnum })
+	})
+	if errors.Is(err, errStopEnum) {
+		return true, nil
 	}
-	return false, nil
+	return false, err
 }
 
 // lostHeads enumerates heads of stratum-s rule firings that existed in the
@@ -306,27 +518,18 @@ func (inc *Incremental) derivable(t Atom) (bool, error) {
 // neg is false (d was deleted), or at a negated literal when neg is true (d
 // was added, killing the firing).
 func (inc *Incremental) lostHeads(s int, d Atom, neg bool, v storeView, yield func(Atom) error) error {
-	refs := inc.posRefs[d.Pred]
-	if neg {
-		refs = inc.negRefs[d.Pred]
-	}
-	for _, rf := range refs {
-		if inc.ruleStratum[rf.clause] != s {
-			continue
+	return inc.eachRef(d.Pred, neg, func(rf litRef, c Clause) error {
+		if inc.stratum(c.Head.Pred) != s {
+			return nil
 		}
-		c := inc.rules[rf.clause]
 		s0, ok := bindTo(c.Body[rf.lit].Atom, d)
 		if !ok {
-			continue
+			return nil
 		}
-		err := solveBody(inc.gov, c, rf.lit, s0, v, func(sub term.Subst) error {
+		return solveBody(inc.gov, c, rf.lit, s0, v, func(sub term.Subst) error {
 			return yield(c.Head.Apply(sub))
 		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // fullFirings enumerates against v every firing of the rules of cs whose
@@ -334,7 +537,7 @@ func (inc *Incremental) lostHeads(s int, d Atom, neg bool, v storeView, yield fu
 // the rule set.
 func (inc *Incremental) fullFirings(s int, cs []Clause, v storeView, each func(Clause, term.Subst) error) error {
 	for _, c := range cs {
-		if inc.stratumOf[c.Head.Pred] != s {
+		if inc.stratum(c.Head.Pred) != s {
 			continue
 		}
 		err := solveBody(inc.gov, c, -1, term.Subst{}, v, func(sub term.Subst) error { return each(c, sub) })
@@ -398,7 +601,8 @@ func (d *deltaState) cancelDel(pred, k string) bool {
 // derived consequences are propagated stratum by stratum. Rule clauses change
 // the rule set (ruleSet.edit): a rule of dels leaves with exactly the
 // derivations its firings contributed, a rule of adds joins and fires. The
-// next rule set is validated and stratified before the model is touched: an
+// next rule set is validated and its strata lifted before the model is
+// touched: an
 // unsafe or unstratifiable one is an error that leaves the engine as it was,
 // and usable. On any later error the engine is poisoned (the model may be
 // half-patched) and every later call fails; keep a Clone if you need to
@@ -462,10 +666,10 @@ func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaRes
 		if base > 1 {
 			continue
 		}
-		if len(inc.headRules[d.Pred]) == 0 {
+		if !inc.defines(d.Pred) {
 			inc.removeTuple(d, k, st)
 		} else {
-			s := inc.stratumOf[d.Pred]
+			s := inc.stratum(d.Pred)
 			unbased[s] = append(unbased[s], d)
 		}
 	}
@@ -679,25 +883,16 @@ func (inc *Incremental) insertPhase(s int, st *deltaState) error {
 		return nil
 	}
 	fire := func(d Atom, neg bool) error {
-		refs := inc.posRefs[d.Pred]
-		if neg {
-			refs = inc.negRefs[d.Pred]
-		}
-		for _, rf := range refs {
-			if inc.ruleStratum[rf.clause] != s {
-				continue
+		return inc.eachRef(d.Pred, neg, func(rf litRef, c Clause) error {
+			if inc.stratum(c.Head.Pred) != s {
+				return nil
 			}
-			c := inc.rules[rf.clause]
 			s0, ok := bindTo(c.Body[rf.lit].Atom, d)
 			if !ok {
-				continue
+				return nil
 			}
-			err := solveBody(inc.gov, c, rf.lit, s0, live, func(sub term.Subst) error { return emit(c, sub) })
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+			return solveBody(inc.gov, c, rf.lit, s0, live, func(sub term.Subst) error { return emit(c, sub) })
+		})
 	}
 	// Deletions below the stratum enable firings through negated literals;
 	// they cannot cascade within the stratum (same-stratum negation is not

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -587,31 +588,74 @@ func TestIncrementalRuleDeltas(t *testing.T) {
 	clauseStep(t, rs, inc, "tc(X, Y) :- e(X, Y). e(d, a).", "e(c, a).")
 }
 
-// TestRuleDeltaLeavesCloneSourceAlone: a rule delta builds its rule set
-// afresh, so the engine it was cloned from — and a sibling clone taking fact
-// deltas — keep their rules, indexes and models.
+// TestRuleDeltaLeavesCloneSourceAlone: a rule delta edits a private copy of
+// its engine's rule-set delta over the shared base, so the engine it was
+// cloned from — itself carrying a delta — a sibling clone taking a rule delta
+// of its own and one taking fact deltas keep their rules, every lookup of
+// their rule sets and their models.
 func TestRuleDeltaLeavesCloneSourceAlone(t *testing.T) {
-	rs, src := newRefState(t, `
+	// Sixty-four rules: a base no edit here reaches foldAt of.
+	src0 := `
 		e(a, b). e(b, c).
 		tc(X, Y) :- e(X, Y).
 		tc(X, Z) :- e(X, Y), tc(Y, Z).
-	`)
-	srcRules, srcModel, srcCounts := src.ruleSet, src.Model().String(), src.Counts()
-	srcHeads := fmt.Sprint(src.headRules, src.posRefs, src.negRefs, src.stratumOf)
-	ruled, sibling := src.Clone(), src.Clone()
+	`
+	for i := 0; i < 62; i++ {
+		src0 += fmt.Sprintf("out%d(X) :- e(X, Y).\n", i)
+	}
+	rs, src := newRefState(t, src0)
+	// Five rules in one delta leave its rules and lists with room to grow,
+	// which two clones appending would share if an edit did not copy them.
+	clauseStep(t, rs, src, `far(X) :- tc(a, X), not e(a, X). far(X) :- tc(b, X).
+		far(X) :- tc(c, X). far(X) :- tc(d, X). far(X) :- tc(X, a).`, "")
+	if src.base == nil {
+		t.Fatal("a rule delta left a flat rule set: no delta to share")
+	}
+	type snapshot struct {
+		rules   []Clause
+		lookups map[string]string
+		model   string
+		counts  map[string]int
+	}
+	snap := func(inc *Incremental) snapshot {
+		return snapshot{slices.Clone(inc.Rules()), ruleLookups(inc.ruleSet, true), inc.Model().String(), inc.Counts()}
+	}
+	srcRules, was := src.ruleSet, snap(src)
+	ruled, other, sibling := src.Clone(), src.Clone(), src.Clone()
+	// The first lifts tc, a predicate of the base, and what reads it.
 	if _, err := ruled.ApplyClauses(context.Background(),
-		mustParse(t, "far(X) :- tc(a, X), not e(a, X).").Clauses,
+		mustParse(t, "near(X) :- tc(X, c), not far(X). tc(X, Y) :- e(X, Y), not cut(X, Y).").Clauses,
 		mustParse(t, "tc(X, Z) :- e(X, Y), tc(Y, Z).").Clauses); err != nil {
 		t.Fatal(err)
 	}
+	ruledWas := snap(ruled)
+	if _, err := other.ApplyClauses(context.Background(),
+		mustParse(t, "far(X) :- e(X, Y), tc(Y, a). near(X) :- e(X, X).").Clauses,
+		mustParse(t, "far(X) :- tc(a, X), not e(a, X).").Clauses); err != nil {
+		t.Fatal(err)
+	}
+	if ruled.base == nil || other.base == nil {
+		t.Fatal("a rule delta folded: the clones share no delta")
+	}
 	step(t, rs, sibling, atoms(t, "e(c, d)"), nil)
-	if src.ruleSet != srcRules || sibling.ruleSet != srcRules || ruled.ruleSet == srcRules {
-		t.Fatal("the rule delta did not replace exactly its own engine's rule set")
+	if src.ruleSet != srcRules || sibling.ruleSet != srcRules || ruled.ruleSet == srcRules || other.ruleSet == srcRules {
+		t.Fatal("the rule deltas did not replace exactly their own engines' rule sets")
 	}
-	if got := fmt.Sprint(src.headRules, src.posRefs, src.negRefs, src.stratumOf); got != srcHeads {
-		t.Fatalf("the source's rule indexes changed:\n%s\nwas\n%s", got, srcHeads)
-	}
-	if src.Model().String() != srcModel || !reflect.DeepEqual(src.Counts(), srcCounts) {
-		t.Fatal("the source's model changed")
+	for _, c := range []struct {
+		name      string
+		inc       *Incremental
+		was       snapshot
+		sameModel bool
+	}{{"the source", src, was, true}, {"the sibling", sibling, was, false}, {"the first rule delta", ruled, ruledWas, true}} {
+		now := snap(c.inc)
+		if !slices.EqualFunc(now.rules, c.was.rules, Clause.Equal) {
+			t.Errorf("%s's rules changed:\n%v\nwas\n%v", c.name, now.rules, c.was.rules)
+		}
+		if !reflect.DeepEqual(now.lookups, c.was.lookups) {
+			t.Errorf("%s's rule lookups changed:\n%v\nwere\n%v", c.name, now.lookups, c.was.lookups)
+		}
+		if c.sameModel && (now.model != c.was.model || !reflect.DeepEqual(now.counts, c.was.counts)) {
+			t.Errorf("%s's model changed", c.name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package multilog_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/compile"
@@ -12,9 +13,10 @@ import (
 )
 
 // writeFixture is the write path's standing state at the benchmark's shapes:
-// a 16-rule / 6-predicate program of the given fact count (2000 is the large
-// shape, 200 rule_churn's) over a 4-level chain, with a prepared reduction
-// warm at every clearance, and the one clause the benchmark writes.
+// a 6-predicate program of the given fact and belief-rule counts (2000 facts
+// is the large shape; 200 facts and 16 rules rule_churn's) over a 4-level
+// chain, with a prepared reduction warm at every clearance, and the one
+// clause the benchmark writes.
 type writeFixture struct {
 	db     *multilog.Database
 	reds   []*multilog.Reduction
@@ -26,10 +28,10 @@ var factWrite = fmt.Sprintf("%s[p0(bench_key: a -%s-> bench_value)].", workload.
 
 const fixtureLevels = 4
 
-func newWriteFixture(tb testing.TB, facts int, clause string) *writeFixture {
+func newWriteFixture(tb testing.TB, facts, rules int, clause string) *writeFixture {
 	tb.Helper()
 	db, err := multilog.Parse(workload.ProgramSource(workload.ProgramConfig{
-		Levels: fixtureLevels, Facts: facts, Rules: 16, Preds: 6, Poly: 0.3, Seed: 1}))
+		Levels: fixtureLevels, Facts: facts, Rules: rules, Preds: 6, Poly: 0.3, Seed: 1}))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func (fx *writeFixture) write(tb testing.TB, retract bool, advance advanceFunc) 
 // copy-on-write clone of each engine); advance=full is the cold-build
 // reference — Reduce and an interpreted Prepare per clearance, which no write
 // runs any more — and the reference arm of the bench-smoke allocation gates.
-func advanceArms(b *testing.B) []struct {
+func advanceArms(tb testing.TB) []struct {
 	name    string
 	advance advanceFunc
 } {
@@ -105,7 +107,7 @@ func advanceArms(b *testing.B) []struct {
 		{"delta", func(old *multilog.Reduction, next *multilog.Database, added, removed []multilog.Clause) *multilog.Reduction {
 			red, rep, err := old.Advance(ctx, next, added, removed, resource.Limits{})
 			if err != nil || rep.Reason != "" {
-				b.Fatalf("advance: reason=%q err=%v", rep.Reason, err)
+				tb.Fatalf("advance: reason=%q err=%v", rep.Reason, err)
 			}
 			return red
 		}},
@@ -115,7 +117,7 @@ func advanceArms(b *testing.B) []struct {
 				err = red.Prepare(ctx, resource.Limits{})
 			}
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			return red
 		}},
@@ -131,7 +133,7 @@ func BenchmarkAdvanceFactWrite(b *testing.B) {
 	arms := advanceArms(b)
 	for _, arm := range arms {
 		b.Run("advance="+arm.name, func(b *testing.B) {
-			fx := newWriteFixture(b, 2000, factWrite)
+			fx := newWriteFixture(b, 2000, 16, factWrite)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -141,7 +143,7 @@ func BenchmarkAdvanceFactWrite(b *testing.B) {
 		})
 	}
 	b.Run("advance=adopt", func(b *testing.B) {
-		fx := newWriteFixture(b, 2000, factWrite)
+		fx := newWriteFixture(b, 2000, 16, factWrite)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -159,21 +161,29 @@ func BenchmarkAdvanceFactWrite(b *testing.B) {
 
 // BenchmarkAdvanceRuleWrite prices one rule assert plus its retract across
 // four warm clearances: the Π rule the benchmark's rule_churn workload
-// writes — four tuples whatever the fact count, hence the two sizes — and a
-// Σ belief rule over a sixth of the bottom level's facts, whose head
-// predicate is new to Σ.
+// writes — four tuples whatever the fact count or the rule count, hence the
+// three sizes — and a Σ belief rule over a sixth of the bottom level's facts,
+// whose head predicate is new to Σ. The rule set is edited, not rebuilt: the
+// Π rule is appended to a delta over each clearance's shared rule set and
+// tombstoned again, lifting only the strata its edges raise, so it costs
+// about the same at 16 belief rules (767 translated rules at l3) as at 160
+// (5,807) — ≈ 1.3k allocations a pair, against 8.1k and 46.7k when every
+// write re-stratified and re-indexed all of them. A rebuild is a fold's, once
+// per 2√n changes of a clearance's delta; at 20 iterations the l3 deltas
+// have not folded yet (TestRuleWriteAllocsFlatInRuleCount runs past folds).
 func BenchmarkAdvanceRuleWrite(b *testing.B) {
 	for _, c := range []struct {
 		name, clause string
-		facts        int
+		facts, rules int
 	}{
-		{"rule=pi/facts=200", "churn0(X) :- level(X).", 200},
-		{"rule=pi/facts=2000", "churn0(X) :- level(X).", 2000},
-		{"rule=sigma/facts=2000", "l3[r(K: d -l3-> x)] :- l0[p0(K: a -C-> V)] << cau.", 2000},
+		{"rule=pi/facts=200", "churn0(X) :- level(X).", 200, 16},
+		{"rule=pi/facts=2000", "churn0(X) :- level(X).", 2000, 16},
+		{"rule=pi/rules=160", "churn0(X) :- level(X).", 200, 160},
+		{"rule=sigma/facts=2000", "l3[r(K: d -l3-> x)] :- l0[p0(K: a -C-> V)] << cau.", 2000, 16},
 	} {
 		for _, arm := range advanceArms(b) {
 			b.Run(c.name+"/advance="+arm.name, func(b *testing.B) {
-				fx := newWriteFixture(b, c.facts, c.clause)
+				fx := newWriteFixture(b, c.facts, c.rules, c.clause)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -182,5 +192,40 @@ func BenchmarkAdvanceRuleWrite(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestRuleWriteAllocsFlatInRuleCount holds a rule write's cost to what the
+// rule touches: rule_churn's Π rule asserted and retracted across four warm
+// clearances allocates at 160 belief rules (5,807 translated rules at l3) at
+// most 1.25x what it does at 16 (767). A write that rebuilds each clearance's
+// rule set — stratification and indexes — allocates in proportion to the
+// rules; an edit over a shared rule set allocates for the rule it adds, the
+// strata it lifts and a copy of the delta, with a fold every 2√n changes.
+// The pairs run long enough to cross folds at both sizes.
+func TestRuleWriteAllocsFlatInRuleCount(t *testing.T) {
+	const pairs = 200
+	advance := advanceArms(t)[0].advance
+	type cost struct{ allocs, bytes float64 }
+	perPair := func(rules int) cost {
+		fx := newWriteFixture(t, 200, rules, "churn0(X) :- level(X).")
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+		fx.write(t, false, advance)                     // warm-up, as testing.AllocsPerRun
+		fx.write(t, true, advance)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			fx.write(t, false, advance)
+			fx.write(t, true, advance)
+		}
+		runtime.ReadMemStats(&after)
+		return cost{float64(after.Mallocs-before.Mallocs) / pairs, float64(after.TotalAlloc-before.TotalAlloc) / pairs}
+	}
+	small, large := perPair(16), perPair(160)
+	t.Logf("allocations per rule assert+retract: %.0f at 16 belief rules, %.0f at 160 (%.2fx)", small.allocs, large.allocs, large.allocs/small.allocs)
+	t.Logf("bytes per rule assert+retract: %.0f at 16 belief rules, %.0f at 160 (%.2fx)", small.bytes, large.bytes, large.bytes/small.bytes)
+	if large.allocs > 1.25*small.allocs {
+		t.Errorf("a rule write allocates %.0f times at 160 belief rules, %.0f at 16: %.2fx, want at most 1.25x",
+			large.allocs, small.allocs, large.allocs/small.allocs)
 	}
 }

@@ -20,10 +20,12 @@
 #    nothing of the rules, ~7x if it ever enumerates them over the model
 #    again, 1x if it derives the model.
 # 4. BenchmarkAdvanceRuleWrite: the same gate for a rule write — the Π rule
-#    rule_churn writes, at 200 and at 2000 facts, and a Σ belief rule — at
-#    20x in every case: ~50x and ~420x for the Π rule, ~33x for the Σ rule,
-#    when a rule write costs what the rule derives plus one stratification
-#    of the rule set; 1x if it rebuilds.
+#    rule_churn writes, at 200 and at 2000 facts and at 160 belief rules, and
+#    a Σ belief rule — at 20x in every case: ~700x, ~6000x and ~3000x for the
+#    Π rule, ~36x for the Σ rule, when a rule write edits a delta over each
+#    clearance's shared rule set (~110x, ~960x, ~85x and ~35x when every
+#    write re-stratified and re-indexed the whole rule set); 1x if it
+#    rebuilds the reduction.
 # 5. TestFactWriteAllocsFlatInDatabaseSize (internal/server, also in tier-1):
 #    a committed fact write through preparedProgram.update — write_mix's
 #    stream over four warm clearances — allocates at 2000 facts at most 1.25x
@@ -45,6 +47,12 @@
 #    written with its value-bound goal first, in every mode: 1.0x when match
 #    plans the goal order, 13-17x when it solves the goals as written. Steps
 #    are counted, so this gate too holds on a loud machine.
+# 8. TestRuleWriteAllocsFlatInRuleCount (internal/multilog, also in tier-1):
+#    rule_churn's Π rule asserted and retracted over four warm clearances,
+#    200 pairs (folds of the rule-set deltas included), allocates at 160
+#    belief rules (5,807 translated rules at l3) at most 1.25x what it does
+#    at 16 (767): ~1.1x when a write edits a delta over each clearance's
+#    rule set, ~5.8x when it re-stratifies and re-indexes the whole set.
 set -eu
 
 GO=${GO:-go}
@@ -99,7 +107,7 @@ gate "$TMP/advance.txt" AdvanceFactWrite advance full adopt allocs/op 20
 gate "$TMP/advance.txt" AdvanceRuleWrite advance full delta allocs/op 20
 
 $GO test ./internal/server ./internal/multilog \
-    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal)$' \
+    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount)$' \
     -count=1 -v > "$TMP/allocs.txt" || { cat "$TMP/allocs.txt"; exit 1; }
-grep 'per fact write\|per cached hit\|steps bound-first' "$TMP/allocs.txt"
+grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert' "$TMP/allocs.txt"
 echo "bench-smoke: ok"
