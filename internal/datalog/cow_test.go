@@ -191,15 +191,15 @@ func rAtom(key, val string) Atom { return NewAtom("r0", term.Const(key), term.Co
 // of clones and checks, at every step, the delta rules: a write to a shared
 // flat relation of flatCopyBelow tuples or more makes a delta over it, a
 // delta's base is flat and frozen, it holds exactly the changes written since
-// its base, it folds at the write that finds it at foldAt(|base|) changes,
+// its base, it folds at the write that finds it at FoldAt(|base|) changes,
 // and folding it then yields the same facts, index lookups and counts.
 func TestDeltaRelationFolds(t *testing.T) {
 	_, s := deltaStore(t, 100)
-	if got := foldAt(100); got != 20 {
-		t.Fatalf("foldAt(100) = %d, want 2√100 = 20", got)
+	if got := FoldAt(100); got != 20 {
+		t.Fatalf("FoldAt(100) = %d, want 2√100 = 20", got)
 	}
-	if got := foldAt(10); got != 8 {
-		t.Fatalf("foldAt(10) = %d, want the floor 8", got)
+	if got := FoldAt(10); got != 8 {
+		t.Fatalf("FoldAt(10) = %d, want the floor 8", got)
 	}
 	r := rand.New(rand.NewSource(22))
 	folds := 0
@@ -221,7 +221,7 @@ func TestDeltaRelationFolds(t *testing.T) {
 		checkFlatBases(t, s)
 		switch {
 		case after == before:
-		case before.base != nil && before.changes() >= foldAt(len(before.base.facts)):
+		case before.base != nil && before.changes() >= FoldAt(len(before.base.facts)):
 			if after.base != nil {
 				t.Fatalf("step %d: a delta of %d changes over %d tuples did not fold", step, before.changes(), len(before.base.facts))
 			}
@@ -442,7 +442,7 @@ func BenchmarkIncrementalCloneApply(b *testing.B) {
 // the flat source every time — a write to a relation at its first write since
 // a fold, write_mix's every write; chain=true clones the last clone, so the
 // delta grows by a tombstone and an added tuple per write and folds at
-// foldAt: the trade the fold rule makes between copying a delta per write and
+// FoldAt: the trade the fold rule makes between copying a delta per write and
 // copying the base per fold.
 func BenchmarkStoreWriteAfterClone(b *testing.B) {
 	for _, n := range []int{320, 3200, 32000} {

@@ -80,7 +80,7 @@ func (r *DeltaResult) ChangedPreds() []string {
 // each predicate a lift raised. Every lookup reads the delta, then the base,
 // and skips tombstoned ids, so a rule keeps its id until a fold. Editing a
 // delta copies the delta and keeps its base; a delta that reaches
-// foldAt(len(base.rules)) changes is rebuilt flat.
+// FoldAt(len(base.rules)) changes is rebuilt flat.
 type ruleSet struct {
 	rules     []Clause            // by id; a delta's own, from len(base.rules) on
 	stratumOf map[string]int      // predicate -> stratum; a delta's, where a lift raised it
@@ -363,7 +363,7 @@ func (rs *ruleSet) changes() int { return len(rs.rules) + len(rs.dead) + len(rs.
 // predicates (lift) means a negative cycle — or strata that removals left
 // coarse — so the live rules are stratified afresh: Stratify's error, byte
 // for byte, or a flat rule set. So is a delta that reaches
-// foldAt(len(base.rules)) changes, which resets the strata to the minimal
+// FoldAt(len(base.rules)) changes, which resets the strata to the minimal
 // ones.
 func (rs *ruleSet) edit(adds, dels []Clause) (*ruleSet, []Clause, error) {
 	for _, c := range adds {
@@ -390,7 +390,7 @@ func (rs *ruleSet) edit(adds, dels []Clause) (*ruleSet, []Clause, error) {
 	for _, c := range adds {
 		next.index(c)
 	}
-	if !next.lift(adds) || next.changes() >= foldAt(len(next.base.rules)) {
+	if !next.lift(adds) || next.changes() >= FoldAt(len(next.base.rules)) {
 		flat, err := newRuleSet(next.live())
 		return flat, removed, err
 	}

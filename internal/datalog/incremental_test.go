@@ -594,7 +594,7 @@ func TestIncrementalRuleDeltas(t *testing.T) {
 // of its own and one taking fact deltas keep their rules, every lookup of
 // their rule sets and their models.
 func TestRuleDeltaLeavesCloneSourceAlone(t *testing.T) {
-	// Sixty-four rules: a base no edit here reaches foldAt of.
+	// Sixty-four rules: a base no edit here reaches FoldAt of.
 	src0 := `
 		e(a, b). e(b, c).
 		tc(X, Y) :- e(X, Y).

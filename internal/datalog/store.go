@@ -26,7 +26,7 @@ import (
 // base, and the delta holds only what writes changed — tuples added, base
 // tuples removed, base counts overridden — so a write copies what it changes,
 // not the relation. Replacing a shared delta copies the delta and keeps its
-// base, so a base is always flat. A delta that reaches foldAt(|base|) changes
+// base, so a base is always flat. A delta that reaches FoldAt(|base|) changes
 // is folded into a fresh flat relation at its next write.
 type Store struct {
 	rels     map[string]*relation
@@ -71,13 +71,14 @@ type relation struct {
 // what an empty delta does, and reads it at full speed.
 const flatCopyBelow = 32
 
-// foldAt is how many changes a delta over a base of n tuples holds before it
+// FoldAt is how many changes a delta over a base of n tuples holds before it
 // is folded: 2√n, at least 8. Each copy of a delta then costs O(√n), and a
 // fold's O(n) copy is paid once per O(√n) changes. Of c·√n for c = ¼, ½, 1,
 // 2 and 4, and of n/8 and n/32, 2√n allocated least per write at 3,200 and
 // 32,000 tuples in a chain of clones each writing a tuple in and a tuple out
-// (BenchmarkStoreWriteAfterClone, chain=true).
-func foldAt(n int) int { return max(8, int(2*math.Sqrt(float64(n)))) }
+// (BenchmarkStoreWriteAfterClone, chain=true). The rule sets of Incremental
+// and multilog's clause versions (multilog.Version) fold by the same rule.
+func FoldAt(n int) int { return max(8, int(2*math.Sqrt(float64(n)))) }
 
 func newRelation() *relation {
 	return &relation{seen: map[string]int{}, index: map[int]map[string][]int{}}
@@ -287,14 +288,14 @@ func (r *relation) removeAt(off int, k string, indexing bool) {
 }
 
 // own returns pred's relation ready to be mutated — a shared one replaced by
-// a private flat copy or delta, a delta that reached foldAt folded — or nil
+// a private flat copy or delta, a delta that reached FoldAt folded — or nil
 // when the store has no such relation.
 func (s *Store) own(pred string) *relation {
 	r := s.rels[pred]
 	switch {
 	case r == nil:
 		return nil
-	case r.base != nil && r.changes() >= foldAt(len(r.base.facts)):
+	case r.base != nil && r.changes() >= FoldAt(len(r.base.facts)):
 		r = r.fold(s.indexing)
 	case !r.shared:
 		return r

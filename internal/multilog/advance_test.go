@@ -813,6 +813,74 @@ func TestAdvancedReductionQueriesLikeAFreshOne(t *testing.T) {
 	}
 }
 
+// TestAdvanceWithoutDatabaseQueriesLikeAFreshOne: an advance handed no
+// database, as the server's write path makes them, answers QueryContext
+// exactly as a fresh Reduce + Prepare of the written database does — for
+// every (predicate, level, mode) triple the fresh reduction registers and,
+// in every mode at every level, for a predicate outside Σ — and registers
+// nothing on the way, so it never needs the database it was not given.
+func TestAdvanceWithoutDatabaseQueriesLikeAFreshOne(t *testing.T) {
+	ctx := context.Background()
+	db, err := Parse(`
+		level(u). level(c). level(s). order(u, c). order(c, s).
+		u[p(k: a -u-> v)].
+		c[p(k: a -c-> t)] :- q(j).
+		s[p(k: a -s-> x)].
+		u[p(k: a -u-> w)].
+		q(j).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {Filter: true}} {
+		for _, w := range []string{"c[p(k2: a -c-> w)].", "c[r(K: b -c-> V)] :- L[p(K: a -C-> V)] << opt."} {
+			what := fmt.Sprintf("filter=%v, %s", opts.Filter, w)
+			written := mustSigmaFact(t, w)
+			next := db.Clone()
+			if err := next.AddClause(written); err != nil {
+				t.Fatal(err)
+			}
+			old := mustReduceOpts(t, db, "c", opts)
+			if err := old.Prepare(ctx, resource.Limits{}); err != nil {
+				t.Fatal(err)
+			}
+			red, rep, err := old.Advance(ctx, nil, []Clause{written}, nil, resource.Limits{})
+			if err != nil || rep.Reason != "" || red.DB != nil || red.Program != nil {
+				t.Fatalf("%s: advance: %+v, %v", what, rep, err)
+			}
+			fresh := mustReduceOpts(t, next, "c", opts)
+			if err := fresh.Prepare(ctx, resource.Limits{}); err != nil {
+				t.Fatal(err)
+			}
+			var queries []string
+			for n := range fresh.needs {
+				for _, attr := range []string{"a", "b"} {
+					queries = append(queries, fmt.Sprintf("%s[%s(K: %s -C-> V)] << %s", n.level, n.pred, attr, n.mode))
+				}
+			}
+			for _, l := range []string{"u", "c", "s", "L"} {
+				for _, m := range []Mode{ModeFir, ModeOpt, ModeCau} {
+					queries = append(queries, fmt.Sprintf("%s[nosuch(K: a -C-> V)] << %s", l, m))
+				}
+			}
+			slices.Sort(queries)
+			for _, src := range queries {
+				q := mustGoals(t, src)
+				want, err := fresh.QueryContext(ctx, q, resource.Limits{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := red.QueryContext(ctx, q, resource.Limits{}); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: %s without a database: %v, %v; a fresh reduction answers %v", what, src, got, err, want)
+				}
+			}
+			if red.Program != nil || red.model == nil {
+				t.Errorf("%s: queries registered axioms on the reduction without a database", what)
+			}
+		}
+	}
+}
+
 // TestEmptyAdvanceSharesProgramReadOnly: a write that translates to nothing
 // at the clearance of an installed model leaves the advanced reduction
 // without an engine, holding its source's Program for the next write to

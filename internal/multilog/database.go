@@ -50,24 +50,20 @@ func (db *Database) AddClause(c Clause) error {
 // Clone returns a copy of the database whose four component slices are
 // fresh, so growing, filtering or replacing the clone's clauses never reaches
 // the original; the clauses themselves are shared, for a parsed clause is
-// immutable. Σ and Π leave room for a few appends, so the write that clones
-// to add a clause copies them once. The cached lattice (immutable once built)
-// is carried over: clones are made to take Σ/Π writes, which cannot change
-// it, and AddClause drops it when a Λ clause does arrive. Clone is what makes
-// copy-on-write snapshots safe: a server can keep answering queries from the
-// original while an updater grows the clone.
+// immutable. The cached lattice (immutable once built) is carried over, and
+// AddClause drops it when a Λ clause arrives. A clone copies all of Σ: the
+// server's write path derives a Version instead, which copies what a write
+// changes; Clone serves the tests' flat references and bench/'s mirror.
 func (db *Database) Clone() *Database {
 	return &Database{
 		Lambda:  slices.Clone(db.Lambda),
-		Sigma:   append(make([]Clause, 0, len(db.Sigma)+cloneRoom), db.Sigma...),
-		Pi:      append(make([]Clause, 0, len(db.Pi)+cloneRoom), db.Pi...),
+		Sigma:   slices.Clone(db.Sigma),
+		Pi:      slices.Clone(db.Pi),
 		Queries: slices.Clone(db.Queries),
 		poset:   db.poset,
 		posetN:  db.posetN,
 	}
 }
-
-const cloneRoom = 8 // Clone's spare capacity in Σ and Π: a write's clauses
 
 // String renders the database in the four-component layout of Figure 10.
 func (db *Database) String() string {

@@ -70,8 +70,11 @@ type DeltaReport struct {
 
 // Advance returns the prepared reduction, at old's clearance and options, of
 // db — which must be old.DB with the clauses of removed taken out and those
-// of added put in — or an error, the report naming the reason; it never
-// re-derives a model. The written Σ/Π clauses, facts and rules alike, are
+// of added put in, or nil — or an error, the report naming the reason; it
+// never re-derives a model. db is only recorded, as the result's DB: a
+// caller that never asks the result for a belief triple its rules lack
+// (QueryContext's lazy registration) may pass nil, and need not materialize
+// a database per write. The written Σ/Π clauses, facts and rules alike, are
 // translated at this clearance (the translation of a clause depends on
 // nothing but the clause, the lattice and the clearance) and applied as a
 // clause delta to a copy-on-write clone of old's engine, under limits: the

@@ -46,6 +46,8 @@ func excPred(pred string, l lattice.Label) string {
 // must be determined at the compile time"). It translates queries and holds
 // the reduced program's minimal model.
 type Reduction struct {
+	// DB is the database reduced; nil on a reduction Advance was handed no
+	// database for.
 	DB    *Database
 	User  lattice.Label
 	Poset *lattice.Poset
@@ -358,9 +360,15 @@ func (r *Reduction) groundLevelOf(t term.Term, c Clause) (lattice.Label, error) 
 // query. Reduce pre-registers every triple for the predicates in Σ
 // (emitPredAxioms); queries over other predicates register lazily, into a
 // fresh translation of DB when the reduction has no Program (τ depends on DB,
-// the clearance and the options alone).
+// the clearance and the options alone). A reduction with neither — one
+// Advance made with a nil db — registers nothing: its engine holds every
+// pre-registered triple, and a triple over a predicate outside Σ ranges over
+// empty rel relations, so it could add no answer (see QueryPrepared).
 func (r *Reduction) RequireBelief(pred string, l lattice.Label, m Mode) {
 	if m != ModeFir && m != ModeOpt && m != ModeCau {
+		return
+	}
+	if r.Program == nil && r.DB == nil {
 		return
 	}
 	if r.Program == nil {

@@ -219,7 +219,7 @@ func (s *Server) Checkpoint() error {
 	sort.Strings(names)
 	for _, name := range names {
 		snap := snaps[name]
-		cp.Databases = append(cp.Databases, checkpointDB{Name: name, Epoch: snap.epoch, Src: snap.db.String()})
+		cp.Databases = append(cp.Databases, checkpointDB{Name: name, Epoch: snap.epoch, Src: snap.db.Database().String()})
 	}
 	payload, err := json.Marshal(cp)
 	if err != nil {

@@ -220,7 +220,7 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dbSource := func() string { return prog.current().db.String() }
+		dbSource := func() string { return prog.current().db.Database().String() }
 		// counts are the warm reductions' base counts; fresh, those of a
 		// from-scratch interpreted build of the current database at each clearance.
 		counts := func(fresh bool) map[string]any {
@@ -230,7 +230,7 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 			for u, red := range snap.reductions {
 				if fresh {
 					var err error
-					if red, err = multilog.Reduce(snap.db, u); err == nil {
+					if red, err = multilog.Reduce(snap.db.Database(), u); err == nil {
 						err = red.Prepare(context.Background(), resource.Limits{})
 					}
 					if err != nil {
@@ -381,7 +381,7 @@ func TestCachePrecisionAcrossClearances(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := New(Config{})
-	if err := cold.Load("test", prog.current().db.String()); err != nil {
+	if err := cold.Load("test", prog.current().db.Database().String()); err != nil {
 		t.Fatal(err)
 	}
 	want := runQuery(t, cold, openSess(t, cold, "l0", ""), q)
@@ -751,7 +751,10 @@ func TestRetractMatchesStructurally(t *testing.T) {
 			want = append(want, c.String())
 		}
 	}
-	removed := retractClauses(&stored, del)
+	next, removed, err := multilog.NewVersion(&multilog.Database{Sigma: stored}).Write(nil, del)
+	if err != nil {
+		t.Fatal(err)
+	}
 	render := func(cs []multilog.Clause) []string {
 		var out []string
 		for _, c := range cs {
@@ -759,7 +762,7 @@ func TestRetractMatchesStructurally(t *testing.T) {
 		}
 		return out
 	}
-	if got := render(stored); !reflect.DeepEqual(got, want) {
+	if got := render(next.Database().Sigma); !reflect.DeepEqual(got, want) {
 		t.Fatalf("kept %v\nwant %v", got, want)
 	}
 	if got := render(removed); !reflect.DeepEqual(got, wantRemoved) || len(removed) != 3 {
@@ -800,7 +803,7 @@ func TestRetractUnderRecursionMatchesColdStart(t *testing.T) {
 			t.Fatalf("retract %s: %s, want %d incremental of which 1 adopted", fact, st.AdvanceTally, i+1)
 		}
 		cold := New(Config{})
-		if err := cold.Load("test", prog.current().db.String()); err != nil {
+		if err := cold.Load("test", prog.current().db.Database().String()); err != nil {
 			t.Fatal(err)
 		}
 		got, want := answers(s, sess), answers(cold, openSess(t, cold, "l0", ""))

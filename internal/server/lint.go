@@ -18,7 +18,7 @@ func (s *Server) Lint(req LintRequest) (*LintResponse, error) {
 	}
 	snap := prog.current()
 	resp := &LintResponse{DB: prog.name, Epoch: snap.epoch}
-	for _, d := range lint.MultiLog(snap.db, lint.Options{File: prog.name}) {
+	for _, d := range lint.MultiLog(snap.db.Database(), lint.Options{File: prog.name}) {
 		resp.Diagnostics = append(resp.Diagnostics, LintDiagnostic{
 			Code:     d.Code,
 			Severity: d.Severity.String(),
@@ -31,7 +31,7 @@ func (s *Server) Lint(req LintRequest) (*LintResponse, error) {
 	if resp.Diagnostics == nil {
 		resp.Diagnostics = []LintDiagnostic{}
 	}
-	flow, err := analysis.AnalyzeFlow(snap.db)
+	flow, err := analysis.AnalyzeFlow(snap.db.Database())
 	if err != nil {
 		// An inadmissible lattice is already reported as an ML004
 		// diagnostic above; the flow table is simply absent.

@@ -22,11 +22,11 @@ import (
 // snapshot: the hot path (queries) takes a read lock only long enough to
 // grab the current *snapshot pointer, then evaluates against that snapshot
 // with no locks held; the cold path (assert/retract) builds a fresh
-// snapshot from a clone (multilog.Database.Clone: Σ and Π copied once, the
-// immutable clauses shared) and swaps the pointer. In-flight queries keep
-// answering from the snapshot they started on — their answers are tagged
-// (and cached) with that snapshot's epoch, so they can never be confused
-// with post-update state.
+// snapshot over the next version of the database (multilog.Version.Write:
+// the written clauses and a delta of O(√|Σ|) copied, Σ itself shared) and
+// swaps the pointer. In-flight queries keep answering from the snapshot they
+// started on — their answers are tagged (and cached) with that snapshot's
+// epoch, so they can never be confused with post-update state.
 type preparedProgram struct {
 	name   string
 	limits resource.Limits // prepare/advance budget, from Config.Limits
@@ -34,21 +34,23 @@ type preparedProgram struct {
 	mu   sync.RWMutex // guards snap
 	snap *snapshot
 
-	upMu    sync.Mutex // serializes updates (clone → edit → lint → swap)
+	upMu    sync.Mutex // serializes updates (write → lint → advance → swap)
 	updates atomic.Int64
 
 	advMu sync.Mutex   // guards adv
 	adv   AdvanceTally // how committed writes carried the warm reductions
 }
 
-// snapshot is one immutable program version. The database, its poset and
-// the per-clearance reductions are never modified after publication; the
-// reductions map alone grows lazily under its own lock (building the
-// reduction for a clearance the first time a session at that clearance
-// queries).
+// snapshot is one immutable program version. The database version, its
+// poset and the per-clearance reductions are never modified after
+// publication; the reductions map alone grows lazily under its own lock
+// (building the reduction for a clearance the first time a session at that
+// clearance queries). The flat database is materialized only for what reads
+// all of it — a cold build, a checkpoint, /v1/lint, a Π write's lint — once
+// per version.
 type snapshot struct {
 	epoch uint64
-	db    *multilog.Database
+	db    *multilog.Version
 	poset *lattice.Poset
 
 	redMu      sync.RWMutex
@@ -84,12 +86,11 @@ func newPreparedEpoch(name, src string, epoch uint64, prepLimits resource.Limits
 	if err != nil {
 		return nil, diags, err
 	}
-	return &preparedProgram{name: name, limits: prepLimits, snap: newSnapshot(epoch, db, poset)}, diags, nil
+	return &preparedProgram{name: name, limits: prepLimits, snap: newSnapshot(epoch, multilog.NewVersion(db), poset)}, diags, nil
 }
 
-// newSnapshot freezes a database into an immutable version over its
-// security lattice.
-func newSnapshot(epoch uint64, db *multilog.Database, poset *lattice.Poset) *snapshot {
+// newSnapshot publishes a database version over its security lattice.
+func newSnapshot(epoch uint64, db *multilog.Version, poset *lattice.Poset) *snapshot {
 	return &snapshot{epoch: epoch, db: db, poset: poset,
 		reductions: map[lattice.Label]*multilog.Reduction{},
 		building:   map[lattice.Label]chan struct{}{}}
@@ -136,7 +137,7 @@ func (s *snapshot) reductionAt(ctx context.Context, u lattice.Label, limits reso
 	if red != nil {
 		return red, nil
 	}
-	red, err := multilog.Reduce(s.db, u)
+	red, err := multilog.Reduce(s.db.Database(), u)
 	if err == nil {
 		_, err = compile.PrepareReduction(ctx, red, compile.Options{Limits: limits})
 	}
@@ -168,14 +169,8 @@ func (p *preparedProgram) stats() DBStats {
 	s.redMu.RLock()
 	nred := len(s.reductions)
 	s.redMu.RUnlock()
-	st := DBStats{
-		Epoch:      s.epoch,
-		Lambda:     len(s.db.Lambda),
-		Sigma:      len(s.db.Sigma),
-		Pi:         len(s.db.Pi),
-		Reductions: nred,
-		Updates:    p.updates.Load(),
-	}
+	st := DBStats{Epoch: s.epoch, Reductions: nred, Updates: p.updates.Load()}
+	st.Lambda, st.Sigma, st.Pi = s.db.Counts()
 	p.advMu.Lock()
 	st.add(p.adv) // a copy: the reasons map is p's
 	p.advMu.Unlock()
@@ -188,12 +183,14 @@ func (p *preparedProgram) stats() DBStats {
 // at load). Write authorization is value-based MLS: every ground security
 // level and classification mentioned by the clauses must be dominated by
 // the subject's clearance — you cannot write (or remove) data you cannot
-// see. Before the swap the write is checked by the linter's Error passes
-// (lint.MultiLogWrite): the Σ clauses it adds, or all of the updated program
-// when it writes Π. Every published program is Error-free, so that verdict
-// is the full lint's, and a program the linter rejects never becomes an
-// epoch. The new snapshot keeps the old one's lattice, which no write can
-// change.
+// see. The write derives the next database version (multilog.Version.Write),
+// which copies what it changes, not Σ. Before the swap the write is checked
+// by the linter's Error passes (lint.MultiLogWrite): the Σ clauses it adds,
+// judged in the version's Λ and Π alone, or all of the updated program,
+// materialized, when it writes Π. Every published program is Error-free, so
+// that verdict is the full lint's, and a program the linter rejects never
+// becomes an epoch. The new snapshot keeps the old one's lattice, which no
+// write can change.
 //
 // It returns the new epoch (unchanged when nothing changed), how many
 // clauses were added or removed, and an invalidation saying, per clearance
@@ -235,23 +232,25 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 		}
 	}
 
-	next := cur.db.Clone()
-	var added, removed []multilog.Clause
+	var added, retracted []multilog.Clause
 	if retract {
-		removed = append(retractClauses(&next.Sigma, delta.Sigma), retractClauses(&next.Pi, delta.Pi)...)
-		if len(removed) == 0 {
-			return cur.epoch, 0, none, nil
-		}
+		retracted = deltaClauses
 	} else {
-		for _, c := range deltaClauses {
-			if err := next.AddClause(c); err != nil {
-				return 0, 0, none, err
-			}
-		}
 		added = deltaClauses
 	}
+	next, removed, err := cur.db.Write(added, retracted)
+	if err != nil {
+		return 0, 0, none, err
+	}
+	if next == cur.db {
+		return cur.epoch, 0, none, nil
+	}
 
-	if diags := lint.MultiLogWrite(next, added, removed, lint.Options{File: p.name}); len(diags) > 0 {
+	env := next.Env() // a Σ write's clauses are judged in Λ and Π alone
+	if len(delta.Pi) > 0 {
+		env = next.Database()
+	}
+	if diags := lint.MultiLogWrite(env, added, removed, lint.Options{File: p.name}); len(diags) > 0 {
 		return 0, 0, none, &LintError{Name: p.name, Findings: diags.String()}
 	}
 	snap := newSnapshot(cur.epoch+1, next, cur.poset)
@@ -333,15 +332,17 @@ func (t AdvanceTally) String() string {
 // its clauses derive and the relations that touches. No model is re-derived here:
 // a reduction that fails to advance (resource limits, cancellation) is
 // dropped, by reason, and the next query at its clearance builds it, under
-// that reader's admission ticket and outside the update lock. The returned
-// invalidation records what each advance changed.
+// that reader's admission ticket and outside the update lock. An advance is
+// handed no database: only QueryContext's lazy registration would read it,
+// and the server queries through QueryPrepared, so no write materializes
+// one. The returned invalidation records what each advance changed.
 func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snapshot, added, removed []multilog.Clause) invalidation {
 	cur.redMu.RLock()
 	olds := maps.Clone(cur.reductions)
 	cur.redMu.RUnlock()
 	inv := invalidation{changed: make(map[lattice.Label][]string, len(olds))}
 	for u, old := range olds {
-		red, rep, err := old.Advance(ctx, snap.db, added, removed, p.limits)
+		red, rep, err := old.Advance(ctx, nil, added, removed, p.limits)
 		if err != nil {
 			inv.add(AdvanceTally{AdvanceDropped: map[string]int64{string(rep.Reason): 1}})
 			continue
@@ -382,58 +383,4 @@ func authorizeClause(c multilog.Clause, poset *lattice.Poset, clearance lattice.
 		}
 	}
 	return nil
-}
-
-// clauseSig is the part of a clause head that is plain strings: a
-// comparable, allocation-free prefilter for retractClauses.
-type clauseSig struct {
-	kind                   multilog.GoalKind
-	pred, attr, level, key string
-	body                   int
-}
-
-func sigOf(c multilog.Clause) clauseSig {
-	h := c.Head
-	if h.Kind == multilog.GoalM {
-		return clauseSig{h.Kind, h.M.Pred, h.M.Attr, h.M.Level.Name(), h.M.Key.Name(), len(c.Body)}
-	}
-	sig := clauseSig{kind: h.Kind, pred: h.P.Pred, body: len(c.Body)}
-	if len(h.P.Args) > 0 {
-		sig.key = h.P.Args[0].Name()
-	}
-	return sig
-}
-
-// retractClauses removes from dst every clause equal to a clause of del —
-// structurally, which for parsed clauses is "renders the same" — and returns
-// the removed clauses. Nothing is rendered: a stored clause is compared only
-// with the del clauses sharing its head signature.
-func retractClauses(dst *[]multilog.Clause, del []multilog.Clause) []multilog.Clause {
-	if len(del) == 0 {
-		return nil
-	}
-	gone := make(map[clauseSig][]multilog.Clause, len(del))
-	for _, c := range del {
-		sig := sigOf(c)
-		gone[sig] = append(gone[sig], c)
-	}
-	matches := func(c multilog.Clause) bool {
-		for _, d := range gone[sigOf(c)] {
-			if c.Equal(d) {
-				return true
-			}
-		}
-		return false
-	}
-	kept := (*dst)[:0]
-	var removed []multilog.Clause
-	for _, c := range *dst {
-		if matches(c) {
-			removed = append(removed, c)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	*dst = kept
-	return removed
 }

@@ -280,8 +280,8 @@ func (s *Server) Load(name, src string) error {
 	s.programs[name] = prog
 	s.progMu.Unlock()
 	s.cache.Reset(name)
-	s.logf("loaded %s: |Λ|=%d |Σ|=%d |Π|=%d", name,
-		len(prog.current().db.Lambda), len(prog.current().db.Sigma), len(prog.current().db.Pi))
+	nl, ns, np := prog.current().db.Counts()
+	s.logf("loaded %s: |Λ|=%d |Σ|=%d |Π|=%d", name, nl, ns, np)
 	return nil
 }
 

@@ -76,7 +76,7 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 			case k == 4:
 				clause = "lv(X) :- level(X), order(X, Y)."
 			default:
-				stored := prog.current().db.Sigma
+				stored := prog.current().db.Database().Sigma
 				c := stored[r.Intn(len(stored))]
 				clause, retract, rule = c.String(), true, !c.IsFact()
 			}
@@ -89,7 +89,7 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 				ruleWrites++
 			}
 			cold := New(Config{})
-			if err := cold.Load("test", prog.current().db.String()); err != nil {
+			if err := cold.Load("test", prog.current().db.Database().String()); err != nil {
 				t.Fatalf("program %d step %d: cold start on the written program: %v", n, step, err)
 			}
 			want := answers(cold)

@@ -48,21 +48,19 @@ func checkWriteLint(t *testing.T, p *preparedProgram, w writeLintCase) []string 
 		t.Fatalf("write %q does not parse: %v", w.src, err)
 	}
 	cur := p.current()
-	next := cur.db.Clone()
-	var added, removed []multilog.Clause
-	if w.retract {
-		removed = append(retractClauses(&next.Sigma, delta.Sigma), retractClauses(&next.Pi, delta.Pi)...)
+	var added, retracted []multilog.Clause
+	if written := append(append([]multilog.Clause{}, delta.Sigma...), delta.Pi...); w.retract {
+		retracted = written
 	} else {
-		for _, c := range append(append([]multilog.Clause{}, delta.Sigma...), delta.Pi...) {
-			if err := next.AddClause(c); err != nil {
-				t.Fatal(err)
-			}
-			added = append(added, c)
-		}
+		added = written
+	}
+	next, removed, err := cur.db.Write(added, retracted)
+	if err != nil {
+		t.Fatal(err)
 	}
 	opts := lint.Options{File: p.name}
-	want := errorFindings(lint.MultiLog(next, opts))
-	if got := lint.MultiLogWrite(next, added, removed, opts); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+	want := errorFindings(lint.MultiLog(next.Database(), opts))
+	if got := lint.MultiLogWrite(next.Database(), added, removed, opts); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 		t.Fatalf("write %q (retract %v): the write lint differs from the full lint's errors\ngot:\n%swant:\n%s", w.src, w.retract, got, want)
 	}
 	clearance, ok := clearanceFor(cur.poset, delta.Sigma)
@@ -166,7 +164,7 @@ func preparedFrom(t *testing.T, name string, db *multilog.Database) *preparedPro
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &preparedProgram{name: name, snap: newSnapshot(1, db, poset)}
+	return &preparedProgram{name: name, snap: newSnapshot(1, multilog.NewVersion(db), poset)}
 }
 
 // randomWrite draws a write from the program's own vocabulary: a retract of
@@ -270,7 +268,7 @@ func TestWriteLintIsFullLint(t *testing.T) {
 			write(p, writeLintCase{src: c.String()})
 		}
 		for i := 0; i < writes; i++ {
-			write(p, randomWrite(r, p.current().db, p.current().poset, i))
+			write(p, randomWrite(r, p.current().db.Database(), p.current().poset, i))
 		}
 	}
 	t.Logf("%d writes over the corpus, %d refused; their findings by code: %v", total, refused, findings)

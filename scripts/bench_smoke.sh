@@ -29,14 +29,14 @@
 # 5. TestFactWriteAllocsFlatInDatabaseSize (internal/server, also in tier-1):
 #    a committed fact write through preparedProgram.update — write_mix's
 #    stream over four warm clearances — allocates at 2000 facts at most 1.25x
-#    what it does at 200: ~1.0x when a write lints only the clauses it writes
-#    and copies only its delta of each relation it touches, ~2.6x when it
-#    re-lints the program and copies those relations whole. Its bytes grow
-#    from 200 to 2000 facts by at most 1.5 Clause values per fact added: ~1.1
-#    when the write copies Σ once (the database clone) and no translated
-#    program, ~1.9 when Σ is copied twice, ~3 when every warm clearance
-#    copies its program too. BenchmarkServerFactWrite prices the same write
-#    at 200, 2000 and 8000 facts.
+#    what it does at 200, in count and in bytes: ~1.0x the count when a write
+#    lints only the clauses it writes and copies only its delta of each
+#    relation it touches, ~2.6x when it re-lints the program and copies those
+#    relations whole; ~0.84x the bytes when the write derives the next
+#    database version (multilog.Version: its clauses and a delta of O(√|Σ|)
+#    copied), ~2.4x when it clones Σ and Π (multilog.Database.Clone).
+#    BenchmarkServerFactWrite prices the same write at 200, 2000, 8000 and
+#    32000 facts.
 # 6. TestCachedHitAllocsFlatInAnswers (internal/server, also in tier-1): a
 #    cached hit on a full scan of ~1000 rows allocates, through the handler,
 #    at most 1.25x what a 1-row point hit does: 1.0x when a hit writes the
