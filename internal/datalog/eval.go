@@ -320,6 +320,9 @@ func (v storeView) contains(g Atom) bool {
 	return v.live.Contains(g)
 }
 
+// match is Store.Match over the view: live, then grave. Like Store.Match it
+// binds each candidate into s and undoes it, so fn's argument is s, borrowed
+// until fn returns.
 func (v storeView) match(a Atom, s term.Subst, fn func(term.Subst) bool) {
 	if v.grave == nil {
 		v.live.Match(a, s, fn)
@@ -336,20 +339,33 @@ func (v storeView) match(a Atom, s term.Subst, fn func(term.Subst) bool) {
 }
 
 // solveBody is the one body solver: it enumerates every substitution
-// extending s0 that satisfies c's body against v and calls emit with each.
+// extending s that satisfies c's body against v and calls emit with each.
 // Literal skip, if ≥ 0, is taken as already consumed by the caller (who bound
-// it in s0). Literals are consumed in a "first ready" order: built-in '!='
+// it in s). Literals are consumed in a "first ready" order: built-in '!='
 // and negated literals wait until ground, which safety guarantees will
 // happen. Every node of the enumeration is one governor step.
-func solveBody(gov *resource.Governor, c Clause, skip int, s0 term.Subst, v storeView, emit func(term.Subst) error) error {
-	remaining := make([]int, 0, len(c.Body))
+//
+// The enumeration binds into s itself and undoes every binding on the way
+// back, so emit's argument is s, borrowed until emit returns, and s is as
+// the caller passed it when solveBody returns.
+func solveBody(gov *resource.Governor, c Clause, skip int, s term.Subst, v storeView, emit func(term.Subst) error) error {
+	// The literals a node at depth d has yet to solve, in written order, are
+	// the d-th of a run of segments of one buffer, n, n-1, …, 1 long: a node
+	// writes its children's into the rest of the buffer, which no node above
+	// it reads.
+	n := len(c.Body)
+	if skip >= 0 {
+		n--
+	}
+	buf := make([]int, n*(n+1)/2)
+	remaining := buf[:0]
 	for i := range c.Body {
 		if i != skip {
 			remaining = append(remaining, i)
 		}
 	}
-	var rec func(rem []int, s term.Subst) error
-	rec = func(rem []int, s term.Subst) error {
+	var rec func(rem, free []int) error
+	rec = func(rem, free []int) error {
 		if err := gov.Step(); err != nil {
 			return err
 		}
@@ -378,32 +394,34 @@ func solveBody(gov *resource.Governor, c Clause, skip int, s0 term.Subst, v stor
 			return fmt.Errorf("datalog: floundering clause %s (validate should have caught this)", c)
 		}
 		bi := rem[pick]
-		rest := make([]int, 0, len(rem)-1)
-		rest = append(rest, rem[:pick]...)
-		rest = append(rest, rem[pick+1:]...)
+		rest := append(append(free[:0], rem[:pick]...), rem[pick+1:]...)
+		free = free[len(rest):]
 		l := c.Body[bi]
 		switch {
 		case l.Atom.Pred == BuiltinEq:
-			s2 := s.Clone()
-			if term.Unify(l.Atom.Args[0], l.Atom.Args[1], s2) {
-				return rec(rest, s2)
+			var tb [4]string
+			trail, ok := term.UnifyTrail(l.Atom.Args[0], l.Atom.Args[1], s, tb[:0])
+			var err error
+			if ok {
+				err = rec(rest, free)
 			}
-			return nil
+			s.Undo(trail)
+			return err
 		case l.Atom.Pred == BuiltinNeq:
 			g := l.Atom.Apply(s)
 			if !g.Args[0].Equal(g.Args[1]) {
-				return rec(rest, s)
+				return rec(rest, free)
 			}
 			return nil
 		case l.Negated:
 			if !v.contains(l.Atom.Apply(s)) {
-				return rec(rest, s)
+				return rec(rest, free)
 			}
 			return nil
 		default:
 			var innerErr error
-			each := func(s2 term.Subst) bool {
-				innerErr = rec(rest, s2)
+			each := func(term.Subst) bool {
+				innerErr = rec(rest, free)
 				return innerErr == nil
 			}
 			if v.delta != nil && bi == v.deltaLit {
@@ -414,7 +432,7 @@ func solveBody(gov *resource.Governor, c Clause, skip int, s0 term.Subst, v stor
 			return innerErr
 		}
 	}
-	return rec(remaining, s0)
+	return rec(remaining, buf[n:])
 }
 
 // Query evaluates the program and returns every substitution (restricted to

@@ -484,28 +484,35 @@ func (inc *Incremental) Clone() *Incremental {
 	return &c
 }
 
-// bindTo unifies pattern against a ground atom, returning the binding.
-func bindTo(pattern, ground Atom) (term.Subst, bool) {
-	if pattern.Pred != ground.Pred || len(pattern.Args) != len(ground.Args) {
-		return nil, false
+// fireOn enumerates against v the firings of c whose literal lit — its head
+// when lit is -1 — is the ground tuple d. It binds the literal to d in sub,
+// runs solveBody on the rest of the body and undoes the binding, so one sub
+// serves every (tuple × rule) pair of a phase; emit's argument is sub,
+// borrowed until emit returns.
+func (inc *Incremental) fireOn(c Clause, lit int, d Atom, sub term.Subst, v storeView, emit func(term.Subst) error) error {
+	pattern := c.Head
+	if lit >= 0 {
+		pattern = c.Body[lit].Atom
 	}
-	s := term.Subst{}
-	if !term.UnifyAll(pattern.Args, ground.Args, s) {
-		return nil, false
+	if pattern.Pred != d.Pred {
+		return nil
 	}
-	return s, true
+	var tb [8]string
+	trail, ok := term.UnifyAllTrail(pattern.Args, d.Args, sub, tb[:0])
+	var err error
+	if ok {
+		err = solveBody(inc.gov, c, lit, sub, v, emit)
+	}
+	sub.Undo(trail)
+	return err
 }
 
 // derivable reports whether some rule firing derives t against the live
-// model, stopping at the first.
-func (inc *Incremental) derivable(t Atom) (bool, error) {
+// model, stopping at the first. sub is the phase's substitution (fireOn).
+func (inc *Incremental) derivable(t Atom, sub term.Subst) (bool, error) {
 	live := storeView{live: inc.model}
 	err := inc.eachHead(t.Pred, func(_ int, c Clause) error {
-		s0, ok := bindTo(c.Head, t)
-		if !ok {
-			return nil
-		}
-		return solveBody(inc.gov, c, -1, s0, live, func(term.Subst) error { return errStopEnum })
+		return inc.fireOn(c, -1, t, sub, live, func(term.Subst) error { return errStopEnum })
 	})
 	if errors.Is(err, errStopEnum) {
 		return true, nil
@@ -516,17 +523,13 @@ func (inc *Incremental) derivable(t Atom) (bool, error) {
 // lostHeads enumerates heads of stratum-s rule firings that existed in the
 // pre-delta over-approximation and involved d — at a positive literal when
 // neg is false (d was deleted), or at a negated literal when neg is true (d
-// was added, killing the firing).
-func (inc *Incremental) lostHeads(s int, d Atom, neg bool, v storeView, yield func(Atom) error) error {
+// was added, killing the firing). sub is the phase's substitution (fireOn).
+func (inc *Incremental) lostHeads(s int, d Atom, neg bool, v storeView, sub term.Subst, yield func(Atom) error) error {
 	return inc.eachRef(d.Pred, neg, func(rf litRef, c Clause) error {
 		if inc.stratum(c.Head.Pred) != s {
 			return nil
 		}
-		s0, ok := bindTo(c.Body[rf.lit].Atom, d)
-		if !ok {
-			return nil
-		}
-		return solveBody(inc.gov, c, rf.lit, s0, v, func(sub term.Subst) error {
+		return inc.fireOn(c, rf.lit, d, sub, v, func(sub term.Subst) error {
 			return yield(c.Head.Apply(sub))
 		})
 	})
@@ -777,6 +780,7 @@ func (inc *Incremental) insertTuple(t Atom, k string, st *deltaState) error {
 // over-delete time — and later strata see only the net change.
 func (inc *Incremental) deletePhase(s int, st *deltaState, seeds []Atom) error {
 	oldView := storeView{live: inc.model, grave: st.grave, negSkip: st.addKeys}
+	sub := term.Subst{}
 	overdeleted := map[string]Atom{}
 	var queue []Atom
 	for _, m := range st.deleted {
@@ -798,7 +802,7 @@ func (inc *Incremental) deletePhase(s int, st *deltaState, seeds []Atom) error {
 	// lostHeads is running.
 	lost := func(d Atom, neg bool) error {
 		var heads []Atom
-		err := inc.lostHeads(s, d, neg, oldView, func(h Atom) error {
+		err := inc.lostHeads(s, d, neg, oldView, sub, func(h Atom) error {
 			heads = append(heads, h)
 			return nil
 		})
@@ -839,7 +843,7 @@ func (inc *Incremental) deletePhase(s int, st *deltaState, seeds []Atom) error {
 		sort.Strings(keys)
 		for _, k := range keys {
 			t := overdeleted[k]
-			ok, err := inc.derivable(t)
+			ok, err := inc.derivable(t, sub)
 			if err != nil {
 				return err
 			}
@@ -862,6 +866,7 @@ func (inc *Incremental) deletePhase(s int, st *deltaState, seeds []Atom) error {
 // literals.
 func (inc *Incremental) insertPhase(s int, st *deltaState) error {
 	live := storeView{live: inc.model}
+	sub := term.Subst{}
 	var frontier []Atom
 	for _, m := range st.added {
 		for _, a := range m {
@@ -887,11 +892,7 @@ func (inc *Incremental) insertPhase(s int, st *deltaState) error {
 			if inc.stratum(c.Head.Pred) != s {
 				return nil
 			}
-			s0, ok := bindTo(c.Body[rf.lit].Atom, d)
-			if !ok {
-				return nil
-			}
-			return solveBody(inc.gov, c, rf.lit, s0, live, func(sub term.Subst) error { return emit(c, sub) })
+			return inc.fireOn(c, rf.lit, d, sub, live, func(sub term.Subst) error { return emit(c, sub) })
 		})
 	}
 	// Deletions below the stratum enable firings through negated literals;

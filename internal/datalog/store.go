@@ -478,108 +478,70 @@ func (s *Store) Preds() []string {
 }
 
 // Match calls fn for every stored fact of query.Pred that unifies with query
-// under an extension of base. fn receives the extended substitution (a fresh
-// clone per match) and may return false to stop early. Match uses an
-// argument index when the query has a ground argument position.
+// under an extension of base, and may be stopped early by fn returning false.
+// Each candidate is bound into base itself, its bindings kept on a trail and
+// undone once fn returns or the unification fails, so no candidate copies the
+// substitution: fn's argument is base, borrowed — valid only until fn
+// returns, and left as Match found it when Match returns. A caller that keeps
+// an answer copies what it needs (Apply). fn may call Match again with it.
+//
+// A delta relation yields its live base tuples, then its added ones. Match
+// probes an argument index — the pair of a delta's and its base's lists — at
+// the most selective argument position the query, under base, makes ground.
 func (s *Store) Match(query Atom, base term.Subst, fn func(term.Subst) bool) {
 	r := s.rels[query.Pred]
 	if r == nil {
 		return
 	}
-	if r.base != nil {
-		s.matchDelta(r, query, base, fn)
-		return
-	}
-	candidates := r.facts
-	if s.indexing {
-		// Pick the most selective index among ground argument positions.
-		best := -1
-		var bestList []int
-		for i, t := range query.Args {
-			bound := base.Apply(t)
-			if !bound.IsGround() {
-				continue
-			}
-			m := r.index[i]
-			if m == nil {
-				continue
-			}
-			list := m[bound.Key()]
-			if best == -1 || len(list) < len(bestList) {
-				best, bestList = i, list
-			}
-		}
-		if best >= 0 {
-			for _, off := range bestList {
-				s2 := base.Clone()
-				if term.UnifyAll(query.Args, candidates[off].Args, s2) {
-					if !fn(s2) {
-						return
-					}
-				}
-			}
-			return
-		}
-	}
-	for _, f := range candidates {
-		if len(f.Args) != len(query.Args) {
-			continue
-		}
-		s2 := base.Clone()
-		if term.UnifyAll(query.Args, f.Args, s2) {
-			if !fn(s2) {
-				return
-			}
-		}
-	}
-}
-
-// matchDelta is Match over a delta relation: the live base tuples, then the
-// added ones, through the pair of index lists of the most selective ground
-// argument position when there is one.
-func (s *Store) matchDelta(r *relation, query Atom, base term.Subst, fn func(term.Subst) bool) {
+	var tb [8]string
 	try := func(f Atom) bool {
-		if len(f.Args) != len(query.Args) {
-			return true
-		}
-		s2 := base.Clone()
-		return !term.UnifyAll(query.Args, f.Args, s2) || fn(s2)
+		trail, ok := term.UnifyAllTrail(query.Args, f.Args, base, tb[:0])
+		more := !ok || fn(base)
+		base.Undo(trail)
+		return more
 	}
-	b := r.base
+	// flat is the relation holding the tuples under their offsets: r itself,
+	// or a delta's base, whose dead offsets are skipped and whose added
+	// tuples and their index lists are r's own.
+	flat, added, addedIdx := r, []Atom(nil), map[int]map[string][]int(nil)
+	if r.base != nil {
+		flat, added, addedIdx = r.base, r.facts, r.index
+	}
 	if s.indexing {
+		var kb [64]byte
 		best := -1
-		var baseList, ownList []int
+		var flatList, addedList []int
 		for i, t := range query.Args {
 			bound := base.Apply(t)
-			if !bound.IsGround() || b.index[i] == nil && r.index[i] == nil {
+			if !bound.IsGround() || flat.index[i] == nil && addedIdx[i] == nil {
 				continue
 			}
-			k := bound.Key()
-			bl, ol := b.index[i][k], r.index[i][k]
-			if best == -1 || len(bl)+len(ol) < len(baseList)+len(ownList) {
-				best, baseList, ownList = i, bl, ol
+			k := bound.AppendKey(kb[:0])
+			fl, al := flat.index[i][string(k)], addedIdx[i][string(k)]
+			if best == -1 || len(fl)+len(al) < len(flatList)+len(addedList) {
+				best, flatList, addedList = i, fl, al
 			}
 		}
 		if best >= 0 {
-			for _, off := range baseList {
-				if !r.dead[off] && !try(b.facts[off]) {
+			for _, off := range flatList {
+				if !r.dead[off] && !try(flat.facts[off]) {
 					return
 				}
 			}
-			for _, off := range ownList {
-				if !try(r.facts[off]) {
+			for _, off := range addedList {
+				if !try(added[off]) {
 					return
 				}
 			}
 			return
 		}
 	}
-	for off, f := range b.facts {
+	for off, f := range flat.facts {
 		if !r.dead[off] && !try(f) {
 			return
 		}
 	}
-	for _, f := range r.facts {
+	for _, f := range added {
 		if !try(f) {
 			return
 		}

@@ -198,6 +198,13 @@ func (reduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog
 	if err != nil {
 		return Result{}, err
 	}
+	return reductionAnswer(red, q)
+}
+
+// reductionAnswer is reduceOracle's answer to q through a reduction already
+// built, which a caller may keep and query again: Query registers the belief
+// axioms q needs and rebuilds its cached model only when that adds one.
+func reductionAnswer(red *multilog.Reduction, q multilog.Query) (Result, error) {
 	answers, err := red.Query(q)
 	if err != nil {
 		return Result{}, err

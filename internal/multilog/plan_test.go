@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/lattice"
 	"repro/internal/multilog"
 	"repro/internal/resource"
+	"repro/internal/term"
 	"repro/internal/workload"
 )
 
@@ -292,6 +294,50 @@ func TestJoinPlanDependsOnlyOnDominatedLevels(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMatchUndoesItsBindings: match binds a level variable, per level, and
+// an '=' goal into its one substitution and undoes each before the next
+// candidate, so a query over a variable level answers what the same query
+// answers at each constant level, with the level bound — at every clearance,
+// in every mode. A binding left in place would fail every later level.
+func TestMatchUndoesItsBindings(t *testing.T) {
+	levels := []lattice.Label{"u", "c", "s"}
+	for _, u := range levels {
+		red := prepared(t, multilog.D1(), u)
+		for _, m := range planModes {
+			in := ""
+			if m != "" {
+				in = " << " + string(m)
+			}
+			got, _, err := red.QueryPrepared(context.Background(),
+				mustGoals(t, "L[p(K: a -C-> V)]"+in+", M = L"), resource.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string // rendered as renderAnswers renders
+			seen := map[lattice.Label]bool{}
+			for _, l := range levels {
+				at, _, err := red.QueryPrepared(context.Background(),
+					mustGoals(t, fmt.Sprintf("%s[p(K: a -C-> V)]%s, M = %s", l, in, l)), resource.Limits{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range at {
+					a.Bindings["L"] = term.Const(string(l))
+					want = append(want, a.Bindings.String()+"\n")
+					seen[l] = true
+				}
+			}
+			sort.Strings(want)
+			if g, w := renderAnswers(got), strings.Join(want, ""); g != w {
+				t.Errorf("at %s, mode %q: a variable level answers\n%swant, level by level,\n%s", u, m, g, w)
+			}
+			if u == "s" && m == multilog.ModeCau && len(seen) < 2 {
+				t.Errorf("at s in cau the probe answers at %d level(s); the check needs two", len(seen))
 			}
 		}
 	}

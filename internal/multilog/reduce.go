@@ -223,41 +223,44 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 		case GoalP, GoalL, GoalH:
 			switch g.P.Pred {
 			case datalog.BuiltinEq:
-				s2 := s.Clone()
-				if term.Unify(g.P.Args[0], g.P.Args[1], s2) {
-					err = solve(depth+1, s2)
+				var tb [4]string
+				trail, ok := term.UnifyTrail(g.P.Args[0], g.P.Args[1], s, tb[:0])
+				if ok {
+					err = solve(depth+1, s)
 				}
+				s.Undo(trail)
 			case datalog.BuiltinNeq:
 				if g.P.IsGround() && !g.P.Args[0].Equal(g.P.Args[1]) {
 					err = solve(depth+1, s)
 				}
 			default:
-				model.Match(g.P, s, func(s2 term.Subst) bool {
-					err = solve(depth+1, s2)
+				model.Match(g.P, s, func(term.Subst) bool {
+					err = solve(depth+1, s)
 					return err == nil
 				})
 			}
 		case GoalM, GoalB:
 			for _, lvl := range r.levelCandidates(g.M.Level) {
-				s2 := s.Clone()
-				if !term.Unify(g.M.Level, term.Const(string(lvl)), s2) {
-					continue
-				}
 				// λ guards: level ⪯ u; the class guard is enforced by
 				// matching below plus an explicit dominance check.
 				if !r.Poset.Dominates(r.User, lvl) {
 					continue
 				}
-				var args [goalArgs]term.Term
-				model.Match(goalAtom(g, lvl, args[:0]), s2, func(s3 term.Subst) bool {
-					class := s3.Apply(g.M.Class)
-					if class.Kind() == term.KindConst &&
-						!r.Poset.Dominates(r.User, lattice.Label(class.Name())) {
-						return true // class guard c ⪯ u failed
-					}
-					err = solve(depth+1, s3)
-					return err == nil
-				})
+				var tb [1]string
+				trail, ok := term.UnifyTrail(g.M.Level, term.Const(string(lvl)), s, tb[:0])
+				if ok {
+					var args [goalArgs]term.Term
+					model.Match(goalAtom(g, lvl, args[:0]), s, func(term.Subst) bool {
+						class := s.Apply(g.M.Class)
+						if class.Kind() == term.KindConst &&
+							!r.Poset.Dominates(r.User, lattice.Label(class.Name())) {
+							return true // class guard c ⪯ u failed
+						}
+						err = solve(depth+1, s)
+						return err == nil
+					})
+				}
+				s.Undo(trail)
 				if err != nil {
 					break
 				}

@@ -176,7 +176,9 @@ func TestQueryPreparedAgreesWithQueryContext(t *testing.T) {
 
 // TestQueryPreparedConcurrent hammers one prepared reduction from many
 // goroutines (run under -race) and checks every one computes the same
-// answer set.
+// answer set. Besides Figure 11's query the goroutines run a join, an '='
+// goal and b-goals over a variable level: every path on which match binds
+// into its substitution and undoes it, over one shared model.
 func TestQueryPreparedConcurrent(t *testing.T) {
 	red, err := Reduce(D1(), "s")
 	if err != nil {
@@ -185,10 +187,26 @@ func TestQueryPreparedConcurrent(t *testing.T) {
 	if err := red.Prepare(context.Background(), resource.Limits{}); err != nil {
 		t.Fatal(err)
 	}
-	q := D1Query()
-	want, _, err := red.QueryPrepared(context.Background(), q, resource.Limits{})
-	if err != nil {
-		t.Fatal(err)
+	queries := []Query{D1Query()}
+	for _, src := range []string{
+		"u[p(K: a -C-> V)], L[p(K: a -C2-> V2)] << cau",
+		"L[p(K: a -C-> V)] << opt, M = L",
+		"L[p(K: a -C-> V)] << fir, L2[p(K: a -C2-> V)] << cau, L != L2",
+	} {
+		q, err := ParseGoals(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	want := make([][]Answer, len(queries))
+	for i, q := range queries {
+		if want[i], _, err = red.QueryPrepared(context.Background(), q, resource.Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		if len(want[i]) == 0 {
+			t.Fatalf("query %v answers nothing", q)
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
@@ -196,13 +214,17 @@ func TestQueryPreparedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := red.QueryPrepared(context.Background(), q, resource.Limits{})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				errs <- fmt.Errorf("answers %v, want %v", got, want)
+			for j := range queries {
+				j := (i + j) % len(queries)
+				got, _, err := red.QueryPrepared(context.Background(), queries[j], resource.Limits{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want[j]) {
+					errs <- fmt.Errorf("query %v answers %v, want %v", queries[j], got, want[j])
+					return
+				}
 			}
 		}()
 	}

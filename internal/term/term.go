@@ -190,14 +190,33 @@ func (t Term) Key() string {
 		return "v:" + t.functor
 	case KindNull:
 		return "n:"
-	case KindCompound:
-		parts := make([]string, len(t.args))
-		for i, a := range t.args {
-			parts[i] = a.Key()
-		}
-		return "f:" + t.functor + "(" + strings.Join(parts, ",") + ")"
 	}
-	return "?"
+	return string(t.AppendKey(nil))
+}
+
+// AppendKey appends the term's Key to dst and returns the extended slice, so
+// a key can be rendered into a caller's buffer and looked up as
+// m[string(buf)] without allocating.
+func (t Term) AppendKey(dst []byte) []byte {
+	switch t.kind {
+	case KindConst:
+		return append(append(dst, "c:"...), t.functor...)
+	case KindVar:
+		return append(append(dst, "v:"...), t.functor...)
+	case KindNull:
+		return append(dst, "n:"...)
+	case KindCompound:
+		dst = append(append(dst, "f:"...), t.functor...)
+		dst = append(dst, '(')
+		for i, a := range t.args {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = a.AppendKey(dst)
+		}
+		return append(dst, ')')
+	}
+	return append(dst, '?')
 }
 
 // Vars appends the variables occurring in t to dst (with duplicates) and
@@ -259,6 +278,17 @@ func (s Subst) Bind(v string, t Term) bool {
 	return true
 }
 
+// Undo removes the bindings of the variables on trail, as UnifyTrail and
+// UnifyAllTrail record them. A trail lists only variables that were unbound
+// when it was written, so Undo restores s to what it was before — unless s
+// bound one of them to itself, as a restricted answer may (see Lookup),
+// which Undo leaves unbound.
+func (s Subst) Undo(trail []string) {
+	for _, v := range trail {
+		delete(s, v)
+	}
+}
+
 // Clone returns an independent copy of the substitution.
 func (s Subst) Clone() Subst {
 	c := make(Subst, len(s))
@@ -315,47 +345,75 @@ func occurs(v string, t Term, s Subst) bool {
 }
 
 // Unify extends s so that a and b become equal under it. It reports whether
-// unification succeeded; on failure s may be partially extended, so callers
-// that need backtracking should pass a clone.
+// unification succeeded; on failure s may be partially extended. A caller
+// that backtracks binds with UnifyTrail instead and undoes what it bound.
 func Unify(a, b Term, s Subst) bool {
+	var buf [4]string
+	_, ok := UnifyTrail(a, b, s, buf[:0])
+	return ok
+}
+
+// UnifyAll unifies the parallel slices a and b under s, like Unify.
+func UnifyAll(a, b []Term, s Subst) bool {
+	var buf [8]string
+	_, ok := UnifyAllTrail(a, b, s, buf[:0])
+	return ok
+}
+
+// UnifyTrail is the unifier: it extends s in place so that a and b become
+// equal under it, with the occurs check, and appends to trail every variable
+// it binds, returning the extended trail and whether unification succeeded.
+// On failure too the trail lists what was bound before it failed, so
+// s.Undo(trail) restores s either way: a backtracking enumeration binds each
+// candidate into one substitution and undoes it, instead of cloning s per
+// candidate.
+func UnifyTrail(a, b Term, s Subst, trail []string) ([]string, bool) {
 	a, b = s.Lookup(a), s.Lookup(b)
 	switch {
 	case a.IsVar() && b.IsVar() && a.functor == b.functor:
-		return true
-	case a.IsVar():
-		return s.Bind(a.functor, b)
-	case b.IsVar():
-		return s.Bind(b.functor, a)
+		return trail, true
+	case a.IsVar() || b.IsVar():
+		if !a.IsVar() {
+			a, b = b, a
+		}
+		if !s.Bind(a.functor, b) {
+			return trail, false
+		}
+		return append(trail, a.functor), true
 	case a.kind != b.kind:
-		return false
+		return trail, false
 	case a.kind == KindNull:
-		return true
+		return trail, true
 	case a.kind == KindConst:
-		return a.functor == b.functor
-	default: // both compound
-		if a.functor != b.functor || len(a.args) != len(b.args) {
-			return false
-		}
-		for i := range a.args {
-			if !Unify(a.args[i], b.args[i], s) {
-				return false
-			}
-		}
-		return true
+		return trail, a.functor == b.functor
 	}
+	// Both compound. The recursion stays in UnifyTrail itself: a caller's
+	// stack buffer for the trail then stays on its stack.
+	if a.functor != b.functor || len(a.args) != len(b.args) {
+		return trail, false
+	}
+	for i := range a.args {
+		var ok bool
+		if trail, ok = UnifyTrail(a.args[i], b.args[i], s, trail); !ok {
+			return trail, false
+		}
+	}
+	return trail, true
 }
 
-// UnifyAll unifies the parallel slices a and b under s.
-func UnifyAll(a, b []Term, s Subst) bool {
+// UnifyAllTrail unifies the parallel slices a and b under s, like
+// UnifyTrail.
+func UnifyAllTrail(a, b []Term, s Subst, trail []string) ([]string, bool) {
 	if len(a) != len(b) {
-		return false
+		return trail, false
 	}
 	for i := range a {
-		if !Unify(a[i], b[i], s) {
-			return false
+		var ok bool
+		if trail, ok = UnifyTrail(a[i], b[i], s, trail); !ok {
+			return trail, false
 		}
 	}
-	return true
+	return trail, true
 }
 
 // Renamer produces fresh variable names, used to rename clauses apart before

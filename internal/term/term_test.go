@@ -1,6 +1,7 @@
 package term
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,6 +271,60 @@ func TestQuickKeyInjective(t *testing.T) {
 			return a.Key() == b.Key()
 		}
 		return a.Key() != b.Key()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// AppendKey writes exactly Key's rendering: for constants that print quoted,
+// variables, ⊥ and nested compounds, and for random terms.
+func TestQuickAppendKeyIsKey(t *testing.T) {
+	check := func(tm Term) bool {
+		if got := string(tm.AppendKey(nil)); got != tm.Key() {
+			t.Errorf("AppendKey(nil) of %s = %q, Key = %q", tm, got, tm.Key())
+			return false
+		}
+		if got := string(tm.AppendKey([]byte("<"))); got != "<"+tm.Key() {
+			t.Errorf("AppendKey(<) of %s = %q", tm, got)
+			return false
+		}
+		return true
+	}
+	for _, tm := range []Term{Const("a"), Const("A"), Const(""), Const("null"), Const("not"),
+		Const("42"), Const("9a"), Const("é"), Const("a b"), Const("x,y)"), Var("X"), Var("_"),
+		Null(), Comp("f"), Comp("F", Const("a"), Comp("g", Var("X"), Null()), Comp("h", Comp("i")))} {
+		check(tm)
+	}
+	prop := func(seed int64) bool {
+		return check(randomTerm(rand.New(rand.NewSource(seed)), 0))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// UnifyTrail binds what Unify binds, and Undo of its trail restores the
+// substitution it extended, whether unification succeeded or failed partway.
+func TestQuickUnifyTrailUndo(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, b := randomTerm(r, 0), randomTerm(r, 0)
+		s := Subst{}
+		if r.Intn(2) == 0 {
+			s["Z"] = randomTerm(r, 1)
+			if occurs("Z", s["Z"], Subst{}) {
+				delete(s, "Z")
+			}
+		}
+		before, ref := s.Clone(), s.Clone()
+		refOK := Unify(a, b, ref)
+		trail, ok := UnifyTrail(a, b, s, nil)
+		if ok != refOK || ok && !maps.EqualFunc(s, ref, Term.Equal) {
+			return false
+		}
+		s.Undo(trail)
+		return maps.EqualFunc(s, before, Term.Equal)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

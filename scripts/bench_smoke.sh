@@ -13,16 +13,19 @@
 #    allocates at least 100x what a fact write carried through four warm
 #    clearances by delta does (advance=delta). Allocation counts are
 #    deterministic, so unlike a time gate this one holds on a loud machine:
-#    the ratio is ~1000x when a write copies only the relations it touches
-#    and ~4x if it ever copies the model again. The first write after a cold
-#    build (advance=adopt: each compiled model cloned and its fact clauses
-#    counted in, then the delta) is held to 20x: ~90x when adoption asks
-#    nothing of the rules, ~7x if it ever enumerates them over the model
-#    again, 1x if it derives the model.
+#    the ratio is ~730x when a write copies only the relations it touches
+#    and ~4x if it ever copies the model again. The first write after a
+#    cold build (advance=adopt: each compiled model cloned and its fact
+#    clauses counted in, then the delta) is held to 20x: ~57x when adoption
+#    asks nothing of the rules, ~7x if it ever enumerates them over the
+#    model again, 1x if it derives the model. (Both read ~970x and ~93x
+#    while matching cloned a substitution per candidate, which cost the
+#    cold build more than the write.)
 # 4. BenchmarkAdvanceRuleWrite: the same gate for a rule write — the Π rule
 #    rule_churn writes, at 200 and at 2000 facts and at 160 belief rules, and
-#    a Σ belief rule — at 20x in every case: ~700x, ~6000x and ~3000x for the
-#    Π rule, ~36x for the Σ rule, when a rule write edits a delta over each
+#    a Σ belief rule — at 20x in every case: ~450x, ~3700x and ~2200x for the
+#    Π rule, ~24x for the Σ rule (~700x, ~6000x, ~3000x and ~36x with the
+#    per-candidate clones), when a rule write edits a delta over each
 #    clearance's shared rule set (~110x, ~960x, ~85x and ~35x when every
 #    write re-stratified and re-indexed the whole rule set); 1x if it
 #    rebuilds the reduction.
@@ -53,6 +56,12 @@
 #    belief rules (5,807 translated rules at l3) at most 1.25x what it does
 #    at 16 (767): ~1.1x when a write edits a delta over each clearance's
 #    rule set, ~5.8x when it re-stratifies and re-indexes the whole set.
+# 9. TestMatchAllocsFlatInCandidates (internal/datalog, also in tier-1): a
+#    Store.Match whose fn does nothing allocates over 1000 candidates at most
+#    1.25x what it does over 10, on the scan and the indexed path of a flat
+#    and of a delta relation: 0 allocations at both sizes when each candidate
+#    binds into the caller's substitution and is undone on a trail, ~91-95x
+#    (2001-2002 against 21-22) when each candidate clones the substitution.
 set -eu
 
 GO=${GO:-go}
@@ -106,8 +115,8 @@ gate "$TMP/advance.txt" AdvanceFactWrite advance full delta allocs/op 100
 gate "$TMP/advance.txt" AdvanceFactWrite advance full adopt allocs/op 20
 gate "$TMP/advance.txt" AdvanceRuleWrite advance full delta allocs/op 20
 
-$GO test ./internal/server ./internal/multilog \
-    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount)$' \
+$GO test ./internal/server ./internal/multilog ./internal/datalog \
+    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount|TestMatchAllocsFlatInCandidates)$' \
     -count=1 -v > "$TMP/allocs.txt" || { cat "$TMP/allocs.txt"; exit 1; }
-grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert' "$TMP/allocs.txt"
+grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert\|per match' "$TMP/allocs.txt"
 echo "bench-smoke: ok"
