@@ -86,10 +86,6 @@ func NegativeCycle(p *Program) []DepEdge {
 
 // NegativeCycleEdges is NegativeCycle over a precomputed edge list.
 func NegativeCycleEdges(edges []DepEdge) []DepEdge {
-	adj := map[string][]DepEdge{}
-	for _, e := range edges {
-		adj[e.From] = append(adj[e.From], e)
-	}
 	// For determinism, try negative edges in sorted order; for each negative
 	// edge u -not-> v, a shortest path v ⇒ u (BFS) closes the cycle.
 	var negs []DepEdge
@@ -97,6 +93,13 @@ func NegativeCycleEdges(edges []DepEdge) []DepEdge {
 		if e.Negative {
 			negs = append(negs, e)
 		}
+	}
+	if len(negs) == 0 {
+		return nil
+	}
+	adj := map[string][]DepEdge{}
+	for _, e := range edges {
+		adj[e.From] = append(adj[e.From], e)
 	}
 	sort.Slice(negs, func(i, j int) bool {
 		if negs[i].From != negs[j].From {

@@ -16,7 +16,6 @@ package lint
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -205,24 +204,66 @@ func MultiLog(db *multilog.Database, opts Options) Diagnostics {
 	return r.diags
 }
 
-// MultiLogWrite lints next, the database a write made of a lint-clean one by
+// MultiLogWrite lints next, the version a write made of a lint-clean one by
 // adding the clauses of added and taking out those of removed, with the Error
-// passes alone: its findings are MultiLog(next)'s Error findings, which decide
-// whether the write may be published. Those passes judge a Σ clause against Λ
-// and Π, never against another Σ clause, so a write of Σ clauses checks only
-// the Σ clauses it adds — a Σ retract, none. A write carrying a Π clause
-// checks all of next: retracting one can undefine a predicate a Σ body reads,
-// or a belief mode a b-atom uses.
-func MultiLogWrite(next *multilog.Database, added, removed []multilog.Clause, opts Options) Diagnostics {
-	check := &multilog.Database{Sigma: added}
-	for _, c := range slices.Concat(added, removed) {
-		if c.Head.Kind != multilog.GoalM {
-			check = next
-			break
+// passes alone: its findings are MultiLog(next.Database())'s Error findings,
+// which decide whether the write may be published. Λ is fixed, and those
+// passes judge a Σ clause against Λ and Π, never against another Σ clause, so
+// the write lints what it can have broken, judged in next.Env():
+//
+//   - the Σ clauses it adds (a Σ retract breaks nothing);
+//   - when it carries a Π clause, also Λ, Π and the stored queries: Π's
+//     Datalog passes read all of Π, and a Π retract can undefine a predicate
+//     a Π body or a query reads. A Π add cannot newly fail a pass over Σ:
+//     definedness and belief modes only grow.
+//
+// It lints Σ in two cases alone. A retract that removes a bel/7 clause can
+// take away a mode a b-atom anywhere uses, so it runs the full lint. A
+// retract that leaves a Π predicate undefined asks next whether a Σ body
+// reads it (Version.SigmaReads, an index, not a walk), and runs the full lint
+// if one does, so that the goal DL002 reports first is the full lint's. No
+// other write reads or materializes next's Σ.
+func MultiLogWrite(next *multilog.Version, added, removed []multilog.Clause, opts Options) Diagnostics {
+	env := next.Env()
+	check := &multilog.Database{}
+	piWrite, full := false, false
+	for _, c := range added {
+		if c.Head.Kind == multilog.GoalM {
+			check.Sigma = append(check.Sigma, c)
+		} else {
+			piWrite = true
 		}
 	}
+	var defined, undefined map[string]bool
+	for _, c := range removed {
+		if c.Head.Kind == multilog.GoalM {
+			continue
+		}
+		piWrite = true
+		h := c.Head.P
+		if h.Pred == multilog.UserBelPred && len(h.Args) == 7 {
+			full = true
+		}
+		if defined == nil {
+			defined, undefined = definedPreds(env), map[string]bool{}
+		}
+		if !defined[h.Pred] {
+			undefined[h.Pred] = true
+		}
+	}
+	for pred := range undefined {
+		full = full || next.SigmaReads(pred)
+	}
 	r := &reporter{file: opts.File}
-	lintMultiLogErrors(r, check, next, opts)
+	if full {
+		db := next.Database()
+		lintMultiLogErrors(r, db, db, opts)
+	} else {
+		if piWrite {
+			check.Lambda, check.Pi, check.Queries = env.Lambda, env.Pi, env.Queries
+		}
+		lintMultiLogErrors(r, check, env, opts)
+	}
 	r.diags.Sort()
 	return r.diags
 }

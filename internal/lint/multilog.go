@@ -15,12 +15,13 @@ import (
 // (m- and b-atoms in Σ rules) are out of scope here; the MultiLog-specific
 // passes cover them.
 func piProgram(db *multilog.Database) *datalog.Program {
-	p := &datalog.Program{}
+	p := &datalog.Program{Clauses: make([]datalog.Clause, 0, len(db.Lambda)+len(db.Pi))}
 	for _, cs := range [][]multilog.Clause{db.Lambda, db.Pi} {
-		for _, c := range cs {
+		for i := range cs {
+			c := &cs[i]
 			dc := datalog.Clause{Head: c.Head.P}
-			for _, g := range c.Body {
-				if g.Kind == multilog.GoalP || g.Kind == multilog.GoalL || g.Kind == multilog.GoalH {
+			for j := range c.Body {
+				if g := &c.Body[j]; g.Kind == multilog.GoalP || g.Kind == multilog.GoalL || g.Kind == multilog.GoalH {
 					dc.Body = append(dc.Body, datalog.Pos(g.P))
 				}
 			}
@@ -28,8 +29,8 @@ func piProgram(db *multilog.Database) *datalog.Program {
 		}
 	}
 	for _, q := range db.Queries {
-		for _, g := range q {
-			if g.Kind == multilog.GoalP || g.Kind == multilog.GoalL || g.Kind == multilog.GoalH {
+		for i := range q {
+			if g := &q[i]; g.Kind == multilog.GoalP || g.Kind == multilog.GoalL || g.Kind == multilog.GoalH {
 				p.AddQuery(g.P)
 			}
 		}
@@ -39,20 +40,21 @@ func piProgram(db *multilog.Database) *datalog.Program {
 
 // eachGoal visits every goal of the database — heads and bodies of all
 // three components plus the stored queries — with the clause it came from
-// (nil for query goals).
-func eachGoal(db *multilog.Database, visit func(c *multilog.Clause, g multilog.Goal)) {
+// (nil for query goals). The goals are the database's and must not be
+// modified.
+func eachGoal(db *multilog.Database, visit func(c *multilog.Clause, g *multilog.Goal)) {
 	for _, cs := range [][]multilog.Clause{db.Lambda, db.Sigma, db.Pi} {
 		for i := range cs {
 			c := &cs[i]
-			visit(c, c.Head)
-			for _, g := range c.Body {
-				visit(c, g)
+			visit(c, &c.Head)
+			for j := range c.Body {
+				visit(c, &c.Body[j])
 			}
 		}
 	}
 	for _, q := range db.Queries {
-		for _, g := range q {
-			visit(nil, g)
+		for i := range q {
+			visit(nil, &q[i])
 		}
 	}
 }
@@ -79,14 +81,9 @@ func lintMultiLogSafety(r *reporter, db, env *multilog.Database) {
 		}
 	}
 
-	defined := map[string]bool{"level": true, "order": true, multilog.UserBelPred: true}
-	for _, cs := range [][]multilog.Clause{env.Lambda, env.Pi} {
-		for _, c := range cs {
-			defined[c.Head.P.Pred] = true
-		}
-	}
+	defined := definedPreds(env)
 	seen := map[string]bool{}
-	eachGoal(db, func(_ *multilog.Clause, g multilog.Goal) {
+	eachGoal(db, func(_ *multilog.Clause, g *multilog.Goal) {
 		if g.Kind != multilog.GoalP || g.P.IsBuiltin() {
 			return
 		}
@@ -98,6 +95,18 @@ func lintMultiLogSafety(r *reporter, db, env *multilog.Database) {
 			"classical predicate %s/%d has no facts and no rules in Π; this goal can never be proved", g.P.Pred, g.P.Arity())
 		d.Fix = fmt.Sprintf("define %s in Π or remove the goal", g.P.Pred)
 	})
+}
+
+// definedPreds is the set of classical predicates DL002 counts as defined in
+// env: level, order and bel (built in) and the head of every Λ or Π clause.
+func definedPreds(env *multilog.Database) map[string]bool {
+	defined := map[string]bool{"level": true, "order": true, multilog.UserBelPred: true}
+	for _, cs := range [][]multilog.Clause{env.Lambda, env.Pi} {
+		for i := range cs {
+			defined[cs[i].Head.P.Pred] = true
+		}
+	}
+	return defined
 }
 
 // lintMultiLogBeliefs reports ML001 (malformed m-/b-atoms: null or compound
@@ -134,7 +143,7 @@ func lintMultiLogBeliefs(r *reporter, db, env *multilog.Database, opts Options) 
 		}
 		return ""
 	}
-	eachGoal(db, func(_ *multilog.Clause, g multilog.Goal) {
+	eachGoal(db, func(_ *multilog.Clause, g *multilog.Goal) {
 		if g.Kind != multilog.GoalM && g.Kind != multilog.GoalB {
 			return
 		}
@@ -170,7 +179,7 @@ func lintMultiLogLattice(r *reporter, db, env *multilog.Database) {
 		r.report("ML004", Error, pos, "Λ does not define an admissible security lattice: %v", err)
 		return
 	}
-	eachGoal(db, func(_ *multilog.Clause, g multilog.Goal) {
+	eachGoal(db, func(_ *multilog.Clause, g *multilog.Goal) {
 		if g.Kind != multilog.GoalM && g.Kind != multilog.GoalB {
 			return
 		}

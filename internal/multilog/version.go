@@ -36,6 +36,9 @@ type versionBase struct {
 
 	indexOnce sync.Once
 	index     map[clauseSig][]int // Σ offsets for an m-head, Π offsets for a p-head
+
+	bodyOnce sync.Once
+	readers  map[string][]int // Σ offsets by the classical predicates their bodies read
 }
 
 // NewVersion returns a version whose base is db, which must not be modified
@@ -73,6 +76,26 @@ func (v *Version) Database() *Database {
 // passes read no other Σ clause). A Σ write shares its parent's, so it costs
 // nothing; a Π write builds its own, copying Π. It must not be modified.
 func (v *Version) Env() *Database { return v.env }
+
+// SigmaReads reports whether a Σ clause of the version reads the classical
+// predicate pred in its body: through the base's index of Σ offsets by the
+// classical predicates their bodies read, built at the first call, and a walk
+// of the Σ clauses added since. It never walks the base's Σ again.
+func (v *Version) SigmaReads(pred string) bool {
+	for _, off := range v.base.bodyIndex()[pred] {
+		if _, tomb := slices.BinarySearch(v.deadSigma, off); !tomb {
+			return true
+		}
+	}
+	for i := range v.addSigma {
+		for j := range v.addSigma[i].Body {
+			if g := &v.addSigma[i].Body[j]; g.Kind == GoalP && g.P.Pred == pred {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // Counts returns |Λ|, |Σ| and |Π| without materializing the database.
 func (v *Version) Counts() (lambda, sigma, pi int) {
@@ -222,6 +245,22 @@ func (b *versionBase) sigIndex() map[clauseSig][]int {
 		}
 	})
 	return b.index
+}
+
+// bodyIndex returns the base's Σ offsets by the classical predicates their
+// bodies read, built at the first call: only a Π retract's lint asks it.
+func (b *versionBase) bodyIndex() map[string][]int {
+	b.bodyOnce.Do(func() {
+		b.readers = map[string][]int{}
+		for off := range b.db.Sigma {
+			for j := range b.db.Sigma[off].Body {
+				if g := &b.db.Sigma[off].Body[j]; g.Kind == GoalP {
+					b.readers[g.P.Pred] = append(b.readers[g.P.Pred], off)
+				}
+			}
+		}
+	})
+	return b.readers
 }
 
 // clauseSig is the part of a clause head that is plain strings: a comparable,

@@ -81,8 +81,9 @@ func randomVersionWrite(t *testing.T, r *rand.Rand, db *multilog.Database, step 
 		switch r.Intn(4) {
 		case 0:
 			return mustClause(t, fmt.Sprintf("%s[p%d(w%d: a -%s-> v%d)].", lvl, r.Intn(3), r.Intn(step+1), lvl, r.Intn(3)))
-		case 1:
-			return mustClause(t, fmt.Sprintf("%s[r%d(K: b -%s-> V)] :- %s[p%d(K: a -C-> V)] << opt.", lvl, r.Intn(3), lvl, lo, r.Intn(3)))
+		case 1: // reading a Π predicate too, whose rules come and go
+			i := r.Intn(3)
+			return mustClause(t, fmt.Sprintf("%s[r%d(K: b -%s-> V)] :- %s[p%d(K: a -C-> V)] << opt, pr%d(K).", lvl, i, lvl, lo, r.Intn(3), i))
 		case 2:
 			return mustClause(t, fmt.Sprintf("pf(f%d).", r.Intn(step+1)))
 		default:
@@ -134,13 +135,27 @@ func render(cs []multilog.Clause) string {
 	return out
 }
 
+// flatReads reports whether a Σ body of db reads the classical predicate
+// pred: SigmaReads by a walk of the flat database.
+func flatReads(db *multilog.Database, pred string) bool {
+	for _, c := range db.Sigma {
+		for _, g := range c.Body {
+			if g.Kind == multilog.GoalP && g.P.Pred == pred {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestVersionMatchesFlatDatabase is the persistent clause set's oracle: on
 // seeded sequences of writes over a generated program — every kind of clause,
 // duplicates, retracts of absent clauses, of base clauses and of clauses added
 // since the base, each write sometimes made from an earlier version than the
 // last — every version renders byte for byte what the flat path (Clone, the
 // in-place filter, AddClause) makes of its parent's flat database, removes
-// the same clauses in the same order, and counts the same. Every earlier
+// the same clauses in the same order, counts the same and has a Σ body read
+// the same Π predicates (SigmaReads). Every earlier
 // version, its delta materialized afresh, still renders what it did.
 func TestVersionMatchesFlatDatabase(t *testing.T) {
 	const writes = 320
@@ -179,6 +194,11 @@ func TestVersionMatchesFlatDatabase(t *testing.T) {
 			}
 			if l, s, p := next.Counts(); l != len(ref.Lambda) || s != len(ref.Sigma) || p != len(ref.Pi) {
 				t.Fatalf("%s: counts %d/%d/%d, want %d/%d/%d", what, l, s, p, len(ref.Lambda), len(ref.Sigma), len(ref.Pi))
+			}
+			for _, pred := range []string{"pf", "pr0", "pr1", "pr2", "pr3"} {
+				if g, w := next.SigmaReads(pred), flatReads(ref, pred); g != w {
+					t.Fatalf("%s: SigmaReads(%s) = %v, a walk of Σ says %v", what, pred, g, w)
+				}
 			}
 			if multilog.VersionBase(next) != multilog.VersionBase(versions[from]) {
 				folds++

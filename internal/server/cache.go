@@ -1,7 +1,7 @@
 package server
 
 import (
-	"container/list"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,12 +27,16 @@ import (
 // snapshot cannot store its answer after the write that superseded it. Reset
 // (program load/replace) bumps the database's generation, making every old
 // key unreachable regardless of timing.
+//
+// A write finds what it drops through the reader index (dbEpochs), never by
+// walking the LRU: its cost follows the entries that read what it changed,
+// not the entries cached.
 type resultCache struct {
 	mu  sync.Mutex
 	cap int
-	lru *list.List               // front = most recent; values are *cacheEntry
-	by  map[string]*list.Element // key -> element
-	dbs map[string]*dbEpochs     // per-database invalidation state
+	lru cacheEntry             // the recency ring's sentinel: lru.next is the most recent entry
+	by  map[string]*cacheEntry // key -> entry, each in the ring
+	dbs map[string]*dbEpochs   // per-database invalidation state
 
 	// keepStale retains invalidated entries in a bounded side table for
 	// brownout serving (Config.MaxStale > 0): under shed, a read may be
@@ -54,19 +58,43 @@ type staleEntry struct {
 }
 
 // dbEpochs is one database's invalidation state: the load generation (part
-// of every key) and the epoch of the latest write that invalidated.
+// of every key), the epoch of the latest write that invalidated, and the
+// reader index of its entries. The index lists every entry under its
+// clearance — the list a write that did not advance that clearance drops
+// whole — and under (clearance, relation) for each relation in its deps.
+// Lists are append-only: a dropped entry is flagged gone where it stands, and
+// every list is swept once the references to gone entries outnumber the live
+// ones, so a drop costs O(1) and a sweep is paid for by the drops before it.
 type dbEpochs struct {
 	gen    uint64
 	latest uint64
+
+	readers    map[lattice.Label]*clearanceReaders
+	refs, dead int // references the lists hold; of those, to gone entries
 }
+
+// clearanceReaders is the reader index of one clearance: its entries, and by
+// translated relation the entries that read it. Keyed by clearance and then
+// by relation, a Put hashes each dep's name alone.
+type clearanceReaders struct {
+	all   readers
+	byRel map[string]*readers
+}
+
+// readers is one reader-index list.
+type readers struct{ ents []*cacheEntry }
 
 type cacheEntry struct {
 	key       string
 	db        string
+	idx       *dbEpochs // db's state, whose reader index lists the entry
 	clearance lattice.Label
 	epoch     uint64   // snapshot epoch the answers were computed at
 	deps      []string // translated relations the query reads (Reduction.QueryDeps)
 	answers   []byte   // the encoded JSON array of the answers
+
+	prev, next *cacheEntry // neighbours in the recency ring
+	gone       bool        // dropped from the ring; its index references are dead
 }
 
 // cacheKey builds the composite key. The components are length-prefixed so
@@ -85,8 +113,22 @@ func cacheKey(db string, gen uint64, clearance, mode, query string) string {
 // newResultCache builds a cache holding up to capacity entries; capacity
 // <= 0 disables caching (every Get misses, every Put is dropped).
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, lru: list.New(), by: map[string]*list.Element{},
+	c := &resultCache{cap: capacity, by: map[string]*cacheEntry{},
 		dbs: map[string]*dbEpochs{}, stale: map[string]*staleEntry{}}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// link puts ent at the front of the recency ring. Callers hold c.mu.
+func (c *resultCache) link(ent *cacheEntry) {
+	ent.prev, ent.next = &c.lru, c.lru.next
+	ent.prev.next, ent.next.prev = ent, ent
+}
+
+// unlink takes ent out of the recency ring. Callers hold c.mu.
+func (c *resultCache) unlink(ent *cacheEntry) {
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+	ent.prev, ent.next = nil, nil
 }
 
 // retire moves an entry the write of epoch invalidated into the stale side
@@ -128,7 +170,7 @@ func (c *resultCache) GetStale(key string, maxAge time.Duration) (answers []byte
 func (c *resultCache) epochs(db string) *dbEpochs {
 	e := c.dbs[db]
 	if e == nil {
-		e = &dbEpochs{}
+		e = &dbEpochs{readers: map[lattice.Label]*clearanceReaders{}}
 		c.dbs[db] = e
 	}
 	return e
@@ -145,14 +187,15 @@ func (c *resultCache) Generation(db string) uint64 {
 func (c *resultCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.by[key]
+	ent, ok := c.by[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).answers, true
+	c.unlink(ent)
+	c.link(ent)
+	return ent.answers, true
 }
 
 // Put stores a complete result's encoded answers, computed at clearance on
@@ -167,23 +210,87 @@ func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch < c.epochs(db).latest {
+	e := c.epochs(db)
+	if epoch < e.latest {
 		return
 	}
 	delete(c.stale, key) // a fresh result supersedes any brownout copy
-	if el, ok := c.by[key]; ok {
-		c.lru.MoveToFront(el)
-		ent := el.Value.(*cacheEntry)
-		ent.epoch, ent.deps, ent.answers = epoch, deps, answers
-		return
+	if ent, ok := c.by[key]; ok {
+		if slices.Equal(ent.deps, deps) {
+			c.unlink(ent)
+			c.link(ent)
+			ent.epoch, ent.answers = epoch, answers
+			return
+		}
+		// New deps, new index references: the entry is replaced, in place
+		// of an eviction.
+		c.drop(ent)
+		e.maybeSweep()
 	}
-	for c.lru.Len() >= c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.by, oldest.Value.(*cacheEntry).key)
+	for len(c.by) >= c.cap {
+		oldest := c.lru.prev
+		c.drop(oldest)
+		oldest.idx.maybeSweep()
 		c.evictions++
 	}
-	c.by[key] = c.lru.PushFront(&cacheEntry{key: key, db: db, clearance: clearance, epoch: epoch, deps: deps, answers: answers})
+	ent := &cacheEntry{key: key, db: db, idx: e, clearance: clearance, epoch: epoch, deps: deps, answers: answers}
+	c.link(ent)
+	c.by[key] = ent
+	cr := e.readers[clearance]
+	if cr == nil {
+		cr = &clearanceReaders{byRel: map[string]*readers{}}
+		e.readers[clearance] = cr
+	}
+	cr.all.ents = append(cr.all.ents, ent)
+	for _, d := range deps {
+		l := cr.byRel[d]
+		if l == nil {
+			l = &readers{}
+			cr.byRel[d] = l
+		}
+		l.ents = append(l.ents, ent)
+	}
+	e.refs += 1 + len(deps)
+}
+
+// drop takes ent out of the cache, leaving its index references dead.
+// Callers hold c.mu and sweep ent's database's index once they no longer
+// range over it.
+func (c *resultCache) drop(ent *cacheEntry) {
+	c.unlink(ent)
+	delete(c.by, ent.key)
+	ent.idx.dead += 1 + len(ent.deps)
+	ent.gone, ent.key, ent.deps, ent.answers = true, "", nil, nil
+}
+
+// maybeSweep compacts every index list of the database once its references
+// to gone entries outnumber those to live ones. Callers hold c.mu and range
+// over none of the lists.
+func (e *dbEpochs) maybeSweep() {
+	if e.dead <= e.refs-e.dead {
+		return
+	}
+	for _, cr := range e.readers {
+		cr.all.sweep()
+		for _, l := range cr.byRel {
+			l.sweep()
+		}
+	}
+	e.refs -= e.dead
+	e.dead = 0
+}
+
+// sweep drops the list's references to gone entries, keeping its order and
+// its backing array.
+func (l *readers) sweep() {
+	live := l.ents[:0]
+	for _, ent := range l.ents {
+		if !ent.gone {
+			live = append(live, ent)
+		}
+	}
+	clear(l.ents[len(live):])
+	l.ents = live
 }
 
 // Invalidate applies the write of epoch to db's entries and returns how many
@@ -192,48 +299,39 @@ func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64,
 // An entry computed before epoch goes when its clearance is not in changed —
 // cold at the write, dropped by it, or built while it ran — or when its deps
 // meet that clearance's changed relations. Later Puts below epoch are refused.
+// It visits the index lists of the changed relations and of the clearances
+// missing from changed, no others.
 func (c *resultCache) Invalidate(db string, epoch uint64, changed map[lattice.Label][]string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.epochs(db)
 	e.latest = max(e.latest, epoch)
-	touched := make(map[lattice.Label]map[string]bool, len(changed))
-	for u, preds := range changed {
-		touched[u] = make(map[string]bool, len(preds))
-		for _, p := range preds {
-			touched[u][p] = true
-		}
-	}
 	n := 0
 	now := time.Now()
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.db == db && ent.epoch < epoch && mayHaveChanged(ent, touched) {
-			c.lru.Remove(el)
-			delete(c.by, ent.key)
-			c.retire(ent, now, epoch)
-			n++
+	visit := func(l *readers) {
+		if l == nil {
+			return
 		}
-		el = next
+		for _, ent := range l.ents {
+			if !ent.gone && ent.epoch < epoch {
+				c.retire(ent, now, epoch)
+				c.drop(ent)
+				n++
+			}
+		}
 	}
+	for u, cr := range e.readers {
+		preds, advanced := changed[u]
+		if !advanced {
+			visit(&cr.all)
+		}
+		for _, p := range preds {
+			visit(cr.byRel[p])
+		}
+	}
+	e.maybeSweep()
 	c.invalidations += int64(n)
 	return n
-}
-
-// mayHaveChanged reports whether a write that touched these relations per
-// clearance may have changed ent's answers.
-func mayHaveChanged(ent *cacheEntry, touched map[lattice.Label]map[string]bool) bool {
-	preds, advanced := touched[ent.clearance]
-	if !advanced {
-		return true
-	}
-	for _, d := range ent.deps {
-		if preds[d] {
-			return true
-		}
-	}
-	return false
 }
 
 // Reset drops every entry of db, clears its latest epoch and bumps its
@@ -253,16 +351,16 @@ func (c *resultCache) Reset(db string) int {
 		}
 	}
 	n := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.db == db {
-			c.lru.Remove(el)
-			delete(c.by, ent.key)
-			n++
+	for _, cr := range e.readers {
+		for _, ent := range cr.all.ents {
+			if !ent.gone {
+				c.drop(ent)
+				n++
+			}
 		}
-		el = next
 	}
+	clear(e.readers)
+	e.refs, e.dead = 0, 0
 	c.invalidations += int64(n)
 	return n
 }
@@ -276,7 +374,7 @@ func (c *resultCache) Stats() CacheStats {
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
-		Entries:       c.lru.Len(),
+		Entries:       len(c.by),
 		Capacity:      c.cap,
 	}
 }

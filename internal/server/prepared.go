@@ -46,8 +46,8 @@ type preparedProgram struct {
 // publication; the reductions map alone grows lazily under its own lock
 // (building the reduction for a clearance the first time a session at that
 // clearance queries). The flat database is materialized only for what reads
-// all of it — a cold build, a checkpoint, /v1/lint, a Π write's lint — once
-// per version.
+// all of it — a cold build, a checkpoint, /v1/lint, the lint of a Π retract
+// that can break a Σ clause — once per version.
 type snapshot struct {
 	epoch uint64
 	db    *multilog.Version
@@ -185,12 +185,15 @@ func (p *preparedProgram) stats() DBStats {
 // the subject's clearance — you cannot write (or remove) data you cannot
 // see. The write derives the next database version (multilog.Version.Write),
 // which copies what it changes, not Σ. Before the swap the write is checked
-// by the linter's Error passes (lint.MultiLogWrite): the Σ clauses it adds,
-// judged in the version's Λ and Π alone, or all of the updated program,
-// materialized, when it writes Π. Every published program is Error-free, so
-// that verdict is the full lint's, and a program the linter rejects never
-// becomes an epoch. The new snapshot keeps the old one's lattice, which no
-// write can change.
+// by the linter's Error passes (lint.MultiLogWrite), judged in the version's
+// Λ and Π: the Σ clauses it adds and, when it writes Π, Λ, Π and the stored
+// queries too. Σ is read only by a Π retract that leaves a predicate
+// undefined — whether a Σ body reads it, through the version's index — and
+// materialized only when the retract removes a bel/7 clause or undefines a
+// predicate a Σ body reads.
+// Every published program is Error-free, so that verdict is the full lint's,
+// and a program the linter rejects never becomes an epoch. The new snapshot
+// keeps the old one's lattice, which no write can change.
 //
 // It returns the new epoch (unchanged when nothing changed), how many
 // clauses were added or removed, and an invalidation saying, per clearance
@@ -246,11 +249,7 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 		return cur.epoch, 0, none, nil
 	}
 
-	env := next.Env() // a Σ write's clauses are judged in Λ and Π alone
-	if len(delta.Pi) > 0 {
-		env = next.Database()
-	}
-	if diags := lint.MultiLogWrite(env, added, removed, lint.Options{File: p.name}); len(diags) > 0 {
+	if diags := lint.MultiLogWrite(next, added, removed, lint.Options{File: p.name}); len(diags) > 0 {
 		return 0, 0, none, &LintError{Name: p.name, Findings: diags.String()}
 	}
 	snap := newSnapshot(cur.epoch+1, next, cur.poset)

@@ -108,3 +108,25 @@ func TestFactWriteAllocsFlatInDatabaseSize(t *testing.T) {
 			large.bytes, small.bytes, large.bytes/small.bytes)
 	}
 }
+
+// BenchmarkServerRuleWrite prices one committed Π rule write through
+// preparedProgram.update — rule_churn's rule, asserted and retracted in turn
+// through a top-clearance session — at three database sizes, over the fact
+// write benchmark's fixture. The write lints Λ, Π and the queries; the
+// retract asks the version's index whether a Σ body reads the predicate it
+// undefines. Neither lints or walks Σ.
+func BenchmarkServerRuleWrite(b *testing.B) {
+	top := workload.Level(factWriteLevels - 1)
+	for _, facts := range []int{200, 2000, 8000} {
+		b.Run(fmt.Sprintf("facts=%d", facts), func(b *testing.B) {
+			fx := newFactWriteFixture(b, facts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := fx.p.update(context.Background(), "churn0(X) :- level(X).", top, i%2 == 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -36,12 +36,68 @@ type writeLintCase struct {
 	retract bool
 }
 
+// The write shapes whose lint scope differs (lint.MultiLogWrite), counted by
+// TestWriteLintIsFullLint to state its coverage.
+const (
+	shapePiAdd        = "Π add"
+	shapeUndefines    = "Π retract undefining a Σ-read predicate"
+	shapeKeepsDefined = "Π retract keeping a Σ-read predicate defined"
+	shapeBelRetract   = "bel/7 retract"
+)
+
+// writeShapes returns the shapes of a write that made next by adding added
+// and removing removed.
+func writeShapes(next *multilog.Database, added, removed []multilog.Clause) []string {
+	var shapes []string
+	for _, c := range added {
+		if c.Head.Kind == multilog.GoalP {
+			shapes = append(shapes, shapePiAdd)
+			break
+		}
+	}
+	defined, sigmaReads := map[string]bool{}, map[string]bool{}
+	for _, cs := range [][]multilog.Clause{next.Lambda, next.Pi} {
+		for _, c := range cs {
+			defined[c.Head.P.Pred] = true
+		}
+	}
+	for _, c := range next.Sigma {
+		for _, g := range c.Body {
+			if g.Kind == multilog.GoalP {
+				sigmaReads[g.P.Pred] = true
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, c := range removed {
+		if c.Head.Kind != multilog.GoalP {
+			continue
+		}
+		h := c.Head.P
+		shape := ""
+		switch {
+		case h.Pred == multilog.UserBelPred && len(h.Args) == 7:
+			shape = shapeBelRetract
+		case sigmaReads[h.Pred] && defined[h.Pred]:
+			shape = shapeKeepsDefined
+		case sigmaReads[h.Pred]:
+			shape = shapeUndefines
+		}
+		if shape != "" && !seen[shape] {
+			seen[shape] = true
+			shapes = append(shapes, shape)
+		}
+	}
+	return shapes
+}
+
 // checkWriteLint makes one write through update and checks it against the
 // full lint of the database it would publish: the write path's findings are
 // that lint's Error findings, diagnostic for diagnostic; the write is refused
 // exactly when there are any; and a refused write leaves the snapshot, the
-// epoch and the log (commit) untouched. It returns the codes refused.
-func checkWriteLint(t *testing.T, p *preparedProgram, w writeLintCase) []string {
+// epoch and the log (commit) untouched. It returns the codes refused, and
+// counts the write's shapes in shapes.
+func checkWriteLint(t *testing.T, p *preparedProgram, w writeLintCase, shapes map[string]int) []string {
 	t.Helper()
 	delta, err := multilog.Parse(w.src)
 	if err != nil {
@@ -58,9 +114,12 @@ func checkWriteLint(t *testing.T, p *preparedProgram, w writeLintCase) []string 
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, shape := range writeShapes(next.Database(), added, removed) {
+		shapes[shape]++
+	}
 	opts := lint.Options{File: p.name}
 	want := errorFindings(lint.MultiLog(next.Database(), opts))
-	if got := lint.MultiLogWrite(next.Database(), added, removed, opts); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+	if got := lint.MultiLogWrite(next, added, removed, opts); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 		t.Fatalf("write %q (retract %v): the write lint differs from the full lint's errors\ngot:\n%swant:\n%s", w.src, w.retract, got, want)
 	}
 	clearance, ok := clearanceFor(cur.poset, delta.Sigma)
@@ -245,10 +304,10 @@ func TestWriteLintIsFullLint(t *testing.T) {
 	if testing.Short() {
 		writes = 15
 	}
-	findings := map[string]int{}
+	findings, shapes := map[string]int{}, map[string]int{}
 	total, refused := 0, 0
 	write := func(p *preparedProgram, w writeLintCase) {
-		codes := checkWriteLint(t, p, w)
+		codes := checkWriteLint(t, p, w, shapes)
 		total++
 		if len(codes) > 0 {
 			refused++
@@ -302,8 +361,14 @@ func TestWriteLintIsFullLint(t *testing.T) {
 		{"DL002", writeLintCase{src: "q(k).", retract: true}},
 		{"ML002", writeLintCase{src: "bel(p, k, a, v, u, u, rumor).", retract: true}},
 	} {
-		if codes := checkWriteLint(t, p, c.w); !strings.Contains(strings.Join(codes, " "), c.code) {
+		if codes := checkWriteLint(t, p, c.w, shapes); !strings.Contains(strings.Join(codes, " "), c.code) {
 			t.Errorf("planted write %q (retract %v): refused for %v, want %s", c.w.src, c.w.retract, codes, c.code)
+		}
+	}
+	t.Logf("writes by shape: %v", shapes)
+	for _, shape := range []string{shapePiAdd, shapeUndefines, shapeKeepsDefined, shapeBelRetract} {
+		if shapes[shape] == 0 {
+			t.Errorf("no write of shape %q: the check does not cover it", shape)
 		}
 	}
 }

@@ -62,6 +62,14 @@
 #    and of a delta relation: 0 allocations at both sizes when each candidate
 #    binds into the caller's substitution and is undone on a trail, ~91-95x
 #    (2001-2002 against 21-22) when each candidate clones the substitution.
+# 10. BenchmarkCacheInvalidate (internal/server): the result-cache
+#    invalidation of a write that advanced every clearance and changed
+#    relations no cached entry reads — rule_churn's rule write — costs at
+#    64 000 cached entries at most 1.25x what it costs at 1 000: ~1.0x when
+#    Invalidate visits the reader index's lists of the changed relations,
+#    ~60x when it walks the whole LRU. BenchmarkServerRuleWrite prices that
+#    rule write through preparedProgram.update at 200, 2000 and 8000 facts
+#    (EXPERIMENTS.md P22); it is reported, not gated.
 set -eu
 
 GO=${GO:-go}
@@ -114,6 +122,10 @@ $GO test ./internal/multilog -run '^$' -bench 'BenchmarkAdvance(Fact|Rule)Write'
 gate "$TMP/advance.txt" AdvanceFactWrite advance full delta allocs/op 100
 gate "$TMP/advance.txt" AdvanceFactWrite advance full adopt allocs/op 20
 gate "$TMP/advance.txt" AdvanceRuleWrite advance full delta allocs/op 20
+
+$GO test ./internal/server -run '^$' -bench 'BenchmarkCacheInvalidate' \
+    -benchtime 2000000x -count=1 | tee "$TMP/cache.txt"
+gate "$TMP/cache.txt" CacheInvalidate entries 1k 64k ns/op 0.8
 
 $GO test ./internal/server ./internal/multilog ./internal/datalog \
     -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount|TestMatchAllocsFlatInCandidates)$' \
