@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -55,8 +56,8 @@ func imageOf(s *Store) storeImage {
 // flat, frozen base.
 func checkFlatBases(t *testing.T, s *Store) {
 	t.Helper()
-	for pred, r := range s.rels {
-		if r.base != nil && (r.base.base != nil || !r.base.shared) {
+	for _, pred := range s.Preds() {
+		if r := s.rel(pred); r.base != nil && (r.base.base != nil || r.base.stamp == s.stamp) {
 			t.Fatalf("relation %s is a delta over a delta, or over an unfrozen base", pred)
 		}
 	}
@@ -166,7 +167,7 @@ func TestCloneCopyOnWriteUnderReaders(t *testing.T) {
 			t.Fatalf("step %d: clone counts diverge from a fresh engine (+%v -%v)\ngot:  %v\nwant: %v", step, adds, dels, got, want)
 		}
 		checkFlatBases(t, next.Model())
-		if was, is := src.Model().rels["two"], next.Model().rels["two"]; was != nil && is != nil && was.base != nil && is.base == nil {
+		if was, is := src.Model().rel("two"), next.Model().rel("two"); was != nil && is != nil && was.base != nil && is.base == nil {
 			folds++
 		}
 		cur = next
@@ -204,7 +205,7 @@ func TestDeltaRelationFolds(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	folds := 0
 	for step := 0; step < 400; step++ {
-		before := s.rels["r0"]
+		before := s.rel("r0")
 		key := fmt.Sprintf("k%d", r.Intn(130)) // some present, some not
 		switch r.Intn(3) {
 		case 0:
@@ -214,7 +215,7 @@ func TestDeltaRelationFolds(t *testing.T) {
 		default:
 			s.setSupport("r0", rAtom(key, "v0").Key(), 1+r.Intn(3))
 		}
-		after := s.rels["r0"]
+		after := s.rel("r0")
 		if after == nil {
 			t.Fatal("the relation emptied")
 		}
@@ -228,11 +229,12 @@ func TestDeltaRelationFolds(t *testing.T) {
 			folds++
 		case before.base != nil && after.base == nil:
 			t.Fatalf("step %d: a delta of %d changes over %d tuples folded early", step, before.changes(), len(before.base.facts))
-		case after.base == nil && before.shared && len(before.facts) >= flatCopyBelow:
+		case after.base == nil && before.stamp != s.stamp && len(before.facts) >= flatCopyBelow:
 			t.Fatalf("step %d: a shared relation of %d tuples was copied whole", step, len(before.facts))
 		}
 		if after.base != nil {
-			folded := &Store{rels: map[string]*relation{"r0": after.fold(true)}, indexing: true}
+			folded := NewStore()
+			folded.put("r0", after.fold(true))
 			if got, want := imageOf(folded), imageOf(s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: the fold differs from the delta\nfolded: %+v\ndelta:  %+v", step, got, want)
 			}
@@ -260,7 +262,7 @@ func TestDeltaRelationEdgeCases(t *testing.T) {
 		if added, err := s.Insert(a); err != nil || !added {
 			t.Fatalf("re-insert: added=%v err=%v", added, err)
 		}
-		d := s.rels["r0"]
+		d := s.rel("r0")
 		if d.base == nil || len(d.dead) != 1 || len(d.facts) != 1 {
 			t.Fatalf("want a delta of one tombstone and one added tuple, got base=%v dead=%v added=%v", d.base != nil, d.dead, d.facts)
 		}
@@ -281,7 +283,7 @@ func TestDeltaRelationEdgeCases(t *testing.T) {
 		if n, _ := src.support("r0", k); n != 0 {
 			t.Fatalf("the override reached the base: %d", n)
 		}
-		if d := s.rels["r0"]; d.base == nil || d.over[d.base.seen[k]] != 3 {
+		if d := s.rel("r0"); d.base == nil || d.over[d.base.seen[k]] != 3 {
 			t.Fatal("the override is not the delta's")
 		}
 		s.Remove(rAtom("k9", "v2"))
@@ -304,7 +306,7 @@ func TestDeltaRelationEdgeCases(t *testing.T) {
 				t.Fatalf("remove %s failed", f)
 			}
 		}
-		if s.rels["r0"] != nil || s.Len() != 0 || s.Facts("r0") != nil {
+		if s.rel("r0") != nil || s.Len() != 0 || s.Facts("r0") != nil {
 			t.Fatalf("the emptied relation is still there: %d facts", s.Len())
 		}
 		if src.Len() != 40 {
@@ -326,7 +328,7 @@ func TestCloneSharesUntouchedRelations(t *testing.T) {
 	}
 	c := s.Clone()
 	for _, pred := range s.Preds() {
-		if c.rels[pred] != s.rels[pred] {
+		if c.rel(pred) != s.rel(pred) {
 			t.Fatalf("clone copied %s eagerly", pred)
 		}
 	}
@@ -336,17 +338,17 @@ func TestCloneSharesUntouchedRelations(t *testing.T) {
 	if c.Remove(atoms(t, "p(zzz)")[0]) {
 		t.Fatal("removed an absent fact")
 	}
-	if c.rels["p"] != s.rels["p"] {
+	if c.rel("p") != s.rel("p") {
 		t.Fatal("a write that changed nothing copied the relation")
 	}
 	if _, err := c.Insert(atoms(t, "p(c)")[0]); err != nil {
 		t.Fatal(err)
 	}
 	c.Remove(atoms(t, "q(a)")[0])
-	if c.rels["p"] == s.rels["p"] || c.rels["q"] != nil {
+	if c.rel("p") == s.rel("p") || c.rel("q") != nil {
 		t.Fatal("writes through the clone did not replace its relations")
 	}
-	if c.rels["r"] != s.rels["r"] {
+	if c.rel("r") != s.rel("r") {
 		t.Fatal("an untouched relation was copied")
 	}
 	if got := len(s.Facts("p")); got != 2 || !s.Contains(atoms(t, "q(a)")[0]) {
@@ -391,8 +393,124 @@ func TestStoreCloneAllocatesPerRelation(t *testing.T) {
 		t.Fatalf("Clone allocations grow with the tuple count: %v at 320 tuples, %v at 32000", small, large)
 	}
 	if small > 16 {
-		t.Fatalf("Clone of a 32-relation store made %v allocations; want a handful (the store and its map)", small)
+		t.Fatalf("Clone of a 32-relation store made %v allocations; want a handful (the store and its slice of relations)", small)
 	}
+}
+
+// TestStoreCloneAllocsFlatInRelations pins what a clone costs and what it
+// shares. Clone allocates the same at 50 and at 5,000 relations: a slice of
+// pointers and the store, with the slot map shared. A predicate a clone
+// adds, and a slot it empties, are invisible to its source, and the reverse
+// holds too, through every read; the first store to add a predicate copies
+// the shared slot map and the other keeps it. A clone adding predicates
+// while readers match its source is the -race case.
+func TestStoreCloneAllocsFlatInRelations(t *testing.T) {
+	allocs := func(rels int) float64 {
+		s := wideStore(t, rels, 2)
+		return testing.AllocsPerRun(20, func() { cloneSink = s.Clone() })
+	}
+	small, large := allocs(50), allocs(5000)
+	t.Logf("allocations per clone: %.0f at 50 relations, %.0f at 5000", small, large)
+	if small != large {
+		t.Errorf("Clone allocates %.0f at 5000 relations, %.0f at 50", large, small)
+	}
+
+	unseen := func(s *Store, pred string) bool {
+		return s.rel(pred) == nil && s.Facts(pred) == nil && !slices.Contains(s.Preds(), pred)
+	}
+	t.Run("a clone's new and emptied predicates", func(t *testing.T) {
+		src := wideStore(t, 3, 2)
+		img, n := imageOf(src), src.Len()
+		c := src.Clone()
+		if _, err := c.Insert(NewAtom("fresh", term.Const("a"))); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range src.Facts("r1") {
+			c.Remove(f)
+		}
+		if !unseen(c, "r1") || c.Len() != n-2+1 {
+			t.Fatalf("the clone still holds r1, or holds %d facts", c.Len())
+		}
+		if !unseen(src, "fresh") || !reflect.DeepEqual(imageOf(src), img) || src.Len() != n {
+			t.Fatal("the clone's writes reached its source")
+		}
+		if _, shared := src.ids["fresh"]; shared || !src.idsShared || c.idsShared {
+			t.Fatal("the clone added a predicate to the slot map it shares")
+		}
+		// The slot r1 left is taken again by the predicate, not another one.
+		if _, err := c.Insert(NewAtom("r1", term.Const("back"), term.Const("v"))); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(c.rels); got != 4 || c.Len() != n {
+			t.Fatalf("the clone has %d slots and %d facts, want 4 and %d", got, c.Len(), n)
+		}
+	})
+	t.Run("the source's new and emptied predicates", func(t *testing.T) {
+		src := wideStore(t, 3, 2)
+		c := src.Clone()
+		img, n := imageOf(c), c.Len()
+		if _, err := src.Insert(NewAtom("fresh", term.Const("a"))); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.Facts("r2") {
+			src.Remove(f)
+		}
+		if !unseen(src, "r2") || unseen(src, "fresh") {
+			t.Fatal("the source's own writes are not its own")
+		}
+		if !unseen(c, "fresh") || !reflect.DeepEqual(imageOf(c), img) || c.Len() != n {
+			t.Fatal("the source's writes reached its clone")
+		}
+		// The clone still holds the shared map, which the source left alone.
+		if _, err := c.Insert(NewAtom("other", term.Const("a"))); err != nil {
+			t.Fatal(err)
+		}
+		if unseen(c, "other") || !unseen(src, "other") || !unseen(c, "fresh") {
+			t.Fatal("the two stores' new predicates crossed")
+		}
+	})
+	t.Run("readers of the source", func(t *testing.T) {
+		src := wideStore(t, 8, 40)
+		img := imageOf(src)
+		q := NewAtom("r3", term.Var("K"), term.Const("v2"))
+		want := 0
+		src.Match(q, term.Subst{}, func(term.Subst) bool { want++; return true })
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					got := 0
+					src.Match(q, term.Subst{}, func(term.Subst) bool { got++; return true })
+					if got != want || src.Contains(NewAtom("c0", term.Const("x"))) {
+						t.Errorf("a reader of the source saw %d answers, want %d, or a clone's fact", got, want)
+						return
+					}
+				}
+			}()
+		}
+		c := src
+		for i := 0; i < 200; i++ {
+			c = c.Clone()
+			if _, err := c.Insert(NewAtom(fmt.Sprintf("c%d", i), term.Const("x"))); err != nil {
+				t.Error(err)
+				break
+			}
+			c.Remove(NewAtom("r3", term.Const(fmt.Sprintf("k%d", i%40)), term.Const(fmt.Sprintf("v%d", i%40%7))))
+		}
+		close(stop)
+		readers.Wait()
+		if !reflect.DeepEqual(imageOf(src), img) {
+			t.Fatal("a chain of clones changed its source")
+		}
+	})
 }
 
 var cloneSink *Store

@@ -94,3 +94,18 @@ func (inc *Incremental) Stratum(pred string) int { return inc.stratum(pred) }
 
 // RuleSetFlat reports whether the engine's rule set is a full build.
 func (inc *Incremental) RuleSetFlat() bool { return inc.base == nil }
+
+// RetractsAppended reports whether retracting c takes out a rule the engine's
+// rule-set delta appended since its last fold: the first live rule equal to
+// c is one of the delta's own.
+func (inc *Incremental) RetractsAppended(c Clause) bool {
+	own := false
+	_ = inc.eachHead(c.Head.Pred, func(id int, r Clause) error {
+		if !r.Equal(c) {
+			return nil
+		}
+		own = inc.base != nil && id >= len(inc.base.rules)
+		return errStopEnum
+	})
+	return own
+}

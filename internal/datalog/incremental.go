@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/resource"
 	"repro/internal/term"
@@ -75,12 +77,13 @@ func (r *DeltaResult) ChangedPreds() []string {
 // Like a relation (store.go), a rule set is flat or a delta. A flat one,
 // newRuleSet's — the only full build — holds every rule under the minimal
 // strata. A delta holds a frozen flat base and what edits changed over it:
-// the rules they appended, whose ids run on from the base's; the ids they
-// tombstoned; the index entries of the appended rules; and the stratum of
-// each predicate a lift raised. Every lookup reads the delta, then the base,
-// and skips tombstoned ids, so a rule keeps its id until a fold. Editing a
-// delta copies the delta and keeps its base; a delta that reaches
-// FoldAt(len(base.rules)) changes is rebuilt flat.
+// the rules they appended, whose ids run on from the base's; the base ids
+// they tombstoned; the index entries of the appended rules; and the stratum
+// of each predicate a lift raised. Every lookup reads the delta, then the
+// base, and skips tombstoned ids, so a base rule keeps its id until a fold;
+// an appended rule's id moves down when an earlier appended one is retracted
+// (edit). Editing a delta copies the delta and keeps its base; a delta that
+// reaches FoldAt(len(base.rules)) changes is rebuilt flat.
 type ruleSet struct {
 	rules     []Clause            // by id; a delta's own, from len(base.rules) on
 	stratumOf map[string]int      // predicate -> stratum; a delta's, where a lift raised it
@@ -90,7 +93,7 @@ type ruleSet struct {
 	negRefs   map[string][]litRef // predicate -> negated body occurrences
 
 	base *ruleSet     // a delta's frozen flat base; nil for a flat rule set
-	dead map[int]bool // rule ids the delta removed
+	dead map[int]bool // base rule ids the delta removed
 }
 
 // Incremental maintains the minimal model of a program under clause deltas:
@@ -353,7 +356,10 @@ func (rs *ruleSet) changes() int { return len(rs.rules) + len(rs.dead) + len(rs.
 // returns rs itself.
 //
 // The result is a delta over rs's base. A removed rule is found among its
-// head predicate's rules and tombstoned, and no stratum moves: a
+// head predicate's rules. A base rule is tombstoned; a rule the delta itself
+// appended leaves the delta's rules, whose indexes are rebuilt from those
+// that stay — O(delta) — so an assert and a retract of one rule net out
+// and only base ids are ever tombstoned. No stratum moves: a
 // stratification stays valid for a subset of its rules. An added rule's
 // edges lift its head's stratum as far as they require, and the lift runs on
 // through every rule reading a predicate that rose. The strata stay valid
@@ -387,6 +393,7 @@ func (rs *ruleSet) edit(adds, dels []Clause) (*ruleSet, []Clause, error) {
 	if len(adds)+len(removed) == 0 {
 		return rs, nil, nil
 	}
+	next.dropOwnDead()
 	for _, c := range adds {
 		next.index(c)
 	}
@@ -395,6 +402,30 @@ func (rs *ruleSet) edit(adds, dels []Clause) (*ruleSet, []Clause, error) {
 		return flat, removed, err
 	}
 	return next, removed, nil
+}
+
+// dropOwnDead takes the delta's own rules it tombstoned out of its rules and
+// rebuilds its own indexes from the rest, which keep their order: the ids
+// after a dropped rule move down, and only base ids stay tombstoned.
+func (rs *ruleSet) dropOwnDead() {
+	nb, own := len(rs.base.rules), rs.rules
+	dropped := false
+	for id := range rs.dead {
+		dropped = dropped || id >= nb
+	}
+	if !dropped {
+		return
+	}
+	// Fresh lists: own and the indexes delta copied may be rs's source's.
+	rs.rules = make([]Clause, 0, len(own))
+	rs.headRules, rs.posRefs, rs.negRefs = map[string][]int{}, map[string][]litRef{}, map[string][]litRef{}
+	for i, c := range own {
+		if rs.dead[nb+i] {
+			delete(rs.dead, nb+i)
+			continue
+		}
+		rs.index(c)
+	}
 }
 
 // lift raises strata, in rs's own overrides, until every edge of the added
@@ -476,7 +507,8 @@ func (inc *Incremental) Rules() []Clause { return inc.live() }
 // rule delta on either side replaces its own pointer — and the model
 // copy-on-write (Store.Clone): a delta applied to either engine writes only
 // the relations it touches, each as a delta over the shared one, so cloning
-// costs one map entry per relation whatever the model's size.
+// copies one pointer per relation and allocates the same whatever the
+// model's size.
 func (inc *Incremental) Clone() *Incremental {
 	c := *inc
 	c.model = inc.model.Clone()
@@ -711,25 +743,34 @@ func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaRes
 	res := &DeltaResult{Changed: map[string]PredDelta{}}
 	for pred, m := range st.added {
 		pd := res.Changed[pred]
-		for _, a := range m {
-			pd.Added = append(pd.Added, a)
-		}
-		sortAtoms(pd.Added)
+		pd.Added = byKey(m)
 		res.Changed[pred] = pd
 	}
 	for pred, m := range st.deleted {
 		pd := res.Changed[pred]
-		for _, a := range m {
-			pd.Deleted = append(pd.Deleted, a)
-		}
-		sortAtoms(pd.Deleted)
+		pd.Deleted = byKey(m)
 		res.Changed[pred] = pd
 	}
 	return res, nil
 }
 
-func sortAtoms(as []Atom) {
-	sort.Slice(as, func(i, j int) bool { return as[i].Key() < as[j].Key() })
+// byKey returns the atoms of m, a key -> atom map of deltaState's, sorted by
+// key: the keys are m's own, so no comparison computes one.
+func byKey(m map[string]Atom) []Atom {
+	type keyed struct {
+		k string
+		a Atom
+	}
+	ps := make([]keyed, 0, len(m))
+	for k, a := range m {
+		ps = append(ps, keyed{k, a})
+	}
+	slices.SortFunc(ps, func(x, y keyed) int { return strings.Compare(x.k, y.k) })
+	out := make([]Atom, len(ps))
+	for i, p := range ps {
+		out[i] = p.a
+	}
+	return out
 }
 
 // removeTuple takes a tuple — and with it its base count — out of the model

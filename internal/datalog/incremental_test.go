@@ -659,3 +659,81 @@ func TestRuleDeltaLeavesCloneSourceAlone(t *testing.T) {
 		}
 	}
 }
+
+// TestRuleToggleNetsOut: an assert of a rule and its retract net out of the
+// rule-set delta. 200 pairs of one rule, each edit to a clone as the write
+// path applies them, over a delta whose frozen base holds 16 rules (FoldAt
+// 8): after every retract the delta has the changes it had before the
+// assert and the same base — no fold, however many pairs — and the live
+// rules, model and counts equal a rebuild's, after every assert as well.
+func TestRuleToggleNetsOut(t *testing.T) {
+	src := `
+		e(a, b). e(b, c). e(c, a). e(c, d). node(a). node(b). node(c). node(d).
+		tc(X, Y) :- e(X, Y).
+		tc(X, Z) :- e(X, Y), tc(Y, Z).
+		far(X) :- node(X), not tc(a, X).
+	`
+	for i := 0; i < 13; i++ {
+		src += fmt.Sprintf("out%d(X) :- e(X, Y).\n", i)
+	}
+	_, inc := newRefState(t, src)
+	// One edit that stays: the toggles run over a delta, not a flat set.
+	if _, err := inc.ApplyClauses(context.Background(), mustParse(t, "near(X) :- tc(X, c).").Clauses, nil); err != nil {
+		t.Fatal(err)
+	}
+	base, changes := inc.base, inc.changes()
+	if base == nil || len(base.rules) != 16 {
+		t.Fatal("the set-up edit did not leave a delta over the 16 rules")
+	}
+	toggled := mustParse(t, "churn(X) :- e(X, Y), tc(Y, a).").Clauses
+	type image struct {
+		rules  []Clause
+		model  string
+		counts map[string]int
+	}
+	rebuilt := func(extra []Clause) image {
+		p := mustParse(t, src+"near(X) :- tc(X, c).")
+		p.Add(extra...)
+		fresh, err := NewIncremental(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return image{fresh.Rules(), fresh.Model().String(), fresh.Counts()}
+	}
+	without, with := rebuilt(nil), rebuilt(toggled)
+	check := func(pair int, what string, want image) {
+		t.Helper()
+		if !slices.EqualFunc(inc.live(), want.rules, Clause.Equal) {
+			t.Fatalf("pair %d, after the %s: live rules\n%v\nwant\n%v", pair, what, inc.live(), want.rules)
+		}
+		if got := inc.Model().String(); got != want.model {
+			t.Fatalf("pair %d, after the %s: model\n%s\nwant\n%s", pair, what, got, want.model)
+		}
+		if got := inc.Counts(); !reflect.DeepEqual(got, want.counts) {
+			t.Fatalf("pair %d, after the %s: counts %v, want %v", pair, what, got, want.counts)
+		}
+	}
+	for pair := 0; pair < 200; pair++ {
+		for _, assert := range []bool{true, false} {
+			adds, dels, what, want := toggled, []Clause(nil), "assert", with
+			if !assert {
+				adds, dels, what, want = nil, toggled, "retract", without
+			}
+			inc = inc.Clone()
+			res, err := inc.ApplyClauses(context.Background(), adds, dels)
+			if err != nil {
+				t.Fatalf("pair %d, %s: %v", pair, what, err)
+			}
+			if res.RulesAdded+res.RulesRemoved != 1 {
+				t.Fatalf("pair %d, %s: %d rules added, %d removed", pair, what, res.RulesAdded, res.RulesRemoved)
+			}
+			check(pair, what, want)
+			if inc.base != base {
+				t.Fatalf("pair %d, after the %s: the rule set folded", pair, what)
+			}
+		}
+		if got := inc.changes(); got != changes {
+			t.Fatalf("pair %d: the delta holds %d changes after the retract, %d before the assert", pair, got, changes)
+		}
+	}
+}

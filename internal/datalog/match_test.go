@@ -41,15 +41,15 @@ func matchStores(t testing.TB, n int) map[string]*Store {
 		// A shared relation of flatCopyBelow tuples or more becomes a delta
 		// at its first write; a smaller one is made one here.
 		delta := base.Clone()
-		if r := delta.rels["p"]; r.size() < flatCopyBelow {
-			delta.rels["p"] = &relation{base: r, seen: map[string]int{}, index: map[int]map[string][]int{}}
+		if r := delta.rel("p"); r.size() < flatCopyBelow {
+			delta.put("p", &relation{base: r, seen: map[string]int{}, index: map[int]map[string][]int{}})
 		}
 		delta.Remove(spare)
 		delta.Insert(last) //nolint:errcheck // ground
-		if delta.rels["p"].base == nil {
-			t.Fatalf("the delta store's relation of %d tuples is flat", delta.rels["p"].size())
+		if delta.rel("p").base == nil {
+			t.Fatalf("the delta store's relation of %d tuples is flat", delta.rel("p").size())
 		}
-		if flat.rels["p"].base != nil {
+		if flat.rel("p").base != nil {
 			t.Fatal("the flat store's relation is a delta")
 		}
 		suffix := ""

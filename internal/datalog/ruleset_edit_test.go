@@ -112,7 +112,8 @@ func without(rules, dels []datalog.Clause) ([]datalog.Clause, int) {
 
 // TestRuleSetEditMatchesRebuild drives an engine through seeded sequences of
 // rule edits over a translated MultiLog program — adds and removes that move
-// strata, duplicates, retracts of absent rules, two rules that close a
+// strata, duplicates, retracts of absent rules and of rules appended since
+// the last fold (which net out of the delta), two rules that close a
 // negative cycle across two edits, and replacements — long enough for its
 // rule set's delta to fold several times. Each edit goes to a clone, as the
 // write path applies them. After every edit the live rules equal the
@@ -178,7 +179,7 @@ func editRuleSet(t *testing.T, seed int64, edits int, p *datalog.Program, facts,
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	var refused, folds, lifts, absent int
+	var refused, folds, lifts, absent, appended int
 	var cycle datalog.Clause // the closing half of a negative cycle, due next edit
 	for e := 0; e < edits; e++ {
 		var adds, dels []datalog.Clause
@@ -192,8 +193,10 @@ func editRuleSet(t *testing.T, seed int64, edits int, p *datalog.Program, facts,
 			dels = []datalog.Clause{live()}
 		case op == 6:
 			adds = []datalog.Clause{live()}
-		case op == 7:
+		case op == 7 && g.r.Intn(2) == 0:
 			dels = []datalog.Clause{g.rule()}
+		case op == 7: // the newest rule: most often one the delta appended
+			dels = []datalog.Clause{rules[len(rules)-1]}
 		case op == 8:
 			adds, dels = []datalog.Clause{g.rule(), g.rule()}, []datalog.Clause{live(), live()}
 		default:
@@ -211,6 +214,9 @@ func editRuleSet(t *testing.T, seed int64, edits int, p *datalog.Program, facts,
 		next, gone := without(rules, dels)
 		if len(dels) > 0 && gone == 0 {
 			absent++
+		}
+		if slices.ContainsFunc(dels, inc.RetractsAppended) {
+			appended++
 		}
 		wantErr := rebuild(append(next, adds...)) // Stratify's verdict on the next rules
 		inc = inc.Clone()
@@ -256,9 +262,10 @@ func editRuleSet(t *testing.T, seed int64, edits int, p *datalog.Program, facts,
 			}
 		}
 	}
-	t.Logf("%d edits, %d refused, %d retracts of absent rules, %d lifted a stratum, %d left a flat rule set",
-		edits, refused, absent, lifts, folds)
-	if refused == 0 || absent == 0 || lifts == 0 || folds < 3 {
-		t.Errorf("the edits missed a case: %d refused, %d absent, %d lifts, %d flat", refused, absent, lifts, folds)
+	t.Logf("%d edits, %d refused, %d retracts of absent rules, %d of rules appended since the last fold, %d lifted a stratum, %d left a flat rule set",
+		edits, refused, absent, appended, lifts, folds)
+	if refused == 0 || absent == 0 || appended == 0 || lifts == 0 || folds < 3 {
+		t.Errorf("the edits missed a case: %d refused, %d absent, %d appended retracted, %d lifts, %d flat",
+			refused, absent, appended, lifts, folds)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/term"
 )
@@ -14,12 +16,22 @@ import (
 // hash indexes to accelerate joins. The zero value is not usable; call
 // NewStore.
 //
+// Relations sit in slots: ids maps a predicate to its slot in rels, so a
+// read is one map lookup and an index. A relation that empties leaves its
+// slot nil. Clones share ids — it changes only when a store gives a new
+// predicate a slot, and a store copies it first while it is shared — and
+// each holds its own slice of relation pointers.
+//
 // Clone is copy-on-write at relation granularity: the clone shares every
 // relation with its source, and a relation that has ever been shared is
 // immutable — whichever store next inserts into or removes from it first
-// replaces it, in its own map, by a private one. Reading (Match, Facts,
-// Contains) never writes, so a store that is no longer mutated keeps serving
-// any number of readers while its clones are being patched.
+// replaces it, in its own slot, by a private one. A relation is private to
+// the store whose stamp it carries: a store stamps each relation it makes,
+// and Clone draws new stamps for both stores, so every relation the two
+// share is stamped by neither — nothing is marked per relation. Reading
+// (Match, Facts, Contains) never writes, so a store that is no longer
+// mutated keeps serving any number of readers while its clones are being
+// patched.
 //
 // The private replacement of a flat shared relation of flatCopyBelow tuples
 // or more is a delta over it: the shared relation stays the delta's frozen
@@ -29,8 +41,13 @@ import (
 // base, so a base is always flat. A delta that reaches FoldAt(|base|) changes
 // is folded into a fresh flat relation at its next write.
 type Store struct {
-	rels     map[string]*relation
-	indexing bool
+	ids  map[string]int // predicate -> slot in rels
+	rels []*relation    // by slot; nil where a relation emptied
+	// idsShared is set once a Clone has handed ids to a second store; the
+	// store that next gives a predicate a slot copies ids first.
+	idsShared bool
+	stamp     uint64 // carried by the relations private to this store
+	indexing  bool
 	// InsertFault, when set, is consulted before every insert; a non-nil
 	// return aborts the insert with that error. The evaluator propagates the
 	// hook from the EDB store to its derived stores, so the fault-injection
@@ -39,11 +56,17 @@ type Store struct {
 }
 
 // NewStore returns an empty store with argument indexing enabled.
-func NewStore() *Store { return &Store{rels: map[string]*relation{}, indexing: true} }
+func NewStore() *Store { return &Store{ids: map[string]int{}, stamp: newStamp(), indexing: true} }
 
 // NewStoreNoIndex returns an empty store with indexing disabled; used by the
 // indexing ablation benchmark.
-func NewStoreNoIndex() *Store { return &Store{rels: map[string]*relation{}} }
+func NewStoreNoIndex() *Store { return &Store{ids: map[string]int{}, stamp: newStamp()} }
+
+// stamps hands out store stamps; no two stores, nor one store before and
+// after a Clone, hold the same one.
+var stamps atomic.Uint64
+
+func newStamp() uint64 { return stamps.Add(1) }
 
 // relation is one predicate's tuples. A flat relation (base nil) holds them
 // all in facts; a delta relation holds in facts only the tuples it added to
@@ -57,9 +80,10 @@ type relation struct {
 	// index[pos][key] lists offsets into facts whose argument at pos has
 	// that term key. Built lazily per argument position.
 	index map[int]map[string][]int
-	// shared is set once a Clone has handed the relation to a second store.
-	// It never clears: a shared relation is frozen, and writers replace it.
-	shared bool
+	// stamp is the stamp of the store that made the relation: it is that
+	// store's to write while the store keeps the stamp, until its next
+	// Clone. Then it is shared for good — frozen, and writers replace it.
+	stamp uint64
 
 	base *relation    // a delta's frozen flat base; nil for a flat relation
 	dead map[int]bool // base offsets the delta removed
@@ -287,24 +311,52 @@ func (r *relation) removeAt(off int, k string, indexing bool) {
 	delete(r.seen, k)
 }
 
+// rel returns pred's relation, nil when the store holds no tuple of pred.
+func (s *Store) rel(pred string) *relation {
+	if i, ok := s.ids[pred]; ok {
+		return s.rels[i]
+	}
+	return nil
+}
+
+// put makes r, a relation s made, pred's relation, giving pred a slot when
+// it has none.
+func (s *Store) put(pred string, r *relation) {
+	r.stamp = s.stamp
+	if i, ok := s.ids[pred]; ok {
+		s.rels[i] = r
+		return
+	}
+	if s.idsShared {
+		s.ids, s.idsShared = maps.Clone(s.ids), false
+	}
+	s.ids[pred] = len(s.rels)
+	s.rels = append(s.rels, r)
+}
+
 // own returns pred's relation ready to be mutated — a shared one replaced by
 // a private flat copy or delta, a delta that reached FoldAt folded — or nil
 // when the store has no such relation.
 func (s *Store) own(pred string) *relation {
-	r := s.rels[pred]
+	i, ok := s.ids[pred]
+	if !ok {
+		return nil
+	}
+	r := s.rels[i]
 	switch {
 	case r == nil:
 		return nil
 	case r.base != nil && r.changes() >= FoldAt(len(r.base.facts)):
 		r = r.fold(s.indexing)
-	case !r.shared:
+	case r.stamp == s.stamp:
 		return r
 	case r.base != nil || len(r.facts) < flatCopyBelow:
 		r = r.clone()
 	default:
 		r = &relation{base: r, seen: map[string]int{}, index: map[int]map[string][]int{}}
 	}
-	s.rels[pred] = r
+	r.stamp = s.stamp
+	s.rels[i] = r
 	return r
 }
 
@@ -321,10 +373,10 @@ func (s *Store) Insert(a Atom) (bool, error) {
 		}
 	}
 	k := a.Key()
-	r := s.rels[a.Pred]
+	r := s.rel(a.Pred)
 	if r == nil {
 		r = newRelation()
-		s.rels[a.Pred] = r
+		s.put(a.Pred, r)
 	} else if _, _, ok := r.lookup(k); ok {
 		return false, nil
 	} else {
@@ -350,7 +402,7 @@ func (s *Store) InsertBatch(pred string, facts []Atom, keys []string, argKeys []
 	r := s.own(pred)
 	if r == nil {
 		r = &relation{seen: make(map[string]int, len(facts)), index: map[int]map[string][]int{}}
-		s.rels[pred] = r
+		s.put(pred, r)
 	}
 	added := 0
 	for i, a := range facts {
@@ -377,7 +429,7 @@ func (s *Store) InsertBatch(pred string, facts []Atom, keys []string, argKeys []
 
 // Contains reports whether the ground atom is present.
 func (s *Store) Contains(a Atom) bool {
-	r := s.rels[a.Pred]
+	r := s.rel(a.Pred)
 	if r == nil {
 		return false
 	}
@@ -390,7 +442,7 @@ func (s *Store) Contains(a Atom) bool {
 // previously returned from Facts and perturbs insertion order; rendering and
 // query paths sort or deduplicate, so observable results are unaffected.
 func (s *Store) Remove(a Atom) bool {
-	r := s.rels[a.Pred]
+	r := s.rel(a.Pred)
 	if r == nil {
 		return false
 	}
@@ -401,7 +453,7 @@ func (s *Store) Remove(a Atom) bool {
 	r = s.own(a.Pred)
 	r.remove(k, s.indexing)
 	if r.size() == 0 {
-		delete(s.rels, a.Pred)
+		s.rels[s.ids[a.Pred]] = nil
 	}
 	return true
 }
@@ -451,7 +503,7 @@ func replaceOffset(r *relation, a Atom, from, to int) {
 // not be modified, and is invalidated by a subsequent Remove on this store.
 // A relation that is a delta assembles a fresh slice per call.
 func (s *Store) Facts(pred string) []Atom {
-	r := s.rels[pred]
+	r := s.rel(pred)
 	if r == nil {
 		return nil
 	}
@@ -462,7 +514,9 @@ func (s *Store) Facts(pred string) []Atom {
 func (s *Store) Len() int {
 	n := 0
 	for _, r := range s.rels {
-		n += r.size()
+		if r != nil {
+			n += r.size()
+		}
 	}
 	return n
 }
@@ -470,8 +524,10 @@ func (s *Store) Len() int {
 // Preds returns the predicates present, sorted.
 func (s *Store) Preds() []string {
 	var out []string
-	for p := range s.rels {
-		out = append(out, p)
+	for p, i := range s.ids {
+		if s.rels[i] != nil {
+			out = append(out, p)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -489,7 +545,7 @@ func (s *Store) Preds() []string {
 // probes an argument index — the pair of a delta's and its base's lists — at
 // the most selective argument position the query, under base, makes ground.
 func (s *Store) Match(query Atom, base term.Subst, fn func(term.Subst) bool) {
-	r := s.rels[query.Pred]
+	r := s.rel(query.Pred)
 	if r == nil {
 		return
 	}
@@ -549,25 +605,22 @@ func (s *Store) Match(query Atom, base term.Subst, fn func(term.Subst) bool) {
 }
 
 // Clone returns a store with the same facts that can be mutated without
-// affecting s, and vice versa. It costs one map entry per relation, not per
-// fact: relations are shared and replaced on first write (see Store). Clone
-// may run beside readers of s, but not beside a writer or another Clone of
-// s. Fault hooks are not cloned: a clone is a private working copy.
+// affecting s, and vice versa. It copies a slice of one pointer per relation,
+// shares the slot map and draws s a new stamp, in two allocations and no
+// visit to a relation whatever the store's size: relations are shared and
+// replaced on first write, the slot map copied by the first store to add a
+// predicate (see Store). Clone may run beside readers of s, but not beside a
+// writer or another Clone of s. Fault hooks are not cloned: a clone is a
+// private working copy.
 func (s *Store) Clone() *Store {
-	c := &Store{rels: make(map[string]*relation, len(s.rels)), indexing: s.indexing}
-	for pred, r := range s.rels {
-		if !r.shared { // no store to a relation readers have in cache, once frozen
-			r.shared = true
-		}
-		c.rels[pred] = r
-	}
-	return c
+	s.stamp, s.idsShared = newStamp(), true
+	return &Store{ids: s.ids, rels: slices.Clone(s.rels), idsShared: true, stamp: newStamp(), indexing: s.indexing}
 }
 
 // support returns the base-assertion count of the stored fact with the given
 // key, and whether it is stored.
 func (s *Store) support(pred, key string) (int, bool) {
-	r := s.rels[pred]
+	r := s.rel(pred)
 	if r == nil {
 		return 0, false
 	}
@@ -581,7 +634,7 @@ func (s *Store) support(pred, key string) (int, bool) {
 // setSupport overwrites the base-assertion count of a stored fact. Writing
 // the value already there leaves a shared relation shared.
 func (s *Store) setSupport(pred, key string, base int) {
-	r := s.rels[pred]
+	r := s.rel(pred)
 	if r == nil {
 		return
 	}
@@ -598,6 +651,9 @@ func (s *Store) setSupport(pred, key string, base int) {
 func (s *Store) supports() map[string]int {
 	out := make(map[string]int, s.Len())
 	for _, r := range s.rels {
+		if r == nil {
+			continue
+		}
 		if b := r.base; b != nil {
 			for k, off := range b.seen {
 				if !r.dead[off] {
@@ -616,7 +672,7 @@ func (s *Store) supports() map[string]int {
 func (s *Store) String() string {
 	var lines []string
 	for _, p := range s.Preds() {
-		for _, f := range s.rels[p].all() {
+		for _, f := range s.rel(p).all() {
 			lines = append(lines, f.String()+".")
 		}
 	}

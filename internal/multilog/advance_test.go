@@ -885,7 +885,8 @@ func TestAdvanceWithoutDatabaseQueriesLikeAFreshOne(t *testing.T) {
 // at the clearance of an installed model leaves the advanced reduction
 // without an engine, holding its source's Program for the next write to
 // adopt the model by. Either side registering a lazy axiom (QueryContext)
-// leaves the other's Program as it was.
+// leaves the other's Program, and the predicate set the two share, as they
+// were.
 func TestEmptyAdvanceSharesProgramReadOnly(t *testing.T) {
 	ctx := context.Background()
 	db := D1()
@@ -913,7 +914,7 @@ func TestEmptyAdvanceSharesProgramReadOnly(t *testing.T) {
 		{red, old, "c[nosuch(K: a -C-> V)] << cau"},
 		{old, red, "u[other(K: a -C-> V)] << opt"},
 	} {
-		otherBag := clauseBag(step.other.Program.Clauses)
+		otherBag, otherPreds := clauseBag(step.other.Program.Clauses), step.other.predList()
 		q := mustGoals(t, step.query)
 		want, err := mustReduce(t, step.who.DB, "c").QueryContext(ctx, q, resource.Limits{})
 		if err != nil {
@@ -925,6 +926,9 @@ func TestEmptyAdvanceSharesProgramReadOnly(t *testing.T) {
 		}
 		if !reflect.DeepEqual(clauseBag(step.other.Program.Clauses), otherBag) {
 			t.Fatalf("registering %s reached the other reduction's Program", step.query)
+		}
+		if got := step.other.predList(); !slices.Equal(got, otherPreds) {
+			t.Fatalf("registering %s reached the other reduction's predicates: %v, was %v", step.query, got, otherPreds)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 		return refuse(ReasonOldNotIncremental, errors.New("the old reduction was never prepared"))
 	}
 	r := &Reduction{DB: db, User: old.User, Poset: old.Poset, opts: old.opts,
-		needs: map[belNeed]bool{}, preds: maps.Clone(old.preds)}
+		needs: map[belNeed]bool{}, preds: old.preds}
 	adds, reason, err := r.translateDelta(added, true)
 	var dels []datalog.Clause
 	if err == nil {
@@ -167,15 +167,21 @@ func (r *Reduction) AdvanceFrom(ctx context.Context, old *Reduction, limits reso
 // With register, a clause that mentions an m-predicate r has not registered
 // brings that predicate's axioms along (emitPredAxioms); a retract never
 // unregisters one, so a predicate whose last mention is gone keeps its
-// axioms, which derive nothing. It writes r.needs, r.preds and r.Program.
+// axioms, which derive nothing. It writes r.needs, r.preds and r.Program;
+// r.preds, which Advance shares with the old reduction, is copied before its
+// first new predicate.
 func (r *Reduction) translateDelta(cs []Clause, register bool) ([]datalog.Clause, Refusal, error) {
 	r.Program = &datalog.Program{}
+	copied := false
 	for _, c := range cs {
 		if c.Head.Kind != GoalM && c.Head.Kind != GoalP {
 			return nil, ReasonRuleChange, fmt.Errorf("%s changes the lattice Λ", c)
 		}
 		for _, g := range append([]Goal{c.Head}, c.Body...) {
 			if register && (g.Kind == GoalM || g.Kind == GoalB) && !r.preds[g.M.Pred] {
+				if !copied {
+					r.preds, copied = maps.Clone(r.preds), true
+				}
 				r.preds[g.M.Pred] = true
 				r.emitPredAxioms(g.M.Pred)
 			}

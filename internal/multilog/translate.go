@@ -2,6 +2,7 @@ package multilog
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/datalog"
@@ -64,7 +65,7 @@ type Reduction struct {
 	model *datalog.Store       // the minimal model, once built or installed: the reduction is prepared
 	inc   *datalog.Incremental // model's maintenance engine: built by Prepare or by the first advance, nil before
 	needs map[belNeed]bool
-	preds map[string]bool // MultiLog predicate names seen in Σ and queries
+	preds map[string]bool // MultiLog predicate names seen in Σ and queries; shared by Advance, copied to write
 	opts  Options
 }
 
@@ -380,7 +381,10 @@ func (r *Reduction) RequireBelief(pred string, l lattice.Label, m Mode) {
 	}
 	if !r.needs[belNeed{pred, l, m}] {
 		r.needs[belNeed{pred, l, m}] = true
-		r.preds[pred] = true
+		if !r.preds[pred] {
+			r.preds = maps.Clone(r.preds) // shared by the reductions Advance made from r, or r's source
+			r.preds[pred] = true
+		}
 		r.emitAxiomFor(pred, l, m)
 		r.model = nil
 		r.inc = nil

@@ -23,12 +23,14 @@
 #    cold build more than the write.)
 # 4. BenchmarkAdvanceRuleWrite: the same gate for a rule write — the Π rule
 #    rule_churn writes, at 200 and at 2000 facts and at 160 belief rules, and
-#    a Σ belief rule — at 20x in every case: ~450x, ~3700x and ~2200x for the
-#    Π rule, ~24x for the Σ rule (~700x, ~6000x, ~3000x and ~36x with the
-#    per-candidate clones), when a rule write edits a delta over each
-#    clearance's shared rule set (~110x, ~960x, ~85x and ~35x when every
-#    write re-stratified and re-indexed the whole rule set); 1x if it
-#    rebuilds the reduction.
+#    a Σ belief rule — at 20x in every case: ~580x, ~4500x and ~2700x for the
+#    Π rule, ~74x for the Σ rule, when a rule write edits a delta over each
+#    clearance's shared rule set, a retract nets out of it, a clone copies a
+#    slot slice and the delta's result is sorted by the keys it holds (~460x,
+#    ~3600x, ~2200x and ~24x while a clone rebuilt a map entry per relation,
+#    a retract tombstoned its own assert and the sort re-keyed atoms per
+#    comparison; ~110x, ~960x, ~85x and ~35x when every write re-stratified
+#    and re-indexed the whole rule set); 1x if it rebuilds the reduction.
 # 5. TestFactWriteAllocsFlatInDatabaseSize (internal/server, also in tier-1):
 #    a committed fact write through preparedProgram.update — write_mix's
 #    stream over four warm clearances — allocates at 2000 facts at most 1.25x
@@ -54,8 +56,10 @@
 #    rule_churn's Π rule asserted and retracted over four warm clearances,
 #    200 pairs (folds of the rule-set deltas included), allocates at 160
 #    belief rules (5,807 translated rules at l3) at most 1.25x what it does
-#    at 16 (767): ~1.1x when a write edits a delta over each clearance's
-#    rule set, ~5.8x when it re-stratifies and re-indexes the whole set.
+#    at 16 (767): ~1.0x when a write edits a delta over each clearance's
+#    rule set and a retract nets out of it (~1.1x while the retract
+#    tombstoned the assert, and the delta folded every few pairs), ~5.8x when
+#    it re-stratifies and re-indexes the whole set.
 # 9. TestMatchAllocsFlatInCandidates (internal/datalog, also in tier-1): a
 #    Store.Match whose fn does nothing allocates over 1000 candidates at most
 #    1.25x what it does over 10, on the scan and the indexed path of a flat
@@ -70,6 +74,11 @@
 #    ~60x when it walks the whole LRU. BenchmarkServerRuleWrite prices that
 #    rule write through preparedProgram.update at 200, 2000 and 8000 facts
 #    (EXPERIMENTS.md P22); it is reported, not gated.
+# 11. TestStoreCloneAllocsFlatInRelations (internal/datalog, also in
+#    tier-1): Store.Clone allocates the same at 5000 relations as at 50: 2
+#    allocations (the store and its slice of relation pointers; the slot
+#    map is shared) at both sizes; 5 and 19 (3.8x) when a clone rebuilds a
+#    map of the relations. Run like gate 9, by the allocation-test run.
 set -eu
 
 GO=${GO:-go}
@@ -128,7 +137,7 @@ $GO test ./internal/server -run '^$' -bench 'BenchmarkCacheInvalidate' \
 gate "$TMP/cache.txt" CacheInvalidate entries 1k 64k ns/op 0.8
 
 $GO test ./internal/server ./internal/multilog ./internal/datalog \
-    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount|TestMatchAllocsFlatInCandidates)$' \
+    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount|TestMatchAllocsFlatInCandidates|TestStoreCloneAllocsFlatInRelations)$' \
     -count=1 -v > "$TMP/allocs.txt" || { cat "$TMP/allocs.txt"; exit 1; }
-grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert\|per match' "$TMP/allocs.txt"
+grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert\|per match\|per clone' "$TMP/allocs.txt"
 echo "bench-smoke: ok"
