@@ -10,9 +10,9 @@ package multilog
 // model another engine built (InstallPrepared) gets that engine at its first
 // advance, by counting the program's fact clauses into a clone of the model
 // (datalog.Adopt). An advance reports the translated relations whose tuples
-// changed at its clearance (DeltaReport.ChangedPreds) and QueryDeps names the
-// relations a query reads, so a cache of answers (the server's) drops exactly
-// the entries a write changed.
+// changed at its clearance, and the tuples; QueryDeps names the relations a
+// query reads and a PatchPlan what a single goal's answers follow, so a cache
+// of answers (the server's) patches or drops exactly the entries a write changed.
 
 import (
 	"context"
@@ -61,6 +61,7 @@ type DeltaReport struct {
 	// actually changed, sorted. Empty with no Reason means the write was a
 	// semantic no-op.
 	ChangedPreds []string
+	Changed      map[string]datalog.PredDelta // ChangedPreds' net tuples (datalog.DeltaResult.Changed)
 	// Added and Deleted count net tuple-level changes across all predicates.
 	Added, Deleted int
 	// The translated rules that joined and left the reduced program: a rule's
@@ -123,7 +124,7 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 	if err != nil {
 		return refuse(ReasonDeltaFailed, err) // the clone is discarded
 	}
-	rep.ChangedPreds = res.ChangedPreds()
+	rep.ChangedPreds, rep.Changed = res.ChangedPreds(), res.Changed
 	for _, pd := range res.Changed {
 		rep.Added += len(pd.Added)
 		rep.Deleted += len(pd.Deleted)

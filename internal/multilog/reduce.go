@@ -39,9 +39,10 @@ func (r *Reduction) ModelContext(ctx context.Context, limits resource.Limits) (*
 }
 
 // Answer is one solution to a MultiLog query: bindings for the query's
-// variables.
+// variables, and Key, their Subst.String rendering, which orders the answers.
 type Answer struct {
 	Bindings term.Subst
+	Key      string
 }
 
 // Query answers a conjunctive MultiLog query against the reduction. Level
@@ -190,7 +191,8 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 		for i, v := range vars {
 			restricted[v] = vals[i]
 		}
-		seen[string(key)] = Answer{Bindings: restricted}
+		k := string(key)
+		seen[k] = Answer{Bindings: restricted, Key: k}
 	}
 
 	// The goals are solved in the order pick chooses, not as written:

@@ -800,7 +800,9 @@ func TestRouterForwardsPastStaleBrownout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const query = "L[emp(K: salary -C-> V)]"
+	// Joined to level(C), which no write changes: a single-goal entry
+	// would be patched by the write, not retired.
+	const query = "L[emp(K: salary -C-> V)], level(C)"
 	read := func() *server.QueryResponse {
 		t.Helper()
 		resp, err := rc.QueryContext(ctx, server.QueryRequest{Session: sess.Session, Query: query})

@@ -443,7 +443,7 @@ func FuzzAnswersJSON(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encodeAnswers(answers); !bytes.Equal(got, want) {
+		if got, _ := encodeAnswers(answers, nil); !bytes.Equal(got, want) {
 			t.Fatalf("encodeAnswers wrote\n%q\nencoding/json writes\n%q", got, want)
 		}
 	})

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/datalog"
 	"repro/internal/lattice"
+	"repro/internal/multilog"
 )
 
 // resultCache is the invalidating answer cache: finished (complete,
@@ -20,17 +23,21 @@ import (
 // Staleness is decided per clearance, from what the write's advance changed
 // there: each entry records its clearance, the translated relations its
 // query reads (its deps) and the epoch of the snapshot it was computed
-// against. A write drops the older entries whose deps meet the relations its
-// advance changed at their clearance, and every older entry of a clearance it
-// did not advance (Invalidate). It also raises the database's latest epoch,
-// below which Put refuses: a query that evaluated against a superseded
-// snapshot cannot store its answer after the write that superseded it. Reset
+// against. A write patches or drops the older entries whose deps meet the
+// relations its advance changed at their clearance, and drops every older
+// entry of a clearance it did not advance (Invalidate). An entry with a
+// multilog.PatchPlan queues the tuples of the write's net delta that touch
+// it, and its next Get merges their rows into new bytes. Writes reach the
+// cache in epoch order (preparedProgram.update), so a queue is in the order
+// of its writes. A write also raises the database's latest epoch, below
+// which Put refuses: a query that evaluated against a superseded snapshot
+// cannot store its answer after the write that superseded it. Reset
 // (program load/replace) bumps the database's generation, making every old
 // key unreachable regardless of timing.
 //
-// A write finds what it drops through the reader index (dbEpochs), never by
-// walking the LRU: its cost follows the entries that read what it changed,
-// not the entries cached.
+// A write finds what it patches or drops through the reader index
+// (dbEpochs), never by walking the LRU: its cost follows the entries that
+// read what it changed, not the entries cached.
 type resultCache struct {
 	mu  sync.Mutex
 	cap int
@@ -45,7 +52,13 @@ type resultCache struct {
 	stale     map[string]*staleEntry
 
 	hits, misses, evictions, invalidations int64
+	patched, overflows                     int64
 }
+
+// maxPending bounds the tuples an entry queues between two Gets; a write
+// that would pass it drops the entry (a patch_overflow). A queue pins a few
+// dozen tuples at most, and a patch costs less than the match it saves.
+const maxPending = 64
 
 // staleEntry is a brownout candidate: answers an invalidation dropped,
 // kept with the moment they went stale and the last epoch they were valid
@@ -89,13 +102,38 @@ type cacheEntry struct {
 	db        string
 	idx       *dbEpochs // db's state, whose reader index lists the entry
 	clearance lattice.Label
-	epoch     uint64   // snapshot epoch the answers were computed at
+	epoch     uint64   // snapshot epoch the answers, with pending merged, hold at
 	deps      []string // translated relations the query reads (Reduction.QueryDeps)
 	answers   []byte   // the encoded JSON array of the answers
+	answerRows
+	pending []patchDelta // the writes' touching tuples since the last merge, oldest first
+	queued  int          // tuples in pending
 
 	prev, next *cacheEntry // neighbours in the recency ring
 	gone       bool        // dropped from the ring; its index references are dead
 }
+
+// answerRows lets a write patch an entry: the query's plan (nil when no delta
+// can patch it) and the answers' row index, pointer-free so it adds no GC
+// mark work — ends holds per answer, in order, the end of its key
+// (multilog.Answer.Key, which orders them) in keys and of its row in the JSON.
+type answerRows struct {
+	plan *multilog.PatchPlan
+	keys []byte
+	ends []int32
+}
+
+// row returns the key and the JSON row of answer i of n.
+func (r *answerRows) row(answers []byte, i int) (key, row []byte) {
+	keyAt, rowAt := int32(0), int32(1) // past the array's '['
+	if i > 0 {
+		keyAt, rowAt = r.ends[2*i-2], r.ends[2*i-1]+1 // past the ','
+	}
+	return r.keys[keyAt:r.ends[2*i]], answers[rowAt:r.ends[2*i+1]]
+}
+
+// patchDelta is one write's tuples that touch an entry (PatchPlan.Touching).
+type patchDelta struct{ add, del []datalog.Atom }
 
 // cacheKey builds the composite key. The components are length-prefixed so
 // no crafted query string can collide across fields. gen is the database's
@@ -132,11 +170,14 @@ func (c *resultCache) unlink(ent *cacheEntry) {
 }
 
 // retire moves an entry the write of epoch invalidated into the stale side
-// table (bounded by the cache capacity; an arbitrary victim makes room).
-// Callers hold c.mu.
+// table (bounded by the cache capacity; an arbitrary victim makes room),
+// its queued writes merged. Callers hold c.mu.
 func (c *resultCache) retire(ent *cacheEntry, now time.Time, epoch uint64) {
 	if !c.keepStale {
 		return
+	}
+	if len(ent.pending) > 0 {
+		ent.merge()
 	}
 	if len(c.stale) >= c.cap {
 		for k := range c.stale {
@@ -183,7 +224,8 @@ func (c *resultCache) Generation(db string) uint64 {
 	return c.epochs(db).gen
 }
 
-// Get returns the encoded answers cached under key, if present.
+// Get returns the encoded answers cached under key, if present, merging the
+// rows of the writes the entry has queued first.
 func (c *resultCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -195,16 +237,82 @@ func (c *resultCache) Get(key string) ([]byte, bool) {
 	c.hits++
 	c.unlink(ent)
 	c.link(ent)
+	if len(ent.pending) > 0 {
+		ent.merge()
+	}
 	return ent.answers, true
+}
+
+// rowOp is a queued answer: an added one's row, or a deleted one's key alone.
+type rowOp struct{ key, row []byte }
+
+// merge applies the answers the pending deltas' tuples add and delete
+// (PatchPlan.Answers), the last write to change an answer deciding it, into
+// new bytes and a new row index; readers may hold the old. Callers hold c.mu.
+func (ent *cacheEntry) merge() {
+	var ops []rowOp
+	grow, growKeys := 0, 0
+	for _, d := range ent.pending {
+		for _, a := range ent.plan.Answers(d.del) {
+			ops = append(ops, rowOp{key: []byte(a.Key)})
+		}
+		added := ent.plan.Answers(d.add)
+		json, rows := encodeAnswers(added, ent.plan)
+		for i := range added {
+			key, row := rows.row(json, i)
+			ops = append(ops, rowOp{key, row})
+			grow, growKeys = grow+len(row)+1, growKeys+len(key)
+		}
+	}
+	ent.pending, ent.queued = nil, 0
+	slices.SortStableFunc(ops, func(a, b rowOp) int { return bytes.Compare(a.key, b.key) })
+
+	n := len(ent.ends) / 2
+	out := append(make([]byte, 0, len(ent.answers)+grow), '[')
+	next := answerRows{plan: ent.plan,
+		keys: make([]byte, 0, len(ent.keys)+growKeys), ends: make([]int32, 0, len(ent.ends)+2*len(ops))}
+	put := func(key, row []byte) {
+		if len(next.ends) > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, row...)
+		next.keys = append(next.keys, key...)
+		next.ends = append(next.ends, int32(len(next.keys)), int32(len(out)))
+	}
+	i := 0
+	for j := 0; j < len(ops); j++ {
+		op := ops[j]
+		if j+1 < len(ops) && bytes.Equal(ops[j+1].key, op.key) {
+			continue // a later write changed this answer again
+		}
+		for ; i < n; i++ {
+			key, row := ent.row(ent.answers, i)
+			if c := bytes.Compare(key, op.key); c >= 0 {
+				if c == 0 {
+					i++ // replaced or deleted
+				}
+				break
+			}
+			put(key, row)
+		}
+		if op.row != nil {
+			put(op.key, op.row)
+		}
+	}
+	for ; i < n; i++ {
+		put(ent.row(ent.answers, i))
+	}
+	ent.answers, ent.answerRows = append(out, ']'), next
 }
 
 // Put stores a complete result's encoded answers, computed at clearance on
 // the snapshot of the given epoch, reading the relations deps, evicting the
-// least recently used entry when full. Callers must not cache truncated or
-// erroneous results.
+// least recently used entry when full; rows, for a query a write can patch,
+// are the answers' plan and row index (encodeAnswers). Callers must not
+// cache truncated or erroneous results.
 // The store is refused when a write newer than epoch has invalidated: the
 // caller computed against a snapshot that write superseded.
-func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64, deps []string, answers []byte) {
+func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64, deps []string, answers []byte, rows answerRows) {
 	if c.cap <= 0 {
 		return
 	}
@@ -219,7 +327,8 @@ func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64,
 		if slices.Equal(ent.deps, deps) {
 			c.unlink(ent)
 			c.link(ent)
-			ent.epoch, ent.answers = epoch, answers
+			ent.epoch, ent.answers, ent.answerRows = epoch, answers, rows
+			ent.pending, ent.queued = nil, 0
 			return
 		}
 		// New deps, new index references: the entry is replaced, in place
@@ -233,7 +342,7 @@ func (c *resultCache) Put(key, db string, clearance lattice.Label, epoch uint64,
 		oldest.idx.maybeSweep()
 		c.evictions++
 	}
-	ent := &cacheEntry{key: key, db: db, idx: e, clearance: clearance, epoch: epoch, deps: deps, answers: answers}
+	ent := &cacheEntry{key: key, db: db, idx: e, clearance: clearance, epoch: epoch, deps: deps, answers: answers, answerRows: rows}
 	c.link(ent)
 	c.by[key] = ent
 	cr := e.readers[clearance]
@@ -261,6 +370,7 @@ func (c *resultCache) drop(ent *cacheEntry) {
 	delete(c.by, ent.key)
 	ent.idx.dead += 1 + len(ent.deps)
 	ent.gone, ent.key, ent.deps, ent.answers = true, "", nil, nil
+	ent.answerRows, ent.pending = answerRows{}, nil
 }
 
 // maybeSweep compacts every index list of the database once its references
@@ -293,45 +403,59 @@ func (l *readers) sweep() {
 	l.ents = live
 }
 
-// Invalidate applies the write of epoch to db's entries and returns how many
-// it dropped. changed holds, per clearance the write advanced, the translated
-// relations whose tuples changed there (multilog.DeltaReport.ChangedPreds).
-// An entry computed before epoch goes when its clearance is not in changed —
-// cold at the write, dropped by it, or built while it ran — or when its deps
-// meet that clearance's changed relations. Later Puts below epoch are refused.
-// It visits the index lists of the changed relations and of the clearances
-// missing from changed, no others.
-func (c *resultCache) Invalidate(db string, epoch uint64, changed map[lattice.Label][]string) int {
+// Invalidate applies the write of epoch, in epoch order, to db's entries and
+// returns how many it dropped and patched. changed holds, per clearance the
+// write advanced, its advance's report. An entry computed before epoch goes
+// when its clearance is not in changed — cold at the write, dropped by it, or
+// built while it ran — or when its deps meet the relations changed there,
+// unless it has a patch plan: then it queues the changed tuples that touch it
+// (PatchPlan.Touching) and holds at epoch, or goes if its queue would pass
+// maxPending. Later Puts below epoch are refused. It visits the index lists
+// of the changed relations and of the clearances missing from changed.
+func (c *resultCache) Invalidate(db string, epoch uint64, changed map[lattice.Label]multilog.DeltaReport) (dropped, patched int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.epochs(db)
 	e.latest = max(e.latest, epoch)
-	n := 0
 	now := time.Now()
-	visit := func(l *readers) {
+	visit := func(l *readers, delta map[string]datalog.PredDelta) {
 		if l == nil {
 			return
 		}
 		for _, ent := range l.ents {
-			if !ent.gone && ent.epoch < epoch {
-				c.retire(ent, now, epoch)
-				c.drop(ent)
-				n++
+			if ent.gone || ent.epoch >= epoch {
+				continue
 			}
+			if ent.plan != nil && delta != nil {
+				add, del := ent.plan.Touching(delta, nil, nil)
+				if n := len(add) + len(del); ent.queued+n <= maxPending {
+					if n > 0 {
+						ent.pending, ent.queued = append(ent.pending, patchDelta{add, del}), ent.queued+n
+						patched++
+					}
+					ent.epoch = epoch
+					continue
+				}
+				c.overflows++
+			}
+			c.retire(ent, now, epoch)
+			c.drop(ent)
+			dropped++
 		}
 	}
 	for u, cr := range e.readers {
-		preds, advanced := changed[u]
+		rep, advanced := changed[u]
 		if !advanced {
-			visit(&cr.all)
+			visit(&cr.all, nil)
 		}
-		for _, p := range preds {
-			visit(cr.byRel[p])
+		for _, p := range rep.ChangedPreds {
+			visit(cr.byRel[p], rep.Changed)
 		}
 	}
 	e.maybeSweep()
-	c.invalidations += int64(n)
-	return n
+	c.invalidations += int64(dropped)
+	c.patched += int64(patched)
+	return dropped, patched
 }
 
 // Reset drops every entry of db, clears its latest epoch and bumps its
@@ -374,6 +498,8 @@ func (c *resultCache) Stats() CacheStats {
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
+		Patched:       c.patched,
+		PatchOverflow: c.overflows,
 		Entries:       len(c.by),
 		Capacity:      c.cap,
 	}

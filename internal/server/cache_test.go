@@ -5,23 +5,38 @@ import (
 	"testing"
 
 	"repro/internal/lattice"
+	"repro/internal/multilog"
 )
 
 func ans(v string) []byte {
 	return []byte(`[{"V":"` + v + `"}]`)
 }
 
+// changedRels is the Invalidate argument of a write that changed, per
+// clearance it advanced, the relations named, with no tuples: an entry that
+// reads one goes, patchable or not.
+func changedRels(rels map[lattice.Label][]string) map[lattice.Label]multilog.DeltaReport {
+	if rels == nil {
+		return nil
+	}
+	out := make(map[lattice.Label]multilog.DeltaReport, len(rels))
+	for u, preds := range rels {
+		out[u] = multilog.DeltaReport{ChangedPreds: preds}
+	}
+	return out
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
 	k := func(i int) string { return cacheKey("db", 1, "s", "fir", fmt.Sprintf("q%d", i)) }
 
-	c.Put(k(0), "db", "s", 1, nil, ans("a"))
-	c.Put(k(1), "db", "s", 1, nil, ans("b"))
+	c.Put(k(0), "db", "s", 1, nil, ans("a"), answerRows{})
+	c.Put(k(1), "db", "s", 1, nil, ans("b"), answerRows{})
 	// Touch k0 so k1 is the LRU victim.
 	if _, ok := c.Get(k(0)); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
-	c.Put(k(2), "db", "s", 1, nil, ans("c"))
+	c.Put(k(2), "db", "s", 1, nil, ans("c"), answerRows{})
 
 	if _, ok := c.Get(k(1)); ok {
 		t.Error("k1 survived eviction; LRU order wrong")
@@ -56,12 +71,12 @@ func checkInvalidate(t *testing.T, c *resultCache, entries []cachedEntry, epoch 
 	t.Helper()
 	want := 0
 	for _, e := range entries {
-		c.Put(entryKey(e.db, e.clearance, e.q), e.db, e.clearance, e.epoch, e.deps, ans(e.q))
+		c.Put(entryKey(e.db, e.clearance, e.q), e.db, e.clearance, e.epoch, e.deps, ans(e.q), answerRows{})
 		if e.dropped {
 			want++
 		}
 	}
-	if n := c.Invalidate("db", epoch, changed); n != want {
+	if n, _ := c.Invalidate("db", epoch, changedRels(changed)); n != want {
 		t.Fatalf("invalidated %d entries, want %d", n, want)
 	}
 	for _, e := range entries {
@@ -87,11 +102,11 @@ func TestCacheInvalidateAll(t *testing.T) {
 	}, 2, nil)
 
 	// The latest epoch gates late Puts from pre-write snapshots, per database.
-	c.Put(entryKey("db", "s", "late"), "db", "s", 1, nil, ans("stale"))
+	c.Put(entryKey("db", "s", "late"), "db", "s", 1, nil, ans("stale"), answerRows{})
 	if _, ok := c.Get(entryKey("db", "s", "late")); ok {
 		t.Error("Put from a superseded snapshot was accepted")
 	}
-	c.Put(entryKey("other", "s", "late"), "other", "s", 1, nil, ans("ok"))
+	c.Put(entryKey("other", "s", "late"), "other", "s", 1, nil, ans("ok"), answerRows{})
 	if _, ok := c.Get(entryKey("other", "s", "late")); !ok {
 		t.Error("a write to db refused a Put to another database")
 	}
@@ -111,11 +126,11 @@ func TestCacheInvalidatePreds(t *testing.T) {
 	}, 4, map[lattice.Label][]string{"s": {"mlbel_p_l0_fir", "mlrel_p_l0"}})
 
 	late := entryKey("db", "s", "late")
-	c.Put(late, "db", "s", 3, []string{"mlrel_q_l0"}, ans("stale"))
+	c.Put(late, "db", "s", 3, []string{"mlrel_q_l0"}, ans("stale"), answerRows{})
 	if _, ok := c.Get(late); ok {
 		t.Error("Put from a superseded snapshot with untouched deps was accepted")
 	}
-	c.Put(late, "db", "s", 4, []string{"mlrel_p_l0"}, ans("fresh"))
+	c.Put(late, "db", "s", 4, []string{"mlrel_p_l0"}, ans("fresh"), answerRows{})
 	if _, ok := c.Get(late); !ok {
 		t.Error("Put at the write's epoch was refused")
 	}
@@ -126,8 +141,8 @@ func TestCacheReset(t *testing.T) {
 	if g := c.Generation("db"); g != 0 {
 		t.Fatalf("fresh generation = %d, want 0", g)
 	}
-	c.Put(cacheKey("db", 0, "s", "fir", "q"), "db", "s", 5, []string{"mlrel_p_l0"}, ans("x"))
-	c.Invalidate("db", 6, map[lattice.Label][]string{"s": {"mlrel_p_l0"}})
+	c.Put(cacheKey("db", 0, "s", "fir", "q"), "db", "s", 5, []string{"mlrel_p_l0"}, ans("x"), answerRows{})
+	c.Invalidate("db", 6, changedRels(map[lattice.Label][]string{"s": {"mlrel_p_l0"}}))
 
 	if n := c.Reset("db"); n != 0 {
 		t.Fatalf("reset dropped %d entries, want 0 (already invalidated)", n)
@@ -138,7 +153,7 @@ func TestCacheReset(t *testing.T) {
 	// The latest epoch is cleared: a new program's epoch-1 results must be
 	// cacheable even though the old program saw higher epochs.
 	key := cacheKey("db", 1, "s", "fir", "q")
-	c.Put(key, "db", "s", 1, []string{"mlrel_p_l0"}, ans("new"))
+	c.Put(key, "db", "s", 1, []string{"mlrel_p_l0"}, ans("new"), answerRows{})
 	if _, ok := c.Get(key); !ok {
 		t.Error("post-reset Put at epoch 1 was refused by the old program's latest epoch")
 	}
@@ -147,7 +162,7 @@ func TestCacheReset(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(0)
 	key := cacheKey("db", 1, "s", "fir", "q")
-	c.Put(key, "db", "s", 1, nil, ans("x"))
+	c.Put(key, "db", "s", 1, nil, ans("x"), answerRows{})
 	if _, ok := c.Get(key); ok {
 		t.Error("disabled cache returned a hit")
 	}

@@ -180,9 +180,7 @@ func (s *Server) installProgram(name, src string, epoch uint64) error {
 	for _, d := range diags {
 		s.logf("recover %s: %s", name, d)
 	}
-	s.progMu.Lock()
-	s.programs[name] = prog
-	s.progMu.Unlock()
+	s.install(name, prog)
 	return nil
 }
 

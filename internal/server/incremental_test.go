@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -64,6 +66,42 @@ func query(ctx context.Context, s *Server, sess *Session, req QueryRequest) (*Qu
 	return resp, err
 }
 
+// joined is q joined with level(C): two goals, so no write patches it, over
+// q's relations and the lattice, which no write changes — the probe a write
+// that changes what q reads must evict.
+func joined(q string) string { return q + ", level(C)" }
+
+// coldEqual queries q at sess and fails unless the answers' bytes are a
+// server's cold-started on the current program, cached or not; it returns the
+// response, answers decoded.
+func coldEqual(t *testing.T, s *Server, sess *Session, q string) *QueryResponse {
+	t.Helper()
+	ctx := context.Background()
+	resp, got, err := s.Query(ctx, sess, QueryRequest{Query: q})
+	if err != nil {
+		t.Fatalf("query %q: %v", q, err)
+	}
+	prog, err := s.program(sess.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := New(Config{})
+	if err := cold.Load(sess.DB, prog.current().db.Database().String()); err != nil {
+		t.Fatal(err)
+	}
+	csess, _, err := cold.Open(OpenRequest{Subject: "cold", Clearance: string(sess.Clearance), Mode: string(sess.Mode), DB: sess.DB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, want, err := cold.Query(ctx, csess, QueryRequest{Query: q}); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("%q at %s answers %s (cached=%v), a cold server %s (err=%v)", q, sess.Clearance, got, resp.Cached, want, err)
+	}
+	if err := json.Unmarshal(got, &resp.Answers); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func runUpdate(t *testing.T, s *Server, sess *Session, clauses string, retract bool) *UpdateResponse {
 	t.Helper()
 	resp, err := s.Update(context.Background(), sess, UpdateRequest{Clauses: clauses}, retract)
@@ -74,8 +112,10 @@ func runUpdate(t *testing.T, s *Server, sess *Session, clauses string, retract b
 }
 
 // TestCachePrecision pins the invalidation contract: a write, fact or rule,
-// evicts exactly the cached entries whose relations its advance changed at
-// their clearance — directly or through rules — and no other.
+// evicts exactly the cached entries of queries it cannot patch whose
+// relations its advance changed at their clearance — directly or through
+// rules — and no other; and it evicts no single-goal query's entry, which
+// answers after it as a cold server does.
 func TestCachePrecision(t *testing.T) {
 	queries := []string{
 		"l0[emp(K: salary -C-> V)]",
@@ -120,11 +160,13 @@ func TestCachePrecision(t *testing.T) {
 	sess := openSess(t, s, "l1", "")
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Prime: miss then hit for every query.
+			// Prime: miss then hit for every query, joined or not.
 			for _, q := range queries {
-				runQuery(t, s, sess, q)
-				if got := runQuery(t, s, sess, q); !got.Cached {
-					t.Fatalf("prime %q: second query missed the cache", q)
+				for _, q := range []string{q, joined(q)} {
+					runQuery(t, s, sess, q)
+					if got := runQuery(t, s, sess, q); !got.Cached {
+						t.Fatalf("prime %q: second query missed the cache", q)
+					}
 				}
 			}
 			up := runUpdate(t, s, sess, tc.clauses, tc.retract)
@@ -135,12 +177,15 @@ func TestCachePrecision(t *testing.T) {
 				t.Errorf("update advanced nothing: Incremental=%v ChangedPreds=%v", up.Incremental, up.ChangedPreds)
 			}
 			for i, q := range queries {
-				resp := runQuery(t, s, sess, q)
+				resp := runQuery(t, s, sess, joined(q))
 				if tc.evicted[i] && resp.Cached {
-					t.Errorf("query %q served a stale cached answer after %q", q, tc.clauses)
+					t.Errorf("query %q served a stale cached answer after %q", joined(q), tc.clauses)
 				}
 				if !tc.evicted[i] && !resp.Cached {
-					t.Errorf("query %q was evicted by the independent write %q", q, tc.clauses)
+					t.Errorf("query %q was evicted by the independent write %q", joined(q), tc.clauses)
+				}
+				if resp := coldEqual(t, s, sess, q); !resp.Cached {
+					t.Errorf("query %q was evicted by %q, not patched", q, tc.clauses)
 				}
 			}
 		})
@@ -148,24 +193,30 @@ func TestCachePrecision(t *testing.T) {
 }
 
 // TestCachePrecisionObservesWrites double-checks precision is not staleness:
-// after a write, the dependent query's fresh answer reflects it.
+// after a write, the dependent query's answer reflects it — the joined one's
+// fresh, the single-goal one's patched — and the grown answer set is served
+// from the cache again.
 func TestCachePrecisionObservesWrites(t *testing.T) {
 	s := newIncServer(t, Config{})
 	sess := openSess(t, s, "l1", "")
-	q := "l0[dept(K: head -C-> V)]"
-	before := runQuery(t, s, sess, q)
-	runQuery(t, s, sess, q) // cached
-	runUpdate(t, s, sess, "l0[dept(sales: head -l0-> bob)].", false)
-	after := runQuery(t, s, sess, q)
-	if after.Cached {
-		t.Fatal("dependent entry survived the write")
-	}
-	if len(after.Answers) != len(before.Answers)+1 {
-		t.Fatalf("write not visible: %d answers before, %d after", len(before.Answers), len(after.Answers))
-	}
-	// And the grown answer set is itself cached again.
-	if got := runQuery(t, s, sess, q); !got.Cached || len(got.Answers) != len(after.Answers) {
-		t.Fatalf("post-write answer not re-cached correctly (cached=%v, %d answers)", got.Cached, len(got.Answers))
+	for _, single := range []bool{false, true} {
+		q := "l0[dept(K: head -C-> V)]"
+		if !single {
+			q = joined(q)
+		}
+		before := runQuery(t, s, sess, q)
+		runQuery(t, s, sess, q) // cached
+		runUpdate(t, s, sess, fmt.Sprintf("l0[dept(sales%d: head -l0-> bob)].", before.Epoch), false)
+		after := coldEqual(t, s, sess, q)
+		if after.Cached != single {
+			t.Fatalf("%q after the write: cached=%v, want %v", q, after.Cached, single)
+		}
+		if len(after.Answers) != len(before.Answers)+1 {
+			t.Fatalf("%q: write not visible: %d answers before, %d after", q, len(before.Answers), len(after.Answers))
+		}
+		if got := runQuery(t, s, sess, q); !got.Cached || len(got.Answers) != len(after.Answers) {
+			t.Fatalf("%q: post-write answer not re-cached correctly (cached=%v, %d answers)", q, got.Cached, len(got.Answers))
+		}
 	}
 }
 
@@ -323,12 +374,14 @@ func TestUpdateAdvancesPreparedReductions(t *testing.T) {
 }
 
 // TestCachePrecisionAcrossClearances: invalidation is per clearance. A fact
-// at l0, which both clearances read, evicts both sessions' entries over it. A
-// write-down rule derives l0's leak from l1's emp — at clearance l1 only, for
-// at l0 its body is guarded out — so a fact at l1 evicts the l1 session's
-// entry over leak and leaves the l0 session's cached, with the answers a
-// server cold-started on the written program gives. (A clearance-independent
-// closure evicts both: a write above l0 observable at l0 as a cache miss.)
+// at l0, which both clearances read, evicts both sessions' joined entries
+// over it. A write-down rule derives l0's leak from l1's emp — at clearance
+// l1 only, for at l0 its body is guarded out — so a fact at l1 evicts the l1
+// session's joined entry over leak and leaves the l0 session's cached, with
+// the answers a server cold-started on the written program gives. (A
+// clearance-independent closure evicts both: a write above l0 observable at
+// l0 as a cache miss.) The single-goal entries are patched at both
+// clearances and answer as the cold server does.
 func TestCachePrecisionAcrossClearances(t *testing.T) {
 	s := newIncServer(t, Config{})
 	low := openSess(t, s, "l0", "")
@@ -352,25 +405,36 @@ func TestCachePrecisionAcrossClearances(t *testing.T) {
 	}
 	q := "l0[emp(K: salary -C-> V)]"
 	prime(q)
+	prime(joined(q))
 	runUpdate(t, s, high, "l0[emp(gail: salary -l0-> low)].", false)
 	for i, sess := range []*Session{low, high} {
-		resp := runQuery(t, s, sess, q)
+		resp := runQuery(t, s, sess, joined(q))
 		if resp.Cached {
 			t.Errorf("session %d served stale answers after a cross-clearance write", i)
 		}
 		if !sees(resp, "gail") {
 			t.Errorf("session %d does not see the written fact: %v", i, resp.Answers)
 		}
+		if resp := coldEqual(t, s, sess, q); !resp.Cached || !sees(resp, "gail") {
+			t.Errorf("session %d's single-goal entry: cached=%v answers=%v", i, resp.Cached, resp.Answers)
+		}
 	}
 
 	runUpdate(t, s, high, `
 		l0[leak(ann: x -l0-> low)].
 		l0[leak(K: x -l0-> V)] :- l1[emp(K: salary -C-> V)] << fir.`, false)
-	q = "L[leak(K: x -C-> V)]"
+	single := "L[leak(K: x -C-> V)]"
+	q = joined(single)
+	prime(single)
 	prime(q)
 	runUpdate(t, s, high, "l1[emp(hank: salary -l1-> mid)].", false)
 	if resp := runQuery(t, s, high, q); resp.Cached || !sees(resp, "hank") {
 		t.Errorf("l1 session after a fact at l1: cached=%v answers=%v", resp.Cached, resp.Answers)
+	}
+	for _, sess := range []*Session{low, high} {
+		if resp := coldEqual(t, s, sess, single); !resp.Cached || sees(resp, "hank") != (sess == high) {
+			t.Errorf("%s session's single-goal entry after a fact at l1: cached=%v answers=%v", sess.Clearance, resp.Cached, resp.Answers)
+		}
 	}
 	resp := runQuery(t, s, low, q)
 	if !resp.Cached {
@@ -663,13 +727,16 @@ func TestColdBuildRacingAWriteIsNotCached(t *testing.T) {
 		<-parked
 		var raced *QueryResponse
 		if putFirst {
-			// Server.Update's two steps, with the build's Put between them.
+			// The update's last two steps, the swap and the cache's share of
+			// the write, with the build's Put between them.
+			prog.cache = nil
 			epoch, _, inv, err := prog.update(ctx, fact, writer.Clearance, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			close(release)
 			raced = <-built
+			prog.cache = s.cache
 			s.cache.Invalidate("test", epoch, inv.changed)
 		} else {
 			runUpdate(t, s, writer, fact, false)
@@ -688,27 +755,37 @@ func TestColdBuildRacingAWriteIsNotCached(t *testing.T) {
 // TestNewPredicateWriteInvalidatesBeliefQueries: the first fact of a
 // predicate Σ never mentioned brings its Figure 12 belief axioms, as added
 // rules, and the belief relations they fill are among what the advance
-// reports changed — so the cached empty belief answer goes, and so does the
-// next one a later fact of the predicate changes.
+// reports changed, with their tuples — so the cached empty belief answer of
+// a joined query goes, and so does the next one a later fact of the predicate
+// changes, while the single-goal query's is patched to a cold server's
+// answers both times.
 func TestNewPredicateWriteInvalidatesBeliefQueries(t *testing.T) {
 	s := newIncServer(t, Config{})
 	sess := openSess(t, s, "l1", "opt")
-	q := "L[badge(K: colour -C-> V)]"
+	single := "L[badge(K: colour -C-> V)]"
 	runUpdate(t, s, sess, "l0[emp(kim: salary -l0-> low)].", false)
-	if resp := runQuery(t, s, sess, q); len(resp.Answers) != 0 {
-		t.Fatalf("badge answers before any badge fact: %v", resp.Answers)
-	}
-	if !runQuery(t, s, sess, q).Cached {
-		t.Fatal("prime query missed")
+	for _, q := range []string{single, joined(single)} {
+		if resp := runQuery(t, s, sess, q); len(resp.Answers) != 0 {
+			t.Fatalf("badge answers before any badge fact: %v", resp.Answers)
+		}
+		if !runQuery(t, s, sess, q).Cached {
+			t.Fatal("prime query missed")
+		}
 	}
 	runUpdate(t, s, sess, "l0[badge(kim: colour -l0-> red)].", false)
-	resp := runQuery(t, s, sess, q)
+	resp := runQuery(t, s, sess, joined(single))
 	if resp.Cached || len(resp.Answers) != 2 { // believed at l0 and, optimistically, at l1
 		t.Fatalf("after the first badge fact: cached=%v answers=%v", resp.Cached, resp.Answers)
 	}
+	if resp := coldEqual(t, s, sess, single); !resp.Cached || len(resp.Answers) != 2 {
+		t.Fatalf("after the first badge fact, the single goal: cached=%v answers=%v", resp.Cached, resp.Answers)
+	}
 	runUpdate(t, s, sess, "l1[badge(lee: colour -l1-> blue)].", false)
-	if resp := runQuery(t, s, sess, q); resp.Cached || len(resp.Answers) != 3 {
+	if resp := runQuery(t, s, sess, joined(single)); resp.Cached || len(resp.Answers) != 3 {
 		t.Fatalf("after the second badge fact: cached=%v answers=%v", resp.Cached, resp.Answers)
+	}
+	if resp := coldEqual(t, s, sess, single); !resp.Cached || len(resp.Answers) != 3 {
+		t.Fatalf("after the second badge fact, the single goal: cached=%v answers=%v", resp.Cached, resp.Answers)
 	}
 }
 
@@ -810,5 +887,29 @@ func TestRetractUnderRecursionMatchesColdStart(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || len(got[0]) != 1-i {
 			t.Errorf("after retracting %s the warm daemon answers %v, a cold one %v", fact, got, want)
 		}
+	}
+}
+
+// TestReplacedProgramLeavesTheCacheAlone: a write that lands on a program a
+// load has replaced — one that looked the program up before the load — does
+// not reach the cache, whose entries are the new program's: its delta
+// would patch them with tuples the new program does not hold.
+func TestReplacedProgramLeavesTheCacheAlone(t *testing.T) {
+	s := newIncServer(t, Config{})
+	sess, q := openSess(t, s, "l1", ""), "l0[emp(K: salary -C-> V)]"
+	runQuery(t, s, sess, q) // a warm reduction for the old program's write to advance
+	old, err := s.program("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load("test", precisionProgram); err != nil {
+		t.Fatal(err)
+	}
+	want := runQuery(t, s, sess, q)
+	if _, _, _, err := old.update(context.Background(), "l0[emp(zed: salary -l0-> low)].", "l1", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := coldEqual(t, s, sess, q); !got.Cached || !reflect.DeepEqual(got.Answers, want.Answers) {
+		t.Errorf("after a write to the replaced program: cached=%v answers=%v, want the cached %v", got.Cached, got.Answers, want.Answers)
 	}
 }

@@ -346,7 +346,9 @@ func TestBrownoutServesStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const query = "L[p0(K: a -C-> V)]"
+	// Joined to level(C), which no write changes: a single-goal entry
+	// would be patched by the write, not retired.
+	const query = "L[p0(K: a -C-> V)], level(C)"
 	warm, err := c.QueryContext(bg, server.QueryRequest{Session: sess.Session, Query: query})
 	if err != nil {
 		t.Fatal(err)

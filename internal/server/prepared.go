@@ -34,8 +34,10 @@ type preparedProgram struct {
 	mu   sync.RWMutex // guards snap
 	snap *snapshot
 
-	upMu    sync.Mutex // serializes updates (write → lint → advance → swap)
+	upMu    sync.Mutex // serializes updates (write → lint → advance → swap → cache)
 	updates atomic.Int64
+
+	cache *resultCache // the server's, patched by each write under upMu; nil once replaced
 
 	advMu sync.Mutex   // guards adv
 	adv   AdvanceTally // how committed writes carried the warm reductions
@@ -197,7 +199,8 @@ func (p *preparedProgram) stats() DBStats {
 //
 // It returns the new epoch (unchanged when nothing changed), how many
 // clauses were added or removed, and an invalidation saying, per clearance
-// the write advanced, which translated relations changed there.
+// the write advanced, what changed there. After the swap, still inside the
+// critical section, the write reaches p.cache, in epoch order.
 //
 // commit, when non-nil, runs inside the critical section after the new
 // snapshot is built (post-lint) and before it is swapped in: the server
@@ -265,6 +268,9 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 	p.mu.Lock()
 	p.snap = snap
 	p.mu.Unlock()
+	if p.cache != nil {
+		inv.dropped, inv.patched = p.cache.Invalidate(p.name, snap.epoch, inv.changed)
+	}
 	p.updates.Add(1)
 	p.advMu.Lock()
 	p.adv.add(inv.AdvanceTally)
@@ -273,20 +279,22 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 }
 
 // invalidation says what a committed update changed: for each clearance it
-// advanced, the translated relations whose tuples changed there
-// (multilog.DeltaReport.ChangedPreds). A clearance it did not advance — cold,
-// or dropped — is absent: anything cached there may have changed.
+// advanced, the advance's report — the translated relations whose tuples
+// changed there, and those tuples. A clearance it did not advance — cold, or
+// dropped — is absent: anything cached there may have changed. dropped and
+// patched count the cache entries the write dropped and patched.
 type invalidation struct {
-	changed      map[lattice.Label][]string
-	AdvanceTally // of the prepared reductions, into the new snapshot
+	changed          map[lattice.Label]multilog.DeltaReport
+	dropped, patched int
+	AdvanceTally     // of the prepared reductions, into the new snapshot
 }
 
 // changedPreds is the sorted union of the relations changed at every
 // advanced clearance.
 func (inv invalidation) changedPreds() []string {
 	var out []string
-	for _, preds := range inv.changed {
-		out = append(out, preds...)
+	for _, rep := range inv.changed {
+		out = append(out, rep.ChangedPreds...)
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
@@ -339,7 +347,7 @@ func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snap
 	cur.redMu.RLock()
 	olds := maps.Clone(cur.reductions)
 	cur.redMu.RUnlock()
-	inv := invalidation{changed: make(map[lattice.Label][]string, len(olds))}
+	inv := invalidation{changed: make(map[lattice.Label]multilog.DeltaReport, len(olds))}
 	for u, old := range olds {
 		red, rep, err := old.Advance(ctx, nil, added, removed, p.limits)
 		if err != nil {
@@ -350,7 +358,7 @@ func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snap
 		if rep.Adopted {
 			inv.AdvanceAdopted++
 		}
-		inv.changed[u] = rep.ChangedPreds
+		inv.changed[u] = rep
 		snap.reductions[u] = red
 	}
 	return inv

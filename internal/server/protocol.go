@@ -336,6 +336,8 @@ type CacheStats struct {
 	Misses        int64 `json:"misses"`
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
+	Patched       int64 `json:"patched"`        // entries a write patched instead of dropping
+	PatchOverflow int64 `json:"patch_overflow"` // entries dropped for a full patch queue, in Invalidations too
 	Entries       int   `json:"entries"`
 	Capacity      int   `json:"capacity"`
 }

@@ -224,8 +224,9 @@ func (s *Server) Promote() uint64 {
 
 // ApplyReplicated applies one record shipped from the primary: mirror it
 // into the local WAL at the primary's seq (durable first), then apply it
-// through the same parse/authorize/lint path the original write took, with
-// the same cache invalidation. Called by the replication layer strictly in
+// through the same parse/authorize/lint path the original write took, which
+// patches or drops what it changed in the cache as the original did. Called
+// by the replication layer strictly in
 // sequence order; a failure here means divergence and must halt the stream.
 func (s *Server) ApplyReplicated(rec wal.Record) error {
 	if s.Role() != RoleFollower {
@@ -275,7 +276,7 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 		}
 		// A replicated record is already committed on the primary: giving up
 		// on it half-way would be divergence, so no request context applies.
-		epoch, changed, inv, err := prog.update(context.Background(), ur.Clauses, lattice.Label(ur.Clearance), ur.Retract, commit)
+		_, _, _, err = prog.update(context.Background(), ur.Clauses, lattice.Label(ur.Clearance), ur.Retract, commit)
 		if err != nil {
 			err = fmt.Errorf("server: applying replicated update %d: %w", rec.Seq, err)
 			if mirrored {
@@ -293,9 +294,6 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 				return err
 			}
 			return s.divergedErr(fmt.Errorf("server: replicated update %d was a no-op here: follower state diverged", rec.Seq))
-		}
-		if changed > 0 {
-			s.cache.Invalidate(ur.DB, epoch, inv.changed)
 		}
 	default:
 		return fmt.Errorf("server: replicated record %d has unknown type %d", rec.Seq, rec.Type)

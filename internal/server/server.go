@@ -276,13 +276,27 @@ func (s *Server) Load(name, src string) error {
 			return fmt.Errorf("server: logging load: %w", werr)
 		}
 	}
-	s.progMu.Lock()
-	s.programs[name] = prog
-	s.progMu.Unlock()
+	s.install(name, prog)
 	s.cache.Reset(name)
 	nl, ns, np := prog.current().db.Counts()
 	s.logf("loaded %s: |Λ|=%d |Σ|=%d |Π|=%d", name, nl, ns, np)
 	return nil
+}
+
+// install registers prog under name and detaches the program it replaces
+// from the cache: no write to that one, an in-flight one included, reaches
+// the cache after, so no older program's delta patches a newer one's entry.
+func (s *Server) install(name string, prog *preparedProgram) {
+	prog.cache = s.cache
+	s.progMu.Lock()
+	old := s.programs[name]
+	s.programs[name] = prog
+	s.progMu.Unlock()
+	if old != nil {
+		old.upMu.Lock()
+		old.cache = nil
+		old.upMu.Unlock()
+	}
 }
 
 // program resolves a database name; the empty name selects the sole loaded
@@ -430,20 +444,23 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (re
 			degraded = true
 			s.queries.Add(1)
 			s.qTrunc.Add(1)
-			return resp, encodeAnswers(found), err
+			answers, _ = encodeAnswers(found, nil)
+			return resp, answers, err
 		}
 		s.qErrors.Add(1)
 		return nil, nil, err
 	}
-	answers = encodeAnswers(found)
-	s.cache.Put(key, sess.DB, sess.Clearance, snap.epoch, red.QueryDeps(goals), answers)
+	// A single-goal query's entry keeps its plan and row index: a write
+	// patches it with the answers its delta adds and deletes.
+	answers, rows := encodeAnswers(found, red.PatchPlan(goals))
+	s.cache.Put(key, sess.DB, sess.Clearance, snap.epoch, red.QueryDeps(goals), answers, rows)
 	s.queries.Add(1)
 	return resp, answers, nil
 }
 
-// Update applies an assert/retract on the session's database and
-// invalidates the result cache. With a WAL, the update's log record is
-// appended (and fsynced, under always) inside the update's critical
+// Update applies an assert/retract on the session's database, which patches
+// or drops what it changed in the result cache. With a WAL, the update's log
+// record is appended (and fsynced, under always) inside the update's critical
 // section, after lint and before the snapshot swap: an update a client saw
 // acknowledged, or a query could have observed, is durable.
 func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, retract bool) (*UpdateResponse, error) {
@@ -490,15 +507,15 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 	s.kickCheckpoint()
 	resp := &UpdateResponse{Epoch: epoch, Changed: changed, Seq: seq}
 	if changed > 0 {
-		resp.Invalidated = s.cache.Invalidate(sess.DB, epoch, inv.changed)
+		resp.Invalidated = inv.dropped
 		resp.ChangedPreds = inv.changedPreds()
 		resp.Incremental = len(inv.AdvanceDropped) == 0
 		verb := "assert"
 		if retract {
 			verb = "retract"
 		}
-		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated (%d relation(s) changed; reductions advanced: %s)",
-			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, resp.Invalidated, len(resp.ChangedPreds), inv.AdvanceTally)
+		s.logf("%s %s by %s@%s: %d clause(s), epoch %d, %d cache entries invalidated, %d patched (%d relation(s) changed; reductions advanced: %s)",
+			verb, sess.DB, sess.Subject, sess.Clearance, changed, epoch, resp.Invalidated, inv.patched, len(resp.ChangedPreds), inv.AdvanceTally)
 	}
 	return resp, nil
 }
@@ -678,9 +695,11 @@ func rewriteBelief(goals []multilog.Goal, mode multilog.Mode) []multilog.Goal {
 // one var->text map per answer — keys sorted, never null — without building
 // the maps. A row's variable names are sorted once for every run of rows
 // binding the same set; every answer of one query binds the query's
-// variables.
-func encodeAnswers(answers []multilog.Answer) []byte {
-	dst := []byte{'['}
+// variables. Given a plan, it also returns the row index a patchable cache
+// entry keeps, recorded as it writes: the answers' keys, and where each key
+// and row ends.
+func encodeAnswers(answers []multilog.Answer, plan *multilog.PatchPlan) ([]byte, answerRows) {
+	dst, rows := []byte{'['}, answerRows{plan: plan}
 	var vars []string
 	for i, a := range answers {
 		if i > 0 {
@@ -700,11 +719,18 @@ func encodeAnswers(answers []multilog.Answer) []byte {
 			dst, _ = appendRow(dst[:row], vars, a.Bindings)
 		}
 		if i == 0 {
-			// The rows of a query are about the same size.
+			// The rows of a query are about the same size, and so are its keys.
 			dst = slices.Grow(dst, (len(dst)-row+1)*(len(answers)-1)+1)
+			if plan != nil {
+				rows.keys, rows.ends = make([]byte, 0, (len(a.Key)+1)*len(answers)), make([]int32, 0, 2*len(answers))
+			}
+		}
+		if plan != nil {
+			rows.keys = append(rows.keys, a.Key...)
+			rows.ends = append(rows.ends, int32(len(rows.keys)), int32(len(dst)))
 		}
 	}
-	return append(dst, ']')
+	return append(dst, ']'), rows
 }
 
 // appendRow appends the answer b as a JSON object over vars, which are

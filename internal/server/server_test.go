@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -126,61 +127,81 @@ func TestCacheHitAndEpoch(t *testing.T) {
 }
 
 // TestUpdateInvalidates is the acceptance-criterion test: a cached answer
-// surviving an assert or retract is a correctness failure.
+// surviving an assert or retract unchanged is a correctness failure. A
+// joined query's entry is dropped; a single-goal query's is patched, served
+// from the cache with the write in it, as a server cold-started on the
+// written program answers.
 func TestUpdateInvalidates(t *testing.T) {
 	_, c := startServer(t, server.Config{})
 	ctx := context.Background()
 	sess := openAt(t, c, "u", "")
-	req := server.QueryRequest{Session: sess, Query: "u[emp(K: salary -u-> low)]"}
+	carol := "u[emp(carol: salary -u-> low)]."
+	_, cold := startServer(t, server.Config{})
+	coldSess := openAt(t, cold, "u", "")
+	if _, err := cold.Assert(ctx, coldSess, carol); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query   string
+		patched bool
+	}{
+		{"u[emp(K: salary -u-> low)], level(u)", false},
+		{"u[emp(K: salary -u-> low)]", true},
+	} {
+		req := server.QueryRequest{Session: sess, Query: tc.query}
+		before, err := c.QueryContext(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(before.Answers) != 2 {
+			t.Fatalf("%s: baseline: %d answers, want 2", tc.query, len(before.Answers))
+		}
+		// Warm the cache.
+		if warm, err := c.QueryContext(ctx, req); err != nil || !warm.Cached {
+			t.Fatalf("%s: warm query: cached=%v err=%v", tc.query, warm != nil && warm.Cached, err)
+		}
 
-	before, err := c.QueryContext(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(before.Answers) != 2 {
-		t.Fatalf("baseline: %d answers, want 2", len(before.Answers))
-	}
-	// Warm the cache.
-	if warm, err := c.QueryContext(ctx, req); err != nil || !warm.Cached {
-		t.Fatalf("warm query: cached=%v err=%v", warm != nil && warm.Cached, err)
-	}
+		up, err := c.Assert(ctx, sess, carol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if up.Changed != 1 || up.Epoch != before.Epoch+1 {
+			t.Fatalf("%s: assert: changed=%d epoch=%d, want 1 and %d", tc.query, up.Changed, up.Epoch, before.Epoch+1)
+		}
 
-	up, err := c.Assert(ctx, sess, "u[emp(carol: salary -u-> low)].")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.Changed != 1 || up.Epoch != before.Epoch+1 {
-		t.Fatalf("assert: changed=%d epoch=%d, want 1 and %d", up.Changed, up.Epoch, before.Epoch+1)
-	}
+		after, err := c.QueryContext(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Cached != tc.patched {
+			t.Fatalf("%s: query after assert: cached=%v, want %v", tc.query, after.Cached, tc.patched)
+		}
+		if len(after.Answers) != 3 {
+			t.Fatalf("%s: after assert: %d answers, want 3 (carol missing: stale result)", tc.query, len(after.Answers))
+		}
+		want, err := cold.QueryContext(ctx, server.QueryRequest{Session: coldSess, Query: tc.query})
+		if err != nil || !reflect.DeepEqual(after.Answers, want.Answers) {
+			t.Fatalf("%s: after assert: %v, a cold server %v (err=%v)", tc.query, after.Answers, want.Answers, err)
+		}
+		if after.Epoch != up.Epoch {
+			t.Errorf("%s: answer computed at epoch %d, want %d", tc.query, after.Epoch, up.Epoch)
+		}
 
-	after, err := c.QueryContext(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Cached {
-		t.Fatal("STALE CACHE: query after assert was served from cache")
-	}
-	if len(after.Answers) != 3 {
-		t.Fatalf("after assert: %d answers, want 3 (carol missing: stale result)", len(after.Answers))
-	}
-	if after.Epoch != up.Epoch {
-		t.Errorf("answer computed at epoch %d, want %d", after.Epoch, up.Epoch)
-	}
-
-	// And the reverse: retract must remove carol again.
-	down, err := c.Retract(ctx, sess, "u[emp(carol: salary -u-> low)].")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down.Changed != 1 {
-		t.Fatalf("retract changed %d clauses, want 1", down.Changed)
-	}
-	final, err := c.QueryContext(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(final.Answers) != 2 || final.Cached {
-		t.Fatalf("after retract: %d answers (cached=%v), want 2 fresh", len(final.Answers), final.Cached)
+		// And the reverse: retract must remove carol again.
+		down, err := c.Retract(ctx, sess, carol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if down.Changed != 1 {
+			t.Fatalf("%s: retract changed %d clauses, want 1", tc.query, down.Changed)
+		}
+		final, err := c.QueryContext(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(final.Answers) != 2 || final.Cached != tc.patched || !reflect.DeepEqual(final.Answers, before.Answers) {
+			t.Fatalf("%s: after retract: %v (cached=%v), want %v, cached=%v", tc.query, final.Answers, final.Cached, before.Answers, tc.patched)
+		}
 	}
 }
 
