@@ -81,7 +81,8 @@ analyze:
 # start multilogd, storm it with serveload (concurrent sessions plus
 # assert/retract churn), cross-check /v1/stats, verify a clean SIGTERM
 # drain, then SIGKILL a durable daemon and prove the acknowledged write
-# survives a restart.
+# survives a restart, then boot a follower of it, hold one query's answers
+# byte for byte to the primary's, and require its SIGTERM drain to exit 0.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

@@ -45,21 +45,23 @@
 //
 // # Replication
 //
-// multilogd also runs as a fleet (see internal/replica):
+// multilogd also runs as a fleet (the router is internal/replica; both
+// halves of replication are internal/server's):
 //
 //	multilogd -d1 -data-dir p/ -addr :7070                                # primary
 //	multilogd -role follower -data-dir f1/ -primary :7070 -addr :7071     # follower
 //	multilogd -role follower -data-dir f2/ -primary :7070 -addr :7072     # follower
 //	multilogd -role router -primary :7070 -replica :7071 -replica :7072   # front door
 //
-// A follower bootstraps from the primary's newest checkpoint, streams the
-// WAL tail, applies every record through the same code path the original
-// write took, and serves read-only queries; writes sent to it come back
-// HTTP 421 with the primary's address. The router pins read sessions to
-// replicas (optionally by clearance band: -replica addr=l0;l1), holds a
-// session's reads until its last write is visible (read-your-writes), acks
-// writes only after every live replica applied them, and promotes the
-// most-caught-up follower when the primary dies. Replication requires the
+// A follower is the same server with the same lifecycle as a primary,
+// drain included: it bootstraps from the primary's newest checkpoint,
+// streams the WAL tail, applies every record through the same code path
+// the original write took, and serves read-only queries; writes sent to it
+// come back HTTP 421 with the primary's address. The router pins read
+// sessions to replicas (optionally by clearance band: -replica
+// addr=l0;l1), holds a session's reads until its last write is visible
+// (read-your-writes), acks writes only after every live replica applied
+// them, and promotes the most-caught-up follower when the primary dies. Replication requires the
 // primary to run -fsync=always, so everything streamed is durable.
 package main
 
@@ -203,10 +205,8 @@ func run(o options) error {
 		go http.Serve(ln, nil) //nolint:errcheck // best-effort debug listener
 	}
 	switch o.role {
-	case "", "primary":
-		return runPrimary(o)
-	case "follower":
-		return runFollower(o)
+	case "", "primary", "follower":
+		return runNode(o)
 	case "router":
 		return runRouter(o)
 	}
@@ -269,8 +269,21 @@ func listen(o options) (net.Listener, error) {
 	return ln, nil
 }
 
-func runPrimary(o options) error {
+// runNode runs a primary or a follower: server.New, then Recover and Serve.
+// A follower's Serve streams the primary's log into it.
+func runNode(o options) error {
 	cfg := baseConfig(o)
+	if o.role == "follower" {
+		switch {
+		case o.dataDir == "":
+			return fmt.Errorf("-role follower needs -data-dir (the mirrored WAL is the follower's durability)")
+		case o.primary == "":
+			return fmt.Errorf("-role follower needs -primary")
+		case len(o.dbs) > 0 || o.useD1:
+			return fmt.Errorf("a follower mirrors the primary's databases; drop -db/-d1")
+		}
+		cfg.Role, cfg.PrimaryAddr, cfg.RebootstrapOnDiverge = server.RoleFollower, o.primary, o.rebootstrap
+	}
 
 	// Boot loads: the programs named on the command line. With a data
 	// directory, these reach the server through recovery, which skips any
@@ -298,10 +311,12 @@ func runPrimary(o options) error {
 		}
 		cfg.WAL = store
 		// The same crash plan drives the replication stream's faults
-		// (corrupt/short/kill at repl.stream.frame); wal events are consumed
-		// by the store itself.
+		// (corrupt/short/kill at repl.stream.frame, apply faults on a
+		// follower); wal events are consumed by the store itself. A promoted
+		// follower becomes the fleet's stream source, so it carries the plan
+		// a primary would.
 		cfg.StreamFaults = hook
-		if o.fsync != "always" && cfg.Logf != nil {
+		if cfg.Role == server.RolePrimary && o.fsync != "always" && cfg.Logf != nil {
 			cfg.Logf("warning: -fsync=%s: followers may receive records the primary has not yet made durable", o.fsync)
 		}
 	} else if o.crashPlan != "" {
@@ -309,14 +324,21 @@ func runPrimary(o options) error {
 	}
 
 	srv := server.New(cfg)
+	// A follower serves whatever its primary has, from nothing at first.
+	nothingToServe := func() error {
+		if cfg.Role == server.RolePrimary && len(srv.Databases()) == 0 {
+			return fmt.Errorf("nothing to serve: give -db name=path or -d1")
+		}
+		return nil
+	}
 	if store == nil {
 		for name, src := range bootLoads {
 			if err := srv.Load(name, src); err != nil {
 				return fmt.Errorf("loading %q: %w", name, err)
 			}
 		}
-		if len(srv.Databases()) == 0 {
-			return fmt.Errorf("nothing to serve: give -db name=path or -d1")
+		if err := nothingToServe(); err != nil {
+			return err
 		}
 	}
 
@@ -329,8 +351,9 @@ func runPrimary(o options) error {
 	defer stop()
 
 	// With durability, recovery runs while the listener is already up:
-	// /v1/healthz answers (with replay progress) from the first moment, and
-	// the server lifts its write gate when Recover returns.
+	// /v1/healthz answers (with replay progress) from the first moment, the
+	// server lifts its write gate when Recover returns, and a follower
+	// resumes its stream from where the recovered log ends.
 	recErr := make(chan error, 1)
 	if store != nil {
 		rctx, cancel := context.WithCancel(ctx)
@@ -338,8 +361,8 @@ func runPrimary(o options) error {
 		ctx = rctx
 		go func() {
 			err := srv.Recover(recovery, bootLoads)
-			if err == nil && len(srv.Databases()) == 0 {
-				err = fmt.Errorf("nothing to serve: give -db name=path or -d1")
+			if err == nil {
+				err = nothingToServe()
 			}
 			if err != nil {
 				cancel() // bring Serve down; the drain still closes the WAL
@@ -355,43 +378,6 @@ func runPrimary(o options) error {
 		return rerr
 	}
 	return serveErr
-}
-
-func runFollower(o options) error {
-	if o.dataDir == "" {
-		return fmt.Errorf("-role follower needs -data-dir (the mirrored WAL is the follower's durability)")
-	}
-	if o.primary == "" {
-		return fmt.Errorf("-role follower needs -primary")
-	}
-	if len(o.dbs) > 0 || o.useD1 {
-		return fmt.Errorf("a follower mirrors the primary's databases; drop -db/-d1")
-	}
-	cfg := baseConfig(o)
-	store, recovery, hook, err := openStore(o, cfg.Logf)
-	if err != nil {
-		return err
-	}
-	// A promoted follower becomes the fleet's stream source, so it carries
-	// the same stream-fault plan a primary would.
-	cfg.StreamFaults = hook
-
-	// Recovery replays the mirrored log before the listener opens; the
-	// replicator then resumes the stream from wherever the local log ends.
-	node, err := replica.NewFollower(cfg, store, recovery, o.primary)
-	if err != nil {
-		store.Close() //nolint:errcheck // exiting anyway
-		return err
-	}
-	node.Rep.RebootstrapOnDiverge = o.rebootstrap
-	ln, err := listen(o)
-	if err != nil {
-		store.Close() //nolint:errcheck // exiting anyway
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return node.Serve(ctx, ln, o.drain)
 }
 
 func runRouter(o options) error {

@@ -12,7 +12,8 @@
 //
 // One-shot mode sends a single tracked request instead of a storm — the
 // smoke harness uses it to write a fact, crash the daemon, and prove the
-// fact survived recovery:
+// fact survived recovery, and to hold a follower's answers, which -query
+// prints, to its primary's:
 //
 //	serveload -addr ... -clearance l0 -assert 'l0[p0(k: a -l0-> v)].'
 //	serveload -addr ... -ready -wait 10s -clearance l0 \
@@ -24,6 +25,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -187,7 +189,11 @@ func runOneShot(ctx context.Context, c *server.Client, db string, one oneShot) e
 		if err != nil {
 			return fmt.Errorf("query: %w", err)
 		}
-		fmt.Printf("serveload: %d answer(s) for %s\n", len(resp.Answers), one.query)
+		answers, err := json.Marshal(resp.Answers)
+		if err != nil {
+			return fmt.Errorf("query: encoding answers: %w", err)
+		}
+		fmt.Printf("serveload: %d answer(s) for %s: %s\n", len(resp.Answers), one.query, answers)
 		if one.expect >= 0 && len(resp.Answers) != one.expect {
 			return fmt.Errorf("query %q: got %d answer(s), want %d", one.query, len(resp.Answers), one.expect)
 		}

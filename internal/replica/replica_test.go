@@ -34,15 +34,18 @@ const testProgram = `
 	u[emp(bob: salary -u-> low)].
 `
 
-// node is one in-process fleet member: a WAL-backed server wrapped in the
-// replica.Node handler, served over httptest, with the replicator (on
-// followers) running.
+// node is one in-process fleet member. A primary serves its handler over
+// httptest (so a test can kill it outright); a follower runs through
+// server.Serve on its data directory, as multilogd runs it, and stop drains
+// it.
 type node struct {
-	n     *replica.Node
+	srv   *server.Server
 	store *wal.Store
+	dir   string
 	url   string
 	cl    *server.Client
-	hs    *httptest.Server
+	hs    *httptest.Server // primaries only
+	stop  func()           // followers only
 }
 
 func startPrimary(t testing.TB, program string, faults faultinject.FilePlan) *node {
@@ -60,10 +63,11 @@ func startPrimary(t testing.TB, program string, faults faultinject.FilePlan) *no
 	if err := srv.Recover(rec, boot); err != nil {
 		t.Fatal(err)
 	}
-	nd := &replica.Node{Srv: srv}
-	hs := httptest.NewServer(nd.Handler())
+	hs := httptest.NewServer(srv.Handler())
+	// A live replication stream keeps a connection active; Close alone would
+	// wait on it forever if cleanup ordering leaves a streamer running.
 	t.Cleanup(func() { hs.CloseClientConnections(); hs.Close() })
-	return &node{n: nd, store: store, url: hs.URL, cl: server.NewClient(hs.URL, hs.Client()), hs: hs}
+	return &node{srv: srv, store: store, url: hs.URL, cl: server.NewClient(hs.URL, hs.Client()), hs: hs}
 }
 
 func startFollower(t testing.TB, primaryURL string) *node {
@@ -73,24 +77,52 @@ func startFollower(t testing.TB, primaryURL string) *node {
 
 func startFollowerConfig(t testing.TB, cfg server.Config, primaryURL string) *node {
 	t.Helper()
-	store, rec, err := wal.Open(wal.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	nd, err := replica.NewFollower(cfg, store, rec, primaryURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(nd.Handler())
-	// A live replication stream keeps a connection active; Close alone would
-	// wait on it forever if cleanup ordering leaves a streamer running.
-	t.Cleanup(func() { hs.CloseClientConnections(); hs.Close() })
-	ctx, cancel := context.WithCancel(context.Background())
-	go nd.Rep.Run(ctx)
-	t.Cleanup(func() { cancel(); nd.Rep.Stop() })
-	return &node{n: nd, store: store, url: hs.URL, cl: server.NewClient(hs.URL, hs.Client()), hs: hs}
+	return serveFollower(t, cfg, t.TempDir(), primaryURL)
 }
+
+// serveFollower boots a follower of primaryURL on the data directory dir —
+// New, Recover, then Serve on a loopback listener — and drains it at
+// cleanup, or earlier through the node's stop.
+func serveFollower(t testing.TB, cfg server.Config, dir, primaryURL string) *node {
+	t.Helper()
+	store, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.WAL, cfg.Role, cfg.PrimaryAddr = store, server.RoleFollower, primaryURL
+	srv := server.New(cfg)
+	if err := srv.Recover(rec, nil); err != nil {
+		store.Close()
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		store.Close()
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln, 5*time.Second) }()
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
+			// The fleet's clients share one process here: a connection one
+			// of them dialed and pooled without sending a request would hold
+			// the drain for http.Server's 5s grace on new connections.
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+			cancel()
+			if err := <-served; err != nil {
+				t.Errorf("follower %s drained with %v", ln.Addr(), err)
+			}
+		})
+	}
+	t.Cleanup(stop)
+	url := "http://" + ln.Addr().String()
+	return &node{srv: srv, store: store, dir: dir, url: url, cl: server.NewClient(url, nil), stop: stop}
+}
+
+// repl is the node's replication view, as /v1/stats reports it.
+func (n *node) repl() *server.ReplicationStats { return n.srv.Stats().Replication }
 
 // waitApplied blocks until every follower has applied the primary's last
 // seq (and reports synced), or fails the test.
@@ -99,10 +131,10 @@ func waitApplied(t testing.TB, primary *node, followers ...*node) {
 	want := primary.store.LastSeq()
 	deadline := time.Now().Add(10 * time.Second)
 	for _, f := range followers {
-		for f.n.Srv.Applied() < want || !f.n.Srv.Synced() {
+		for st := f.repl(); st.AppliedSeq < want || !st.Synced; st = f.repl() {
 			if time.Now().After(deadline) {
 				t.Fatalf("follower %s stuck at seq %d (synced=%v), primary at %d; stream error: %s",
-					f.url, f.n.Srv.Applied(), f.n.Srv.Synced(), want, f.n.Srv.Repl().StreamError())
+					f.url, st.AppliedSeq, st.Synced, want, st.LastStreamError)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -201,7 +233,7 @@ func TestCorruptFrameDropsAndResumes(t *testing.T) {
 	}
 	waitApplied(t, p, f)
 	assertFleetAgrees(t, p, f)
-	if got := f.n.Srv.Repl().Resumes.Load(); got < 1 {
+	if got := f.repl().Resumes; got < 1 {
 		t.Fatalf("corrupt frame caused %d resumes, want >= 1", got)
 	}
 }
@@ -224,7 +256,7 @@ func TestShortWriteDropsAndResumes(t *testing.T) {
 	}
 	waitApplied(t, p, f)
 	assertFleetAgrees(t, p, f)
-	if got := f.n.Srv.Repl().Resumes.Load(); got < 1 {
+	if got := f.repl().Resumes; got < 1 {
 		t.Fatalf("short write caused %d resumes, want >= 1", got)
 	}
 }
@@ -241,41 +273,38 @@ func TestCompactionForcesReBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitApplied(t, p, f)
-	boots := f.n.Srv.Repl().SnapshotBootstraps.Load()
 
-	// Partition the follower (stop its stream), then move the primary past
-	// TWO checkpoints: the store retains two, and segments are pruned only up
-	// to the OLDEST retained one, so a single checkpoint would still leave
-	// the follower's position streamable.
-	f.n.Rep.Stop()
+	// Partition the follower (drain it), then move the primary past TWO
+	// checkpoints: the store retains two, and segments are pruned only up to
+	// the OLDEST retained one, so a single checkpoint would still leave the
+	// follower's position streamable.
+	f.stop()
 	for i := 0; i < 4; i++ {
 		if _, err := p.cl.Assert(ctx, sess.Session,
 			fmt.Sprintf("s[emp(gap%d: salary -s-> top)].", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.n.Srv.Checkpoint(); err != nil {
+	if err := p.srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.cl.Assert(ctx, sess.Session, "s[emp(mid: salary -s-> top)]."); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.n.Srv.Checkpoint(); err != nil {
+	if err := p.srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.cl.Assert(ctx, sess.Session, "s[emp(post: salary -s-> top)]."); err != nil {
 		t.Fatal(err)
 	}
 
-	rep2 := replica.NewReplicator(f.n.Srv, f.store, p.url, t.Logf)
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	go rep2.Run(ctx2)
-	t.Cleanup(func() { cancel2(); rep2.Stop() })
-
+	// Restart the follower on its data directory: it resumes from where its
+	// log ends, a position the primary has compacted away.
+	f = serveFollower(t, server.Config{}, f.dir, p.url)
 	waitApplied(t, p, f)
 	assertFleetAgrees(t, p, f)
-	if got := f.n.Srv.Repl().SnapshotBootstraps.Load(); got <= boots {
-		t.Fatalf("compacted stream did not re-bootstrap (bootstraps %d -> %d)", boots, got)
+	if got := f.repl().SnapshotBootstraps; got < 1 {
+		t.Fatalf("compacted stream did not re-bootstrap the restarted follower (bootstraps %d)", got)
 	}
 }
 
@@ -443,8 +472,8 @@ func TestRouterFailoverLosesNoAckedWrite(t *testing.T) {
 	if surv == nil {
 		t.Fatalf("new primary %q is not one of the followers", prim)
 	}
-	if surv.n.Srv.Role() != server.RolePrimary {
-		t.Fatalf("promoted node still in role %s", surv.n.Srv.Role())
+	if role := surv.repl().Role; role != "primary" {
+		t.Fatalf("promoted node still in role %s", role)
 	}
 	qs, err := surv.cl.Open(ctx, server.OpenRequest{Subject: "check", Clearance: "s"})
 	if err != nil {
@@ -541,18 +570,18 @@ func TestSilentStreamStallReconnects(t *testing.T) {
 	for streams.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower never cut the silent stream (streams=%d, err=%q)",
-				streams.Load(), f.n.Srv.Repl().StreamError())
+				streams.Load(), f.repl().LastStreamError)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := f.n.Srv.Repl().StreamError(); !strings.Contains(got, "silent") {
+	if got := f.repl().LastStreamError; !strings.Contains(got, "silent") {
 		t.Fatalf("stream error %q does not mention the stall", got)
 	}
 }
 
 // TestDivergedFollowerHaltsReplication streams a poisoned tail — a real
 // retract record re-shipped at the next seq, a no-op for a follower whose
-// state already reflects it — and requires the replicator to HALT: no
+// state already reflects it — and requires the follower loop to HALT: no
 // reconnect may resume past a record that was mirrored but never applied.
 func TestDivergedFollowerHaltsReplication(t *testing.T) {
 	ctx := context.Background()
@@ -575,12 +604,14 @@ func TestDivergedFollowerHaltsReplication(t *testing.T) {
 	poison.Seq++
 	recs = append(recs, poison)
 
+	var streams atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/repl/snapshot", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("X-Repl-Seq", "0")
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("GET /v1/repl/stream", func(w http.ResponseWriter, r *http.Request) {
+		streams.Add(1)
 		w.Header().Set("X-Repl-Last-Seq", strconv.FormatUint(poison.Seq, 10))
 		w.WriteHeader(http.StatusOK)
 		for _, rec := range recs {
@@ -592,32 +623,33 @@ func TestDivergedFollowerHaltsReplication(t *testing.T) {
 	stub := httptest.NewServer(mux)
 	t.Cleanup(func() { stub.CloseClientConnections(); stub.Close() })
 
-	store, rec, err := wal.Open(wal.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	nd, err := replica.NewFollower(server.Config{}, store, rec, stub.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { nd.Rep.Run(rctx); close(done) }()
-	t.Cleanup(func() { cancel(); nd.Rep.Stop() })
+	// The loop logs its halt as it returns.
+	halted := make(chan struct{})
+	var haltOnce sync.Once
+	f := startFollowerConfig(t, server.Config{Logf: func(format string, _ ...any) {
+		if strings.Contains(format, "HALTED") {
+			haltOnce.Do(func() { close(halted) })
+		}
+	}}, stub.URL)
 
 	select {
-	case <-done: // Run returned on its own: the halt
+	case <-halted:
 	case <-time.After(20 * time.Second):
-		t.Fatalf("replicator kept running past divergence (diverged=%v, err=%q)",
-			nd.Srv.Diverged(), nd.Srv.Repl().StreamError())
+		st := f.repl()
+		t.Fatalf("follower kept replicating past divergence (diverged=%v, err=%q)", st.Diverged, st.LastStreamError)
 	}
-	if !nd.Srv.Diverged() || nd.Srv.Synced() {
-		t.Fatalf("diverged=%v synced=%v, want true/false", nd.Srv.Diverged(), nd.Srv.Synced())
+	if st := f.repl(); !st.Diverged || st.Synced {
+		t.Fatalf("diverged=%v synced=%v, want true/false", st.Diverged, st.Synced)
+	}
+	// Halted means no reconnect: a resumed stream would skip the record.
+	n := streams.Load()
+	time.Sleep(300 * time.Millisecond)
+	if got := streams.Load(); got != n {
+		t.Fatalf("a halted follower reconnected (%d streams, then %d)", n, got)
 	}
 	// The poisoned record is mirrored (the log is contiguous for the
 	// post-mortem) but the node is out of the fleet.
-	if got := store.LastSeq(); got != poison.Seq {
+	if got := f.store.LastSeq(); got != poison.Seq {
 		t.Fatalf("local log at seq %d, want %d", got, poison.Seq)
 	}
 }
@@ -686,6 +718,54 @@ func TestCanceledWriteDoesNotDeposePrimary(t *testing.T) {
 	}
 	if _, err := rcl.Assert(ctx, sess.Session, "s[emp(gary: salary -s-> high)]."); err != nil {
 		t.Fatalf("write after the canceled one: %v", err)
+	}
+}
+
+// TestRouterRejectsUnknownFields: the router decodes a request as a node
+// does, so a field neither knows is a 400 bad-request, not a field dropped
+// on the way to the backend.
+func TestRouterRejectsUnknownFields(t *testing.T) {
+	ctx := context.Background()
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/session", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(server.OpenResponse{Session: "b-1", DB: "test", Epoch: 1}) //nolint:errcheck // test stub
+	})
+	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)                                    //nolint:errcheck // test stub
+		json.NewEncoder(w).Encode(server.QueryResponse{Query: "p(X)"}) //nolint:errcheck // test stub
+	})
+	mux.HandleFunc("GET /v1/repl/status", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(server.ReplicationStats{Role: "primary", Synced: true}) //nolint:errcheck // test stub
+	})
+	stub := httptest.NewServer(mux)
+	t.Cleanup(func() { stub.CloseClientConnections(); stub.Close() })
+	rt, err := replica.NewRouter(replica.RouterConfig{Primary: stub.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { rh.CloseClientConnections(); rh.Close() })
+	sess, err := server.NewClient(rh.URL, nil).Open(ctx, server.OpenRequest{Subject: "w", Clearance: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, server.ErrorResponse) {
+		t.Helper()
+		resp, err := http.Post(rh.URL+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e server.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck // a 200 has no error body
+		return resp.StatusCode, e
+	}
+	if status, _ := post(fmt.Sprintf(`{"session":%q,"query":"p(X)"}`, sess.Session)); status != http.StatusOK {
+		t.Fatalf("a well-formed query answered %d", status)
+	}
+	status, e := post(fmt.Sprintf(`{"session":%q,"query":"p(X)","querry":"q(X)"}`, sess.Session))
+	if status != http.StatusBadRequest || e.Code != server.CodeBadRequest {
+		t.Fatalf("a query with an unknown field answered %d %q, want 400 %q", status, e.Code, server.CodeBadRequest)
 	}
 }
 

@@ -1,3 +1,7 @@
+// Package replica is the front door of a multilogd fleet: the Router. The
+// nodes behind it are plain servers — a primary, and followers that stream
+// its WAL (internal/server owns both halves of replication, and the
+// promote and retarget routes the router drives).
 package replica
 
 // The Router is the fleet's single front door. It speaks the same /v1
@@ -45,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/resource"
 	"repro/internal/server"
 )
 
@@ -258,16 +263,32 @@ func (r *Router) wrap(h func(http.ResponseWriter, *http.Request) error) http.Han
 		r.inFlight.Add(1)
 		defer r.inFlight.Done()
 		q.Body = http.MaxBytesReader(w, q.Body, 1<<20)
-		if err := h(w, q); err != nil {
+		var err error
+		func() {
+			defer resource.Protect("replica.router", &err)
+			err = h(w, q)
+		}()
+		if err != nil {
 			r.writeError(w, err)
 		}
 	}
 }
 
+// decode reads a request body as a node does: an unknown field is a 400,
+// not a field dropped on the way to a backend.
+func decode(q *http.Request, dst any) error {
+	dec := json.NewDecoder(q.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return &routerBadRequest{fmt.Errorf("decoding request: %w", err)}
+	}
+	return nil
+}
+
 func (r *Router) handleOpen(w http.ResponseWriter, q *http.Request) error {
 	var req server.OpenRequest
-	if err := json.NewDecoder(q.Body).Decode(&req); err != nil {
-		return &routerBadRequest{err}
+	if err := decode(q, &req); err != nil {
+		return err
 	}
 	rep := r.pickReplica(req.Clearance)
 	target, tok := r.currentPrimary(), ""
@@ -315,8 +336,8 @@ func (r *Router) lookup(token string) (*routedSession, error) {
 
 func (r *Router) handleClose(w http.ResponseWriter, q *http.Request) error {
 	var req server.CloseRequest
-	if err := json.NewDecoder(q.Body).Decode(&req); err != nil {
-		return &routerBadRequest{err}
+	if err := decode(q, &req); err != nil {
+		return err
 	}
 	r.sessMu.Lock()
 	s := r.sessions[req.Session]
@@ -343,8 +364,8 @@ func (r *Router) handleClose(w http.ResponseWriter, q *http.Request) error {
 
 func (r *Router) handleQuery(w http.ResponseWriter, q *http.Request) error {
 	var req server.QueryRequest
-	if err := json.NewDecoder(q.Body).Decode(&req); err != nil {
-		return &routerBadRequest{err}
+	if err := decode(q, &req); err != nil {
+		return err
 	}
 	s, err := r.lookup(req.Session)
 	if err != nil {
@@ -519,8 +540,8 @@ func isUnknownSession(err error) bool {
 
 func (r *Router) handleUpdate(w http.ResponseWriter, q *http.Request, retract bool) error {
 	var req server.UpdateRequest
-	if err := json.NewDecoder(q.Body).Decode(&req); err != nil {
-		return &routerBadRequest{err}
+	if err := decode(q, &req); err != nil {
+		return err
 	}
 	s, err := r.lookup(req.Session)
 	if err != nil {
@@ -649,6 +670,15 @@ func (r *Router) primaryConfirmedDead(prim *backend) bool {
 	defer cancel()
 	_, err := prim.client.ReplStatus(ctx)
 	return err != nil
+}
+
+// normalizeURL turns a node address into a base URL: "http://" prefixed to
+// a bare host:port, no trailing slash.
+func normalizeURL(addr string) string {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	return strings.TrimRight(addr, "/")
 }
 
 // canonicalHostPort reduces a node address to a comparable host:port:
@@ -883,15 +913,6 @@ func (r *Router) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	return err
 }
 
-// ListenAndServe is Serve over a fresh TCP listener.
-func (r *Router) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.Serve(ctx, ln, drainTimeout)
-}
-
 // routerBadRequest mirrors the server's transport-error mapping.
 type routerBadRequest struct{ err error }
 
@@ -909,6 +930,8 @@ func (r *Router) writeError(w http.ResponseWriter, err error) {
 		writeJSON(w, re.Status, server.ErrorResponse{Code: re.Code, Message: re.Message, Primary: re.Primary}) //nolint:errcheck // best-effort error body
 	case errors.Is(err, server.ErrUnknownSession):
 		writeErrJSON(w, http.StatusNotFound, server.CodeUnknownSession, err.Error())
+	case errors.As(err, new(*resource.InternalError)):
+		writeErrJSON(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
 	default:
 		var bad *routerBadRequest
 		if errors.As(err, &bad) {

@@ -1,6 +1,10 @@
 package replica
 
-import "testing"
+import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
+)
 
 // TestCanonicalHostPort pins the address matching adoptPrimary relies on:
 // equivalent spellings of one endpoint compare equal, and a host that
@@ -23,5 +27,20 @@ func TestCanonicalHostPort(t *testing.T) {
 			t.Errorf("canonicalHostPort(%q)=%q vs canonicalHostPort(%q)=%q: equal=%v, want %v",
 				c.a, canonicalHostPort(c.a), c.b, canonicalHostPort(c.b), got, c.same)
 		}
+	}
+}
+
+// TestRouterWrapContainsPanics: a panicking handler answers 500 internal,
+// as a node's does, instead of taking the router down.
+func TestRouterWrapContainsPanics(t *testing.T) {
+	r, err := NewRouter(RouterConfig{Primary: "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.wrap(func(http.ResponseWriter, *http.Request) error { panic("boom") })
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodPost, "/v1/query", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("a panicking handler answered %d, want 500: %s", rec.Code, rec.Body)
 	}
 }

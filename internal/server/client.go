@@ -80,9 +80,6 @@ func (c *Client) WithEndpoints(endpoints ...string) *Client {
 	return &cc
 }
 
-// Endpoints lists the client's endpoints (normalized).
-func (c *Client) Endpoints() []string { return append([]string(nil), c.bases...) }
-
 // base is the endpoint the next request targets.
 func (c *Client) base() string {
 	return c.bases[int(c.cur.Load())%len(c.bases)]

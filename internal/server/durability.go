@@ -106,7 +106,7 @@ func (s *Server) Recover(rec *wal.Recovery, bootLoads map[string]string) error {
 		applied = rec.Records[n-1].Seq
 	}
 	s.applied.Store(applied)
-	s.repl.HeardUpTo(applied)
+	s.repl.heardUpTo(applied)
 
 	names := make([]string, 0, len(bootLoads))
 	for name := range bootLoads {
@@ -274,7 +274,7 @@ func (s *Server) Recovering() bool { return s.recovering.Load() }
 
 // health renders the liveness/readiness view.
 func (s *Server) health() HealthResponse {
-	h := HealthResponse{Status: "ok", Role: s.Role().String(), AppliedSeq: s.Applied()}
+	h := HealthResponse{Status: "ok", Role: s.currentRole().String(), AppliedSeq: s.appliedSeq()}
 	switch {
 	case s.recovering.Load():
 		h.Status = "recovering"

@@ -37,6 +37,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/repl/snapshot", s.wrap(s.handleReplSnapshot))
 	mux.HandleFunc("GET /v1/repl/stream", s.wrap(s.handleReplStream))
 	mux.HandleFunc("GET /v1/repl/status", s.handleReplStatus)
+	// Cluster control, driven by the router's failover.
+	mux.HandleFunc("POST /v1/repl/promote", s.wrap(s.handlePromote))
+	mux.HandleFunc("POST /v1/repl/primary", s.wrap(s.handleRetarget))
 	// Liveness: the process is up and handling HTTP — always 200, with the
 	// recovery progress in the body. Not gated by wrap: health must answer
 	// even while draining or replaying.

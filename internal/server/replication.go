@@ -1,6 +1,7 @@
 package server
 
-// Replication: the primary/follower faces of one Server.
+// Replication: the primary/follower faces of one Server. The server owns
+// both halves; internal/replica holds only the router in front of a fleet.
 //
 // A primary is just a durable server that also serves its WAL over HTTP:
 //
@@ -12,13 +13,17 @@ package server
 //
 // A follower runs with Config.Role = RoleFollower: it refuses writes with a
 // typed *NotPrimaryError (HTTP 421, code "not-primary", carrying the
-// primary's address), and the replication layer (internal/replica) feeds it
-// records through ApplyReplicated, which mirrors each record into the
-// follower's own WAL at the primary's sequence number and then applies it
-// through the exact code path boot-time replay uses — so a follower's
-// serving state, epochs included, is byte-for-byte the primary's, and a
-// promoted follower (Promote) serves /v1/repl/stream from its own log with
-// no translation.
+// primary's address), and Serve runs its follower loop (follower.go), which
+// bootstraps from the primary's snapshot and feeds the stream's records to
+// applyReplicated. That mirrors each record into the follower's own WAL at
+// the primary's sequence number and then applies it through the exact code
+// path boot-time replay uses — so a follower's serving state, epochs
+// included, is byte-for-byte the primary's, and a promoted follower serves
+// /v1/repl/stream from its own log with no translation. The router drives
+// the two control routes:
+//
+//	POST /v1/repl/promote        stop the stream, become the primary
+//	POST /v1/repl/primary        {"primary": addr} — follow a new primary
 //
 // Streaming is fault-injectable: Config.StreamFaults is consulted once per
 // outgoing frame (faultinject.ReplStreamFrame), which is how the
@@ -49,7 +54,7 @@ const (
 	// RolePrimary accepts writes; the default.
 	RolePrimary Role = iota
 	// RoleFollower serves read-only queries and refuses writes with a typed
-	// *NotPrimaryError until Promote flips it.
+	// *NotPrimaryError until a promote flips it.
 	RoleFollower
 )
 
@@ -78,9 +83,9 @@ func (e *NotPrimaryError) Error() string {
 	return fmt.Sprintf("server: not the primary: writes go to %s", e.Primary)
 }
 
-// ReplCounters are the stream counters shared between the server's stats
-// handlers and the replication layer that drives the follower.
-type ReplCounters struct {
+// replCounters are the stream counters of both sides of replication, read
+// by /v1/stats.
+type replCounters struct {
 	LastHeardSeq       atomic.Uint64 // newest primary seq heard (header/heartbeat)
 	FramesReceived     atomic.Int64
 	BytesReceived      atomic.Int64
@@ -96,22 +101,22 @@ type ReplCounters struct {
 	lastStreamErr string
 }
 
-// SetStreamError records the most recent stream failure for /v1/stats.
-func (c *ReplCounters) SetStreamError(msg string) {
+// setStreamError records the most recent stream failure for /v1/stats.
+func (c *replCounters) setStreamError(msg string) {
 	c.errMu.Lock()
 	c.lastStreamErr = msg
 	c.errMu.Unlock()
 }
 
-// StreamError returns the most recent stream failure ("" when healthy).
-func (c *ReplCounters) StreamError() string {
+// streamError returns the most recent stream failure ("" when healthy).
+func (c *replCounters) streamError() string {
 	c.errMu.Lock()
 	defer c.errMu.Unlock()
 	return c.lastStreamErr
 }
 
-// HeardUpTo raises LastHeardSeq to seq (monotonic).
-func (c *ReplCounters) HeardUpTo(seq uint64) {
+// heardUpTo raises LastHeardSeq to seq (monotonic).
+func (c *replCounters) heardUpTo(seq uint64) {
 	for {
 		cur := c.LastHeardSeq.Load()
 		if seq <= cur || c.LastHeardSeq.CompareAndSwap(cur, seq) {
@@ -120,120 +125,123 @@ func (c *ReplCounters) HeardUpTo(seq uint64) {
 	}
 }
 
-// RunCheckpointLoop runs the background checkpointer until ctx is done —
-// for embedders (the follower node) that serve the handler themselves
-// instead of through Serve, which starts it internally.
-func (s *Server) RunCheckpointLoop(ctx context.Context) { s.checkpointLoop(ctx) }
+// currentRole reports the server's role; a promote can change it at runtime.
+func (s *Server) currentRole() Role { return Role(s.role.Load()) }
 
-// Role reports the server's current role; Promote can change it at runtime.
-func (s *Server) Role() Role { return Role(s.role.Load()) }
-
-// PrimaryAddr is the advertised primary address (what *NotPrimaryError and
-// /v1/repl/status carry).
-func (s *Server) PrimaryAddr() string {
-	s.primaryMu.Lock()
-	defer s.primaryMu.Unlock()
+// primary is the one upstream address: what a follower streams from, and
+// what *NotPrimaryError and /v1/repl/status carry.
+func (s *Server) primary() string {
+	s.upMu.Lock()
+	defer s.upMu.Unlock()
 	return s.primaryAddr
 }
 
-// SetPrimaryAddr re-targets the advertised primary (after a failover).
-func (s *Server) SetPrimaryAddr(addr string) {
-	s.primaryMu.Lock()
+// setPrimary re-targets the upstream (after a failover) and cuts the
+// stream in flight, so the next connect goes to the new primary.
+func (s *Server) setPrimary(addr string) {
+	s.upMu.Lock()
 	s.primaryAddr = addr
-	s.primaryMu.Unlock()
+	cut := s.cutStream
+	s.upMu.Unlock()
+	if cut != nil {
+		cut()
+	}
 }
 
-// Applied is the newest WAL seq applied to the serving state.
-func (s *Server) Applied() uint64 {
-	if s.Role() == RolePrimary && s.wal != nil {
+// appliedSeq is the newest WAL seq applied to the serving state.
+func (s *Server) appliedSeq() uint64 {
+	if s.currentRole() == RolePrimary && s.wal != nil {
 		return s.wal.LastSeq()
 	}
 	return s.applied.Load()
 }
 
-// Repl exposes the shared replication counters.
-func (s *Server) Repl() *ReplCounters { return &s.repl }
-
-// MarkSynced declares the follower caught up: /v1/readyz flips to 200.
+// markSynced declares the follower caught up: /v1/readyz flips to 200.
 // A no-op once the node has diverged — a diverged follower must never
 // re-enter rotation.
-func (s *Server) MarkSynced() {
+func (s *Server) markSynced() {
 	if !s.diverged.Load() {
 		s.synced.Store(true)
 	}
 }
 
-// Synced reports whether the node considers itself caught up.
-func (s *Server) Synced() bool { return s.synced.Load() }
-
-// ErrDiverged marks a follower whose local WAL holds a record its serving
+// errDiverged marks a follower whose local WAL holds a record its serving
 // state could not apply: the log position and the state no longer agree,
 // and resuming the stream from the local seq would silently skip the
-// record forever. Match with errors.Is; the replication layer halts on it.
-var ErrDiverged = errors.New("server: follower state diverged from the primary")
+// record forever. The follower loop halts on it (or, under
+// Config.RebootstrapOnDiverge, rebuilds from a snapshot).
+var errDiverged = errors.New("server: follower state diverged from the primary")
 
-// MarkDiverged permanently fails the node out of the fleet: synced goes
-// (and stays) false, so /v1/readyz reports 503 "diverged" and the router's
-// probes drop the node from read rotation and ack quorums. The only way
-// back is a rebuild — wipe the data directory and re-bootstrap.
-func (s *Server) MarkDiverged(reason string) {
+// divergedErr permanently fails the node out of the fleet and wraps err in
+// errDiverged: the record is durably mirrored in the local WAL but absent
+// from the serving state, the one gap the resume protocol cannot close.
+// synced goes (and stays) false, so /v1/readyz reports 503 "diverged" and
+// the router's probes drop the node from read rotation and ack quorums;
+// only a rebuild — a wiped data directory, or a rebootstrap — brings it
+// back.
+func (s *Server) divergedErr(err error) error {
 	if s.diverged.CompareAndSwap(false, true) {
 		s.synced.Store(false)
-		s.repl.SetStreamError(reason)
-		s.logf("follower DIVERGED; leaving rotation until rebuilt: %s", reason)
+		s.repl.setStreamError(err.Error())
+		s.logf("follower DIVERGED; leaving rotation until rebuilt: %s", err)
 	}
+	return fmt.Errorf("%w: %v", errDiverged, err)
 }
 
-// Diverged reports whether the node has been failed out by MarkDiverged.
-func (s *Server) Diverged() bool { return s.diverged.Load() }
-
-// ClearDiverged re-admits a node the rebootstrap-on-diverge path has just
-// rebuilt from a primary snapshot: the mirrored-log/serving-state gap the
-// divergence marked is gone along with the wiped state. Only that path may
-// call it; MarkSynced starts working again afterwards.
-func (s *Server) ClearDiverged() {
-	if s.diverged.CompareAndSwap(true, false) {
-		s.repl.SetStreamError("")
-		s.logf("divergence cleared by rebootstrap")
-	}
+// promoteResponse answers POST /v1/repl/promote.
+type promoteResponse struct {
+	Role    string `json:"role"`
+	LastSeq uint64 `json:"last_seq"`
 }
 
-// divergedErr marks the node diverged and wraps err in ErrDiverged: the
-// record is durably mirrored in the local WAL but absent from the serving
-// state, the one gap the resume protocol cannot close.
-func (s *Server) divergedErr(err error) error {
-	s.MarkDiverged(err.Error())
-	return fmt.Errorf("%w: %v", ErrDiverged, err)
-}
-
-// Promote flips a follower into the primary role: the write gate lifts and
-// the node's own mirrored WAL — which holds the primary's records at the
-// primary's seqs — becomes the log it serves to the remaining followers.
-// Idempotent; returns the last local seq (what the new reign starts from).
-func (s *Server) Promote() uint64 {
+// handlePromote flips a follower into the primary role (the router's
+// failover). It stops the stream first — a frame applied after the flip
+// would race writes the new primary is already acking — then lifts the
+// write gate, and the node's own mirrored WAL, which holds the primary's
+// records at the primary's seqs, becomes the log it serves to the remaining
+// followers. Idempotent; answers the last local seq (what the new reign
+// starts from).
+func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) error {
+	s.stopFollowing()
 	if s.role.CompareAndSwap(int32(RoleFollower), int32(RolePrimary)) {
 		s.synced.Store(true)
-		s.SetPrimaryAddr("")
+		s.setPrimary("")
 		s.logf("promoted to primary at seq %d", s.applied.Load())
 	}
+	last := s.applied.Load()
 	if s.wal != nil {
-		return s.wal.LastSeq()
+		last = s.wal.LastSeq()
 	}
-	return s.applied.Load()
+	return writeJSON(w, http.StatusOK, promoteResponse{Role: s.currentRole().String(), LastSeq: last})
 }
 
-// ApplyReplicated applies one record shipped from the primary: mirror it
+// retargetRequest is the body, and the answer, of POST /v1/repl/primary.
+type retargetRequest struct {
+	Primary string `json:"primary"`
+}
+
+// handleRetarget points this node at a new primary (after a failover).
+func (s *Server) handleRetarget(w http.ResponseWriter, r *http.Request) error {
+	var req retargetRequest
+	if err := decode(r, &req); err != nil {
+		return err
+	}
+	s.setPrimary(req.Primary)
+	return writeJSON(w, http.StatusOK, req)
+}
+
+// applyReplicated applies one record shipped from the primary: mirror it
 // into the local WAL at the primary's seq (durable first), then apply it
 // through the same parse/authorize/lint path the original write took, which
 // patches or drops what it changed in the cache as the original did. Called
-// by the replication layer strictly in
-// sequence order; a failure here means divergence and must halt the stream.
-func (s *Server) ApplyReplicated(rec wal.Record) error {
-	if s.Role() != RoleFollower {
-		return fmt.Errorf("server: ApplyReplicated on a %s", s.Role())
+// by the follower loop strictly in sequence order; a failure here means
+// divergence and must halt the stream.
+func (s *Server) applyReplicated(rec wal.Record) error {
+	if s.currentRole() != RoleFollower {
+		return fmt.Errorf("server: applyReplicated on a %s", s.currentRole())
 	}
 	if s.wal == nil {
-		return fmt.Errorf("server: ApplyReplicated needs Config.WAL")
+		return fmt.Errorf("server: applyReplicated needs Config.WAL")
 	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
@@ -299,22 +307,22 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 		return fmt.Errorf("server: replicated record %d has unknown type %d", rec.Seq, rec.Type)
 	}
 	s.applied.Store(rec.Seq)
-	s.repl.HeardUpTo(rec.Seq)
+	s.repl.heardUpTo(rec.Seq)
 	s.kickCheckpoint()
 	return nil
 }
 
-// InstallSnapshot replaces the follower's entire serving state with a
+// installSnapshot replaces the follower's entire serving state with a
 // primary checkpoint covering seq: the bootstrap (and 410-recovery) path.
 // The checkpoint is installed durably in the local WAL and the log is
 // repositioned to seq, so a restart recovers the bootstrapped state without
 // talking to the primary.
-func (s *Server) InstallSnapshot(seq uint64, payload []byte) error {
-	if s.Role() != RoleFollower {
-		return fmt.Errorf("server: InstallSnapshot on a %s", s.Role())
+func (s *Server) installSnapshot(seq uint64, payload []byte) error {
+	if s.currentRole() != RoleFollower {
+		return fmt.Errorf("server: installSnapshot on a %s", s.currentRole())
 	}
 	if s.wal == nil {
-		return fmt.Errorf("server: InstallSnapshot needs Config.WAL")
+		return fmt.Errorf("server: installSnapshot needs Config.WAL")
 	}
 	var cp checkpointPayload
 	if err := json.Unmarshal(payload, &cp); err != nil {
@@ -345,7 +353,7 @@ func (s *Server) InstallSnapshot(seq uint64, payload []byte) error {
 		return err
 	}
 	s.applied.Store(seq)
-	s.repl.HeardUpTo(seq)
+	s.repl.heardUpTo(seq)
 	s.logf("installed snapshot at seq %d (%d database(s))", seq, len(cp.Databases))
 	return nil
 }
@@ -495,7 +503,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, _ *http.Request) {
 	defer s.bypass(admission.Replication).Done(0, false)
 	st := s.replicationStats()
 	if st == nil {
-		st = &ReplicationStats{Role: s.Role().String(), Synced: s.Synced(),
+		st = &ReplicationStats{Role: s.currentRole().String(), Synced: s.synced.Load(),
 			QueueDepth: int64(s.adm.QueueDepth())}
 	}
 	writeJSON(w, http.StatusOK, st) //nolint:errcheck // best-effort status body
@@ -504,17 +512,17 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, _ *http.Request) {
 // replicationStats builds the node's replication view; nil for a plain
 // non-durable primary (replication needs a WAL).
 func (s *Server) replicationStats() *ReplicationStats {
-	role := s.Role()
+	role := s.currentRole()
 	if role == RolePrimary && s.wal == nil {
 		return nil
 	}
 	rs := &ReplicationStats{
 		Role:            role.String(),
-		Primary:         s.PrimaryAddr(),
-		AppliedSeq:      s.Applied(),
+		Primary:         s.primary(),
+		AppliedSeq:      s.appliedSeq(),
 		Synced:          s.synced.Load(),
 		Diverged:        s.diverged.Load(),
-		LastStreamError: s.repl.StreamError(),
+		LastStreamError: s.repl.streamError(),
 		QueueDepth:      int64(s.adm.QueueDepth()),
 
 		Resumes:            s.repl.Resumes.Load(),

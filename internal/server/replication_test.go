@@ -2,15 +2,21 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -65,7 +71,7 @@ func TestFollowerMirrorsPrimaryAndRefusesWrites(t *testing.T) {
 
 	fsrv, fc, _, _ := replServer(t, t.TempDir(), server.RoleFollower, purl)
 	mirrorAll(t, fsrv, pstore, 0)
-	if got, want := fsrv.Applied(), pstore.LastSeq(); got != want {
+	if got, want := fsrv.Stats().Replication.AppliedSeq, pstore.LastSeq(); got != want {
 		t.Fatalf("follower applied %d, primary at %d", got, want)
 	}
 
@@ -283,7 +289,7 @@ func TestSnapshotBootstrapsFollower(t *testing.T) {
 	if err := fsrv.InstallSnapshot(seq, ck.Payload); err != nil {
 		t.Fatal(err)
 	}
-	if got := fsrv.Applied(); got != seq {
+	if got := fsrv.Stats().Replication.AppliedSeq; got != seq {
 		t.Fatalf("follower applied %d after bootstrap, want %d", got, seq)
 	}
 	if got := fstore.LastSeq(); got != seq {
@@ -307,12 +313,25 @@ func TestPromoteLiftsWriteGate(t *testing.T) {
 	if _, err := pc.Assert(ctx, ps, "s[emp(carol: salary -s-> top)]."); err != nil {
 		t.Fatal(err)
 	}
-	fsrv, fc, fstore, _ := replServer(t, t.TempDir(), server.RoleFollower, purl)
+	fsrv, fc, fstore, furl := replServer(t, t.TempDir(), server.RoleFollower, purl)
 	mirrorAll(t, fsrv, pstore, 0)
 
-	last := fsrv.Promote()
-	if got := fsrv.Role(); got != server.RolePrimary {
-		t.Fatalf("role after Promote = %s", got)
+	resp, err := http.Post(furl+"/v1/repl/promote", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var promoted struct {
+		Role    string `json:"role"`
+		LastSeq uint64 `json:"last_seq"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&promoted)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote: HTTP %d, %v", resp.StatusCode, err)
+	}
+	last := promoted.LastSeq
+	if got := fsrv.Stats().Replication.Role; got != "primary" || promoted.Role != "primary" {
+		t.Fatalf("role after promote = %s (answered %s)", got, promoted.Role)
 	}
 	if last != pstore.LastSeq() {
 		t.Fatalf("promotion resumes at %d, want %d", last, pstore.LastSeq())
@@ -377,7 +396,7 @@ func TestMirroredButUnappliedRecordDiverges(t *testing.T) {
 	fsrv, fc, fstore, _ := replServer(t, t.TempDir(), server.RoleFollower, purl)
 	mirrorAll(t, fsrv, pstore, 0)
 	fsrv.MarkSynced()
-	if !fsrv.Synced() {
+	if !fsrv.Stats().Replication.Synced {
 		t.Fatal("caught-up follower should report synced")
 	}
 
@@ -403,11 +422,11 @@ func TestMirroredButUnappliedRecordDiverges(t *testing.T) {
 		t.Fatalf("local log at seq %d, want %d (record must be mirrored)", got, poison.Seq)
 	}
 	// The node is failed out, stickily: MarkSynced cannot resurrect it.
-	if !fsrv.Diverged() || fsrv.Synced() {
-		t.Fatalf("diverged=%v synced=%v, want true/false", fsrv.Diverged(), fsrv.Synced())
+	if st := fsrv.Stats().Replication; !st.Diverged || st.Synced {
+		t.Fatalf("diverged=%v synced=%v, want true/false", st.Diverged, st.Synced)
 	}
 	fsrv.MarkSynced()
-	if fsrv.Synced() {
+	if fsrv.Stats().Replication.Synced {
 		t.Fatal("MarkSynced resurrected a diverged follower")
 	}
 	// Readiness fails with the permanent status; the repl view carries it.
@@ -428,5 +447,117 @@ func TestMirroredButUnappliedRecordDiverges(t *testing.T) {
 	}
 	if st.LastStreamError == "" {
 		t.Fatal("divergence reason missing from the repl status")
+	}
+}
+
+// TestFollowerDrainsThroughServe: a follower is a Server, and Serve drains
+// it as it drains a primary. With a query held in flight by the
+// ServerQueryWork slow fault, canceling Serve closes the gate — health says
+// draining and new work is refused — while the query still finishes, and the
+// final checkpoint leaves the follower's log nothing to replay.
+func TestFollowerDrainsThroughServe(t *testing.T) {
+	ctx := context.Background()
+	_, pc, pstore, purl := replServer(t, t.TempDir(), server.RolePrimary, "")
+	ps := openAt(t, pc, "s", "")
+	if _, err := pc.Assert(ctx, ps, "s[emp(carol: salary -s-> top)]."); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	store, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hold atomic.Bool
+	parked, release := make(chan struct{}, 1), make(chan struct{})
+	fsrv := server.New(server.Config{
+		WAL: store, Role: server.RoleFollower, PrimaryAddr: purl,
+		StreamFaults: func(ev faultinject.FileEvent, _ int64) faultinject.FileAction {
+			if ev != faultinject.ServerQueryWork || !hold.Load() {
+				return faultinject.FileOK
+			}
+			parked <- struct{}{}
+			<-release
+			return faultinject.FileSlow
+		},
+	})
+	if err := fsrv.Recover(rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, cancel := context.WithCancel(ctx)
+	var serveErr error
+	served := make(chan struct{})
+	go func() { serveErr = fsrv.Serve(sctx, ln, 10*time.Second); close(served) }()
+	t.Cleanup(func() { cancel(); <-served })
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unpark)
+
+	fc := server.NewClient("http://"+ln.Addr().String(), nil)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st := fsrv.Stats().Replication; st.Synced && st.AppliedSeq == pstore.LastSeq() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never caught up: %+v", fsrv.Stats().Replication)
+		}
+	}
+	fs := openAt(t, fc, "s", "")
+	hold.Store(true)
+	queried := make(chan error, 1)
+	go func() {
+		_, err := fc.QueryContext(ctx, server.QueryRequest{Session: fs, Query: "s[emp(K: salary -s-> V)]"})
+		queried <- err
+	}()
+	<-parked
+	cancel()
+
+	h := fsrv.Handler()
+	call := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var hr server.HealthResponse
+		if err := json.NewDecoder(call(http.MethodGet, "/v1/healthz", "").Body).Decode(&hr); err != nil {
+			t.Fatal(err)
+		}
+		if hr.Status == "draining" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a draining follower's health says %q, want draining", hr.Status)
+		}
+	}
+	if got := call(http.MethodPost, "/v1/session", `{"subject":"late","clearance":"s"}`); got.Code != http.StatusServiceUnavailable {
+		t.Fatalf("a draining follower answered a new session %d, want 503: %s", got.Code, got.Body)
+	}
+	select {
+	case <-served:
+		t.Fatalf("Serve returned (%v) with a query in flight", serveErr)
+	default:
+	}
+	unpark()
+	if err := <-queried; err != nil {
+		t.Fatalf("the query in flight at the drain: %v", err)
+	}
+	<-served
+	if serveErr != nil {
+		t.Fatalf("follower drain: %v", serveErr)
+	}
+
+	reopened, rec2, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if len(rec2.Records) != 0 || rec2.CheckpointSeq != pstore.LastSeq() {
+		t.Fatalf("reopened follower log replays %d record(s) over a checkpoint at %d, want 0 over %d",
+			len(rec2.Records), rec2.CheckpointSeq, pstore.LastSeq())
 	}
 }

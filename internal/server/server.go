@@ -91,13 +91,21 @@ type Config struct {
 	// accumulate past the last one. Default 1024; negative disables.
 	CheckpointEvery int64
 	// Role selects primary (default: accepts writes) or follower (read
-	// replica: writes fail with *NotPrimaryError until Promote). A follower
+	// replica: Serve streams the primary's log into it, and writes fail
+	// with *NotPrimaryError until POST /v1/repl/promote). A follower
 	// requires WAL — its mirrored log is its durability and its claim to
 	// promotion.
 	Role Role
-	// PrimaryAddr is the advertised primary address a follower hands to
-	// rejected writers (and /v1/repl/status reports).
+	// PrimaryAddr is the primary a follower streams from, hands to
+	// rejected writers and reports on /v1/repl/status.
 	PrimaryAddr string
+	// RebootstrapOnDiverge turns a follower's divergence from a terminal
+	// halt into a wipe-and-rebuild: instead of leaving the fleet forever,
+	// the follower discards its serving state by installing a fresh primary
+	// snapshot (which repositions its log past the unappliable record) and
+	// rejoins. Opt-in because it destroys the local evidence of what
+	// diverged.
+	RebootstrapOnDiverge bool
 	// StreamFaults, when set, is consulted once per outgoing replication
 	// stream frame (faultinject.ReplStreamFrame), once per replicated record
 	// applied (faultinject.ReplApplyRecord), and once per admitted query
@@ -178,18 +186,25 @@ type Server struct {
 	recStats    RecoveryStats
 	ckptKick    chan struct{}
 
-	// Replication. role flips exactly once (Promote); applied tracks the
+	// Replication. role flips exactly once (promote); applied tracks the
 	// newest seq a follower has applied; synced gates readiness until the
 	// follower first catches up to the primary.
-	role        atomic.Int32
-	synced      atomic.Bool
-	diverged    atomic.Bool // cleared only by the rebootstrap-on-diverge path
-	applied     atomic.Uint64
-	primaryMu   sync.Mutex
+	role      atomic.Int32
+	synced    atomic.Bool
+	diverged  atomic.Bool // cleared only by the rebootstrap-on-diverge path
+	applied   atomic.Uint64
+	repl      replCounters
+	streamEvN atomic.Int64
+	applyEvN  atomic.Int64
+
+	// The follower loop (follower.go). upMu guards the one upstream
+	// address, the cut of the stream in flight (so a retarget kicks it),
+	// and the loop's stop and done, which Serve sets when it starts it.
+	upMu        sync.Mutex
 	primaryAddr string
-	repl        ReplCounters
-	streamEvN   atomic.Int64
-	applyEvN    atomic.Int64
+	cutStream   context.CancelFunc
+	stopFollow  context.CancelFunc
+	followDone  chan struct{}
 
 	// Overload protection. adm is nil when admission is disabled
 	// (Config.MaxInflight == 0); staleServed counts brownout answers.
@@ -252,8 +267,8 @@ func (s *Server) admit(ctx context.Context, pri admission.Priority, cost int) (*
 // a program the static-analysis layer rejects. Loading an existing name
 // replaces it (fresh epoch 1) and invalidates its cache entries.
 func (s *Server) Load(name, src string) error {
-	if s.Role() == RoleFollower {
-		return &NotPrimaryError{Primary: s.PrimaryAddr()}
+	if s.currentRole() == RoleFollower {
+		return &NotPrimaryError{Primary: s.primary()}
 	}
 	if name == "" {
 		return fmt.Errorf("server: database name must be nonempty")
@@ -464,8 +479,8 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (re
 // section, after lint and before the snapshot swap: an update a client saw
 // acknowledged, or a query could have observed, is durable.
 func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, retract bool) (*UpdateResponse, error) {
-	if s.Role() == RoleFollower {
-		return nil, &NotPrimaryError{Primary: s.PrimaryAddr()}
+	if s.currentRole() == RoleFollower {
+		return nil, &NotPrimaryError{Primary: s.primary()}
 	}
 	prog, err := s.program(sess.DB)
 	if err != nil {
@@ -595,8 +610,15 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout t
 }
 
 // Serve is ListenAndServe over an existing listener (tests pass a
-// port-zero listener and read ln.Addr()).
+// port-zero listener and read ln.Addr()). It is the one lifecycle of every
+// node: on a follower it also runs the follower loop, and the drain stops
+// that loop before it waits out the handlers and the checkpoint loop, cuts
+// the final checkpoint and closes the WAL.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.Duration) error {
+	if s.currentRole() == RoleFollower {
+		// Before the listener serves: a promote must find the loop to stop.
+		s.startFollowing(ctx)
+	}
 	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -612,11 +634,14 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	s.logf("serving on %s", ln.Addr())
 	select {
 	case err := <-errc:
+		s.stopFollowing()
 		return err
 	case <-ctx.Done():
 	}
 	s.logf("draining (timeout %s)", drainTimeout)
 	s.draining.Store(true)
+	// No replicated record lands once the drain begins.
+	s.stopFollowing()
 	s.sessions.Drain()
 	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()

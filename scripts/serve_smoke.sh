@@ -2,16 +2,20 @@
 # serve_smoke.sh — end-to-end smoke test for the multilogd serving stack:
 # generate a workload program, start the daemon, storm it with serveload
 # (concurrent sessions + assert/retract churn), cross-check /v1/stats, and
-# verify a clean SIGTERM drain. Run via `make serve-smoke`.
+# verify a clean SIGTERM drain; then crash and restart a durable daemon, and
+# run a follower of it through its whole lifecycle. Run via `make serve-smoke`.
 set -eu
 
 GO=${GO:-go}
 PORT=${SERVE_SMOKE_PORT:-7071}
 ADDR=127.0.0.1:$PORT
+FADDR=127.0.0.1:$((PORT + 1))
 TMP=$(mktemp -d)
 DPID=
+FPID=
 cleanup() {
     [ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
+    [ -n "$FPID" ] && kill "$FPID" 2>/dev/null || true
     rm -rf "$TMP"
 }
 trap cleanup EXIT INT TERM
@@ -57,10 +61,40 @@ DPID=$!
 "$TMP/serveload" -addr "$ADDR" -ready -wait 10s \
     -clearance l0 -query 'l0[p0(smokedurable: a -l0-> V)]' -expect 1
 
+# Follower lifecycle: boot a follower of the durable primary, wait until it
+# has caught up (/v1/readyz 200), hold one query's answers byte for byte to
+# the primary's, then SIGTERM it: exit 0 and a "drained" log line.
+"$TMP/multilogd" -role follower -primary "$ADDR" -addr "$FADDR" \
+    -data-dir "$TMP/follower" -drain 5s 2> "$TMP/follower.log" &
+FPID=$!
+
+QUERY='L[p0(K: a -C-> V)]'
+"$TMP/serveload" -addr "$FADDR" -ready -wait 10s -clearance l3 -query "$QUERY" > "$TMP/follower.out"
+"$TMP/serveload" -addr "$ADDR" -ready -wait 10s -clearance l3 -query "$QUERY" > "$TMP/primary.out"
+if ! cmp -s "$TMP/primary.out" "$TMP/follower.out"; then
+    echo "serve-smoke: the follower's answers differ from the primary's" >&2
+    diff "$TMP/primary.out" "$TMP/follower.out" >&2 || true
+    exit 1
+fi
+
+kill -TERM "$FPID"
+if ! wait "$FPID"; then
+    echo "serve-smoke: follower exited nonzero after SIGTERM" >&2
+    cat "$TMP/follower.log" >&2
+    FPID=
+    exit 1
+fi
+FPID=
+if ! grep -q 'drained' "$TMP/follower.log"; then
+    echo "serve-smoke: the follower's drain logged no \"drained\" line" >&2
+    cat "$TMP/follower.log" >&2
+    exit 1
+fi
+
 kill -TERM "$DPID"
 if wait "$DPID"; then
     DPID=
-    echo "serve-smoke: ok (storm + crash-restart durability)"
+    echo "serve-smoke: ok (storm + crash-restart durability + follower lifecycle)"
 else
     echo "serve-smoke: recovered daemon exited nonzero after SIGTERM" >&2
     DPID=
