@@ -36,9 +36,11 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswersJSON -fuzztime=10s
 
 # campaign replays the standing 200-program differential campaign (also run
-# as TestCrossEngineCampaign) through the CLI.
+# as TestCrossEngineCampaign) through the CLI, then the shared-serving
+# campaign in full (TestSharedCampaign is its smoke run).
 campaign:
 	$(GO) run ./cmd/difffuzz -programs 200 -v
+	$(GO) run ./cmd/difffuzz -mode shared -programs 400 -v
 
 # chaos is the fault-injection tier: every engine driven through the
 # deterministic fault plans of internal/faultinject, race-enabled, asserting

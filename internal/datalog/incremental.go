@@ -58,6 +58,10 @@ type DeltaResult struct {
 	Changed map[string]PredDelta
 	// Rule-set changes that took effect (retracting an absent rule is none).
 	RulesAdded, RulesRemoved int
+	// OverDeleted and ReDerived count, per predicate, the tuples DRed's
+	// deletion phases took out and put back; nil when there were none. With
+	// Changed's net deletions they say what DRed did beyond the net change.
+	OverDeleted, ReDerived map[string]int
 }
 
 // ChangedPreds returns the sorted predicates whose tuple sets changed.
@@ -589,6 +593,8 @@ type deltaState struct {
 	deleted map[string]map[string]Atom // pred -> key -> atom, net deletions
 	grave   *Store                     // every tuple removed at any point
 	addKeys map[string]bool            // keys of net-added atoms (negation masking)
+	// DRed's work by predicate (DeltaResult.OverDeleted, ReDerived).
+	overDeleted, reDerived map[string]int
 	// The rule-set change, already in the engine's rules.
 	addRules, delRules []Clause
 }
@@ -740,7 +746,7 @@ func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaRes
 			return nil, err
 		}
 	}
-	res := &DeltaResult{Changed: map[string]PredDelta{}}
+	res := &DeltaResult{Changed: map[string]PredDelta{}, OverDeleted: st.overDeleted, ReDerived: st.reDerived}
 	for pred, m := range st.added {
 		pd := res.Changed[pred]
 		pd.Added = byKey(m)
@@ -837,6 +843,7 @@ func (inc *Incremental) deletePhase(s int, st *deltaState, seeds []Atom) error {
 		inc.removeTuple(h, k, st)
 		overdeleted[k] = h
 		queue = append(queue, h)
+		st.overDeleted = count(st.overDeleted, h.Pred)
 	}
 	// Heads are buffered before processing: onLost mutates the model, and
 	// removing tuples mid-enumeration would corrupt the store scan that
@@ -895,11 +902,21 @@ func (inc *Incremental) deletePhase(s int, st *deltaState, seeds []Atom) error {
 					return err
 				}
 				delete(overdeleted, k)
+				st.reDerived = count(st.reDerived, t.Pred)
 				changed = true
 			}
 		}
 	}
 	return nil
+}
+
+// count adds one to m[pred], making m at its first count.
+func count(m map[string]int, pred string) map[string]int {
+	if m == nil {
+		m = map[string]int{}
+	}
+	m[pred]++
+	return m
 }
 
 // insertPhase runs semi-naive delta propagation for the additions visible to

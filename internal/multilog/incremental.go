@@ -91,8 +91,8 @@ func (old *Reduction) Advance(ctx context.Context, db *Database, added, removed 
 	refuse := func(reason Refusal, err error) (*Reduction, DeltaReport, error) {
 		return nil, DeltaReport{Reason: reason}, fmt.Errorf("multilog: advance refused (%s): %w", reason, err)
 	}
-	if old.model == nil {
-		return refuse(ReasonOldNotIncremental, errors.New("the old reduction was never prepared"))
+	if old.model == nil || old.Program == nil && old.inc == nil {
+		return refuse(ReasonOldNotIncremental, errors.New("the old reduction was never prepared, or is a view"))
 	}
 	r := &Reduction{DB: db, User: old.User, Poset: old.Poset, opts: old.opts,
 		needs: map[belNeed]bool{}, preds: old.preds}

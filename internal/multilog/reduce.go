@@ -154,7 +154,9 @@ func (r *Reduction) QueryPrepared(ctx context.Context, q Query, limits resource.
 
 // match runs the top-down matching phase of a query against a materialized
 // model. It reads the reduction (Poset, User) and the model but mutates
-// neither, so concurrent calls over the same model are safe.
+// neither, so concurrent calls over the same model are safe. It refuses a
+// p-goal that names a relation τ introduces: those hold cells at every level,
+// unguarded.
 //
 // A conjunction means the same in any goal order, and match does not solve
 // it as written: at each node with two or more goals left it solves next the
@@ -168,6 +170,9 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 	gov := resource.New(ctx, limits)
 	var vars []string
 	for _, g := range q {
+		if g.Kind == GoalP && reservedPred(g.P.Pred) {
+			return nil, resource.Stats{}, fmt.Errorf("multilog: %s names a relation of the reduction, which holds cells the clearance %s may not see; query it through an m- or b-atom", g, r.User)
+		}
 		vars = g.Vars(vars)
 	}
 	sort.Strings(vars)

@@ -106,10 +106,6 @@ func serveFollower(t testing.TB, cfg server.Config, dir, primaryURL string) *nod
 	var once sync.Once
 	stop := func() {
 		once.Do(func() {
-			// The fleet's clients share one process here: a connection one
-			// of them dialed and pooled without sending a request would hold
-			// the drain for http.Server's 5s grace on new connections.
-			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 			cancel()
 			if err := <-served; err != nil {
 				t.Errorf("follower %s drained with %v", ln.Addr(), err)
@@ -940,5 +936,39 @@ func TestRouterForwardsPastStaleBrownout(t *testing.T) {
 	}
 	if rs := routerStats(t, rc); rs.RYWForwards != 1 {
 		t.Errorf("router ryw_forwards = %d, want the one read forwarded past the stale answer", rs.RYWForwards)
+	}
+}
+
+// TestRouterDrainClosesSilentConnections: a connection the router accepted
+// that never sends a request does not hold its drain: with a 1 s drain, Serve
+// returns nil within 2 s.
+func TestRouterDrainClosesSilentConnections(t *testing.T) {
+	rt, err := replica.NewRouter(replica.RouterConfig{Primary: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- rt.Serve(ctx, ln, time.Second) }()
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The silent connection was accepted before this one answers.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	http.DefaultClient.CloseIdleConnections()
+	start := time.Now()
+	cancel()
+	if err := <-served; err != nil || time.Since(start) > 2*time.Second {
+		t.Fatalf("router drain with a silent connection open returned %v after %v", err, time.Since(start))
 	}
 }

@@ -896,6 +896,7 @@ func (r *Router) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	defer pcancel()
 	go r.probeLoop(pctx)
 	hs := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	closeNew := server.CloseNewConns(hs)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	r.logf("router serving on %s (primary %s, %d replica(s))", ln.Addr(), r.cfg.Primary, len(r.cfg.Replicas))
@@ -907,6 +908,7 @@ func (r *Router) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	r.draining.Store(true)
 	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
+	closeNew()
 	err := hs.Shutdown(sctx)
 	<-errc
 	r.inFlight.Wait()

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/lattice"
 	"repro/internal/multilog"
 	"repro/internal/resource"
 	"repro/internal/wal"
@@ -220,16 +222,26 @@ func TestCachePrecisionObservesWrites(t *testing.T) {
 	}
 }
 
-// fourLevelProgram is precisionProgram under a four-level chain: one warm
-// reduction per clearance for a first write to carry.
+// fourLevelProgram is precisionProgram under a four-level chain. Every
+// clause of both is monotone (multilog.MonotoneClause): one reduction, at l3,
+// serves every clearance.
 const fourLevelProgram = precisionProgram + `
 	level(l2). level(l3). order(l1, l2). order(l2, l3).
 `
 
+// perClearance is a fixture's non-monotone twin: z's class comes from a
+// p-goal, which no monotone clause may do, so each clearance is served from
+// its own reduction. z is read by no probe, and zz derives one z cell at top.
+func perClearance(src, top string) string {
+	return src + "zz(none, l0, none).\n" + top + "[z(K: a -C-> V)] :- zz(K, C, V).\n"
+}
+
 // TestServerAssertRetractMetamorphic is the write-path no-op property end to
 // end, for a fact, a Σ rule and a Π rule alike, each as the first write after
 // cold queries at four clearances — the write that finds compiled models and
-// adopts them: every warm reduction is advanced, none dropped; asserting the
+// adopts them: every warm reduction is advanced, none dropped — four on the
+// fixture's non-monotone twin, one per clearance, and on the monotone fixture
+// one, at l3, serving all four; asserting the
 // clause and retracting it leaves the database source byte-identical, every
 // probe query's answers, across all three belief modes and every clearance,
 // byte-identical to what the compiled models answered, and every warm
@@ -258,93 +270,120 @@ func TestServerAssertRetractMetamorphic(t *testing.T) {
 		}
 		return out
 	}
-	for _, clause := range []string{
-		"l1[emp(dave: salary -l1-> mid)].",
-		"l1[bonus(K: due -l1-> V)] :- L[emp(K: salary -C-> V)] << cau.",
-		"senior(X) :- level(X), order(Y, X).",
+	for _, fx := range []struct {
+		name, src string
+		serving   int64 // reductions: one per serving level
+		clauses   []string
+	}{
+		{"per-clearance", perClearance(fourLevelProgram, "l3"), 4, []string{
+			"l1[emp(dave: salary -l1-> mid)].",
+			"l1[bonus(K: due -l1-> V)] :- L[emp(K: salary -C-> V)] << cau.",
+			"senior(X) :- level(X), order(Y, X).",
+		}},
+		// The Σ rule's body level is a constant below its head's: monotone.
+		{"shared", fourLevelProgram, 1, []string{
+			"l1[emp(dave: salary -l1-> mid)].",
+			"l1[bonus(K: due -l1-> V)] :- l0[emp(K: salary -C-> V)] << cau.",
+			"senior(X) :- level(X), order(Y, X).",
+		}},
 	} {
-		s := New(Config{})
-		if err := s.Load("test", fourLevelProgram); err != nil {
-			t.Fatal(err)
-		}
-		prog, err := s.program("test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		dbSource := func() string { return prog.current().db.Database().String() }
-		// counts are the warm reductions' base counts; fresh, those of a
-		// from-scratch interpreted build of the current database at each clearance.
-		counts := func(fresh bool) map[string]any {
-			snap, out := prog.current(), map[string]any{}
-			snap.redMu.RLock()
-			defer snap.redMu.RUnlock()
-			for u, red := range snap.reductions {
-				if fresh {
-					var err error
-					if red, err = multilog.Reduce(snap.db.Database(), u); err == nil {
-						err = red.Prepare(context.Background(), resource.Limits{})
+		for _, clause := range fx.clauses {
+			serving := fx.serving
+			s := New(Config{})
+			if err := s.Load("test", fx.src); err != nil {
+				t.Fatal(err)
+			}
+			prog, err := s.program("test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dbSource := func() string { return prog.current().db.Database().String() }
+			// counts are the warm reductions' base counts; fresh, those of a
+			// from-scratch interpreted build of the current database at each clearance.
+			counts := func(fresh bool) map[string]any {
+				snap, out := prog.current(), map[string]any{}
+				snap.redMu.RLock()
+				defer snap.redMu.RUnlock()
+				for u, red := range snap.reductions {
+					if fresh {
+						var err error
+						if red, err = multilog.Reduce(snap.db.Database(), u); err == nil {
+							err = red.Prepare(context.Background(), resource.Limits{})
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
+					out[string(u)] = red.Counts()
 				}
-				out[string(u)] = red.Counts()
+				return out
 			}
-			return out
-		}
-		advances := func(step string, incremental, adopted int64) {
-			t.Helper()
-			if st := s.Stats().Databases["test"]; st.AdvanceIncremental != incremental || st.AdvanceAdopted != adopted || len(st.AdvanceDropped) != 0 {
-				t.Fatalf("%s: %s: %s, want %d incremental of which %d adopted and none dropped",
-					clause, step, st.AdvanceTally, incremental, adopted)
+			advances := func(step string, incremental, adopted int64) {
+				t.Helper()
+				if st := s.Stats().Databases["test"]; st.AdvanceIncremental != incremental || st.AdvanceAdopted != adopted || len(st.AdvanceDropped) != 0 {
+					t.Fatalf("%s %s: %s: %s, want %d incremental of which %d adopted and none dropped", fx.name, clause, step, st.AdvanceTally, incremental, adopted)
+				}
 			}
-		}
-		writer := openSess(t, s, "l3", "")
-		baseSrc, baseAnswers := dbSource(), collect(s)
-		advances("cold", 0, 0)
+			writer := openSess(t, s, "l3", "")
+			baseSrc, baseAnswers := dbSource(), collect(s)
+			advances("cold", 0, 0)
 
-		if up := runUpdate(t, s, writer, clause, false); up.Changed != 1 {
-			t.Fatalf("%s: assert changed %d clauses, want 1", clause, up.Changed)
-		}
-		advances("first write", 4, 4)
-		midAnswers := collect(s)
-		if reflect.DeepEqual(baseAnswers, midAnswers) {
-			t.Fatalf("%s: assert was not observable through the probes", clause)
-		}
-		if got, want := counts(false), counts(true); len(got) != 4 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: base counts after adoption and the write differ from a fresh build's", clause)
-		}
-		cold := New(Config{})
-		if err := cold.Load("test", dbSource()); err != nil {
-			t.Fatalf("%s: cold start on the written program: %v", clause, err)
-		}
-		if got := collect(cold); !reflect.DeepEqual(got, midAnswers) {
-			t.Errorf("%s: answers after the write differ from a cold start on the same program\ngot:  %v\nwant: %v", clause, midAnswers, got)
-		}
-		if up := runUpdate(t, s, writer, clause, true); up.Changed != 1 {
-			t.Fatalf("%s: retract changed %d clauses, want 1", clause, up.Changed)
-		}
-		advances("retract", 8, 4)
+			if up := runUpdate(t, s, writer, clause, false); up.Changed != 1 {
+				t.Fatalf("%s %s: assert changed %d clauses, want 1", fx.name, clause, up.Changed)
+			}
+			advances("first write", serving, serving)
+			midAnswers := collect(s)
+			if reflect.DeepEqual(baseAnswers, midAnswers) {
+				t.Fatalf("%s %s: assert was not observable through the probes", fx.name, clause)
+			}
+			if got, want := counts(false), counts(true); int64(len(got)) != serving || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: base counts after adoption and the write differ from a fresh build's", fx.name, clause)
+			}
+			cold := New(Config{})
+			if err := cold.Load("test", dbSource()); err != nil {
+				t.Fatalf("%s %s: cold start on the written program: %v", fx.name, clause, err)
+			}
+			if got := collect(cold); !reflect.DeepEqual(got, midAnswers) {
+				t.Errorf("%s %s: answers after the write differ from a cold start on the same program\ngot:  %v\nwant: %v", fx.name, clause, midAnswers, got)
+			}
+			if up := runUpdate(t, s, writer, clause, true); up.Changed != 1 {
+				t.Fatalf("%s %s: retract changed %d clauses, want 1", fx.name, clause, up.Changed)
+			}
+			advances("retract", 2*serving, serving)
 
-		if got := dbSource(); got != baseSrc {
-			t.Errorf("%s: assert-then-retract changed the database source\ngot:\n%s\nwant:\n%s", clause, got, baseSrc)
-		}
-		if got := collect(s); !reflect.DeepEqual(got, baseAnswers) {
-			t.Errorf("%s: assert-then-retract changed probe answers across modes/clearances", clause)
-		}
-		// bonus is new to Σ: its inert axioms stay behind and derive nothing,
-		// so the counts are a fresh build's all the same.
-		if got, want := counts(false), counts(true); len(got) != 4 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: assert-then-retract left base counts a fresh build does not have", clause)
+			if got := dbSource(); got != baseSrc {
+				t.Errorf("%s %s: assert-then-retract changed the database source\ngot:\n%s\nwant:\n%s", fx.name, clause, got, baseSrc)
+			}
+			if got := collect(s); !reflect.DeepEqual(got, baseAnswers) {
+				t.Errorf("%s %s: assert-then-retract changed probe answers across modes/clearances", fx.name, clause)
+			}
+			// bonus is new to Σ: its inert axioms stay behind and derive nothing,
+			// so the counts are a fresh build's all the same.
+			if got, want := counts(false), counts(true); int64(len(got)) != serving || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: assert-then-retract left base counts a fresh build does not have", fx.name, clause)
+			}
 		}
 	}
 }
 
 // TestUpdateAdvancesPreparedReductions pins the model-reuse half of the
-// write path: a fact write must carry the warm per-clearance reductions into
-// the new snapshot (advanced incrementally), not discard them.
+// write path: a fact write must carry the warm reductions into the new
+// snapshot (advanced incrementally), not discard them — one per clearance on
+// the fixture's non-monotone twin, one at l1 serving both on the fixture.
 func TestUpdateAdvancesPreparedReductions(t *testing.T) {
-	s := newIncServer(t, Config{})
+	for _, fx := range []struct {
+		src     string
+		serving int
+	}{{perClearance(precisionProgram, "l1"), 2}, {precisionProgram, 1}} {
+		updateAdvancesPreparedReductions(t, fx.src, fx.serving)
+	}
+}
+
+func updateAdvancesPreparedReductions(t *testing.T, src string, serving int) {
+	s := New(Config{})
+	if err := s.Load("test", src); err != nil {
+		t.Fatal(err)
+	}
 	for _, cl := range []string{"l0", "l1"} {
 		runQuery(t, s, openSess(t, s, cl, ""), "l0[emp(K: salary -C-> V)]")
 	}
@@ -358,13 +397,13 @@ func TestUpdateAdvancesPreparedReductions(t *testing.T) {
 		defer snap.redMu.RUnlock()
 		return len(snap.reductions)
 	}
-	if n := warm(); n != 2 {
-		t.Fatalf("expected 2 warm reductions before the write, got %d", n)
+	if n := warm(); n != serving {
+		t.Fatalf("expected %d warm reductions before the write, got %d", serving, n)
 	}
 	writer := openSess(t, s, "l1", "")
 	runUpdate(t, s, writer, "l0[emp(erin: salary -l0-> low)].", false)
-	if n := warm(); n != 2 {
-		t.Fatalf("fact write dropped warm reductions: %d remain, want 2", n)
+	if n := warm(); n != serving {
+		t.Fatalf("fact write dropped warm reductions: %d remain, want %d", n, serving)
 	}
 	// The advanced models must answer correctly (the new fact is visible).
 	resp := runQuery(t, s, openSess(t, s, "l0", ""), "l0[emp(erin: salary -C-> V)]")
@@ -510,9 +549,18 @@ func TestCancelledWriteLeavesNothingBehind(t *testing.T) {
 // writes carried the warm reductions forward — patched, after adopting a
 // compiled model or not — or dropped them, and why. A reduction a write drops
 // is exactly the one whose advance failed; the next read at that clearance
-// builds it again.
+// builds it again. On the fixture's non-monotone twin each write advances
+// the reductions at l0 and l1; on the fixture, the one at l1 serving both.
 func TestAdvanceReasonsOnStats(t *testing.T) {
-	s := newIncServer(t, Config{})
+	advanceReasonsOnStats(t, perClearance(precisionProgram, "l1"), 2)
+	advanceReasonsOnStats(t, precisionProgram, 1)
+}
+
+func advanceReasonsOnStats(t *testing.T, src string, serving int64) {
+	s := New(Config{})
+	if err := s.Load("test", src); err != nil {
+		t.Fatal(err)
+	}
 	writer := openSess(t, s, "l1", "")
 	low := openSess(t, s, "l0", "")
 	for _, sess := range []*Session{low, writer} {
@@ -532,12 +580,12 @@ func TestAdvanceReasonsOnStats(t *testing.T) {
 	// The first queries prepared both clearances through the compiled
 	// engine, which hands over a model and no engine: the first write adopts it.
 	runUpdate(t, s, writer, "l0[emp(ivy: salary -l0-> low)].", false)
-	want.AdvanceIncremental, want.AdvanceAdopted = 2, 2
+	want.AdvanceIncremental, want.AdvanceAdopted = serving, serving
 	check("first fact write")
 
 	runUpdate(t, s, writer, "l0[emp(jon: salary -l0-> low)].", false)
 	runUpdate(t, s, writer, "l0[emp(jon: salary -l0-> low)].", true)
-	want.AdvanceIncremental += 4
+	want.AdvanceIncremental += 2 * serving
 	check("fact assert + retract")
 
 	// Neither a predicate's first mention (its belief axioms come along as
@@ -554,7 +602,7 @@ func TestAdvanceReasonsOnStats(t *testing.T) {
 		{"Σ rule retract", "l1[audit(K: seen -l1-> V)] :- l0[badge(K: colour -C-> V)] << fir.", true},
 	} {
 		runUpdate(t, s, writer, w.clauses, w.retract)
-		want.AdvanceIncremental += 2
+		want.AdvanceIncremental += serving
 		check(w.step)
 	}
 
@@ -566,6 +614,7 @@ func TestAdvanceReasonsOnStats(t *testing.T) {
 	// reduction at l0 — one base tuple in a relation nothing there reads — and
 	// fails at l1, where belief axioms fire: that reduction, and only that
 	// one, is dropped, by name, and rebuilt by the next read at l1.
+	// Shared, the reduction at l1 is the only one.
 	prog, err := s.program("test")
 	if err != nil {
 		t.Fatal(err)
@@ -581,34 +630,53 @@ func TestAdvanceReasonsOnStats(t *testing.T) {
 	}
 	prog.limits = resource.Limits{MaxSteps: 1}
 	runUpdate(t, s, writer, "l1[emp(kay: salary -l1-> mid)].", false)
-	want.AdvanceIncremental++
+	want.AdvanceIncremental += serving - 1
 	want.AdvanceDropped = map[string]int64{"delta-failed": 1}
 	check("write under a one-step limit")
-	if got := warm(); !reflect.DeepEqual(got, []string{"l0"}) {
-		t.Fatalf("warm reductions after the failed advance: %v, want exactly l0", got)
+	survivors := []string{"l0"}[:serving-1]
+	if got := warm(); !slices.Equal(got, survivors) {
+		t.Fatalf("warm reductions after the failed advance: %v, want exactly %v", got, survivors)
 	}
 	if resp := runQuery(t, s, writer, "l1[emp(kay: salary -C-> V)]"); len(resp.Answers) != 1 {
 		t.Fatalf("the read after a dropped advance: %v", resp.Answers)
 	}
-	if got := warm(); len(got) != 2 {
+	if got := warm(); int64(len(got)) != serving {
 		t.Fatalf("the read at l1 did not rebuild its reduction: warm %v", got)
 	}
 	// The rebuilt reduction is a compiled model again: the next write adopts it.
 	prog.limits = resource.Limits{}
 	runUpdate(t, s, writer, "l1[emp(kay: salary -l1-> mid)].", true)
-	want.AdvanceIncremental += 2
+	want.AdvanceIncremental += serving
 	want.AdvanceAdopted++
 	check("write after the rebuild")
 }
 
+// twoTopProgram is a monotone program over a lattice with two maximal levels,
+// a and b: l0 is served from a, the first, and b from its own reduction.
+const twoTopProgram = `
+	level(l0). level(a). level(b). order(l0, a). order(l0, b).
+	l0[emp(alice: salary -l0-> low)].
+	a[emp(alice: salary -a-> mid)].
+	l0[dept(eng: head -l0-> alice)].
+	b[payroll(K: cost -b-> V)] :- l0[emp(K: salary -C-> V)] << opt.
+`
+
 // TestColdBuildBlocksNobodyElse: a cold build runs outside the reductions
-// map's lock, behind an in-flight entry of its own clearance. With the build
-// at l3 parked on an injected stall (the evaluation's fault probe), a
-// cache-missing read at warm l0 (which prices its admission by looking the
-// map up), /v1/stats and a fact write (which walks the map to advance what is
-// warm) all complete; a second reader at l3 waits for the one build instead
-// of starting another, and gets the reduction it leaves.
+// map's lock, behind an in-flight entry of its own serving level. With the
+// build at a cold level parked on an injected stall (the evaluation's fault
+// probe), a cache-missing read at warm l0 (which prices its admission by
+// looking the map up), /v1/stats and a fact write (which walks the map to
+// advance what is warm) all complete; a second reader at the cold level waits
+// for the one build instead of starting another, and gets the reduction it
+// leaves. The cold level is l3 on the four-level fixture's non-monotone twin,
+// where l0 is served from its own reduction, and b on a monotone program with
+// two maximal levels, where l0 is served from a.
 func TestColdBuildBlocksNobodyElse(t *testing.T) {
+	coldBuildBlocksNobodyElse(t, perClearance(fourLevelProgram, "l3"), "l3", "l1[payroll(K: cost -C-> V)]")
+	coldBuildBlocksNobodyElse(t, twoTopProgram, "b", "b[payroll(K: cost -C-> V)]")
+}
+
+func coldBuildBlocksNobodyElse(t *testing.T, src string, cold lattice.Label, q string) {
 	var park atomic.Bool
 	parked, release := make(chan struct{}), make(chan struct{})
 	s := New(Config{Limits: resource.Limits{Probe: func(resource.Event, int64) error {
@@ -618,10 +686,10 @@ func TestColdBuildBlocksNobodyElse(t *testing.T) {
 		}
 		return nil
 	}}})
-	if err := s.Load("test", fourLevelProgram); err != nil {
+	if err := s.Load("test", src); err != nil {
 		t.Fatal(err)
 	}
-	low, high := openSess(t, s, "l0", ""), openSess(t, s, "l3", "")
+	low, high := openSess(t, s, "l0", ""), openSess(t, s, string(cold), "")
 	runQuery(t, s, low, "l0[emp(K: salary -C-> V)]") // warms l0
 
 	park.Store(true)
@@ -632,18 +700,24 @@ func TestColdBuildBlocksNobodyElse(t *testing.T) {
 	snap := prog.current()
 	first := make(chan int, 1)
 	go func() {
-		resp, err := query(context.Background(), s, high, QueryRequest{Query: "l1[payroll(K: cost -C-> V)]"})
+		resp, err := query(context.Background(), s, high, QueryRequest{Query: q})
 		if err != nil {
 			t.Error(err)
+			first <- -1
+			return
 		}
 		first <- len(resp.Answers)
 	}()
-	<-parked
+	select {
+	case <-parked:
+	case n := <-first:
+		t.Fatalf("the reader at %s answered (%d rows) without a cold build", cold, n)
+	}
 	// The second reader asks the same snapshot, whatever the write below swaps
 	// in: it finds the build in flight, or the reduction it left.
 	second := make(chan *multilog.Reduction, 1)
 	go func() {
-		red, err := snap.reductionAt(context.Background(), "l3", resource.Limits{})
+		red, err := snap.reductionAt(context.Background(), cold, resource.Limits{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -674,13 +748,13 @@ func TestColdBuildBlocksNobodyElse(t *testing.T) {
 
 	close(release)
 	if n := <-first; n != 1 {
-		t.Errorf("the reader at l3 got %d payroll rows, want 1", n)
+		t.Errorf("the reader at %s got %d payroll rows, want 1", cold, n)
 	}
 	snap.redMu.RLock()
-	built := snap.reductions["l3"]
+	built := snap.reductions[cold]
 	snap.redMu.RUnlock()
 	if red := <-second; red == nil || red != built {
-		t.Error("the second reader at l3 did not get the reduction the one build left")
+		t.Errorf("the second reader at %s did not get the reduction the one build left", cold)
 	}
 	if st := s.Stats().Databases["test"]; st.AdvanceIncremental != 1 || st.AdvanceAdopted != 1 {
 		t.Errorf("the write carried %s, want the one warm reduction, adopted", st.AdvanceTally)

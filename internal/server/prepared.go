@@ -44,20 +44,30 @@ type preparedProgram struct {
 }
 
 // snapshot is one immutable program version. The database version, its
-// poset and the per-clearance reductions are never modified after
-// publication; the reductions map alone grows lazily under its own lock
-// (building the reduction for a clearance the first time a session at that
-// clearance queries). The flat database is materialized only for what reads
-// all of it — a cold build, a checkpoint, /v1/lint, the lint of a Π retract
-// that can break a Σ clause — once per version.
+// poset and the prepared reductions are never modified after publication;
+// the reductions and views maps alone grow lazily under their own lock
+// (building the reduction at a serving level the first time a session at a
+// clearance it serves queries). The flat database is materialized only for
+// what reads all of it — a cold build, a checkpoint, /v1/lint, the lint of a
+// Π retract that can break a Σ clause — once per version.
+//
+// A clearance u is served from the reduction at its serving level: while
+// every clause of the program is a multilog.MonotoneClause, the first
+// maximal level of the lattice that dominates u, read with u's guards
+// (multilog.Reduction.View), which answers as u's own reduction would; while
+// one is not, u itself.
 type snapshot struct {
 	epoch uint64
 	db    *multilog.Version
 	poset *lattice.Poset
+	tops  map[lattice.Label]lattice.Label // per clearance, the first maximal level above it; the lattice's, shared by every snapshot
+	// nonMonotone counts the clauses of db that are not MonotoneClause.
+	nonMonotone int
 
 	redMu      sync.RWMutex
-	reductions map[lattice.Label]*multilog.Reduction
-	building   map[lattice.Label]chan struct{} // cold builds in flight, each closed when it ends
+	reductions map[lattice.Label]*multilog.Reduction // by serving level
+	views      map[lattice.Label]*multilog.Reduction // by clearance: its serving level's reduction, viewed at it
+	building   map[lattice.Label]chan struct{}       // cold builds in flight, by serving level, each closed when it ends
 }
 
 // newPrepared parses, lints and prepares a program. Lint findings of
@@ -88,14 +98,51 @@ func newPreparedEpoch(name, src string, epoch uint64, prepLimits resource.Limits
 	if err != nil {
 		return nil, diags, err
 	}
-	return &preparedProgram{name: name, limits: prepLimits, snap: newSnapshot(epoch, multilog.NewVersion(db), poset)}, diags, nil
+	return &preparedProgram{name: name, limits: prepLimits, snap: newSnapshot(epoch, db, poset)}, diags, nil
 }
 
-// newSnapshot publishes a database version over its security lattice.
-func newSnapshot(epoch uint64, db *multilog.Version, poset *lattice.Poset) *snapshot {
-	return &snapshot{epoch: epoch, db: db, poset: poset,
+// newSnapshot publishes a database's first version over its security
+// lattice, finding each clearance's maximal level above it once.
+func newSnapshot(epoch uint64, db *multilog.Database, poset *lattice.Poset) *snapshot {
+	tops := map[lattice.Label]lattice.Label{}
+	for _, u := range poset.Labels() {
+		for _, top := range poset.Maximal() {
+			if poset.Dominates(top, u) {
+				tops[u] = top
+				break
+			}
+		}
+	}
+	first := &snapshot{poset: poset, tops: tops}
+	return first.next(epoch, multilog.NewVersion(db), nonMonotone(db.Sigma, poset)+nonMonotone(db.Pi, poset))
+}
+
+// nonMonotone counts the clauses of cs that multilog.MonotoneClause rejects.
+func nonMonotone(cs []multilog.Clause, poset *lattice.Poset) int {
+	n := 0
+	for _, c := range cs {
+		if !multilog.MonotoneClause(c, poset) {
+			n++
+		}
+	}
+	return n
+}
+
+// next publishes a database version with nonMono non-monotone clauses over
+// s's lattice.
+func (s *snapshot) next(epoch uint64, db *multilog.Version, nonMono int) *snapshot {
+	return &snapshot{epoch: epoch, db: db, poset: s.poset, tops: s.tops, nonMonotone: nonMono,
 		reductions: map[lattice.Label]*multilog.Reduction{},
+		views:      map[lattice.Label]*multilog.Reduction{},
 		building:   map[lattice.Label]chan struct{}{}}
+}
+
+// serving is the level whose reduction serves clearance u.
+func (s *snapshot) serving(u lattice.Label) lattice.Label {
+	if s.nonMonotone > 0 {
+		return u
+	}
+	return s.tops[u]
 }
 
 // current returns the live snapshot.
@@ -105,19 +152,44 @@ func (p *preparedProgram) current() *snapshot {
 	return p.snap
 }
 
-// reductionAt returns the snapshot's prepared reduction for one clearance,
+// reductionAt returns the snapshot's prepared reduction for one clearance:
+// the reduction at its serving level, viewed at it — made once per snapshot
+// and clearance.
+func (s *snapshot) reductionAt(ctx context.Context, u lattice.Label, limits resource.Limits) (*multilog.Reduction, error) {
+	s.redMu.RLock()
+	view := s.views[u]
+	s.redMu.RUnlock()
+	if view != nil {
+		return view, nil
+	}
+	red, err := s.preparedAt(ctx, s.serving(u), limits)
+	if err == nil {
+		view, err = red.View(u)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.redMu.Lock()
+	defer s.redMu.Unlock()
+	if s.views[u] == nil {
+		s.views[u] = view
+	}
+	return s.views[u], nil
+}
+
+// preparedAt returns the snapshot's prepared reduction at a serving level,
 // building it on first use: Reduce plus an eager model build under limits (a
 // hostile program cannot wedge the first query at a level forever) in the
 // compiled engine, or the interpreter for programs the compiler declines
 // (compile.PrepareReduction). Writes carry the reduction forward as deltas
-// from then on (advanceReductions): a clearance is built once per load, or
-// again after a write dropped it.
+// from then on (advanceReductions): a serving level is built once per load,
+// or again after a write dropped it.
 //
-// The build runs outside redMu, behind one in-flight entry per clearance: a
-// second caller for that clearance waits for it (and builds in its turn if it
+// The build runs outside redMu, behind one in-flight entry per level: a
+// second caller for that level waits for it (and builds in its turn if it
 // failed: that caller's deadline is not this one's); nothing else waits.
-func (s *snapshot) reductionAt(ctx context.Context, u lattice.Label, limits resource.Limits) (*multilog.Reduction, error) {
-	red := s.warm(u)
+func (s *snapshot) preparedAt(ctx context.Context, u lattice.Label, limits resource.Limits) (*multilog.Reduction, error) {
+	var red *multilog.Reduction
 	var built chan struct{}
 	for red == nil && built == nil {
 		s.redMu.Lock()
@@ -156,13 +228,13 @@ func (s *snapshot) reductionAt(ctx context.Context, u lattice.Label, limits reso
 	return red, nil
 }
 
-// warm returns the clearance's reduction if it is built, else nil — the
+// warm reports whether the reduction serving the clearance is built — the
 // admission controller prices a match-only read far below a first query that
 // must pay the reduction build.
-func (s *snapshot) warm(u lattice.Label) *multilog.Reduction {
+func (s *snapshot) warm(u lattice.Label) bool {
 	s.redMu.RLock()
 	defer s.redMu.RUnlock()
-	return s.reductions[u]
+	return s.reductions[s.serving(u)] != nil
 }
 
 // stats snapshots the program's counters.
@@ -255,7 +327,8 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 	if diags := lint.MultiLogWrite(next, added, removed, lint.Options{File: p.name}); len(diags) > 0 {
 		return 0, 0, none, &LintError{Name: p.name, Findings: diags.String()}
 	}
-	snap := newSnapshot(cur.epoch+1, next, cur.poset)
+	nonMono := cur.nonMonotone + nonMonotone(added, cur.poset) - nonMonotone(removed, cur.poset)
+	snap := cur.next(cur.epoch+1, next, nonMono)
 	inv := p.advanceReductions(ctx, cur, snap, added, removed)
 	if ctx.Err() != nil {
 		return 0, 0, none, fmt.Errorf("server: update abandoned before commit: %w: %v", resource.ErrCanceled, context.Cause(ctx))
@@ -278,11 +351,13 @@ func (p *preparedProgram) update(ctx context.Context, src string, clearance latt
 	return snap.epoch, len(added) + len(removed), inv, nil
 }
 
-// invalidation says what a committed update changed: for each clearance it
-// advanced, the advance's report — the translated relations whose tuples
-// changed there, and those tuples. A clearance it did not advance — cold, or
-// dropped — is absent: anything cached there may have changed. dropped and
-// patched count the cache entries the write dropped and patched.
+// invalidation says what a committed update changed: for each clearance
+// whose serving level it advanced, and which that level serves before and
+// after the write, the advance's report — the translated relations whose
+// tuples changed there, and those tuples. A clearance it did not advance —
+// cold, dropped, or served from another level than before — is absent:
+// anything cached there may have changed. dropped and patched count the cache
+// entries the write dropped and patched.
 type invalidation struct {
 	changed          map[lattice.Label]multilog.DeltaReport
 	dropped, patched int
@@ -333,13 +408,15 @@ func (t AdvanceTally) String() string {
 
 // advanceReductions carries cur's prepared reductions into the new snapshot
 // (multilog.Advance): the write's clauses, facts or rules, are translated
-// per warm clearance and applied as a clause delta to a copy-on-write clone
-// of that clearance's engine — made, at the first write after a cold build,
+// per warm serving level and applied as a clause delta to a copy-on-write
+// clone of that level's engine — made, at the first write after a cold build,
 // over a clone of the compiled model (datalog.Adopt) — so the write costs what
 // its clauses derive and the relations that touches. No model is re-derived here:
 // a reduction that fails to advance (resource limits, cancellation) is
 // dropped, by reason, and the next query at its clearance builds it, under
-// that reader's admission ticket and outside the update lock. An advance is
+// that reader's admission ticket and outside the update lock. A reduction at
+// a level that serves no longer — a write made the program monotone, and a
+// maximal level above serves it now — is dropped too. An advance is
 // handed no database: only QueryContext's lazy registration would read it,
 // and the server queries through QueryPrepared, so no write materializes
 // one. The returned invalidation records what each advance changed.
@@ -347,8 +424,12 @@ func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snap
 	cur.redMu.RLock()
 	olds := maps.Clone(cur.reductions)
 	cur.redMu.RUnlock()
-	inv := invalidation{changed: make(map[lattice.Label]multilog.DeltaReport, len(olds))}
-	for u, old := range olds {
+	inv := invalidation{changed: make(map[lattice.Label]multilog.DeltaReport, len(snap.tops))}
+	for lvl, old := range olds {
+		if snap.serving(lvl) != lvl {
+			inv.add(AdvanceTally{AdvanceDropped: map[string]int64{"unserved": 1}})
+			continue
+		}
 		red, rep, err := old.Advance(ctx, nil, added, removed, p.limits)
 		if err != nil {
 			inv.add(AdvanceTally{AdvanceDropped: map[string]int64{string(rep.Reason): 1}})
@@ -358,8 +439,12 @@ func (p *preparedProgram) advanceReductions(ctx context.Context, cur, snap *snap
 		if rep.Adopted {
 			inv.AdvanceAdopted++
 		}
-		inv.changed[u] = rep
-		snap.reductions[u] = red
+		snap.reductions[lvl] = red
+		for u := range snap.tops {
+			if cur.serving(u) == lvl && snap.serving(u) == lvl {
+				inv.changed[u] = rep
+			}
+		}
 	}
 	return inv
 }

@@ -344,12 +344,16 @@ type CacheStats struct {
 
 // DBStats describes one loaded database.
 type DBStats struct {
-	Epoch      uint64 `json:"epoch"`
-	Lambda     int    `json:"lambda"`
-	Sigma      int    `json:"sigma"`
-	Pi         int    `json:"pi"`
-	Reductions int    `json:"reductions"` // prepared (per-clearance) reductions
-	Updates    int64  `json:"updates"`
+	Epoch  uint64 `json:"epoch"`
+	Lambda int    `json:"lambda"`
+	Sigma  int    `json:"sigma"`
+	Pi     int    `json:"pi"`
+	// Reductions counts the prepared reductions, one per serving level built:
+	// while every clause is monotone (multilog.MonotoneClause) one at a
+	// maximal level serves each clearance below it, so a chain holds at most
+	// one; otherwise one per warm clearance.
+	Reductions int   `json:"reductions"`
+	Updates    int64 `json:"updates"`
 	AdvanceTally
 }
 
@@ -361,7 +365,8 @@ type AdvanceTally struct {
 	AdvanceIncremental int64 `json:"advance_incremental"`
 	AdvanceAdopted     int64 `json:"advance_adopted"`
 	// Not carried, but left for the next read at that clearance to build, by
-	// reason (multilog.Refusal: "delta-failed", ...).
+	// reason (multilog.Refusal: "delta-failed", ...; "unserved": the write
+	// made the program monotone, and a maximal level serves the clearance).
 	AdvanceDropped map[string]int64 `json:"advance_dropped,omitempty"`
 }
 

@@ -420,7 +420,7 @@ func (s *Server) Query(ctx context.Context, sess *Session, req QueryRequest) (re
 	// recently invalidated answer may be served stale (brownout) instead
 	// of rejecting outright.
 	pri, cost := admission.Read, costRead
-	if snap.warm(sess.Clearance) == nil {
+	if !snap.warm(sess.Clearance) {
 		pri, cost = admission.Prepare, costPrepare
 	}
 	ticket, aerr := s.admit(ctx, pri, cost)
@@ -620,6 +620,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 		s.startFollowing(ctx)
 	}
 	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	closeNew := CloseNewConns(hs)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	ckptDone := make(chan struct{})
@@ -645,6 +646,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	s.sessions.Drain()
 	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
+	closeNew()
 	err := hs.Shutdown(sctx)
 	<-errc // Serve has returned http.ErrServerClosed
 	s.inFlight.Wait()
@@ -661,6 +663,39 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	}
 	s.logf("drained")
 	return err
+}
+
+// CloseNewConns hooks hs's connection states and returns the drain's first
+// step: close every connection hs accepted that has not begun a request yet
+// (http.StateNew), and from then on each one as it is accepted. Shutdown
+// closes idle connections but waits a 5 s grace before it counts a new one
+// idle — a client transport may dial a connection, send its request on
+// another and pool this one — so without this step a drain of 5 s or less
+// ends in context.DeadlineExceeded.
+func CloseNewConns(hs *http.Server) func() {
+	var mu sync.Mutex
+	conns := map[net.Conn]bool{}
+	closing := false
+	hs.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(conns, c)
+		case closing:
+			c.Close() //nolint:errcheck // the drain refuses it
+		default:
+			conns[c] = true
+		}
+	}
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		closing = true
+		for c := range conns {
+			c.Close() //nolint:errcheck // the drain refuses it
+		}
+	}
 }
 
 // deadline derives the per-request context: the server ceiling, tightened

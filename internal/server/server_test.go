@@ -3,11 +3,13 @@ package server_test
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 )
@@ -385,5 +387,109 @@ func TestRawQueryBypassesRewrite(t *testing.T) {
 	}
 	if !strings.Contains(resp.Query, "<< opt") || strings.Contains(raw.Query, "<<") {
 		t.Errorf("effective queries wrong: rewritten=%q raw=%q", resp.Query, raw.Query)
+	}
+}
+
+// TestSharedServingOnAChain: every clause of testProgram is monotone, so one
+// reduction, at the chain's top, serves every clearance. /v1/stats says so:
+// after queries at every clearance and mode, one reduction was built; each
+// write advances that one, the first by adopting its compiled model.
+func TestSharedServingOnAChain(t *testing.T) {
+	_, c := startServer(t, server.Config{})
+	ctx := context.Background()
+	stats := func() server.DBStats {
+		t.Helper()
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Databases["test"]
+	}
+	var sessions []string
+	for _, cl := range []string{"u", "c", "s"} {
+		for _, m := range []string{"fir", "opt", "cau"} {
+			sess := openAt(t, c, cl, m)
+			sessions = append(sessions, sess)
+			if _, err := c.QueryContext(ctx, server.QueryRequest{Session: sess, Query: "L[emp(K: salary -C-> V)]"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := stats(); st.Reductions != 1 || st.AdvanceIncremental != 0 {
+		t.Fatalf("after queries at every clearance: %d reductions, %s; want 1 and no advance", st.Reductions, st.AdvanceTally)
+	}
+	for i, w := range []string{"u[emp(carl: salary -u-> low)].", "c[emp(dora: salary -c-> mid)].", "s[emp(carl: salary -s-> high)]."} {
+		if _, err := c.Assert(ctx, sessions[len(sessions)-1], w); err != nil {
+			t.Fatal(err)
+		}
+		if st := stats(); st.Reductions != 1 || st.AdvanceIncremental != int64(i+1) || st.AdvanceAdopted != 1 || len(st.AdvanceDropped) != 0 {
+			t.Fatalf("after write %d: %d reductions, %s; want 1 and %d incremental of which 1 adopted", i+1, st.Reductions, st.AdvanceTally, i+1)
+		}
+	}
+	resp, err := c.QueryContext(ctx, server.QueryRequest{Session: sessions[0], Query: "L[emp(carl: salary -C-> V)]"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := values(resp, "V"); !reflect.DeepEqual(got, []string{"low"}) {
+		t.Fatalf("carl's salary at u: %v, want [low] (the s cell stays above u)", got)
+	}
+}
+
+// TestQueryRefusesTranslatedRelations: a query that names a relation the
+// reduction introduces per level reads cells of every level unguarded, so it
+// is refused at every clearance.
+func TestQueryRefusesTranslatedRelations(t *testing.T) {
+	_, c := startServer(t, server.Config{})
+	ctx := context.Background()
+	for _, q := range []string{"mlrel_emp_s(K, A, V, C)", "mlbel_emp_s_fir(K, A, V, C)", "mlexceeded_emp_s(K, A, C)"} {
+		for _, cl := range []string{"u", "s"} {
+			if resp, err := c.QueryContext(ctx, server.QueryRequest{Session: openAt(t, c, cl, ""), Query: q}); err == nil {
+				t.Errorf("%s at %s answered %v", q, cl, resp.Answers)
+			}
+		}
+	}
+}
+
+// TestDrainClosesSilentConnections: a connection the server accepted that
+// never sends a request does not hold the drain. With it open and a 1 s
+// drain, Serve returns nil within 2 s (http.Server.Shutdown alone waits 5 s
+// for such a connection, and the drain ended in a deadline error).
+func TestDrainClosesSilentConnections(t *testing.T) {
+	srv := server.New(server.Config{})
+	drainWithSilentConnection(t, func(ctx context.Context, ln net.Listener) error { return srv.Serve(ctx, ln, time.Second) })
+}
+
+// drainWithSilentConnection serves on a fresh listener, dials one connection
+// that sends nothing, waits for a health check on another to answer — the
+// silent one was accepted first — and fails unless cancelling the serve
+// returns nil within 2 s.
+func drainWithSilentConnection(t *testing.T, serve func(context.Context, net.Listener) error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, ln) }()
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	http.DefaultClient.CloseIdleConnections()
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil || time.Since(start) > 2*time.Second {
+			t.Fatalf("drain with a silent connection open returned %v after %v", err, time.Since(start))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the drain did not return")
 	}
 }

@@ -9,8 +9,16 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/multilog"
 	"repro/internal/workload"
 )
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // TestCachedAnswersNeverStale is the result cache's staleness oracle. Over
 // generated programs and random writes — facts asserted at random levels,
@@ -22,7 +30,11 @@ import (
 // probes are single goals, whose entries a write patches, and a join, whose
 // entries it drops; the oracle logs, and fails on a zero of, the hits that
 // merged a patch, the hits whose answers a patch changed, and the entries
-// writes dropped.
+// writes dropped. A write-down rule, asserted and retracted again, flips the
+// program from monotone to not and back (multilog.MonotoneClause): every
+// clearance below the top changes serving level, and after such a step each
+// of its answers must be uncached, as a cold server's are; the oracle fails
+// on a zero of either flip.
 func TestCachedAnswersNeverStale(t *testing.T) {
 	programs, steps := 40, 8
 	if testing.Short() {
@@ -66,6 +78,7 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 		return n
 	}
 	applied, ruleWrites, cachedServed, patchedHits, changedHits, dropped := 0, 0, 0, 0, 0, 0
+	var flips [2]int // steps that made the program monotone, and not
 	for n := 0; n < programs; n++ {
 		r := rand.New(rand.NewSource(int64(2500 + n)))
 		src := workload.ProgramSource(workload.ProgramConfig{
@@ -86,7 +99,7 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 			lo := r.Intn(levels - 1)
 			hi := lo + 1 + r.Intn(levels-lo-1)
 			rule, toggle := true, false
-			switch k := r.Intn(6); {
+			switch k := r.Intn(7); {
 			case k < 2:
 				lvl := workload.Level(r.Intn(levels))
 				clause, rule = fmt.Sprintf("%s[p%d(k%d: a -%s-> v%d)].", lvl, r.Intn(preds), r.Intn(8), lvl, r.Intn(5)), false
@@ -101,6 +114,15 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 					workload.Level(hi), workload.Level(hi), workload.Level(lo), r.Intn(preds), modes[r.Intn(3)])
 			case k == 4:
 				clause = "lv(X) :- level(X), order(X, Y)."
+			case k == 5 && prog.current().nonMonotone == 0:
+				clause = fmt.Sprintf("%s[r0(K: d -%s-> V)] :- %s[p%d(K: a -C-> V)] << %s.",
+					workload.Level(lo), workload.Level(lo), workload.Level(hi), r.Intn(preds), modes[r.Intn(3)])
+			case k == 5:
+				for _, c := range prog.current().db.Database().Sigma {
+					if !multilog.MonotoneClause(c, prog.current().poset) {
+						clause, retract = c.String(), true
+					}
+				}
 			default:
 				stored := prog.current().db.Database().Sigma
 				c := stored[r.Intn(len(stored))]
@@ -125,6 +147,7 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			var clause string
 			var retract, changed bool
+			monotone := prog.current().nonMonotone == 0
 			for w := 1 + r.Intn(3); w > 0; w-- {
 				c, rt, ch := write()
 				if ch {
@@ -141,7 +164,15 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 			want, _ := answers(cold)
 			patchedHits += queued(s)
 			got, cached := answers(s)
+			flipped := monotone != (prog.current().nonMonotone == 0)
+			if flipped {
+				flips[btoi(monotone)]++
+			}
 			for i := range got {
+				if u := i / len(probes) / len(modes); flipped && u < levels-1 && cached[i] {
+					t.Fatalf("program %d step %d: after %q flipped monotonicity, probe %q at %s/%s was served from the cache",
+						n, step, clause, probes[i%len(probes)], workload.Level(u), modes[i/len(probes)%len(modes)])
+				}
 				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Fatalf("program %d step %d: after %q (retract=%v, the step's last write), probe %q at %s/%s answers %v, a cold server %v",
 						n, step, clause, retract, probes[i%len(probes)], workload.Level(i/len(probes)/len(modes)),
@@ -157,9 +188,9 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 		cachedServed += int(st.Hits)
 		dropped += int(st.Invalidations)
 	}
-	t.Logf("%d writes (%d of rules) over %d programs checked at %d clearance×mode views; %d answers served from the cache, %d merging a patch, %d changed by it; %d entries dropped",
-		applied, ruleWrites, programs, levels*len(modes), cachedServed, patchedHits, changedHits, dropped)
-	if applied < programs*steps/2 || ruleWrites < applied/4 || cachedServed == 0 || patchedHits == 0 || changedHits == 0 || dropped == 0 {
+	t.Logf("%d writes (%d of rules) over %d programs checked at %d clearance×mode views; %d answers served from the cache, %d merging a patch, %d changed by it; %d entries dropped; %d steps made the program non-monotone, %d monotone again",
+		applied, ruleWrites, programs, levels*len(modes), cachedServed, patchedHits, changedHits, dropped, flips[1], flips[0])
+	if applied < programs*steps/2 || ruleWrites < applied/4 || cachedServed == 0 || patchedHits == 0 || changedHits == 0 || dropped == 0 || flips[0] == 0 || flips[1] == 0 {
 		t.Fatal("the oracle saw too little")
 	}
 }

@@ -14,17 +14,26 @@ import (
 const factWriteLevels = 4
 
 // factWriteFixture is the write path at one database size: a 16-rule /
-// 6-predicate program over a 4-level chain with a compiled reduction warm at
-// every clearance, fed the fact writes of the benchmark's write_mix workload.
+// 6-predicate program over a 4-level chain with every clearance warm, fed the
+// fact writes of the benchmark's write_mix workload. The program is
+// monotone, so one compiled reduction, at the top, serves every clearance;
+// per-clearance, two clauses that lint passes make it non-monotone (z's
+// class comes from a p-goal), and each clearance has its own.
 type factWriteFixture struct {
 	p      *preparedProgram
 	writes int
 }
 
-func newFactWriteFixture(tb testing.TB, facts int) *factWriteFixture {
+// perClearanceClauses are the fixture's non-monotone clauses.
+const perClearanceClauses = "zz(none, l0, none).\nl3[z(K: a -C-> V)] :- zz(K, C, V).\n"
+
+func newFactWriteFixture(tb testing.TB, facts int, perClearance bool) *factWriteFixture {
 	tb.Helper()
 	src := workload.ProgramSource(workload.ProgramConfig{
 		Levels: factWriteLevels, Facts: facts, Rules: 16, Preds: 6, Poly: 0.3, Seed: 1})
+	if perClearance {
+		src += perClearanceClauses
+	}
 	p, _, err := newPrepared("bench", src, resource.Limits{})
 	if err != nil {
 		tb.Fatal(err)
@@ -58,19 +67,22 @@ func (fx *factWriteFixture) write(tb testing.TB) {
 
 // BenchmarkServerFactWrite prices one committed fact write through
 // preparedProgram.update — parse, authorize, the next database version, lint,
-// snapshot, an advance per warm clearance — at four database sizes, without
-// the WAL and the HTTP round trip. The 32000-fact fixture takes ≈ 25 s to
-// build.
+// snapshot, an advance per warm serving level — at four database sizes,
+// without the WAL and the HTTP round trip, with one reduction serving every
+// clearance (serving=shared) and with one per clearance
+// (serving=per-clearance). The 32000-fact fixtures take ≈ 25 s to build.
 func BenchmarkServerFactWrite(b *testing.B) {
 	for _, facts := range []int{200, 2000, 8000, 32000} {
-		b.Run(fmt.Sprintf("facts=%d", facts), func(b *testing.B) {
-			fx := newFactWriteFixture(b, facts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fx.write(b)
-			}
-		})
+		for _, serving := range []string{"shared", "per-clearance"} {
+			b.Run(fmt.Sprintf("facts=%d/serving=%s", facts, serving), func(b *testing.B) {
+				fx := newFactWriteFixture(b, facts, serving == "per-clearance")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fx.write(b)
+				}
+			})
+		}
 	}
 }
 
@@ -85,7 +97,7 @@ func TestFactWriteAllocsFlatInDatabaseSize(t *testing.T) {
 	const writes = 24
 	type cost struct{ allocs, bytes float64 }
 	perWrite := func(facts int) cost {
-		fx := newFactWriteFixture(t, facts)
+		fx := newFactWriteFixture(t, facts, false)
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
 		fx.write(t)                                     // warm-up, as testing.AllocsPerRun
 		var before, after runtime.MemStats
@@ -119,7 +131,7 @@ func BenchmarkServerRuleWrite(b *testing.B) {
 	top := workload.Level(factWriteLevels - 1)
 	for _, facts := range []int{200, 2000, 8000} {
 		b.Run(fmt.Sprintf("facts=%d", facts), func(b *testing.B) {
-			fx := newFactWriteFixture(b, facts)
+			fx := newFactWriteFixture(b, facts, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

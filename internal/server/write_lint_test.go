@@ -223,7 +223,7 @@ func preparedFrom(t *testing.T, name string, db *multilog.Database) *preparedPro
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &preparedProgram{name: name, snap: newSnapshot(1, multilog.NewVersion(db), poset)}
+	return &preparedProgram{name: name, snap: newSnapshot(1, db, poset)}
 }
 
 // randomWrite draws a write from the program's own vocabulary: a retract of

@@ -27,6 +27,9 @@ const (
 	// ShapeDAG is a random layered DAG poset (not necessarily a lattice),
 	// exercising the multiple-model paths.
 	ShapeDAG
+	// ShapeProduct is the product of the chain l0 < l1 with a chain of n/2
+	// levels: a lattice whose middle levels pair up incomparably.
+	ShapeProduct
 )
 
 // String names the shape for benchmark labels.
@@ -38,6 +41,8 @@ func (s LatticeShape) String() string {
 		return "diamond"
 	case ShapeDAG:
 		return "dag"
+	case ShapeProduct:
+		return "product"
 	}
 	return "?"
 }
@@ -46,7 +51,7 @@ func (s LatticeShape) String() string {
 func Level(i int) lattice.Label { return lattice.Label(fmt.Sprintf("l%d", i)) }
 
 // Lattice builds a poset of about n levels in the given shape. The result
-// is validated; for chain and diamond it is also a lattice.
+// is validated; for chain, diamond and product it is also a lattice.
 func Lattice(shape LatticeShape, n int, seed int64) *lattice.Poset {
 	if n < 2 {
 		n = 2
@@ -75,6 +80,20 @@ func Lattice(shape LatticeShape, n int, seed int64) *lattice.Poset {
 		for ; i < n; i++ {
 			mustOrder(p, prevTop, Level(i))
 			prevTop = Level(i)
+		}
+	case ShapeProduct:
+		// Level i*w+j is the pair (i, j).
+		w := n / 2
+		for i := 0; i < 2; i++ {
+			for j := 0; j < w; j++ {
+				p.Add(Level(i*w + j))
+				if j > 0 {
+					mustOrder(p, Level(i*w+j-1), Level(i*w+j))
+				}
+				if i > 0 {
+					mustOrder(p, Level(j), Level(w+j))
+				}
+			}
 		}
 	case ShapeDAG:
 		r := rand.New(rand.NewSource(seed))

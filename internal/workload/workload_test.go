@@ -9,7 +9,7 @@ import (
 )
 
 func TestLatticeShapes(t *testing.T) {
-	for _, shape := range []LatticeShape{ShapeChain, ShapeDiamond, ShapeDAG} {
+	for _, shape := range []LatticeShape{ShapeChain, ShapeDiamond, ShapeDAG, ShapeProduct} {
 		for _, n := range []int{2, 4, 7, 16} {
 			p := Lattice(shape, n, 42)
 			if err := p.Validate(); err != nil {
@@ -29,10 +29,13 @@ func TestLatticeShapes(t *testing.T) {
 	if !Lattice(ShapeDiamond, 7, 0).IsLattice() {
 		t.Error("diamond towers must be lattices")
 	}
+	if p := Lattice(ShapeProduct, 6, 0); !p.IsLattice() || p.IsTotalOrder() || p.Len() != 6 {
+		t.Error("a product of chains must be a lattice of six levels, and not a chain")
+	}
 }
 
 func TestLatticeShapeNames(t *testing.T) {
-	if ShapeChain.String() != "chain" || ShapeDiamond.String() != "diamond" || ShapeDAG.String() != "dag" {
+	if ShapeChain.String() != "chain" || ShapeDiamond.String() != "diamond" || ShapeDAG.String() != "dag" || ShapeProduct.String() != "product" {
 		t.Error("shape names broken")
 	}
 }
