@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/differential"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func main() {
 		if *mode == "multilog" || *mode == "both" {
 			results = append(results, differential.RunMultiLogCampaign(batchSeed, *programs))
 		}
-		progs, cases := 0, 0
+		progs, cases, unshaped := 0, 0, false
 		for _, r := range results {
 			progs += r.Programs
 			cases += r.Cases
@@ -57,22 +58,37 @@ func main() {
 				found++
 				fmt.Printf("%s\nregression test:\n%s\n", d.Report(), d.RegressionTest(fmt.Sprintf("Difffuzz%d", found)))
 			}
+			unshaped = printShapes(r.Mix, r.Shapes) || unshaped
 		}
 		if *verbose || found > 0 {
 			fmt.Printf("batch %d: seed %d, %d programs, %d cases, %d disagreements, %v\n",
 				round, batchSeed, progs, cases, found, time.Since(start).Round(time.Millisecond))
 		}
-		if found > 0 {
+		if found > 0 || unshaped {
 			os.Exit(1)
 		}
 	}
 	fmt.Printf("difffuzz: all oracles agree (%s mode, %d rounds of %d programs)\n", *mode, *rounds, *programs)
 }
 
+// printShapes prints how many clauses a campaign drew of each shape of its
+// mix, and reports whether it drew none of some shape: that shape went
+// unchecked.
+func printShapes(mix workload.Mix, counts map[workload.ClauseShape]int) (missing bool) {
+	for _, s := range mix.Shapes() {
+		fmt.Printf("shape %-16s %d clauses\n", s, counts[s])
+	}
+	for _, s := range mix.Missing(counts) {
+		fmt.Printf("shape %s was never drawn\n", s)
+		missing = true
+	}
+	return missing
+}
+
 // shared runs the shared-serving campaign once and returns the exit code: 1
-// on a misclassified clause, a monotone program whose view diverged, or a
+// on a misclassified clause, a monotone program whose view diverged, a
 // non-monotone program set none of which diverged (a check that guards
-// nothing).
+// nothing), or a shape of the campaign's mix it never drew.
 func shared(seed int64, programs int, verbose bool) int {
 	start := time.Now()
 	res := differential.RunSharedCampaign(seed, programs)
@@ -82,11 +98,12 @@ func shared(seed int64, programs int, verbose bool) int {
 	for _, d := range res.Divergences {
 		fmt.Println("diverged:", d)
 	}
+	unshaped := printShapes(res.Mix, res.Shapes)
 	if verbose {
-		fmt.Printf("shared: seed %d, %d programs (%d monotone), %d probes compared, %d of %d non-monotone programs diverge when served shared, shapes %v, %v\n",
-			seed, res.Programs, res.Monotone, res.Probes, res.Diverged, res.Programs-res.Monotone, res.Shapes, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("shared: seed %d, %d programs (%d monotone), %d probes compared, %d of %d non-monotone programs diverge when served shared, %v\n",
+			seed, res.Programs, res.Monotone, res.Probes, res.Diverged, res.Programs-res.Monotone, time.Since(start).Round(time.Millisecond))
 	}
-	if len(res.Misclassified)+len(res.Divergences) > 0 || res.Diverged == 0 {
+	if len(res.Misclassified)+len(res.Divergences) > 0 || res.Diverged == 0 || unshaped {
 		return 1
 	}
 	fmt.Printf("difffuzz: every view answers as its clearance's reduction (%d programs)\n", programs)

@@ -142,8 +142,9 @@ func (sld *SLD) ProveContext(ctx context.Context, goal Atom, max int) ([]Answer,
 			}
 			return nil
 		}
+		inst := g.Apply(s)
 		for ci, c := range sld.prog.Clauses {
-			if c.Head.Pred != g.Pred || c.Head.Arity() != g.Arity() {
+			if c.Head.Pred != g.Pred || c.Head.Arity() != g.Arity() || constantsClash(inst, c.Head) {
 				continue
 			}
 			rc := c.Rename(&sld.renamer)
@@ -215,6 +216,19 @@ func (sld *SLD) ProveContext(ctx context.Context, goal Atom, max int) ([]Answer,
 		return nil, err
 	}
 	return answers, nil
+}
+
+// constantsClash reports whether some argument is a constant in both the goal
+// and the clause head, and not the same one: the head cannot unify with the
+// goal, so the clause need not be renamed, nor the substitution cloned, to
+// find that out.
+func constantsClash(goal, head Atom) bool {
+	for i, a := range goal.Args {
+		if b := head.Args[i]; a.Kind() == term.KindConst && b.Kind() == term.KindConst && !a.Equal(b) {
+			return true
+		}
+	}
+	return false
 }
 
 // ensureModel lazily computes the NAF model, governed by the Prove call's

@@ -45,7 +45,7 @@ func AssertMultiLogAgreement(t TB, src, user, querySrc string) {
 	if err != nil {
 		t.Fatalf("parse query %q: %v", querySrc, err)
 	}
-	names, outs := runMultiLogOracles(db, lattice.Label(user), q)
+	names, outs := runMultiLogOracles(MultiLogOracles(), db, lattice.Label(user), q)
 	if bad := compareOutcomes(names, outs); len(bad) > 0 {
 		t.Fatalf("semantics disagree on %s at user %s:\n%s", querySrc, user, renderOutcomes(names, outs))
 	}

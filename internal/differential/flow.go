@@ -2,11 +2,12 @@ package differential
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/lattice"
 	"repro/internal/multilog"
 	"repro/internal/workload"
 )
@@ -64,58 +65,40 @@ type FlowCampaignResult struct {
 	Varied      int
 	Probes      int
 	Violations  []*FlowViolation
+	// Shapes counts the clauses the campaign drew of each shape.
+	Shapes map[workload.ClauseShape]int
 }
 
-// flowProbeAttr maps the generator's predicate families to the attribute
-// their tuples carry: ProgramSource facts use attribute a, rule heads d.
-func flowProbeAttr(pred string) string {
-	if strings.HasPrefix(pred, "p") {
-		return "a"
-	}
-	return "d"
-}
-
-// flowCase is one generated database plus its chain of user levels.
-type flowCase struct {
-	seed   int64
-	src    string
-	db     *multilog.Database
-	levels int
-}
-
-// flowCases generates n seeded databases. Each program gets a guaranteed
-// clearance-independent island (an l0 fact and an l0-headed rule over it)
-// so the campaign always exercises the claimed-independent class, and every
-// third program gets an injected downgrade rule — an l0 head fed from the
-// chain's top level — so the dependent class demonstrably varies.
-func flowCases(seed int64, n int) []flowCase {
-	out := make([]flowCase, 0, n)
-	for i := 0; i < n; i++ {
-		cfg := workload.ProgramConfig{
-			Levels: 2 + i%3,
-			Facts:  3 + i%5,
-			Rules:  1 + i%3,
-			Preds:  2,
-			Poly:   0.5,
-			Seed:   seed + int64(i),
-		}
-		src := workload.ProgramSource(cfg)
-		bottom, top := workload.Level(0), workload.Level(cfg.Levels-1)
-		src += fmt.Sprintf("%s[p7(k0: a -%s-> base)].\n", bottom, bottom)
-		src += fmt.Sprintf("%s[q7(K: d -%s-> echoed)] :- %s[p7(K: a -C-> V)] << fir.\n",
-			bottom, bottom, bottom)
+// flowCases generates n seeded databases: the cross-engine campaign's
+// (multilogPrograms), a clearance-independent island (an l0 fact and an
+// l0-headed rule over it) so that the campaign always exercises the
+// claimed-independent class, and, in every third, a write-down rule drawn
+// against it; each probed at the bottom level.
+func flowCases(seed int64, n int) []multilogProgram {
+	out := multilogPrograms(seed, n)
+	for i := range out {
+		c, l0 := &out[i], workload.Level(0)
+		prog := *c.Program
+		prog.Source += fmt.Sprintf("%s[p7(k0: a -%s-> base)].\n%s[q7(K: d -%s-> echoed)] :- %s[p7(K: a -C-> V)] << fir.\n", l0, l0, l0, l0, l0)
+		c.Program, c.db = &prog, mustParse(prog.Source)
 		if i%3 == 0 {
-			src += fmt.Sprintf("%s[q8(K: d -%s-> leak)] :- %s[p0(K: a -C-> V)] << opt.\n",
-				bottom, bottom, top)
+			w := workload.DrawWrite(rand.New(rand.NewSource(c.seed)), c.db, c.Poset, workload.Mix{workload.WriteDown: 1}, 8)
+			prog.Source, prog.Clauses = prog.Source+w.Src+"\n", append(prog.Clauses, w.Clause)
+			c.db = mustParse(prog.Source)
 		}
-		db, err := multilog.Parse(src)
-		if err != nil {
-			//vet:allow nopanic -- a generator bug must abort the campaign loudly
-			panic(fmt.Sprintf("differential: flow generator emitted unparsable program:\n%s\n%v", src, err))
-		}
-		out = append(out, flowCase{seed: cfg.Seed, src: src, db: db, levels: cfg.Levels})
+		c.probes = slices.DeleteFunc(workload.Probes(c.db, c.Poset, l0), func(p workload.Probe) bool { return p.Level != l0 })
 	}
 	return out
+}
+
+// mustParse parses a generated program.
+func mustParse(src string) *multilog.Database {
+	db, err := multilog.Parse(src)
+	if err != nil {
+		//vet:allow nopanic -- a generator bug must abort the campaign loudly
+		panic(fmt.Sprintf("differential: generator emitted unparsable program:\n%s\n%v", src, err))
+	}
+	return db
 }
 
 // RunFlowCampaign generates n seeded databases, runs the information-flow
@@ -123,81 +106,62 @@ func flowCases(seed int64, n int) []flowCase {
 // bottom level (the one level every user dominates) under all four belief
 // readings, as every user, through the Figure 12 reduction. A predicate the
 // analysis claims clearance-independent must answer byte-identically for
-// every user; a predicate whose answers vary must not carry the claim. Each
-// case is reduced once per user, at its first probe, and every probe is
-// answered through that reduction as reduceOracle answers it.
+// every user; a predicate whose answers vary must not carry the claim. A
+// reduceOracle keeping its reductions reduces each case once per user.
 func RunFlowCampaign(seed int64, n int) FlowCampaignResult {
-	res := FlowCampaignResult{Programs: n}
+	res := FlowCampaignResult{Programs: n, Shapes: map[workload.ClauseShape]int{}}
 	for _, c := range flowCases(seed, n) {
+		for _, cl := range c.Clauses {
+			res.Shapes[cl.Shape]++
+		}
 		flow, err := analysis.AnalyzeFlow(c.db)
 		if err != nil {
 			//vet:allow nopanic -- generated lattices are valid chains by construction
 			panic(fmt.Sprintf("differential: flow analysis rejected generated program: %v", err))
 		}
-		users := make([]lattice.Label, c.levels)
-		for l := 0; l < c.levels; l++ {
-			users[l] = workload.Level(l)
-		}
-		reds := make([]*multilog.Reduction, len(users))
-		answer := func(ui int, q multilog.Query) (Result, error) {
-			if reds[ui] == nil {
-				red, err := multilog.Reduce(c.db, users[ui])
-				if err != nil {
-					return Result{}, err
-				}
-				reds[ui] = red
-			}
-			return reductionAnswer(reds[ui], q)
-		}
-		bottom := workload.Level(0)
+		oracle := reduceOracle{reductions{}}
+		varied := map[string]bool{}
 		for _, pred := range flow.PredNames() {
-			info := flow.Preds[pred]
-			res.Preds++
-			if info.ClearanceIndependent {
+			if flow.Preds[pred].ClearanceIndependent {
 				res.Independent++
 			} else {
 				res.Dependent++
 			}
-			varied := false
-			for _, mode := range []string{"", " << fir", " << opt", " << cau"} {
-				probe := fmt.Sprintf("%s[%s(K: %s -C-> V)]%s", bottom, pred, flowProbeAttr(pred), mode)
-				q, err := multilog.ParseGoals(probe)
-				if err != nil {
-					//vet:allow nopanic -- a malformed probe is a harness bug, not a test failure
-					panic(fmt.Sprintf("differential: bad flow probe %q: %v", probe, err))
+		}
+		res.Preds += len(flow.PredNames())
+		for _, probe := range c.probes {
+			info := flow.Preds[probe.Pred]
+			if info == nil {
+				continue
+			}
+			res.Probes++
+			results := map[string]string{}
+			first, same := "", true
+			for ui, user := range c.Poset.Labels() {
+				rendered := ""
+				if r, err := oracle.Answer(c.db, user, probe.Query); err != nil {
+					rendered = "error: " + err.Error()
+				} else {
+					rendered = r.String()
 				}
-				res.Probes++
-				results := make(map[string]string, len(users))
-				first, same := "", true
-				for ui, user := range users {
-					r, err := answer(ui, q)
-					rendered := "error: <nil>"
-					if err != nil {
-						rendered = "error: " + err.Error()
-					} else {
-						rendered = r.String()
-					}
-					results[string(user)] = rendered
-					if ui == 0 {
-						first = rendered
-					} else if rendered != first {
-						same = false
-					}
-				}
-				if same {
-					continue
-				}
-				varied = true
-				if info.ClearanceIndependent {
-					res.Violations = append(res.Violations, &FlowViolation{
-						Seed: c.seed, Source: c.src, Pred: pred, Probe: probe, Results: results,
-					})
+				results[string(user)] = rendered
+				if ui == 0 {
+					first = rendered
+				} else if rendered != first {
+					same = false
 				}
 			}
-			if varied {
-				res.Varied++
+			if same {
+				continue
+			}
+			varied[probe.Pred] = true
+			if info.ClearanceIndependent {
+				res.Violations = append(res.Violations, &FlowViolation{
+					Seed: c.seed, Source: c.Source, Pred: probe.Pred, Probe: probe.Src, Results: results,
+				})
 			}
 		}
+		res.Varied += len(varied)
 	}
 	return res
 }

@@ -3,6 +3,8 @@ package differential
 import (
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // TestFlowCampaign is the standing gate for the information-flow analysis:
@@ -28,7 +30,7 @@ func TestFlowCampaign(t *testing.T) {
 			})
 		}
 	})
-	total := FlowCampaignResult{}
+	total, shapes := FlowCampaignResult{}, map[workload.ClauseShape]int{}
 	for _, res := range results {
 		total.Programs += res.Programs
 		total.Preds += res.Preds
@@ -37,7 +39,11 @@ func TestFlowCampaign(t *testing.T) {
 		total.Varied += res.Varied
 		total.Probes += res.Probes
 		total.Violations = append(total.Violations, res.Violations...)
+		for sh, k := range res.Shapes {
+			shapes[sh] += k
+		}
 	}
+	checkShapes(t, workload.Mix{workload.ConstantLevel: 1, workload.WriteDown: 1}, shapes)
 	for _, v := range total.Violations {
 		t.Errorf("clearance-independence claim falsified:\n%s", v.Report())
 	}
@@ -66,7 +72,7 @@ func TestFlowCasesDeterministic(t *testing.T) {
 		t.Fatalf("case counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].src != b[i].src {
+		if a[i].Source != b[i].Source {
 			t.Fatalf("case %d differs between identically-seeded runs", i)
 		}
 	}

@@ -2,7 +2,6 @@ package differential
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/datalog"
 	"repro/internal/lattice"
@@ -47,58 +46,52 @@ func DatalogPrograms(seed int64, n int) []DatalogCase {
 	return out
 }
 
-// MultiLogPrograms generates n seeded databases (chains of 2-4 levels with
-// polyinstantiation) and pairs each with probe queries spanning m-atoms,
-// all three belief modes, derived predicates, a variable-level goal and two
-// joins, at every user level.
+// crossEngineMix is the cross-engine campaign's shape mix: ProgramSource's
+// constant-level rules, whose programs the prover answers without hitting
+// its depth bound.
+var crossEngineMix = workload.Mix{workload.ConstantLevel: 1}
+
+// multilogProgram is one generated database of the cross-engine campaign
+// and the queries it is probed with.
+type multilogProgram struct {
+	*workload.Program
+	seed   int64
+	db     *multilog.Database
+	probes []workload.Probe
+}
+
+// multilogPrograms generates n seeded databases from crossEngineMix: chains
+// of 2–4 levels with polyinstantiation, each probed (workload.Probes) at a
+// level variable and at every level.
+func multilogPrograms(seed int64, n int) []multilogProgram {
+	out := make([]multilogProgram, 0, n)
+	for i := 0; i < n; i++ {
+		prog := workload.Generate(workload.ProgramConfig{
+			Levels: 2 + i%3, Facts: 3 + i%5, Rules: 1 + i%3, Preds: 2, Poly: 0.5, Seed: seed + int64(i), Mix: crossEngineMix,
+		})
+		db := mustParse(prog.Source)
+		out = append(out, multilogProgram{prog, seed + int64(i), db, workload.Probes(db, prog.Poset, prog.Poset.Labels()...)})
+	}
+	return out
+}
+
+// cases pairs every probe of p with every user level.
+func (p multilogProgram) cases() []MultiLogCase {
+	var out []MultiLogCase
+	for _, user := range p.Poset.Labels() {
+		for _, probe := range p.probes {
+			out = append(out, MultiLogCase{Seed: p.seed, DB: p.db, Source: p.Source, User: user, Query: probe.Query, QuerySrc: probe.Src})
+		}
+	}
+	return out
+}
+
+// MultiLogPrograms generates n seeded databases (multilogPrograms) and pairs
+// each probe of each with every user level.
 func MultiLogPrograms(seed int64, n int) []MultiLogCase {
 	var out []MultiLogCase
-	for i := 0; i < n; i++ {
-		cfg := workload.ProgramConfig{
-			Levels: 2 + i%3,
-			Facts:  3 + i%5,
-			Rules:  1 + i%3,
-			Preds:  2,
-			Poly:   0.5,
-			Seed:   seed + int64(i),
-		}
-		src := workload.ProgramSource(cfg)
-		db, err := multilog.Parse(src)
-		if err != nil {
-			//vet:allow nopanic -- a generator bug must abort the fuzz run loudly
-			panic(fmt.Sprintf("differential: generator emitted unparsable program:\n%s\n%v", src, err))
-		}
-		var probes []string
-		for l := 0; l < cfg.Levels; l++ {
-			lvl := workload.Level(l)
-			probes = append(probes,
-				fmt.Sprintf("%s[p0(K: a -C-> V)]", lvl),
-				fmt.Sprintf("%s[p0(K: a -C-> V)] << fir", lvl),
-				fmt.Sprintf("%s[p0(K: a -C-> V)] << opt", lvl),
-				fmt.Sprintf("%s[p1(K: a -C-> V)] << cau", lvl),
-				fmt.Sprintf("%s[q0(K: d -C-> V)]", lvl),
-			)
-		}
-		// Two joins the reduction's planner reorders and the prover solves
-		// as written: the unbound derived goal first, and a two-predicate
-		// join ending in a '!=' (last, so that the prover accepts it).
-		probes = append(probes, "L[p0(K: a -C-> V)] << opt",
-			"M[q0(K: d -D-> W)], L[p0(K: a -C-> v1)]",
-			"L[p0(K: a -C-> V)], M[p1(K2: a -D-> V)] << cau, K != K2")
-		for l := 0; l < cfg.Levels; l++ {
-			user := workload.Level(l)
-			for _, probe := range probes {
-				q, err := multilog.ParseGoals(probe)
-				if err != nil {
-					//vet:allow nopanic -- a malformed probe is a harness bug, not a test failure
-					panic(fmt.Sprintf("differential: bad probe %q: %v", probe, err))
-				}
-				out = append(out, MultiLogCase{
-					Seed: cfg.Seed, DB: db, Source: src,
-					User: user, Query: q, QuerySrc: probe,
-				})
-			}
-		}
+	for _, p := range multilogPrograms(seed, n) {
+		out = append(out, p.cases()...)
 	}
 	return out
 }
@@ -196,8 +189,7 @@ func CheckDatalog(c DatalogCase) *Disagreement {
 	return d
 }
 
-func runMultiLogOracles(db *multilog.Database, user lattice.Label, q multilog.Query) ([]string, []outcome) {
-	oracles := MultiLogOracles()
+func runMultiLogOracles(oracles []MultiLogOracle, db *multilog.Database, user lattice.Label, q multilog.Query) ([]string, []outcome) {
 	names := make([]string, len(oracles))
 	outs := make([]outcome, len(oracles))
 	for i, o := range oracles {
@@ -209,14 +201,16 @@ func runMultiLogOracles(db *multilog.Database, user lattice.Label, q multilog.Qu
 }
 
 func multilogDisagrees(db *multilog.Database, user lattice.Label, q multilog.Query) bool {
-	names, outs := runMultiLogOracles(db, user, q)
+	names, outs := runMultiLogOracles(MultiLogOracles(), db, user, q)
 	return len(compareOutcomes(names, outs)) > 0
 }
 
-// CheckMultiLog cross-checks one case against both MultiLog semantics,
-// shrinking the database on disagreement. nil means Theorem 6.1 held.
-func CheckMultiLog(c MultiLogCase) *Disagreement {
-	names, outs := runMultiLogOracles(c.DB, c.User, c.Query)
+// CheckMultiLog cross-checks one case against both MultiLog semantics
+// through oracles, which may keep the database's reductions (keptOracles),
+// shrinking the database on disagreement with fresh oracles for each
+// candidate. nil means Theorem 6.1 held.
+func CheckMultiLog(c MultiLogCase, oracles []MultiLogOracle) *Disagreement {
+	names, outs := runMultiLogOracles(oracles, c.DB, c.User, c.Query)
 	bad := compareOutcomes(names, outs)
 	if len(bad) == 0 {
 		return nil
@@ -224,7 +218,7 @@ func CheckMultiLog(c MultiLogCase) *Disagreement {
 	minimal := ShrinkMultiLog(c.DB, func(db *multilog.Database) bool {
 		return multilogDisagrees(db, c.User, c.Query)
 	})
-	mnames, mouts := runMultiLogOracles(minimal, c.User, c.Query)
+	mnames, mouts := runMultiLogOracles(MultiLogOracles(), minimal, c.User, c.Query)
 	d := &Disagreement{
 		Kind:      "multilog",
 		Seed:      c.Seed,
@@ -246,6 +240,10 @@ type CampaignResult struct {
 	Programs      int
 	Cases         int
 	Disagreements []*Disagreement
+	// Mix is the shape mix a MultiLog campaign declares, and Shapes counts
+	// the clauses it drew of each shape.
+	Mix    workload.Mix
+	Shapes map[workload.ClauseShape]int
 }
 
 // RunDatalogCampaign cross-checks n seeded Datalog programs (each with its
@@ -264,11 +262,17 @@ func RunDatalogCampaign(seed int64, n int) CampaignResult {
 // RunMultiLogCampaign cross-checks n seeded MultiLog databases at every
 // user level against both semantics.
 func RunMultiLogCampaign(seed int64, n int) CampaignResult {
-	res := CampaignResult{Programs: n}
-	for _, c := range MultiLogPrograms(seed, n) {
-		res.Cases++
-		if d := CheckMultiLog(c); d != nil {
-			res.Disagreements = append(res.Disagreements, d)
+	res := CampaignResult{Programs: n, Mix: crossEngineMix, Shapes: map[workload.ClauseShape]int{}}
+	for _, p := range multilogPrograms(seed, n) {
+		for _, c := range p.Clauses {
+			res.Shapes[c.Shape]++
+		}
+		oracles := keptOracles()
+		for _, c := range p.cases() {
+			res.Cases++
+			if d := CheckMultiLog(c, oracles); d != nil {
+				res.Disagreements = append(res.Disagreements, d)
+			}
 		}
 	}
 	return res

@@ -1,8 +1,13 @@
 package differential
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // campaignSizes returns the campaign scale: the full ≥200-program campaign
@@ -35,6 +40,7 @@ func TestCrossEngineCampaign(t *testing.T) {
 			d.Report(), d.RegressionTest("Campaign"))
 	}
 
+	checkShapes(t, workload.Mix{workload.ConstantLevel: 1}, mres.Shapes)
 	elapsed := time.Since(start)
 	t.Logf("campaign: %d programs, %d cases in %v",
 		dres.Programs+mres.Programs, dres.Cases+mres.Cases, elapsed)
@@ -47,7 +53,9 @@ func TestCrossEngineCampaign(t *testing.T) {
 }
 
 // The generators are seeded: the same seed must yield byte-identical cases,
-// so a counterexample's seed is enough to reproduce it.
+// so a counterexample's seed is enough to reproduce it — the Datalog and
+// MultiLog campaign cases, and the workload generator's
+// programs, writes and probes for every mix a campaign declares.
 func TestGeneratorsDeterministic(t *testing.T) {
 	a := DatalogPrograms(7, 10)
 	b := DatalogPrograms(7, 10)
@@ -67,6 +75,26 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	for i := range ma {
 		if ma[i].Source != mb[i].Source || ma[i].QuerySrc != mb[i].QuerySrc || ma[i].User != mb[i].User {
 			t.Fatalf("multilog case %d differs between identically-seeded runs", i)
+		}
+	}
+	draw := func(mix workload.Mix, seed int64) string {
+		var out strings.Builder
+		prog := workload.Generate(workload.ProgramConfig{Lattice: workload.LatticeShape(seed % 4), Levels: 5, Facts: 20, Preds: 3,
+			Rules: 6, Poly: 0.3, ClassBelow: true, Mix: mix, Seed: seed})
+		out.WriteString(prog.Source)
+		db := mustParse(prog.Source)
+		r := rand.New(rand.NewSource(seed))
+		for n := 0; n < 10; n++ {
+			fmt.Fprintln(&out, workload.DrawWrite(r, db, prog.Poset, mix.With(workload.Mix{workload.Retract: 1, workload.Fact: 1}), n))
+		}
+		fmt.Fprintln(&out, workload.Probes(db, prog.Poset, prog.Poset.Labels()...))
+		return out.String()
+	}
+	for _, mix := range []workload.Mix{crossEngineMix, crossEngineMix.With(workload.Mix{workload.WriteDown: 1}), sharedMix, sharedMix.With(workload.HostileMix)} {
+		for seed := int64(0); seed < 8; seed++ {
+			if draw(mix, seed) != draw(mix, seed) {
+				t.Fatalf("mix %v, seed %d: the generator drew two programs, write sequences or probe sets", mix, seed)
+			}
 		}
 	}
 }

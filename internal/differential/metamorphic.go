@@ -117,13 +117,14 @@ func CheckDeadRules(p *datalog.Program, goal datalog.Atom) error {
 // CheckDominanceCoherence checks view coherence under label dominance: for
 // every pair of user levels u ⪯ u', the answers visible at u are a subset
 // of those visible at u' — raising clearance only relaxes the Bell-LaPadula
-// guards, it never hides a tuple.
-func CheckDominanceCoherence(c MultiLogCase) error {
+// guards, it never hides a tuple. kept holds c.DB's reductions across calls
+// (nil builds them afresh).
+func CheckDominanceCoherence(c MultiLogCase, kept reductions) error {
 	poset, err := c.DB.Poset()
 	if err != nil {
 		return nil
 	}
-	oracle := reduceOracle{}
+	oracle := reduceOracle{kept}
 	answers := map[string]Result{}
 	for _, u := range poset.Labels() {
 		r, err := oracle.Answer(c.DB, u, c.Query)
@@ -178,7 +179,7 @@ func CheckEmbedding(p *datalog.Program, goal datalog.Atom) error {
 	}
 	wantRes := substResult(want)
 	q := multilog.Query{multilog.PGoal(goal)}
-	names, outs := runMultiLogOracles(db, "l0", q)
+	names, outs := runMultiLogOracles(MultiLogOracles(), db, "l0", q)
 	for i, o := range outs {
 		if errors.Is(o.err, ErrUnsupported) {
 			continue

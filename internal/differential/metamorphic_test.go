@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/multilog"
 	"repro/internal/workload"
 )
 
@@ -21,7 +22,7 @@ func TestMonotonicity(t *testing.T) {
 // superset of every lower user's answers, for every probe query of every
 // generated database.
 func TestDominanceCoherence(t *testing.T) {
-	checked := map[string]bool{}
+	checked, kept := map[string]bool{}, map[*multilog.Database]reductions{}
 	for _, c := range MultiLogPrograms(13, 15) {
 		// The property quantifies over all users itself; dedup per
 		// (program, query).
@@ -30,7 +31,10 @@ func TestDominanceCoherence(t *testing.T) {
 			continue
 		}
 		checked[key] = true
-		if err := CheckDominanceCoherence(c); err != nil {
+		if kept[c.DB] == nil {
+			kept[c.DB] = reductions{}
+		}
+		if err := CheckDominanceCoherence(c, kept[c.DB]); err != nil {
 			t.Errorf("seed %d: %v", c.Seed, err)
 		}
 	}

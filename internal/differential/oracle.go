@@ -188,32 +188,53 @@ func (o proverOracle) Answer(db *multilog.Database, user lattice.Label, q multil
 	return NewResult(tuples), nil
 }
 
-// reduceOracle is the Figure 12 reduction to the classical engine.
-type reduceOracle struct{}
+// reductions keeps a reducing oracle's reduction at each clearance for the
+// cases of one database, so that a campaign builds each once and asks it
+// every query of that clearance; a nil one builds a reduction per query.
+type reductions map[lattice.Label]*kept
+
+type kept struct {
+	red *multilog.Reduction
+	err error
+}
+
+func (rs reductions) at(user lattice.Label, build func() (*multilog.Reduction, error)) (*multilog.Reduction, error) {
+	if rs == nil {
+		return build()
+	}
+	if rs[user] == nil {
+		k := &kept{}
+		k.red, k.err = build()
+		rs[user] = k
+	}
+	return rs[user].red, rs[user].err
+}
+
+// reduceOracle is the Figure 12 reduction to the classical engine. A kept
+// reduction answers as a fresh one: Query registers the belief axioms q
+// needs and rebuilds its cached model only when that adds one.
+type reduceOracle struct{ kept reductions }
 
 func (reduceOracle) Name() string { return "reduce" }
 
-func (reduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog.Query) (Result, error) {
-	red, err := multilog.Reduce(db, user)
+func (o reduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog.Query) (Result, error) {
+	red, err := o.kept.at(user, func() (*multilog.Reduction, error) { return multilog.Reduce(db, user) })
 	if err != nil {
 		return Result{}, err
 	}
-	return reductionAnswer(red, q)
-}
-
-// reductionAnswer is reduceOracle's answer to q through a reduction already
-// built, which a caller may keep and query again: Query registers the belief
-// axioms q needs and rebuilds its cached model only when that adds one.
-func reductionAnswer(red *multilog.Reduction, q multilog.Query) (Result, error) {
 	answers, err := red.Query(q)
 	if err != nil {
 		return Result{}, err
 	}
+	return answerResult(answers), nil
+}
+
+func answerResult(answers []multilog.Answer) Result {
 	tuples := make([]string, len(answers))
 	for i, a := range answers {
 		tuples[i] = a.Bindings.String()
 	}
-	return NewResult(tuples), nil
+	return NewResult(tuples)
 }
 
 // compiledReduceOracle runs the same Figure 12 reduction, but materializes
@@ -221,27 +242,27 @@ func reductionAnswer(red *multilog.Reduction, q multilog.Query) (Result, error) 
 // answers via QueryPrepared. It must byte-agree with reduceOracle — and,
 // through Theorem 6.1, with the prover — at every clearance and belief
 // mode.
-type compiledReduceOracle struct{}
+type compiledReduceOracle struct{ kept reductions }
 
 func (compiledReduceOracle) Name() string { return "reduce-compiled" }
 
-func (compiledReduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog.Query) (Result, error) {
-	red, err := multilog.Reduce(db, user)
+func (o compiledReduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog.Query) (Result, error) {
+	red, err := o.kept.at(user, func() (*multilog.Reduction, error) {
+		red, err := multilog.Reduce(db, user)
+		if err != nil {
+			return nil, err
+		}
+		_, err = compile.PrepareReduction(context.Background(), red, compile.Options{})
+		return red, unsupported(err)
+	})
 	if err != nil {
 		return Result{}, err
-	}
-	if _, err := compile.PrepareReduction(context.Background(), red, compile.Options{}); err != nil {
-		return Result{}, unsupported(err)
 	}
 	answers, _, err := red.QueryPrepared(context.Background(), q, resource.Limits{})
 	if err != nil {
 		return Result{}, unsupported(err)
 	}
-	tuples := make([]string, len(answers))
-	for i, a := range answers {
-		tuples[i] = a.Bindings.String()
-	}
-	return NewResult(tuples), nil
+	return answerResult(answers), nil
 }
 
 // MultiLogOracles returns the MultiLog semantics, reduction first (it is
@@ -249,4 +270,10 @@ func (compiledReduceOracle) Answer(db *multilog.Database, user lattice.Label, q 
 // compiled-engine reduction.
 func MultiLogOracles() []MultiLogOracle {
 	return []MultiLogOracle{reduceOracle{}, proverOracle{maxDepth: 512}, compiledReduceOracle{}}
+}
+
+// keptOracles is MultiLogOracles with each reducing oracle keeping its
+// reductions, for the cases of one database.
+func keptOracles() []MultiLogOracle {
+	return []MultiLogOracle{reduceOracle{reductions{}}, proverOracle{maxDepth: 512}, compiledReduceOracle{reductions{}}}
 }

@@ -3,7 +3,6 @@ package differential
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 
@@ -18,17 +17,25 @@ import (
 // every clause of which is a multilog.MonotoneClause, the reduction at a
 // maximal level s, read at a clearance u ⪯ s (Reduction.View), must answer
 // every query exactly as the reduction at u — answers, match steps, patch
-// plan and dependencies. Its generator writes the rule shapes
-// workload.ProgramSource never emits, monotone and not, over several lattice
-// shapes, and the campaign checks that MonotoneClause classifies each one as
-// its shape says.
+// plan and dependencies. Its programs are drawn from every monotone and
+// non-monotone shape of the workload generator over several lattice shapes,
+// and the campaign checks that MonotoneClause classifies each clause as its
+// shape says.
+
+// sharedMix is the shared campaign's shape mix: every monotone shape at
+// weight 3 and every non-monotone one at weight 1, so that about half of the
+// programs are monotone.
+var sharedMix = workload.Mix{workload.ConstantLevel: 3, workload.LevelVariable: 3, workload.SameLevel: 3, workload.ClassFromBody: 3,
+	workload.BottomBody: 3, workload.PiReading: 3, workload.Recursive: 3}.With(workload.NonMonotoneMix)
 
 // SharedCampaignResult summarizes a shared-serving campaign.
 type SharedCampaignResult struct {
 	Programs, Monotone int
 	Probes             int // (probe, clearance, maximal level) triples compared on monotone programs
-	// Shapes counts the generated clauses of each shape, by name.
-	Shapes map[string]int
+	// Mix is the shape mix the campaign declares, and Shapes counts the
+	// clauses it drew of each shape.
+	Mix    workload.Mix
+	Shapes map[workload.ClauseShape]int
 	// Diverged counts the non-monotone programs whose view at some clearance
 	// answered otherwise than the reduction there: what the check guards.
 	Diverged      int
@@ -36,234 +43,47 @@ type SharedCampaignResult struct {
 	Divergences   []string // a monotone program's view that answered otherwise
 }
 
-// sharedShape is one rule shape of the generator: its name, whether it is
-// monotone, and how it renders as the n-th derived predicate.
-type sharedShape struct {
-	name     string
-	monotone bool
-	// clause renders the shape, or "" when the lattice lacks what it needs
-	// (a level strictly above another, a bottom). body is a goal's predicate
-	// and attribute, "p1(K: a" or "q0(K: d".
-	clause func(g *sharedGen, n int, body string) string
-}
-
-// sharedGen draws the parts of one generated program.
-type sharedGen struct {
-	r      *rand.Rand
-	poset  *lattice.Poset
-	bottom lattice.Label
-	rumor  lattice.Label // the level of the program's one user-mode belief, in p0
-}
-
-func (g *sharedGen) level() lattice.Label {
-	ls := g.poset.Labels()
-	return ls[g.r.Intn(len(ls))]
-}
-
-// below draws a level hi dominates, or one it strictly dominates; "" when
-// there is none.
-func (g *sharedGen) below(hi lattice.Label, strict bool) lattice.Label {
-	var ls []lattice.Label
-	for _, l := range g.poset.DownSet(hi) {
-		if !strict || l != hi {
-			ls = append(ls, l)
-		}
-	}
-	if len(ls) == 0 {
-		return ""
-	}
-	return ls[g.r.Intn(len(ls))]
-}
-
-func (g *sharedGen) mode() string { return []string{"fir", "opt", "cau"}[g.r.Intn(3)] }
-
-var sharedShapes = []sharedShape{
-	{"constant", true, func(g *sharedGen, n int, body string) string {
-		hi := g.level()
-		return fmt.Sprintf("%s[q%d(K: d -%s-> V)] :- %s[%s -C-> V)] << %s.", hi, n, hi, g.below(hi, false), body, g.mode())
-	}},
-	{"level-variable", true, func(g *sharedGen, n int, body string) string {
-		return fmt.Sprintf("L[q%d(K: d -L-> x)] :- L[%s -C-> V)] << cau.", n, body)
-	}},
-	{"same-level", true, func(g *sharedGen, n int, body string) string {
-		l := g.level()
-		return fmt.Sprintf("%s[q%d(K: d -C-> V)] :- %s[%s -C-> V)] << %s.", l, n, l, body, g.mode())
-	}},
-	{"class-from-body", true, func(g *sharedGen, n int, body string) string {
-		hi := g.level()
-		return fmt.Sprintf("%s[q%d(K: d -C-> V)] :- %s[%s -C-> V)] << %s.", hi, n, g.below(hi, false), body, g.mode())
-	}},
-	{"bottom-body", true, func(g *sharedGen, n int, body string) string {
-		if g.bottom == "" {
-			return ""
-		}
-		return fmt.Sprintf("L[q%d(K: d -C-> V)] :- %s[%s -C-> V)].", n, g.bottom, body)
-	}},
-	{"pi-read", true, func(g *sharedGen, n int, body string) string {
-		hi := g.level()
-		return fmt.Sprintf("%s[q%d(K: d -%s-> V)] :- %s[%s -C-> V)] << %s, hot(V).", hi, n, hi, g.below(hi, false), body, g.mode())
-	}},
-	{"write-down", false, func(g *sharedGen, n int, body string) string {
-		hi := g.level()
-		lo := g.below(hi, true)
-		if lo == "" {
-			return ""
-		}
-		return fmt.Sprintf("%s[q%d(K: d -%s-> V)] :- %s[%s -C-> V)] << opt.", lo, n, lo, hi, body)
-	}},
-	{"laundered-class", false, func(g *sharedGen, n int, body string) string {
-		hi := g.level()
-		return fmt.Sprintf("%s[q%d(K: d -C-> V)] :- %s[%s -D-> V)], cls(C).", hi, n, g.below(hi, false), body)
-	}},
-	{"user-mode", false, func(g *sharedGen, n int, body string) string {
-		return fmt.Sprintf("%s[q%d(K: d -%s-> V)] :- %s[%s -C-> V)] << rumor.", g.rumor, n, g.rumor, g.rumor, body)
-	}},
-}
-
-// sharedCase is one generated program: its source, and its rules by shape.
-type sharedCase struct {
-	src    string
-	shapes map[string]sharedShape // by clause source
-}
-
-// The shapes of the Π rule every program has, and of every fact.
-var piShape, factShape = sharedShape{name: "pi", monotone: true}, sharedShape{name: "fact", monotone: true}
-
-// sharedCases generates n programs over chain, diamond, product and DAG
-// lattices of 3–7 levels: facts classified at or below their levels, a Π
-// rule and its facts, a user-mode belief fact, and four rules of monotone
-// shapes reading base or earlier derived predicates; every other program
-// also gets one rule of a non-monotone shape.
-func sharedCases(seed int64, n int) []sharedCase {
-	shapes := []workload.LatticeShape{workload.ShapeChain, workload.ShapeDiamond, workload.ShapeProduct, workload.ShapeDAG}
-	var mono, non []sharedShape
-	for _, sh := range sharedShapes {
-		if sh.monotone {
-			mono = append(mono, sh)
-		} else {
-			non = append(non, sh)
-		}
-	}
-	out := make([]sharedCase, 0, n)
-	for i := 0; i < n; i++ {
-		r := rand.New(rand.NewSource(seed + int64(i)))
-		poset := workload.Lattice(shapes[i%len(shapes)], 3+r.Intn(5), seed+int64(i))
-		g := &sharedGen{r: r, poset: poset}
-		g.rumor = g.level()
-		if m := poset.Minimal(); len(m) == 1 {
-			g.bottom = m[0]
-		}
-		var b strings.Builder
-		for _, l := range poset.Labels() {
-			fmt.Fprintf(&b, "level(%s).\n", l)
-		}
-		for _, e := range poset.CoverEdges() {
-			fmt.Fprintf(&b, "order(%s, %s).\n", e[0], e[1])
-		}
-		for f := 0; f < 12; f++ {
-			l := g.level()
-			fmt.Fprintf(&b, "%s[p%d(k%d: a -%s-> v%d)].\n", l, r.Intn(3), r.Intn(4), g.below(l, false), r.Intn(4))
-		}
-		top := poset.Maximal()[0]
-		fmt.Fprintf(&b, "tag(v0). tag(v2).\ncls(%s).\nbel(p0, k0, a, v1, %s, %s, rumor).\n", top, top, g.rumor)
-		c := sharedCase{shapes: map[string]sharedShape{"hot(V) :- tag(V).": piShape}}
-		b.WriteString("hot(V) :- tag(V).\n")
-		rules := 4 + i%2
-		for q := 0; q < rules; q++ {
-			body := "p0(K: a" // a non-monotone rule reads p0, which the user-mode belief is of
-			if q < 4 {
-				body = fmt.Sprintf("p%d(K: a", r.Intn(3))
-			}
-			if q > 0 && q < 4 && r.Intn(2) == 0 {
-				body = fmt.Sprintf("q%d(K: d", r.Intn(q))
-			}
-			var src string
-			// A shape the lattice lacks the levels for gives way to the next.
-			for k := 0; src == ""; k++ {
-				sh := mono[(i+q+k)%len(mono)]
-				if q == 4 {
-					sh = non[(i/2+k)%len(non)]
-				}
-				src = sh.clause(g, q, body)
-				c.shapes[src] = sh
-			}
-			b.WriteString(src + "\n")
-		}
-		c.src = b.String()
-		out = append(out, c)
-	}
-	return out
-}
-
-// sharedProbes are the queries the campaign asks of every program: every
-// predicate at a level variable as an m-atom and in each built-in mode, one
-// at a constant level, a join, a Π goal and a user-mode belief.
-func sharedProbes(db *multilog.Database, r *rand.Rand, poset *lattice.Poset) []multilog.Query {
-	preds := map[string]string{}
-	for _, c := range db.Sigma {
-		preds[c.Head.M.Pred] = c.Head.M.Attr
-	}
-	var srcs []string
-	names := make([]string, 0, len(preds))
-	for p := range preds {
-		names = append(names, p)
-	}
-	slices.Sort(names)
-	for _, p := range names {
-		goal := fmt.Sprintf("%s(K: %s -C-> V)]", p, preds[p])
-		for _, m := range []string{"", " << fir", " << opt", " << cau"} {
-			srcs = append(srcs, "L["+goal+m)
-		}
-		l := poset.Labels()[r.Intn(poset.Len())]
-		srcs = append(srcs, fmt.Sprintf("%s[%s(k0: %s -C-> V)] << cau", l, p, preds[p]))
-	}
-	srcs = append(srcs, "L[p0(K: a -C-> V)], M[q0(K: d -D-> W)]", "hot(V)", "L[p0(K: a -C-> V)] << rumor")
-	out := make([]multilog.Query, len(srcs))
-	for i, s := range srcs {
-		q, err := multilog.ParseGoals(s)
-		if err != nil {
-			//vet:allow nopanic -- a malformed probe is a harness bug, not a test failure
-			panic(fmt.Sprintf("differential: bad shared probe %q: %v", s, err))
-		}
-		out[i] = q
-	}
-	return out
-}
-
-// RunSharedCampaign generates n programs (sharedCases), checks MonotoneClause
-// against every generated rule's shape, and compares, at every clearance u
-// and every maximal level s ⪰ u, the view at u of the prepared reduction at s
-// with the prepared reduction at u over every probe: answers, match steps,
-// QueryDeps, and whether a patch plan exists and which of a write's tuples it
-// takes to touch its answers. A monotone program must agree everywhere; a
+// RunSharedCampaign generates n programs from sharedMix over chain, diamond,
+// product and DAG lattices of 3–7 levels, with facts classified at or below
+// their levels; checks MonotoneClause against every clause's shape (the
+// facts and the Π clauses the shapes read must pass); and compares, at every
+// clearance u and every maximal level s ⪰ u, the view at u of the prepared
+// reduction at s with the prepared reduction at u over every probe
+// (workload.Probes, also at the bottom levels): answers, match steps,
+// QueryDeps, and whether a patch plan exists and which of a write's tuples
+// it takes to touch its answers. A monotone program must agree everywhere; a
 // non-monotone one is counted as diverged if it does not.
 func RunSharedCampaign(seed int64, n int) SharedCampaignResult {
-	res := SharedCampaignResult{Programs: n, Shapes: map[string]int{}}
+	res := SharedCampaignResult{Programs: n, Mix: sharedMix, Shapes: map[workload.ClauseShape]int{}}
+	lattices := []workload.LatticeShape{workload.ShapeChain, workload.ShapeDiamond, workload.ShapeProduct, workload.ShapeDAG}
 	ctx := context.Background()
-	for i, c := range sharedCases(seed, n) {
-		db, err := multilog.Parse(c.src)
-		if err == nil {
-			err = db.CheckAdmissible()
-		}
-		if err != nil {
+	for i := 0; i < n; i++ {
+		prog := workload.Generate(workload.ProgramConfig{
+			Lattice: lattices[i%len(lattices)], Levels: 3 + i%5, Facts: 12, Preds: 3, Rules: 4 + i%2,
+			ClassBelow: true, Mix: sharedMix, Seed: seed + int64(i),
+		})
+		db := mustParse(prog.Source)
+		if err := db.CheckAdmissible(); err != nil {
 			//vet:allow nopanic -- a generator bug must abort the campaign loudly
-			panic(fmt.Sprintf("differential: shared generator emitted a bad program:\n%s\n%v", c.src, err))
+			panic(fmt.Sprintf("differential: shared generator emitted a bad program:\n%s\n%v", prog.Source, err))
 		}
-		poset, _ := db.Poset()
+		poset := prog.Poset
+		shapes := map[string]workload.ClauseShape{}
+		for _, c := range prog.Clauses {
+			one := mustParse(c.Src)
+			shapes[append(one.Sigma, one.Pi...)[0].String()] = c.Shape
+			res.Shapes[c.Shape]++
+		}
 		mono := true
 		for _, cl := range append(slices.Clone(db.Sigma), db.Pi...) {
-			sh, ok := c.shapes[cl.String()]
-			if cl.IsFact() {
-				sh, ok = factShape, true
+			want := true
+			if sh, ok := shapes[cl.String()]; ok {
+				want = sh.Monotone()
 			}
-			if !ok {
-				continue
-			}
-			res.Shapes[sh.name]++
 			got := multilog.MonotoneClause(cl, poset)
 			mono = mono && got
-			if got != sh.monotone {
-				res.Misclassified = append(res.Misclassified, fmt.Sprintf("%s clause %s classified monotone=%v", sh.name, cl, got))
+			if got != want {
+				res.Misclassified = append(res.Misclassified, fmt.Sprintf("clause %s classified monotone=%v", cl, got))
 			}
 		}
 		if mono {
@@ -277,11 +97,11 @@ func RunSharedCampaign(seed int64, n int) SharedCampaignResult {
 			}
 			if err != nil {
 				//vet:allow nopanic -- generated programs stratify by construction
-				panic(fmt.Sprintf("differential: shared program does not reduce at %s: %v\n%s", u, err, c.src))
+				panic(fmt.Sprintf("differential: shared program does not reduce at %s: %v\n%s", u, err, prog.Source))
 			}
 			reds[u] = red
 		}
-		probes := sharedProbes(db, rand.New(rand.NewSource(seed+int64(i))), poset)
+		probes := workload.Probes(db, poset, poset.Minimal()...)
 		diverged := false
 		for _, u := range poset.Labels() {
 			for _, s := range poset.Maximal() {
@@ -293,15 +113,15 @@ func RunSharedCampaign(seed int64, n int) SharedCampaignResult {
 					//vet:allow nopanic -- s dominates u
 					panic(fmt.Sprintf("differential: %v", err))
 				}
-				for _, q := range probes {
+				for _, p := range probes {
 					if mono {
 						res.Probes++
 					}
-					if why := viewDiffers(view, reds[u], q); why != "" {
+					if why := viewDiffers(view, reds[u], p.Query); why != "" {
 						diverged = true
 						if mono {
 							res.Divergences = append(res.Divergences,
-								fmt.Sprintf("%s read at %s, probe %s: %s\nprogram:\n%s", s, u, multilog.Query(q), why, c.src))
+								fmt.Sprintf("%s read at %s, probe %s: %s\nprogram:\n%s", s, u, p.Src, why, prog.Source))
 						}
 					}
 				}

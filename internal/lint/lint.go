@@ -172,6 +172,7 @@ func Passes() []PassInfo {
 		{"ML006", "implicit-mode", Info, "multilog", "a plain m-atom reads a predicate asserted at two comparable levels — raw visibility is the firm mode in disguise, and opt/cau answers diverge"},
 		{"ML007", "clearance-dependent", Info, "multilog", "a stored query fixes a level whose derivation cone reaches higher classifications, so its answers vary with the asker's clearance"},
 		{"ML008", "unsatisfiable", Warning, "multilog", "no asserted level dominates a rule's head and body levels jointly, so no subject can both fire the rule and see its result"},
+		{"ML009", "reserved", Error, "multilog", "a clause or query names a relation the reduction introduces (mlrel_, mlbel_, mlexceeded_), or a Pi clause defines dominate: those relations hold cells no clearance guard filters"},
 	}
 }
 
@@ -275,6 +276,7 @@ func lintMultiLogErrors(r *reporter, db, env *multilog.Database, opts Options) {
 	lintMultiLogSafety(r, db, env)
 	lintMultiLogBeliefs(r, db, env, opts)
 	lintMultiLogLattice(r, db, env)
+	lintMultiLogReserved(r, db)
 	// Π is a classical program; the Datalog Error passes apply to it.
 	pi := piProgram(db)
 	lintDatalogSafety(r, pi)

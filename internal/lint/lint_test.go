@@ -134,7 +134,7 @@ func TestPassCatalogCoversAllCodes(t *testing.T) {
 	for _, pi := range Passes() {
 		catalog[pi.Code] = true
 	}
-	for _, code := range []string{"DL000", "DL001", "DL002", "DL003", "DL004", "DL005", "DL006", "DL007", "DL008", "ML000", "ML001", "ML002", "ML003", "ML004"} {
+	for _, code := range []string{"DL000", "DL001", "DL002", "DL003", "DL004", "DL005", "DL006", "DL007", "DL008", "ML000", "ML001", "ML002", "ML003", "ML004", "ML009"} {
 		if !catalog[code] {
 			t.Errorf("pass catalog missing %s", code)
 		}

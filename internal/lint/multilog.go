@@ -211,3 +211,25 @@ func lintMultiLogLattice(r *reporter, db, env *multilog.Database) {
 		}
 	})
 }
+
+// lintMultiLogReserved reports ML009: a goal anywhere in db that names a
+// relation τ introduces (multilog.ReservedPred), whose cells no clearance
+// guard filters, so that reading one reads above the clearance and writing
+// one writes there; and a Π clause that defines dominate, τ's dominance
+// relation.
+func lintMultiLogReserved(r *reporter, db *multilog.Database) {
+	eachGoal(db, func(_ *multilog.Clause, g *multilog.Goal) {
+		if g.Kind == multilog.GoalP && multilog.ReservedPred(g.P.Pred) {
+			d := r.report("ML009", Error, g.Pos,
+				"%s names %s, a relation of the reduction: its cells are not guarded by the clearance", g, g.P.Pred)
+			d.Fix = "read and write m-predicates through m- and b-atoms"
+		}
+	})
+	for _, c := range db.Pi {
+		if c.Head.P.Pred == multilog.DominatePred {
+			d := r.report("ML009", Error, c.Head.Pos,
+				"%s defines %s, the reduction's dominance relation over Λ", c.Head, multilog.DominatePred)
+			d.Fix = "state the lattice with level/1 and order/2 in Λ"
+		}
+	}
+}

@@ -33,7 +33,7 @@ import (
 // A fact is a clause with no body, and must be classified at most at its
 // level (lint ML003 rejects any other ground one).
 func MonotoneClause(c Clause, poset *lattice.Poset) bool {
-	reserved := func(g Goal) bool { return g.Kind == GoalP && reservedPred(g.P.Pred) }
+	reserved := func(g Goal) bool { return g.Kind == GoalP && ReservedPred(g.P.Pred) }
 	if reserved(c.Head) || slices.ContainsFunc(c.Body, reserved) {
 		return false
 	}
@@ -82,10 +82,11 @@ func levelBelow(lo, hi term.Term, poset *lattice.Poset) bool {
 	return true
 }
 
-// reservedPred reports whether pred names a relation τ introduces per level
+// ReservedPred reports whether pred names a relation τ introduces per level
 // (a rel, bel or exceeded relation), which no clause or query may read or
-// define: its tuples are not guarded by the clearance.
-func reservedPred(pred string) bool {
+// define: its tuples are not guarded by the clearance. It is the one test of
+// the name: lint ML009 refuses a clause that names one, and match a query.
+func ReservedPred(pred string) bool {
 	return strings.HasPrefix(pred, relPrefix) || strings.HasPrefix(pred, belPrefix) || strings.HasPrefix(pred, excPrefix)
 }
 

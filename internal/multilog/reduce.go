@@ -170,7 +170,7 @@ func (r *Reduction) match(ctx context.Context, model *datalog.Store, q Query, li
 	gov := resource.New(ctx, limits)
 	var vars []string
 	for _, g := range q {
-		if g.Kind == GoalP && reservedPred(g.P.Pred) {
+		if g.Kind == GoalP && ReservedPred(g.P.Pred) {
 			return nil, resource.Stats{}, fmt.Errorf("multilog: %s names a relation of the reduction, which holds cells the clearance %s may not see; query it through an m- or b-atom", g, r.User)
 		}
 		vars = g.Vars(vars)

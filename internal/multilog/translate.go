@@ -14,7 +14,9 @@ import (
 // Reserved predicate names used by the translation; user programs must not
 // define them.
 const (
-	predDominate = "dominate"
+	// DominatePred is τ's dominance relation over Λ; no Π clause may
+	// define it (lint ML009).
+	DominatePred = "dominate"
 	predLevel    = "level"
 	predOrder    = "order"
 	relPrefix    = "mlrel_"      // mlrel_<pred>_<level>(K, A, V, C)
@@ -224,12 +226,12 @@ func (r *Reduction) emitPredAxioms(pred string) {
 				r.Program.Add(datalog.Rule(
 					datalog.Atom{Pred: relPred(pred, lo), Args: []term.Term{av.k, av.a, av.v, av.c}},
 					datalog.Pos(datalog.Atom{Pred: relPred(pred, hi), Args: []term.Term{av.k, av.a, av.v, av.c}}),
-					datalog.Pos(datalog.Atom{Pred: predDominate, Args: []term.Term{av.c, loC}}),
+					datalog.Pos(datalog.Atom{Pred: DominatePred, Args: []term.Term{av.c, loC}}),
 				))
 				r.Program.Add(datalog.Rule(
 					datalog.Atom{Pred: relPred(pred, lo), Args: []term.Term{av.k, av.a, term.Null(), loC}},
 					datalog.Pos(datalog.Atom{Pred: relPred(pred, hi), Args: []term.Term{av.k, av.a, av.v, av.c}}),
-					datalog.Neg(datalog.Atom{Pred: predDominate, Args: []term.Term{av.c, loC}}),
+					datalog.Neg(datalog.Atom{Pred: DominatePred, Args: []term.Term{av.c, loC}}),
 				))
 			}
 		}
@@ -335,7 +337,7 @@ func (r *Reduction) sigmaClause(c Clause) (bool, []datalog.Clause, error) {
 // classGuard is λ's second guard: the attribute classification must be
 // dominated by the user level (c ⪯ u).
 func (r *Reduction) classGuard(class term.Term) datalog.Literal {
-	return datalog.Pos(datalog.Atom{Pred: predDominate, Args: []term.Term{class, term.Const(string(r.User))}})
+	return datalog.Pos(datalog.Atom{Pred: DominatePred, Args: []term.Term{class, term.Const(string(r.User))}})
 }
 
 func (r *Reduction) bodyLiteral(g Goal, _ any) ([]datalog.Literal, error) {
@@ -440,7 +442,7 @@ func (r *Reduction) emitAxiomFor(p string, h lattice.Label, m Mode) {
 				datalog.Atom{Pred: excPred(p, h), Args: []term.Term{av.k, av.a, av.c}},
 				datalog.Pos(datalog.Atom{Pred: relPred(p, l2), Args: relArgs(av.v2, av.c2)}),
 				datalog.Pos(datalog.Atom{Pred: predLevel, Args: []term.Term{av.c}}),
-				datalog.Pos(datalog.Atom{Pred: predDominate, Args: []term.Term{av.c, av.c2}}),
+				datalog.Pos(datalog.Atom{Pred: DominatePred, Args: []term.Term{av.c, av.c2}}),
 				datalog.Pos(datalog.Atom{Pred: datalog.BuiltinNeq, Args: []term.Term{av.c, av.c2}}),
 			))
 		}

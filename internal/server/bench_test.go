@@ -3,6 +3,8 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -92,47 +94,65 @@ func BenchmarkServerQueryCached(b *testing.B) {
 	}
 }
 
-// BenchmarkOverloadStorm drives a serverload storm several times past what
-// the server can answer inside the deadline, against both arms: admission on
-// (adaptive limit, CoDel shedding, brownout) and admission off (every request
-// executes). The storm is sized against measured capacity: 160 closed-loop
-// sessions against the ~300 requests/s the unprotected server completes on a
-// 6000-fact program is ~0.5 s per request, for a 150 ms deadline. A
-// 1200-fact program does not overload it: its fact writes are cheap enough
-// that the unprotected server keeps up, and the two arms' goodput is equal.
-// The workload is a 90/10 read/write mix with a tight per-request deadline,
-// so the off arm rides congestion into deadline misses — work executed and
-// thrown away — while the on arm sheds early and keeps admitted work
-// inside the deadline. The reported goodput (completed queries per second)
-// is what `make bench-smoke` gates: on/off >= 1.2x.
+// BenchmarkOverloadStorm drives a serverload storm a fixed multiple past
+// the capacity it first measures, against both arms: admission on (adaptive
+// limit, CoDel shedding, brownout) and admission off (every request
+// executes). Capacity is the off arm's completion rate, in this process, on
+// the 6000-fact program under a closed loop of a few sessions; the storm
+// then opens stormMultiple × capacity × the 150 ms deadline closed-loop
+// sessions, each of which, served at capacity, waits stormMultiple deadlines
+// for its answer. The workload is a 90/10 read/write mix, so the off arm
+// rides congestion into deadline misses — work executed and thrown away —
+// while the on arm sheds early and keeps admitted work inside the deadline.
+// Each arm reports goodput (completed queries per second), which `make
+// bench-smoke` gates at on/off >= 1.2x, its sheds and deadline misses, and
+// the multiple, the measured capacity and the sessions. A storm under which
+// the off arm misses no deadline does not overload the server and proves
+// nothing either way: the benchmark fails.
 func BenchmarkOverloadStorm(b *testing.B) {
-	arms := []struct {
+	const stormMultiple, deadline = 4, 150 * time.Millisecond
+	shape := workload.ProgramConfig{Levels: 4, Facts: 6000, Rules: 24, Preds: 6, Seed: 7, Poly: 0.3}
+	// serve starts a warm server with the given admission limit — every
+	// reduction compiled and the cache populated, so that a storm measures
+	// steady-state overload, not Prepare — and returns a client that waits
+	// for answers, and one that gives a request up at the deadline: a late
+	// answer is work executed and thrown away.
+	serve := func(b *testing.B, maxInflight, sessions int) (patient, storm *server.Client) {
+		srv := server.New(server.Config{
+			CacheEntries: 4096, QueryTimeout: deadline,
+			MaxSessions: sessions + 16, MaxInflight: maxInflight, MaxStale: 30 * time.Second,
+		})
+		if err := srv.Load("bench", workload.ProgramSource(shape)); err != nil {
+			b.Fatal(err)
+		}
+		hs := httptest.NewUnstartedServer(srv.Handler())
+		// A request the client gave up on can log a second WriteHeader;
+		// that log would split the benchmark's result line.
+		hs.Config.ErrorLog = log.New(io.Discard, "", 0)
+		hs.Start()
+		b.Cleanup(hs.Close)
+		tr := &http.Transport{MaxIdleConnsPerHost: sessions + 16}
+		patient = server.NewClient(hs.URL, &http.Client{Timeout: time.Minute, Transport: tr})
+		serverload.Run(context.Background(), patient, serverload.Config{
+			Sessions: 4, Queries: 24, Program: shape, Seed: 1, DB: "bench", Sustain: true,
+		})
+		return patient, server.NewClient(hs.URL, &http.Client{Timeout: deadline, Transport: tr})
+	}
+	patient, _ := serve(b, 0, 4)
+	probe := serverload.Run(context.Background(), patient, serverload.Config{
+		Sessions: 4, Queries: 100, WriteEvery: 9, Program: shape, Seed: 3, DB: "bench", Sustain: true,
+	})
+	capacity := probe.QPS()
+	sessions := max(1, int(stormMultiple*capacity*deadline.Seconds()))
+	for _, arm := range []struct {
 		name        string
 		maxInflight int
 	}{
 		{"admission=on", 16},
 		{"admission=off", 0},
-	}
-	const sessions = 160 // vs ~4 concurrent cost-4 reads on the on arm
-	shape := workload.ProgramConfig{Levels: 4, Facts: 6000, Rules: 24, Preds: 6, Seed: 7, Poly: 0.3}
-	for _, arm := range arms {
+	} {
 		b.Run(arm.name, func(b *testing.B) {
-			srv := server.New(server.Config{
-				CacheEntries: 4096, QueryTimeout: 150 * time.Millisecond,
-				MaxSessions: 256, MaxInflight: arm.maxInflight, MaxStale: 30 * time.Second,
-			})
-			if err := srv.Load("bench", workload.ProgramSource(shape)); err != nil {
-				b.Fatal(err)
-			}
-			hs := httptest.NewServer(srv.Handler())
-			b.Cleanup(hs.Close)
-			hc := &http.Client{Timeout: time.Minute, Transport: &http.Transport{MaxIdleConnsPerHost: 256}}
-			c := server.NewClient(hs.URL, hc)
-			// Warm-up: compile every reduction and populate the cache so the
-			// timed storm measures steady-state overload, not Prepare.
-			serverload.Run(context.Background(), c, serverload.Config{
-				Sessions: 4, Queries: 24, Program: shape, Seed: 1, DB: "bench", Sustain: true,
-			})
+			_, c := serve(b, arm.maxInflight, sessions)
 			perSession := (b.N + sessions - 1) / sessions
 			b.ResetTimer()
 			rep := serverload.Run(context.Background(), c, serverload.Config{
@@ -144,6 +164,13 @@ func BenchmarkOverloadStorm(b *testing.B) {
 			b.ReportMetric(float64(rep.Shed), "shed")
 			b.ReportMetric(float64(rep.Errors), "deadline-misses")
 			b.ReportMetric(float64(rep.ReadP99.Nanoseconds()), "p99-read-ns")
+			b.ReportMetric(stormMultiple, "multiple")
+			b.ReportMetric(capacity, "capacity-qps")
+			b.ReportMetric(float64(sessions), "sessions")
+			if arm.maxInflight == 0 && rep.Errors == 0 && b.N > 1 {
+				b.Fatalf("the off arm missed no deadline in %d queries: %d sessions, %dx the measured capacity of %.0f queries/s, do not overload the server",
+					rep.Queries, sessions, stormMultiple, capacity)
+			}
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,37 +21,39 @@ func btoi(b bool) int {
 	return 0
 }
 
+// staleProgramMix and staleWriteMix are the shape mixes of
+// TestCachedAnswersNeverStale: monotone programs, and writes that add rules
+// of those shapes and facts, retract stored clauses, and derive downward,
+// which makes the program non-monotone.
+var (
+	staleProgramMix = workload.Mix{workload.ConstantLevel: 2, workload.LevelVariable: 1, workload.ClassFromBody: 1, workload.PiReading: 1}
+	staleWriteMix   = staleProgramMix.With(workload.Mix{workload.Fact: 4, workload.WriteDown: 1, workload.Retract: 2})
+)
+
 // TestCachedAnswersNeverStale is the result cache's staleness oracle. Over
-// generated programs and random writes — facts asserted at random levels,
-// some retracted again before anyone reads, rules deriving into queried
-// predicates and into new ones, stored clauses of either kind retracted —
-// sessions at every clearance × belief mode ask a fixed probe set after every
-// step of one to three writes, and every response, from the cache or not,
-// must equal what a server cold-started on the current program answers. The
-// probes are single goals, whose entries a write patches, and a join, whose
-// entries it drops; the oracle logs, and fails on a zero of, the hits that
+// generated programs and writes drawn from staleWriteMix — facts asserted at
+// random levels, some retracted again before anyone reads, rules deriving
+// into queried predicates and into new ones, stored clauses of either kind
+// retracted — sessions at every clearance × belief mode ask the program's
+// probes (workload.Probes: every predicate at a level variable, the joins,
+// the Π goal) after every step of one to three writes, and every response,
+// from the cache or not, must equal what a server cold-started on the
+// current program answers. The single-goal probes' entries a write patches,
+// the joins' it drops; the oracle logs, and fails on a zero of, the hits that
 // merged a patch, the hits whose answers a patch changed, and the entries
-// writes dropped. A write-down rule, asserted and retracted again, flips the
-// program from monotone to not and back (multilog.MonotoneClause): every
-// clearance below the top changes serving level, and after such a step each
-// of its answers must be uncached, as a cold server's are; the oracle fails
-// on a zero of either flip.
+// writes dropped. A write-down rule flips the program from monotone to not
+// (multilog.MonotoneClause), and its retract flips it back: every clearance
+// below the top changes serving level, and after such a step each of its
+// answers must be uncached, as a cold server's are; the oracle fails on a
+// zero of either flip, and of any shape of the write mix.
 func TestCachedAnswersNeverStale(t *testing.T) {
-	programs, steps := 40, 8
+	programs, steps := 40, 9
 	if testing.Short() {
 		programs = 20
 	}
 	const levels, preds = 4, 3
-	probes := []string{
-		"L[p0(K: a -C-> V)]",
-		"l1[p1(K: a -C-> V)]",
-		"L[p2(K: a -C-> V)] << cau",
-		"L[q0(K: d -C-> V)]",
-		"L[r0(K: d -C-> V)]",
-		"lv(X)",
-		"L[p0(K: a -C-> V)], M[p1(K: a -D-> W)]",
-	}
 	modes := []string{"fir", "opt", "cau"}
+	var probes []string
 	// answers asks every probe at every view; cached reports, per answer,
 	// whether the cache served it.
 	answers := func(s *Server) (out [][]map[string]string, cached []bool) {
@@ -79,55 +82,50 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 	}
 	applied, ruleWrites, cachedServed, patchedHits, changedHits, dropped := 0, 0, 0, 0, 0, 0
 	var flips [2]int // steps that made the program monotone, and not
+	drawn := map[workload.ClauseShape]int{}
 	for n := 0; n < programs; n++ {
 		r := rand.New(rand.NewSource(int64(2500 + n)))
-		src := workload.ProgramSource(workload.ProgramConfig{
-			Levels: levels, Facts: 24, Rules: 4, Preds: preds, Seed: int64(n), Poly: 0.3,
-		})
+		gen := workload.Generate(workload.ProgramConfig{Lattice: workload.ShapeChain, Levels: levels, Facts: 24, Rules: 4, Preds: preds,
+			Poly: 0.3, Mix: staleProgramMix, Seed: int64(n)})
 		s := New(Config{})
-		if err := s.Load("test", src); err != nil {
+		if err := s.Load("test", gen.Source); err != nil {
 			t.Fatal(err)
 		}
 		prog, err := s.program("test")
 		if err != nil {
 			t.Fatal(err)
 		}
+		probes = probes[:0]
+		for _, p := range workload.Probes(prog.current().db.Database(), gen.Poset) {
+			if !strings.Contains(p.Src, "<<") {
+				probes = append(probes, p.Src) // a session's mode reads a plain goal
+			}
+		}
 		writer := openSess(t, s, string(workload.Level(levels-1)), "")
-		// write applies one random write and reports whether it changed
-		// anything, and what it was.
+		writes := 0
+		// write applies one write and reports whether it changed anything,
+		// and what it was: when the program is not monotone, a third of
+		// the time the retract of a clause that makes it so, else a write
+		// drawn from staleWriteMix.
 		write := func() (clause string, retract, changed bool) {
-			lo := r.Intn(levels - 1)
-			hi := lo + 1 + r.Intn(levels-lo-1)
-			rule, toggle := true, false
-			switch k := r.Intn(7); {
-			case k < 2:
-				lvl := workload.Level(r.Intn(levels))
-				clause, rule = fmt.Sprintf("%s[p%d(k%d: a -%s-> v%d)].", lvl, r.Intn(preds), r.Intn(8), lvl, r.Intn(5)), false
-				// Half the facts go again before anyone reads: the entries
-				// they touch queue their assert and their retract.
-				toggle = r.Intn(2) == 0
-			case k == 2:
-				clause = fmt.Sprintf("%s[p%d(K: a -%s-> V)] :- %s[p%d(K: a -C-> V)] << %s.",
-					workload.Level(hi), r.Intn(preds), workload.Level(hi), workload.Level(lo), r.Intn(preds), modes[r.Intn(3)])
-			case k == 3:
-				clause = fmt.Sprintf("%s[r0(K: d -%s-> V)] :- %s[p%d(K: a -C-> V)] << %s.",
-					workload.Level(hi), workload.Level(hi), workload.Level(lo), r.Intn(preds), modes[r.Intn(3)])
-			case k == 4:
-				clause = "lv(X) :- level(X), order(X, Y)."
-			case k == 5 && prog.current().nonMonotone == 0:
-				clause = fmt.Sprintf("%s[r0(K: d -%s-> V)] :- %s[p%d(K: a -C-> V)] << %s.",
-					workload.Level(lo), workload.Level(lo), workload.Level(hi), r.Intn(preds), modes[r.Intn(3)])
-			case k == 5:
-				for _, c := range prog.current().db.Database().Sigma {
-					if !multilog.MonotoneClause(c, prog.current().poset) {
-						clause, retract = c.String(), true
+			cur := prog.current()
+			var w workload.Write
+			if cur.nonMonotone > 0 && r.Intn(3) == 0 {
+				for _, c := range cur.db.Database().Sigma {
+					if !multilog.MonotoneClause(c, cur.poset) {
+						w = workload.Write{Clause: workload.Clause{Src: c.String(), Shape: workload.Retract}, Retract: true}
 					}
 				}
-			default:
-				stored := prog.current().db.Database().Sigma
-				c := stored[r.Intn(len(stored))]
-				clause, retract, rule = c.String(), true, !c.IsFact()
+			} else {
+				w = workload.DrawWrite(r, cur.db.Database(), cur.poset, staleWriteMix, writes)
+				writes++
 			}
+			drawn[w.Shape]++
+			clause, retract = w.Src, w.Retract
+			rule := strings.Contains(w.Src, ":-")
+			// Half the facts go again before anyone reads: the entries they
+			// touch queue their assert and their retract.
+			toggle := w.Shape == workload.Fact && r.Intn(2) == 0
 			for {
 				up, err := s.Update(context.Background(), writer, UpdateRequest{Clauses: clause}, retract)
 				if err != nil || up.Changed == 0 {
@@ -187,6 +185,16 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 		st := s.Stats().Cache
 		cachedServed += int(st.Hits)
 		dropped += int(st.Invalidations)
+	}
+	// The shapes the oracle declares, apart from staleWriteMix so that a
+	// shape dropped from the mix fails here.
+	want := workload.Mix{workload.ConstantLevel: 1, workload.LevelVariable: 1, workload.ClassFromBody: 1, workload.PiReading: 1,
+		workload.Fact: 1, workload.WriteDown: 1, workload.Retract: 1}
+	for _, shape := range want.Shapes() {
+		t.Logf("shape %-16s %d writes", shape, drawn[shape])
+	}
+	for _, shape := range want.Missing(drawn) {
+		t.Errorf("no write of shape %s was drawn: the oracle does not cover it", shape)
 	}
 	t.Logf("%d writes (%d of rules) over %d programs checked at %d clearance×mode views; %d answers served from the cache, %d merging a patch, %d changed by it; %d entries dropped; %d steps made the program non-monotone, %d monotone again",
 		applied, ruleWrites, programs, levels*len(modes), cachedServed, patchedHits, changedHits, dropped, flips[1], flips[0])

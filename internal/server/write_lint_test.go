@@ -3,11 +3,11 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,22 +36,22 @@ type writeLintCase struct {
 	retract bool
 }
 
-// The write shapes whose lint scope differs (lint.MultiLogWrite), counted by
-// TestWriteLintIsFullLint to state its coverage.
+// The writes whose lint scope differs (lint.MultiLogWrite), counted by
+// TestWriteLintIsFullLint to state its coverage of MultiLogWrite's branches.
 const (
-	shapePiAdd        = "Π add"
-	shapeUndefines    = "Π retract undefining a Σ-read predicate"
-	shapeKeepsDefined = "Π retract keeping a Σ-read predicate defined"
-	shapeBelRetract   = "bel/7 retract"
+	scopePiAdd        = "Π add"
+	scopeUndefines    = "Π retract undefining a Σ-read predicate"
+	scopeKeepsDefined = "Π retract keeping a Σ-read predicate defined"
+	scopeBelRetract   = "bel/7 retract"
 )
 
-// writeShapes returns the shapes of a write that made next by adding added
-// and removing removed.
-func writeShapes(next *multilog.Database, added, removed []multilog.Clause) []string {
-	var shapes []string
+// writeScopes returns the lint scopes of a write that made next by adding
+// added and removing removed.
+func writeScopes(next *multilog.Database, added, removed []multilog.Clause) []string {
+	var scopes []string
 	for _, c := range added {
 		if c.Head.Kind == multilog.GoalP {
-			shapes = append(shapes, shapePiAdd)
+			scopes = append(scopes, scopePiAdd)
 			break
 		}
 	}
@@ -74,21 +74,21 @@ func writeShapes(next *multilog.Database, added, removed []multilog.Clause) []st
 			continue
 		}
 		h := c.Head.P
-		shape := ""
+		scope := ""
 		switch {
 		case h.Pred == multilog.UserBelPred && len(h.Args) == 7:
-			shape = shapeBelRetract
+			scope = scopeBelRetract
 		case sigmaReads[h.Pred] && defined[h.Pred]:
-			shape = shapeKeepsDefined
+			scope = scopeKeepsDefined
 		case sigmaReads[h.Pred]:
-			shape = shapeUndefines
+			scope = scopeUndefines
 		}
-		if shape != "" && !seen[shape] {
-			seen[shape] = true
-			shapes = append(shapes, shape)
+		if scope != "" && !seen[scope] {
+			seen[scope] = true
+			scopes = append(scopes, scope)
 		}
 	}
-	return shapes
+	return scopes
 }
 
 // checkWriteLint makes one write through update and checks it against the
@@ -96,8 +96,8 @@ func writeShapes(next *multilog.Database, added, removed []multilog.Clause) []st
 // that lint's Error findings, diagnostic for diagnostic; the write is refused
 // exactly when there are any; and a refused write leaves the snapshot, the
 // epoch and the log (commit) untouched. It returns the codes refused, and
-// counts the write's shapes in shapes.
-func checkWriteLint(t *testing.T, p *preparedProgram, w writeLintCase, shapes map[string]int) []string {
+// counts the write's lint scopes in scopes.
+func checkWriteLint(t *testing.T, p *preparedProgram, w writeLintCase, scopes map[string]int) []string {
 	t.Helper()
 	delta, err := multilog.Parse(w.src)
 	if err != nil {
@@ -114,8 +114,8 @@ func checkWriteLint(t *testing.T, p *preparedProgram, w writeLintCase, shapes ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shape := range writeShapes(next.Database(), added, removed) {
-		shapes[shape]++
+	for _, scope := range writeScopes(next.Database(), added, removed) {
+		scopes[scope]++
 	}
 	opts := lint.Options{File: p.name}
 	want := errorFindings(lint.MultiLog(next.Database(), opts))
@@ -226,66 +226,30 @@ func preparedFrom(t *testing.T, name string, db *multilog.Database) *preparedPro
 	return &preparedProgram{name: name, snap: newSnapshot(1, db, poset)}
 }
 
-// randomWrite draws a write from the program's own vocabulary: a retract of
-// one of its Σ facts, Σ rules, Π facts or Π rules, or an assert of a fresh
-// one of the four — well-formed or not, as the draw falls.
-func randomWrite(r *rand.Rand, db *multilog.Database, poset *lattice.Poset, n int) writeLintCase {
-	pick := func(cs []multilog.Clause, facts bool) (multilog.Clause, bool) {
-		var of []multilog.Clause
-		for _, c := range cs {
-			if c.IsFact() == facts {
-				of = append(of, c)
-			}
-		}
-		if len(of) == 0 {
-			return multilog.Clause{}, false
-		}
-		return of[r.Intn(len(of))], true
-	}
-	kind := r.Intn(8)
-	if kind < 4 { // a retract of an existing clause
-		if c, ok := pick([][]multilog.Clause{db.Sigma, db.Pi}[kind%2], kind < 2); ok {
-			return writeLintCase{src: c.String(), retract: true}
-		}
-	}
-	labels := poset.Labels()
-	lvl := func() string { return string(labels[r.Intn(len(labels))]) }
-	sigmaPred, piPred := "p0", "wq"
-	if c, ok := pick(db.Sigma, true); ok {
-		sigmaPred = c.Head.M.Pred
-	}
-	if c, ok := pick(db.Pi, r.Intn(2) == 0); ok {
-		piPred = c.Head.P.Pred
-	}
-	mode := []string{"fir", "opt", "cau", "rumor"}[r.Intn(4)]
-	switch kind % 4 {
-	case 0: // Σ fact: a fresh cell, its classification drawn independently
-		l := lvl()
-		return writeLintCase{src: fmt.Sprintf("%s[%s(w%d: a -%s-> x%d)].", l, sigmaPred, n, []string{l, lvl()}[r.Intn(2)], n)}
-	case 1: // Σ rule: a fresh head over a belief and, sometimes, a Π goal
-		body := fmt.Sprintf("%s[%s(K: a -C-> V)] << %s", lvl(), sigmaPred, mode)
-		if r.Intn(2) == 0 {
-			body += fmt.Sprintf(", %s(K)", []string{piPred, "nowhere"}[r.Intn(2)])
-		}
-		l := lvl()
-		return writeLintCase{src: fmt.Sprintf("%s[w%d(K: d -%s-> y)] :- %s.", l, n, l, body)}
-	case 2: // Π fact: a fresh predicate, or one of the program's at arity 1
-		return writeLintCase{src: fmt.Sprintf("%s(w%d).", []string{fmt.Sprintf("wf%d", n), piPred}[r.Intn(2)], n)}
-	default: // Π rule: a fresh head over the lattice or one of the program's Π predicates
-		return writeLintCase{src: fmt.Sprintf("wr%d(X) :- %s(X).", n, []string{"level", piPred}[r.Intn(2)])}
-	}
-}
+// writeLintMix is the shape mix TestWriteLintIsFullLint draws its writes
+// from: every shape the workload generator has, hostile ones included, and
+// retracts of stored clauses.
+var writeLintMix = workload.MonotoneMix.With(workload.NonMonotoneMix).With(workload.HostileMix).
+	With(workload.Mix{workload.Fact: 2, workload.Retract: 6})
 
 // TestWriteLintIsFullLint: on every write, over the lint golden corpus, the
-// example programs, D1 and the benchmark's shape at 200 facts, the Error
-// findings the write path checks are those of the full lint of the database
-// it would publish, and the write is refused exactly when there are any —
-// random writes of all four clause kinds, each corpus program's own rejected
-// clauses written back in, and one planted write per Error class.
+// example programs, D1, the benchmark's shape at 200 facts and a program of
+// every generated shape, the Error findings the write path checks are those
+// of the full lint of the database it would publish, and the write is
+// refused exactly when there are any — writes drawn by the workload
+// generator from every shape it has (writeLintMix; a hostile one must be
+// refused with ML009), each corpus program's own rejected clauses written
+// back in, and one planted write per Error class. It logs, and fails on a
+// zero of, the writes of each shape, and the writes of each lint scope
+// MultiLogWrite tells apart.
 func TestWriteLintIsFullLint(t *testing.T) {
 	corpus := map[string]string{
 		"d1":    multilog.D1Source,
 		"bench": workload.ProgramSource(workload.ProgramConfig{Levels: 4, Facts: 200, Rules: 16, Preds: 6, Poly: 0.3, Seed: 1}),
+	}
+	for _, lat := range []workload.LatticeShape{workload.ShapeChain, workload.ShapeDiamond, workload.ShapeProduct, workload.ShapeDAG} {
+		corpus["generated-"+lat.String()] = workload.Generate(workload.ProgramConfig{Lattice: lat, Levels: 5, Facts: 40, Preds: 3, Rules: 12,
+			Poly: 0.3, ClassBelow: true, Mix: workload.MonotoneMix.With(workload.NonMonotoneMix), Seed: 1}).Source
 	}
 	for _, glob := range []string{"../lint/testdata/*.mlg", "../../examples/programs/*.mlg"} {
 		paths, err := filepath.Glob(glob)
@@ -300,14 +264,14 @@ func TestWriteLintIsFullLint(t *testing.T) {
 			corpus[filepath.Base(path)] = string(src)
 		}
 	}
-	writes := 40
-	if testing.Short() {
-		writes = 15
-	}
-	findings, shapes := map[string]int{}, map[string]int{}
+	// 40 writes a program in -short runs too: fewer leave the rarer shapes
+	// (user-mode, Π-reading: only the generated programs have what they
+	// need) undrawn.
+	const writes = 40
+	findings, scopes, drawn := map[string]int{}, map[string]int{}, map[workload.ClauseShape]int{}
 	total, refused := 0, 0
-	write := func(p *preparedProgram, w writeLintCase) {
-		codes := checkWriteLint(t, p, w, shapes)
+	write := func(p *preparedProgram, w writeLintCase) []string {
+		codes := checkWriteLint(t, p, w, scopes)
 		total++
 		if len(codes) > 0 {
 			refused++
@@ -315,6 +279,7 @@ func TestWriteLintIsFullLint(t *testing.T) {
 		for _, code := range codes {
 			findings[code]++
 		}
+		return codes
 	}
 	for name, src := range corpus {
 		db, rejected := cleanBase(t, src)
@@ -327,7 +292,12 @@ func TestWriteLintIsFullLint(t *testing.T) {
 			write(p, writeLintCase{src: c.String()})
 		}
 		for i := 0; i < writes; i++ {
-			write(p, randomWrite(r, p.current().db.Database(), p.current().poset, i))
+			w := workload.DrawWrite(r, p.current().db.Database(), p.current().poset, writeLintMix, i)
+			drawn[w.Shape]++
+			codes := write(p, writeLintCase{src: w.Src, retract: w.Retract})
+			if workload.HostileMix[w.Shape] > 0 && !slices.Contains(codes, "ML009") {
+				t.Errorf("%s: the %s write %q was not refused with ML009 (codes %v)", name, w.Shape, w.Src, codes)
+			}
 		}
 	}
 	t.Logf("%d writes over the corpus, %d refused; their findings by code: %v", total, refused, findings)
@@ -361,14 +331,24 @@ func TestWriteLintIsFullLint(t *testing.T) {
 		{"DL002", writeLintCase{src: "q(k).", retract: true}},
 		{"ML002", writeLintCase{src: "bel(p, k, a, v, u, u, rumor).", retract: true}},
 	} {
-		if codes := checkWriteLint(t, p, c.w, shapes); !strings.Contains(strings.Join(codes, " "), c.code) {
+		if codes := checkWriteLint(t, p, c.w, scopes); !strings.Contains(strings.Join(codes, " "), c.code) {
 			t.Errorf("planted write %q (retract %v): refused for %v, want %s", c.w.src, c.w.retract, codes, c.code)
 		}
 	}
-	t.Logf("writes by shape: %v", shapes)
-	for _, shape := range []string{shapePiAdd, shapeUndefines, shapeKeepsDefined, shapeBelRetract} {
-		if shapes[shape] == 0 {
-			t.Errorf("no write of shape %q: the check does not cover it", shape)
+	// Every shape the generator has, declared apart from writeLintMix so
+	// that a shape dropped from the mix fails here.
+	every := workload.MonotoneMix.With(workload.NonMonotoneMix).With(workload.HostileMix).
+		With(workload.Mix{workload.Fact: 1, workload.Retract: 1})
+	for _, shape := range every.Shapes() {
+		t.Logf("shape %-16s %d writes", shape, drawn[shape])
+	}
+	for _, shape := range every.Missing(drawn) {
+		t.Errorf("no write of shape %s was drawn: the check does not cover it", shape)
+	}
+	t.Logf("writes by lint scope: %v", scopes)
+	for _, scope := range []string{scopePiAdd, scopeUndefines, scopeKeepsDefined, scopeBelRetract} {
+		if scopes[scope] == 0 {
+			t.Errorf("no write of lint scope %q: the check does not cover it", scope)
 		}
 	}
 }

@@ -182,60 +182,31 @@ func Relation(cfg RelationConfig) *mls.Relation {
 	return rel
 }
 
-// ProgramConfig controls the MultiLog program generator.
+// ProgramConfig controls the MultiLog program generator (Generate).
 type ProgramConfig struct {
-	Levels int // chain length
-	Facts  int // m-facts
-	Rules  int // level-stratified m-clauses with belief bodies
-	Preds  int // distinct m-predicates
-	Seed   int64
+	Lattice LatticeShape // ShapeChain unless set
+	Levels  int          // levels of the lattice (at least 2)
+	Facts   int          // m-facts over the base predicates p0, p1, …
+	Rules   int          // rules drawn from Mix
+	Preds   int          // base predicates (at least 1)
+	Seed    int64
 	// Poly is the probability that a generated fact also gets a
 	// polyinstantiated sibling at a strictly higher level with a different
 	// value (the Figure 1 cover-story pattern), so the cautious and
 	// optimistic belief modes have real conflicts to adjudicate. Zero
 	// keeps the generator's historical random stream unchanged.
 	Poly float64
+	// ClassBelow classifies each fact at a level drawn at or below its own
+	// instead of at its own.
+	ClassBelow bool
+	// Mix weighs the shapes the rules are drawn from; nil draws ConstantLevel
+	// rules alone.
+	Mix Mix
 }
 
 // ProgramSource generates a seeded, admissible, level-stratified MultiLog
-// program over a chain lattice, as MultiLog source text. Rule heads sit at
-// a level strictly above their body belief levels, so the reduction always
-// stratifies, and predicate dependencies are acyclic so the operational
-// prover terminates.
-func ProgramSource(cfg ProgramConfig) string {
-	if cfg.Levels < 2 {
-		cfg.Levels = 2
-	}
-	if cfg.Preds < 1 {
-		cfg.Preds = 2
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	src := ""
-	for i := 0; i < cfg.Levels; i++ {
-		src += fmt.Sprintf("level(%s).\n", Level(i))
-	}
-	for i := 0; i+1 < cfg.Levels; i++ {
-		src += fmt.Sprintf("order(%s, %s).\n", Level(i), Level(i+1))
-	}
-	modes := []string{"fir", "opt", "cau"}
-	for i := 0; i < cfg.Facts; i++ {
-		lvl := r.Intn(cfg.Levels)
-		pred, key, val := r.Intn(cfg.Preds), r.Intn(cfg.Facts/2+1), r.Intn(5)
-		src += fmt.Sprintf("%s[p%d(k%d: a -%s-> v%d)].\n",
-			Level(lvl), pred, key, Level(lvl), val)
-		if cfg.Poly > 0 && lvl+1 < cfg.Levels && r.Float64() < cfg.Poly {
-			// A higher-level sibling polyinstantiates the same cell with a
-			// conflicting value classified at its own level.
-			hi := lvl + 1 + r.Intn(cfg.Levels-lvl-1)
-			src += fmt.Sprintf("%s[p%d(k%d: a -%s-> w%d)].\n",
-				Level(hi), pred, key, Level(hi), r.Intn(5))
-		}
-	}
-	for i := 0; i < cfg.Rules; i++ {
-		hi := 1 + r.Intn(cfg.Levels-1)
-		lo := r.Intn(hi)
-		src += fmt.Sprintf("%s[q%d(K: d -%s-> derived%d)] :- %s[p%d(K: a -C-> V)] << %s.\n",
-			Level(hi), i, Level(hi), i, Level(lo), r.Intn(cfg.Preds), modes[r.Intn(3)])
-	}
-	return src
-}
+// program, as MultiLog source text: Generate's program. Over a chain and
+// with ConstantLevel rules alone, rule heads sit at a level strictly above
+// their body belief levels, so the reduction always stratifies, and
+// predicate dependencies are acyclic so the operational prover terminates.
+func ProgramSource(cfg ProgramConfig) string { return Generate(cfg).Source }
