@@ -75,10 +75,7 @@ func main() {
 // mix, and reports whether it drew none of some shape: that shape went
 // unchecked.
 func printShapes(mix workload.Mix, counts map[workload.ClauseShape]int) (missing bool) {
-	for _, s := range mix.Shapes() {
-		fmt.Printf("shape %-16s %d clauses\n", s, counts[s])
-	}
-	for _, s := range mix.Missing(counts) {
+	for _, s := range mix.Report(func(f string, a ...any) { fmt.Printf(f+"\n", a...) }, counts) {
 		fmt.Printf("shape %s was never drawn\n", s)
 		missing = true
 	}

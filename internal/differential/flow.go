@@ -119,7 +119,7 @@ func RunFlowCampaign(seed int64, n int) FlowCampaignResult {
 			//vet:allow nopanic -- generated lattices are valid chains by construction
 			panic(fmt.Sprintf("differential: flow analysis rejected generated program: %v", err))
 		}
-		oracle := reduceOracle{reductions{}}
+		oracle := MultiLogOracles()[0]
 		varied := map[string]bool{}
 		for _, pred := range flow.PredNames() {
 			if flow.Preds[pred].ClearanceIndependent {

@@ -206,9 +206,9 @@ func multilogDisagrees(db *multilog.Database, user lattice.Label, q multilog.Que
 }
 
 // CheckMultiLog cross-checks one case against both MultiLog semantics
-// through oracles, which may keep the database's reductions (keptOracles),
-// shrinking the database on disagreement with fresh oracles for each
-// candidate. nil means Theorem 6.1 held.
+// through oracles (MultiLogOracles), which may keep the database's
+// reductions from earlier cases, shrinking the database on disagreement with
+// fresh oracles for each candidate. nil means Theorem 6.1 held.
 func CheckMultiLog(c MultiLogCase, oracles []MultiLogOracle) *Disagreement {
 	names, outs := runMultiLogOracles(oracles, c.DB, c.User, c.Query)
 	bad := compareOutcomes(names, outs)
@@ -267,7 +267,7 @@ func RunMultiLogCampaign(seed int64, n int) CampaignResult {
 		for _, c := range p.Clauses {
 			res.Shapes[c.Shape]++
 		}
-		oracles := keptOracles()
+		oracles := MultiLogOracles()
 		for _, c := range p.cases() {
 			res.Cases++
 			if d := CheckMultiLog(c, oracles); d != nil {

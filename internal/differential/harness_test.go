@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/multilog"
 	"repro/internal/workload"
 )
 
@@ -18,6 +19,25 @@ func campaignSizes() (datalogN, multilogN int) {
 		return 50, 20
 	}
 	return 140, 60
+}
+
+// One set of oracles asked of two databases answers each from its own
+// reductions: a reduction a campaign keeps never serves another program.
+func TestKeptReductionsServeOnlyTheirDatabase(t *testing.T) {
+	q, err := multilog.ParseGoals("l0[p(K: a -C-> V)]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracles := MultiLogOracles()
+	for _, v := range []string{"v1", "v2", "v1"} {
+		db := mustParse(fmt.Sprintf("level(l0).\nl0[p(k: a -l0-> %s)].\n", v))
+		names, outs := runMultiLogOracles(oracles, db, "l0", q)
+		for i, o := range outs {
+			if o.err != nil || !strings.Contains(o.result.String(), v) {
+				t.Errorf("%s answers %s on the database holding %s", names[i], o, v)
+			}
+		}
+	}
 }
 
 // TestCrossEngineCampaign is the standing correctness gate: a seeded,

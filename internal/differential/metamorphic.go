@@ -117,17 +117,16 @@ func CheckDeadRules(p *datalog.Program, goal datalog.Atom) error {
 // CheckDominanceCoherence checks view coherence under label dominance: for
 // every pair of user levels u ⪯ u', the answers visible at u are a subset
 // of those visible at u' — raising clearance only relaxes the Bell-LaPadula
-// guards, it never hides a tuple. kept holds c.DB's reductions across calls
-// (nil builds them afresh).
-func CheckDominanceCoherence(c MultiLogCase, kept reductions) error {
+// guards, it never hides a tuple. reference is the reduction oracle
+// (MultiLogOracles()[0]), which may keep c.DB's reductions across calls.
+func CheckDominanceCoherence(c MultiLogCase, reference MultiLogOracle) error {
 	poset, err := c.DB.Poset()
 	if err != nil {
 		return nil
 	}
-	oracle := reduceOracle{kept}
 	answers := map[string]Result{}
 	for _, u := range poset.Labels() {
-		r, err := oracle.Answer(c.DB, u, c.Query)
+		r, err := reference.Answer(c.DB, u, c.Query)
 		if err != nil {
 			return fmt.Errorf("differential: dominance coherence: user %s: %w", u, err)
 		}

@@ -188,26 +188,28 @@ func (o proverOracle) Answer(db *multilog.Database, user lattice.Label, q multil
 	return NewResult(tuples), nil
 }
 
-// reductions keeps a reducing oracle's reduction at each clearance for the
-// cases of one database, so that a campaign builds each once and asks it
-// every query of that clearance; a nil one builds a reduction per query.
-type reductions map[lattice.Label]*kept
+// reductions keeps a reducing oracle's reductions, one per database and
+// clearance, so that a campaign builds each once and asks it every query of
+// that clearance. A database must not change once it is reduced.
+type reductions map[reductionKey]*kept
+
+type reductionKey struct {
+	db   *multilog.Database
+	user lattice.Label
+}
 
 type kept struct {
 	red *multilog.Reduction
 	err error
 }
 
-func (rs reductions) at(user lattice.Label, build func() (*multilog.Reduction, error)) (*multilog.Reduction, error) {
-	if rs == nil {
-		return build()
+func (rs reductions) at(db *multilog.Database, user lattice.Label, build func() (*multilog.Reduction, error)) (*multilog.Reduction, error) {
+	k := reductionKey{db, user}
+	if rs[k] == nil {
+		rs[k] = &kept{}
+		rs[k].red, rs[k].err = build()
 	}
-	if rs[user] == nil {
-		k := &kept{}
-		k.red, k.err = build()
-		rs[user] = k
-	}
-	return rs[user].red, rs[user].err
+	return rs[k].red, rs[k].err
 }
 
 // reduceOracle is the Figure 12 reduction to the classical engine. A kept
@@ -218,7 +220,7 @@ type reduceOracle struct{ kept reductions }
 func (reduceOracle) Name() string { return "reduce" }
 
 func (o reduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog.Query) (Result, error) {
-	red, err := o.kept.at(user, func() (*multilog.Reduction, error) { return multilog.Reduce(db, user) })
+	red, err := o.kept.at(db, user, func() (*multilog.Reduction, error) { return multilog.Reduce(db, user) })
 	if err != nil {
 		return Result{}, err
 	}
@@ -247,7 +249,7 @@ type compiledReduceOracle struct{ kept reductions }
 func (compiledReduceOracle) Name() string { return "reduce-compiled" }
 
 func (o compiledReduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog.Query) (Result, error) {
-	red, err := o.kept.at(user, func() (*multilog.Reduction, error) {
+	red, err := o.kept.at(db, user, func() (*multilog.Reduction, error) {
 		red, err := multilog.Reduce(db, user)
 		if err != nil {
 			return nil, err
@@ -267,13 +269,8 @@ func (o compiledReduceOracle) Answer(db *multilog.Database, user lattice.Label, 
 
 // MultiLogOracles returns the MultiLog semantics, reduction first (it is
 // the reference: Theorem 6.1 equates the prover to it), plus the
-// compiled-engine reduction.
+// compiled-engine reduction. The reducing oracles keep each database's
+// reductions for as long as the oracles live.
 func MultiLogOracles() []MultiLogOracle {
-	return []MultiLogOracle{reduceOracle{}, proverOracle{maxDepth: 512}, compiledReduceOracle{}}
-}
-
-// keptOracles is MultiLogOracles with each reducing oracle keeping its
-// reductions, for the cases of one database.
-func keptOracles() []MultiLogOracle {
 	return []MultiLogOracle{reduceOracle{reductions{}}, proverOracle{maxDepth: 512}, compiledReduceOracle{reductions{}}}
 }

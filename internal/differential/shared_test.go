@@ -39,10 +39,7 @@ func TestSharedCampaign(t *testing.T) {
 // so a shape dropped from the mix fails here.
 func checkShapes(t *testing.T, want workload.Mix, counts map[workload.ClauseShape]int) {
 	t.Helper()
-	for _, s := range want.Shapes() {
-		t.Logf("shape %-16s %d clauses", s, counts[s])
-	}
-	for _, s := range want.Missing(counts) {
+	for _, s := range want.Report(t.Logf, counts) {
 		t.Errorf("shape %s was never drawn: the campaign does not check it", s)
 	}
 }

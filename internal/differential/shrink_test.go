@@ -107,7 +107,7 @@ func TestShrinkMultiLog(t *testing.T) {
 		if c.QuerySrc != "l1[q0(K: d -C-> V)]" || c.User != "l1" {
 			continue
 		}
-		oracle := reduceOracle{}
+		oracle := MultiLogOracles()[0]
 		r, err := oracle.Answer(c.DB, c.User, c.Query)
 		if err != nil || r.Len() == 0 {
 			continue

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,28 +23,37 @@ func btoi(b bool) int {
 // staleProgramMix and staleWriteMix are the shape mixes of
 // TestCachedAnswersNeverStale: monotone programs, and writes that add rules
 // of those shapes and facts, retract stored clauses, and derive downward,
-// which makes the program non-monotone.
+// which makes the program non-monotone. Beside them the oracle writes
+// staleLevelRule, a Π rule over Λ, whose own probe is undefined until then.
 var (
 	staleProgramMix = workload.Mix{workload.ConstantLevel: 2, workload.LevelVariable: 1, workload.ClassFromBody: 1, workload.PiReading: 1}
 	staleWriteMix   = staleProgramMix.With(workload.Mix{workload.Fact: 4, workload.WriteDown: 1, workload.Retract: 2})
+	staleLevelRule  = workload.Write{Clause: workload.Clause{Src: "lv(X) :- level(X), order(X, Y).", Shape: "pi-rule"}}
 )
 
 // TestCachedAnswersNeverStale is the result cache's staleness oracle. Over
 // generated programs and writes drawn from staleWriteMix — facts asserted at
 // random levels, some retracted again before anyone reads, rules deriving
 // into queried predicates and into new ones, stored clauses of either kind
-// retracted — sessions at every clearance × belief mode ask the program's
-// probes (workload.Probes: every predicate at a level variable, the joins,
-// the Π goal) after every step of one to three writes, and every response,
-// from the cache or not, must equal what a server cold-started on the
-// current program answers. The single-goal probes' entries a write patches,
-// the joins' it drops; the oracle logs, and fails on a zero of, the hits that
-// merged a patch, the hits whose answers a patch changed, and the entries
-// writes dropped. A write-down rule flips the program from monotone to not
+// retracted — and staleLevelRule, sessions at every clearance × belief mode
+// ask the program's probes after every step of one to three writes, and
+// every response, from the cache or not, must equal what a server
+// cold-started on the current program answers. The probes are
+// workload.Probes' (each predicate at a level variable as an m-atom, and at
+// a level variable or l1 in an explicit mode or none, in turn; the joins;
+// the Π goals), and probes of predicates no clause defines at load: the
+// heads of the first writes (DrawWrite names the n-th write's new head w<n>)
+// and staleLevelRule's lv. The single-goal probes' entries a write patches,
+// the joins' it drops; the oracle logs, and fails on a zero of, the hits
+// that merged a patch, the hits whose answers a patch changed, the entries
+// writes dropped, and the answers of the predicates undefined at load. A
+// write-down rule flips the program from monotone to not
 // (multilog.MonotoneClause), and its retract flips it back: every clearance
 // below the top changes serving level, and after such a step each of its
-// answers must be uncached, as a cold server's are; the oracle fails on a
-// zero of either flip, and of any shape of the write mix.
+// answers must be uncached where a cold server's is (a cold server, too,
+// serves a probe from the cache when an earlier probe at the same clearance
+// is the same query); the oracle fails on a zero of either flip, and of any
+// shape of the write mix.
 func TestCachedAnswersNeverStale(t *testing.T) {
 	programs, steps := 40, 9
 	if testing.Short() {
@@ -53,16 +61,20 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 	}
 	const levels, preds = 4, 3
 	modes := []string{"fir", "opt", "cau"}
+	none := []byte("[]") // the answers to a query with none
 	var probes []string
-	// answers asks every probe at every view; cached reports, per answer,
-	// whether the cache served it.
-	answers := func(s *Server) (out [][]map[string]string, cached []bool) {
+	// answers asks every probe at every view, and keeps the answers' bytes;
+	// cached reports, per answer, whether the cache served it.
+	answers := func(s *Server) (out [][]byte, cached []bool) {
 		for i := 0; i < levels; i++ {
 			for _, m := range modes {
 				sess := openSess(t, s, string(workload.Level(i)), m)
 				for _, q := range probes {
-					resp := runQuery(t, s, sess, q)
-					out, cached = append(out, resp.Answers), append(cached, resp.Cached)
+					resp, got, err := s.Query(context.Background(), sess, QueryRequest{Query: q})
+					if err != nil {
+						t.Fatalf("query %q: %v", q, err)
+					}
+					out, cached = append(out, bytes.Clone(got)), append(cached, resp.Cached)
 				}
 			}
 		}
@@ -81,7 +93,8 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 		return n
 	}
 	applied, ruleWrites, cachedServed, patchedHits, changedHits, dropped := 0, 0, 0, 0, 0, 0
-	var flips [2]int // steps that made the program monotone, and not
+	var lateAnswers [2]int // non-empty answers of the write heads' probes, and of lv's
+	var flips [2]int       // steps that made the program monotone, and not
 	drawn := map[workload.ClauseShape]int{}
 	for n := 0; n < programs; n++ {
 		r := rand.New(rand.NewSource(int64(2500 + n)))
@@ -96,17 +109,22 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		probes = probes[:0]
-		for _, p := range workload.Probes(prog.current().db.Database(), gen.Poset) {
-			if !strings.Contains(p.Src, "<<") {
-				probes = append(probes, p.Src) // a session's mode reads a plain goal
+		// Probes gives each predicate eight probes, at L and at l1, as an
+		// m-atom and in fir, opt and cau; the oracle asks the first, and
+		// one of the other seven in turn.
+		for i, p := range workload.Probes(prog.current().db.Database(), gen.Poset, workload.Level(1)) {
+			if p.Pred == "" || i%8 == 0 || i%8 == 1+i/8%7 {
+				probes = append(probes, p.Src)
 			}
 		}
+		late := len(probes) // the probes of predicates no clause defines yet
+		probes = append(probes, "L[w0(K: d -C-> V)]", "L[w1(K: d -C-> V)]", "L[w2(K: d -C-> V)]", "L[w3(K: d -C-> V)]", "lv(X)")
 		writer := openSess(t, s, string(workload.Level(levels-1)), "")
 		writes := 0
 		// write applies one write and reports whether it changed anything,
 		// and what it was: when the program is not monotone, a third of
-		// the time the retract of a clause that makes it so, else a write
-		// drawn from staleWriteMix.
+		// the time the retract of a clause that makes it so, else one time in
+		// twelve staleLevelRule, else a write drawn from staleWriteMix.
 		write := func() (clause string, retract, changed bool) {
 			cur := prog.current()
 			var w workload.Write
@@ -116,6 +134,8 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 						w = workload.Write{Clause: workload.Clause{Src: c.String(), Shape: workload.Retract}, Retract: true}
 					}
 				}
+			} else if r.Intn(12) == 0 {
+				w = staleLevelRule
 			} else {
 				w = workload.DrawWrite(r, cur.db.Database(), cur.poset, staleWriteMix, writes)
 				writes++
@@ -159,7 +179,7 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 			if err := cold.Load("test", prog.current().db.Database().String()); err != nil {
 				t.Fatalf("program %d step %d: cold start on the written program: %v", n, step, err)
 			}
-			want, _ := answers(cold)
+			want, coldCached := answers(cold)
 			patchedHits += queued(s)
 			got, cached := answers(s)
 			flipped := monotone != (prog.current().nonMonotone == 0)
@@ -167,17 +187,20 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 				flips[btoi(monotone)]++
 			}
 			for i := range got {
-				if u := i / len(probes) / len(modes); flipped && u < levels-1 && cached[i] {
+				if u := i / len(probes) / len(modes); flipped && u < levels-1 && cached[i] && !coldCached[i] {
 					t.Fatalf("program %d step %d: after %q flipped monotonicity, probe %q at %s/%s was served from the cache",
 						n, step, clause, probes[i%len(probes)], workload.Level(u), modes[i/len(probes)%len(modes)])
 				}
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("program %d step %d: after %q (retract=%v, the step's last write), probe %q at %s/%s answers %v, a cold server %v",
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("program %d step %d: after %q (retract=%v, the step's last write), probe %q at %s/%s answers %s, a cold server %s",
 						n, step, clause, retract, probes[i%len(probes)], workload.Level(i/len(probes)/len(modes)),
 						modes[i/len(probes)%len(modes)], got[i], want[i])
 				}
-				if cached[i] && !reflect.DeepEqual(got[i], last[i]) {
+				if cached[i] && !bytes.Equal(got[i], last[i]) {
 					changedHits++
+				}
+				if i%len(probes) >= late && !bytes.Equal(got[i], none) {
+					lateAnswers[btoi(i%len(probes) == len(probes)-1)]++
 				}
 			}
 			last = got
@@ -190,15 +213,13 @@ func TestCachedAnswersNeverStale(t *testing.T) {
 	// shape dropped from the mix fails here.
 	want := workload.Mix{workload.ConstantLevel: 1, workload.LevelVariable: 1, workload.ClassFromBody: 1, workload.PiReading: 1,
 		workload.Fact: 1, workload.WriteDown: 1, workload.Retract: 1}
-	for _, shape := range want.Shapes() {
-		t.Logf("shape %-16s %d writes", shape, drawn[shape])
-	}
-	for _, shape := range want.Missing(drawn) {
+	for _, shape := range want.Report(t.Logf, drawn) {
 		t.Errorf("no write of shape %s was drawn: the oracle does not cover it", shape)
 	}
-	t.Logf("%d writes (%d of rules) over %d programs checked at %d clearance×mode views; %d answers served from the cache, %d merging a patch, %d changed by it; %d entries dropped; %d steps made the program non-monotone, %d monotone again",
-		applied, ruleWrites, programs, levels*len(modes), cachedServed, patchedHits, changedHits, dropped, flips[1], flips[0])
-	if applied < programs*steps/2 || ruleWrites < applied/4 || cachedServed == 0 || patchedHits == 0 || changedHits == 0 || dropped == 0 || flips[0] == 0 || flips[1] == 0 {
+	t.Logf("%d writes (%d of rules, %d of %s) over %d programs checked at %d clearance×mode views; %d answers served from the cache, %d merging a patch, %d changed by it; %d entries dropped; %d and %d non-empty answers of the write heads and lv, undefined at load; %d steps made the program non-monotone, %d monotone again",
+		applied, ruleWrites, drawn[staleLevelRule.Shape], staleLevelRule.Src, programs, levels*len(modes), cachedServed, patchedHits, changedHits, dropped, lateAnswers[0], lateAnswers[1], flips[1], flips[0])
+	if applied < programs*steps/2 || ruleWrites < applied/4 || cachedServed == 0 || patchedHits == 0 || changedHits == 0 || dropped == 0 ||
+		lateAnswers[0] == 0 || lateAnswers[1] == 0 || drawn[staleLevelRule.Shape] == 0 || flips[0] == 0 || flips[1] == 0 {
 		t.Fatal("the oracle saw too little")
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -232,16 +233,60 @@ func preparedFrom(t *testing.T, name string, db *multilog.Database) *preparedPro
 var writeLintMix = workload.MonotoneMix.With(workload.NonMonotoneMix).With(workload.HostileMix).
 	With(workload.Mix{workload.Fact: 2, workload.Retract: 6})
 
+// malformedWrite draws, beside workload.DrawWrite's well-formed writes, an
+// assert over the program's own vocabulary that is well-formed or not, as the
+// draw falls: a Σ fact whose class is drawn apart from its level (ML003), a Σ
+// rule in a mode drawn from fir, opt, cau and rumor, which few programs
+// define (ML002), half the time over a Π goal, the program's or the
+// undefined nowhere (DL002); a Π fact of a fresh predicate or of one of the
+// program's at arity 1 (DL004 where it has another arity, a Σ rule's goal
+// among them); a Π rule over Λ or one of the program's Π predicates.
+func malformedWrite(r *rand.Rand, db *multilog.Database, poset *lattice.Poset, n int) writeLintCase {
+	pick := func(cs []multilog.Clause, facts bool) (multilog.Clause, bool) {
+		cs = slices.DeleteFunc(slices.Clone(cs), func(c multilog.Clause) bool { return c.IsFact() != facts })
+		if len(cs) == 0 {
+			return multilog.Clause{}, false
+		}
+		return cs[r.Intn(len(cs))], true
+	}
+	labels := poset.Labels()
+	lvl := func() string { return string(labels[r.Intn(len(labels))]) }
+	sigmaPred, piPred := "p0", "wq"
+	if c, ok := pick(db.Sigma, true); ok {
+		sigmaPred = c.Head.M.Pred
+	}
+	if c, ok := pick(db.Pi, r.Intn(2) == 0); ok {
+		piPred = c.Head.P.Pred
+	}
+	switch r.Intn(4) {
+	case 0:
+		l := lvl()
+		return writeLintCase{src: fmt.Sprintf("%s[%s(w%d: a -%s-> x%d)].", l, sigmaPred, n, []string{l, lvl()}[r.Intn(2)], n)}
+	case 1:
+		body := fmt.Sprintf("%s[%s(K: a -C-> V)] << %s", lvl(), sigmaPred, []string{"fir", "opt", "cau", "rumor"}[r.Intn(4)])
+		if r.Intn(2) == 0 {
+			body += fmt.Sprintf(", %s(K)", []string{piPred, "nowhere"}[r.Intn(2)])
+		}
+		l := lvl()
+		return writeLintCase{src: fmt.Sprintf("%s[w%d(K: d -%s-> y)] :- %s.", l, n, l, body)}
+	case 2:
+		return writeLintCase{src: fmt.Sprintf("%s(w%d).", []string{fmt.Sprintf("wf%d", n), piPred}[r.Intn(2)], n)}
+	default:
+		return writeLintCase{src: fmt.Sprintf("wr%d(X) :- %s(X).", n, []string{"level", piPred}[r.Intn(2)])}
+	}
+}
+
 // TestWriteLintIsFullLint: on every write, over the lint golden corpus, the
 // example programs, D1, the benchmark's shape at 200 facts and a program of
 // every generated shape, the Error findings the write path checks are those
 // of the full lint of the database it would publish, and the write is
 // refused exactly when there are any — writes drawn by the workload
 // generator from every shape it has (writeLintMix; a hostile one must be
-// refused with ML009), each corpus program's own rejected clauses written
-// back in, and one planted write per Error class. It logs, and fails on a
-// zero of, the writes of each shape, and the writes of each lint scope
-// MultiLogWrite tells apart.
+// refused with ML009) and, every other write, by malformedWrite, each corpus
+// program's own rejected clauses written back in, and one planted write per
+// Error class. It logs, and fails on a zero of, the writes of each shape, the
+// writes of each lint scope MultiLogWrite tells apart, and the random writes
+// refused for each of ML002, ML003, DL002 and DL004.
 func TestWriteLintIsFullLint(t *testing.T) {
 	corpus := map[string]string{
 		"d1":    multilog.D1Source,
@@ -268,7 +313,7 @@ func TestWriteLintIsFullLint(t *testing.T) {
 	// (user-mode, Π-reading: only the generated programs have what they
 	// need) undrawn.
 	const writes = 40
-	findings, scopes, drawn := map[string]int{}, map[string]int{}, map[workload.ClauseShape]int{}
+	findings, scopes, drawn, random := map[string]int{}, map[string]int{}, map[workload.ClauseShape]int{}, map[string]int{}
 	total, refused := 0, 0
 	write := func(p *preparedProgram, w writeLintCase) []string {
 		codes := checkWriteLint(t, p, w, scopes)
@@ -297,6 +342,12 @@ func TestWriteLintIsFullLint(t *testing.T) {
 			codes := write(p, writeLintCase{src: w.Src, retract: w.Retract})
 			if workload.HostileMix[w.Shape] > 0 && !slices.Contains(codes, "ML009") {
 				t.Errorf("%s: the %s write %q was not refused with ML009 (codes %v)", name, w.Shape, w.Src, codes)
+			}
+			if i%2 == 0 {
+				codes = append(codes, write(p, malformedWrite(r, p.current().db.Database(), p.current().poset, i))...)
+			}
+			for _, code := range codes {
+				random[code]++
 			}
 		}
 	}
@@ -339,11 +390,14 @@ func TestWriteLintIsFullLint(t *testing.T) {
 	// that a shape dropped from the mix fails here.
 	every := workload.MonotoneMix.With(workload.NonMonotoneMix).With(workload.HostileMix).
 		With(workload.Mix{workload.Fact: 1, workload.Retract: 1})
-	for _, shape := range every.Shapes() {
-		t.Logf("shape %-16s %d writes", shape, drawn[shape])
-	}
-	for _, shape := range every.Missing(drawn) {
+	for _, shape := range every.Report(t.Logf, drawn) {
 		t.Errorf("no write of shape %s was drawn: the check does not cover it", shape)
+	}
+	t.Logf("random writes by the code refusing them: %v", random)
+	for _, code := range []string{"ML002", "ML003", "DL002", "DL004", "ML009"} {
+		if random[code] == 0 {
+			t.Errorf("no random write was refused with %s: the check does not cover it", code)
+		}
 	}
 	t.Logf("writes by lint scope: %v", scopes)
 	for _, scope := range []string{scopePiAdd, scopeUndefines, scopeKeepsDefined, scopeBelRetract} {

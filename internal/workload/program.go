@@ -69,8 +69,12 @@ func (m Mix) Shapes() []ClauseShape {
 	return slices.DeleteFunc(slices.Clone(shapes), func(s ClauseShape) bool { return m[s] <= 0 })
 }
 
-// Missing lists the shapes of m that counts has none of.
-func (m Mix) Missing(counts map[ClauseShape]int) []ClauseShape {
+// Report logs, through logf, how many of counts each shape of m has, and
+// returns the shapes it has none of: every campaign fails on those.
+func (m Mix) Report(logf func(string, ...any), counts map[ClauseShape]int) []ClauseShape {
+	for _, s := range m.Shapes() {
+		logf("shape %-16s %d drawn", s, counts[s])
+	}
 	return slices.DeleteFunc(m.Shapes(), func(s ClauseShape) bool { return counts[s] > 0 })
 }
 
@@ -227,27 +231,29 @@ func newGen(r *rand.Rand, poset *lattice.Poset) *gen {
 // learn reads db's vocabulary: its m-predicates by name (derived when only a
 // rule derives one), its unary Π predicates and its user modes.
 func (g *gen) learn(db *multilog.Database) {
-	seen := map[string]bool{}
-	add := func(to *[]pred, m multilog.MAtom) {
-		if !seen[m.Pred] {
-			seen[m.Pred] = true
-			*to = append(*to, pred{m.Pred, m.Attr})
+	kind, attr := map[string]int{}, map[string]string{} // 0 read, 1 derived, 2 with a fact
+	note := func(m multilog.MAtom, k int) {
+		if old, ok := kind[m.Pred]; !ok || k > old {
+			kind[m.Pred], attr[m.Pred] = k, m.Attr
 		}
 	}
-	for pass := 0; pass < 3; pass++ { // facts, rule heads, body goals
-		for _, c := range db.Sigma {
-			switch {
-			case pass == 0 && c.IsFact():
-				add(&g.base, c.Head.M)
-			case pass == 1 && !c.IsFact():
-				add(&g.derived, c.Head.M)
-			case pass == 2:
-				for _, b := range c.Body {
-					if b.Kind == multilog.GoalM || b.Kind == multilog.GoalB {
-						add(&g.base, b.M)
-					}
-				}
+	for _, c := range db.Sigma {
+		k := 1 // a rule's head
+		if c.IsFact() {
+			k = 2
+		}
+		note(c.Head.M, k)
+		for _, b := range c.Body {
+			if b.Kind == multilog.GoalM || b.Kind == multilog.GoalB {
+				note(b.M, 0)
 			}
+		}
+	}
+	for name, k := range kind {
+		if k == 1 {
+			g.derived = append(g.derived, pred{name, attr[name]})
+		} else {
+			g.base = append(g.base, pred{name, attr[name]})
 		}
 	}
 	byName := func(a, b pred) int { return strings.Compare(a.name, b.name) }
@@ -382,13 +388,12 @@ func (g *gen) render(shape ClauseShape, n int) string {
 		m, l := g.modes[g.r.Intn(len(g.modes))], g.level()
 		src = fmt.Sprintf("%s[%s(K: %s -%s-> V)] :- %s[%s(K: %s -C-> V)] << %s.", l, h.name, h.attr, l, l, m.of.name, m.of.attr, m.mode)
 	case ReservedName:
-		b, l, lo := g.base[g.r.Intn(len(g.base))], g.level(), g.levels[0]
+		b, l := g.base[g.r.Intn(len(g.base))], g.level()
 		rel := fmt.Sprintf("mlrel_%s_%s", b.name, l)
 		return []string{
-			fmt.Sprintf("%s(w%d, %s, planted, %s).", rel, n, b.attr, l),                // a cell planted at l
-			fmt.Sprintf("leak%d(V) :- %s(K, A, V, C).", n, rel),                        // copied out into Π
-			fmt.Sprintf("%s[leak%d(K: d -%s-> V)] :- %s(K, A, V, C).", lo, n, lo, rel), // read into Σ
-		}[g.r.Intn(3)]
+			fmt.Sprintf("%s(w%d, %s, planted, %s).", rel, n, b.attr, l), // a cell planted at l
+			fmt.Sprintf("leak%d(V) :- %s(K, A, V, C).", n, rel),         // copied out
+		}[g.r.Intn(2)]
 	case Dominate:
 		return fmt.Sprintf("%s(%s, %s).", multilog.DominatePred, g.level(), g.level())
 	default:

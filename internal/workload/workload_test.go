@@ -186,7 +186,7 @@ func TestGeneratedShapesAsDeclared(t *testing.T) {
 			t.Errorf("seed %d: the %s write %s is not refused with ML009:\n%s", seed, w.Shape, w.Src, ds)
 		}
 	}
-	if missing := MonotoneMix.With(NonMonotoneMix).With(HostileMix).Missing(counts); len(missing) > 0 {
+	if missing := MonotoneMix.With(NonMonotoneMix).With(HostileMix).Report(t.Logf, counts); len(missing) > 0 {
 		t.Errorf("shapes never drawn: %v (drawn: %v)", missing, counts)
 	}
 }
