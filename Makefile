@@ -30,10 +30,12 @@ race:
 # fuzz-smoke runs the cross-engine differential fuzzer for a bounded time
 # on top of the checked-in corpus (any disagreement is shrunk and reported
 # with a ready-to-paste regression test), then the server's answer encoder
-# against encoding/json for 10 s.
+# against encoding/json for 10 s, and the client's answer decoder against
+# json.Unmarshal for 10 s.
 fuzz-smoke:
 	$(GO) test ./internal/differential -run='^$$' -fuzz=FuzzCrossEngine -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswersJSON -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzQueryResponseDecode -fuzztime=10s
 
 # campaign replays the standing 200-program differential campaign (also run
 # as TestCrossEngineCampaign) through the CLI, then the shared-serving

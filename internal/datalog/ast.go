@@ -118,15 +118,24 @@ func (a Atom) Key() string {
 }
 
 // String renders the atom in surface syntax; built-ins render infix.
-func (a Atom) String() string {
+func (a Atom) String() string { return string(a.Append(nil)) }
+
+// Append appends the atom's String rendering to dst and returns the
+// extended slice.
+func (a Atom) Append(dst []byte) []byte {
 	if a.IsBuiltin() && len(a.Args) == 2 {
-		return fmt.Sprintf("%s %s %s", a.Args[0], a.Pred, a.Args[1])
+		dst = a.Args[0].Append(dst)
+		dst = append(append(append(dst, ' '), a.Pred...), ' ')
+		return a.Args[1].Append(dst)
 	}
-	parts := make([]string, len(a.Args))
+	dst = append(append(dst, term.QuoteIdent(a.Pred)...), '(')
 	for i, t := range a.Args {
-		parts[i] = t.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = t.Append(dst)
 	}
-	return fmt.Sprintf("%s(%s)", term.QuoteIdent(a.Pred), strings.Join(parts, ", "))
+	return append(dst, ')')
 }
 
 // Literal is an atom or its negation (negation as failure over a stratified

@@ -26,7 +26,7 @@ func AssertDatalogAgreement(t TB, src, querySrc string) {
 	if err != nil {
 		t.Fatalf("parse goal %q: %v", querySrc, err)
 	}
-	names, outs := runDatalogOracles(p, goal)
+	names, outs := runDatalogOracles(DatalogOracles(), p, goal)
 	if bad := compareOutcomes(names, outs); len(bad) > 0 {
 		t.Fatalf("oracles disagree on %s:\n%s", querySrc, renderOutcomes(names, outs))
 	}

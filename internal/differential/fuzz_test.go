@@ -277,14 +277,15 @@ func FuzzCrossEngine(f *testing.F) {
 			}
 			goals = append(goals, datalog.NewAtom(c.Head.Pred, args...))
 		}
+		oracles := DatalogOracles()
 		for _, g := range goals {
-			names, outs := runDatalogOracles(p, g)
+			names, outs := runDatalogOracles(oracles, p, g)
 			if bad := compareOutcomes(names, outs); len(bad) > 0 {
 				minimal := ShrinkDatalog(p, func(sp *datalog.Program) bool {
 					return datalogDisagrees(sp, g)
 				})
 				t.Fatalf("oracles %v disagree on %s\nminimal program:\n%s\noutcomes:\n%s",
-					bad, g, minimal, renderOutcomes(runDatalogOracles(minimal, g)))
+					bad, g, minimal, renderOutcomes(runDatalogOracles(DatalogOracles(), minimal, g)))
 			}
 		}
 	})

@@ -142,8 +142,7 @@ func compareOutcomes(names []string, outs []outcome) []string {
 }
 
 // runDatalogOracles evaluates every oracle on the case.
-func runDatalogOracles(p *datalog.Program, goal datalog.Atom) ([]string, []outcome) {
-	oracles := DatalogOracles()
+func runDatalogOracles(oracles []DatalogOracle, p *datalog.Program, goal datalog.Atom) ([]string, []outcome) {
 	names := make([]string, len(oracles))
 	outs := make([]outcome, len(oracles))
 	for i, o := range oracles {
@@ -157,15 +156,17 @@ func runDatalogOracles(p *datalog.Program, goal datalog.Atom) ([]string, []outco
 // datalogDisagrees reports whether the oracle set disagrees on (p, goal).
 // It is the shrinker's failure predicate.
 func datalogDisagrees(p *datalog.Program, goal datalog.Atom) bool {
-	names, outs := runDatalogOracles(p, goal)
+	names, outs := runDatalogOracles(DatalogOracles(), p, goal)
 	return len(compareOutcomes(names, outs)) > 0
 }
 
-// CheckDatalog cross-checks one case against every Datalog oracle. On
-// disagreement it shrinks the program to a minimal counterexample and
-// returns the report; nil means all oracles agree.
-func CheckDatalog(c DatalogCase) *Disagreement {
-	names, outs := runDatalogOracles(c.Program, c.Goal)
+// CheckDatalog cross-checks one case against every Datalog oracle through
+// oracles (DatalogOracles), which may keep the program's models from
+// earlier cases. On disagreement it shrinks the program to a minimal
+// counterexample, with fresh oracles for each candidate, and returns the
+// report; nil means all oracles agree.
+func CheckDatalog(c DatalogCase, oracles []DatalogOracle) *Disagreement {
+	names, outs := runDatalogOracles(oracles, c.Program, c.Goal)
 	bad := compareOutcomes(names, outs)
 	if len(bad) == 0 {
 		return nil
@@ -173,7 +174,7 @@ func CheckDatalog(c DatalogCase) *Disagreement {
 	minimal := ShrinkDatalog(c.Program, func(p *datalog.Program) bool {
 		return datalogDisagrees(p, c.Goal)
 	})
-	mnames, mouts := runDatalogOracles(minimal, c.Goal)
+	mnames, mouts := runDatalogOracles(DatalogOracles(), minimal, c.Goal)
 	d := &Disagreement{
 		Kind:      "datalog",
 		Seed:      c.Seed,
@@ -247,12 +248,18 @@ type CampaignResult struct {
 }
 
 // RunDatalogCampaign cross-checks n seeded Datalog programs (each with its
-// family's query goals) against all oracles.
+// family's query goals) against all oracles, evaluating each program once
+// per bottom-up oracle.
 func RunDatalogCampaign(seed int64, n int) CampaignResult {
 	res := CampaignResult{Programs: n}
+	var oracles []DatalogOracle
+	var last *datalog.Program
 	for _, c := range DatalogPrograms(seed, n) {
+		if c.Program != last {
+			oracles, last = DatalogOracles(), c.Program
+		}
 		res.Cases++
-		if d := CheckDatalog(c); d != nil {
+		if d := CheckDatalog(c, oracles); d != nil {
 			res.Disagreements = append(res.Disagreements, d)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datalog"
 	"repro/internal/multilog"
 	"repro/internal/workload"
 )
@@ -40,6 +41,29 @@ func TestKeptReductionsServeOnlyTheirDatabase(t *testing.T) {
 	}
 }
 
+// One set of Datalog oracles asked of three programs in turn — the third
+// spelled as the first — answers each from its own model: a model a
+// bottom-up oracle keeps never answers for another program.
+func TestKeptModelsAnswerOnlyTheirProgram(t *testing.T) {
+	goal, err := datalog.ParseAtom("q(X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracles := DatalogOracles()
+	for _, v := range []string{"v1", "v2", "v1"} {
+		p, err := datalog.Parse(fmt.Sprintf("p(%s).\nq(X) :- p(X).\n", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, outs := runDatalogOracles(oracles, p, goal)
+		for i, o := range outs {
+			if o.err != nil || o.result.String() != NewResult([]string{"{X/" + v + "}"}).String() {
+				t.Errorf("%s answers %s on the program holding %s", names[i], o, v)
+			}
+		}
+	}
+}
+
 // TestCrossEngineCampaign is the standing correctness gate: a seeded,
 // deterministic campaign of ≥200 generated programs (under -short: 70)
 // cross-checked over all six Datalog strategies and both MultiLog
@@ -54,6 +78,7 @@ func TestCrossEngineCampaign(t *testing.T) {
 		t.Errorf("datalog cross-check failed:\n%s\npromote with:\n%s",
 			d.Report(), d.RegressionTest("Campaign"))
 	}
+	t.Logf("datalog: %d programs, %d cases in %v", dres.Programs, dres.Cases, time.Since(start))
 	mres := RunMultiLogCampaign(1, mn)
 	for _, d := range mres.Disagreements {
 		t.Errorf("multilog cross-check failed (Theorem 6.1 violated):\n%s\npromote with:\n%s",

@@ -33,16 +33,22 @@ import (
 
 // incrementalOracle answers through the incremental engine's initial
 // fixpoint (no deltas applied).
-type incrementalOracle struct{}
+type incrementalOracle struct{ models models }
 
 func (incrementalOracle) Name() string { return "incremental" }
 
-func (incrementalOracle) Answer(p *datalog.Program, goal datalog.Atom) (Result, error) {
-	inc, err := datalog.NewIncremental(p, nil)
+func (o incrementalOracle) Answer(p *datalog.Program, goal datalog.Atom) (Result, error) {
+	model, err := o.models.at(p, func() (*datalog.Store, error) {
+		inc, err := datalog.NewIncremental(p, nil)
+		if err != nil {
+			return nil, unsupported(err)
+		}
+		return inc.Model(), nil
+	})
 	if err != nil {
-		return Result{}, unsupported(err)
+		return Result{}, err
 	}
-	return substResult(datalog.QueryStore(inc.Model(), goal)), nil
+	return substResult(datalog.QueryStore(model, goal)), nil
 }
 
 // WriteOp is one maintenance delta, facts and rules mixed. Deletions apply

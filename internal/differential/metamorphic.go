@@ -95,8 +95,8 @@ func CheckDeadRules(p *datalog.Program, goal datalog.Atom) error {
 			pruned.Add(c)
 		}
 	}
-	names, before := runDatalogOracles(p, goal)
-	_, after := runDatalogOracles(pruned, goal)
+	names, before := runDatalogOracles(DatalogOracles(), p, goal)
+	_, after := runDatalogOracles(DatalogOracles(), pruned, goal)
 	for i := range names {
 		b, a := before[i], after[i]
 		if errors.Is(b.err, ErrUnsupported) || errors.Is(a.err, ErrUnsupported) {

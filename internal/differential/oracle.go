@@ -44,6 +44,30 @@ type DatalogOracle interface {
 	Answer(p *datalog.Program, goal datalog.Atom) (Result, error)
 }
 
+// kept keeps an oracle's builds — a program's model, a database's
+// reduction at a clearance — one per key, so that a campaign builds each
+// once and asks it every goal. What a key names must not change once it is
+// built.
+type kept[K comparable, V any] map[K]*built[V]
+
+type built[V any] struct {
+	v   V
+	err error
+}
+
+func (k kept[K, V]) at(key K, build func() (V, error)) (V, error) {
+	b := k[key]
+	if b == nil {
+		b = &built[V]{}
+		b.v, b.err = build()
+		k[key] = b
+	}
+	return b.v, b.err
+}
+
+// models keeps a bottom-up oracle's minimal models, one per program.
+type models = kept[*datalog.Program, *datalog.Store]
+
 // bottomUpOracle covers the four fixpoint strategies (naive, semi-naive,
 // no-index, parallel) via the Evaluator toggles.
 type bottomUpOracle struct {
@@ -51,13 +75,16 @@ type bottomUpOracle struct {
 	naive    bool
 	noIndex  bool
 	parallel bool
+	models   models
 }
 
 func (o bottomUpOracle) Name() string { return o.name }
 
 func (o bottomUpOracle) Answer(p *datalog.Program, goal datalog.Atom) (Result, error) {
-	e := datalog.Evaluator{Naive: o.naive, NoIndex: o.noIndex, Parallel: o.parallel}
-	model, err := e.Eval(p, nil)
+	model, err := o.models.at(p, func() (*datalog.Store, error) {
+		e := datalog.Evaluator{Naive: o.naive, NoIndex: o.noIndex, Parallel: o.parallel}
+		return e.Eval(p, nil)
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -123,29 +150,33 @@ func (o tabledOracle) Answer(p *datalog.Program, goal datalog.Atom) (Result, err
 // recursion, which FamSameGen never triggers but hand-shrunk cases can)
 // are reported unsupported rather than silently answered by a different
 // engine.
-type compiledOracle struct{}
+type compiledOracle struct{ models models }
 
 func (compiledOracle) Name() string { return "compiled" }
 
-func (compiledOracle) Answer(p *datalog.Program, goal datalog.Atom) (Result, error) {
-	model, _, err := compile.EvalContext(context.Background(), p, nil, compile.Options{})
-	if err != nil {
+func (o compiledOracle) Answer(p *datalog.Program, goal datalog.Atom) (Result, error) {
+	model, err := o.models.at(p, func() (*datalog.Store, error) {
+		model, _, err := compile.EvalContext(context.Background(), p, nil, compile.Options{})
 		if compile.IsFallback(err) {
-			return Result{}, fmt.Errorf("%w: %v", ErrUnsupported, err)
+			return nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
 		}
-		return Result{}, unsupported(err)
+		return model, unsupported(err)
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	return substResult(datalog.QueryStore(model, goal)), nil
 }
 
 // DatalogOracles returns the full oracle set, semi-naive first (it is the
-// reference implementation the others are compared against).
+// reference implementation the others are compared against). The bottom-up
+// oracles keep each program's model for as long as the oracles live.
 func DatalogOracles() []DatalogOracle {
 	return []DatalogOracle{
-		bottomUpOracle{name: "semi-naive"},
-		bottomUpOracle{name: "naive", naive: true},
-		bottomUpOracle{name: "no-index", noIndex: true},
-		bottomUpOracle{name: "parallel", parallel: true},
+		bottomUpOracle{name: "semi-naive", models: models{}},
+		bottomUpOracle{name: "naive", naive: true, models: models{}},
+		bottomUpOracle{name: "no-index", noIndex: true, models: models{}},
+		bottomUpOracle{name: "parallel", parallel: true, models: models{}},
 		magicOracle{},
 		// The step budget is the real guard: on cyclic or left-recursive
 		// programs SLD explores exponentially many bounded-depth paths, so
@@ -153,8 +184,8 @@ func DatalogOracles() []DatalogOracle {
 		// cases come back ErrUnsupported in milliseconds and are skipped.
 		sldOracle{maxDepth: 64, maxSteps: 5_000},
 		tabledOracle{},
-		incrementalOracle{},
-		compiledOracle{},
+		incrementalOracle{models{}},
+		compiledOracle{models{}},
 	}
 }
 
@@ -189,38 +220,23 @@ func (o proverOracle) Answer(db *multilog.Database, user lattice.Label, q multil
 }
 
 // reductions keeps a reducing oracle's reductions, one per database and
-// clearance, so that a campaign builds each once and asks it every query of
-// that clearance. A database must not change once it is reduced.
-type reductions map[reductionKey]*kept
+// clearance.
+type reductions = kept[reductionKey, *multilog.Reduction]
 
 type reductionKey struct {
 	db   *multilog.Database
 	user lattice.Label
 }
 
-type kept struct {
-	red *multilog.Reduction
-	err error
-}
-
-func (rs reductions) at(db *multilog.Database, user lattice.Label, build func() (*multilog.Reduction, error)) (*multilog.Reduction, error) {
-	k := reductionKey{db, user}
-	if rs[k] == nil {
-		rs[k] = &kept{}
-		rs[k].red, rs[k].err = build()
-	}
-	return rs[k].red, rs[k].err
-}
-
 // reduceOracle is the Figure 12 reduction to the classical engine. A kept
 // reduction answers as a fresh one: Query registers the belief axioms q
 // needs and rebuilds its cached model only when that adds one.
-type reduceOracle struct{ kept reductions }
+type reduceOracle struct{ reds reductions }
 
 func (reduceOracle) Name() string { return "reduce" }
 
 func (o reduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog.Query) (Result, error) {
-	red, err := o.kept.at(db, user, func() (*multilog.Reduction, error) { return multilog.Reduce(db, user) })
+	red, err := o.reds.at(reductionKey{db, user}, func() (*multilog.Reduction, error) { return multilog.Reduce(db, user) })
 	if err != nil {
 		return Result{}, err
 	}
@@ -244,12 +260,12 @@ func answerResult(answers []multilog.Answer) Result {
 // answers via QueryPrepared. It must byte-agree with reduceOracle — and,
 // through Theorem 6.1, with the prover — at every clearance and belief
 // mode.
-type compiledReduceOracle struct{ kept reductions }
+type compiledReduceOracle struct{ reds reductions }
 
 func (compiledReduceOracle) Name() string { return "reduce-compiled" }
 
 func (o compiledReduceOracle) Answer(db *multilog.Database, user lattice.Label, q multilog.Query) (Result, error) {
-	red, err := o.kept.at(db, user, func() (*multilog.Reduction, error) {
+	red, err := o.reds.at(reductionKey{db, user}, func() (*multilog.Reduction, error) {
 		red, err := multilog.Reduce(db, user)
 		if err != nil {
 			return nil, err

@@ -63,8 +63,17 @@ func (m MAtom) Equal(n MAtom) bool {
 }
 
 // String renders the atom in MultiLog surface syntax.
-func (m MAtom) String() string {
-	return fmt.Sprintf("%s[%s(%s: %s -%s-> %s)]", m.Level, m.Pred, m.Key, m.Attr, m.Class, m.Value)
+func (m MAtom) String() string { return string(m.Append(nil)) }
+
+// Append appends the atom's String rendering to dst and returns the
+// extended slice.
+func (m MAtom) Append(dst []byte) []byte {
+	dst = append(m.Level.Append(dst), '[')
+	dst = append(append(dst, m.Pred...), '(')
+	dst = append(m.Key.Append(dst), ": "...)
+	dst = append(append(dst, m.Attr...), " -"...)
+	dst = append(m.Class.Append(dst), "-> "...)
+	return append(m.Value.Append(dst), ")]"...)
 }
 
 // Vars appends the variable names of the atom to dst.
@@ -189,14 +198,18 @@ func (g Goal) Equal(h Goal) bool {
 }
 
 // String renders the goal.
-func (g Goal) String() string {
+func (g Goal) String() string { return string(g.Append(nil)) }
+
+// Append appends the goal's String rendering to dst and returns the
+// extended slice.
+func (g Goal) Append(dst []byte) []byte {
 	switch g.Kind {
 	case GoalM:
-		return g.M.String()
+		return g.M.Append(dst)
 	case GoalB:
-		return fmt.Sprintf("%s << %s", g.M, g.Mode)
+		return append(append(g.M.Append(dst), " << "...), g.Mode...)
 	default:
-		return g.P.String()
+		return g.P.Append(dst)
 	}
 }
 
@@ -243,11 +256,16 @@ func (c Clause) String() string {
 // Query is a conjunctive query ?- B1, ..., Bm.
 type Query []Goal
 
-// String renders the query.
+// String renders the query into one buffer: it is the server's cache key,
+// built on every request.
 func (q Query) String() string {
-	parts := make([]string, len(q))
+	var buf [128]byte
+	dst := append(buf[:0], "?- "...)
 	for i, g := range q {
-		parts[i] = g.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = g.Append(dst)
 	}
-	return "?- " + strings.Join(parts, ", ") + "."
+	return string(append(dst, '.'))
 }

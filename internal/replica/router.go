@@ -263,12 +263,15 @@ func (r *Router) wrap(h func(http.ResponseWriter, *http.Request) error) http.Han
 		r.inFlight.Add(1)
 		defer r.inFlight.Done()
 		q.Body = http.MaxBytesReader(w, q.Body, 1<<20)
+		sw := &server.StatusWriter{ResponseWriter: w}
 		var err error
 		func() {
 			defer resource.Protect("replica.router", &err)
-			err = h(w, q)
+			err = h(sw, q)
 		}()
-		if err != nil {
+		if err != nil && !sw.Started() {
+			// An error after the reply began (a client gone mid-body)
+			// leaves the status written.
 			r.writeError(w, err)
 		}
 	}
@@ -396,7 +399,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, q *http.Request) error {
 		}
 		if rerr == nil {
 			r.countQuery(resp)
-			return writeJSON(w, http.StatusOK, resp)
+			return server.WriteQuery(w, http.StatusOK, resp)
 		}
 		if !fallbackWorthy(rerr) {
 			r.qErrors.Add(1)
@@ -408,7 +411,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, q *http.Request) error {
 			// primary with fallback reads.
 			if resp, ok := r.reshedQuery(q.Context(), s, rep, req, floor); ok {
 				r.countQuery(resp)
-				return writeJSON(w, http.StatusOK, resp)
+				return server.WriteQuery(w, http.StatusOK, resp)
 			}
 		}
 		r.readFallback.Add(1)
@@ -419,7 +422,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, q *http.Request) error {
 		return rerr
 	}
 	r.countQuery(resp)
-	return writeJSON(w, http.StatusOK, resp)
+	return server.WriteQuery(w, http.StatusOK, resp)
 }
 
 func (r *Router) countQuery(resp *server.QueryResponse) {

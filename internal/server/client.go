@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -236,16 +237,30 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		return json.NewDecoder(resp.Body).Decode(out)
+		return decodeBody(resp.Body, out)
 	}
 	if resp.StatusCode == http.StatusRequestTimeout {
 		// The truncation reply carries the partial result body.
-		if err := json.NewDecoder(resp.Body).Decode(out); err == nil {
+		if err := decodeBody(resp.Body, out); err == nil {
 			return &RemoteError{Status: resp.StatusCode}
 		}
 		return &RemoteError{Status: resp.StatusCode, Code: CodeLimit, Message: "truncated"}
 	}
 	return decodeRemoteError(resp)
+}
+
+// decodeBody decodes a reply body into out: a query reply by decodeQuery,
+// which reads its answers without reflection, any other by encoding/json.
+func decodeBody(r io.Reader, out any) error {
+	q, ok := out.(*QueryResponse)
+	if !ok {
+		return json.NewDecoder(r).Decode(out)
+	}
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return decodeQuery(body, q)
 }
 
 func decodeRemoteError(resp *http.Response) error {

@@ -14,3 +14,32 @@ func (s *Server) InstallSnapshot(seq uint64, payload []byte) error {
 }
 
 func (s *Server) MarkSynced() { s.markSynced() }
+
+// WireCase is a program of the answers corpus (wireCases) and the queries
+// it is asked.
+type WireCase struct {
+	Name, Src string
+	Queries   []string
+}
+
+// WireCorpus is the answers corpus the wire identity test runs.
+func WireCorpus() []WireCase {
+	var out []WireCase
+	for _, wc := range wireCases() {
+		out = append(out, WireCase{wc.name, wc.src, wc.queries})
+	}
+	return out
+}
+
+// Clearances lists a loaded database's levels.
+func (s *Server) Clearances(db string) []string {
+	prog, err := s.program(db)
+	if err != nil {
+		return nil
+	}
+	var out []string
+	for _, l := range prog.current().poset.Labels() {
+		out = append(out, string(l))
+	}
+	return out
+}

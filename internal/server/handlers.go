@@ -80,14 +80,51 @@ func (s *Server) wrap(h func(http.ResponseWriter, *http.Request) error) http.Han
 		s.inFlight.Add(1)
 		defer s.inFlight.Done()
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		sw := &StatusWriter{ResponseWriter: w}
 		var err error
 		func() {
 			defer resource.Protect("server.handler", &err)
-			err = h(w, r)
+			err = h(sw, r)
 		}()
-		if err != nil {
+		switch {
+		case err == nil:
+		case sw.Started():
+			// The reply is on its way (a client that gave up mid-body): its
+			// status stands, and there is no one left to tell.
+			if s.qAbandon.Add(1) == 1 {
+				s.logf("%s %s: reply abandoned after it began: %v (later ones are only counted: queries.abandoned)", r.Method, r.URL.Path, err)
+			}
+		default:
 			writeError(w, err)
 		}
+	}
+}
+
+// StatusWriter is a ResponseWriter that remembers whether its reply has
+// begun, so that an error after that is not answered with a second status.
+// It flushes through to the writer it wraps.
+type StatusWriter struct {
+	http.ResponseWriter
+	started bool
+}
+
+// Started reports whether a status or a byte of the body has been written.
+func (w *StatusWriter) Started() bool { return w.started }
+
+func (w *StatusWriter) WriteHeader(status int) {
+	w.started = true
+	w.ResponseWriter.WriteHeader(status)
+}
+
+func (w *StatusWriter) Write(p []byte) (int, error) {
+	w.started = true
+	return w.ResponseWriter.Write(p)
+}
+
+// Flush flushes the wrapped writer, when it can.
+func (w *StatusWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
 	}
 }
 
@@ -150,6 +187,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 // answersOpen opens every encoded QueryResponse: Answers is its first field.
 // With nil Answers, "null" follows.
 var answersOpen = []byte(`{"answers":`)
+
+// WriteQuery writes resp as the reply to a query. The answers of a response
+// a Client decoded go out as they came, unread, which is how a router
+// forwards them (Answers must not have changed since); any other response is
+// written as writeJSON writes it.
+func WriteQuery(w http.ResponseWriter, status int, resp *QueryResponse) error {
+	if resp.raw == nil {
+		return writeJSON(w, status, resp)
+	}
+	head := *resp
+	head.Answers, head.raw = nil, nil
+	return writeQuery(w, status, &head, resp.raw)
+}
 
 // writeQuery writes resp with answers, an encoded JSON array, in the place
 // of its nil Answers: the bytes writeJSON writes for resp with those answers

@@ -123,6 +123,10 @@ type QueryResponse struct {
 	// invalidated cache entry this many milliseconds old (bounded by the
 	// server's -max-stale). Mirrored in the X-Multilog-Stale header.
 	StaleMS int64 `json:"stale_ms,omitempty"`
+
+	// raw is the answers array as a Client received it, which WriteQuery
+	// forwards in the place of Answers; nil when Answers was built otherwise.
+	raw []byte
 }
 
 // UpdateRequest asserts or retracts clauses on the session's database.
@@ -328,6 +332,9 @@ type QueryStats struct {
 	Served    int64 `json:"served"`
 	Errors    int64 `json:"errors"`
 	Truncated int64 `json:"truncated"` // hit a deadline or budget
+	// Abandoned counts replies, on any route, that failed after they began
+	// (a client that gave up mid-body); their status stands.
+	Abandoned int64 `json:"abandoned,omitempty"`
 }
 
 // CacheStats counts result-cache traffic.

@@ -171,6 +171,7 @@ type Server struct {
 	queries  atomic.Int64
 	qErrors  atomic.Int64
 	qTrunc   atomic.Int64
+	qAbandon atomic.Int64 // replies that failed after they began
 	draining atomic.Bool
 	inFlight sync.WaitGroup
 
@@ -546,7 +547,7 @@ func (s *Server) Stats() StatsResponse {
 	return StatsResponse{
 		UptimeMS:    time.Since(s.start).Milliseconds(),
 		Sessions:    s.sessions.Stats(),
-		Queries:     QueryStats{Served: s.queries.Load(), Errors: s.qErrors.Load(), Truncated: s.qTrunc.Load()},
+		Queries:     QueryStats{Served: s.queries.Load(), Errors: s.qErrors.Load(), Truncated: s.qTrunc.Load(), Abandoned: s.qAbandon.Load()},
 		Cache:       s.cache.Stats(),
 		Compiled:    compile.DefaultCache.Stats(),
 		Databases:   dbs,
