@@ -85,8 +85,10 @@ analyze:
 # start multilogd, storm it with serveload (concurrent sessions plus
 # assert/retract churn), cross-check /v1/stats, verify a clean SIGTERM
 # drain, then SIGKILL a durable daemon and prove the acknowledged write
-# survives a restart, then boot a follower of it, hold one query's answers
-# byte for byte to the primary's, and require its SIGTERM drain to exit 0.
+# survives a restart, then boot a follower of it and a router in front of
+# both, hold one query's answers through each byte for byte to the
+# primary's, and require each one's SIGTERM drain to exit 0 and log
+# "drained".
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

@@ -972,3 +972,38 @@ func TestRouterDrainClosesSilentConnections(t *testing.T) {
 		t.Fatalf("router drain with a silent connection open returned %v after %v", err, time.Since(start))
 	}
 }
+
+// TestRouterAnswersBackendFailures503: a backend the router cannot reach,
+// and one whose reply breaks off mid-body, are transient failures below the
+// protocol, and the router answers both 503 overloaded with Retry-After: 1,
+// where a node's own unclassified error would read as a 400.
+func TestRouterAnswersBackendFailures503(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/session", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // test stub
+		w.Header().Set("Content-Length", "100")
+		io.WriteString(w, `{"session":"b-`) //nolint:errcheck // a reply cut short
+	})
+	broken := httptest.NewServer(mux)
+	t.Cleanup(func() { broken.CloseClientConnections(); broken.Close() })
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close() // nothing listens there now
+	for _, c := range []struct{ name, primary string }{{"unreachable", deadAddr}, {"broken reply", broken.URL}} {
+		rt, err := replica.NewRouter(replica.RouterConfig{Primary: c.primary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/session", strings.NewReader(`{"subject":"w","clearance":"u"}`)))
+		var e server.ErrorResponse
+		json.Unmarshal(rec.Body.Bytes(), &e) //nolint:errcheck // checked by its code below
+		if rec.Code != http.StatusServiceUnavailable || e.Code != server.CodeOverloaded || rec.Header().Get("Retry-After") != "1" {
+			t.Errorf("%s backend: the router answered %d %q, Retry-After %q; want 503 %q, 1",
+				c.name, rec.Code, e.Code, rec.Header().Get("Retry-After"), server.CodeOverloaded)
+		}
+	}
+}

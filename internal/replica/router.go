@@ -34,22 +34,16 @@ package replica
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/resource"
 	"repro/internal/server"
 )
 
@@ -126,9 +120,12 @@ type routedSession struct {
 }
 
 // Router fronts a primary plus replicas behind the standard /v1 protocol.
+// It serves through a node's transport (server.Transport); what is its own
+// is the routing policy.
 type Router struct {
 	cfg      RouterConfig
 	logf     func(format string, args ...any)
+	tr       *server.Transport
 	start    time.Time
 	backends []*backend // [0] is the boot primary; order is stable
 
@@ -138,9 +135,6 @@ type Router struct {
 
 	sessMu   sync.Mutex
 	sessions map[string]*routedSession
-
-	draining atomic.Bool
-	inFlight sync.WaitGroup
 
 	queries      atomic.Int64
 	qErrors      atomic.Int64
@@ -164,11 +158,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	r := &Router{cfg: cfg, logf: logf, start: time.Now(), sessions: map[string]*routedSession{}}
+	r := &Router{cfg: cfg, logf: logf, tr: server.NewTransport(logf), start: time.Now(), sessions: map[string]*routedSession{}}
 	hc := &http.Client{Timeout: 10 * time.Second}
 	mk := func(spec BackendSpec) *backend {
 		b := &backend{
-			addr:   normalizeURL(spec.Addr),
+			addr:   server.BaseURL(spec.Addr),
 			client: server.NewClient(spec.Addr, hc),
 			bands:  map[string]bool{},
 		}
@@ -224,108 +218,68 @@ func lighterLoaded(a, b *backend) bool {
 	return a.sessions.Load() < b.sessions.Load()
 }
 
-// Handler speaks the standard /v1 protocol.
+// Handler speaks the standard /v1 protocol, through the node's transport.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/session", r.wrap(r.handleOpen))
-	mux.HandleFunc("POST /v1/session/close", r.wrap(r.handleClose))
-	mux.HandleFunc("POST /v1/query", r.wrap(r.handleQuery))
-	mux.HandleFunc("POST /v1/assert", r.wrap(func(w http.ResponseWriter, q *http.Request) error {
+	mux.HandleFunc("POST /v1/session", r.tr.Wrap(r.handleOpen))
+	mux.HandleFunc("POST /v1/session/close", r.tr.Wrap(r.handleClose))
+	mux.HandleFunc("POST /v1/query", r.tr.Wrap(r.handleQuery))
+	mux.HandleFunc("POST /v1/assert", r.tr.Wrap(func(w http.ResponseWriter, q *http.Request) error {
 		return r.handleUpdate(w, q, false)
 	}))
-	mux.HandleFunc("POST /v1/retract", r.wrap(func(w http.ResponseWriter, q *http.Request) error {
+	mux.HandleFunc("POST /v1/retract", r.tr.Wrap(func(w http.ResponseWriter, q *http.Request) error {
 		return r.handleUpdate(w, q, true)
 	}))
-	mux.HandleFunc("GET /v1/stats", r.wrap(r.handleStats))
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, server.HealthResponse{Status: "ok", Role: "router"})
-	})
-	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/stats", r.tr.Wrap(r.handleStats))
+	// Ready while the router has a live primary to write to.
+	r.tr.HandleHealth(mux, func() server.HealthResponse {
 		h := server.HealthResponse{Status: "ok", Role: "router"}
-		status := http.StatusOK
 		if !r.currentPrimary().healthy.Load() {
 			h.Status = "degraded"
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, status, h)
+		return h
 	})
 	return mux
 }
 
-func (r *Router) wrap(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, q *http.Request) {
-		if r.draining.Load() {
-			w.Header().Set("Retry-After", "1")
-			writeErrJSON(w, http.StatusServiceUnavailable, server.CodeOverloaded, "router is draining")
-			return
-		}
-		r.inFlight.Add(1)
-		defer r.inFlight.Done()
-		q.Body = http.MaxBytesReader(w, q.Body, 1<<20)
-		sw := &server.StatusWriter{ResponseWriter: w}
-		var err error
-		func() {
-			defer resource.Protect("replica.router", &err)
-			err = h(sw, q)
-		}()
-		if err != nil && !sw.Started() {
-			// An error after the reply began (a client gone mid-body)
-			// leaves the status written.
-			r.writeError(w, err)
-		}
-	}
-}
-
-// decode reads a request body as a node does: an unknown field is a 400,
-// not a field dropped on the way to a backend.
-func decode(q *http.Request, dst any) error {
-	dec := json.NewDecoder(q.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return &routerBadRequest{fmt.Errorf("decoding request: %w", err)}
-	}
-	return nil
-}
-
 func (r *Router) handleOpen(w http.ResponseWriter, q *http.Request) error {
 	var req server.OpenRequest
-	if err := decode(q, &req); err != nil {
+	if err := server.Decode(q, &req); err != nil {
+		return err
+	}
+	token, err := server.NewToken()
+	if err != nil {
 		return err
 	}
 	rep := r.pickReplica(req.Clearance)
-	target, tok := r.currentPrimary(), ""
+	target := r.currentPrimary()
 	if rep != nil {
 		target = rep
 	}
 	resp, err := target.client.Open(q.Context(), req)
-	if err != nil {
-		if rep != nil {
-			// The pinned replica failed at open time: fall back to the
-			// primary rather than refusing the session.
-			rep, target = nil, r.currentPrimary()
-			if resp, err = target.client.Open(q.Context(), req); err != nil {
-				return err
-			}
-		} else {
-			return err
-		}
+	if err != nil && rep != nil {
+		// The pinned replica failed at open time: fall back to the primary
+		// rather than refusing the session.
+		rep, target = nil, r.currentPrimary()
+		resp, err = target.client.Open(q.Context(), req)
 	}
-	tok = resp.Session
+	if err != nil {
+		return err
+	}
 
-	s := &routedSession{token: newToken(), open: req, replica: rep}
+	s := &routedSession{token: "r-" + token, open: req, replica: rep}
 	if rep != nil {
-		s.replicaTok = tok
+		s.replicaTok = resp.Session
 		rep.sessions.Add(1)
 	} else {
-		s.primaryTok, s.primaryOn = tok, target
+		s.primaryTok, s.primaryOn = resp.Session, target
 	}
 	r.sessMu.Lock()
 	r.sessions[s.token] = s
 	r.sessMu.Unlock()
 	out := *resp
 	out.Session = s.token
-	return writeJSON(w, http.StatusOK, out)
+	return server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (r *Router) lookup(token string) (*routedSession, error) {
@@ -339,7 +293,7 @@ func (r *Router) lookup(token string) (*routedSession, error) {
 
 func (r *Router) handleClose(w http.ResponseWriter, q *http.Request) error {
 	var req server.CloseRequest
-	if err := decode(q, &req); err != nil {
+	if err := server.Decode(q, &req); err != nil {
 		return err
 	}
 	r.sessMu.Lock()
@@ -362,74 +316,70 @@ func (r *Router) handleClose(w http.ResponseWriter, q *http.Request) error {
 			prim.client.Close(q.Context(), primTok) //nolint:errcheck // best-effort backend close
 		}
 	}
-	return writeJSON(w, http.StatusOK, server.CloseResponse{Closed: closed})
+	return server.WriteJSON(w, http.StatusOK, server.CloseResponse{Closed: closed})
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, q *http.Request) error {
 	var req server.QueryRequest
-	if err := decode(q, &req); err != nil {
+	if err := server.Decode(q, &req); err != nil {
 		return err
 	}
 	s, err := r.lookup(req.Session)
 	if err != nil {
 		return err
 	}
+	resp, err := r.routeQuery(q.Context(), s, req)
+	if resp == nil {
+		r.qErrors.Add(1)
+	} else {
+		r.queries.Add(1)
+		if resp.Cached {
+			r.cacheHits.Add(1)
+		}
+	}
+	return server.ReplyQuery(w, resp, err)
+}
+
+// routeQuery answers s's read on its pinned replica when that one is
+// healthy and has applied the session's last write, and on the primary
+// otherwise. resp is nil, or complete, or a limit stop's partial answers
+// beside err.
+func (r *Router) routeQuery(ctx context.Context, s *routedSession, req server.QueryRequest) (*server.QueryResponse, error) {
 	s.mu.Lock()
 	rep, floor := s.replica, s.lastWriteEpoch
 	s.mu.Unlock()
 
 	if rep != nil && rep.healthy.Load() {
-		resp, rerr := r.queryOn(q.Context(), s, rep, req, false)
-		if rerr == nil && resp.Epoch < floor {
+		resp, err := r.queryOn(ctx, s, rep, req, false)
+		if resp != nil && resp.Epoch < floor {
 			// Read-your-writes: the replica has not applied this session's
 			// last write yet. Hold briefly and re-ask before giving up and
 			// going to the primary.
 			r.rywHolds.Add(1)
 			deadline := time.Now().Add(r.cfg.RYWHold)
-			for resp.Epoch < floor && time.Now().Before(deadline) && q.Context().Err() == nil {
+			for resp != nil && resp.Epoch < floor && time.Now().Before(deadline) && ctx.Err() == nil {
 				time.Sleep(5 * time.Millisecond)
-				if resp, rerr = r.queryOn(q.Context(), s, rep, req, false); rerr != nil {
-					break
-				}
+				resp, err = r.queryOn(ctx, s, rep, req, false)
 			}
-			if rerr == nil && resp.Epoch < floor {
+			if resp != nil && resp.Epoch < floor {
 				r.rywForwards.Add(1)
-				rerr = errStale
+				resp, err = nil, errStale
 			}
 		}
-		if rerr == nil {
-			r.countQuery(resp)
-			return server.WriteQuery(w, http.StatusOK, resp)
+		if resp != nil || !fallbackWorthy(err) {
+			return resp, err
 		}
-		if !fallbackWorthy(rerr) {
-			r.qErrors.Add(1)
-			return rerr
-		}
-		if isShed(rerr) {
+		if isShed(err) {
 			// The pinned replica shed the read (429): move the pin to the
 			// least-loaded replica and retry there before burdening the
 			// primary with fallback reads.
-			if resp, ok := r.reshedQuery(q.Context(), s, rep, req, floor); ok {
-				r.countQuery(resp)
-				return server.WriteQuery(w, http.StatusOK, resp)
+			if resp, ok := r.reshedQuery(ctx, s, rep, req, floor); ok {
+				return resp, nil
 			}
 		}
 		r.readFallback.Add(1)
 	}
-	resp, rerr := r.queryOn(q.Context(), s, r.currentPrimary(), req, true)
-	if rerr != nil {
-		r.qErrors.Add(1)
-		return rerr
-	}
-	r.countQuery(resp)
-	return server.WriteQuery(w, http.StatusOK, resp)
-}
-
-func (r *Router) countQuery(resp *server.QueryResponse) {
-	r.queries.Add(1)
-	if resp.Cached {
-		r.cacheHits.Add(1)
-	}
+	return r.queryOn(ctx, s, r.currentPrimary(), req, true)
 }
 
 // reshedQuery moves a session whose pinned replica shed its read to the
@@ -543,7 +493,7 @@ func isUnknownSession(err error) bool {
 
 func (r *Router) handleUpdate(w http.ResponseWriter, q *http.Request, retract bool) error {
 	var req server.UpdateRequest
-	if err := decode(q, &req); err != nil {
+	if err := server.Decode(q, &req); err != nil {
 		return err
 	}
 	s, err := r.lookup(req.Session)
@@ -576,13 +526,11 @@ func (r *Router) handleUpdate(w http.ResponseWriter, q *http.Request, retract bo
 			// matching the probe loop's more-than-one-failure bar.
 			if r.primaryConfirmedDead(prim) {
 				// The primary is gone mid-write. Fail over for the NEXT
-				// writer, but surface 503 for this one: the write's fate is
-				// unknown, and re-sending a possibly-applied write is the
-				// client's call.
+				// writer, but surface the 503 a transport error writes for
+				// this one: the write's fate is unknown, and re-sending a
+				// possibly-applied write is the client's call.
 				r.failover(prim)
-				writeErrJSON(w, http.StatusServiceUnavailable, server.CodeOverloaded,
-					"primary lost mid-write; failing over — retry")
-				return nil
+				return fmt.Errorf("primary lost mid-write; failing over — retry: %w", err)
 			}
 		}
 		return err
@@ -595,7 +543,7 @@ acked:
 	}
 	s.mu.Unlock()
 	r.writesAcked.Add(1)
-	return writeJSON(w, http.StatusOK, resp)
+	return server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (r *Router) updateOn(ctx context.Context, s *routedSession, b *backend, clauses string, retract bool) (*server.UpdateResponse, error) {
@@ -675,22 +623,13 @@ func (r *Router) primaryConfirmedDead(prim *backend) bool {
 	return err != nil
 }
 
-// normalizeURL turns a node address into a base URL: "http://" prefixed to
-// a bare host:port, no trailing slash.
-func normalizeURL(addr string) string {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	return strings.TrimRight(addr, "/")
-}
-
 // canonicalHostPort reduces a node address to a comparable host:port:
 // scheme and path stripped, host lowercased, the loopback spellings
 // unified — so "localhost:7070", "127.0.0.1:7070" and
 // "http://localhost:7070" all compare equal, and "internal:7070" can never
 // match "a.internal:7070".
 func canonicalHostPort(addr string) string {
-	u, err := url.Parse(normalizeURL(addr))
+	u, err := url.Parse(server.BaseURL(addr))
 	if err != nil || u.Host == "" {
 		return addr
 	}
@@ -760,7 +699,7 @@ func (r *Router) failover(dead *backend) {
 		r.logf("router: primary %s lost and no follower is reachable", dead.addr)
 		return
 	}
-	if err := r.postControl(ctx, best.addr+"/v1/repl/promote", nil); err != nil {
+	if err := best.client.Promote(ctx); err != nil {
 		r.logf("router: promoting %s failed: %v", best.addr, err)
 		return
 	}
@@ -774,34 +713,10 @@ func (r *Router) failover(dead *backend) {
 		if b == dead || b == best {
 			continue
 		}
-		if err := r.postControl(ctx, b.addr+"/v1/repl/primary", map[string]string{"primary": best.addr}); err != nil {
+		if err := b.client.Retarget(ctx, best.addr); err != nil {
 			r.logf("router: re-targeting %s to %s failed: %v", b.addr, best.addr, err)
 		}
 	}
-}
-
-func (r *Router) postControl(ctx context.Context, url string, body any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(payload)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return nil
 }
 
 func isTransport(err error) bool {
@@ -883,86 +798,28 @@ func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) error {
 	r.sessMu.Lock()
 	open := len(r.sessions)
 	r.sessMu.Unlock()
-	return writeJSON(w, http.StatusOK, server.StatsResponse{
+	return server.WriteJSON(w, http.StatusOK, server.StatsResponse{
 		UptimeMS:    time.Since(r.start).Milliseconds(),
 		Sessions:    server.SessionStats{Open: open},
-		Queries:     server.QueryStats{Served: r.queries.Load(), Errors: r.qErrors.Load()},
+		Queries:     server.QueryStats{Served: r.queries.Load(), Errors: r.qErrors.Load(), Abandoned: r.tr.Abandoned()},
 		Cache:       server.CacheStats{Hits: r.cacheHits.Load()},
 		Replication: rs,
 	})
 }
 
-// Serve runs the router until ctx is done, then drains like the server:
-// no new requests, in-flight ones finish, listener closes.
+// Serve runs the router until ctx is done, then drains through the node's
+// lifecycle: no new requests, in-flight ones finish, the listener closes.
+// The probe loop stops as the drain begins, and Serve returns after it.
 func (r *Router) Serve(ctx context.Context, ln net.Listener, drainTimeout time.Duration) error {
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	go r.probeLoop(pctx)
-	hs := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	closeNew := server.CloseNewConns(hs)
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	r.logf("router serving on %s (primary %s, %d replica(s))", ln.Addr(), r.cfg.Primary, len(r.cfg.Replicas))
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	r.draining.Store(true)
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	closeNew()
-	err := hs.Shutdown(sctx)
-	<-errc
-	r.inFlight.Wait()
-	return err
-}
-
-// routerBadRequest mirrors the server's transport-error mapping.
-type routerBadRequest struct{ err error }
-
-func (e *routerBadRequest) Error() string { return e.err.Error() }
-
-func (r *Router) writeError(w http.ResponseWriter, err error) {
-	var re *server.RemoteError
-	switch {
-	case errors.As(err, &re):
-		// Relay the backend's verdict as-is: its Retry-After, in whole
-		// seconds and never below 1, and where writes go.
-		if re.RetryAfter > 0 || re.Status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", strconv.FormatInt(max(1, int64(math.Ceil(re.RetryAfter.Seconds()))), 10))
-		}
-		writeJSON(w, re.Status, server.ErrorResponse{Code: re.Code, Message: re.Message, Primary: re.Primary}) //nolint:errcheck // best-effort error body
-	case errors.Is(err, server.ErrUnknownSession):
-		writeErrJSON(w, http.StatusNotFound, server.CodeUnknownSession, err.Error())
-	case errors.As(err, new(*resource.InternalError)):
-		writeErrJSON(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
-	default:
-		var bad *routerBadRequest
-		if errors.As(err, &bad) {
-			writeErrJSON(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		writeErrJSON(w, http.StatusServiceUnavailable, server.CodeOverloaded, err.Error())
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	return json.NewEncoder(w).Encode(v)
-}
-
-func writeErrJSON(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, server.ErrorResponse{Code: code, Message: msg}) //nolint:errcheck // best-effort error body
-}
-
-// newToken mints a router-scope session token.
-func newToken() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) //vet:allow nopanic -- crypto/rand never fails on a living system
-	}
-	return "r-" + hex.EncodeToString(b[:])
+	pctx, stopProbes := context.WithCancel(ctx)
+	probing := make(chan struct{})
+	go func() {
+		defer close(probing)
+		r.probeLoop(pctx)
+	}()
+	r.logf("router: primary %s, %d replica(s)", r.cfg.Primary, len(r.cfg.Replicas))
+	return r.tr.Serve(ctx, ln, r.Handler(), drainTimeout, server.Lifecycle{Stop: func() {
+		stopProbes()
+		<-probing
+	}})
 }

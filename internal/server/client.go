@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -54,10 +55,12 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &Client{bases: []string{normalizeBase(base)}, cur: &atomic.Int32{}, http: httpClient}
+	return &Client{bases: []string{BaseURL(base)}, cur: &atomic.Int32{}, http: httpClient}
 }
 
-func normalizeBase(base string) string {
+// BaseURL turns a node address into the base URL a Client targets: "http://"
+// prefixed to a bare host:port, no trailing slash.
+func BaseURL(base string) string {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
@@ -74,7 +77,7 @@ func (c *Client) WithEndpoints(endpoints ...string) *Client {
 	if len(endpoints) > 0 {
 		cc.bases = make([]string, len(endpoints))
 		for i, e := range endpoints {
-			cc.bases[i] = normalizeBase(e)
+			cc.bases[i] = BaseURL(e)
 		}
 		cc.cur = &atomic.Int32{}
 	}
@@ -99,7 +102,7 @@ func (c *Client) rotateFrom(idx int32) bool {
 
 // Healthy probes /v1/healthz (liveness: 200 even while recovering).
 func (c *Client) Healthy(ctx context.Context) error {
-	return c.doIdempotent(ctx, func() error { return c.get(ctx, "/v1/healthz", nil) })
+	return c.doIdempotent(ctx, func() error { return c.get(ctx, "/v1/healthz", &HealthResponse{}) })
 }
 
 // Ready probes /v1/readyz and returns the daemon's health view; the error
@@ -197,36 +200,38 @@ func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 	return &out, nil
 }
 
-// get fetches a GET endpoint, decoding a 200 body into out (skipped when
-// out is nil) and non-200 into a *RemoteError.
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeRemoteError(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+// Promote turns the follower into the primary (POST /v1/repl/promote, the
+// router's failover).
+func (c *Client) Promote(ctx context.Context) error {
+	return c.post(ctx, "/v1/repl/promote", struct{}{}, &promoteResponse{})
 }
 
-// post sends a JSON request and decodes a JSON reply into out. Non-2xx
-// replies become *RemoteError. A 408 with a decodable out-body (the
-// partial-answer case) decodes out AND returns the error.
+// Retarget points the node at a new primary (POST /v1/repl/primary).
+func (c *Client) Retarget(ctx context.Context, primary string) error {
+	return c.post(ctx, "/v1/repl/primary", retargetRequest{Primary: primary}, &retargetRequest{})
+}
+
+// get fetches a GET endpoint; see do.
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	return c.do(ctx, http.MethodGet, path, nil, out)
+}
+
+// post sends in as a JSON request; see do.
 func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base()+path, bytes.NewReader(body))
+	return c.do(ctx, http.MethodPost, path, body, out)
+}
+
+// do sends one request and decodes a 200 reply into out. A reply that
+// broke off or did not decode is, to a caller, a failure below the protocol
+// as much as no reply is: a *url.Error, like the one http.Client returns
+// then. Any other status becomes a *RemoteError; a 408 with a decodable
+// out-body (the partial-answer case) decodes out AND returns the error.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, c.base()+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -236,10 +241,13 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		return decodeBody(resp.Body, out)
-	}
-	if resp.StatusCode == http.StatusRequestTimeout {
+	switch resp.StatusCode {
+	case http.StatusOK:
+		if err := decodeBody(resp.Body, out); err != nil {
+			return &url.Error{Op: method, URL: req.URL.String(), Err: err}
+		}
+		return nil
+	case http.StatusRequestTimeout:
 		// The truncation reply carries the partial result body.
 		if err := decodeBody(resp.Body, out); err == nil {
 			return &RemoteError{Status: resp.StatusCode}

@@ -18,7 +18,7 @@ import (
 // encoding/json's.
 //
 // On the scanned path out keeps the answers' bytes, a slice of body, for
-// WriteQuery to forward unread; body must not change after.
+// ReplyQuery to forward unread; body must not change after.
 func decodeQuery(body []byte, out *QueryResponse) error {
 	if end, ok := scanAnswers(body, out); ok && decodeTail(body, end, out) {
 		out.raw = body[len(answersOpen):end]

@@ -272,7 +272,8 @@ func (s *Server) kickCheckpoint() {
 // are refused until this is false.
 func (s *Server) Recovering() bool { return s.recovering.Load() }
 
-// health renders the liveness/readiness view.
+// health renders the liveness/readiness view; the transport reads an "ok"
+// one as "draining" once the drain has begun.
 func (s *Server) health() HealthResponse {
 	h := HealthResponse{Status: "ok", Role: s.currentRole().String(), AppliedSeq: s.appliedSeq()}
 	switch {
@@ -281,8 +282,6 @@ func (s *Server) health() HealthResponse {
 		h.Recovering = true
 		h.ReplayDone = s.replayDone.Load()
 		h.ReplayTotal = s.replayTotal.Load()
-	case s.draining.Load():
-		h.Status = "draining"
 	case s.diverged.Load():
 		// The follower's WAL and serving state disagree; it must not serve
 		// until rebuilt. Distinct from "syncing" — this one never clears.

@@ -141,7 +141,7 @@ func (s *Server) streamOnce(ctx context.Context, rebootstrap bool) (progressed b
 	if primary == "" {
 		return false, fmt.Errorf("server: no primary configured")
 	}
-	primary = normalizeBase(primary)
+	primary = BaseURL(primary)
 
 	// The stall watchdog: rctx governs every request this attempt makes,
 	// and the timer cancels it when nothing — no frame, no heartbeat, not a

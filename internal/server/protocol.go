@@ -124,7 +124,7 @@ type QueryResponse struct {
 	// server's -max-stale). Mirrored in the X-Multilog-Stale header.
 	StaleMS int64 `json:"stale_ms,omitempty"`
 
-	// raw is the answers array as a Client received it, which WriteQuery
+	// raw is the answers array as a Client received it, which ReplyQuery
 	// forwards in the place of Answers; nil when Answers was built otherwise.
 	raw []byte
 }
@@ -301,7 +301,8 @@ type RecoveryStats struct {
 // HealthResponse is the /v1/healthz (liveness: always 200) and /v1/readyz
 // (readiness: 503 until recovery completes, and while draining) body.
 type HealthResponse struct {
-	// Status is "ok", "recovering", "syncing", "diverged" or "draining". A
+	// Status is "ok", "recovering", "syncing", "diverged" or "draining" (a
+	// router: "ok", "degraded" without a live primary, or "draining"). A
 	// follower reports "syncing" (and 503 on /v1/readyz) until it has
 	// caught up to the primary seq it first heard; "diverged" (also 503) is
 	// permanent — the node must be rebuilt from a fresh bootstrap.

@@ -212,7 +212,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) error {
 	if s.wal != nil {
 		last = s.wal.LastSeq()
 	}
-	return writeJSON(w, http.StatusOK, promoteResponse{Role: s.currentRole().String(), LastSeq: last})
+	return WriteJSON(w, http.StatusOK, promoteResponse{Role: s.currentRole().String(), LastSeq: last})
 }
 
 // retargetRequest is the body, and the answer, of POST /v1/repl/primary.
@@ -223,11 +223,11 @@ type retargetRequest struct {
 // handleRetarget points this node at a new primary (after a failover).
 func (s *Server) handleRetarget(w http.ResponseWriter, r *http.Request) error {
 	var req retargetRequest
-	if err := decode(r, &req); err != nil {
+	if err := Decode(r, &req); err != nil {
 		return err
 	}
 	s.setPrimary(req.Primary)
-	return writeJSON(w, http.StatusOK, req)
+	return WriteJSON(w, http.StatusOK, req)
 }
 
 // applyReplicated applies one record shipped from the primary: mirror it
@@ -439,7 +439,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) error 
 		}
 		recs = nil // consumed; an idle heartbeat must not replay the batch
 		fl.Flush()
-		if s.draining.Load() || ctx.Err() != nil {
+		if s.tr.draining.Load() || ctx.Err() != nil {
 			return nil
 		}
 		wctx, cancel := context.WithTimeout(ctx, streamHeartbeatEvery)
@@ -506,7 +506,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, _ *http.Request) {
 		st = &ReplicationStats{Role: s.currentRole().String(), Synced: s.synced.Load(),
 			QueueDepth: int64(s.adm.QueueDepth())}
 	}
-	writeJSON(w, http.StatusOK, st) //nolint:errcheck // best-effort status body
+	WriteJSON(w, http.StatusOK, st) //nolint:errcheck // best-effort status body
 }
 
 // replicationStats builds the node's replication view; nil for a plain

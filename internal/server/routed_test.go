@@ -3,7 +3,6 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -112,44 +111,6 @@ func TestRouterForwardsAnswersUnread(t *testing.T) {
 				t.Fatalf("%s (respelled %v): %d queries compared, %d with an escape, want some", wc.Name, respell, compared, escaped)
 			}
 			t.Logf("%s (respelled %v): %d routed answer sets equal the backend's, %d spelled with an escape", wc.Name, respell, compared, escaped)
-		}
-	}
-}
-
-// brokenPipe is a ResponseWriter whose client has gone: every Write fails.
-// It counts the statuses written.
-type brokenPipe struct {
-	header  http.Header
-	headers int
-}
-
-func (w *brokenPipe) Header() http.Header       { return w.header }
-func (w *brokenPipe) WriteHeader(int)           { w.headers++ }
-func (w *brokenPipe) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
-
-// TestReplyFailedMidBodyWritesOneStatus: a query whose client gave up
-// mid-body fails in writeQuery after its status went out. The handler must
-// not answer that error with a second status (net/http logs each as a
-// superfluous WriteHeader); it counts the reply as abandoned instead.
-func TestReplyFailedMidBodyWritesOneStatus(t *testing.T) {
-	srv, _ := startServer(t, server.Config{})
-	sess, _, err := srv.Open(server.OpenRequest{Subject: "u", DB: "test", Clearance: "s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := json.Marshal(server.QueryRequest{Session: sess.Token, Query: "L[emp(K: salary -C-> V)]"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-	for i := 1; i <= 3; i++ {
-		w := &brokenPipe{header: http.Header{}}
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(req)))
-		if w.headers != 1 {
-			t.Fatalf("reply %d failed mid-body and wrote %d statuses, want 1", i, w.headers)
-		}
-		if got := srv.Stats().Queries.Abandoned; got != int64(i) {
-			t.Fatalf("after %d abandoned replies, stats count %d", i, got)
 		}
 	}
 }

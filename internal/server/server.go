@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"slices"
 	"sort"
 	"strings"
@@ -168,12 +167,10 @@ type Server struct {
 	progMu   sync.RWMutex
 	programs map[string]*preparedProgram
 
-	queries  atomic.Int64
-	qErrors  atomic.Int64
-	qTrunc   atomic.Int64
-	qAbandon atomic.Int64 // replies that failed after they began
-	draining atomic.Bool
-	inFlight sync.WaitGroup
+	tr      *Transport
+	queries atomic.Int64
+	qErrors atomic.Int64
+	qTrunc  atomic.Int64
 
 	// Durability. walMu pairs every mutation's WAL append with its snapshot
 	// swap (read side) against the checkpointer's capture-and-rotate (write
@@ -226,6 +223,7 @@ func New(cfg Config) *Server {
 		wal:      cfg.WAL,
 		ckptKick: make(chan struct{}, 1),
 	}
+	s.tr = NewTransport(s.logf)
 	// A durable server boots not-ready: writes 503 until Recover runs.
 	s.recovering.Store(cfg.WAL != nil)
 	s.role.Store(int32(cfg.Role))
@@ -547,7 +545,7 @@ func (s *Server) Stats() StatsResponse {
 	return StatsResponse{
 		UptimeMS:    time.Since(s.start).Milliseconds(),
 		Sessions:    s.sessions.Stats(),
-		Queries:     QueryStats{Served: s.queries.Load(), Errors: s.qErrors.Load(), Truncated: s.qTrunc.Load(), Abandoned: s.qAbandon.Load()},
+		Queries:     QueryStats{Served: s.queries.Load(), Errors: s.qErrors.Load(), Truncated: s.qTrunc.Load(), Abandoned: s.tr.Abandoned()},
 		Cache:       s.cache.Stats(),
 		Compiled:    compile.DefaultCache.Stats(),
 		Databases:   dbs,
@@ -611,19 +609,16 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout t
 }
 
 // Serve is ListenAndServe over an existing listener (tests pass a
-// port-zero listener and read ln.Addr()). It is the one lifecycle of every
-// node: on a follower it also runs the follower loop, and the drain stops
-// that loop before it waits out the handlers and the checkpoint loop, cuts
-// the final checkpoint and closes the WAL.
+// port-zero listener and read ln.Addr()). It serves through the one
+// transport lifecycle; a node hooks its own work into the drain: the
+// follower loop stops before the handlers are waited out (no replicated
+// record lands once the drain begins), and then the checkpoint loop ends,
+// the final checkpoint is cut and the WAL closes.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.Duration) error {
 	if s.currentRole() == RoleFollower {
 		// Before the listener serves: a promote must find the loop to stop.
 		s.startFollowing(ctx)
 	}
-	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	closeNew := CloseNewConns(hs)
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
 	ckptDone := make(chan struct{})
 	if s.wal != nil {
 		go func() {
@@ -633,70 +628,26 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	} else {
 		close(ckptDone)
 	}
-	s.logf("serving on %s", ln.Addr())
-	select {
-	case err := <-errc:
-		s.stopFollowing()
-		return err
-	case <-ctx.Done():
-	}
-	s.logf("draining (timeout %s)", drainTimeout)
-	s.draining.Store(true)
-	// No replicated record lands once the drain begins.
-	s.stopFollowing()
-	s.sessions.Drain()
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	closeNew()
-	err := hs.Shutdown(sctx)
-	<-errc // Serve has returned http.ErrServerClosed
-	s.inFlight.Wait()
-	<-ckptDone
-	if s.wal != nil {
-		// Final checkpoint so the next boot replays nothing, then release
-		// the store.
-		if cerr := s.Checkpoint(); cerr != nil {
-			s.logf("final checkpoint: %v", cerr)
-		}
-		if cerr := s.wal.Close(); cerr != nil {
-			s.logf("closing wal: %v", cerr)
-		}
-	}
-	s.logf("drained")
-	return err
-}
-
-// CloseNewConns hooks hs's connection states and returns the drain's first
-// step: close every connection hs accepted that has not begun a request yet
-// (http.StateNew), and from then on each one as it is accepted. Shutdown
-// closes idle connections but waits a 5 s grace before it counts a new one
-// idle — a client transport may dial a connection, send its request on
-// another and pool this one — so without this step a drain of 5 s or less
-// ends in context.DeadlineExceeded.
-func CloseNewConns(hs *http.Server) func() {
-	var mu sync.Mutex
-	conns := map[net.Conn]bool{}
-	closing := false
-	hs.ConnState = func(c net.Conn, st http.ConnState) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch {
-		case st != http.StateNew:
-			delete(conns, c)
-		case closing:
-			c.Close() //nolint:errcheck // the drain refuses it
-		default:
-			conns[c] = true
-		}
-	}
-	return func() {
-		mu.Lock()
-		defer mu.Unlock()
-		closing = true
-		for c := range conns {
-			c.Close() //nolint:errcheck // the drain refuses it
-		}
-	}
+	return s.tr.Serve(ctx, ln, s.Handler(), drainTimeout, Lifecycle{
+		Stop: func() {
+			s.stopFollowing()
+			s.sessions.Drain()
+		},
+		Close: func() {
+			<-ckptDone
+			if s.wal == nil {
+				return
+			}
+			// Final checkpoint so the next boot replays nothing, then
+			// release the store.
+			if err := s.Checkpoint(); err != nil {
+				s.logf("final checkpoint: %v", err)
+			}
+			if err := s.wal.Close(); err != nil {
+				s.logf("closing wal: %v", err)
+			}
+		},
+	})
 }
 
 // deadline derives the per-request context: the server ceiling, tightened

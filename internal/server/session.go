@@ -43,7 +43,7 @@ func newSessionManager(max int) *sessionManager {
 // errors: the server degrades by refusing admission, not by queueing
 // unboundedly).
 func (m *sessionManager) Open(subject, db string, clearance lattice.Label, mode multilog.Mode) (*Session, error) {
-	tok, err := newToken()
+	tok, err := NewToken()
 	if err != nil {
 		return nil, err
 	}
@@ -101,9 +101,9 @@ func (m *sessionManager) Stats() SessionStats {
 	return SessionStats{Open: len(m.byTok), Peak: m.peak, Opened: m.opened, Denied: m.denied}
 }
 
-// newToken returns 16 bytes of hex from crypto/rand: unguessable, so a
+// NewToken returns 16 bytes of hex from crypto/rand: unguessable, so a
 // session cannot be hijacked by iterating small integers.
-func newToken() (string, error) {
+func NewToken() (string, error) {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "", fmt.Errorf("server: session token: %w", err)

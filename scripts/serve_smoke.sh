@@ -2,20 +2,24 @@
 # serve_smoke.sh — end-to-end smoke test for the multilogd serving stack:
 # generate a workload program, start the daemon, storm it with serveload
 # (concurrent sessions + assert/retract churn), cross-check /v1/stats, and
-# verify a clean SIGTERM drain; then crash and restart a durable daemon, and
-# run a follower of it through its whole lifecycle. Run via `make serve-smoke`.
+# verify a clean SIGTERM drain; then crash and restart a durable daemon, run
+# a follower of it through its whole lifecycle, and a router in front of
+# both through its own. Run via `make serve-smoke`.
 set -eu
 
 GO=${GO:-go}
 PORT=${SERVE_SMOKE_PORT:-7071}
 ADDR=127.0.0.1:$PORT
 FADDR=127.0.0.1:$((PORT + 1))
+RADDR=127.0.0.1:$((PORT + 2))
 TMP=$(mktemp -d)
 DPID=
 FPID=
+RPID=
 cleanup() {
     [ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
     [ -n "$FPID" ] && kill "$FPID" 2>/dev/null || true
+    [ -n "$RPID" ] && kill "$RPID" 2>/dev/null || true
     rm -rf "$TMP"
 }
 trap cleanup EXIT INT TERM
@@ -77,6 +81,34 @@ if ! cmp -s "$TMP/primary.out" "$TMP/follower.out"; then
     exit 1
 fi
 
+# Router lifecycle: boot a router in front of the primary and the follower,
+# hold its answers to the same query byte for byte to the primary's, then
+# SIGTERM it: exit 0 and a "drained" log line, as a node drains.
+"$TMP/multilogd" -role router -primary "$ADDR" -replica "$FADDR" -addr "$RADDR" \
+    -drain 5s 2> "$TMP/router.log" &
+RPID=$!
+
+"$TMP/serveload" -addr "$RADDR" -ready -wait 10s -clearance l3 -query "$QUERY" > "$TMP/router.out"
+if ! cmp -s "$TMP/primary.out" "$TMP/router.out"; then
+    echo "serve-smoke: the router's answers differ from the primary's" >&2
+    diff "$TMP/primary.out" "$TMP/router.out" >&2 || true
+    exit 1
+fi
+
+kill -TERM "$RPID"
+if ! wait "$RPID"; then
+    echo "serve-smoke: router exited nonzero after SIGTERM" >&2
+    cat "$TMP/router.log" >&2
+    RPID=
+    exit 1
+fi
+RPID=
+if ! grep -q 'drained' "$TMP/router.log"; then
+    echo "serve-smoke: the router's drain logged no \"drained\" line" >&2
+    cat "$TMP/router.log" >&2
+    exit 1
+fi
+
 kill -TERM "$FPID"
 if ! wait "$FPID"; then
     echo "serve-smoke: follower exited nonzero after SIGTERM" >&2
@@ -94,7 +126,7 @@ fi
 kill -TERM "$DPID"
 if wait "$DPID"; then
     DPID=
-    echo "serve-smoke: ok (storm + crash-restart durability + follower lifecycle)"
+    echo "serve-smoke: ok (storm + crash-restart durability + follower and router lifecycles)"
 else
     echo "serve-smoke: recovered daemon exited nonzero after SIGTERM" >&2
     DPID=
