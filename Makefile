@@ -88,7 +88,8 @@ analyze:
 # survives a restart, then boot a follower of it and a router in front of
 # both, hold one query's answers through each byte for byte to the
 # primary's, and require each one's SIGTERM drain to exit 0 and log
-# "drained".
+# "drained"; then write on the primary, restart the follower on its data
+# directory and hold its answers to the primary's again.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

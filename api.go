@@ -323,7 +323,7 @@ func ExecuteSQLContext(ctx context.Context, e *SQLEngine, src string, limits Eva
 // invalidating result cache, governed per request.
 type (
 	// QueryServer is an embeddable multilogd: Load programs, then serve
-	// Handler (or ListenAndServe for the drain-on-signal lifecycle).
+	// Handler (or Serve for the drain-on-signal lifecycle).
 	QueryServer = server.Server
 	// QueryServerConfig tunes session caps, cache size, deadlines and
 	// per-request budgets; the zero value serves with sane defaults.

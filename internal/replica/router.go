@@ -138,6 +138,7 @@ type Router struct {
 
 	queries      atomic.Int64
 	qErrors      atomic.Int64
+	qTrunc       atomic.Int64
 	cacheHits    atomic.Int64
 	writesAcked  atomic.Int64
 	ackTimeouts  atomic.Int64
@@ -333,6 +334,9 @@ func (r *Router) handleQuery(w http.ResponseWriter, q *http.Request) error {
 		r.qErrors.Add(1)
 	} else {
 		r.queries.Add(1)
+		if err != nil {
+			r.qTrunc.Add(1) // a limit stop's partial answers, a 408
+		}
 		if resp.Cached {
 			r.cacheHits.Add(1)
 		}
@@ -801,7 +805,7 @@ func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) error {
 	return server.WriteJSON(w, http.StatusOK, server.StatsResponse{
 		UptimeMS:    time.Since(r.start).Milliseconds(),
 		Sessions:    server.SessionStats{Open: open},
-		Queries:     server.QueryStats{Served: r.queries.Load(), Errors: r.qErrors.Load(), Abandoned: r.tr.Abandoned()},
+		Queries:     server.QueryStats{Served: r.queries.Load(), Errors: r.qErrors.Load(), Truncated: r.qTrunc.Load(), Abandoned: r.tr.Abandoned()},
 		Cache:       server.CacheStats{Hits: r.cacheHits.Load()},
 		Replication: rs,
 	})

@@ -30,20 +30,17 @@ import (
 	"repro/internal/wal"
 )
 
-// loadRecord is the WAL payload of a program load (wal.TypeLoad).
-type loadRecord struct {
-	DB  string `json:"db"`
-	Src string `json:"src"`
-}
-
-// updateRecord is the WAL payload of an assert/retract (wal.TypeUpdate).
-// It carries the request's raw clause source plus the clearance it was
-// authorized under; replay re-runs the same deterministic parse,
-// authorization and lint.
-type updateRecord struct {
+// record is the WAL payload of a mutation. A program load (wal.TypeLoad)
+// carries DB and Src. An assert/retract (wal.TypeUpdate) carries the
+// request's raw clause source plus the clearance it was authorized under;
+// replay re-runs the same deterministic parse, authorization and lint. typ
+// is the WAL record's type, not part of the payload.
+type record struct {
+	typ       wal.RecordType
 	DB        string `json:"db"`
-	Clauses   string `json:"clauses"`
-	Clearance string `json:"clearance"`
+	Src       string `json:"src,omitempty"`
+	Clauses   string `json:"clauses,omitempty"`
+	Clearance string `json:"clearance,omitempty"`
 	Retract   bool   `json:"retract,omitempty"`
 }
 
@@ -67,7 +64,9 @@ type checkpointDB struct {
 // not already recovered (first boot, or a database added to the command
 // line). Until Recover returns, the server refuses writes with
 // ErrRecovering and /v1/readyz reports 503; /v1/healthz stays live
-// throughout and reports replay progress.
+// throughout and reports replay progress. A Recover that fails leaves the
+// server recovering: it takes no write and cuts no checkpoint, which would
+// cover the records it could not replay.
 //
 // A server built with Config.WAL starts in the recovering state and must
 // be handed its wal.Recovery exactly once, before writes are expected.
@@ -75,25 +74,22 @@ func (s *Server) Recover(rec *wal.Recovery, bootLoads map[string]string) error {
 	if s.wal == nil {
 		return fmt.Errorf("server: Recover needs Config.WAL")
 	}
-	defer s.recovering.Store(false)
 	start := time.Now()
 
 	if len(rec.Checkpoint) > 0 {
-		var cp checkpointPayload
-		if err := json.Unmarshal(rec.Checkpoint, &cp); err != nil {
-			return fmt.Errorf("server: decoding checkpoint: %w", err)
+		s.walMu.Lock()
+		n, err := s.installCheckpoint(rec.Checkpoint)
+		s.walMu.Unlock()
+		if err != nil {
+			return err
 		}
-		for _, db := range cp.Databases {
-			if err := s.installProgram(db.Name, db.Src, db.Epoch); err != nil {
-				return fmt.Errorf("server: restoring %q from checkpoint: %w", db.Name, err)
-			}
-		}
-		s.logf("recovery: checkpoint restored %d database(s) at seq %d", len(cp.Databases), rec.CheckpointSeq)
+		s.logf("recovery: checkpoint restored %d database(s) at seq %d", n, rec.CheckpointSeq)
 	}
 
 	s.replayTotal.Store(int64(len(rec.Records)))
 	for _, r := range rec.Records {
-		if err := s.replayRecord(r); err != nil {
+		// Replay never re-appends: the record is already durable.
+		if err := s.applyLogged(r, nil); err != nil {
 			return fmt.Errorf("server: replaying record %d: %w", r.Seq, err)
 		}
 		s.replayDone.Add(1)
@@ -136,61 +132,144 @@ func (s *Server) Recover(rec *wal.Recovery, bootLoads map[string]string) error {
 		DurationMS:         time.Since(start).Milliseconds(),
 	}
 	s.recMu.Unlock()
+	s.recovering.Store(false)
 	s.logf("recovery: complete in %s: %d checkpoint(s), %d record(s) replayed, %d truncated",
 		time.Since(start).Round(time.Millisecond), rec.CheckpointsLoaded, len(rec.Records), rec.TruncatedRecords)
 	return nil
 }
 
-// replayRecord applies one log record. Replay never re-appends: the record
-// is already durable.
-func (s *Server) replayRecord(r wal.Record) error {
-	switch r.Type {
-	case wal.TypeLoad:
-		var lr loadRecord
-		if err := json.Unmarshal(r.Payload, &lr); err != nil {
-			return fmt.Errorf("decoding load record: %w", err)
-		}
-		// A load always (re)starts the program at epoch 1, as the original
-		// Load did.
-		return s.installProgram(lr.DB, lr.Src, 1)
+// apply applies one load or update record, wherever it comes from: a
+// client's write, a log record replayed at boot, or a record replicated
+// from the primary. The callers differ only in commit and in what a failure
+// means. commit makes the record durable — the live path appends it to the
+// WAL, a follower mirrors it into its own, replay passes nil — and runs
+// after the record is parsed, authorized and linted and before it is
+// visible; an update that changes nothing never commits. A commit error
+// aborts the record with nothing installed.
+//
+// apply takes walMu itself: exclusively for a load, shared for an update,
+// whose program it looks up under the lock. So no load lands between an
+// update's lookup and its commit: the log's order is the order programs are
+// installed and written, and replaying it rebuilds what was acknowledged.
+// A load is parsed, linted and prepared before the lock: only its commit
+// and install are ordered.
+func (s *Server) apply(ctx context.Context, rec record, commit func() error) (uint64, int, invalidation, error) {
+	switch rec.typ {
 	case wal.TypeUpdate:
-		var ur updateRecord
-		if err := json.Unmarshal(r.Payload, &ur); err != nil {
-			return fmt.Errorf("decoding update record: %w", err)
-		}
-		prog, err := s.program(ur.DB)
+		s.walMu.RLock()
+		defer s.walMu.RUnlock()
+		prog, err := s.program(rec.DB)
 		if err != nil {
-			return err
+			return 0, 0, invalidation{}, err
 		}
-		// Replay runs before the server takes requests: nothing can give up
-		// on it, so it is bounded by the prepare limits alone.
-		_, _, _, err = prog.update(context.Background(), ur.Clauses, lattice.Label(ur.Clearance), ur.Retract, nil)
-		return err
+		return prog.update(ctx, rec.Clauses, lattice.Label(rec.Clearance), rec.Retract, commit)
+	case wal.TypeLoad:
+		prog, diags, err := newPrepared(rec.DB, rec.Src, 1, s.prepLimits())
+		if err != nil {
+			return 0, 0, invalidation{}, err
+		}
+		for _, d := range diags {
+			s.logf("load %s: %s", rec.DB, d)
+		}
+		s.walMu.Lock()
+		if commit != nil {
+			if err := commit(); err != nil {
+				s.walMu.Unlock()
+				return 0, 0, invalidation{}, err
+			}
+		}
+		s.install(rec.DB, prog)
+		s.cache.Reset(rec.DB)
+		s.walMu.Unlock()
+		snap := prog.current()
+		nl, ns, np := snap.db.Counts()
+		s.logf("loaded %s: |Λ|=%d |Σ|=%d |Π|=%d", rec.DB, nl, ns, np)
+		return snap.epoch, 0, invalidation{}, nil
 	}
-	return fmt.Errorf("unknown record type %d", r.Type)
+	return 0, 0, invalidation{}, fmt.Errorf("unknown record type %d", rec.typ)
 }
 
-// installProgram parses, lints and installs a program at a given epoch,
-// without logging — the recovery-side counterpart of Load.
-func (s *Server) installProgram(name, src string, epoch uint64) error {
-	prog, diags, err := newPreparedEpoch(name, src, epoch, s.prepLimits())
-	if err != nil {
-		return err
+// applyLogged decodes a logged record and applies it under commit. A logged
+// record is committed already — on this node's log or on the primary's —
+// so nothing may give up on it half-way: no request context applies, and it
+// is bounded by the prepare limits alone.
+func (s *Server) applyLogged(r wal.Record, commit func() error) error {
+	rec := record{typ: r.Type}
+	if err := json.Unmarshal(r.Payload, &rec); err != nil {
+		return fmt.Errorf("decoding record %d: %w", r.Seq, err)
 	}
-	for _, d := range diags {
-		s.logf("recover %s: %s", name, d)
+	_, _, _, err := s.apply(context.Background(), rec, commit)
+	return err
+}
+
+// logCommit is the live path's commit: it appends rec to the WAL (and
+// fsyncs, under always) and reports its seq to *seq when seq is non-nil.
+// nil without a WAL.
+func (s *Server) logCommit(rec record, seq *uint64) func() error {
+	if s.wal == nil {
+		return nil
 	}
-	s.install(name, prog)
-	return nil
+	return func() error {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("server: encoding record: %w", err)
+		}
+		n, err := s.wal.Append(rec.typ, payload)
+		if err != nil {
+			return fmt.Errorf("server: logging record: %w", err)
+		}
+		if seq != nil {
+			*seq = n
+		}
+		return nil
+	}
+}
+
+// installCheckpoint replaces the whole serving state with a checkpoint's:
+// every database it holds, re-linted (a program the static layer rejects
+// never becomes servable, even out of a checkpoint) and resumed at its
+// epoch, and no other. It returns how many databases it installed. The
+// caller holds walMu exclusively, so the state and the log position it
+// stands for move together.
+func (s *Server) installCheckpoint(payload []byte) (int, error) {
+	var cp checkpointPayload
+	if err := json.Unmarshal(payload, &cp); err != nil {
+		return 0, fmt.Errorf("server: decoding checkpoint: %w", err)
+	}
+	keep := make(map[string]bool, len(cp.Databases))
+	for _, db := range cp.Databases {
+		prog, diags, err := newPrepared(db.Name, db.Src, db.Epoch, s.prepLimits())
+		if err != nil {
+			return 0, fmt.Errorf("server: restoring %q from checkpoint: %w", db.Name, err)
+		}
+		for _, d := range diags {
+			s.logf("recover %s: %s", db.Name, d)
+		}
+		s.install(db.Name, prog)
+		s.cache.Reset(db.Name)
+		keep[db.Name] = true
+	}
+	s.progMu.Lock()
+	for name := range s.programs {
+		if !keep[name] {
+			delete(s.programs, name)
+			s.cache.Reset(name)
+		}
+	}
+	s.progMu.Unlock()
+	return len(cp.Databases), nil
 }
 
 // Checkpoint serializes every loaded database and durably installs it as a
 // checkpoint covering the log so far. Snapshot capture and the log cut are
 // atomic with respect to writers (both sides of s.walMu); serialization
 // and the checkpoint write happen off-lock. No-op when the log has not
-// grown since the last checkpoint, or when durability is off.
+// grown since the last checkpoint, when durability is off, and when the
+// programs do not hold what the log does — while the server is recovering,
+// or once a follower has diverged — for the checkpoint would cover all of
+// the log.
 func (s *Server) Checkpoint() error {
-	if s.wal == nil {
+	if s.wal == nil || s.recovering.Load() || s.diverged.Load() {
 		return nil
 	}
 	s.walMu.Lock()

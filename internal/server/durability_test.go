@@ -5,8 +5,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -254,4 +258,141 @@ func TestNoOpUpdateIsNotLogged(t *testing.T) {
 	if got := len(rec.Records); got != 1 {
 		t.Errorf("log has %d records, want only the boot load", got)
 	}
+}
+
+// TestLoadBetweenLookupAndCommit holds an update in the admission queue,
+// behind a query parked at its query-work fault point, while a Load replaces
+// the update's database. The update then lands where the log puts it, on
+// the loaded program: a server recovered from the same log answers as the
+// live one, at the same epoch.
+func TestLoadBetweenLookupAndCommit(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	store, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hold atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	srv := server.New(server.Config{
+		WAL:         store,
+		MaxInflight: 1, // the parked query fills it: the update queues
+		StreamFaults: func(ev faultinject.FileEvent, _ int64) faultinject.FileAction {
+			if ev == faultinject.ServerQueryWork && hold.CompareAndSwap(true, false) {
+				close(parked)
+				<-release
+			}
+			return faultinject.FileOK
+		},
+	})
+	if err := srv.Recover(rec, map[string]string{"test": testProgram}); err != nil {
+		t.Fatal(err)
+	}
+	open := func(srv *server.Server) *server.Session {
+		t.Helper()
+		sess, _, err := srv.Open(server.OpenRequest{Subject: "t", Clearance: "s"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	reader, writer := open(srv), open(srv)
+
+	hold.Store(true)
+	queried, updated := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, _, err := srv.Query(ctx, reader, server.QueryRequest{Query: "level(L)"})
+		queried <- err
+	}()
+	<-parked
+	go func() {
+		_, err := srv.Update(ctx, writer, server.UpdateRequest{Clauses: "s[emp(carol: salary -s-> top)]."}, false)
+		updated <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Admission.Queued != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the update never queued: %+v", srv.Stats().Admission)
+		}
+	}
+	if err := srv.Load("test", testProgram); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-queried; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-updated; err != nil {
+		t.Fatal(err)
+	}
+
+	state := func(srv *server.Server) (uint64, string) {
+		t.Helper()
+		_, answers, err := srv.Query(ctx, open(srv), server.QueryRequest{Query: "L[emp(K: salary -C-> V)]"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.Stats().Databases["test"].Epoch, string(answers)
+	}
+	liveEpoch, live := state(srv)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store2, rec2, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store2.Close() })
+	recovered := server.New(server.Config{WAL: store2})
+	if err := recovered.Recover(rec2, nil); err != nil {
+		t.Fatal(err)
+	}
+	recEpoch, replayed := state(recovered)
+	if liveEpoch != recEpoch || live != replayed {
+		t.Fatalf("live: epoch %d %s\nrecovered: epoch %d %s", liveEpoch, live, recEpoch, replayed)
+	}
+	if !strings.Contains(live, "carol") {
+		t.Fatalf("the acknowledged write is missing: %s", live)
+	}
+}
+
+// TestNoCheckpointWhileRecovering: a checkpoint cut before recovery ends —
+// the checkpoint loop's, or the final one of the drain that follows a
+// failed recovery — would cover the whole log with a state that holds only
+// part of it, and the next boot would replay nothing past it. A failed
+// Recover leaves the server recovering.
+func TestNoCheckpointWhileRecovering(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	_, c, store, _ := durableServer(t, dir)
+	if _, err := c.Assert(ctx, openAt(t, c, "s", ""), "s[emp(carol: salary -s-> top)]."); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Append(wal.TypeUpdate, []byte("{")); err != nil { // replay fails here
+		t.Fatal(err)
+	}
+	store.Close() // a crash: no final checkpoint
+
+	store, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	srv := server.New(server.Config{WAL: store})
+	checkpoint := func(when string) {
+		t.Helper()
+		if err := srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if seq := store.StatsSnapshot().LastCheckpointSeq; seq != 0 {
+			t.Fatalf("%s, a checkpoint was cut at seq %d", when, seq)
+		}
+	}
+	checkpoint("before Recover")
+	if err := srv.Recover(rec, map[string]string{"test": testProgram}); err == nil {
+		t.Fatal("Recover replayed an undecodable record")
+	}
+	if !srv.Recovering() {
+		t.Fatal("a failed Recover lifted the recovering state")
+	}
+	checkpoint("after a failed Recover")
 }

@@ -70,17 +70,12 @@ type snapshot struct {
 	building   map[lattice.Label]chan struct{}       // cold builds in flight, by serving level, each closed when it ends
 }
 
-// newPrepared parses, lints and prepares a program. Lint findings of
-// severity Error reject the program with a *LintError; warnings are
-// returned for the caller to log.
-func newPrepared(name, src string, prepLimits resource.Limits) (*preparedProgram, lint.Diagnostics, error) {
-	return newPreparedEpoch(name, src, 1, prepLimits)
-}
-
-// newPreparedEpoch is newPrepared resuming at a recovered epoch: a
-// checkpointed program re-enters service at the epoch it had when the
-// checkpoint was cut, so epochs never regress across a restart.
-func newPreparedEpoch(name, src string, epoch uint64, prepLimits resource.Limits) (*preparedProgram, lint.Diagnostics, error) {
+// newPrepared parses, lints and prepares a program at epoch: 1 for a load,
+// and for a checkpointed program the epoch it had when the checkpoint was
+// cut, so epochs never regress across a restart. Lint findings of severity
+// Error reject the program with a *LintError; warnings are returned for the
+// caller to log.
+func newPrepared(name, src string, epoch uint64, prepLimits resource.Limits) (*preparedProgram, lint.Diagnostics, error) {
 	db, err := multilog.Parse(src)
 	if err != nil {
 		return nil, nil, &LintError{Name: name, Findings: lint.FromParseError(name, err).String()}

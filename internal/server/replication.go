@@ -15,11 +15,12 @@ package server
 // typed *NotPrimaryError (HTTP 421, code "not-primary", carrying the
 // primary's address), and Serve runs its follower loop (follower.go), which
 // bootstraps from the primary's snapshot and feeds the stream's records to
-// applyReplicated. That mirrors each record into the follower's own WAL at
-// the primary's sequence number and then applies it through the exact code
-// path boot-time replay uses — so a follower's serving state, epochs
-// included, is byte-for-byte the primary's, and a promoted follower serves
-// /v1/repl/stream from its own log with no translation. The router drives
+// applyReplicated. That applies each record through apply, the one function
+// a client's write and boot-time replay go through, under a commit that
+// mirrors it into the follower's own WAL at the primary's sequence number —
+// so a follower's serving state, epochs included, is byte-for-byte the
+// primary's, and a promoted follower serves /v1/repl/stream from its own log
+// with no translation. The router drives
 // the two control routes:
 //
 //	POST /v1/repl/promote        stop the stream, become the primary
@@ -32,7 +33,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/faultinject"
-	"repro/internal/lattice"
 	"repro/internal/wal"
 )
 
@@ -230,12 +229,14 @@ func (s *Server) handleRetarget(w http.ResponseWriter, r *http.Request) error {
 	return WriteJSON(w, http.StatusOK, req)
 }
 
-// applyReplicated applies one record shipped from the primary: mirror it
-// into the local WAL at the primary's seq (durable first), then apply it
-// through the same parse/authorize/lint path the original write took, which
-// patches or drops what it changed in the cache as the original did. Called
-// by the follower loop strictly in sequence order; a failure here means
-// divergence and must halt the stream.
+// applyReplicated applies one record shipped from the primary through
+// apply, under a commit that mirrors it into the local WAL at the primary's
+// seq: durable first, then visible, as on the primary. Called by the
+// follower loop strictly in sequence order. A record this node cannot apply
+// — refused, a no-op here (the primary never logs one), or failed by an
+// injected fault — is mirrored all the same, so the local log stays
+// contiguous, and the node is marked diverged: resuming from the local seq
+// would skip it forever. Only a failed mirror is a plain error.
 func (s *Server) applyReplicated(rec wal.Record) error {
 	if s.currentRole() != RoleFollower {
 		return fmt.Errorf("server: applyReplicated on a %s", s.currentRole())
@@ -243,68 +244,26 @@ func (s *Server) applyReplicated(rec wal.Record) error {
 	if s.wal == nil {
 		return fmt.Errorf("server: applyReplicated needs Config.WAL")
 	}
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
+	mirrored := false
+	mirror := func() error {
+		err := s.wal.AppendMirror(rec)
+		mirrored = err == nil
+		return err
+	}
+	var err error
 	if s.cfg.StreamFaults != nil &&
 		s.cfg.StreamFaults(faultinject.ReplApplyRecord, s.applyEvN.Add(1)) == faultinject.FileErr {
-		// Injected divergence: durably mirror the record, then fail the
-		// apply — the mirrored-but-unappliable gap the resume protocol
-		// cannot close, which only a rebootstrap recovers from.
-		if err := s.wal.AppendMirror(rec); err != nil {
-			return err
-		}
-		return s.divergedErr(fmt.Errorf("server: injected apply fault at replicated record %d", rec.Seq))
+		err = errors.New("injected apply fault")
+	} else if err = s.applyLogged(rec, mirror); err == nil && !mirrored {
+		err = errors.New("a no-op here, and the primary logs none")
 	}
-	switch rec.Type {
-	case wal.TypeLoad:
-		var lr loadRecord
-		if err := json.Unmarshal(rec.Payload, &lr); err != nil {
-			return fmt.Errorf("server: decoding replicated load %d: %w", rec.Seq, err)
-		}
-		if err := s.wal.AppendMirror(rec); err != nil {
-			return err
-		}
-		if err := s.installProgram(lr.DB, lr.Src, 1); err != nil {
-			return s.divergedErr(fmt.Errorf("server: applying replicated load %d: %w", rec.Seq, err))
-		}
-		s.cache.Reset(lr.DB)
-	case wal.TypeUpdate:
-		var ur updateRecord
-		if err := json.Unmarshal(rec.Payload, &ur); err != nil {
-			return fmt.Errorf("server: decoding replicated update %d: %w", rec.Seq, err)
-		}
-		prog, err := s.program(ur.DB)
-		if err != nil {
-			return fmt.Errorf("server: replicated update %d: %w", rec.Seq, err)
-		}
-		mirrored := false
-		commit := func() error {
-			mirrored = true
-			return s.wal.AppendMirror(rec)
-		}
-		// A replicated record is already committed on the primary: giving up
-		// on it half-way would be divergence, so no request context applies.
-		_, _, _, err = prog.update(context.Background(), ur.Clauses, lattice.Label(ur.Clearance), ur.Retract, commit)
-		if err != nil {
-			err = fmt.Errorf("server: applying replicated update %d: %w", rec.Seq, err)
-			if mirrored {
-				// The record is in the local WAL but not in the serving
-				// state: resuming from the local seq would skip it forever.
-				return s.divergedErr(err)
-			}
-			return err
-		}
+	if err != nil {
 		if !mirrored {
-			// The primary never logs no-op updates, so changed==0 here means
-			// divergence — but the seq stream must stay contiguous
-			// regardless, so mirror the record before failing the node out.
-			if err := s.wal.AppendMirror(rec); err != nil {
-				return err
+			if merr := s.wal.AppendMirror(rec); merr != nil {
+				return merr
 			}
-			return s.divergedErr(fmt.Errorf("server: replicated update %d was a no-op here: follower state diverged", rec.Seq))
 		}
-	default:
-		return fmt.Errorf("server: replicated record %d has unknown type %d", rec.Seq, rec.Type)
+		return s.divergedErr(fmt.Errorf("server: replicated record %d: %w", rec.Seq, err))
 	}
 	s.applied.Store(rec.Seq)
 	s.repl.heardUpTo(rec.Seq)
@@ -324,28 +283,12 @@ func (s *Server) installSnapshot(seq uint64, payload []byte) error {
 	if s.wal == nil {
 		return fmt.Errorf("server: installSnapshot needs Config.WAL")
 	}
-	var cp checkpointPayload
-	if err := json.Unmarshal(payload, &cp); err != nil {
-		return fmt.Errorf("server: decoding snapshot: %w", err)
-	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	keep := make(map[string]bool, len(cp.Databases))
-	for _, db := range cp.Databases {
-		if err := s.installProgram(db.Name, db.Src, db.Epoch); err != nil {
-			return fmt.Errorf("server: installing %q from snapshot: %w", db.Name, err)
-		}
-		keep[db.Name] = true
-		s.cache.Reset(db.Name)
+	n, err := s.installCheckpoint(payload)
+	if err != nil {
+		return err
 	}
-	s.progMu.Lock()
-	for name := range s.programs {
-		if !keep[name] {
-			delete(s.programs, name)
-			s.cache.Reset(name)
-		}
-	}
-	s.progMu.Unlock()
 	if err := s.wal.WriteCheckpoint(seq, payload); err != nil {
 		return err
 	}
@@ -354,7 +297,7 @@ func (s *Server) installSnapshot(seq uint64, payload []byte) error {
 	}
 	s.applied.Store(seq)
 	s.repl.heardUpTo(seq)
-	s.logf("installed snapshot at seq %d (%d database(s))", seq, len(cp.Databases))
+	s.logf("installed snapshot at seq %d (%d database(s))", seq, n)
 	return nil
 }
 

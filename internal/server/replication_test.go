@@ -381,72 +381,108 @@ func TestFollowerReadyzTracksSync(t *testing.T) {
 // the resume protocol cannot close: a record durably mirrored into the
 // follower's WAL that the serving state could not apply. The node must
 // fail out permanently — otherwise the replicator resumes from the local
-// seq on reconnect and the record is silently skipped forever.
+// seq on reconnect and the record is silently skipped forever. Whatever
+// keeps the record from applying — a no-op here, an unknown database, a
+// lint refusal, a clause above the record's clearance — the rule is one.
 func TestMirroredButUnappliedRecordDiverges(t *testing.T) {
-	ctx := context.Background()
-	_, pc, pstore, purl := replServer(t, t.TempDir(), server.RolePrimary, "")
-	ps := openAt(t, pc, "s", "")
-	if _, err := pc.Assert(ctx, ps, "s[emp(carol: salary -s-> top)]."); err != nil {
-		t.Fatal(err)
+	// update ships an update record the primary never logged.
+	update := func(db, clauses, clearance string) func(*testing.T, *wal.Store) wal.Record {
+		return func(t *testing.T, _ *wal.Store) wal.Record {
+			payload, err := json.Marshal(map[string]string{"db": db, "clauses": clauses, "clearance": clearance})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return wal.Record{Type: wal.TypeUpdate, Payload: payload}
+		}
 	}
-	if _, err := pc.Retract(ctx, ps, "s[emp(carol: salary -s-> top)]."); err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name   string
+		poison func(*testing.T, *wal.Store) wal.Record
+		reason string // in the divergence's message
+	}{
+		// Re-ship the primary's last update: the retract's clause is already
+		// gone, so the apply is a no-op — exactly the signal a real stream
+		// produces when follower state has drifted from the log.
+		{"no-op", func(t *testing.T, pstore *wal.Store) wal.Record {
+			recs, err := pstore.ReadFrom(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := recs[len(recs)-1]
+			if last.Type != wal.TypeUpdate {
+				t.Fatalf("last primary record has type %d, want an update", last.Type)
+			}
+			return last
+		}, "no-op"},
+		{"unknown-database", update("nosuch", "s[emp(dave: salary -s-> top)].", "s"), "unknown database"},
+		// Asserted at u, classified s: the dominance order fails.
+		{"lint-refused", update("test", "u[emp(dave: salary -s-> top)].", "s"), "ML003"},
+		{"above-clearance", update("test", "s[emp(dave: salary -s-> top)].", "u"), "denied"},
 	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ctx := context.Background()
+			_, pc, pstore, purl := replServer(t, t.TempDir(), server.RolePrimary, "")
+			ps := openAt(t, pc, "s", "")
+			if _, err := pc.Assert(ctx, ps, "s[emp(carol: salary -s-> top)]."); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pc.Retract(ctx, ps, "s[emp(carol: salary -s-> top)]."); err != nil {
+				t.Fatal(err)
+			}
 
-	fsrv, fc, fstore, _ := replServer(t, t.TempDir(), server.RoleFollower, purl)
-	mirrorAll(t, fsrv, pstore, 0)
-	fsrv.MarkSynced()
-	if !fsrv.Stats().Replication.Synced {
-		t.Fatal("caught-up follower should report synced")
-	}
+			fsrv, fc, fstore, _ := replServer(t, t.TempDir(), server.RoleFollower, purl)
+			mirrorAll(t, fsrv, pstore, 0)
+			fsrv.MarkSynced()
+			if !fsrv.Stats().Replication.Synced {
+				t.Fatal("caught-up follower should report synced")
+			}
 
-	// Re-ship the primary's last update at the next seq: the retract's
-	// clause is already gone, so the apply is a no-op — exactly the signal
-	// a real stream produces when follower state has drifted from the log.
-	recs, err := pstore.ReadFrom(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poison := recs[len(recs)-1]
-	if poison.Type != wal.TypeUpdate {
-		t.Fatalf("last primary record has type %d, want an update", poison.Type)
-	}
-	poison.Seq = fstore.LastSeq() + 1
-	aerr := fsrv.ApplyReplicated(poison)
-	if !errors.Is(aerr, server.ErrDiverged) {
-		t.Fatalf("ApplyReplicated = %v, want ErrDiverged", aerr)
-	}
-	// The record is still mirrored: the local log stays contiguous for the
-	// post-mortem.
-	if got := fstore.LastSeq(); got != poison.Seq {
-		t.Fatalf("local log at seq %d, want %d (record must be mirrored)", got, poison.Seq)
-	}
-	// The node is failed out, stickily: MarkSynced cannot resurrect it.
-	if st := fsrv.Stats().Replication; !st.Diverged || st.Synced {
-		t.Fatalf("diverged=%v synced=%v, want true/false", st.Diverged, st.Synced)
-	}
-	fsrv.MarkSynced()
-	if fsrv.Stats().Replication.Synced {
-		t.Fatal("MarkSynced resurrected a diverged follower")
-	}
-	// Readiness fails with the permanent status; the repl view carries it.
-	h, rerr := fc.Ready(ctx)
-	if rerr == nil {
-		t.Fatalf("readyz succeeded on a diverged node (status %q)", h.Status)
-	}
-	var re *server.RemoteError
-	if !errors.As(rerr, &re) || re.Status != http.StatusServiceUnavailable {
-		t.Fatalf("readyz error = %v, want HTTP 503", rerr)
-	}
-	st, serr := fc.ReplStatus(ctx)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if !st.Diverged || st.Synced {
-		t.Fatalf("repl status diverged=%v synced=%v, want true/false", st.Diverged, st.Synced)
-	}
-	if st.LastStreamError == "" {
-		t.Fatal("divergence reason missing from the repl status")
+			poison := row.poison(t, pstore)
+			poison.Seq = fstore.LastSeq() + 1
+			aerr := fsrv.ApplyReplicated(poison)
+			if !errors.Is(aerr, server.ErrDiverged) || !strings.Contains(aerr.Error(), row.reason) {
+				t.Fatalf("ApplyReplicated = %v, want ErrDiverged naming %q", aerr, row.reason)
+			}
+			// The record is still mirrored: the local log stays contiguous for
+			// the post-mortem.
+			if got := fstore.LastSeq(); got != poison.Seq {
+				t.Fatalf("local log at seq %d, want %d (record must be mirrored)", got, poison.Seq)
+			}
+			// No checkpoint covers the record: a restart replays it again.
+			if err := fsrv.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fstore.StatsSnapshot().LastCheckpointSeq; got >= poison.Seq {
+				t.Fatalf("a checkpoint at seq %d covers the unapplied record %d", got, poison.Seq)
+			}
+			// The node is failed out, stickily: MarkSynced cannot resurrect it.
+			if st := fsrv.Stats().Replication; !st.Diverged || st.Synced {
+				t.Fatalf("diverged=%v synced=%v, want true/false", st.Diverged, st.Synced)
+			}
+			fsrv.MarkSynced()
+			if fsrv.Stats().Replication.Synced {
+				t.Fatal("MarkSynced resurrected a diverged follower")
+			}
+			// Readiness fails with the permanent status; the repl view carries
+			// it.
+			ready := httptest.NewRecorder()
+			fsrv.Handler().ServeHTTP(ready, httptest.NewRequest(http.MethodGet, "/v1/readyz", nil))
+			var h server.HealthResponse
+			if err := json.Unmarshal(ready.Body.Bytes(), &h); err != nil || ready.Code != http.StatusServiceUnavailable || h.Status != "diverged" {
+				t.Fatalf("readyz answered %d %s, want 503 diverged", ready.Code, ready.Body)
+			}
+			st, serr := fc.ReplStatus(ctx)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			if !st.Diverged || st.Synced {
+				t.Fatalf("repl status diverged=%v synced=%v, want true/false", st.Diverged, st.Synced)
+			}
+			if st.LastStreamError == "" {
+				t.Fatal("divergence reason missing from the repl status")
+			}
+		})
 	}
 }
 

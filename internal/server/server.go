@@ -157,7 +157,7 @@ func (c Config) withDefaults() Config {
 
 // Server is a multilogd instance: loaded programs, live sessions, the
 // result cache and the HTTP handler. Create with New, add databases with
-// Load, then serve Handler (or ListenAndServe for the full lifecycle).
+// Load, then serve Handler (or Serve for the full lifecycle).
 type Server struct {
 	cfg      Config
 	sessions *sessionManager
@@ -172,9 +172,11 @@ type Server struct {
 	qErrors atomic.Int64
 	qTrunc  atomic.Int64
 
-	// Durability. walMu pairs every mutation's WAL append with its snapshot
-	// swap (read side) against the checkpointer's capture-and-rotate (write
-	// side), so a checkpoint's state and its log position always agree.
+	// Durability. walMu pairs every mutation's WAL append with its install
+	// (apply: an update on the read side, a load on the write side) against
+	// the checkpointer's capture-and-rotate (write side), so a checkpoint's
+	// state and its log position always agree, and a load is logged and
+	// installed between updates, never inside one.
 	wal         *wal.Store
 	walMu       sync.RWMutex
 	recovering  atomic.Bool
@@ -264,7 +266,8 @@ func (s *Server) admit(ctx context.Context, pri admission.Priority, cost int) (*
 // Load parses, lints and installs a MultiLog program under name. Programs
 // with lint errors are rejected with a *LintError — a server never serves
 // a program the static-analysis layer rejects. Loading an existing name
-// replaces it (fresh epoch 1) and invalidates its cache entries.
+// replaces it (fresh epoch 1) and invalidates its cache entries. With a
+// WAL, the load is logged before it is installed.
 func (s *Server) Load(name, src string) error {
 	if s.currentRole() == RoleFollower {
 		return &NotPrimaryError{Primary: s.primary()}
@@ -272,29 +275,9 @@ func (s *Server) Load(name, src string) error {
 	if name == "" {
 		return fmt.Errorf("server: database name must be nonempty")
 	}
-	prog, diags, err := newPrepared(name, src, s.prepLimits())
-	if err != nil {
-		return err
-	}
-	for _, d := range diags {
-		s.logf("load %s: %s", name, d)
-	}
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	if s.wal != nil {
-		payload, merr := json.Marshal(loadRecord{DB: name, Src: src})
-		if merr != nil {
-			return fmt.Errorf("server: encoding load record: %w", merr)
-		}
-		if _, werr := s.wal.Append(wal.TypeLoad, payload); werr != nil {
-			return fmt.Errorf("server: logging load: %w", werr)
-		}
-	}
-	s.install(name, prog)
-	s.cache.Reset(name)
-	nl, ns, np := prog.current().db.Counts()
-	s.logf("loaded %s: |Λ|=%d |Σ|=%d |Π|=%d", name, nl, ns, np)
-	return nil
+	rec := record{typ: wal.TypeLoad, DB: name, Src: src}
+	_, _, _, err := s.apply(context.Background(), rec, s.logCommit(rec, nil))
+	return err
 }
 
 // install registers prog under name and detaches the program it replaces
@@ -481,10 +464,6 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 	if s.currentRole() == RoleFollower {
 		return nil, &NotPrimaryError{Primary: s.primary()}
 	}
-	prog, err := s.program(sess.DB)
-	if err != nil {
-		return nil, err
-	}
 	ticket, aerr := s.admit(ctx, admission.Write, costWrite)
 	if aerr != nil {
 		return nil, aerr
@@ -492,28 +471,9 @@ func (s *Server) Update(ctx context.Context, sess *Session, req UpdateRequest, r
 	start := time.Now()
 	degraded := false
 	defer func() { ticket.Done(time.Since(start), degraded) }()
+	rec := record{typ: wal.TypeUpdate, DB: sess.DB, Clauses: req.Clauses, Clearance: string(sess.Clearance), Retract: retract}
 	var seq uint64
-	var commit func() error
-	if s.wal != nil {
-		commit = func() error {
-			payload, merr := json.Marshal(updateRecord{
-				DB: prog.name, Clauses: req.Clauses,
-				Clearance: string(sess.Clearance), Retract: retract,
-			})
-			if merr != nil {
-				return fmt.Errorf("server: encoding update record: %w", merr)
-			}
-			wseq, werr := s.wal.Append(wal.TypeUpdate, payload)
-			if werr != nil {
-				return fmt.Errorf("server: logging update: %w", werr)
-			}
-			seq = wseq
-			return nil
-		}
-	}
-	s.walMu.RLock()
-	epoch, changed, inv, err := prog.update(ctx, req.Clauses, sess.Clearance, retract, commit)
-	s.walMu.RUnlock()
+	epoch, changed, inv, err := s.apply(ctx, rec, s.logCommit(rec, &seq))
 	if err != nil {
 		degraded = resource.IsLimit(err)
 		return nil, err
@@ -597,19 +557,9 @@ func (s *Server) admissionStats() *AdmissionStats {
 	}
 }
 
-// ListenAndServe serves on addr until ctx is canceled, then drains: no new
-// sessions are admitted, in-flight requests finish (bounded by
-// drainTimeout), and the listener closes. Returns nil on a clean drain.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln, drainTimeout)
-}
-
-// Serve is ListenAndServe over an existing listener (tests pass a
-// port-zero listener and read ln.Addr()). It serves through the one
+// Serve serves on ln until ctx is canceled, then drains: no new sessions
+// are admitted, in-flight requests finish (bounded by drainTimeout), and the
+// listener closes; nil on a clean drain. It serves through the one
 // transport lifecycle; a node hooks its own work into the drain: the
 // follower loop stops before the handlers are waited out (no replicated
 // record lands once the drain begins), and then the checkpoint loop ends,

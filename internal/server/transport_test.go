@@ -114,8 +114,8 @@ func (w *brokenPipe) Write([]byte) (int, error) { return 0, errors.New("broken p
 // TestTransportContract holds a node's handler and a router's in front of
 // that node to one transport: the same answers to a panic, an unknown field,
 // an oversized body, a drain and a reply that fails mid-body, and the same
-// partial answers on a 408, readiness while draining and X-Multilog-Stale
-// on a brownout answer.
+// partial answers on a 408 (each handler counting it as truncated),
+// readiness while draining and X-Multilog-Stale on a brownout answer.
 func TestTransportContract(t *testing.T) {
 	targets := []struct {
 		name  string
@@ -196,10 +196,22 @@ func TestTransportContract(t *testing.T) {
 		}},
 		{name: "partial-answers", run: func(t *testing.T, f *contractFixture, _ *stall) {
 			query := "u[emp(K: salary -C-> V)]"
+			// truncated reads the handler's own count of 408s.
+			truncated := func() int64 {
+				var st server.StatsResponse
+				if err := json.Unmarshal(f.serve(http.MethodGet, "/v1/stats", nil).Body.Bytes(), &st); err != nil {
+					t.Fatal(err)
+				}
+				return st.Queries.Truncated
+			}
 			// The reference: the node itself, on a session of its own.
 			node := &contractFixture{h: f.srv.Handler()}
 			want := node.post(t, "/v1/query", server.QueryRequest{Session: node.open(t), Query: query, MaxSteps: 20})
+			before := truncated()
 			got := f.post(t, "/v1/query", server.QueryRequest{Session: f.open(t), Query: query, MaxSteps: 20})
+			if n := truncated() - before; n != 1 {
+				t.Fatalf("a 408 with partial answers moved queries.truncated by %d, want 1", n)
+			}
 			if want.Code != http.StatusRequestTimeout || len(answersOf(t, want.Body.Bytes())) < 3 {
 				t.Fatalf("the node answered a 20-step query %d %s, want 408 with partial answers", want.Code, want.Body)
 			}

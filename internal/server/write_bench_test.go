@@ -34,7 +34,7 @@ func newFactWriteFixture(tb testing.TB, facts int, perClearance bool) *factWrite
 	if perClearance {
 		src += perClearanceClauses
 	}
-	p, _, err := newPrepared("bench", src, resource.Limits{})
+	p, _, err := newPrepared("bench", src, 1, resource.Limits{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -4,7 +4,8 @@
 # (concurrent sessions + assert/retract churn), cross-check /v1/stats, and
 # verify a clean SIGTERM drain; then crash and restart a durable daemon, run
 # a follower of it through its whole lifecycle, and a router in front of
-# both through its own. Run via `make serve-smoke`.
+# both through its own, and restart the follower after a write it missed.
+# Run via `make serve-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -123,10 +124,43 @@ if ! grep -q 'drained' "$TMP/follower.log"; then
     exit 1
 fi
 
+# Follower restart: write once on the primary while the follower is down,
+# restart the follower on its data directory (it recovers what it had, then
+# streams the record it missed) and hold its answers byte for byte to the
+# primary's again.
+"$TMP/serveload" -addr "$ADDR" -ready -wait 10s \
+    -clearance l0 -assert 'l0[p0(smokerestart: a -l0-> yes)].'
+"$TMP/multilogd" -role follower -primary "$ADDR" -addr "$FADDR" \
+    -data-dir "$TMP/follower" -drain 5s 2> "$TMP/follower.log" &
+FPID=$!
+
+"$TMP/serveload" -addr "$FADDR" -ready -wait 10s -clearance l3 -query "$QUERY" > "$TMP/follower.out"
+"$TMP/serveload" -addr "$ADDR" -ready -wait 10s -clearance l3 -query "$QUERY" > "$TMP/primary.out"
+if ! grep -q smokerestart "$TMP/primary.out"; then
+    echo "serve-smoke: the primary's answers lack the write made while the follower was down" >&2
+    cat "$TMP/primary.out" >&2
+    exit 1
+fi
+if ! cmp -s "$TMP/primary.out" "$TMP/follower.out"; then
+    echo "serve-smoke: the restarted follower's answers differ from the primary's" >&2
+    diff "$TMP/primary.out" "$TMP/follower.out" >&2 || true
+    cat "$TMP/follower.log" >&2
+    exit 1
+fi
+
+kill -TERM "$FPID"
+if ! wait "$FPID"; then
+    echo "serve-smoke: restarted follower exited nonzero after SIGTERM" >&2
+    cat "$TMP/follower.log" >&2
+    FPID=
+    exit 1
+fi
+FPID=
+
 kill -TERM "$DPID"
 if wait "$DPID"; then
     DPID=
-    echo "serve-smoke: ok (storm + crash-restart durability + follower and router lifecycles)"
+    echo "serve-smoke: ok (storm + crash-restart durability + follower and router lifecycles + follower restart)"
 else
     echo "serve-smoke: recovered daemon exited nonzero after SIGTERM" >&2
     DPID=
