@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/resource"
-	"repro/internal/term"
 )
 
 // Options configures one compiled run.
@@ -63,30 +62,43 @@ type emitBuf struct {
 	seen map[string]bool
 }
 
-// runtime is the mutable state of one run: the interner, one Relation per
-// predicate, and the governor. A runtime is used once and discarded.
+// runtime is the mutable state of one run: the store it builds the model
+// in, with its interner, one Relation per predicate, and the governor. A
+// runtime is used once and discarded.
 type runtime struct {
-	plan    *Plan
-	gov     *resource.Governor
-	in      *Interner
-	rels    map[predKey]*Relation
-	bound   []*Relation // by plan predicate index
-	order   []predKey   // creation order, for deterministic externalization
-	pools   map[*rulePlan][]ID
-	scratch []byte
-	stats   *Stats
+	plan  *Plan
+	gov   *resource.Governor
+	model *datalog.Store
+	in    *Interner
+	rels  map[predKey]*Relation
+	bound []*Relation // by plan predicate index
+	pools map[*rulePlan][]ID
+	stats *Stats
 }
 
 // Run evaluates the plan over the program's facts plus edb. The plan holds
 // no fact state, so one plan serves concurrent Runs. On a resource-limit
 // error the partial model is returned alongside the error, mirroring the
 // interpreter contract.
+//
+// The run computes the model in the store it returns: its relations are
+// that store's, rows of IDs under the store's interner, so handing the model
+// over does no per-tuple work. A relation no tuple reached stays empty.
 func (pl *Plan) Run(ctx context.Context, p *datalog.Program, edb *datalog.Store, opts Options) (*datalog.Store, *Stats, error) {
+	rt := pl.newRuntime(ctx, opts)
+	return rt.handOver(rt.run(p, edb))
+}
+
+// newRuntime returns a run of the plan over a fresh store, bounded by ctx
+// and opts.
+func (pl *Plan) newRuntime(ctx context.Context, opts Options) *runtime {
 	gov := resource.New(ctx, opts.Limits)
+	model := datalog.NewStore()
 	rt := &runtime{
 		plan:  pl,
 		gov:   gov,
-		in:    NewInterner(gov),
+		model: model,
+		in:    &Interner{gov: gov, in: model.Interner()},
 		rels:  make(map[predKey]*Relation, len(pl.preds)),
 		bound: make([]*Relation, len(pl.preds)),
 		pools: make(map[*rulePlan][]ID),
@@ -95,18 +107,23 @@ func (pl *Plan) Run(ctx context.Context, p *datalog.Program, edb *datalog.Store,
 	for i, pk := range pl.preds {
 		rt.bound[i] = rt.rel(pk)
 	}
-	err := rt.run(p, edb)
+	return rt
+}
+
+// handOver ends a run whose fixpoint returned err: the model is the store
+// the run computed in, returned as it stands, with the run's stats — or nil
+// on an error that is not a resource limit.
+func (rt *runtime) handOver(err error) (*datalog.Store, *Stats, error) {
 	rt.stats.Symbols = rt.in.Len()
-	rt.stats.Resource = gov.Snapshot()
+	rt.stats.Resource = rt.gov.Snapshot()
 	if err != nil && !resource.IsLimit(err) {
 		return nil, rt.stats, err
 	}
-	model := rt.externalize()
-	rt.stats.Facts = model.Len()
+	rt.stats.Facts = rt.model.Len()
 	if err != nil {
 		rt.stats.Resource.Truncated = true
 	}
-	return model, rt.stats, err
+	return rt.model, rt.stats, err
 }
 
 // rel returns (creating if needed) the relation for a predicate/arity.
@@ -114,9 +131,8 @@ func (rt *runtime) rel(pk predKey) *Relation {
 	if r, ok := rt.rels[pk]; ok {
 		return r
 	}
-	r := newRelation(pk.arity)
+	r := &Relation{arity: pk.arity, rows: rt.model.Relation(pk.name, pk.arity)}
 	rt.rels[pk] = r
-	rt.order = append(rt.order, pk)
 	return r
 }
 
@@ -144,8 +160,7 @@ func (rt *runtime) seed(a datalog.Atom) error {
 		}
 		row[i] = id
 	}
-	added, scratch, err := rel.Insert(row, rt.scratch, rt.gov)
-	rt.scratch = scratch
+	added, err := rel.Insert(row, rt.gov)
 	if err != nil {
 		return err
 	}
@@ -298,8 +313,7 @@ func (rt *runtime) merge(jobs []job, bufs []*emitBuf) (map[int]rowRange, bool, e
 		arity := rt.plan.preds[hp].arity
 		for i := 0; i < b.n; i++ {
 			row := b.rows[i*arity : (i+1)*arity]
-			added, scratch, err := rel.Insert(row, rt.scratch, rt.gov)
-			rt.scratch = scratch
+			added, err := rel.Insert(row, rt.gov)
 			if err != nil {
 				return nil, false, err
 			}
@@ -316,65 +330,6 @@ func (rt *runtime) merge(jobs []job, bufs []*emitBuf) (map[int]rowRange, bool, e
 		}
 	}
 	return next, changed, nil
-}
-
-// externalize converts the interned relations back to a datalog.Store in
-// deterministic (creation) order.
-func (rt *runtime) externalize() *datalog.Store {
-	out := datalog.NewStore()
-	for _, pk := range rt.order {
-		rel := rt.rels[pk]
-		n := rel.Len()
-		if n == 0 {
-			continue
-		}
-		// Assemble the batch with fact and argument keys built from the
-		// interner's canonical key strings: InsertBatch then loads the
-		// predicate with presized maps and no key recomputation, which is
-		// most of the cost of materializing a large model. Rows share flat
-		// backing arrays and one key string per predicate, so the whole
-		// batch is a handful of allocations instead of several per fact.
-		facts := make([]datalog.Atom, n)
-		keys := make([]string, n)
-		argKeys := make([][]string, n)
-		argsFlat := make([]term.Term, n*pk.arity)
-		akFlat := make([]string, n*pk.arity)
-		total := 0
-		for r := int32(0); int(r) < n; r++ {
-			base := int(r) * pk.arity
-			total += len(pk.name) + 1 + pk.arity + 1
-			for j := 0; j < pk.arity; j++ {
-				id := rel.at(r, j)
-				argsFlat[base+j] = rt.in.Extern(id)
-				akFlat[base+j] = rt.in.key(id)
-				total += len(akFlat[base+j])
-			}
-		}
-		buf := make([]byte, 0, total)
-		offs := make([]int, n+1)
-		for r := 0; r < n; r++ {
-			base := r * pk.arity
-			buf = append(buf, pk.name...)
-			buf = append(buf, '(')
-			for j := 0; j < pk.arity; j++ {
-				if j > 0 {
-					buf = append(buf, ',')
-				}
-				buf = append(buf, akFlat[base+j]...)
-			}
-			buf = append(buf, ')')
-			offs[r+1] = len(buf)
-		}
-		all := string(buf)
-		for r := 0; r < n; r++ {
-			base := r * pk.arity
-			facts[r] = datalog.Atom{Pred: pk.name, Args: argsFlat[base : base+pk.arity : base+pk.arity]}
-			keys[r] = all[offs[r]:offs[r+1]]
-			argKeys[r] = akFlat[base : base+pk.arity : base+pk.arity]
-		}
-		out.InsertBatch(pk.name, facts, keys, argKeys) //nolint:errcheck // ground by construction, no fault hook
-	}
-	return out
 }
 
 // rowRange is a semi-naive delta: the contiguous rows [from, to) appended
@@ -498,10 +453,7 @@ func (m *machine) step(i int) error {
 		if err := m.rt.gov.Step(); err != nil {
 			return err
 		}
-		row := m.argRow(o.args)
-		ok, key := m.rt.bound[o.pred].Contains(row, m.key)
-		m.key = key
-		if ok {
+		if m.rt.bound[o.pred].Contains(m.argRow(o.args)) {
 			return nil
 		}
 		return m.step(i + 1)
@@ -542,7 +494,7 @@ func (m *machine) emit() error {
 	if m.buf.seen[string(m.key)] {
 		return nil
 	}
-	if m.rt.bound[m.rp.headPred].containsKey(m.key) {
+	if m.rt.bound[m.rp.headPred].Contains(m.row) {
 		return nil
 	}
 	m.buf.seen[string(m.key)] = true

@@ -16,33 +16,31 @@
 package compile
 
 import (
+	"repro/internal/datalog"
 	"repro/internal/resource"
 	"repro/internal/term"
 )
 
-// ID is a dense interned identifier for one ground term. IDs are local to
-// one Interner; two terms are equal iff their IDs under the same interner
-// are equal (term.Key is injective on ground terms).
-type ID uint32
+// ID is a dense interned identifier for one ground term: the IDs of the
+// store a run builds its model in (datalog.ID).
+type ID = datalog.ID
 
 // internerEntryOverhead approximates the map + slice bookkeeping retained
 // per interned symbol, charged to the memory budget alongside the key text.
 const internerEntryOverhead = 48
 
-// Interner hash-conses ground terms to dense IDs with a reverse table for
-// output. It is append-only and not synchronized: a run interns from its one
-// goroutine; lookups on a quiescent interner are safe from any number.
+// Interner interns a run's ground terms into the lineage of the store it
+// builds, charging each new symbol's table memory to the run's governor.
+// A run interns from its one goroutine.
 type Interner struct {
-	gov   *resource.Governor
-	ids   map[string]ID
-	terms []term.Term
-	keys  []string // canonical key per ID (shares data with the ids keys)
+	gov *resource.Governor
+	in  *datalog.Interner
 }
 
-// NewInterner builds an interner charging its table memory to gov (which
-// may be nil for an ungoverned run).
+// NewInterner builds an interner of a fresh lineage charging its table
+// memory to gov (which may be nil for an ungoverned run).
 func NewInterner(gov *resource.Governor) *Interner {
-	return &Interner{gov: gov, ids: make(map[string]ID)}
+	return &Interner{gov: gov, in: datalog.NewInterner()}
 }
 
 // Intern returns the dense ID for a ground term, assigning one on first
@@ -53,38 +51,28 @@ func (in *Interner) Intern(t term.Term) (ID, error) {
 	if !t.IsGround() {
 		return 0, &ErrFallback{Reason: "cannot intern non-ground term " + t.String()}
 	}
-	key := t.Key()
-	if id, ok := in.ids[key]; ok {
-		return id, nil
+	id, fresh := in.in.Intern(t)
+	if fresh {
+		if err := in.gov.Charge(in.keyLen(id) + internerEntryOverhead); err != nil {
+			return 0, err
+		}
 	}
-	id := ID(len(in.terms))
-	if err := in.gov.Charge(int64(len(key) + internerEntryOverhead)); err != nil {
-		return 0, err
-	}
-	in.ids[key] = id
-	in.terms = append(in.terms, t)
-	in.keys = append(in.keys, key)
 	return id, nil
 }
 
 // keyLen returns the canonical key length of an interned term, used to
 // mirror the interpreter's structural fact-size estimate.
-func (in *Interner) keyLen(id ID) int64 { return int64(len(in.keys[id])) }
-
-// key returns the canonical term key of an interned term without
-// recomputing it, so externalization can assemble fact keys by
-// concatenation alone.
-func (in *Interner) key(id ID) string { return in.keys[id] }
+func (in *Interner) keyLen(id ID) int64 { return int64(len(in.in.Key(id))) }
 
 // Extern maps an ID back to its term. IDs come from this interner, so an
 // out-of-range ID is a programming error; Extern returns the zero term for
 // robustness rather than panicking.
 func (in *Interner) Extern(id ID) term.Term {
-	if int(id) >= len(in.terms) {
+	if int(id) >= in.in.Len() {
 		return term.Term{}
 	}
-	return in.terms[id]
+	return in.in.Term(id)
 }
 
 // Len returns the number of interned symbols.
-func (in *Interner) Len() int { return len(in.terms) }
+func (in *Interner) Len() int { return in.in.Len() }

@@ -3,26 +3,27 @@ package compile
 import (
 	"sort"
 
+	"repro/internal/datalog"
 	"repro/internal/resource"
 )
 
-// rowOverhead approximates the per-tuple bookkeeping (dedup map entry,
-// column slots) and indexEntryOverhead the per-index-posting cost, both
+// rowOverhead approximates the per-tuple bookkeeping (dedup table slot,
+// row storage) and indexEntryOverhead the per-index-posting cost, both
 // charged against the memory budget.
 const (
 	rowOverhead        = 32
 	indexEntryOverhead = 24
 )
 
-// Relation is the columnar fact storage for one predicate: arity columns
-// of interned IDs, a dedup map over the packed row bytes, and hash indexes
-// built lazily per bound-argument bitmask. Indexes extend incrementally as
-// the relation grows (semi-naive rounds append between reads), so a
-// pattern pays only for the rows inserted since it was last consulted.
+// Relation is one predicate's facts during a run: the rows of interned IDs
+// in the relation of the model store the run returns (datalog.Relation),
+// and the run's own hash indexes, built lazily per bound-argument bitmask.
+// Indexes extend incrementally as the relation grows (semi-naive rounds
+// append between reads), so a pattern pays only for the rows inserted since
+// it was last consulted; they are the run's, and are dropped with it.
 type Relation struct {
 	arity int
-	cols  [][]ID
-	seen  map[string]int32
+	rows  *datalog.Relation
 	idx   map[uint32]*hashIndex
 }
 
@@ -33,11 +34,6 @@ type hashIndex struct {
 	upTo int
 }
 
-// newRelation builds an empty relation of the given arity.
-func newRelation(arity int) *Relation {
-	return &Relation{arity: arity, seen: make(map[string]int32)}
-}
-
 // Arity returns the number of argument positions.
 func (r *Relation) Arity() int { return r.arity }
 
@@ -46,7 +42,7 @@ func (r *Relation) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.seen)
+	return r.rows.Len()
 }
 
 // packIDs appends the little-endian bytes of each ID to dst.
@@ -58,51 +54,27 @@ func packIDs(dst []byte, row []ID) []byte {
 }
 
 // Insert adds one tuple, reporting whether it was new. Memory for the row
-// and the postings of already-built indexes is charged to gov; the fact
-// count itself is the caller's concern (the engine charges gov.Insert for
-// derived tuples, mirroring the interpreter's accounting).
-func (r *Relation) Insert(row []ID, scratch []byte, gov *resource.Governor) (bool, []byte, error) {
-	scratch = packIDs(scratch[:0], row)
-	key := string(scratch)
-	if _, ok := r.seen[key]; ok {
-		return false, scratch, nil
+// is charged to gov; the fact count itself is the caller's concern (the
+// engine charges gov.Insert for derived tuples, mirroring the interpreter's
+// accounting).
+func (r *Relation) Insert(row []ID, gov *resource.Governor) (bool, error) {
+	if r.rows.Has(row) {
+		return false, nil
 	}
-	if err := gov.Charge(int64(len(key) + 4*r.arity + rowOverhead)); err != nil {
-		return false, scratch, err
+	// The row's packed key and its columns, as when rows were keyed by the
+	// packed bytes.
+	if err := gov.Charge(int64(8*r.arity + rowOverhead)); err != nil {
+		return false, err
 	}
-	n := int32(len(r.seen))
-	r.seen[key] = n
-	if r.cols == nil {
-		r.cols = make([][]ID, r.arity)
-	}
-	for j := range r.cols {
-		r.cols[j] = append(r.cols[j], row[j])
-	}
-	return true, scratch, nil
+	r.rows.Add(row)
+	return true, nil
 }
 
-// Contains reports whether the packed tuple is stored.
-func (r *Relation) Contains(row []ID, scratch []byte) (bool, []byte) {
-	if r == nil || len(r.seen) == 0 {
-		return false, scratch
-	}
-	scratch = packIDs(scratch[:0], row)
-	_, ok := r.seen[string(scratch)]
-	return ok, scratch
-}
+// Contains reports whether the tuple is stored.
+func (r *Relation) Contains(row []ID) bool { return r != nil && r.rows.Has(row) }
 
 // at returns the ID at (row, col).
-func (r *Relation) at(row int32, col int) ID { return r.cols[col][row] }
-
-// containsKey reports whether an already-packed row key is stored. It only
-// reads (the engine inserts between rounds).
-func (r *Relation) containsKey(key []byte) bool {
-	if r == nil {
-		return false
-	}
-	_, ok := r.seen[string(key)]
-	return ok
-}
+func (r *Relation) at(row int32, col int) ID { return r.rows.At(row, col) }
 
 // ensureIndex builds or extends the hash index for one bound-position
 // bitmask so it covers every stored row. The engine calls it between
@@ -119,7 +91,7 @@ func (r *Relation) ensureIndex(mask uint32, gov *resource.Governor) error {
 		}
 		r.idx[mask] = h
 	}
-	n := len(r.seen)
+	n := r.Len()
 	if h.upTo >= n {
 		return nil
 	}
@@ -128,7 +100,7 @@ func (r *Relation) ensureIndex(mask uint32, gov *resource.Governor) error {
 		scratch = scratch[:0]
 		for j := 0; j < r.arity; j++ {
 			if mask&(1<<uint(j)) != 0 {
-				id := r.cols[j][row]
+				id := r.at(row, j)
 				scratch = append(scratch, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 			}
 		}

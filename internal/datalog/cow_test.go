@@ -188,6 +188,17 @@ func deltaStore(tb testing.TB, n int) (src, clone *Store) {
 
 func rAtom(key, val string) Atom { return NewAtom("r0", term.Const(key), term.Const(val)) }
 
+// baseOffset returns the offset of a in the base of its delta relation in s.
+func baseOffset(t *testing.T, s *Store, a Atom) int {
+	t.Helper()
+	row := make([]ID, len(a.Args))
+	if !s.in.lookupRow(a.Args, row) {
+		t.Fatalf("%s was never interned", a)
+	}
+	_, off := s.relOf(a.Pred, len(a.Args)).base.find(row)
+	return off
+}
+
 // TestDeltaRelationFolds walks one relation through random writes in a chain
 // of clones and checks, at every step, the delta rules: a write to a shared
 // flat relation of flatCopyBelow tuples or more makes a delta over it, a
@@ -213,7 +224,7 @@ func TestDeltaRelationFolds(t *testing.T) {
 		case 1:
 			s.Remove(rAtom(key, fmt.Sprintf("v%d", r.Intn(7))))
 		default:
-			s.setSupport("r0", rAtom(key, "v0").Key(), 1+r.Intn(3))
+			s.setSupport(rAtom(key, "v0"), 1+r.Intn(3))
 		}
 		after := s.rel("r0")
 		if after == nil {
@@ -222,19 +233,20 @@ func TestDeltaRelationFolds(t *testing.T) {
 		checkFlatBases(t, s)
 		switch {
 		case after == before:
-		case before.base != nil && before.changes() >= FoldAt(len(before.base.facts)):
+		case before.base != nil && before.changes() >= FoldAt(before.base.n):
 			if after.base != nil {
-				t.Fatalf("step %d: a delta of %d changes over %d tuples did not fold", step, before.changes(), len(before.base.facts))
+				t.Fatalf("step %d: a delta of %d changes over %d tuples did not fold", step, before.changes(), before.base.n)
 			}
 			folds++
 		case before.base != nil && after.base == nil:
-			t.Fatalf("step %d: a delta of %d changes over %d tuples folded early", step, before.changes(), len(before.base.facts))
-		case after.base == nil && before.stamp != s.stamp && len(before.facts) >= flatCopyBelow:
-			t.Fatalf("step %d: a shared relation of %d tuples was copied whole", step, len(before.facts))
+			t.Fatalf("step %d: a delta of %d changes over %d tuples folded early", step, before.changes(), before.base.n)
+		case after.base == nil && before.stamp != s.stamp && before.n >= flatCopyBelow:
+			t.Fatalf("step %d: a shared relation of %d tuples was copied whole", step, before.n)
 		}
 		if after.base != nil {
 			folded := NewStore()
-			folded.put("r0", after.fold(true))
+			folded.in = s.in // the fold's rows are in s's lineage
+			folded.put("r0", after.fold())
 			if got, want := imageOf(folded), imageOf(s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: the fold differs from the delta\nfolded: %+v\ndelta:  %+v", step, got, want)
 			}
@@ -263,8 +275,8 @@ func TestDeltaRelationEdgeCases(t *testing.T) {
 			t.Fatalf("re-insert: added=%v err=%v", added, err)
 		}
 		d := s.rel("r0")
-		if d.base == nil || len(d.dead) != 1 || len(d.facts) != 1 {
-			t.Fatalf("want a delta of one tombstone and one added tuple, got base=%v dead=%v added=%v", d.base != nil, d.dead, d.facts)
+		if d.base == nil || len(d.dead) != 1 || d.n != 1 {
+			t.Fatalf("want a delta of one tombstone and one added tuple, got base=%v dead=%v added=%d", d.base != nil, d.dead, d.n)
 		}
 		if !reflect.DeepEqual(imageOf(s), imageOf(src)) {
 			t.Fatal("removing and re-inserting a tuple changed what the relation holds")
@@ -275,20 +287,20 @@ func TestDeltaRelationEdgeCases(t *testing.T) {
 	})
 	t.Run("count override", func(t *testing.T) {
 		src, s := deltaStore(t, 64)
-		k := rAtom("k9", "v2").Key()
-		s.setSupport("r0", k, 3)
-		if n, ok := s.support("r0", k); !ok || n != 3 {
+		k := rAtom("k9", "v2")
+		s.setSupport(k, 3)
+		if n, ok := s.support(k); !ok || n != 3 {
 			t.Fatalf("support = %d, %v after overriding it to 3", n, ok)
 		}
-		if n, _ := src.support("r0", k); n != 0 {
+		if n, _ := src.support(k); n != 0 {
 			t.Fatalf("the override reached the base: %d", n)
 		}
-		if d := s.rel("r0"); d.base == nil || d.over[d.base.seen[k]] != 3 {
+		if d, off := s.rel("r0"), baseOffset(t, s, k); d.base == nil || d.over[off] != 3 {
 			t.Fatal("the override is not the delta's")
 		}
 		s.Remove(rAtom("k9", "v2"))
 		s.Insert(rAtom("k9", "v2")) //nolint:errcheck // ground
-		if n, _ := s.support("r0", k); n != 0 {
+		if n, _ := s.support(k); n != 0 {
 			t.Fatalf("a re-inserted tuple kept its removed predecessor's count %d", n)
 		}
 	})

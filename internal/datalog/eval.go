@@ -212,7 +212,7 @@ func (e *Evaluator) evalStratum(clauses []Clause, full *Store) error {
 				if l.Negated || l.Atom.IsBuiltin() || !idb[l.Atom.Pred] {
 					continue
 				}
-				if len(delta.Facts(l.Atom.Pred)) == 0 {
+				if !delta.has(l.Atom.Pred) {
 					continue
 				}
 				jobs = append(jobs, job{c, i})

@@ -485,12 +485,11 @@ func (rs *ruleSet) lift(added []Clause) bool {
 // bump counts one more base assertion of a tuple of the finished model: every
 // fact is in the fixpoint built over it.
 func (inc *Incremental) bump(a Atom) error {
-	k := a.Key()
-	base, ok := inc.model.support(a.Pred, k)
+	base, ok := inc.model.support(a)
 	if !ok {
 		return fmt.Errorf("datalog: %s is asserted but missing from the model: not the program's minimal model", a)
 	}
-	inc.model.setSupport(a.Pred, k, base+1)
+	inc.model.setSupport(a, base+1)
 	return nil
 }
 
@@ -698,17 +697,16 @@ func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaRes
 		if !d.IsGround() || d.IsBuiltin() {
 			return nil, fmt.Errorf("datalog: delta retract of invalid atom %s", d)
 		}
-		k := d.Key()
-		base, ok := inc.model.support(d.Pred, k)
+		base, ok := inc.model.support(d)
 		if !ok || base == 0 {
 			continue // retracting an assertion that does not exist
 		}
-		inc.model.setSupport(d.Pred, k, base-1)
+		inc.model.setSupport(d, base-1)
 		if base > 1 {
 			continue
 		}
 		if !inc.defines(d.Pred) {
-			inc.removeTuple(d, k, st)
+			inc.removeTuple(d, d.Key(), st)
 		} else {
 			s := inc.stratum(d.Pred)
 			unbased[s] = append(unbased[s], d)
@@ -718,14 +716,13 @@ func (inc *Incremental) applyDelta(adds, dels []Atom, st *deltaState) (*DeltaRes
 		if !a.IsGround() || a.IsBuiltin() {
 			return nil, fmt.Errorf("datalog: delta assert of invalid atom %s", a)
 		}
-		k := a.Key()
-		base, ok := inc.model.support(a.Pred, k)
+		base, ok := inc.model.support(a)
 		if !ok {
-			if err := inc.insertTuple(a, k, st); err != nil {
+			if err := inc.insertTuple(a, a.Key(), st); err != nil {
 				return nil, err
 			}
 		}
-		inc.model.setSupport(a.Pred, k, base+1)
+		inc.model.setSupport(a, base+1)
 	}
 	for s := 0; s < inc.numStrata; s++ {
 		// A removed rule's firings are gone: their heads, enumerated against
@@ -836,10 +833,10 @@ func (inc *Incremental) deletePhase(s int, st *deltaState, seeds []Atom) error {
 		}
 	}
 	onLost := func(h Atom) {
-		k := h.Key()
-		if base, ok := inc.model.support(h.Pred, k); !ok || base > 0 {
+		if base, ok := inc.model.support(h); !ok || base > 0 {
 			return // gone already, or base-supported: stays
 		}
+		k := h.Key()
 		inc.removeTuple(h, k, st)
 		overdeleted[k] = h
 		queue = append(queue, h)

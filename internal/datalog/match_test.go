@@ -41,13 +41,13 @@ func matchStores(t testing.TB, n int) map[string]*Store {
 		// A shared relation of flatCopyBelow tuples or more becomes a delta
 		// at its first write; a smaller one is made one here.
 		delta := base.Clone()
-		if r := delta.rel("p"); r.size() < flatCopyBelow {
-			delta.put("p", &relation{base: r, seen: map[string]int{}, index: map[int]map[string][]int{}})
+		if r := delta.rel("p"); r.Len() < flatCopyBelow {
+			delta.put("p", newDelta(r))
 		}
 		delta.Remove(spare)
 		delta.Insert(last) //nolint:errcheck // ground
 		if delta.rel("p").base == nil {
-			t.Fatalf("the delta store's relation of %d tuples is flat", delta.rel("p").size())
+			t.Fatalf("the delta store's relation of %d tuples is flat", delta.rel("p").Len())
 		}
 		if flat.rel("p").base != nil {
 			t.Fatal("the flat store's relation is a delta")

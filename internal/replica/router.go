@@ -439,20 +439,21 @@ func fallbackWorthy(err error) bool {
 
 // queryOn runs one query on b through s's session there, lazily (re)opening
 // the backend session (unknown-session after a backend restart or fallback
-// re-opens once).
+// re-opens once). The answers are not decoded: the router reads the reply's
+// epoch and cache flag and forwards the answers' bytes (ForwardQuery).
 func (r *Router) queryOn(ctx context.Context, s *routedSession, b *backend, req server.QueryRequest, primarySide bool) (*server.QueryResponse, error) {
 	tok, err := r.sessionOn(ctx, s, b, primarySide)
 	if err != nil {
 		return nil, err
 	}
 	req.Session = tok
-	resp, err := b.client.QueryContext(ctx, req)
+	resp, err := b.client.ForwardQuery(ctx, req)
 	if isUnknownSession(err) {
 		if tok, err = r.reopenOn(ctx, s, b, primarySide); err != nil {
 			return nil, err
 		}
 		req.Session = tok
-		resp, err = b.client.QueryContext(ctx, req)
+		resp, err = b.client.ForwardQuery(ctx, req)
 	}
 	return resp, err
 }

@@ -141,10 +141,27 @@ func (c *Client) Close(ctx context.Context, session string) error {
 // partial response is returned alongside the *RemoteError so callers can
 // show what was found.
 func (c *Client) QueryContext(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
+	return c.query(ctx, req, false)
+}
+
+// ForwardQuery is QueryContext for a caller that passes the answers on
+// unread, through ReplyQuery — the router: a reply in the daemon's form has
+// its answers array delimited, not decoded, so the response's Answers is
+// nil, and only the fields after the array are read. A reply off that form
+// is decoded whole, as by QueryContext.
+func (c *Client) ForwardQuery(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
+	return c.query(ctx, req, true)
+}
+
+func (c *Client) query(ctx context.Context, req QueryRequest, unread bool) (*QueryResponse, error) {
 	var resp QueryResponse
+	var out any = &resp
+	if unread {
+		out = unreadAnswers{&resp}
+	}
 	err := c.doIdempotent(ctx, func() error {
 		resp = QueryResponse{}
-		return c.post(ctx, "/v1/query", req, &resp)
+		return c.post(ctx, "/v1/query", req, out)
 	})
 	if err != nil {
 		var re *RemoteError
@@ -158,6 +175,9 @@ func (c *Client) QueryContext(ctx context.Context, req QueryRequest) (*QueryResp
 	}
 	return &resp, nil
 }
+
+// unreadAnswers is a query reply to decode with decodeQueryUnread.
+type unreadAnswers struct{ *QueryResponse }
 
 // Assert adds clauses through the session; Retract removes them.
 func (c *Client) Assert(ctx context.Context, session, clauses string) (*UpdateResponse, error) {
@@ -258,9 +278,14 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 }
 
 // decodeBody decodes a reply body into out: a query reply by decodeQuery,
-// which reads its answers without reflection, any other by encoding/json.
+// which reads its answers without reflection, or by decodeQueryUnread, which
+// does not read them; any other by encoding/json.
 func decodeBody(r io.Reader, out any) error {
+	decode := decodeQuery
 	q, ok := out.(*QueryResponse)
+	if u, unread := out.(unreadAnswers); unread {
+		decode, q, ok = decodeQueryUnread, u.QueryResponse, true
+	}
 	if !ok {
 		return json.NewDecoder(r).Decode(out)
 	}
@@ -268,7 +293,7 @@ func decodeBody(r io.Reader, out any) error {
 	if err != nil {
 		return err
 	}
-	return decodeQuery(body, q)
+	return decode(body, q)
 }
 
 func decodeRemoteError(resp *http.Response) error {

@@ -28,6 +28,101 @@ func decodeQuery(body []byte, out *QueryResponse) error {
 	return json.Unmarshal(body, out)
 }
 
+// decodeQueryUnread is decodeQuery for a reply whose answers are passed on
+// unread (ReplyQuery): in the daemon's form the answers array is only
+// delimited, never decoded — out.Answers stays nil and out keeps the
+// array's bytes — and the fields after it are decoded. Off that form the
+// body is read by json.Unmarshal, as decodeQuery reads it. body must not
+// change after.
+func decodeQueryUnread(body []byte, out *QueryResponse) error {
+	if end, ok := skipAnswers(body); ok && decodeTail(body, end, out) {
+		out.raw = body[len(answersOpen):end]
+		return nil
+	}
+	*out = QueryResponse{}
+	return json.Unmarshal(body, out)
+}
+
+// skipAnswers returns the offset just past the answers array that opens
+// body, where scanAnswers would read it, or false where it would not.
+func skipAnswers(b []byte) (int, bool) {
+	if !bytes.HasPrefix(b, answersOpen) {
+		return 0, false
+	}
+	i := len(answersOpen)
+	if i == len(b) || b[i] != '[' {
+		return 0, false
+	}
+	i++
+	if i < len(b) && b[i] == ']' {
+		return i + 1, true
+	}
+	for {
+		if i == len(b) || b[i] != '{' {
+			return 0, false
+		}
+		i++
+		if i < len(b) && b[i] == '}' {
+			i++
+		} else {
+			for {
+				var ok bool
+				if i, ok = skipString(b, i); !ok || i == len(b) || b[i] != ':' {
+					return 0, false
+				}
+				if i, ok = skipString(b, i+1); !ok || i == len(b) {
+					return 0, false
+				}
+				if b[i] == '}' {
+					i++
+					break
+				}
+				if b[i] != ',' {
+					return 0, false
+				}
+				i++
+			}
+		}
+		if i == len(b) {
+			return 0, false
+		}
+		if b[i] == ']' {
+			return i + 1, true
+		}
+		if b[i] != ',' {
+			return 0, false
+		}
+		i++
+	}
+}
+
+// skipString returns the offset past the JSON string at b[i] where
+// scanString would read it, or false.
+func skipString(b []byte, i int) (int, bool) {
+	if i == len(b) || b[i] != '"' {
+		return 0, false
+	}
+	j := i + 1
+	for j < len(b) && b[j] >= ' ' && b[j] < 0x80 && b[j] != '"' && b[j] != '\\' {
+		j++
+	}
+	if j < len(b) && b[j] == '"' {
+		return j + 1, true
+	}
+	for ; j < len(b) && b[j] != '"'; j++ {
+		switch {
+		case b[j] < ' ':
+			return 0, false
+		case b[j] == '\\':
+			j++
+		}
+	}
+	if j >= len(b) || !json.Valid(b[i:j+1]) {
+		return 0, false
+	}
+	return j + 1, true
+}
+
 // scanAnswers reads the answers array that opens body into out.Answers and
 // returns the offset just past it, or false where json.Unmarshal must read
 // the body instead.

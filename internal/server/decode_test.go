@@ -140,6 +140,38 @@ func FuzzQueryResponseDecode(f *testing.F) {
 	})
 }
 
+// FuzzQueryUnreadDecode holds decodeQueryUnread, the router's decoder, to
+// decodeQuery: the same error, the same answer bytes kept, and the same
+// fields — but for the rows of the answers it keeps, which it never decodes.
+func FuzzQueryUnreadDecode(f *testing.F) {
+	for _, body := range daemonBodies(f) {
+		f.Add(body)
+	}
+	for _, body := range oddBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want, got QueryResponse
+		werr := decodeQuery(bytes.Clone(body), &want)
+		gerr := decodeQueryUnread(bytes.Clone(body), &got)
+		if !reflect.DeepEqual(gerr, werr) {
+			t.Fatalf("body %q: error %v, decodeQuery's %v", body, gerr, werr)
+		}
+		if (got.raw == nil) != (want.raw == nil) || !bytes.Equal(got.raw, want.raw) {
+			t.Fatalf("body %q: kept answer bytes %q, decodeQuery kept %q", body, got.raw, want.raw)
+		}
+		if got.raw != nil {
+			if got.Answers != nil {
+				t.Fatalf("body %q: decoded the answers it keeps unread", body)
+			}
+			got.Answers = want.Answers
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %q: decoded\n%#v\ndecodeQuery decodes\n%#v", body, got, want)
+		}
+	})
+}
+
 // rowsBody is a query body of n rows of four variables, as the daemon
 // writes it: the shape of a full scan on the benchmark's program.
 func rowsBody(tb testing.TB, n int) []byte {

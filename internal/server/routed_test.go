@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/replica"
 	"repro/internal/server"
+	"repro/internal/workload"
 )
 
 // respelled serves h with every "k1 in a query reply spelled "k\u0031: the
@@ -112,5 +114,76 @@ func TestRouterForwardsAnswersUnread(t *testing.T) {
 			}
 			t.Logf("%s (respelled %v): %d routed answer sets equal the backend's, %d spelled with an escape", wc.Name, respell, compared, escaped)
 		}
+	}
+}
+
+// TestRoutedReadAllocsFlatInRows: a read through a router — the backend's
+// cached hit, the router's client reading the reply, the router's reply —
+// allocates for a scan of about 400 rows at most 1.25x what it does for a
+// 1-row point: the router delimits the answers it forwards and never
+// decodes them, where a map per row would make the scan's cost grow with
+// its rows.
+func TestRoutedReadAllocsFlatInRows(t *testing.T) {
+	srv := server.New(server.Config{})
+	if err := srv.Load("rows", workload.ProgramSource(workload.ProgramConfig{
+		Levels: 4, Facts: 800, Rules: 16, Preds: 6, Seed: 1, Poly: 0.3})); err != nil {
+		t.Fatal(err)
+	}
+	backend := httptest.NewServer(srv.Handler())
+	defer backend.Close()
+	router, err := replica.NewRouter(replica.RouterConfig{Primary: backend.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := router.Handler()
+	serve := func(path string, in any) *httptest.ResponseRecorder {
+		body, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	var open server.OpenResponse
+	if err := json.Unmarshal(serve("/v1/session", server.OpenRequest{
+		Subject: "rows", DB: "rows", Clearance: "l3", Mode: "opt"}).Body.Bytes(), &open); err != nil {
+		t.Fatal(err)
+	}
+	scan := server.QueryRequest{Session: open.Session, Query: "L[p0(K: a -C-> V)]"}
+	var resp server.QueryResponse
+	if err := json.Unmarshal(serve("/v1/query", scan).Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]int{}
+	for _, a := range resp.Answers {
+		keys[a["K"]]++
+	}
+	point := server.QueryRequest{Session: open.Session}
+	for k, n := range keys {
+		if n == 1 {
+			point.Query = fmt.Sprintf("L[p0(%s: a -C-> V)]", k)
+			break
+		}
+	}
+	if len(resp.Answers) < 300 || point.Query == "" {
+		t.Fatalf("the scan found %d rows over %d keys, want hundreds and a key with one", len(resp.Answers), len(keys))
+	}
+	serve("/v1/query", point)
+	read := func(req server.QueryRequest) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if rec := serve("/v1/query", req); !bytes.Contains(rec.Body.Bytes(), []byte(`"cached":true`)) {
+				t.Fatalf("%s: not a cache hit: %.200s", req.Query, rec.Body)
+			}
+		})
+	}
+	scanAllocs, pointAllocs := read(scan), read(point)
+	t.Logf("allocations per routed read: %.0f for the %d-row scan, %.0f for a 1-row point", scanAllocs, len(resp.Answers), pointAllocs)
+	if scanAllocs > 1.25*pointAllocs {
+		t.Errorf("a routed read of %d rows allocates %.0f times, a 1-row one %.0f: %.2fx, want at most 1.25x",
+			len(resp.Answers), scanAllocs, pointAllocs, scanAllocs/pointAllocs)
 	}
 }

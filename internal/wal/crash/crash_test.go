@@ -10,20 +10,30 @@ import (
 
 var (
 	buildOnce sync.Once
+	binDir    string
 	binPath   string
 	buildErr  error
 )
 
-// daemonBin builds cmd/multilogd once per test run.
+// TestMain removes the daemon binary daemonBin built, once every test is done.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir) //nolint:errcheck // best effort: a temporary directory
+	}
+	os.Exit(code)
+}
+
+// daemonBin builds cmd/multilogd once per test run, into a temporary
+// directory TestMain removes.
 func daemonBin(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "multilogd-bin-")
-		if err != nil {
-			buildErr = err
+		binDir, buildErr = os.MkdirTemp("", "multilogd-bin-")
+		if buildErr != nil {
 			return
 		}
-		binPath, buildErr = BuildDaemon(dir)
+		binPath, buildErr = BuildDaemon(binDir)
 	})
 	if buildErr != nil {
 		t.Fatalf("building multilogd: %v", buildErr)

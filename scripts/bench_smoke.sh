@@ -98,6 +98,13 @@
 #    clauses give each clearance its own (serving=per-clearance): ~2.1x
 #    when a write advances one reduction per serving level, ~1.0x when it
 #    advances one per warm clearance whatever the program.
+# 14. TestColdBuildHandoverAllocsFlatInTuples (internal/compile, also in
+#    tier-1): a cold build's hand-over — from the compiled engine's fixpoint
+#    to the model installed in the reduction — allocates at 8000 facts
+#    (~140k tuples at l3) at most 1.25x what it does at 200 (~3.4k): 0 and 0
+#    when the engine computes in the datalog.Store it returns, ~11x (165k
+#    against 15k) when every tuple is rebuilt as atoms with key strings and
+#    argument indexes. Run like gate 9, by the allocation-test run.
 set -eu
 
 GO=${GO:-go}
@@ -159,8 +166,8 @@ $GO test ./internal/server -run '^$' -bench 'BenchmarkCacheInvalidate' \
     -benchtime 2000000x -count=1 | tee "$TMP/cache.txt"
 gate "$TMP/cache.txt" CacheInvalidate entries 1k 64k ns/op 0.8
 
-$GO test ./internal/server ./internal/multilog ./internal/datalog \
-    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount|TestMatchAllocsFlatInCandidates|TestStoreCloneAllocsFlatInRelations|TestPatchedGetAllocsFlatInRows)$' \
+$GO test ./internal/server ./internal/multilog ./internal/datalog ./internal/compile \
+    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount|TestMatchAllocsFlatInCandidates|TestStoreCloneAllocsFlatInRelations|TestPatchedGetAllocsFlatInRows|TestColdBuildHandoverAllocsFlatInTuples)$' \
     -count=1 -v > "$TMP/allocs.txt" || { cat "$TMP/allocs.txt"; exit 1; }
-grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert\|per match\|per clone\|per patched' "$TMP/allocs.txt"
+grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert\|per match\|per clone\|per patched\|per hand-over' "$TMP/allocs.txt"
 echo "bench-smoke: ok"
