@@ -99,6 +99,7 @@ func shared(seed int64, programs int, verbose bool) int {
 	if verbose {
 		fmt.Printf("shared: seed %d, %d programs (%d monotone), %d probes compared, %d of %d non-monotone programs diverge when served shared, %v\n",
 			seed, res.Programs, res.Monotone, res.Probes, res.Diverged, res.Programs-res.Monotone, time.Since(start).Round(time.Millisecond))
+		res.ReportDeclines(func(f string, args ...any) { fmt.Printf("shared: "+f+"\n", args...) })
 	}
 	if len(res.Misclassified)+len(res.Divergences) > 0 || res.Diverged == 0 || unshaped {
 		return 1

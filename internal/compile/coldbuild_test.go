@@ -3,6 +3,7 @@ package compile
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -55,15 +56,20 @@ func handOverTo(tb testing.TB, rt *runtime, red *multilog.Reduction) {
 // BenchmarkColdBuild prices a cold build — PrepareReduction's compiled path
 // — at 200, 2,000 and 8,000 facts, phase by phase: plan (Compile), fixpoint
 // (the semi-naive run) and handover (from the fixpoint to the model
-// installed in the reduction). B/op and allocs/op are the three phases'.
+// installed in the reduction). B/op, allocs/op and gcs/op (collections
+// that ran) are the three phases'.
 func BenchmarkColdBuild(b *testing.B) {
 	for _, facts := range []int{200, 2000, 8000} {
 		b.Run(fmt.Sprintf("facts=%d", facts), func(b *testing.B) {
 			b.ReportAllocs()
 			var plan, fix, hand time.Duration
+			var ms goruntime.MemStats
+			gcs := uint32(0)
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				red := coldBuildReduction(b, facts)
+				goruntime.ReadMemStats(&ms)
+				gcs -= ms.NumGC
 				b.StartTimer()
 				t0 := time.Now()
 				pl, err := Compile(red.Program)
@@ -79,7 +85,12 @@ func BenchmarkColdBuild(b *testing.B) {
 				handOverTo(b, rt, red)
 				t3 := time.Now()
 				plan, fix, hand = plan+t1.Sub(t0), fix+t2.Sub(t1), hand+t3.Sub(t2)
+				b.StopTimer()
+				goruntime.ReadMemStats(&ms)
+				gcs += ms.NumGC
+				b.StartTimer()
 			}
+			b.ReportMetric(float64(gcs)/float64(b.N), "gcs/op")
 			b.ReportMetric(float64(plan.Nanoseconds())/float64(b.N), "plan-ns")
 			b.ReportMetric(float64(fix.Nanoseconds())/float64(b.N), "fixpoint-ns")
 			b.ReportMetric(float64(hand.Nanoseconds())/float64(b.N), "handover-ns")

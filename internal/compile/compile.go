@@ -14,7 +14,12 @@ import (
 // byte-agreement on everything it accepts, and falling back keeps that
 // contract cheap to uphold for the constructs the register machine does
 // not model.
-type ErrFallback struct{ Reason string }
+type ErrFallback struct {
+	// Construct names the construct refused, one of a fixed few ("nonlinear
+	// recursion", "non-ground compound", …), for counting; Reason says
+	// where.
+	Construct, Reason string
+}
 
 func (e *ErrFallback) Error() string { return "compile: fallback to interpreter: " + e.Reason }
 
@@ -24,10 +29,8 @@ func IsFallback(err error) bool {
 	return ok
 }
 
-// predKey identifies one relation: the compiled store keeps predicates of
-// the same name but different arities apart (the interpreter's store mixes
-// them in one bucket and lets unification sort it out; keyed relations
-// externalize back to the same answers).
+// predKey identifies one relation: predicates of the same name but
+// different arities are kept apart, as datalog.Store keeps them.
 type predKey struct {
 	name  string
 	arity int
@@ -150,7 +153,7 @@ func Compile(p *datalog.Program) (*Plan, error) {
 	summary := analysis.Adorn(rules, rules.Queries)
 	for _, name := range summary.PredNames() {
 		if summary.Pred(name).NonlinearRecursion {
-			return nil, &ErrFallback{Reason: fmt.Sprintf("nonlinear recursion through %s (DL010)", name)}
+			return nil, &ErrFallback{Construct: "nonlinear recursion", Reason: fmt.Sprintf("nonlinear recursion through %s (DL010)", name)}
 		}
 	}
 	pl := &Plan{predIx: map[predKey]int{}, summary: summary}
@@ -209,7 +212,7 @@ func (pl *Plan) compileClause(c datalog.Clause, stratumHeads map[predKey]bool) (
 	}
 	pool := func(t term.Term) (int, error) {
 		if !t.IsGround() {
-			return 0, &ErrFallback{Reason: fmt.Sprintf("non-ground compound term %s in %s", t, rp.src)}
+			return 0, &ErrFallback{Construct: "non-ground compound", Reason: fmt.Sprintf("non-ground compound term %s in %s", t, rp.src)}
 		}
 		key := t.Key()
 		if ix, ok := poolOf[key]; ok {
@@ -283,7 +286,7 @@ func (pl *Plan) compileClause(c datalog.Clause, stratumHeads map[predKey]bool) (
 		if pick < 0 {
 			// Either an unbound-unbound equality chain the register machine
 			// does not alias, or a floundering body Validate let through.
-			return nil, &ErrFallback{Reason: "no ready literal (unbound equality or floundering) in " + rp.src}
+			return nil, &ErrFallback{Construct: "no ready literal", Reason: "no ready literal (unbound equality or floundering) in " + rp.src}
 		}
 		l := body[remaining[pick]]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
@@ -328,7 +331,7 @@ func (pl *Plan) compileClause(c datalog.Clause, stratumHeads map[predKey]bool) (
 				pred: pl.pred(l.Atom.Pred, l.Atom.Arity()), args: args})
 		default:
 			if l.Atom.Arity() > 32 {
-				return nil, &ErrFallback{Reason: "arity beyond probe mask width in " + rp.src}
+				return nil, &ErrFallback{Construct: "arity beyond probe mask", Reason: "arity beyond probe mask width in " + rp.src}
 			}
 			args := make([]planArg, l.Atom.Arity())
 			var mask uint32
@@ -377,7 +380,7 @@ func (pl *Plan) compileClause(c datalog.Clause, stratumHeads map[predKey]bool) (
 		}
 		if !ok {
 			// Range restriction should have bound every head variable.
-			return nil, &ErrFallback{Reason: fmt.Sprintf("head variable %s unbound after body in %s", t, rp.src)}
+			return nil, &ErrFallback{Construct: "unbound head variable", Reason: fmt.Sprintf("head variable %s unbound after body in %s", t, rp.src)}
 		}
 		rp.head[i] = pa
 	}

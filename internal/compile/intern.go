@@ -1,8 +1,9 @@
 // Package compile is the compiled bottom-up execution subsystem (ROADMAP
-// item 1): ground terms are interned into dense integer IDs, facts live in
-// columnar per-predicate relations with hash indexes built lazily per
-// bound-argument pattern, and each stratum's rules are compiled once into
-// reusable hash-join pipelines that run semi-naively over the IDs. Compiled
+// item 1): ground terms are interned into dense integer IDs, facts live as
+// rows of IDs in the relations of the datalog.Store a run returns as the
+// model, with the run's hash indexes built lazily per bound-argument
+// pattern, and each stratum's rules are compiled once into reusable
+// hash-join pipelines that run semi-naively over the IDs. Compiled
 // plans depend only on a program's rules, so they are cached (keyed by rule
 // set hash and seed adornment) and shared across fact sets — the server's
 // per-clearance prepared reductions hit the cache on every fact-only write.
@@ -49,7 +50,7 @@ func NewInterner(gov *resource.Governor) *Interner {
 // construction, so the error is a defensive contract check).
 func (in *Interner) Intern(t term.Term) (ID, error) {
 	if !t.IsGround() {
-		return 0, &ErrFallback{Reason: "cannot intern non-ground term " + t.String()}
+		return 0, &ErrFallback{Construct: "non-ground compound", Reason: "cannot intern non-ground term " + t.String()}
 	}
 	id, fresh := in.in.Intern(t)
 	if fresh {

@@ -34,9 +34,6 @@ type hashIndex struct {
 	upTo int
 }
 
-// Arity returns the number of argument positions.
-func (r *Relation) Arity() int { return r.arity }
-
 // Len returns the number of distinct tuples.
 func (r *Relation) Len() int {
 	if r == nil {
@@ -61,8 +58,7 @@ func (r *Relation) Insert(row []ID, gov *resource.Governor) (bool, error) {
 	if r.rows.Has(row) {
 		return false, nil
 	}
-	// The row's packed key and its columns, as when rows were keyed by the
-	// packed bytes.
+	// A row is charged as a packed key and its columns: 4 bytes an ID, twice.
 	if err := gov.Charge(int64(8*r.arity + rowOverhead)); err != nil {
 		return false, err
 	}

@@ -52,6 +52,14 @@ func imageOf(s *Store) storeImage {
 	return img
 }
 
+// rel returns pred's relation of the arity it was first given.
+func (s *Store) rel(pred string) *Relation {
+	if slots := s.ids[pred]; len(slots) > 0 {
+		return s.rels[slots[0]]
+	}
+	return nil
+}
+
 // checkFlatBases fails the test unless every delta relation of s sits on a
 // flat, frozen base.
 func checkFlatBases(t *testing.T, s *Store) {

@@ -145,6 +145,8 @@ func NewIncrementalContext(ctx context.Context, p *Program, edb *Store, limits r
 // engine's own model carries counts, which would be counted twice. A model
 // missing the tuple of a fact clause is refused; any other way of not being
 // p's least model nothing here can tell. limits bound every later delta.
+// Adopting visits no tuple but those the fact clauses name: a model in the
+// store its evaluator built it in is taken over as it is.
 func Adopt(p *Program, model *Store, limits resource.Limits) (*Incremental, error) {
 	return seedCounts(p, nil, model.Clone(), limits)
 }

@@ -89,8 +89,8 @@ func newStamp() uint64 { return stamps.Add(1) }
 // Relation is one predicate's tuples of one arity, as rows of interned IDs.
 // A flat relation (base nil) holds them all; a delta relation holds in its
 // own rows only the tuples it added to its base, which are never among the
-// base's live ones. The rows hold no pointer, and neither do the dedup
-// table and the argument indexes but for their maps' buckets.
+// base's live ones. Its rows, dedup table, count column and argument
+// indexes hold no pointer, so a collection has none of them to scan.
 type Relation struct {
 	arity int
 	n     int   // own tuples
@@ -491,14 +491,6 @@ func (s *Store) slot(pred string, n int) (int, bool) {
 func (s *Store) relOf(pred string, n int) *Relation {
 	if i, ok := s.slot(pred, n); ok {
 		return s.rels[i]
-	}
-	return nil
-}
-
-// rel returns pred's relation of the arity it was first given.
-func (s *Store) rel(pred string) *Relation {
-	if slots := s.ids[pred]; len(slots) > 0 {
-		return s.rels[slots[0]]
 	}
 	return nil
 }

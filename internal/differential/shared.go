@@ -2,10 +2,12 @@ package differential
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 
+	"repro/internal/compile"
 	"repro/internal/datalog"
 	"repro/internal/lattice"
 	"repro/internal/multilog"
@@ -41,6 +43,41 @@ type SharedCampaignResult struct {
 	Diverged      int
 	Misclassified []string // a clause MonotoneClause judged against its shape
 	Divergences   []string // a monotone program's view that answered otherwise
+	// Reductions counts the reductions the campaign prepared through
+	// compile.PrepareReduction, as the server's cold build does, and
+	// Interpreted those the compiler declined, whose models the interpreter
+	// built. WithShape counts the programs with a clause of each shape, and
+	// Declined, per shape and by the construct refused
+	// (compile.ErrFallback.Construct), those of them declined at some level.
+	Reductions, Interpreted int
+	WithShape               map[workload.ClauseShape]int
+	Declined                map[workload.ClauseShape]map[string]int
+}
+
+// ReportDeclines logs, per shape drawn, how many programs the compiler
+// declined at some level, by construct, and how many reductions the
+// interpreter built.
+func (res SharedCampaignResult) ReportDeclines(logf func(string, ...any)) {
+	for _, sh := range sortedKeys(res.WithShape) {
+		var by []string
+		for _, c := range sortedKeys(res.Declined[sh]) {
+			by = append(by, fmt.Sprintf("%s %d", c, res.Declined[sh][c]))
+		}
+		if by == nil {
+			by = []string{"none"}
+		}
+		logf("shape %s: %d programs, declined by the compiler: %s", sh, res.WithShape[sh], strings.Join(by, ", "))
+	}
+	logf("%d of %d reductions built by the interpreter", res.Interpreted, res.Reductions)
+}
+
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // RunSharedCampaign generates n programs from sharedMix over chain, diamond,
@@ -54,7 +91,8 @@ type SharedCampaignResult struct {
 // it takes to touch its answers. A monotone program must agree everywhere; a
 // non-monotone one is counted as diverged if it does not.
 func RunSharedCampaign(seed int64, n int) SharedCampaignResult {
-	res := SharedCampaignResult{Programs: n, Mix: sharedMix, Shapes: map[workload.ClauseShape]int{}}
+	res := SharedCampaignResult{Programs: n, Mix: sharedMix, Shapes: map[workload.ClauseShape]int{},
+		WithShape: map[workload.ClauseShape]int{}, Declined: map[workload.ClauseShape]map[string]int{}}
 	lattices := []workload.LatticeShape{workload.ShapeChain, workload.ShapeDiamond, workload.ShapeProduct, workload.ShapeDAG}
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
@@ -69,10 +107,12 @@ func RunSharedCampaign(seed int64, n int) SharedCampaignResult {
 		}
 		poset := prog.Poset
 		shapes := map[string]workload.ClauseShape{}
+		drawn := map[workload.ClauseShape]bool{}
 		for _, c := range prog.Clauses {
 			one := mustParse(c.Src)
 			shapes[append(one.Sigma, one.Pi...)[0].String()] = c.Shape
 			res.Shapes[c.Shape]++
+			drawn[c.Shape] = true
 		}
 		mono := true
 		for _, cl := range append(slices.Clone(db.Sigma), db.Pi...) {
@@ -90,16 +130,35 @@ func RunSharedCampaign(seed int64, n int) SharedCampaignResult {
 			res.Monotone++
 		}
 		reds := map[lattice.Label]*multilog.Reduction{}
+		declined := map[string]bool{}
 		for _, u := range poset.Labels() {
 			red, err := multilog.Reduce(db, u)
+			compiled := false
 			if err == nil {
-				err = red.Prepare(ctx, resource.Limits{})
+				compiled, err = compile.PrepareReduction(ctx, red, compile.Options{})
 			}
 			if err != nil {
 				//vet:allow nopanic -- generated programs stratify by construction
 				panic(fmt.Sprintf("differential: shared program does not reduce at %s: %v\n%s", u, err, prog.Source))
 			}
+			res.Reductions++
+			if !compiled {
+				res.Interpreted++
+				var fb *compile.ErrFallback
+				if _, err := compile.Compile(red.Program); errors.As(err, &fb) {
+					declined[fb.Construct] = true
+				}
+			}
 			reds[u] = red
+		}
+		for sh := range drawn {
+			res.WithShape[sh]++
+			for c := range declined {
+				if res.Declined[sh] == nil {
+					res.Declined[sh] = map[string]int{}
+				}
+				res.Declined[sh][c]++
+			}
 		}
 		probes := workload.Probes(db, poset, poset.Minimal()...)
 		diverged := false

@@ -22,6 +22,7 @@ func TestSharedCampaign(t *testing.T) {
 	checkShapes(t, workload.MonotoneMix.With(workload.NonMonotoneMix), res.Shapes)
 	t.Logf("%d programs, %d monotone, %d probes compared; %d of %d non-monotone programs diverge when served shared",
 		res.Programs, res.Monotone, res.Probes, res.Diverged, res.Programs-res.Monotone)
+	res.ReportDeclines(t.Logf)
 	for _, m := range res.Misclassified {
 		t.Error(m)
 	}

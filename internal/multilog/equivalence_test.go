@@ -59,25 +59,27 @@ func randomDatabase(r *rand.Rand) (*Database, []lattice.Label) {
 	return db, levels
 }
 
+// t1Probes are the queries the T1 corpus is probed with at its levels.
+func t1Probes(levels []lattice.Label) []string {
+	var out []string
+	for _, l := range levels {
+		out = append(out,
+			fmt.Sprintf("%s[p0(K: a -C-> V)]", l),
+			fmt.Sprintf("%s[p0(K: a -C-> V)] << fir", l),
+			fmt.Sprintf("%s[p0(K: a -C-> V)] << opt", l),
+			fmt.Sprintf("%s[p0(K: a -C-> V)] << cau", l),
+			fmt.Sprintf("%s[p1(K: b -C-> V)] << cau", l),
+			fmt.Sprintf("%s[q0(K: d -C-> V)]", l),
+		)
+	}
+	out = append(out, "L[p0(K: a -C-> V)] << opt") // variable level
+	return out
+}
+
 // Theorem 6.1 / Experiment T1: on seeded random databases, every query in a
 // probe family yields identical answer sets under the operational and the
 // reduction semantics, at every user level.
 func TestTheorem61Randomized(t *testing.T) {
-	probes := func(levels []lattice.Label) []string {
-		var out []string
-		for _, l := range levels {
-			out = append(out,
-				fmt.Sprintf("%s[p0(K: a -C-> V)]", l),
-				fmt.Sprintf("%s[p0(K: a -C-> V)] << fir", l),
-				fmt.Sprintf("%s[p0(K: a -C-> V)] << opt", l),
-				fmt.Sprintf("%s[p0(K: a -C-> V)] << cau", l),
-				fmt.Sprintf("%s[p1(K: b -C-> V)] << cau", l),
-				fmt.Sprintf("%s[q0(K: d -C-> V)]", l),
-			)
-		}
-		out = append(out, "L[p0(K: a -C-> V)] << opt") // variable level
-		return out
-	}
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		db, levels := randomDatabase(r)
@@ -90,7 +92,7 @@ func TestTheorem61Randomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, qsrc := range probes(levels) {
+			for _, qsrc := range t1Probes(levels) {
 				q, err := ParseGoals(qsrc)
 				if err != nil {
 					t.Fatal(err)

@@ -10,3 +10,10 @@ func VersionBase(v *Version) *Database { return v.base.db }
 // Rematerialize is the version as Database would first build it, ignoring
 // the database it cached: what the version's own delta renders to now.
 func Rematerialize(v *Version) *Database { return v.fork().Database() }
+
+// RandomDatabase and T1Probes are the T1 corpus: TestTheorem61Randomized's
+// seeded databases and the queries they are probed with.
+var (
+	RandomDatabase = randomDatabase
+	T1Probes       = t1Probes
+)

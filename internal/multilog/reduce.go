@@ -121,9 +121,10 @@ func (r *Reduction) Prepare(ctx context.Context, limits resource.Limits) error {
 // with it the reduction is prepared: QueryPrepared serves it exactly as if
 // Prepare had built it. The caller guarantees the model is the complete
 // lfp of r.Program; installing a partial model would silently drop answers.
-// The model comes without an engine: the first advance from the reduction
-// makes one over a clone of it (datalog.Adopt), which a reduction that is
-// only ever read never pays.
+// The model is installed as it is — the compiled engine's is the store
+// its fixpoint ran in — and comes without an engine: the first advance
+// from the reduction makes one over a clone of it (datalog.Adopt), which a
+// reduction that is only ever read never pays.
 func (r *Reduction) InstallPrepared(model *datalog.Store) {
 	r.model = model
 }
