@@ -35,8 +35,8 @@
 //
 // # Overload protection
 //
-// An admission controller (a fixed limit of -max-inflight cost units,
-// CoDel-style queue-delay shedding) sits in front of query and write
+// An admission controller (a fixed limit of -max-inflight cost units, a
+// bounded queue, and a deadline check) sits in front of query and write
 // handling; cache hits are answered before it is asked, and health and
 // replication traffic always bypasses it. Shed
 // requests get HTTP 429 with a Retry-After hint, and — with -max-stale —
@@ -76,6 +76,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on the -pprof-addr mux
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -187,6 +188,15 @@ func main() {
 	flag.DurationVar(&o.probeInterval, "probe-interval", 250*time.Millisecond, "router: backend health-probe cadence")
 	flag.BoolVar(&o.rebootstrap, "rebootstrap-on-diverge", false, "follower: on divergence, wipe local state and re-bootstrap from the primary instead of halting")
 	flag.Parse()
+
+	// The daemon's live heap is mostly the compiled models of its warm
+	// reductions, rows of interned IDs: 10–11 MB at the benchmark's
+	// 2,000-fact shape. At Go's default GOGC of 100 the collector then runs
+	// every ≈ 85 ms under read load and more requests meet a mark phase
+	// (EXPERIMENTS.md P28, P29). A GOGC set in the environment still wins.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(250)
+	}
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "multilogd:", err)

@@ -9,14 +9,15 @@
 // plane must never starve behind data-plane load. Everything else is
 // admitted while its cost fits under a fixed concurrency limit
 // (Config.MaxInflight). Requests that do not fit wait in per-priority FIFO
-// queues (reads ahead of writes ahead of prepares) and are shed CoDel-style
-// (Nichols & Jacobson, "Controlling Queue Delay", 2012): once the queue's
-// sojourn time stays above a target for a full interval the controller
-// flips into shedding and rejects new arrivals immediately with a typed
-// *OverloadError carrying a computed Retry-After, instead of letting the
-// queue grow into a latency cliff. A waiter whose context deadline cannot
-// be met given the current backlog is rejected up front rather than parked
-// to time out.
+// queues (reads ahead of writes ahead of prepares). A request is shed —
+// rejected at once with a typed *OverloadError carrying a computed
+// Retry-After — when the queue is full (4 × the limit), or when its context
+// deadline cannot be met given the backlog, rather than parked to time out.
+//
+// There is no queue-delay shedding state: a CoDel-style one (shed every
+// arrival once the queue's sojourn time stayed above a target for an
+// interval) measured worse on the miss storm than the queue bound and the
+// deadline check alone (EXPERIMENTS.md P27).
 //
 // The limit does not adapt: an AIMD loop cutting it on degraded work
 // measured no better on the miss storm that gates admission (EXPERIMENTS.md
@@ -79,28 +80,14 @@ type Config struct {
 	// MaxInflight is the concurrency limit, in cost units. 0 means 64.
 	MaxInflight int
 
-	// The rest are fixed for serving and set only by this package's tests.
-
-	// target is the CoDel sojourn-time target, the queue delay the
-	// controller tolerates indefinitely: 20ms.
-	target time.Duration
-	// interval is the CoDel control interval: sojourn must stay above
-	// target for this long before shedding starts: 200ms.
-	interval time.Duration
 	// maxQueue bounds the number of queued waiters across all priorities:
-	// 4 × MaxInflight.
+	// 4 × MaxInflight. Fixed for serving; only this package's tests set it.
 	maxQueue int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
-	}
-	if c.target <= 0 {
-		c.target = 20 * time.Millisecond
-	}
-	if c.interval <= 0 {
-		c.interval = 200 * time.Millisecond
 	}
 	if c.maxQueue <= 0 {
 		c.maxQueue = 4 * c.MaxInflight
@@ -143,9 +130,6 @@ type Stats struct {
 	Shed int64
 	// ShedByPriority breaks Shed down per priority (indexed by Priority).
 	ShedByPriority [int(numPriorities)]int64
-	// Shedding reports whether the controller is currently in the
-	// CoDel shedding state.
-	Shedding bool
 }
 
 // waiter is one parked request.
@@ -153,7 +137,6 @@ type waiter struct {
 	ch   chan struct{} // closed/sent on grant
 	pri  Priority
 	cost int
-	enq  time.Time
 	elem *list.Element // nil once dequeued (granted or canceled)
 }
 
@@ -169,9 +152,7 @@ type Controller struct {
 	queued     int // waiters across queues
 	queuedCost int // cost units across queues
 
-	shedding   bool
-	aboveSince time.Time     // first moment sojourn exceeded target (zero = below)
-	ewma       time.Duration // EWMA of admitted service latency
+	ewma time.Duration // EWMA of admitted service latency
 
 	admitted int64
 	bypassed int64
@@ -200,8 +181,8 @@ type Ticket struct {
 // (cost units; < 1 is clamped to 1). Health and Replication are always
 // admitted immediately. Gated priorities are admitted when the limit has
 // room, parked in a per-priority FIFO otherwise, and rejected with a
-// typed *OverloadError when the controller is shedding, the queue is
-// full, or the context deadline cannot be met given the backlog. A nil
+// typed *OverloadError when the queue is full or the context deadline
+// cannot be met given the backlog. A nil
 // Controller admits everything (admission disabled).
 func (c *Controller) Admit(ctx context.Context, pri Priority, cost int) (*Ticket, error) {
 	if c == nil {
@@ -220,19 +201,16 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, cost int) (*Ticket
 	// controller is idle: one oversized request at a time beats never — a
 	// prepare must not starve behind a limit below its cost.
 	if c.queued == 0 && (c.inflight+cost <= c.cfg.MaxInflight || c.inflight == 0) {
-		// Headroom with no backlog: any shedding episode is over.
-		c.shedding = false
-		c.aboveSince = time.Time{}
 		c.inflight += cost
 		c.running++
 		c.admitted++
 		c.mu.Unlock()
 		return &Ticket{c: c, pri: pri, cost: cost}, nil
 	}
-	if c.shedding || c.queued >= c.cfg.maxQueue || c.hopelessLocked(ctx, cost) {
+	if c.queued >= c.cfg.maxQueue || c.hopelessLocked(ctx, cost) {
 		return nil, c.rejectLocked(pri) // unlocks
 	}
-	w := &waiter{ch: make(chan struct{}, 1), pri: pri, cost: cost, enq: time.Now()}
+	w := &waiter{ch: make(chan struct{}, 1), pri: pri, cost: cost}
 	w.elem = c.queues[int(pri-Read)].PushBack(w)
 	c.queued++
 	c.queuedCost += cost
@@ -314,15 +292,12 @@ func (c *Controller) headLocked() *waiter {
 	return nil
 }
 
-// dispatchLocked grants queued waiters while the limit has room, feeding
-// each grant's sojourn time into the CoDel state. Caller holds mu.
-func (c *Controller) dispatchLocked(now time.Time) {
+// dispatchLocked grants queued waiters while the limit has room. Caller
+// holds mu.
+func (c *Controller) dispatchLocked() {
 	for {
 		w := c.headLocked()
 		if w == nil {
-			// Queue drained; a shedding episode ends only once an arrival
-			// or a dequeue observes genuine headroom, not merely because
-			// the backlog was granted into a still-saturated limit.
 			return
 		}
 		if c.inflight+w.cost > c.cfg.MaxInflight && c.inflight > 0 {
@@ -337,33 +312,13 @@ func (c *Controller) dispatchLocked(now time.Time) {
 		c.inflight += w.cost
 		c.running++
 		c.admitted++
-		c.observeSojournLocked(now, now.Sub(w.enq))
 		w.ch <- struct{}{}
-	}
-}
-
-// observeSojournLocked updates the CoDel state with one dequeued
-// waiter's queue delay: persistently above target for interval flips the
-// controller into shedding; one dip below target clears it.
-func (c *Controller) observeSojournLocked(now time.Time, sojourn time.Duration) {
-	if sojourn <= c.cfg.target {
-		c.aboveSince = time.Time{}
-		c.shedding = false
-		return
-	}
-	if c.aboveSince.IsZero() {
-		c.aboveSince = now
-		return
-	}
-	if now.Sub(c.aboveSince) >= c.cfg.interval {
-		c.shedding = true
 	}
 }
 
 // release returns cost units to the pool, folds a positive service
 // latency into the EWMA and redrains the queue.
 func (c *Controller) release(cost int, latency time.Duration) {
-	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if latency > 0 {
@@ -380,7 +335,7 @@ func (c *Controller) release(cost int, latency time.Duration) {
 	if c.running > 0 {
 		c.running--
 	}
-	c.dispatchLocked(now)
+	c.dispatchLocked()
 }
 
 // Done reports that the admitted work finished, with its service latency,
@@ -424,7 +379,6 @@ func (c *Controller) Snapshot() Stats {
 		Queued:         c.queued,
 		Admitted:       c.admitted,
 		Bypassed:       c.bypassed,
-		Shedding:       c.shedding,
 		ShedByPriority: c.shed,
 	}
 	for _, n := range c.shed {

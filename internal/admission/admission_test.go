@@ -91,76 +91,29 @@ func TestPriorityOrder(t *testing.T) {
 	}
 }
 
-// shedController builds a controller of capacity 1 and walks it into the
-// CoDel shedding state: a held ticket, waiters whose sojourn exceeds
-// target for longer than interval, two grant observations spanning the
-// interval. It returns the controller with one ticket still held and
-// shedding == true.
-func shedController(t *testing.T) (*Controller, *Ticket) {
+// fullController builds a controller of capacity 1 whose queue of one is
+// full: a held ticket and one parked waiter. It returns the controller
+// with the ticket still held; releasing it grants the waiter, which then
+// holds its ticket for good.
+func fullController(t *testing.T) (*Controller, *Ticket) {
 	t.Helper()
-	c := New(Config{MaxInflight: 1, target: time.Millisecond, interval: 10 * time.Millisecond})
+	c := New(Config{MaxInflight: 1, maxQueue: 1})
 	hold := admit(t, c, Read, 1)
-
-	grants := make(chan *Ticket, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			tk, err := c.Admit(context.Background(), Read, 1)
-			if err != nil {
-				t.Errorf("queued admit: %v", err)
-				return
-			}
-			grants <- tk
-		}()
-	}
+	go c.Admit(context.Background(), Read, 1) //nolint:errcheck // parked until hold is released
 	deadline := time.Now().Add(2 * time.Second)
-	for c.Snapshot().Queued < 2 {
+	for c.Snapshot().Queued < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("waiters never queued: %+v", c.Snapshot())
+			t.Fatalf("waiter never queued: %+v", c.Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	time.Sleep(15 * time.Millisecond) // both sojourns now exceed target
-	hold.Done(time.Millisecond, false)
-	first := <-grants                 // first grant: starts the above-target clock
-	time.Sleep(15 * time.Millisecond) // stay above target past interval
-	first.Done(time.Millisecond, false)
-	second := <-grants // second grant: above target for >= interval → shedding
-
-	if !c.Snapshot().Shedding {
-		t.Fatalf("controller not shedding after sustained queue delay: %+v", c.Snapshot())
-	}
-	return c, second
-}
-
-func TestCoDelShedAndRecover(t *testing.T) {
-	c, held := shedController(t)
-
-	_, err := c.Admit(context.Background(), Read, 1)
-	var oe *OverloadError
-	if !errors.As(err, &oe) {
-		t.Fatalf("admit while shedding: got %v, want *OverloadError", err)
-	}
-	if oe.RetryAfter < time.Second || oe.RetryAfter > 30*time.Second {
-		t.Fatalf("RetryAfter %s outside [1s, 30s]", oe.RetryAfter)
-	}
-	if oe.Priority != Read {
-		t.Fatalf("shed priority = %s, want read", oe.Priority)
-	}
-
-	// Once capacity frees, the next arrival finds headroom, is admitted,
-	// and the shedding episode ends.
-	held.Done(time.Millisecond, false)
-	tk := admit(t, c, Read, 1)
-	if c.Snapshot().Shedding {
-		t.Fatalf("still shedding after an arrival found headroom")
-	}
-	tk.Done(time.Millisecond, false)
+	return c, hold
 }
 
 // TestPriorityNeverShed is the admission-priority table: with the
-// controller saturated AND actively shedding, health and replication
-// requests are always admitted; every gated priority is shed.
+// controller saturated and its queue full, health and replication
+// requests are always admitted; every gated priority is shed, with a
+// Retry-After in [1s, 30s].
 func TestPriorityNeverShed(t *testing.T) {
 	cases := []struct {
 		pri  Priority
@@ -174,7 +127,7 @@ func TestPriorityNeverShed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.pri.String(), func(t *testing.T) {
-			c, held := shedController(t)
+			c, held := fullController(t)
 			defer held.Done(time.Millisecond, false)
 
 			tk, err := c.Admit(context.Background(), tc.pri, 1)
@@ -182,6 +135,9 @@ func TestPriorityNeverShed(t *testing.T) {
 				var oe *OverloadError
 				if !errors.As(err, &oe) {
 					t.Fatalf("%s under overload: got err %v, want *OverloadError", tc.pri, err)
+				}
+				if oe.Priority != tc.pri || oe.RetryAfter < time.Second || oe.RetryAfter > 30*time.Second {
+					t.Fatalf("shed %s: %+v, want its priority and a RetryAfter in [1s, 30s]", tc.pri, oe)
 				}
 				return
 			}
@@ -305,7 +261,7 @@ func TestNilController(t *testing.T) {
 		t.Fatalf("nil controller Admit: %v, %v", tk, err)
 	}
 	tk.Done(time.Second, true) // nil ticket: no-op
-	if c.QueueDepth() != 0 || c.Snapshot().Shedding {
+	if c.QueueDepth() != 0 {
 		t.Fatalf("nil controller reports load")
 	}
 	if st := c.Snapshot(); st.Admitted != 0 {

@@ -32,9 +32,6 @@ type Cost struct {
 	// Cartesian lists rule bodies whose positive literals split into
 	// variable-disjoint groups (DL009).
 	Cartesian []CartesianSite
-	// Nonlinear lists rules with two or more body literals in the head's
-	// recursive component (DL010).
-	Nonlinear []NonlinearSite
 	// Fanout lists rule bodies whose estimated join size reaches the
 	// threshold (DL011).
 	Fanout []FanoutSite
@@ -172,6 +169,30 @@ func AnalyzeCost(p *datalog.Program, opts CostOptions) *Cost {
 				Clause: ci, Pos: c.Head.Pos, Head: c.Head.Pred, Groups: groups,
 			})
 		}
+		if est := ruleEstimate(c, func(pred string) int64 { return sizes[pred] }); est >= threshold {
+			cost.Fanout = append(cost.Fanout, FanoutSite{
+				Clause: ci, Pos: c.Head.Pos, Head: c.Head.Pred, Estimate: est,
+			})
+		}
+	}
+	return cost
+}
+
+// Nonlinear lists the rules with two or more body literals in the head's
+// recursive component (DL010). Lint reports them; the compiler routes a
+// program with any of them to the interpreter.
+func Nonlinear(p *datalog.Program) []NonlinearSite {
+	var heads []string
+	succ := map[string][]string{}
+	for _, e := range datalog.DependencyGraph(p) {
+		if _, ok := succ[e.From]; !ok {
+			heads = append(heads, e.From)
+		}
+		succ[e.From] = append(succ[e.From], e.To)
+	}
+	comp := SCCs(heads, succ)
+	var sites []NonlinearSite
+	for ci, c := range p.Clauses {
 		var rec []string
 		for _, l := range c.Body {
 			if l.Atom.IsBuiltin() {
@@ -182,17 +203,12 @@ func AnalyzeCost(p *datalog.Program, opts CostOptions) *Cost {
 			}
 		}
 		if len(rec) >= 2 {
-			cost.Nonlinear = append(cost.Nonlinear, NonlinearSite{
+			sites = append(sites, NonlinearSite{
 				Clause: ci, Pos: c.Head.Pos, Head: c.Head.Pred, Recursive: rec,
 			})
 		}
-		if est := ruleEstimate(c, func(pred string) int64 { return sizes[pred] }); est >= threshold {
-			cost.Fanout = append(cost.Fanout, FanoutSite{
-				Clause: ci, Pos: c.Head.Pos, Head: c.Head.Pred, Estimate: est,
-			})
-		}
 	}
-	return cost
+	return sites
 }
 
 // cartesianGroups partitions the positive, variable-carrying body

@@ -2,7 +2,18 @@ package analysis
 
 import (
 	"testing"
+
+	"repro/internal/datalog"
 )
+
+func mustParse(t *testing.T, src string) *datalog.Program {
+	t.Helper()
+	p, err := datalog.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return p
+}
 
 func TestCostCartesian(t *testing.T) {
 	p := mustParse(t, `
@@ -32,15 +43,28 @@ func TestCostCartesianIgnoresGroundLiterals(t *testing.T) {
 	}
 }
 
+// TestCostNonlinear pins DL010 on transitive closure: the linear rule,
+// one recursive literal, is not flagged; the doubled rule, two literals in
+// tc's own component, is.
 func TestCostNonlinear(t *testing.T) {
-	p := mustParse(t, `
+	linear := mustParse(t, `
+		edge(a, b). edge(b, c).
+		tc(X, Y) :- edge(X, Y).
+		tc(X, Z) :- edge(X, Y), tc(Y, Z).
+		?- tc(a, W).
+	`)
+	if sites := Nonlinear(linear); len(sites) != 0 {
+		t.Errorf("linear tc flagged nonlinear: %+v", sites)
+	}
+	doubled := mustParse(t, `
 		edge(a, b).
 		tc(X, Y) :- edge(X, Y).
 		tc(X, Z) :- tc(X, Y), tc(Y, Z).
+		?- tc(a, W).
 	`)
-	cost := AnalyzeCost(p, CostOptions{})
-	if len(cost.Nonlinear) != 1 || cost.Nonlinear[0].Head != "tc" || len(cost.Nonlinear[0].Recursive) != 2 {
-		t.Errorf("nonlinear sites = %+v", cost.Nonlinear)
+	sites := Nonlinear(doubled)
+	if len(sites) != 1 || sites[0].Head != "tc" || sites[0].Clause != 2 || len(sites[0].Recursive) != 2 {
+		t.Errorf("nonlinear sites = %+v", sites)
 	}
 }
 

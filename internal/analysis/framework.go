@@ -3,20 +3,19 @@
 // dataflow framework: a worklist fixpoint over the predicate dependency
 // graph, parameterized by a join-semilattice of abstract values.
 //
-// Three analyses are instantiated on it:
+// Two analyses are instantiated on it:
 //
-//   - adornment/groundness (adornment.go): which b/f binding patterns
-//     reach each predicate from the program's queries, whether negation
-//     can flounder under a reachable adornment, and whether recursion is
-//     ever entered with no bound argument — the metadata a compiled
-//     engine's plan cache keys on;
 //   - MLS information flow (flow.go): per-predicate classification
 //     bounds over the security lattice, downgrade channels, belief-mode
 //     divergence, and clearance-(in)dependence claims that the
 //     differential harness cross-validates against the reduction
 //     semantics;
-//   - cost/shape (cost.go): cartesian-product rule bodies, nonlinear
-//     recursion, and first-order join fan-out estimates.
+//   - cost/shape (cost.go): cartesian-product rule bodies and first-order
+//     join fan-out estimates.
+//
+// Beside them, Nonlinear (cost.go) finds nonlinearly recursive rules from
+// the dependency graph's components alone: lint reports them (DL010), and
+// the compiled engine routes such a program to the interpreter.
 //
 // The framework deliberately mirrors the lattice-valued fixpoint view of
 // Datalog semantics (MV-Datalog±, Loyer/Spyratos/Stamate): an analysis is
@@ -132,7 +131,7 @@ func (s Solver[V]) Solve(
 // SCCs computes strongly connected components (Tarjan) of a graph given
 // as adjacency lists over string nodes, in a deterministic order. It
 // returns the component index per node; nodes in the same component are
-// mutually reachable. Used by the cost and adornment analyses to detect
+// mutually reachable. Used by the cost analysis and Nonlinear to detect
 // recursion and to keep size estimates first-order.
 func SCCs(nodes []string, succ map[string][]string) map[string]int {
 	index := map[string]int{}

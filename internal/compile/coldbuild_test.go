@@ -119,3 +119,36 @@ func TestColdBuildHandoverAllocsFlatInTuples(t *testing.T) {
 		t.Errorf("a hand-over allocates %.0f at 8000 facts, %.0f at 200: more than 1.25x", large, small)
 	}
 }
+
+// TestColdBuildFixpointAllocsPerTuple: between 200 and 8,000 facts the
+// compiled fixpoint's allocations grow by well under one per tuple the
+// larger model adds. A job inserts each head row into its relation as it
+// derives it; staging the rows of every job in a buffer of its own, deduped
+// by a set of packed keys, and merging them after the round costs more than
+// one allocation per derived tuple.
+func TestColdBuildFixpointAllocsPerTuple(t *testing.T) {
+	allocs := func(facts int) (float64, int) {
+		red := coldBuildReduction(t, facts)
+		pl, err := Compile(red.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tuples int
+		n := testing.AllocsPerRun(2, func() {
+			rt := pl.newRuntime(context.Background(), Options{})
+			if err := rt.run(red.Program, nil); err != nil {
+				t.Fatal(err)
+			}
+			tuples = rt.model.Len()
+		})
+		return n, tuples
+	}
+	small, smallN := allocs(200)
+	large, largeN := allocs(8000)
+	per := (large - small) / float64(largeN-smallN)
+	t.Logf("allocations per fixpoint: %.0f at %d tuples (200 facts), %.0f at %d tuples (8000 facts): %.2f per added tuple",
+		small, smallN, large, largeN, per)
+	if per > 0.4 {
+		t.Errorf("the fixpoint allocates %.2f per added tuple between 200 and 8000 facts: more than 0.4", per)
+	}
+}

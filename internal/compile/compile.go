@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/datalog"
@@ -83,26 +84,21 @@ type rulePlan struct {
 	variants []int       // op indexes eligible to read the semi-naive delta
 }
 
-// stratumPlan groups the compiled rules of one stratum with the predicate
-// set they define (the predicates whose growth drives re-evaluation).
+// stratumPlan groups the compiled rules of one stratum with the predicates
+// they define (the predicates whose growth drives re-evaluation).
 type stratumPlan struct {
 	rules []*rulePlan
-	idb   map[int]bool
+	idb   []int
 }
 
 // Plan is the compiled, fact-independent form of a program's rules. Plans
 // are immutable after Compile and safe for concurrent runs; every run
 // carries its own interner and relations.
 type Plan struct {
-	preds   []predKey
-	predIx  map[predKey]int
-	strata  []stratumPlan
-	summary *analysis.Summary
+	preds  []predKey
+	predIx map[predKey]int
+	strata []stratumPlan
 }
-
-// Summary returns the adornment/recursion summary computed at compile time
-// for plan selection (nil only for the zero Plan).
-func (pl *Plan) Summary() *analysis.Summary { return pl.summary }
 
 // Predicates returns the names referenced by the compiled rules, sorted
 // per first assignment; the plan cache records them for impact-graph
@@ -119,19 +115,15 @@ func (pl *Plan) Predicates() []string {
 	return out
 }
 
-// splitRules separates a program into its rule subset (preserving queries,
-// which seed the adornment analysis) and its fact clauses.
-func splitRules(p *datalog.Program) (*datalog.Program, []datalog.Clause) {
-	rules := &datalog.Program{Queries: p.Queries}
-	var facts []datalog.Clause
+// ruleSubset returns a program's rules, without its facts.
+func ruleSubset(p *datalog.Program) *datalog.Program {
+	rules := &datalog.Program{}
 	for _, c := range p.Clauses {
-		if c.IsFact() {
-			facts = append(facts, c)
-		} else {
+		if !c.IsFact() {
 			rules.Add(c)
 		}
 	}
-	return rules, facts
+	return rules
 }
 
 // Compile validates and compiles a program's rules into a reusable Plan.
@@ -139,26 +131,28 @@ func splitRules(p *datalog.Program) (*datalog.Program, []datalog.Clause) {
 // serves every fact set sharing the rule set. Returns *ErrFallback for the
 // constructs routed to the interpreter: non-ground compound terms,
 // equality between two still-unbound variables, arities beyond the probe
-// mask width, and nonlinear recursion (the analysis summary's DL010, which
-// stays on the interpreter until the compiled delta rewrite is proven).
+// mask width, and nonlinear recursion (lint's DL010, analysis.Nonlinear,
+// which stays on the interpreter until the compiled delta rewrite is
+// proven).
 func Compile(p *datalog.Program) (*Plan, error) {
 	if err := datalog.Validate(p); err != nil {
 		return nil, err
 	}
-	rules, _ := splitRules(p)
+	rules := ruleSubset(p)
 	strata, err := datalog.Strata(rules)
 	if err != nil {
 		return nil, err
 	}
-	summary := analysis.Adorn(rules, rules.Queries)
-	for _, name := range summary.PredNames() {
-		if summary.Pred(name).NonlinearRecursion {
-			return nil, &ErrFallback{Construct: "nonlinear recursion", Reason: fmt.Sprintf("nonlinear recursion through %s (DL010)", name)}
+	if sites := analysis.Nonlinear(rules); len(sites) > 0 {
+		first := sites[0].Head
+		for _, site := range sites[1:] {
+			first = min(first, site.Head)
 		}
+		return nil, &ErrFallback{Construct: "nonlinear recursion", Reason: fmt.Sprintf("nonlinear recursion through %s (DL010)", first)}
 	}
-	pl := &Plan{predIx: map[predKey]int{}, summary: summary}
+	pl := &Plan{predIx: map[predKey]int{}}
 	for _, clauses := range strata {
-		sp := stratumPlan{idb: map[int]bool{}}
+		var sp stratumPlan
 		heads := map[predKey]bool{}
 		for _, c := range clauses {
 			heads[predKey{c.Head.Pred, c.Head.Arity()}] = true
@@ -169,7 +163,9 @@ func Compile(p *datalog.Program) (*Plan, error) {
 				return nil, err
 			}
 			sp.rules = append(sp.rules, rp)
-			sp.idb[pl.pred(c.Head.Pred, c.Head.Arity())] = true
+			if !slices.Contains(sp.idb, rp.headPred) {
+				sp.idb = append(sp.idb, rp.headPred)
+			}
 		}
 		if len(sp.rules) > 0 {
 			pl.strata = append(pl.strata, sp)

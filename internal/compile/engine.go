@@ -53,15 +53,6 @@ type job struct {
 	deltaAt int
 }
 
-// emitBuf collects one job's derived rows: flattened head tuples plus a
-// job-local dedup set. Buffers are private to their job during a round and
-// merged after it in job order: the round's jobs all read the same relations.
-type emitBuf struct {
-	n    int
-	rows []ID
-	seen map[string]bool
-}
-
 // runtime is the mutable state of one run: the store it builds the model
 // in, with its interner, one Relation per predicate, and the governor. A
 // runtime is used once and discarded.
@@ -72,6 +63,7 @@ type runtime struct {
 	in    *Interner
 	rels  map[predKey]*Relation
 	bound []*Relation // by plan predicate index
+	delta []rowRange  // by plan predicate index: the last round's new rows
 	pools map[*rulePlan][]ID
 	stats *Stats
 }
@@ -101,6 +93,7 @@ func (pl *Plan) newRuntime(ctx context.Context, opts Options) *runtime {
 		in:    &Interner{gov: gov, in: model.Interner()},
 		rels:  make(map[predKey]*Relation, len(pl.preds)),
 		bound: make([]*Relation, len(pl.preds)),
+		delta: make([]rowRange, len(pl.preds)),
 		pools: make(map[*rulePlan][]ID),
 		stats: &Stats{},
 	}
@@ -205,7 +198,10 @@ func (rt *runtime) run(p *datalog.Program, edb *datalog.Store) error {
 
 // runStratum drives the semi-naive rounds of one stratum: round zero runs
 // every rule against the full store; later rounds run one job per (rule,
-// delta-readable scan op) whose delta relation is non-empty.
+// delta-readable scan op) whose delta is non-empty. A job inserts each head
+// row as it derives it, so later jobs of the round already read it, as in
+// the interpreter's sequential rounds; a predicate's delta is the rows
+// appended to it during the round, a contiguous suffix of its relation.
 func (rt *runtime) runStratum(sp *stratumPlan) error {
 	for _, rp := range sp.rules {
 		if err := rt.internPool(rp); err != nil {
@@ -216,7 +212,7 @@ func (rt *runtime) runStratum(sp *stratumPlan) error {
 	for _, rp := range sp.rules {
 		jobs = append(jobs, job{rp: rp, deltaAt: -1})
 	}
-	var deltas map[int]rowRange
+	start := make([]int32, len(sp.idb))
 	for {
 		rt.stats.Rounds++
 		if err := rt.gov.Check(); err != nil {
@@ -225,22 +221,21 @@ func (rt *runtime) runStratum(sp *stratumPlan) error {
 		if err := rt.ensureIndexes(jobs); err != nil {
 			return err
 		}
-		bufs, err := rt.runJobs(jobs, deltas)
-		if err != nil {
-			return err
+		for i, p := range sp.idb {
+			start[i] = int32(rt.bound[p].Len())
 		}
-		next, changed, err := rt.merge(jobs, bufs)
-		if err != nil {
-			return err
+		for _, jb := range jobs {
+			if err := rt.newMachine(jb).step(0); err != nil {
+				return err
+			}
 		}
-		if !changed {
-			return nil
-		}
-		deltas = next
 		jobs = jobs[:0]
+		for i, p := range sp.idb {
+			rt.delta[p] = rowRange{start[i], int32(rt.bound[p].Len())}
+		}
 		for _, rp := range sp.rules {
 			for _, v := range rp.variants {
-				if d, ok := deltas[rp.ops[v].pred]; ok && d.to > d.from {
+				if d := rt.delta[rp.ops[v].pred]; d.to > d.from {
 					jobs = append(jobs, job{rp: rp, deltaAt: v})
 				}
 			}
@@ -269,7 +264,9 @@ func (rt *runtime) internPool(rp *rulePlan) error {
 }
 
 // ensureIndexes builds or extends every hash index the round's jobs will
-// probe, so that the job phase only reads. Delta scans probe the base
+// probe, so that the jobs only read the indexes: a row a job inserts is
+// indexed at the next round's call, and its delta carries it there. Delta
+// scans probe the base
 // relation's index through a row-range view, so one index per (predicate,
 // mask) serves both full and delta reads.
 func (rt *runtime) ensureIndexes(jobs []job) error {
@@ -287,57 +284,12 @@ func (rt *runtime) ensureIndexes(jobs []job) error {
 	return nil
 }
 
-// runJobs executes the round's jobs, each emitting into a private buffer;
-// merge folds the buffers in job order.
-func (rt *runtime) runJobs(jobs []job, deltas map[int]rowRange) ([]*emitBuf, error) {
-	bufs := make([]*emitBuf, len(jobs))
-	for k := range jobs {
-		bufs[k] = &emitBuf{seen: make(map[string]bool)}
-		if err := rt.newMachine(jobs[k], deltas, bufs[k]).step(0); err != nil {
-			return nil, err
-		}
-	}
-	return bufs, nil
-}
-
-// merge folds the round's buffers into the full store in fixed job order.
-// Because relations are append-only, the globally-new rows of each head
-// predicate form a contiguous suffix; the next round's deltas are just
-// those row ranges, with no second relation to populate or index.
-func (rt *runtime) merge(jobs []job, bufs []*emitBuf) (map[int]rowRange, bool, error) {
-	next := make(map[int]rowRange)
-	changed := false
-	for k, b := range bufs {
-		hp := jobs[k].rp.headPred
-		rel := rt.bound[hp]
-		arity := rt.plan.preds[hp].arity
-		for i := 0; i < b.n; i++ {
-			row := b.rows[i*arity : (i+1)*arity]
-			added, err := rel.Insert(row, rt.gov)
-			if err != nil {
-				return nil, false, err
-			}
-			if !added {
-				continue
-			}
-			changed = true
-			d, ok := next[hp]
-			if !ok {
-				d.from = int32(rel.Len()) - 1
-			}
-			d.to = int32(rel.Len())
-			next[hp] = d
-		}
-	}
-	return next, changed, nil
-}
-
 // rowRange is a semi-naive delta: the contiguous rows [from, to) appended
-// to a predicate's relation by the previous round's merge.
+// to a predicate's relation during the previous round.
 type rowRange struct{ from, to int32 }
 
-// machine executes one job's op pipeline by depth-first join, emitting
-// head rows into the job's private buffer.
+// machine executes one job's op pipeline by depth-first join, inserting
+// each new head row into its relation.
 type machine struct {
 	rt    *runtime
 	rp    *rulePlan
@@ -347,20 +299,18 @@ type machine struct {
 	pool  []ID
 	key   []byte
 	row   []ID
-	buf   *emitBuf
 }
 
-func (rt *runtime) newMachine(jb job, deltas map[int]rowRange, buf *emitBuf) *machine {
+func (rt *runtime) newMachine(jb job) *machine {
 	m := &machine{
 		rt:   rt,
 		rp:   jb.rp,
 		dAt:  jb.deltaAt,
 		regs: make([]ID, jb.rp.nregs),
 		pool: rt.pools[jb.rp],
-		buf:  buf,
 	}
 	if jb.deltaAt >= 0 {
-		m.delta = deltas[jb.rp.ops[jb.deltaAt].pred]
+		m.delta = rt.delta[jb.rp.ops[jb.deltaAt].pred]
 	}
 	return m
 }
@@ -479,9 +429,9 @@ func (m *machine) step(i int) error {
 	}
 }
 
-// emit builds the head row, dedups against both the job buffer and the
-// full store, and charges the governor for locally-new derivations — so a
-// runaway round exhausts the budget at emission time, before the merge.
+// emit builds the head row and inserts it into the head relation, charging
+// the governor once for each new fact, as the interpreter does, so a runaway
+// round exhausts the budget at emission time.
 func (m *machine) emit() error {
 	if err := m.rt.gov.Step(); err != nil {
 		return err
@@ -490,16 +440,10 @@ func (m *machine) emit() error {
 	for _, a := range m.rp.head {
 		m.row = append(m.row, m.val(a))
 	}
-	m.key = packIDs(m.key[:0], m.row)
-	if m.buf.seen[string(m.key)] {
-		return nil
+	added, err := m.rt.bound[m.rp.headPred].Insert(m.row, m.rt.gov)
+	if err != nil || !added {
+		return err
 	}
-	if m.rt.bound[m.rp.headPred].Contains(m.row) {
-		return nil
-	}
-	m.buf.seen[string(m.key)] = true
-	m.buf.n++
-	m.buf.rows = append(m.buf.rows, m.row...)
 	pred := m.rt.plan.preds[m.rp.headPred].name
 	return m.rt.gov.Insert(m.rt.seedBytes(pred, m.row))
 }

@@ -10,10 +10,9 @@
 //
 // The compiler refuses, with *ErrFallback, the few constructs the register
 // machine does not model (non-ground compound terms, '=' between two
-// still-unbound variables) plus — per the plan-selection contract with
-// internal/analysis — programs whose Summary reports nonlinear recursion
-// (DL010). Callers fall back to the tree-walking interpreter; the
-// differential harness keeps both in byte-agreement.
+// still-unbound variables) plus programs with nonlinear recursion
+// (analysis.Nonlinear, lint's DL010). Callers fall back to the tree-walking
+// interpreter; the differential harness keeps both in byte-agreement.
 package compile
 
 import (

@@ -42,14 +42,6 @@ func (r *Relation) Len() int {
 	return r.rows.Len()
 }
 
-// packIDs appends the little-endian bytes of each ID to dst.
-func packIDs(dst []byte, row []ID) []byte {
-	for _, id := range row {
-		dst = append(dst, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return dst
-}
-
 // Insert adds one tuple, reporting whether it was new. Memory for the row
 // is charged to gov; the fact count itself is the caller's concern (the
 // engine charges gov.Insert for derived tuples, mirroring the interpreter's

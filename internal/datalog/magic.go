@@ -114,10 +114,8 @@ func MagicSet(p *Program, query Atom) (*Program, Atom, error) {
 
 // AdornmentOf computes the b/f pattern of an atom given the currently
 // bound variables: an argument is bound when it is ground or all its
-// variables are bound. It is the single adornment definition shared by
-// the magic-sets rewrite and the whole-program adornment analysis
-// (internal/analysis); both must agree on what "bound" means or plan
-// selection would diverge from rewriting.
+// variables are bound. It is the magic-sets rewrite's definition of an
+// adornment.
 func AdornmentOf(a Atom, bound map[string]bool) string {
 	var b strings.Builder
 	for _, t := range a.Args {

@@ -14,8 +14,8 @@ package datalog
 // place among the positives.
 //
 // Exported because it *is* the sideways-information-passing order: the
-// magic-sets rewrite, SLD, tabling, and the adornment analysis in
-// internal/analysis all walk bodies in this order, and they must agree.
+// magic-sets rewrite, SLD, tabling and the compiled engine all walk
+// bodies in this order, and they must agree.
 func OrderBody(body []Literal) []Literal {
 	var pos, deferred []Literal
 	for _, l := range body {

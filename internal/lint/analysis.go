@@ -31,7 +31,7 @@ func lintDatalogCost(r *reporter, p *datalog.Program) {
 			site.Head, len(site.Groups), strings.Join(parts, " x "))
 		d.Fix = "share a variable between the groups, or split the rule so each product is intentional"
 	}
-	for _, site := range cost.Nonlinear {
+	for _, site := range analysis.Nonlinear(p) {
 		d := r.report("DL010", Info, site.Pos,
 			"nonlinear recursion in rule for %s: %d body literals (%s) are in its recursive component",
 			site.Head, len(site.Recursive), strings.Join(site.Recursive, ", "))

@@ -101,7 +101,7 @@ func BenchmarkServerQueryCached(b *testing.B) {
 
 // BenchmarkOverloadStorm drives two serverload storms a fixed multiple past
 // the capacity each first measures, against both arms: admission on (a fixed
-// limit, CoDel shedding, brownout) and admission off (every request
+// limit, its queue bound and deadline check, brownout) and admission off (every request
 // executes). The server is a multilogd child process on a CPU of its own
 // (splitCPUs), serving the 6000-fact program with a 4096-entry cache, and
 // the storm's clients run on the other CPUs, so the daemon, not the load

@@ -193,8 +193,6 @@ type AdmissionStats struct {
 	Bypassed int64 `json:"bypassed"`
 	// Shed counts requests rejected with 429.
 	Shed int64 `json:"shed"`
-	// Shedding reports the controller is currently in its CoDel shed state.
-	Shedding bool `json:"shedding,omitempty"`
 	// StaleServed counts brownout answers served from invalidated cache
 	// entries instead of rejecting.
 	StaleServed int64 `json:"stale_served,omitempty"`

@@ -116,9 +116,9 @@ type Config struct {
 	// fixed concurrency limit, in cost units, over the gated work classes
 	// (reads ≪ writes ≪ prepares; cache hits never ask, and health and
 	// replication always bypass). Beyond the limit requests queue FIFO per
-	// priority, are shed CoDel-style once queue delay persists, and
-	// rejected requests get a typed 429 with a computed Retry-After. 0
-	// disables admission.
+	// priority and are shed when the queue is full or their deadline cannot
+	// be met; rejected requests get a typed 429 with a computed
+	// Retry-After. 0 disables admission.
 	MaxInflight int
 	// MaxStale bounds brownout serving: while the admission controller is
 	// shedding, reads may be answered from invalidated result-cache entries
@@ -546,7 +546,6 @@ func (s *Server) admissionStats() *AdmissionStats {
 		Admitted:    st.Admitted,
 		Bypassed:    st.Bypassed,
 		Shed:        st.Shed,
-		Shedding:    st.Shedding,
 		StaleServed: s.staleServed.Load(),
 	}
 }

@@ -5,7 +5,8 @@
 # 1. BenchmarkOperationalVsReduction at facts=320: the interpreted reduction
 #    builds its model at least 2x slower (model-ns) than the compiled engine
 #    (smaller sizes are fixed-cost-dominated; EXPERIMENTS.md P3 records ≈ 5x
-#    at a long benchtime).
+#    at a long benchtime). Each arm is the median of 5 runs: one short run
+#    a side read 1.9x about one run in 20 on a quiet 2-core machine.
 # 2. BenchmarkOverloadStorm/storm=misses: goodput with admission on is at
 #    least 1.2x the no-admission arm's under a storm of cache misses 4x past
 #    the measured capacity of a multilogd child on a CPU of its own. The
@@ -74,7 +75,8 @@
 #    relations no cached entry reads — rule_churn's rule write — costs at
 #    64 000 cached entries at most 1.25x what it costs at 1 000: ~1.0x when
 #    Invalidate visits the reader index's lists of the changed relations,
-#    ~60x when it walks the whole LRU. BenchmarkServerRuleWrite prices that
+#    ~60x when it walks the whole LRU. Each arm is the median of 5 runs, as
+#    for gate 1: one run a side read 0.7x about one run in 20. BenchmarkServerRuleWrite prices that
 #    rule write through preparedProgram.update at 200, 2000 and 8000 facts
 #    (EXPERIMENTS.md P22); it is reported, not gated.
 # 11. TestStoreCloneAllocsFlatInRelations (internal/datalog, also in
@@ -105,6 +107,13 @@
 #    when the engine computes in the datalog.Store it returns, ~11x (165k
 #    against 15k) when every tuple is rebuilt as atoms with key strings and
 #    argument indexes. Run like gate 9, by the allocation-test run.
+# 15. TestColdBuildFixpointAllocsPerTuple (internal/compile, also in
+#    tier-1): the compiled fixpoint's allocations grow between 200 and 8000
+#    facts by at most 0.4 per tuple the larger model adds: ~0.16 when a job
+#    inserts each head row into its relation as it derives it, ~1.13 when
+#    each job stages its rows in a buffer of its own, deduped by packed
+#    keys, and a merge inserts them after the round. Run like gate 9, by the
+#    allocation-test run.
 set -eu
 
 GO=${GO:-go}
@@ -114,10 +123,18 @@ trap 'rm -rf "$TMP"' EXIT INT TERM
 # gate FILE GROUP DIM BASE ARM UNIT MIN reads the Benchmark$GROUP lines of
 # FILE, pairs each case's DIM=BASE and DIM=ARM arms by the case's other
 # '/'-separated parts (its prefix), prints BASE/ARM on metric UNIT per
-# prefix and fails unless every ratio is at least MIN. A prefix with only
-# one of the two arms, or no pair at all, fails too.
+# prefix and fails unless every ratio is at least MIN. An arm run more than
+# once (-count) enters the ratio as the median of its runs. A prefix with
+# only one of the two arms, or no pair at all, fails too.
 gate() {
     awk -v group="$2" -v dim="$3" -v base="$4" -v arm="$5" -v unit="$6" -v min="$7" '
+    function median(k, v,    n, i, j, a, t) {
+        n = runs[k, v]
+        for (i = 1; i <= n; i++) a[i] = got[k, v, i]
+        for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+    }
     $1 ~ "^Benchmark" group "/" {
         name = $1; sub(/-[0-9]+$/, "", name)
         n = split(name, part, "/"); key = ""; val = ""
@@ -126,18 +143,19 @@ gate() {
             else key = key (key == "" ? "" : "/") part[i]
         if (val != base && val != arm) next
         for (i = 3; i < NF; i += 2)
-            if ($(i + 1) == unit) got[key, val] = $i
+            if ($(i + 1) == unit) got[key, val, ++runs[key, val]] = $i + 0
         if (!(key in seen)) { seen[key] = 1; order[++keys] = key }
     }
     END {
         if (!keys) order[++keys] = ""
         for (k = 1; k <= keys; k++) {
             key = order[k]; label = group (key == "" ? "" : " " key)
-            if (!((key, base) in got) || !((key, arm) in got) || got[key, arm] <= 0) {
+            if (!runs[key, base] || !runs[key, arm] || median(key, arm) <= 0) {
                 printf "gate %s: no %s=%s/%s=%s pair on %s\n", label, dim, base, dim, arm, unit; bad = 1; continue
             }
-            r = got[key, base] / got[key, arm]
-            printf "gate %s: %s/%s %s = %.1fx (want >= %s)\n", label, base, arm, unit, r, min
+            r = median(key, base) / median(key, arm)
+            runs_note = runs[key, base] > 1 || runs[key, arm] > 1 ? sprintf(" (medians of %d and %d runs)", runs[key, base], runs[key, arm]) : ""
+            printf "gate %s: %s/%s %s = %.1fx%s (want >= %s)\n", label, base, arm, unit, r, runs_note, min
             if (r < min) bad = 1
         }
         exit bad
@@ -145,7 +163,7 @@ gate() {
 }
 
 $GO test . -run '^$' -bench 'BenchmarkOperationalVsReduction/facts=320' \
-    -benchtime 10x -count=1 | tee "$TMP/compiled.txt"
+    -benchtime 10x -count=5 | tee "$TMP/compiled.txt"
 gate "$TMP/compiled.txt" OperationalVsReduction engine reduction compiled model-ns 2
 
 $GO test ./internal/server -run '^$' -bench BenchmarkOverloadStorm \
@@ -163,11 +181,11 @@ $GO test ./internal/server -run '^$' -bench 'BenchmarkServerFactWrite/facts=2000
 gate "$TMP/serving.txt" ServerFactWrite serving per-clearance shared allocs/op 1.8
 
 $GO test ./internal/server -run '^$' -bench 'BenchmarkCacheInvalidate' \
-    -benchtime 2000000x -count=1 | tee "$TMP/cache.txt"
+    -benchtime 2000000x -count=5 | tee "$TMP/cache.txt"
 gate "$TMP/cache.txt" CacheInvalidate entries 1k 64k ns/op 0.8
 
 $GO test ./internal/server ./internal/multilog ./internal/datalog ./internal/compile \
-    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount|TestMatchAllocsFlatInCandidates|TestStoreCloneAllocsFlatInRelations|TestPatchedGetAllocsFlatInRows|TestColdBuildHandoverAllocsFlatInTuples)$' \
+    -run '^(TestFactWriteAllocsFlatInDatabaseSize|TestCachedHitAllocsFlatInAnswers|TestJoinStepsFollowTheBoundGoal|TestRuleWriteAllocsFlatInRuleCount|TestMatchAllocsFlatInCandidates|TestStoreCloneAllocsFlatInRelations|TestPatchedGetAllocsFlatInRows|TestColdBuildHandoverAllocsFlatInTuples|TestColdBuildFixpointAllocsPerTuple)$' \
     -count=1 -v > "$TMP/allocs.txt" || { cat "$TMP/allocs.txt"; exit 1; }
-grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert\|per match\|per clone\|per patched\|per hand-over' "$TMP/allocs.txt"
+grep 'per fact write\|per cached hit\|steps bound-first\|per rule assert\|per match\|per clone\|per patched\|per hand-over\|per fixpoint' "$TMP/allocs.txt"
 echo "bench-smoke: ok"
