@@ -43,9 +43,8 @@ func TestCostCartesianIgnoresGroundLiterals(t *testing.T) {
 	}
 }
 
-// TestCostNonlinear pins DL010 on transitive closure: the linear rule,
-// one recursive literal, is not flagged; the doubled rule, two literals in
-// tc's own component, is.
+// TestCostNonlinear pins that DL010 leaves linear transitive closure
+// alone: its recursive rule has one literal in tc's own component.
 func TestCostNonlinear(t *testing.T) {
 	linear := mustParse(t, `
 		edge(a, b). edge(b, c).
@@ -56,6 +55,12 @@ func TestCostNonlinear(t *testing.T) {
 	if sites := Nonlinear(linear); len(sites) != 0 {
 		t.Errorf("linear tc flagged nonlinear: %+v", sites)
 	}
+}
+
+// TestAdornNonlinear pins nonlinear-recursion detection on the classic
+// doubled transitive closure: one site, the doubled rule, with both tc
+// literals listed.
+func TestAdornNonlinear(t *testing.T) {
 	doubled := mustParse(t, `
 		edge(a, b).
 		tc(X, Y) :- edge(X, Y).
